@@ -1,0 +1,8 @@
+//go:build !linux
+
+package main
+
+import "errors"
+
+func pinToOneCPU() (int, error) { return 0, errors.New("thread affinity is set on Linux only") }
+func unpin()                    {}
