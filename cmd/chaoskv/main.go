@@ -16,8 +16,8 @@
 //     fingerprint across two whole process runs. With -adapt-pinned the
 //     store runs its contention Tuner enabled but pinned — sampling epochs
 //     tick on a real timer, yet no knob is ever written — and the
-//     fingerprint must STILL replay exactly: the proof that the adaptive
-//     machinery itself perturbs nothing.
+//     fingerprint must STILL replay exactly: the proof that the Tuner's
+//     sampling itself perturbs nothing.
 //
 //   - Overload sweep: concurrent clients hammer an admission-controlled,
 //     request-timeout-bounded server while the injection probability rises.

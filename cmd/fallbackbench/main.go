@@ -10,9 +10,9 @@
 // shard counts) and the striped-metadata knob (neighbor-word throughput and
 // aliasing aborts across StripeShift values). The final table is the
 // adaptive-contention figure: the phase-shift workload (footprints alternate
-// between disjoint and fully shared mid-run) under both static fallback
-// configurations and the online Tuner, which should match the best static
-// choice in each phase.
+// between disjoint and fully shared mid-run) under each pinned fallback mode
+// and the online Tuner, which should match the best pinned choice in each
+// phase.
 //
 // With -json the tables are written as a machine-readable harness.Report;
 // with -append they are merged into an existing report file instead (so CI
@@ -81,7 +81,7 @@ func run() int {
 	fmt.Println(clockScaling.Render())
 	stripeTable := harness.StripeConflictTable(cfg, spinsThreads, []int{0, 1, 2, 4})
 	fmt.Println(stripeTable.Render())
-	// Adaptive-contention figure (PR 10): phase-shift throughput at the same
+	// Adaptive-contention figure: phase-shift throughput at the same
 	// fixed thread count as the spins sweep.
 	adaptiveTable := harness.AdaptiveScaling(cfg, spinsThreads)
 	fmt.Println(adaptiveTable.Render())

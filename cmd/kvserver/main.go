@@ -22,9 +22,9 @@
 // heap — the chaos knobs, usable against a live server; -admission turns on
 // load shedding (503 + Retry-After under pool saturation or abort storms)
 // and -req-timeout bounds each request's store operation. -adapt attaches
-// the online contention tuner (htm.Tuner): the fallback mode, spin budget
-// and dedup threshold self-tune from live abort feedback, and with
-// -admission the governor's storm threshold tracks the heap's abort mix.
+// the online contention tuner (htm.Tuner): the fallback mode and spin budget
+// self-tune from live abort feedback, and with -admission the governor's
+// storm threshold tracks the heap's abort mix.
 //
 // -wal-dir turns on durability: acknowledged mutations are written to a
 // CRC-framed commit log before the response goes out, snapshots truncate old
@@ -72,7 +72,7 @@ func run() int {
 	admission := flag.Bool("admission", false, "shed load (503 + Retry-After) under pool saturation or abort storms")
 	reqTimeout := flag.Duration("req-timeout", 0, "per-request store-operation deadline (0 = unbounded)")
 	maxRetries := flag.Int("max-retries", 0, "hardware retry budget before the TLE fallback (0 = engine default)")
-	adapt := flag.Bool("adapt", false, "self-tune fallback mode, spin budget and dedup threshold from live abort feedback")
+	adapt := flag.Bool("adapt", false, "self-tune fallback mode and spin budget from live abort feedback")
 	adaptInterval := flag.Duration("adapt-interval", 0, "tuning epoch length with -adapt (0 = engine default, 25ms)")
 	clockShards := flag.Int("clock-shards", 0, "version-clock shards, rounded up to a power of two (0/1 = single scalar clock)")
 	stripeShift := flag.Int("stripe-shift", 0, "metadata striping: one orec per 2^shift heap words (0 = per-word)")
@@ -177,7 +177,7 @@ func run() int {
 	adaptState := "off"
 	if tu := store.Tuner(); tu != nil {
 		st := tu.State()
-		adaptState = fmt.Sprintf("mode=%s spins=%d dedup=%d", st.Mode, st.FallbackSpins, st.DedupBypass)
+		adaptState = fmt.Sprintf("mode=%s spins=%d", st.Mode, st.FallbackSpins)
 	}
 	log.Printf("kvserver: serving on http://%s (slots=%d heap=%dw pool=%d queue=%s faults=%v durable=%v adapt=%s)",
 		ln.Addr(), store.Slots(), store.Heap().Config().Words, store.PoolSize(), *jobQueue, plan != nil, store.Durable(), adaptState)

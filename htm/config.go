@@ -54,15 +54,10 @@ type Config struct {
 	// Set to a negative value for an unbounded read set.
 	MaxReadSet int
 
-	// Sandboxed selects Rock-style sandboxing: a transaction that
-	// dereferences freed or nil memory aborts with AbortIllegal. When false,
+	// NoSandbox disables Rock-style sandboxing. By default a transaction that
+	// dereferences freed or nil memory aborts with AbortIllegal; with NoSandbox
 	// such an access panics, modeling a segmentation fault on HTM designs
-	// without sandboxing. Defaults to true (NewHeap flips the internal
-	// representation so the zero Config is sandboxed).
-	Sandboxed bool
-
-	// NoSandbox disables sandboxing. Provided so that the zero Config is
-	// Rock-like; use this instead of Sandboxed=false.
+	// without sandboxing.
 	NoSandbox bool
 
 	// AllowAllocInTxn permits Txn.Alloc and Txn.Free. Rock could not run the
@@ -82,30 +77,21 @@ type Config struct {
 	// that path acquires the per-word metadata locks of exactly the words it
 	// touches (fine-grained fallback), so fallback operations with disjoint
 	// footprints — and hardware transactions on unrelated words — proceed
-	// concurrently. Set GlobalFallback to restore the paper's single global
-	// fallback lock.
+	// concurrently. Which path fallback operations take is a runtime mode
+	// (Heap.FallbackMode, switchable under load with Heap.SetFallbackMode);
+	// GlobalFallback picks the mode the heap starts in.
 	EnableTLE bool
 
-	// GlobalFallback selects the §6 global-lock fallback the paper describes
-	// (and this repository shipped through PR 4): the fallback operation
-	// takes one process-wide lock, every hardware transaction waits out the
-	// critical section at begin and validates the lock's sequence number at
-	// commit. It serializes all fallback operations and stalls all hardware
-	// commits for the duration, but is the faithful Rock-era baseline; keep
-	// it available for comparison benchmarks. Only meaningful with EnableTLE.
+	// GlobalFallback starts the heap in ModeGlobal, the §6 global-lock
+	// fallback the paper describes: the fallback operation takes one
+	// process-wide lock, every hardware transaction waits out the critical
+	// section at begin and validates the lock's sequence number at commit. It
+	// serializes all fallback operations and stalls all hardware commits for
+	// the duration, but is the faithful Rock-era baseline and wins when every
+	// fallback footprint is shared. It selects only the INITIAL mode —
+	// Heap.SetFallbackMode (typically driven by a Tuner) can change it at any
+	// time. Only meaningful with EnableTLE.
 	GlobalFallback bool
-
-	// DedupBypass caps how many (possibly duplicated) read entries a
-	// transaction attempt may append before read-set deduplication engages
-	// (see Txn's dedup field). Larger values keep repeat-heavy transactions
-	// on the zero-bookkeeping bypass path longer at the cost of more
-	// duplicate entries to compact; smaller values engage the 512-bit filter
-	// earlier. 0 selects the default (4096); negative engages dedup from the
-	// first read (the PR 3 behaviour). Whatever the value, the effective
-	// threshold never exceeds MaxReadSet/2, which is what preserves the
-	// guarantee that a transaction whose distinct read set fits MaxReadSet
-	// never aborts with AbortCapacity.
-	DedupBypass int
 
 	// NoMaxLive disables exact high-water tracking, removing the last
 	// globally shared counters from the allocation fast path. Stats then
@@ -143,21 +129,11 @@ type Config struct {
 	// re-run the body). In-order acquisitions spin indefinitely — they cannot
 	// deadlock. 0 selects the default (128, see defaultFallbackSpins);
 	// negative releases-and-retries immediately on any out-of-order collision
-	// (maximally paranoid, maximally re-execution-happy). Only meaningful with
-	// EnableTLE and not GlobalFallback.
+	// (maximally paranoid, maximally re-execution-happy). It is the initial
+	// value of a runtime knob: Heap.SetFallbackSpins overrides it, and every
+	// fine-grained fallback attempt reads the live value as it starts. Only
+	// meaningful with EnableTLE, and only while the mode is ModeFine.
 	FallbackSpins int
-
-	// Adaptive arms the heap's online contention-management machinery (see
-	// DESIGN.md "Adaptive contention management"): the fallback mode becomes a
-	// runtime word switchable with Heap.SetFallbackMode (GlobalFallback then
-	// only selects the INITIAL mode), and FallbackSpins / DedupBypass become
-	// atomic overrides writable with Heap.SetFallbackSpins / SetDedupBypass —
-	// typically driven by a Tuner (Heap.StartTuner). Arming costs the hot path
-	// a few uncontended per-thread atomics (a begin-time knob refresh and a
-	// commit-time epoch marker); when false — the default — none of the
-	// dynamic code runs and behavior is bit-for-bit that of the static
-	// configuration.
-	Adaptive bool
 
 	// Faults attaches a seeded fault-injection plan (see FaultPlan). nil — the
 	// default — injects nothing and costs one pointer check per transactional
@@ -181,6 +157,10 @@ type Config struct {
 	// is what the paper's space figures need. Set by withDefaults so the
 	// zero Config is exact.
 	trackMaxLive bool
+
+	// sandboxed is the derived internal form of !NoSandbox, set by
+	// withDefaults so the zero Config is Rock-like.
+	sandboxed bool
 }
 
 func (c Config) withDefaults() Config {
@@ -211,7 +191,7 @@ func (c Config) withDefaults() Config {
 	if c.StripeShift > MaxStripeShift {
 		c.StripeShift = MaxStripeShift
 	}
-	c.Sandboxed = !c.NoSandbox
+	c.sandboxed = !c.NoSandbox
 	c.trackMaxLive = !c.NoMaxLive
 	return c
 }
@@ -229,18 +209,14 @@ func (c Config) fallbackSpins() int {
 	}
 }
 
-// dedupBypassThreshold resolves the DedupBypass knob against MaxReadSet: the
-// read-set length at which an attempt switches from bypass to filtered mode.
+// dedupBypassThreshold is the read-set length at which an attempt switches
+// from bypass to filtered mode: bypassReadCap, but never above MaxReadSet/2 —
+// which is what preserves the guarantee that a transaction whose distinct read
+// set fits MaxReadSet never aborts with AbortCapacity (after compaction,
+// capacity aborts depend only on the distinct read set).
 func (c Config) dedupBypassThreshold() int {
-	cap := bypassReadCap
-	switch {
-	case c.DedupBypass > 0:
-		cap = c.DedupBypass
-	case c.DedupBypass < 0:
-		cap = 0
-	}
-	if mrs := c.MaxReadSet; mrs >= 0 && mrs/2 < cap {
+	if mrs := c.MaxReadSet; mrs >= 0 && mrs/2 < bypassReadCap {
 		return mrs / 2
 	}
-	return cap
+	return bypassReadCap
 }

@@ -87,7 +87,7 @@ func TestFallbackHoldsOnlyItsFootprint(t *testing.T) {
 	}
 
 	// A hardware transaction on a disjoint footprint must proceed: with the
-	// retired global fallback lock this would hang at begin.
+	// global fallback lock (ModeGlobal) this would hang at begin.
 	hwDone := make(chan struct{})
 	go func() {
 		defer close(hwDone)

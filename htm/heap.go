@@ -113,34 +113,31 @@ type Heap struct {
 	// Sharded version clock (Config.ClockShards). Every writer ticks exactly
 	// one shard — its thread's home shard, or an address-hashed shard for the
 	// threadless NT operations — and encodes the shard ID into the versions
-	// it publishes. shardBits/shardMask decode that encoding; both are zero
-	// with one shard, collapsing the scheme to the single global clock.
-	clock       []clockLine
+	// it publishes (shardBits/shardMask below decode that encoding).
+	clock []clockLine
+
+	// TLE fallback dispatch (Config.EnableTLE; see mode.go). fallbackSeq is
+	// the global fallback lock's epoch: even when free, odd while a global
+	// critical section is in flight; hardware attempts snapshot it at begin
+	// and revalidate it at extend and commit. It sits beside the clock slice
+	// header, which every begin loads anyway, so that snapshot does not pull
+	// in a cache line of its own. fbMode is the runtime mode word consulted
+	// at fallback entry, seeded by Config.GlobalFallback; fallbackMu is the
+	// global fallback lock; fbSpins is the live FallbackSpins knob, read as
+	// each fine-grained fallback attempt starts; modeSwitches counts applied
+	// mode changes. A heap without TLE never reads any of them on a
+	// transactional path.
+	fallbackSeq  atomic.Uint64
+	fbMode       atomic.Uint32
+	fallbackMu   sync.Mutex
+	fbSpins      atomic.Int64
+	modeSwitches atomic.Uint64
+
+	// Version encoding (tick<<shardBits | shard); both are zero with one clock
+	// shard, collapsing the scheme to the single global clock.
 	shardBits   uint
 	shardMask   uint64
 	stripeShift uint // log2 words per metadata stripe (Config.StripeShift)
-
-	// Global TLE fallback lock, used only with Config.GlobalFallback (the
-	// PR-4-era compatibility mode): fallbackSeq is even when free and odd
-	// while held; transactions snapshot it at begin and validate it at
-	// commit. activeCommits counts write transactions currently in their
-	// commit write-back, so a fallback acquirer can wait them out. The
-	// default fine-grained fallback acquires per-word metadata locks instead
-	// (see thread.go) and never touches these fields, so hardware-path
-	// transactions never wait at begin.
-	fallbackSeq   atomic.Uint64
-	fallbackMu    sync.Mutex
-	activeCommits atomic.Uint64
-
-	// Adaptive contention management (Config.Adaptive; see adaptive.go).
-	// fbMode is the runtime fallback mode consulted at fallback entry;
-	// fbSpinsDyn / dedupDyn are the tuned-knob overrides threads refresh at
-	// begin; modeSwitches counts applied mode changes. All four are untouched
-	// (and the fields below them unused) when !Adaptive.
-	fbMode       atomic.Uint32
-	fbSpinsDyn   atomic.Int64
-	dedupDyn     atomic.Int64
-	modeSwitches atomic.Uint64
 
 	alloc   allocator
 	stats   stats
@@ -172,13 +169,10 @@ func NewHeap(cfg Config) *Heap {
 		h.shardBits++
 	}
 	h.ntYieldThresh = yieldThreshold(cfg.YieldEvery)
-	if cfg.Adaptive {
-		if cfg.GlobalFallback {
-			h.fbMode.Store(uint32(ModeGlobal))
-		}
-		h.fbSpinsDyn.Store(int64(cfg.fallbackSpins()))
-		h.dedupDyn.Store(int64(cfg.dedupBypassThreshold()))
+	if cfg.GlobalFallback {
+		h.fbMode.Store(uint32(ModeGlobal))
 	}
+	h.fbSpins.Store(int64(cfg.fallbackSpins()))
 	h.alloc.init(h)
 	return h
 }

@@ -2,6 +2,7 @@ package htm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ func TestNewHeapDefaults(t *testing.T) {
 	if cfg.StoreBufferSize != RockStoreBufferSize {
 		t.Errorf("StoreBufferSize = %d, want %d", cfg.StoreBufferSize, RockStoreBufferSize)
 	}
-	if !cfg.Sandboxed {
+	if !cfg.sandboxed {
 		t.Error("default config must be sandboxed")
 	}
 	if cfg.MaxRetries != defaultMaxRetries {
@@ -253,5 +254,26 @@ func TestStatsAbortRateZeroStarts(t *testing.T) {
 	var s Stats
 	if s.AbortRate() != 0 {
 		t.Error("zero-start abort rate should be 0")
+	}
+}
+
+// TestConfigSurface pins the exported Config field list: every knob doubles
+// the configurations tests and benchmarks must cover, so adding one has to be
+// a deliberate diff here too.
+func TestConfigSurface(t *testing.T) {
+	want := []string{
+		"Words", "StoreBufferSize", "MaxReadSet", "NoSandbox", "AllowAllocInTxn",
+		"MaxRetries", "EnableTLE", "GlobalFallback", "NoMaxLive", "ClockShards",
+		"StripeShift", "FallbackSpins", "Faults", "YieldEvery",
+	}
+	var got []string
+	rt := reflect.TypeOf(Config{})
+	for i := 0; i < rt.NumField(); i++ {
+		if f := rt.Field(i); f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("exported Config fields:\n got %v\nwant %v", got, want)
 	}
 }

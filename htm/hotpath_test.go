@@ -47,63 +47,66 @@ func TestReadSetDedupLargeSet(t *testing.T) {
 	})
 }
 
-// TestDedupBypassThreshold pins the resolution of the Config.DedupBypass knob
-// against MaxReadSet: the configured cap wins until it would exceed
-// MaxReadSet/2, the bound that keeps the AbortCapacity guarantee intact.
+// TestDedupBypassThreshold pins the bypass budget against MaxReadSet:
+// bypassReadCap until that would exceed MaxReadSet/2, the bound that keeps the
+// AbortCapacity guarantee intact.
 func TestDedupBypassThreshold(t *testing.T) {
 	cases := []struct {
-		knob, maxReadSet, want int
+		maxReadSet, want int
 	}{
-		{0, 0, bypassReadCap},               // all defaults (MaxReadSet 1<<16)
-		{0, 1000, 500},                      // MaxReadSet/2 below the cap
-		{256, 0, 256},                       // explicit cap
-		{1 << 20, 0, defaultMaxReadSet / 2}, // clamped to MaxReadSet/2
-		{-1, 0, 0},                          // dedup from the first read
-		{0, -1, bypassReadCap},              // unbounded reads: cap still bounds
-		{1 << 20, -1, 1 << 20},              // unbounded reads: knob taken as-is
+		{0, bypassReadCap},  // default MaxReadSet (1<<16)
+		{1000, 500},         // MaxReadSet/2 below the cap
+		{1, 0},              // dedup from the first read
+		{-1, bypassReadCap}, // unbounded reads: the cap still bounds
 	}
 	for _, c := range cases {
-		h := NewHeap(Config{Words: 1 << 10, DedupBypass: c.knob, MaxReadSet: c.maxReadSet})
+		h := NewHeap(Config{Words: 1 << 10, MaxReadSet: c.maxReadSet})
 		th := h.NewThread()
 		if got := th.txn.dedupAfter; got != c.want {
-			t.Errorf("DedupBypass=%d MaxReadSet=%d: dedupAfter = %d, want %d",
-				c.knob, c.maxReadSet, got, c.want)
+			t.Errorf("MaxReadSet=%d: dedupAfter = %d, want %d", c.maxReadSet, got, c.want)
 		}
 	}
 }
 
-// TestDedupBypassDisabledStillDedups: with the bypass disabled (negative
-// knob) every attempt runs in filtered mode from its first read — the PR 3
-// behaviour — and repeated loads still collapse to one entry each.
-func TestDedupBypassDisabledStillDedups(t *testing.T) {
-	h := newTestHeap(t, Config{MaxReadSet: 4, DedupBypass: -1})
+// TestDedupFromFirstRead: with no bypass budget at all (MaxReadSet 1, so the
+// threshold is 0) every attempt runs in filtered mode from its first read, and
+// repeated loads still collapse to one entry.
+func TestDedupFromFirstRead(t *testing.T) {
+	h := newTestHeap(t, Config{MaxReadSet: 1})
 	th := h.NewThread()
-	a := th.Alloc(4)
+	a := th.Alloc(1)
 	err := th.TryAtomic(func(tx *Txn) {
 		for rep := 0; rep < 100; rep++ {
-			for i := Addr(0); i < 4; i++ {
-				tx.Load(a + i)
+			tx.Load(a)
+			if !tx.dedup || len(tx.reads) != 1 {
+				t.Fatalf("after load %d: dedup=%v, %d read entries, want filtered mode with 1", rep, tx.dedup, len(tx.reads))
 			}
-		}
-		if tx.ReadSetSize() != 4 {
-			t.Errorf("ReadSetSize = %d, want 4", tx.ReadSetSize())
 		}
 	})
 	if err != nil {
-		t.Fatalf("distinct read set of 4 within MaxReadSet=4 aborted: %v", err)
+		t.Fatalf("distinct read set of 1 within MaxReadSet=1 aborted: %v", err)
 	}
 }
 
-// TestDedupBypassSmallCap drives an attempt across a small configured bypass
-// cap mid-transaction: the compaction must engage at the cap and the distinct
-// working set must stay within capacity.
-func TestDedupBypassSmallCap(t *testing.T) {
-	h := newTestHeap(t, Config{MaxReadSet: 64, DedupBypass: 8})
+// TestDedupEngagesAtThreshold drives an attempt across a small bypass budget
+// mid-transaction: duplicates accumulate up to exactly MaxReadSet/2 entries,
+// the next load compacts them, and the distinct working set stays within
+// capacity from then on.
+func TestDedupEngagesAtThreshold(t *testing.T) {
+	h := newTestHeap(t, Config{MaxReadSet: 16}) // bypass budget 8
 	th := h.NewThread()
 	a := th.Alloc(4)
 	th.Atomic(func(tx *Txn) {
-		// 4 distinct words x 50 repeats = 200 loads; the bypass holds the
-		// first 8 entries (with duplicates), then compaction engages.
+		for i := 0; i < 8; i++ {
+			tx.Load(a + Addr(i%4))
+		}
+		if tx.dedup || len(tx.reads) != 8 {
+			t.Errorf("at the budget: dedup=%v, %d read entries, want bypass mode with 8", tx.dedup, len(tx.reads))
+		}
+		tx.Load(a)
+		if !tx.dedup || len(tx.reads) != 4 {
+			t.Errorf("past the budget: dedup=%v, %d read entries, want compacted to 4", tx.dedup, len(tx.reads))
+		}
 		for rep := 0; rep < 50; rep++ {
 			for i := Addr(0); i < 4; i++ {
 				tx.Load(a + i)
@@ -113,6 +116,9 @@ func TestDedupBypassSmallCap(t *testing.T) {
 			t.Errorf("ReadSetSize = %d, want 4", tx.ReadSetSize())
 		}
 	})
+	if n := h.Stats().DedupEngages; n != 1 {
+		t.Errorf("DedupEngages = %d, want 1", n)
+	}
 }
 
 // TestReadSetCapacityStillEnforced checks that dedup did not weaken the

@@ -18,9 +18,9 @@
 //     that fails repeatedly is executed on a pessimistic software path. By
 //     default that path acquires the per-word metadata locks of exactly the
 //     words it touches, so disjoint fallback operations and unrelated
-//     hardware transactions proceed concurrently; Config.GlobalFallback
-//     restores the paper's single global fallback lock that all transactions
-//     monitor (§6).
+//     hardware transactions proceed concurrently; the heap's runtime mode
+//     word (Config.GlobalFallback, Heap.SetFallbackMode) selects the paper's
+//     single global fallback lock that all transactions monitor instead (§6).
 //
 // Internally the engine is a TL2/TinySTM-style software TM: a global version
 // clock, one metadata word per heap word fusing the versioned lock with the
@@ -68,8 +68,8 @@ const (
 	AbortExplicit
 	// AbortFallback indicates the transaction observed the global TLE
 	// fallback lock held (or acquired during its execution) and must wait.
-	// Produced only in Config.GlobalFallback compatibility mode: the default
-	// fine-grained fallback holds per-word metadata locks, so a transaction
+	// Produced only by a ModeGlobal fallback run: the fine-grained fallback
+	// holds per-word metadata locks, so a transaction
 	// that collides with it aborts with AbortConflict on the contended word,
 	// and transactions on disjoint words are unaffected.
 	AbortFallback

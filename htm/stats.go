@@ -31,14 +31,14 @@ type statCell struct {
 	stripeConflicts atomic.Uint64
 	dedupEngages    atomic.Uint64
 	fallbackWaits   atomic.Uint64
-	// inCommit and inFine are NOT statistics: they are the adaptive-mode
-	// quiesce-barrier words (Config.Adaptive; see adaptive.go). inCommit is
+	// inCommit and inFine are NOT statistics: they are the TLE fallback's
+	// quiesce-barrier words (see mode.go). inCommit is
 	// nonzero while this thread's hardware commit write-back is in flight,
 	// inFine while a fine-grained fallback run is. They live in the cell
 	// because the cell registry is already the heap's per-thread scan list and
 	// the cell's tail padding absorbs them for free; like the counters, each
 	// has a single writer (its owning thread) and is read by others — here the
-	// global-fallback acquirer draining the heap. Always 0 when !Adaptive.
+	// global-fallback acquirer draining the heap. Always 0 without EnableTLE.
 	inCommit atomic.Uint64
 	inFine   atomic.Uint64
 	// 24 words: exactly three full cache lines (192 B), no padding left.
@@ -63,7 +63,7 @@ const (
 // The registry is copy-on-write: register (rare — once per NewThread)
 // rebuilds the slice under mu, readers load the current slice pointer with no
 // lock and no allocation. That matters because quiesceForGlobal reads it
-// inside every adaptive global-fallback critical section — a mutex plus a
+// inside every global-fallback critical section — a mutex plus a
 // slice copy there would tax the exact serial path the mode switch is trying
 // to make fast.
 type stats struct {
@@ -131,11 +131,10 @@ type Stats struct {
 	// Aborts counts failed attempts by reason.
 	Aborts map[AbortCode]uint64
 	// FallbackRuns is the number of operations completed on the TLE fallback
-	// path (fine-grained lock-set or, with Config.GlobalFallback, the global
-	// lock).
+	// path (fine-grained lock-set or global lock, per Heap.FallbackMode).
 	FallbackRuns uint64
 	// FallbackLocks counts per-word metadata lock acquisitions by the
-	// fine-grained fallback (0 in GlobalFallback mode).
+	// fine-grained fallback (none are taken in ModeGlobal).
 	FallbackLocks uint64
 	// FallbackRetries counts fine-grained fallback attempts that released
 	// their whole lock-set and re-ran the operation body — the
@@ -165,13 +164,12 @@ type Stats struct {
 	// stripe-aliasing false conflicts — the difference from a StripeShift=0
 	// run of the same workload is the aliasing cost. Always 0 unstriped.
 	StripeConflicts uint64
-	// DedupEngages counts transaction attempts that crossed the DedupBypass
-	// threshold and compacted their read set (see Config.DedupBypass). The
-	// Tuner reads its rate as the signal that the bypass budget is being
-	// exhausted.
+	// DedupEngages counts transaction attempts that outgrew the read-set
+	// bypass budget (bypassReadCap, clamped to MaxReadSet/2) and compacted
+	// their read set.
 	DedupEngages uint64
 	// ModeSwitches counts runtime fallback-mode changes applied through
-	// Heap.SetFallbackMode (Config.Adaptive; 0 otherwise). It is a heap-level
+	// Heap.SetFallbackMode. It is a heap-level
 	// counter, not a per-thread one: switches are rare control-plane events.
 	ModeSwitches uint64
 	// LiveWords is the number of currently allocated payload words;

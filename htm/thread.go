@@ -62,17 +62,9 @@ func (h *Heap) NewThread() *Thread {
 	th.txn.yieldThresh = h.ntYieldThresh // same conversion as NT accesses
 	th.txn.maxReadSet = h.cfg.MaxReadSet
 	th.txn.storeBufSize = h.cfg.StoreBufferSize
-	// Read-set dedup engages at the configured bypass threshold, never above
-	// half the capacity bound, so a bypass attempt can never abort for
-	// capacity that compaction would have recovered (see Config.DedupBypass).
 	th.txn.dedupAfter = h.cfg.dedupBypassThreshold()
 	th.txn.fbOwner = id & fallbackOwnerMask
-	// With Config.Adaptive the static globalFB flag stays false — mode is the
-	// heap's runtime word, consulted at fallback entry, and begin/extend/commit
-	// monitor the fallback epoch through the adaptive checks instead.
-	th.txn.adaptive = h.cfg.Adaptive
-	th.txn.globalFB = h.cfg.EnableTLE && h.cfg.GlobalFallback && !h.cfg.Adaptive
-	th.txn.fbSpins = h.cfg.fallbackSpins()
+	th.txn.tle = h.cfg.EnableTLE
 	if h.cfg.Faults.enabled() {
 		th.faults = newThreadFaults(h.cfg.Faults, id)
 		th.txn.faults = th.faults
@@ -144,31 +136,17 @@ func (th *Thread) backoff(attempt int) {
 //go:noinline
 func spinHint() {}
 
-// begin initializes the reusable transaction descriptor for an attempt. Only
-// the GlobalFallback compatibility mode waits out an active fallback critical
-// section here; under the default fine-grained fallback a transaction begins
-// unconditionally — a concurrent fallback is visible to it purely as locked
-// metadata words, exactly like any other conflicting writer.
+// begin initializes the reusable transaction descriptor for an attempt. On a
+// TLE heap it waits out any global fallback critical section and snapshots
+// the epoch such a section would bump; while the mode is fine the epoch never
+// moves, so the wait is a single load — a concurrent fine-grained fallback is
+// visible to the attempt purely as locked metadata words, exactly like any
+// other conflicting writer.
 func (th *Thread) begin() *Txn {
 	t := &th.txn
 	t.reset()
 	h := th.h
-	if t.adaptive {
-		// Refresh the tuned knobs — one uncontended load each; the Tuner may
-		// have moved them since the last attempt — and wait out any global
-		// fallback critical section, snapshotting the epoch it will bump.
-		// In fine mode the seq never changes, so the wait is a single load.
-		t.fbSpins = int(h.fbSpinsDyn.Load())
-		t.dedupAfter = int(h.dedupDyn.Load())
-		for {
-			seq := h.fallbackSeq.Load()
-			if seq&1 == 0 {
-				t.fbSeq = seq
-				break
-			}
-			runtime.Gosched()
-		}
-	} else if t.globalFB {
+	if t.tle {
 		for {
 			seq := h.fallbackSeq.Load()
 			if seq&1 == 0 {
@@ -264,10 +242,10 @@ func (th *Thread) tryAtomic(f func(*Txn)) (code AbortCode, addr Addr, ok bool) {
 
 // Atomic executes f atomically, retrying with exponential backoff until it
 // commits. If the heap enables TLE and an attempt fails MaxRetries times, f
-// runs on the pessimistic fallback path: by default a fine-grained software
-// transaction that locks the per-word metadata of exactly the words it
-// touches, or — with Config.GlobalFallback — under the paper's single global
-// lock (§6). Without TLE, a transaction that deterministically overflows the
+// runs on the pessimistic fallback path the heap's mode word selects: in
+// ModeFine a software transaction that locks the per-word metadata of exactly
+// the words it touches, in ModeGlobal under the paper's single global lock
+// (§6). Without TLE, a transaction that deterministically overflows the
 // store buffer panics rather than retrying forever.
 func (th *Thread) Atomic(f func(*Txn)) {
 	th.AtomicUntil(f, nil)
@@ -307,35 +285,35 @@ func (th *Thread) AtomicUntil(f func(*Txn), stop func() bool) bool {
 	}
 }
 
-// runFallback executes f on the TLE fallback path. The default is a
-// pessimistic software transaction over the per-word metadata locks: every
-// word f loads or stores is lock-acquired on first touch (with the thread's
-// owner ID recorded in the held word), stores are buffered, and the commit
-// writes them back under the locks and releases the whole set with one
-// version tick. Fallback operations with disjoint footprints — and hardware
-// transactions on words the fallback does not hold — run concurrently; a
-// lock-order conflict with another fallback releases everything and retries
-// with jittered backoff (see fbAcquire for the deadlock-avoidance argument).
+// runFallback executes f on the TLE fallback path the mode word selects. In
+// ModeFine that is a pessimistic software transaction over the per-word
+// metadata locks: every word f loads or stores is lock-acquired on first touch
+// (with the thread's owner ID recorded in the held word), stores are buffered,
+// and the commit writes them back under the locks and releases the whole set
+// with one version tick. Fallback operations with disjoint footprints — and
+// hardware transactions on words the fallback does not hold — run
+// concurrently; a lock-order conflict with another fallback releases
+// everything and retries with jittered backoff (see fbAcquire for the
+// deadlock-avoidance argument).
 func (th *Thread) runFallback(f func(*Txn)) {
-	if th.txn.adaptive {
-		// Consult the runtime mode word through the quiesce barrier: either we
-		// are cleared onto the fine path with inFine published for the whole
-		// run, or the word directs us to the global path.
+	t := &th.txn
+	th.inTxn = true
+	defer func() {
+		th.inTxn = false
+		th.cell.inFine.Store(0) // still up after a completed run or a panicking body
+	}()
+	for attempt := 0; ; attempt++ {
+		// Nothing is held here, so every attempt re-enters the barrier and
+		// re-consults the mode word: in a storm so dense that runs stop
+		// completing, a switch to the global lock must redirect the operations
+		// ALREADY in the retry loop, not only new entries — they are the storm.
 		if !th.enterFineFallback() {
 			th.runGlobalFallback(f)
 			return
 		}
-		defer th.cell.inFine.Store(0)
-	} else if th.txn.globalFB {
-		th.runGlobalFallback(f)
-		return
-	}
-	t := &th.txn
-	th.inTxn = true
-	defer func() { th.inTxn = false }()
-	for attempt := 0; ; attempt++ {
 		t.reset()
 		t.direct = true
+		t.fbSpins = int(th.h.fbSpins.Load())
 		if th.fallbackAttempt(f) {
 			// Injected adversity: stall at the worst possible moment — body
 			// done, entire lock-set held, commit not yet run — so every thread
@@ -350,30 +328,19 @@ func (th *Thread) runFallback(f func(*Txn)) {
 			return
 		}
 		bump(&th.cell.fallbackRetries)
-		if t.adaptive {
-			// Nothing is held between attempts (fbRelease ran), so this is a
-			// safe point to re-consult the mode word: in a storm so dense that
-			// runs stop completing, the Tuner's switch to the global lock must
-			// redirect the operations ALREADY in the retry loop, not only new
-			// entries — they are the storm. Dropping inFine for the backoff also
-			// lets a global acquirer's quiesce scan drain past this thread.
-			th.cell.inFine.Store(0)
-			th.backoff(attempt)
-			if !th.enterFineFallback() {
-				th.runGlobalFallback(f)
-				return
-			}
-			continue
-		}
+		// Dropping inFine for the backoff lets a global acquirer's quiesce
+		// scan drain past this thread.
+		th.cell.inFine.Store(0)
 		th.backoff(attempt)
 	}
 }
 
-// fallbackAttempt runs one execution of f over the fallback lock-set and
-// reports whether it completed. An abortSentinel panic — an out-of-order
-// lock conflict, or the body calling Txn.Abort — releases the lock-set
-// (restoring every displaced metadata word; buffered stores were never
-// applied), rolls back in-body allocations and asks the caller to retry. Any
+// fallbackAttempt runs one execution of f on either fallback path and reports
+// whether it completed. An abortSentinel panic — an out-of-order lock
+// conflict, or the body calling Txn.Abort — releases the lock-set (restoring
+// every displaced metadata word; buffered stores were never applied, and the
+// global path holds no word locks), rolls back in-body allocations and asks
+// the caller to retry. Any
 // other panic (including the simulated segfault for a freed-word access,
 // which the fallback, like all direct access, never sandboxes) releases the
 // locks and propagates.
@@ -392,40 +359,33 @@ func (th *Thread) fallbackAttempt(f func(*Txn)) (done bool) {
 	return true
 }
 
-// runGlobalFallback is the global-lock fallback path — the static
-// Config.GlobalFallback compatibility mode, and ModeGlobal of the adaptive
-// runtime mode word: f runs under the process-wide fallback lock with direct
-// (unbuffered) memory access, mutually exclusive with all transaction
-// commits and (in adaptive mode, via the quiesce barrier) with all
-// fine-grained fallback runs (paper §6).
+// runGlobalFallback is the ModeGlobal fallback path (paper §6): f runs under
+// the process-wide fallback lock, mutually exclusive — via the odd epoch and
+// the quiesce barrier — with every hardware commit and every fine-grained
+// fallback run. Stores are buffered like any other attempt's, so a body that
+// calls Txn.Abort has published nothing and simply re-runs under the lock.
 func (th *Thread) runGlobalFallback(f func(*Txn)) {
 	h := th.h
 	h.fallbackMu.Lock()
 	defer h.fallbackMu.Unlock()
 	h.fallbackSeq.Add(1) // odd: lock held; new transactions wait
-	if th.txn.adaptive {
-		// Adaptive quiesce: drain in-flight commit write-backs AND fine-
-		// grained fallback runs via the per-thread barrier words — the static
-		// activeCommits counter is not maintained in adaptive mode.
-		h.quiesceForGlobal(th.cell)
-	} else {
-		// Wait for in-flight commits to drain.
-		for h.activeCommits.Load() != 0 {
-			runtime.Gosched()
-		}
-	}
-	t := &th.txn
-	t.reset()
-	t.direct = true
-	t.directGlobal = true
 	th.inTxn = true
 	defer func() {
 		th.inTxn = false
 		h.fallbackSeq.Add(1) // even: released
 	}()
-	f(t)
-	t.commit() // direct commits cannot abort
-	bump(&th.cell.fallbackRuns)
+	h.quiesceForGlobal(th.cell)
+	t := &th.txn
+	for {
+		t.reset()
+		t.direct = true
+		t.directGlobal = true
+		if th.fallbackAttempt(f) {
+			t.commit() // direct commits cannot abort
+			bump(&th.cell.fallbackRuns)
+			return
+		}
+	}
 }
 
 // AttemptStats returns the number of transaction attempts and commits made

@@ -3,21 +3,88 @@ package htm
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
-// bothFallbackModes runs f once with the default fine-grained fallback and
-// once with the GlobalFallback compatibility lock, so both implementations
-// keep satisfying the same TLE contract.
-func bothFallbackModes(t *testing.T, f func(t *testing.T, global bool)) {
-	t.Run("fine-grained", func(t *testing.T) { f(t, false) })
-	t.Run("global", func(t *testing.T) { f(t, true) })
+// tleLeg is one configuration of the TLE contract tests: the mode the heap
+// starts in, and whether a side goroutine keeps flipping it while the test
+// body runs.
+type tleLeg struct {
+	name   string
+	global bool // initial mode (Config.GlobalFallback)
+	flip   bool
+}
+
+// heap builds the leg's TLE heap from cfg. Every leg ends in a quiescent
+// invariant sweep; the flipping leg also starts — and stops first — the mode
+// flipper, so the contract is checked across live switches, not only at each
+// pinned mode.
+func (l tleLeg) heap(t *testing.T, cfg Config) *Heap {
+	t.Helper()
+	cfg.EnableTLE = true
+	cfg.GlobalFallback = l.global
+	h := newTestHeap(t, cfg)
+	stopFlip := func() {}
+	if l.flip {
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 1; ; i++ { // global, fine, global, …
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.SetFallbackMode(FallbackMode(i % 2))
+				time.Sleep(20 * time.Microsecond)
+			}
+		}()
+		stopFlip = func() { close(stop); <-done }
+	}
+	t.Cleanup(func() {
+		stopFlip()
+		requireQuiescent(t, h)
+	})
+	return h
+}
+
+// requireQuiescent checks that an idle TLE heap is exactly at rest: clean
+// metadata sweep, no global section in flight, barrier words drained.
+func requireQuiescent(t *testing.T, h *Heap) {
+	t.Helper()
+	sweep, s := h.SweepMeta(), h.Stats()
+	if sweep.Locked != 0 || sweep.FallbackTagged != 0 || sweep.StripeErrors != 0 || sweep.Allocated != s.LiveWords {
+		t.Errorf("quiescent sweep not clean: %+v (live words %d)", sweep, s.LiveWords)
+	}
+	if seq := h.fallbackSeq.Load(); seq&1 != 0 {
+		t.Errorf("fallback sequence left odd: %d", seq)
+	}
+	for _, c := range h.stats.snapshotCells() {
+		if c.inCommit.Load() != 0 || c.inFine.Load() != 0 {
+			t.Error("quiesce barrier words not drained")
+		}
+	}
+}
+
+// allFallbackModes runs f with the heap starting (and staying) in each mode,
+// and once with the mode flipping underneath it, so both paths and every
+// switch between them keep satisfying the same TLE contract.
+func allFallbackModes(t *testing.T, f func(t *testing.T, l tleLeg)) {
+	for _, l := range []tleLeg{
+		{name: "fine-grained"},
+		{name: "global", global: true},
+		{name: "flipping", flip: true},
+	} {
+		l := l
+		t.Run(l.name, func(t *testing.T) { f(t, l) })
+	}
 }
 
 func TestTLEFallbackOnOverflow(t *testing.T) {
-	bothFallbackModes(t, func(t *testing.T, global bool) {
+	allFallbackModes(t, func(t *testing.T, l tleLeg) {
 		// With TLE enabled, a transaction that deterministically overflows the
 		// store buffer completes on the fallback path instead of panicking.
-		h := newTestHeap(t, Config{StoreBufferSize: 2, EnableTLE: true, MaxRetries: 3, GlobalFallback: global})
+		h := l.heap(t, Config{StoreBufferSize: 2, MaxRetries: 3})
 		th := h.NewThread()
 		a := th.Alloc(8)
 		th.Atomic(func(tx *Txn) {
@@ -34,20 +101,20 @@ func TestTLEFallbackOnOverflow(t *testing.T) {
 		if s.FallbackRuns == 0 {
 			t.Error("fallback was not engaged")
 		}
-		if global && s.FallbackLocks != 0 {
+		if !l.flip && l.global && s.FallbackLocks != 0 {
 			t.Errorf("global fallback acquired %d per-word locks", s.FallbackLocks)
 		}
-		if !global && s.FallbackLocks == 0 {
+		if !l.flip && !l.global && s.FallbackLocks == 0 {
 			t.Error("fine-grained fallback acquired no per-word locks")
 		}
 	})
 }
 
 func TestTLEMutualExclusionWithTransactions(t *testing.T) {
-	bothFallbackModes(t, func(t *testing.T, global bool) {
+	allFallbackModes(t, func(t *testing.T, l tleLeg) {
 		// A fallback operation that writes a multi-word invariant must be
 		// atomic with respect to concurrently committing transactions.
-		h := newTestHeap(t, Config{StoreBufferSize: 2, EnableTLE: true, MaxRetries: 2, GlobalFallback: global})
+		h := l.heap(t, Config{StoreBufferSize: 2, MaxRetries: 2})
 		setup := h.NewThread()
 		a := setup.Alloc(4)
 		const iters = 300
@@ -105,10 +172,10 @@ func TestTLEMutualExclusionWithTransactions(t *testing.T) {
 }
 
 func TestTLECounterExactness(t *testing.T) {
-	bothFallbackModes(t, func(t *testing.T, global bool) {
+	allFallbackModes(t, func(t *testing.T, l tleLeg) {
 		// Mixed population: some increments run transactionally, some on the
 		// fallback path; the total must still be exact.
-		h := newTestHeap(t, Config{StoreBufferSize: 1, EnableTLE: true, MaxRetries: 1, GlobalFallback: global})
+		h := l.heap(t, Config{StoreBufferSize: 1, MaxRetries: 1})
 		setup := h.NewThread()
 		a := setup.Alloc(2)
 		const n, m = 4, 200
@@ -138,8 +205,8 @@ func TestTLECounterExactness(t *testing.T) {
 }
 
 func TestFallbackRunsFrees(t *testing.T) {
-	bothFallbackModes(t, func(t *testing.T, global bool) {
-		h := newTestHeap(t, Config{StoreBufferSize: 1, EnableTLE: true, MaxRetries: 1, GlobalFallback: global})
+	allFallbackModes(t, func(t *testing.T, l tleLeg) {
+		h := l.heap(t, Config{StoreBufferSize: 1, MaxRetries: 1})
 		th := h.NewThread()
 		a := th.Alloc(4)
 		b := th.Alloc(1)
@@ -150,6 +217,35 @@ func TestFallbackRunsFrees(t *testing.T) {
 		})
 		if h.allocated(b) {
 			t.Error("fallback did not run deferred frees")
+		}
+	})
+}
+
+// TestFallbackExplicitAbortReruns: a body that calls Txn.Abort on the fallback
+// path has published nothing and is re-run — in either mode. (The global path
+// used to store in place, so the abort tore the operation and escaped Atomic
+// as a raw sentinel panic.)
+func TestFallbackExplicitAbortReruns(t *testing.T) {
+	allFallbackModes(t, func(t *testing.T, l tleLeg) {
+		h := l.heap(t, Config{MaxRetries: 2})
+		th := h.NewThread()
+		a := th.Alloc(1)
+		var n uint64
+		th.Atomic(func(tx *Txn) {
+			n++
+			tx.Store(a, n)
+			if got := tx.Load(a); got != n {
+				t.Errorf("run %d read its own store as %d", n, got)
+			}
+			if n < 5 {
+				tx.Abort()
+			}
+		})
+		if v := h.LoadNT(a); v != 5 {
+			t.Errorf("word = %d after %d runs, want 5", v, n)
+		}
+		if s := h.Stats(); s.FallbackRuns != 1 {
+			t.Errorf("FallbackRuns = %d, want 1", s.FallbackRuns)
 		}
 	})
 }

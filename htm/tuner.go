@@ -8,8 +8,8 @@ import (
 )
 
 // Tuner is the per-heap online contention controller: a background goroutine
-// that samples Stats deltas over short epochs and drives the heap's runtime
-// knobs (Config.Adaptive) from live abort feedback —
+// that samples Stats deltas over short epochs and drives a TLE heap's runtime
+// knobs from live abort feedback —
 //
 //   - the fallback MODE: sustained fallback traffic whose contention ratio
 //     (lock-set collisions plus release-and-retries per run) says footprints
@@ -21,21 +21,18 @@ import (
 //   - the FallbackSpins knob, grown while out-of-order collisions keep
 //     forcing retries and shrunk while they don't, via an adapt.Knob (the
 //     paper's §3.4 window aimed at a lock-acquisition budget instead of a
-//     telescoping step);
-//   - the DedupBypass knob, shrunk when capacity aborts appear and grown
-//     while attempts keep exhausting the bypass budget without them.
+//     telescoping step).
 //
 // A Tuner observes only aggregate counters and writes only the atomic knob
 // words, so it perturbs nothing it does not intend to; with Pinned it samples
 // and publishes epochs but never writes, which is what determinism harnesses
-// run. kv.Store attaches a fourth client through Observe: the overload
+// run. kv.Store attaches a third client through Observe: the overload
 // Governor tracks the epoch abort mix (see kv/overload.go).
 type Tuner struct {
 	h   *Heap
 	cfg TunerConfig
 
 	spins *adapt.Knob
-	dedup *adapt.Knob
 
 	mu        sync.Mutex
 	last      Stats
@@ -65,7 +62,7 @@ type TunerConfig struct {
 	// Pinned arms the sampling loop but never writes a knob or switches a
 	// mode: epochs tick, State and observers see live data, decisions are
 	// suppressed. Determinism harnesses run enabled-but-pinned, proving the
-	// adaptive machinery itself perturbs nothing.
+	// sampling itself perturbs nothing.
 	Pinned bool
 
 	// MinFallbackRuns is the per-epoch evidence floor below which the epoch
@@ -84,7 +81,8 @@ type TunerConfig struct {
 	// retries alone cannot: N threads hammering one block in the same address
 	// order never retry, they just queue. Defaults to 0.75 — most runs in the
 	// epoch queued behind another run's locks, the regime where
-	// BENCH_PR5.json shows the global lock winning.
+	// BENCH_BASELINE.json's FallbackScaling shared-footprint series show the
+	// global lock winning.
 	StormRatio float64
 
 	// SwitchAfter is how many consecutive epochs of evidence a mode switch
@@ -131,7 +129,6 @@ type TunerEpoch struct {
 	FallbackRuns, FallbackRetries  uint64
 	FallbackWaits                  uint64
 	FallbackLocks, StripeConflicts uint64
-	DedupEngages                   uint64
 	// AbortRate is Aborts/Starts for the epoch (0 when idle).
 	AbortRate float64
 	// RetryRatio is FallbackRetries/FallbackRuns for the epoch (0 when no
@@ -147,14 +144,13 @@ type TunerEpoch struct {
 	// Knob state after this epoch's decisions applied.
 	Mode          FallbackMode
 	FallbackSpins int
-	DedupBypass   int
 	// Epoch is the 1-based epoch ordinal; Pinned echoes the config.
 	Epoch  uint64
 	Pinned bool
 }
 
 // StartTuner attaches a Tuner to the heap and starts its sampling goroutine.
-// Requires Config.Adaptive. Run exactly one Tuner per heap; Stop it before
+// Requires Config.EnableTLE. Run exactly one Tuner per heap; Stop it before
 // discarding the heap.
 func (h *Heap) StartTuner(cfg TunerConfig) *Tuner {
 	tu := h.NewTuner(cfg)
@@ -165,34 +161,21 @@ func (h *Heap) StartTuner(cfg TunerConfig) *Tuner {
 
 // NewTuner builds a Tuner without starting its goroutine; callers drive it
 // with Tick. Tests and single-stepped harnesses use this, StartTuner
-// everything else. Requires Config.Adaptive.
+// everything else. Requires Config.EnableTLE.
 func (h *Heap) NewTuner(cfg TunerConfig) *Tuner {
-	if !h.cfg.Adaptive {
-		panic("htm: StartTuner requires Config.Adaptive")
-	}
-	cfg = cfg.withDefaults()
-	maxDedup := bypassReadCap << 3
-	if mrs := h.cfg.MaxReadSet; mrs >= 0 && mrs/2 < maxDedup {
-		maxDedup = mrs / 2
-	}
-	minDedup := 64
-	if minDedup > maxDedup {
-		minDedup = maxDedup
-	}
+	h.requireTLE("NewTuner")
 	spins := h.FallbackSpins()
 	if spins < 1 {
 		spins = 1
 	}
-	tu := &Tuner{
+	return &Tuner{
 		h:     h,
-		cfg:   cfg,
+		cfg:   cfg.withDefaults(),
 		spins: adapt.NewKnob(1, 4096, spins),
-		dedup: adapt.NewKnob(minDedup, maxDedup, h.DedupBypass()),
 		last:  h.Stats(),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	return tu
 }
 
 // Observe registers f to be called after every epoch (pinned or not) with
@@ -268,7 +251,6 @@ func (tu *Tuner) Tick() {
 	}
 	e.Mode = tu.h.FallbackMode()
 	e.FallbackSpins = tu.h.FallbackSpins()
-	e.DedupBypass = tu.h.DedupBypass()
 	for _, f := range tu.observers {
 		f(e)
 	}
@@ -293,7 +275,6 @@ func (tu *Tuner) epochDelta(s Stats) TunerEpoch {
 		FallbackWaits:   sub(s.FallbackWaits, tu.last.FallbackWaits),
 		FallbackLocks:   sub(s.FallbackLocks, tu.last.FallbackLocks),
 		StripeConflicts: sub(s.StripeConflicts, tu.last.StripeConflicts),
-		DedupEngages:    sub(s.DedupEngages, tu.last.DedupEngages),
 	}
 	e.Aborts = sub(s.TotalAborts(), tu.last.TotalAborts())
 	if e.Starts > 0 {
@@ -348,49 +329,47 @@ func (tu *Tuner) decide(e TunerEpoch) {
 	// no contention signal (the global lock serializes everything), so it
 	// returns to fine either when fallback traffic dries up or via a
 	// periodic probe.
-	if h.cfg.EnableTLE {
-		switch h.FallbackMode() {
-		case ModeFine:
-			if stormBusy && e.ContentionRatio >= tu.cfg.StormRatio {
-				tu.stormStreak++
-				need := tu.cfg.SwitchAfter
-				// Two cases forgo hysteresis: a catastrophic ratio (see
-				// stormCatastrophe), and a probe stint — the probe is a
-				// hypothesis test, and one epoch of storm evidence already
-				// refutes it, so paying SwitchAfter livelocked epochs on every
-				// failed probe would make probing unaffordable.
-				if tu.probing || e.ContentionRatio >= stormCatastrophe {
-					need = 1
-				}
-				if tu.stormStreak >= need {
-					h.SetFallbackMode(ModeGlobal)
-					tu.stormStreak, tu.calmStreak, tu.globalEpochs = 0, 0, 0
-					tu.probing = false
-				}
-			} else {
-				tu.stormStreak = 0
-				tu.probing = false // the probe survived an epoch: fine mode holds
+	switch h.FallbackMode() {
+	case ModeFine:
+		if stormBusy && e.ContentionRatio >= tu.cfg.StormRatio {
+			tu.stormStreak++
+			need := tu.cfg.SwitchAfter
+			// Two cases forgo hysteresis: a catastrophic ratio (see
+			// stormCatastrophe), and a probe stint — the probe is a
+			// hypothesis test, and one epoch of storm evidence already
+			// refutes it, so paying SwitchAfter livelocked epochs on every
+			// failed probe would make probing unaffordable.
+			if tu.probing || e.ContentionRatio >= stormCatastrophe {
+				need = 1
 			}
-		case ModeGlobal:
-			if !busy {
-				tu.calmStreak++
-				tu.globalEpochs = 0
-				if tu.calmStreak >= tu.cfg.SwitchAfter {
-					h.SetFallbackMode(ModeFine)
-					tu.stormStreak, tu.calmStreak, tu.globalEpochs = 0, 0, 0
-				}
-			} else {
-				tu.calmStreak = 0
-				tu.globalEpochs++
-				if tu.globalEpochs >= tu.cfg.ProbeEvery {
-					// Probe: only fine-grained traffic can reveal that the
-					// footprints disjointed. If they did not, the storm streak
-					// rebuilds and the controller re-switches in SwitchAfter
-					// epochs.
-					h.SetFallbackMode(ModeFine)
-					tu.stormStreak, tu.calmStreak, tu.globalEpochs = 0, 0, 0
-					tu.probing = true
-				}
+			if tu.stormStreak >= need {
+				h.SetFallbackMode(ModeGlobal)
+				tu.stormStreak, tu.calmStreak, tu.globalEpochs = 0, 0, 0
+				tu.probing = false
+			}
+		} else {
+			tu.stormStreak = 0
+			tu.probing = false // the probe survived an epoch: fine mode holds
+		}
+	case ModeGlobal:
+		if !busy {
+			tu.calmStreak++
+			tu.globalEpochs = 0
+			if tu.calmStreak >= tu.cfg.SwitchAfter {
+				h.SetFallbackMode(ModeFine)
+				tu.stormStreak, tu.calmStreak, tu.globalEpochs = 0, 0, 0
+			}
+		} else {
+			tu.calmStreak = 0
+			tu.globalEpochs++
+			if tu.globalEpochs >= tu.cfg.ProbeEvery {
+				// Probe: only fine-grained traffic can reveal that the
+				// footprints disjointed. If they did not, the storm streak
+				// rebuilds and the controller re-switches in SwitchAfter
+				// epochs.
+				h.SetFallbackMode(ModeFine)
+				tu.stormStreak, tu.calmStreak, tu.globalEpochs = 0, 0, 0
+				tu.probing = true
 			}
 		}
 	}
@@ -410,21 +389,6 @@ func (tu *Tuner) decide(e TunerEpoch) {
 			h.SetFallbackSpins(tu.spins.Value())
 		}
 	}
-
-	// DedupBypass knob: capacity aborts mean the read-set bound is being
-	// hit — engage dedup earlier so duplicate entries never occupy capacity.
-	// Attempts repeatedly exhausting the bypass budget WITHOUT capacity
-	// pressure want the opposite: more bypass room before the compaction
-	// pause.
-	if e.Capacity > 0 {
-		if tu.dedup.RecordDown() {
-			h.SetDedupBypass(tu.dedup.Value())
-		}
-	} else if e.DedupEngages > 0 {
-		if tu.dedup.RecordUp() {
-			h.SetDedupBypass(tu.dedup.Value())
-		}
-	}
 }
 
 // TunerState is a point-in-time summary of the Tuner for diagnostics and the
@@ -438,9 +402,8 @@ type TunerState struct {
 	// changes applied so far.
 	Mode         FallbackMode
 	ModeSwitches uint64
-	// FallbackSpins and DedupBypass are the live knob values.
+	// FallbackSpins is the live knob value.
 	FallbackSpins int
-	DedupBypass   int
 }
 
 // State returns the Tuner's current summary.
@@ -454,6 +417,5 @@ func (tu *Tuner) State() TunerState {
 		Mode:          tu.h.FallbackMode(),
 		ModeSwitches:  tu.h.ModeSwitches(),
 		FallbackSpins: tu.h.FallbackSpins(),
-		DedupBypass:   tu.h.DedupBypass(),
 	}
 }

@@ -7,14 +7,11 @@ import (
 	"time"
 )
 
-// newAdaptiveHeap builds a TLE-enabled adaptive heap that overflows quickly,
-// so fallback traffic is easy to provoke.
-func newAdaptiveHeap(t testing.TB, cfg Config) *Heap {
+// newTLEHeap builds a TLE heap that overflows quickly, so fallback traffic is
+// easy to provoke.
+func newTLEHeap(t testing.TB, cfg Config) *Heap {
 	t.Helper()
-	cfg.Adaptive = true
-	if !cfg.EnableTLE {
-		cfg.EnableTLE = true
-	}
+	cfg.EnableTLE = true
 	if cfg.StoreBufferSize == 0 {
 		cfg.StoreBufferSize = 2
 	}
@@ -24,37 +21,31 @@ func newAdaptiveHeap(t testing.TB, cfg Config) *Heap {
 	return newTestHeap(t, cfg)
 }
 
-func TestAdaptiveAccessorsRequireAdaptive(t *testing.T) {
-	h := newTestHeap(t, Config{EnableTLE: true})
-	if h.Adaptive() {
-		t.Fatal("static heap reports Adaptive")
-	}
-	if got := h.FallbackMode(); got != ModeFine {
-		t.Errorf("static fine heap FallbackMode = %v", got)
-	}
-	hg := newTestHeap(t, Config{EnableTLE: true, GlobalFallback: true})
-	if got := hg.FallbackMode(); got != ModeGlobal {
-		t.Errorf("static global heap FallbackMode = %v", got)
-	}
-	for name, f := range map[string]func(){
-		"SetFallbackMode":  func() { h.SetFallbackMode(ModeGlobal) },
-		"SetFallbackSpins": func() { h.SetFallbackSpins(7) },
-		"SetDedupBypass":   func() { h.SetDedupBypass(7) },
-		"StartTuner":       func() { h.StartTuner(TunerConfig{}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a non-adaptive heap did not panic", name)
-				}
+// TestRuntimeControlsRequireTLE: the mode/spins setters and the Tuner work on
+// any TLE heap and panic exactly when there is no fallback for them to act on.
+func TestRuntimeControlsRequireTLE(t *testing.T) {
+	for _, tle := range []bool{false, true} {
+		h := newTestHeap(t, Config{EnableTLE: tle})
+		for name, f := range map[string]func(){
+			"SetFallbackMode":  func() { h.SetFallbackMode(ModeGlobal) },
+			"SetFallbackSpins": func() { h.SetFallbackSpins(7) },
+			"NewTuner":         func() { h.NewTuner(TunerConfig{}) },
+			"StartTuner":       func() { h.StartTuner(TunerConfig{}).Stop() },
+		} {
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				f()
+				return
 			}()
-			f()
-		}()
+			if panicked == tle {
+				t.Errorf("EnableTLE=%v: %s panicked = %v", tle, name, panicked)
+			}
+		}
 	}
 }
 
-func TestAdaptiveKnobOverrides(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{MaxReadSet: 1 << 10})
+func TestFallbackSpinsOverride(t *testing.T) {
+	h := newTLEHeap(t, Config{})
 	if got := h.FallbackSpins(); got != defaultFallbackSpins {
 		t.Errorf("initial FallbackSpins = %d, want default %d", got, defaultFallbackSpins)
 	}
@@ -66,33 +57,22 @@ func TestAdaptiveKnobOverrides(t *testing.T) {
 	if got := h.FallbackSpins(); got != 999 {
 		t.Errorf("FallbackSpins = %d, want 999", got)
 	}
-	// Dedup override clamps to MaxReadSet/2, like the static resolution.
-	h.SetDedupBypass(1 << 20)
-	if got := h.DedupBypass(); got != 1<<10/2 {
-		t.Errorf("SetDedupBypass(1<<20) → %d, want MaxReadSet/2 = %d", got, 1<<10/2)
-	}
-	h.SetDedupBypass(128)
-	if got := h.DedupBypass(); got != 128 {
-		t.Errorf("DedupBypass = %d, want 128", got)
-	}
 
-	// New attempts observe the override: with the threshold forced to 0,
-	// every reading attempt engages dedup immediately.
-	h.SetDedupBypass(0)
+	// A fine-grained fallback attempt picks the live value up as it starts.
 	th := h.NewThread()
 	a := th.Alloc(4)
 	th.Atomic(func(tx *Txn) {
 		for i := Addr(0); i < 4; i++ {
-			tx.Load(a + i)
+			tx.Store(a+i, 1) // overflows the 2-entry buffer
 		}
 	})
-	if n := h.Stats().DedupEngages; n == 0 {
-		t.Error("DedupBypass=0 override did not engage dedup on a fresh attempt")
+	if got := th.txn.fbSpins; got != 999 {
+		t.Errorf("fallback attempt ran with fbSpins = %d, want the override 999", got)
 	}
 }
 
 func TestAdaptiveModeSwitchVisibleAndCounted(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{})
+	h := newTLEHeap(t, Config{})
 	if h.FallbackMode() != ModeFine {
 		t.Fatalf("initial mode = %v, want fine", h.FallbackMode())
 	}
@@ -105,19 +85,19 @@ func TestAdaptiveModeSwitchVisibleAndCounted(t *testing.T) {
 	if got := h.Stats().ModeSwitches; got != 2 {
 		t.Errorf("Stats().ModeSwitches = %d, want 2", got)
 	}
-	hg := newAdaptiveHeap(t, Config{GlobalFallback: true})
+	hg := newTLEHeap(t, Config{GlobalFallback: true})
 	if hg.FallbackMode() != ModeGlobal {
-		t.Errorf("GlobalFallback seeds adaptive initial mode: got %v", hg.FallbackMode())
+		t.Errorf("GlobalFallback seeds the initial mode: got %v", hg.FallbackMode())
 	}
 }
 
-// TestAdaptiveFallbackBothModes runs the overflow workload with the runtime
-// mode pinned at each setting: both paths must preserve the multi-word
-// invariant and count fallback runs, exactly as the static modes do.
+// TestAdaptiveFallbackBothModes runs the overflow workload after switching
+// the runtime mode to each setting: both paths must preserve the multi-word
+// invariant and count fallback runs.
 func TestAdaptiveFallbackBothModes(t *testing.T) {
 	for _, mode := range []FallbackMode{ModeFine, ModeGlobal} {
 		t.Run(mode.String(), func(t *testing.T) {
-			h := newAdaptiveHeap(t, Config{})
+			h := newTLEHeap(t, Config{})
 			h.SetFallbackMode(mode)
 			th := h.NewThread()
 			a := th.Alloc(8)
@@ -153,7 +133,7 @@ func TestAdaptiveFallbackBothModes(t *testing.T) {
 // dedicated goroutine toggles fine↔global. Afterwards the heap must be
 // exactly quiescent: clean SweepMeta, even fallback sequence, flags drained.
 func TestAdaptiveModeFlipStress(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{MaxRetries: 1})
+	h := newTLEHeap(t, Config{MaxRetries: 1})
 	setup := h.NewThread()
 	shared := setup.Alloc(4)
 
@@ -247,21 +227,7 @@ func TestAdaptiveModeFlipStress(t *testing.T) {
 	if h.ModeSwitches() == 0 {
 		t.Error("stress never switched modes")
 	}
-	sweep := h.SweepMeta()
-	if sweep.Locked != 0 || sweep.FallbackTagged != 0 || sweep.StripeErrors != 0 {
-		t.Errorf("quiescent sweep not clean: %+v", sweep)
-	}
-	if sweep.Allocated != s.LiveWords {
-		t.Errorf("sweep allocated %d != live words %d", sweep.Allocated, s.LiveWords)
-	}
-	if seq := h.fallbackSeq.Load(); seq&1 != 0 {
-		t.Errorf("fallback sequence left odd: %d", seq)
-	}
-	for _, c := range h.stats.snapshotCells() {
-		if c.inCommit.Load() != 0 || c.inFine.Load() != 0 {
-			t.Error("quiesce barrier words not drained")
-		}
-	}
+	requireQuiescent(t, h)
 }
 
 // Synthetic epoch helpers for driving the decision logic deterministically.
@@ -274,7 +240,7 @@ func busyCalmEpoch() TunerEpoch {
 func idleEpoch() TunerEpoch { return TunerEpoch{} }
 
 func TestTunerModeController(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{})
+	h := newTLEHeap(t, Config{})
 	tu := h.NewTuner(TunerConfig{SwitchAfter: 2, ProbeEvery: 3, MinFallbackRuns: 10})
 
 	// Hysteresis: one storm epoch is not enough.
@@ -328,7 +294,7 @@ func TestTunerModeController(t *testing.T) {
 // vacuously calm, and a catastrophic ratio must switch WITHOUT waiting out
 // SwitchAfter hysteresis (every deliberation epoch is a livelocked epoch).
 func TestTunerLivelockEpochIsStorm(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{})
+	h := newTLEHeap(t, Config{})
 	tu := h.NewTuner(TunerConfig{SwitchAfter: 2, MinFallbackRuns: 10})
 	livelock := TunerEpoch{FallbackRuns: 0, FallbackWaits: 300, FallbackRetries: 200, ContentionRatio: 500}
 	tu.decide(livelock)
@@ -342,7 +308,7 @@ func TestTunerLivelockEpochIsStorm(t *testing.T) {
 // SwitchAfter more livelocked epochs. A probe that survives a calm epoch
 // sheds the fast-refute state and gets full hysteresis again.
 func TestTunerProbeRefutedInOneEpoch(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{})
+	h := newTLEHeap(t, Config{})
 	tu := h.NewTuner(TunerConfig{SwitchAfter: 3, ProbeEvery: 2, MinFallbackRuns: 10})
 
 	// Reach global mode via the catastrophe path, then probe out of it.
@@ -385,7 +351,7 @@ func TestTunerProbeRefutedInOneEpoch(t *testing.T) {
 // showing collisions but no completed runs must produce a large
 // ContentionRatio, not 0/0 = 0.
 func TestTunerEpochDeltaLivelockRatio(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{})
+	h := newTLEHeap(t, Config{})
 	tu := h.NewTuner(TunerConfig{})
 	th := h.NewThread()
 	th.cell.fallbackWaits.Store(50)
@@ -402,7 +368,7 @@ func TestTunerEpochDeltaLivelockRatio(t *testing.T) {
 }
 
 func TestTunerKnobDrivers(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{})
+	h := newTLEHeap(t, Config{})
 	tu := h.NewTuner(TunerConfig{MinFallbackRuns: 10})
 
 	// Sustained moderate retry pressure grows the spins budget.
@@ -420,29 +386,12 @@ func TestTunerKnobDrivers(t *testing.T) {
 	if got := h.FallbackSpins(); got > start {
 		t.Errorf("FallbackSpins = %d after calm epochs, want shed below %d", got, start)
 	}
-
-	// Capacity aborts shrink the dedup bypass; engagement pressure without
-	// them grows it back.
-	d0 := h.DedupBypass()
-	for i := 0; i < 20 && h.DedupBypass() == d0; i++ {
-		tu.decide(TunerEpoch{Capacity: 5})
-	}
-	if got := h.DedupBypass(); got >= d0 {
-		t.Errorf("DedupBypass = %d after capacity aborts, want below %d", got, d0)
-	}
-	low := h.DedupBypass()
-	for i := 0; i < 20 && h.DedupBypass() == low; i++ {
-		tu.decide(TunerEpoch{DedupEngages: 50, Commits: 100})
-	}
-	if got := h.DedupBypass(); got <= low {
-		t.Errorf("DedupBypass = %d after engagement pressure, want above %d", got, low)
-	}
 }
 
 func TestTunerPinnedNeverActs(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{})
+	h := newTLEHeap(t, Config{})
 	tu := h.NewTuner(TunerConfig{Pinned: true, SwitchAfter: 1, MinFallbackRuns: 1})
-	mode, spins, dedup := h.FallbackMode(), h.FallbackSpins(), h.DedupBypass()
+	mode, spins := h.FallbackMode(), h.FallbackSpins()
 
 	// Generate real fallback traffic so the sampled epochs are nonempty.
 	th := h.NewThread()
@@ -459,7 +408,7 @@ func TestTunerPinnedNeverActs(t *testing.T) {
 	tu.Tick()
 	tu.Tick()
 
-	if h.FallbackMode() != mode || h.FallbackSpins() != spins || h.DedupBypass() != dedup {
+	if h.FallbackMode() != mode || h.FallbackSpins() != spins {
 		t.Error("pinned tuner changed a knob")
 	}
 	if h.ModeSwitches() != 0 {
@@ -481,7 +430,7 @@ func TestTunerPinnedNeverActs(t *testing.T) {
 }
 
 func TestTunerStartStop(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{})
+	h := newTLEHeap(t, Config{})
 	var epochs atomic.Uint64
 	tu := h.StartTuner(TunerConfig{Interval: time.Millisecond})
 	tu.Observe(func(TunerEpoch) { epochs.Add(1) })
@@ -499,7 +448,7 @@ func TestTunerStartStop(t *testing.T) {
 	}
 
 	// A never-started tuner stops without hanging.
-	h2 := newAdaptiveHeap(t, Config{})
+	h2 := newTLEHeap(t, Config{})
 	h2.NewTuner(TunerConfig{}).Stop()
 }
 
@@ -511,7 +460,7 @@ func TestTunerEndToEndSharedStorm(t *testing.T) {
 	// observe the held lock-set (FallbackWaits) even on few CPUs; without it
 	// a single-CPU run can convoy invisibly, every holder completing within
 	// its scheduling quantum.
-	h := newAdaptiveHeap(t, Config{MaxRetries: 1, YieldEvery: 3})
+	h := newTLEHeap(t, Config{MaxRetries: 1, YieldEvery: 3})
 	tu := h.NewTuner(TunerConfig{MinFallbackRuns: 8, SwitchAfter: 2, StormRatio: 0.5})
 	setup := h.NewThread()
 	shared := setup.Alloc(4)
@@ -548,8 +497,5 @@ func TestTunerEndToEndSharedStorm(t *testing.T) {
 	if h.FallbackMode() != ModeGlobal {
 		t.Fatalf("controller never switched to global under a shared storm: %s", h.Stats())
 	}
-	sweep := h.SweepMeta()
-	if sweep.Locked != 0 || sweep.FallbackTagged != 0 {
-		t.Errorf("sweep not clean after storm: %+v", sweep)
-	}
+	requireQuiescent(t, h)
 }

@@ -89,8 +89,8 @@ type Txn struct {
 	yieldThresh  uint64 // rand() below this yields; 0 = never (see maybeYield)
 	maxReadSet   int
 	storeBufSize int
-	dedupAfter   int // read-set length at which dedup engages (see below)
-	fbSpins      int // out-of-order try-lock bound (Config.FallbackSpins)
+	dedupAfter   int  // read-set length at which dedup engages (see below)
+	tle          bool // Config.EnableTLE: monitor the global fallback epoch
 
 	// Fault injection (Config.Faults): faults is the owning thread's injection
 	// state (nil without a plan — one pointer check per access), fbDelay the
@@ -130,20 +130,16 @@ type Txn struct {
 	// the write set. fbMax is the highest address currently held — the
 	// ordered-acquisition watermark the deadlock-avoidance protocol compares
 	// against. fbOwner is the thread ID masked to FallbackOwnerBits, recorded
-	// in each held word's metadata. globalFB caches the STATIC global mode
-	// (EnableTLE && GlobalFallback && !Adaptive): only then do begin/extend/
-	// commit monitor the global fallback sequence through the static checks.
-	// adaptive caches Config.Adaptive: begin then refreshes the tuned knobs
-	// and snapshots the fallback epoch, extend revalidates it, and commit
-	// publishes the inCommit barrier word (see adaptive.go). directGlobal is
-	// per-run state: this fallback run executes under the global lock with
-	// direct NT access (set by runGlobalFallback, whichever mode selected it).
+	// in each held word's metadata. fbSpins is the out-of-order try-lock bound,
+	// read from the heap's live knob as each fine-grained attempt starts.
+	// directGlobal is per-run state: this fallback run executes under the
+	// global lock (set by runGlobalFallback), so loads are NT reads and the
+	// buffered stores are written back with NT stores — no word locks held.
 	locks        []lockEntry
 	lindex       setIndex
 	fbMax        Addr
 	fbOwner      uint64
-	globalFB     bool
-	adaptive     bool
+	fbSpins      int
 	directGlobal bool
 }
 
@@ -159,9 +155,9 @@ func readFilterBits(a Addr) (fw uint32, mask uint64) {
 	return (hb >> 12) & (readFilterWords - 1), uint64(1)<<(hb&63) | uint64(1)<<((hb>>6)&63)
 }
 
-// bypassReadCap bounds how long an attempt may stay in read-set bypass mode
-// when MaxReadSet is unbounded (or enormous), so pathological repeat-heavy
-// bodies cannot grow the duplicated read set without limit.
+// bypassReadCap bounds how long an attempt may stay in read-set bypass mode,
+// so pathological repeat-heavy bodies cannot grow the duplicated read set
+// without limit (Config.dedupBypassThreshold clamps it to MaxReadSet/2).
 const bypassReadCap = 4096
 
 // mi maps a word address to the index of its governing metadata word; the
@@ -299,10 +295,9 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 			if len(t.locks) > 0 && s < t.fbMax && spins >= t.fbSpins {
 				t.abort(AbortConflict, a) // release-and-retry (runFallback)
 			}
-			if t.adaptive && (t.th.h.fallbackSeq.Load()&1 != 0 ||
-				FallbackMode(t.th.h.fbMode.Load()) == ModeGlobal) {
-				// A global critical section is pending, or the Tuner switched
-				// modes mid-storm. In-order waits are normally unbounded (they
+			if t.h.fallbackSeq.Load()&1 != 0 || FallbackMode(t.h.fbMode.Load()) == ModeGlobal {
+				// A global critical section is pending, or the mode switched
+				// mid-storm. In-order waits are normally unbounded (they
 				// follow the address order, so they cannot deadlock), but an
 				// unbounded wait here would hold inFine hostage to the very
 				// storm the switch is meant to break — the global acquirer's
@@ -355,6 +350,34 @@ func (t *Txn) fbStore(a Addr, v uint64) {
 	li := t.fbAcquire(a, "store")
 	t.locks[li].written = true
 	t.addWrite(a, v, 0) // metadata slot unused: release stores, not CASes
+}
+
+// directLoad and directStore are Txn.Load and Txn.Store on the TLE fallback
+// paths, kept out of line so the hardware path's functions stay small. Under
+// the global lock nothing else commits: a load reads its own buffered store or
+// the word itself, a store is buffered until commit writes it back.
+func (t *Txn) directLoad(a Addr) uint64 {
+	if !t.directGlobal {
+		return t.fbLoad(a)
+	}
+	t.checkAccess(a, "load")
+	if i := t.findWrite(a); i >= 0 {
+		return t.writes[i].val
+	}
+	return t.h.LoadNT(a)
+}
+
+func (t *Txn) directStore(a Addr, v uint64) {
+	if !t.directGlobal {
+		t.fbStore(a, v)
+		return
+	}
+	t.checkAccess(a, "store")
+	if i := t.findWrite(a); i >= 0 {
+		t.writes[i].val = v
+		return
+	}
+	t.addWrite(a, v, 0) // metadata slot unused: write-back is StoreNT
 }
 
 // fbRelease releases the whole lock-set: written stripes take a fresh live
@@ -449,7 +472,7 @@ func (t *Txn) checkAccess(a Addr, op string) {
 }
 
 func (t *Txn) accessFault(a Addr, op string) {
-	if t.h.cfg.Sandboxed && !t.direct {
+	if t.h.cfg.sandboxed && !t.direct {
 		t.abort(AbortIllegal, a)
 	}
 	panic(fmt.Sprintf("htm: transactional %s of invalid or freed address %#x without sandboxing (simulated segmentation fault)", op, uint32(a)))
@@ -479,14 +502,13 @@ func (t *Txn) validate() bool {
 // snapshot admits but that landed before the scan is caught by the equality
 // revalidation, so a torn snapshot can never be certified.
 func (t *Txn) extend() {
-	// GlobalFallback compatibility mode only: a timestamp extension across a
-	// global-lock fallback acquisition could mix pre- and post-critical-
-	// section state; abort instead, exactly as a hardware transaction holding
-	// the lock word in its read set would. The fine-grained fallback needs no
-	// check here — a fallback that touched any word this transaction read
-	// rewrote that word's metadata, so validate() below catches it. Adaptive
-	// mode monitors the same epoch: the global path may engage at any moment.
-	if (t.globalFB || t.adaptive) && t.h.fallbackSeq.Load() != t.fbSeq {
+	// A timestamp extension across a global-lock fallback acquisition could
+	// mix pre- and post-critical-section state; abort instead, exactly as a
+	// hardware transaction holding the lock word in its read set would. The
+	// fine-grained fallback needs no check here — a fallback that touched any
+	// word this transaction read rewrote that word's metadata, so validate()
+	// below catches it.
+	if t.tle && t.h.fallbackSeq.Load() != t.fbSeq {
 		t.abort(AbortFallback, NilAddr)
 	}
 	for i := range t.rv {
@@ -522,11 +544,7 @@ func (t *Txn) yieldSlow() {
 // Load transactionally reads the word at a.
 func (t *Txn) Load(a Addr) uint64 {
 	if t.direct {
-		if !t.directGlobal {
-			return t.fbLoad(a)
-		}
-		t.checkAccess(a, "load")
-		return t.h.LoadNT(a)
+		return t.directLoad(a)
 	}
 	t.maybeYield()
 	// Access-site injection (hardware attempts only — the direct paths
@@ -614,12 +632,7 @@ func (t *Txn) Load(a Addr) uint64 {
 // bounded transactions.
 func (t *Txn) Store(a Addr, v uint64) {
 	if t.direct {
-		if !t.directGlobal {
-			t.fbStore(a, v)
-			return
-		}
-		t.checkAccess(a, "store")
-		t.h.StoreNT(a, v)
+		t.directStore(a, v)
 		return
 	}
 	t.maybeYield()
@@ -696,7 +709,14 @@ func (t *Txn) rollbackAllocs() {
 func (t *Txn) commit() (AbortCode, Addr) {
 	h := t.h
 	if t.direct {
-		if !t.directGlobal {
+		switch {
+		case t.directGlobal:
+			// Global fallback: nothing else can commit, so the buffered stores
+			// go back one NT store at a time.
+			for i := range t.writes {
+				h.StoreNT(t.writes[i].addr, t.writes[i].val)
+			}
+		case len(t.writes) > 0:
 			// Fine-grained fallback: write the buffered stores back under the
 			// held locks, then release every word — written words with one
 			// fresh version tick shared by the whole operation (exactly as a
@@ -704,22 +724,20 @@ func (t *Txn) commit() (AbortCode, Addr) {
 			// restoring their displaced metadata. Frees run only after the
 			// release: a block being freed may contain held words, and free()
 			// waits out word locks.
-			if len(t.writes) > 0 {
-				for i := range t.writes {
-					h.words[t.writes[i].addr].Store(t.writes[i].val)
-				}
-				// Injected adversity (Config.Faults.ReleaseDelay): hold the
-				// lock-set a while longer after write-back, stretching the
-				// window in which contenders see the words fallback-locked.
-				for i := 0; i < t.fbDelay; i++ {
-					runtime.Gosched()
-				}
-				// Tick the home shard with the whole lock-set held — same
-				// lock-then-tick order as a hardware commit.
-				t.fbRelease(t.th.tickClock())
-			} else {
-				t.fbRelease(0)
+			for i := range t.writes {
+				h.words[t.writes[i].addr].Store(t.writes[i].val)
 			}
+			// Injected adversity (Config.Faults.ReleaseDelay): hold the
+			// lock-set a while longer after write-back, stretching the
+			// window in which contenders see the words fallback-locked.
+			for i := 0; i < t.fbDelay; i++ {
+				runtime.Gosched()
+			}
+			// Tick the home shard with the whole lock-set held — same
+			// lock-then-tick order as a hardware commit.
+			t.fbRelease(t.th.tickClock())
+		default:
+			t.fbRelease(0)
 		}
 		t.runFrees()
 		t.allocs = t.allocs[:0] // committed: the body keeps its allocations
@@ -733,30 +751,43 @@ func (t *Txn) commit() (AbortCode, Addr) {
 		t.runFrees()
 		return 0, NilAddr
 	}
-	// Global-fallback fence: commits may not overlap a global-lock fallback
-	// critical section. In the static GlobalFallback mode the fence is the
-	// activeCommits counter; in adaptive mode — where the global path may
-	// engage at any moment — it is the per-thread inCommit barrier word,
-	// published BEFORE revalidating the epoch so this commit either observes
-	// the section (and aborts) or is observed by its acquirer (and waited
-	// out). The fine-grained fallback needs no fence — it holds the metadata
-	// locks of the words it touches, so a conflicting commit simply fails its
-	// acquisition CAS below, and a disjoint commit proceeds concurrently.
-	tle := t.globalFB
-	if tle {
-		h.activeCommits.Add(1)
-		if h.fallbackSeq.Load() != t.fbSeq {
-			h.activeCommits.Add(^uint64(0))
-			return AbortFallback, NilAddr
+	var code AbortCode
+	var addr Addr
+	if t.tle {
+		// Global-fallback fence: a write-back may not overlap a global-lock
+		// fallback critical section, and the global path may engage at any
+		// moment. inCommit is published BEFORE revalidating the epoch, so this
+		// commit either observes the section (and aborts) or is observed by
+		// its acquirer (and waited out). The fine-grained fallback needs no
+		// fence — it holds the metadata locks of the words it touches, so a
+		// conflicting commit simply fails its acquisition CAS, and a disjoint
+		// commit proceeds concurrently.
+		fence := &t.th.cell.inCommit
+		fence.Store(1)
+		if h.fallbackSeq.Load() == t.fbSeq {
+			code, addr = t.publish()
+		} else {
+			code = AbortFallback
 		}
-	} else if t.adaptive {
-		t.th.cell.inCommit.Store(1)
-		if h.fallbackSeq.Load() != t.fbSeq {
-			t.th.cell.inCommit.Store(0)
-			return AbortFallback, NilAddr
-		}
+		fence.Store(0)
+	} else {
+		code, addr = t.publish()
 	}
+	switch {
+	case code == 0:
+		t.runFrees()
+	case code == AbortIllegal && !h.cfg.sandboxed:
+		panic(fmt.Sprintf("htm: commit to freed word %#x without sandboxing", uint32(addr)))
+	}
+	return code, addr
+}
 
+// publish is the hardware write commit proper: lock the write set, tick the
+// clock, validate the read set, write back, release. It reports AbortIllegal
+// only for a written word freed (and not yet reused) since its store; nothing
+// is held when it returns, whatever the outcome.
+func (t *Txn) publish() (AbortCode, Addr) {
+	h := t.h
 	// Acquire ownership of the write set: one CAS per governing metadata word
 	// (per word by default, per stripe with Config.StripeShift), from exactly
 	// the metadata recorded when the store was buffered to that word locked.
@@ -793,11 +824,6 @@ func (t *Txn) commit() (AbortCode, Addr) {
 			}
 			h.releaseMetaUnchanged(si, t.writes[i].meta)
 		}
-		if tle {
-			h.activeCommits.Add(^uint64(0))
-		} else if t.adaptive {
-			t.th.cell.inCommit.Store(0)
-		}
 		if striped && code == AbortConflict {
 			bump(&t.th.cell.stripeConflicts)
 		}
@@ -819,13 +845,9 @@ func (t *Txn) commit() (AbortCode, Addr) {
 		if !h.meta[si].CompareAndSwap(w.meta, w.meta|metaLockBit) {
 			if cur := h.meta[si].Load(); !metaAllocated(cur) && !metaLocked(cur) {
 				// The word was freed — and not yet reused — since our store.
-				// (A freed-and-reused word aborts as a conflict above, which
+				// (A freed-and-reused word aborts as a conflict below, which
 				// is equally safe: nothing was locked or written.)
-				if h.cfg.Sandboxed {
-					return fail(AbortIllegal, w.addr)
-				}
-				fail(AbortIllegal, w.addr)
-				panic(fmt.Sprintf("htm: commit to freed word %#x without sandboxing", uint32(w.addr)))
+				return fail(AbortIllegal, w.addr)
 			}
 			return fail(AbortConflict, w.addr)
 		}
@@ -871,12 +893,6 @@ func (t *Txn) commit() (AbortCode, Addr) {
 	for i := range t.writes {
 		h.releaseMeta(t.mi(t.writes[i].addr), wv)
 	}
-	if tle {
-		h.activeCommits.Add(^uint64(0))
-	} else if t.adaptive {
-		t.th.cell.inCommit.Store(0)
-	}
-	t.runFrees()
 	return 0, NilAddr
 }
 

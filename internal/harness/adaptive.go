@@ -25,9 +25,10 @@ const adaptivePhases = 4
 type AdaptiveMode int
 
 const (
-	// AdaptiveFine is the static fine-grained fallback baseline.
+	// AdaptiveFine pins the fine-grained fallback: no Tuner is attached, so
+	// the mode never leaves its initial setting.
 	AdaptiveFine AdaptiveMode = iota
-	// AdaptiveGlobal is the static global-lock baseline.
+	// AdaptiveGlobal pins the global-lock fallback the same way.
 	AdaptiveGlobal
 	// AdaptiveTuned runs the htm.Tuner with epochs much shorter than a
 	// phase, switching modes from live abort feedback.
@@ -82,7 +83,6 @@ func AdaptivePhaseShift(cfg Config, threads int, mode AdaptiveMode) PhaseResult 
 		EnableTLE:       true,
 		MaxRetries:      1,
 		GlobalFallback:  mode == AdaptiveGlobal,
-		Adaptive:        mode == AdaptiveTuned,
 		YieldEvery:      cfg.YieldEvery,
 		NoMaxLive:       true,
 	})

@@ -51,8 +51,8 @@ func fallbackHeapSpins(cfg Config, global bool, spins int) *htm.Heap {
 // FallbackOverflow measures fallback throughput: `threads` workers each run
 // transactions that overflow the store buffer and complete on the fallback
 // path. With disjoint=true every worker owns its block (the footprints share
-// nothing); otherwise all workers hammer one shared block. global selects
-// the global-lock baseline retained behind htm.Config.GlobalFallback.
+// nothing); otherwise all workers hammer one shared block. global starts the
+// heap in the global-lock mode (htm.Config.GlobalFallback).
 func FallbackOverflow(cfg Config, threads int, disjoint, global bool) Result {
 	cfg = cfg.withDefaults()
 	return overflowOn(fallbackHeap(cfg, global), cfg, threads, disjoint)

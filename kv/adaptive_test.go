@@ -75,15 +75,12 @@ func TestGovernorTracksAbortMix(t *testing.T) {
 // stops it (idempotently).
 func TestAdaptiveStoreLifecycle(t *testing.T) {
 	if NewStore(Config{Slots: 64}).Tuner() != nil {
-		t.Fatal("static store grew a Tuner")
+		t.Fatal("store without Config.Adaptive grew a Tuner")
 	}
 	s := NewStore(Config{Slots: 64, Adaptive: &AdaptiveConfig{Interval: time.Millisecond}})
 	tu := s.Tuner()
 	if tu == nil {
 		t.Fatal("adaptive store has no Tuner")
-	}
-	if !s.Heap().Adaptive() {
-		t.Fatal("adaptive store's heap is not adaptive")
 	}
 	if err := s.Put(bg, []byte("k"), []byte("v"), 0); err != nil {
 		t.Fatal(err)
@@ -105,7 +102,7 @@ func TestAdaptiveStoreLifecycle(t *testing.T) {
 
 // TestStatsAdaptiveSection checks the /stats surface: an adaptive store
 // reports the tuner block (and the admission block its live storm_rate); a
-// static store omits it.
+// store without a Tuner omits it.
 func TestStatsAdaptiveSection(t *testing.T) {
 	store := NewStore(Config{Slots: 256, Adaptive: &AdaptiveConfig{Pinned: true}})
 	defer store.Close()
@@ -133,7 +130,7 @@ func TestStatsAdaptiveSection(t *testing.T) {
 	if st.Adaptive["pinned"] != true {
 		t.Errorf("adaptive.pinned = %v, want true", st.Adaptive["pinned"])
 	}
-	for _, k := range []string{"mode_switches", "fallback_spins", "dedup_bypass", "epochs"} {
+	for _, k := range []string{"mode_switches", "fallback_spins", "epochs"} {
 		if _, ok := st.Adaptive[k]; !ok {
 			t.Errorf("adaptive section missing %q", k)
 		}
@@ -142,7 +139,7 @@ func TestStatsAdaptiveSection(t *testing.T) {
 		t.Error("admission section missing storm_rate")
 	}
 
-	// Static store: no adaptive block.
+	// No Tuner: no adaptive block.
 	sv2 := NewServer(NewStore(Config{Slots: 64}))
 	ts2 := httptest.NewServer(sv2)
 	defer ts2.Close()
@@ -157,6 +154,6 @@ func TestStatsAdaptiveSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st2.Adaptive != nil {
-		t.Error("static store /stats grew an adaptive section")
+		t.Error("/stats of a store without a Tuner grew an adaptive section")
 	}
 }

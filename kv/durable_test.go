@@ -179,6 +179,7 @@ func TestSnapshotDuringWrites(t *testing.T) {
 	wg.Wait()
 	// Wait out any in-flight automatic snapshot, then take one more by hand
 	// (covers the snapshot-path-then-crash case), then crash mid-life.
+	s.snapWG.Wait()
 	if _, err := s.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}

@@ -118,12 +118,12 @@ type Config struct {
 	// nothing.
 	Faults *htm.FaultPlan
 
-	// Adaptive, when non-nil, arms the heap's runtime contention knobs
-	// (htm.Config.Adaptive) and attaches an htm.Tuner to the store: the
-	// fallback mode, spin budget and dedup threshold self-tune from live
-	// abort feedback, and the admission Governor (if the server enables one)
-	// tracks the heap's abort mix instead of using a static storm threshold.
-	// nil keeps every knob static — bit-for-bit the non-adaptive engine.
+	// Adaptive, when non-nil, attaches an htm.Tuner to the store: the
+	// fallback mode and spin budget self-tune from live abort feedback, and
+	// the admission Governor (if the server enables one) tracks the heap's
+	// abort mix instead of using a static storm threshold. nil leaves the
+	// mode and spin budget where GlobalFallback and the engine default put
+	// them.
 	Adaptive *AdaptiveConfig
 
 	// Durability, when non-nil, attaches a write-ahead commit log and
@@ -144,8 +144,8 @@ type AdaptiveConfig struct {
 	Interval time.Duration
 	// Pinned arms the sampling loop but suppresses every decision: epochs
 	// tick and /stats reports live data, yet no knob is ever written. The
-	// chaos harness runs enabled-but-pinned to prove the adaptive machinery
-	// itself perturbs nothing.
+	// chaos harness runs enabled-but-pinned to prove the sampling itself
+	// perturbs nothing.
 	Pinned bool
 }
 

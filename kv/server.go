@@ -355,7 +355,6 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"mode":           ts.Mode.String(),
 			"mode_switches":  ts.ModeSwitches,
 			"fallback_spins": ts.FallbackSpins,
-			"dedup_bypass":   ts.DedupBypass,
 			"epochs":         ts.Epochs,
 			"pinned":         ts.Pinned,
 		}

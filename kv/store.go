@@ -69,7 +69,7 @@ type Store struct {
 	closed    atomic.Bool
 
 	// tuner is the heap's contention controller (Config.Adaptive; nil when
-	// the store runs static). Owned by the store: started at construction,
+	// none is attached). Owned by the store: started at construction,
 	// stopped by Close.
 	tuner *htm.Tuner
 }
@@ -96,7 +96,6 @@ func newStoreCore(cfg Config) *Store {
 		ClockShards:     cfg.ClockShards,
 		StripeShift:     cfg.StripeShift,
 		Faults:          cfg.Faults,
-		Adaptive:        cfg.Adaptive != nil,
 	})
 	s := &Store{
 		cfg:  cfg,
