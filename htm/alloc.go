@@ -202,8 +202,9 @@ func (al *allocator) allocBigFrom(si, size int) Addr {
 	return a
 }
 
-// alloc returns a zeroed, allocated block of size words for th. It panics if
-// the arena is exhausted.
+// alloc returns an allocated block of size words for th, holding image (which
+// must then be size words long) or, with a nil image, zeros. It panics if the
+// arena is exhausted.
 //
 // One tick of the thread's home clock shard versions the whole block, and
 // each governing metadata word's free->allocated transition is a single CAS
@@ -215,9 +216,13 @@ func (al *allocator) allocBigFrom(si, size int) Addr {
 // on its next access to the block, be forced to extend, and fail revalidation
 // on the word it read (whose metadata the free already rewrote — an equality
 // check, so it holds whatever shard the free ticked). The word values are
-// zeroed before the allocated bit is published, so no reader can observe
-// stale contents as live memory.
-func (al *allocator) alloc(th *Thread, size int) Addr {
+// written before the allocated bit is published, so no reader can observe
+// stale contents as live memory — and, for the same reason, none can observe
+// the image early: a reader still holding the previous life's metadata word
+// re-reads it after the value and finds the free's rewrite. That is the
+// paper's §6 discipline (fill a node while it is private, publish it with one
+// short transaction) applied to the allocation itself.
+func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 	if size <= 0 {
 		panic("htm: alloc of non-positive size")
 	}
@@ -227,8 +232,14 @@ func (al *allocator) alloc(th *Thread, size int) Addr {
 	wv := th.tickClock()
 	live := makeMeta(wv, true)
 	words := h.words[a : a+Addr(size)]
-	for i := range words {
-		words[i].Store(0)
+	if image == nil {
+		for i := range words {
+			words[i].Store(0)
+		}
+	} else {
+		for i := range words {
+			words[i].Store(image[i])
+		}
 	}
 	for si, hi := h.mi(a), h.mi(a+Addr(size)-1); si <= hi; si++ {
 		m := h.meta[si].Load()

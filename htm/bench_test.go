@@ -62,6 +62,33 @@ func BenchmarkTxnReadOnly(b *testing.B) {
 	}
 }
 
+// BenchmarkTxnLoadWords16 is the bulk form of BenchmarkTxnReadOnly's inner
+// loop at the KV engine's value size: one read-only transaction copying a
+// 16-word block out with Txn.LoadWords. The caller's buffer is the only
+// destination, so anything it allocates is a regression.
+func BenchmarkTxnLoadWords16(b *testing.B) {
+	h := NewHeap(Config{Words: 1 << 16})
+	th := h.NewThread()
+	var img, dst [16]uint64
+	for i := range img {
+		img[i] = uint64(i) + 1
+	}
+	a := th.AllocInit(img[:])
+	body := func(t *Txn) { t.LoadWords(a, dst[:]) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Atomic(body)
+	}
+	b.StopTimer()
+	if dst != img {
+		b.Fatalf("LoadWords read %v, want %v", dst, img)
+	}
+	if n := testing.AllocsPerRun(100, func() { th.Atomic(body) }); n != 0 {
+		b.Fatalf("LoadWords transaction allocates %.1f times per op, want 0", n)
+	}
+}
+
 // BenchmarkTxnRepeatedLoad measures the read-set dedup path: a small set of
 // words each loaded many times in one transaction — the pattern that, before
 // dedup, grew the read set unboundedly, inflated validation, and could abort
@@ -142,6 +169,28 @@ func BenchmarkAllocFree(b *testing.B) {
 	}
 	b.Run("fastpath", run(Config{Words: 1 << 20, NoMaxLive: true}))
 	b.Run("tracked", run(Config{Words: 1 << 20}))
+}
+
+// BenchmarkAllocInit16 is BenchmarkAllocFree's pair with the block born
+// holding a 16-word image — the KV engine's Put-shaped allocation. The image
+// is copied into the arena, never retained, so a stack image costs no heap
+// allocation.
+func BenchmarkAllocInit16(b *testing.B) {
+	h := NewHeap(Config{Words: 1 << 20, NoMaxLive: true})
+	th := h.NewThread()
+	var img [16]uint64
+	for i := range img {
+		img[i] = uint64(i) + 1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Free(th.AllocInit(img[:]))
+	}
+	b.StopTimer()
+	if n := testing.AllocsPerRun(100, func() { th.Free(th.AllocInit(img[:])) }); n != 0 {
+		b.Fatalf("AllocInit/Free allocates %.1f times per op, want 0", n)
+	}
 }
 
 // BenchmarkAllocFreeParallel measures alloc/free with every goroutine on its

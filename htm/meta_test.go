@@ -126,23 +126,20 @@ func TestReallocVersionExceedsFreeVersion(t *testing.T) {
 // TestFreeInvalidatesReadOnlySnapshot is the deterministic port of the racing
 // free-vs-read-only-snapshot sandbox test to the merged word layout: a
 // read-only transaction reads word 0 of a block, the block is freed (and in
-// the realloc variant reused and rewritten) between that read and the read of
-// word 1, and the transaction must abort rather than pair pre-free and
+// the reuse variants reallocated — zero-filled then rewritten with NT stores,
+// or born holding its new contents via AllocInit) between that read and the
+// read of word 1, and the transaction must abort rather than pair pre-free and
 // post-free state. The version-bump-on-free IS the generation flip, so the
-// single metadata reread at revalidation is what catches it.
+// single metadata reread at revalidation is what catches it; AllocInit writes
+// the new payload before it publishes the allocation, and the reader's entry
+// from the block's previous life is what keeps it from seeing that payload.
 func TestFreeInvalidatesReadOnlySnapshot(t *testing.T) {
-	for _, realloc := range []bool{false, true} {
-		name := "freed"
-		if realloc {
-			name = "freed-and-reused"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, mode := range []string{"freed", "freed-and-reused", "freed-and-reborn-initialized"} {
+		t.Run(mode, func(t *testing.T) {
 			h := newTestHeap(t, Config{})
 			reader := h.NewThread()
 			mut := h.NewThread()
-			blk := mut.Alloc(2)
-			h.StoreNT(blk, 7)
-			h.StoreNT(blk+1, 7)
+			blk := mut.AllocInit([]uint64{7, 7})
 			raced := false
 			var x, y uint64
 			err := reader.TryAtomic(func(tx *Txn) {
@@ -150,13 +147,17 @@ func TestFreeInvalidatesReadOnlySnapshot(t *testing.T) {
 				if !raced {
 					raced = true
 					mut.Free(blk)
-					if realloc {
-						nb := mut.Alloc(2) // exact-size free list: reuses blk
-						if nb != blk {
-							t.Skipf("allocator did not recycle (%#x -> %#x)", uint32(blk), uint32(nb))
-						}
+					nb := blk
+					switch mode {
+					case "freed-and-reused":
+						nb = mut.Alloc(2) // exact-size free list: reuses blk
 						h.StoreNT(nb, 9)
 						h.StoreNT(nb+1, 9)
+					case "freed-and-reborn-initialized":
+						nb = mut.AllocInit([]uint64{9, 9})
+					}
+					if nb != blk {
+						t.Skipf("allocator did not recycle (%#x -> %#x)", uint32(blk), uint32(nb))
 					}
 				}
 				y = tx.Load(blk + 1)
@@ -165,9 +166,9 @@ func TestFreeInvalidatesReadOnlySnapshot(t *testing.T) {
 			if !errors.As(err, &ab) {
 				t.Fatalf("snapshot spanning a racing free committed with (%d,%d), want abort", x, y)
 			}
-			want := AbortIllegal // load of a freed word
-			if realloc {
-				want = AbortConflict // reused word forces extension; revalidation fails
+			want := AbortConflict // reused word forces extension; revalidation fails
+			if mode == "freed" {
+				want = AbortIllegal // load of a freed word
 			}
 			if ab.Code != want {
 				t.Errorf("abort code = %v, want %v", ab.Code, want)

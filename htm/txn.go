@@ -3,6 +3,7 @@ package htm
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 )
 
@@ -623,6 +624,59 @@ func (t *Txn) Load(a Addr) uint64 {
 			t.rindex.insert(a, len(t.reads)-1)
 		}
 		return v
+	}
+}
+
+// LoadWords transactionally reads the len(dst) consecutive words starting at a
+// into dst. It is DEFINED as
+//
+//	for i := range dst { dst[i] = t.Load(a + Addr(i)) }
+//
+// — same read-set entries in the same order, same sandbox predicate per word,
+// same abort codes and addresses — and is that loop whenever anything but the
+// plain hardware-path case is in play: the fallback paths, fault injection
+// (every access must draw from the plan), YieldEvery, a non-empty write set
+// (read-own-writes), a range that leaves the arena, and every word from the
+// point where the read set reaches dedupAfter. Otherwise the per-access
+// dispatch is decided once for the whole range, and each word whose metadata
+// is live, unlocked, stable across the value read and no newer than rv takes
+// the bypass-mode append inline; any other word goes through Load, which
+// spins, extends or aborts exactly as it would have.
+func (t *Txn) LoadWords(a Addr, dst []uint64) {
+	fast := 0
+	if !t.direct && t.yieldThresh == 0 && t.faults == nil && len(t.writes) == 0 && !t.dedup &&
+		a != NilAddr && int(a)+len(dst) <= len(t.words) {
+		// Every word appends exactly one read entry while the set is below
+		// dedupAfter (extend never grows it), so the bypass-mode prefix of the
+		// range is known up front.
+		fast = min(len(dst), max(t.dedupAfter-len(t.reads), 0))
+	}
+	// Reserve the prefix's read entries once; the loop stores them by index and
+	// t.reads is re-sliced over them at the end. Load must see the set exactly
+	// as the loop it stands in for would have left it (extend validates it), so
+	// a word that takes Load first publishes the entries staged so far — Load
+	// then appends its own into the next reserved slot, in place.
+	base := len(t.reads)
+	t.reads = slices.Grow(t.reads, fast)
+	ents := t.reads[base : base+fast]
+	words, meta, rv := t.words, t.meta, t.rv
+	for i := range ents {
+		w := a + Addr(i)
+		mi := int(w) >> t.sshift
+		if m1 := meta[mi].Load(); m1&(metaLockBit|metaAllocBit) == metaAllocBit {
+			v := words[w].Load()
+			if ver := metaVersion(m1); meta[mi].Load() == m1 && ver>>t.shardBits <= rv[ver&t.shardMask] {
+				ents[i] = readEntry{addr: w, meta: m1}
+				dst[i] = v
+				continue
+			}
+		}
+		t.reads = t.reads[:base+i]
+		dst[i] = t.Load(w)
+	}
+	t.reads = t.reads[:base+fast]
+	for i := fast; i < len(dst); i++ {
+		dst[i] = t.Load(a + Addr(i))
 	}
 }
 

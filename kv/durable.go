@@ -176,40 +176,15 @@ func (s *Store) applyPut(key, val []byte, expiry, seq uint64) error {
 	if len(val) > s.cfg.MaxValueBytes {
 		return fmt.Errorf("%w (%d > %d bytes)", ErrValueTooLarge, len(val), s.cfg.MaxValueBytes)
 	}
-	hash := hashKey(key)
+	var kbuf [scratchWords]uint64
+	k := packKey(key, kbuf[:])
 	var opErr error
 	s.withThread(func(th *htm.Thread) {
-		e := s.fillEntry(th, hash, key, val, expiry)
-		th.Heap().StoreNT(e+entrySeq, seq)
-		published := false
+		e := fillEntry(th, k, val, expiry, seq)
 		th.Atomic(func(t *htm.Txn) {
-			opErr, published = nil, false
-			slot, old, found, insert := s.probe(t, hash, key)
-			if found {
-				t.Store(s.table+htm.Addr(slot), uint64(e))
-				t.FreeOnCommit(old)
-				published = true
-				return
-			}
-			if insert < 0 {
-				opErr = ErrFull
-				return
-			}
-			reusing := t.Load(s.table+htm.Addr(insert)) == slotTombstone
-			count := t.Load(s.dir + dirCount)
-			tombs := t.Load(s.dir + dirTombstones)
-			if !reusing && count+tombs >= uint64(maxEntries(s.cfg.Slots)) {
-				opErr = ErrFull
-				return
-			}
-			t.Store(s.table+htm.Addr(insert), uint64(e))
-			t.Store(s.dir+dirCount, count+1)
-			if reusing {
-				t.Store(s.dir+dirTombstones, tombs-1)
-			}
-			published = true
+			_, opErr = s.publish(t, e, k, false) // seq is the record's, not a new tick
 		})
-		if !published {
+		if opErr != nil {
 			th.Free(e)
 		}
 	})
@@ -219,10 +194,11 @@ func (s *Store) applyPut(key, val []byte, expiry, seq uint64) error {
 // applyDelete removes one replayed key; absent keys are a no-op (the delete's
 // target may have been superseded out of the snapshot).
 func (s *Store) applyDelete(key []byte) {
-	hash := hashKey(key)
+	var kbuf [scratchWords]uint64
+	k := packKey(key, kbuf[:])
 	s.withThread(func(th *htm.Thread) {
 		th.Atomic(func(t *htm.Txn) {
-			slot, e, found, _ := s.probe(t, hash, key)
+			slot, e, found, _ := s.probe(t, k)
 			if !found {
 				return
 			}
@@ -314,11 +290,14 @@ var ErrNotDurable = errors.New("kv: store has no durability attached")
 // Snapshot writes a point-in-time snapshot and prunes the log history it
 // covers. Safe to run while writers are active: the rotation barrier plus
 // per-entry sequence numbers let recovery merge the scan with the records
-// around it (see the package comment above). Returns the entry count.
+// around it (see the package comment above). Concurrent calls, manual or
+// automatic, run one after another. Returns the entry count.
 func (s *Store) Snapshot() (uint64, error) {
 	if s.wal == nil {
 		return 0, ErrNotDurable
 	}
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	// Order matters: rotate FIRST (flushes, so every pre-rotation segment
 	// holds only pre-rotation commits), then read the barrier.
 	seg, err := s.wal.Rotate()
@@ -340,10 +319,7 @@ func (s *Store) Snapshot() (uint64, error) {
 	nslots := uint64(s.cfg.Slots)
 	var page []snapEnt
 	for cursor := uint64(0); cursor < nslots; cursor += scanSlotWindow {
-		end := cursor + scanSlotWindow
-		if end > nslots {
-			end = nslots
-		}
+		end := min(cursor+scanSlotWindow, nslots)
 		s.withThread(func(th *htm.Thread) {
 			th.Atomic(func(t *htm.Txn) {
 				page = page[:0] // restartable body
@@ -356,28 +332,8 @@ func (s *Store) Snapshot() (uint64, error) {
 					// preserves state, the expiry job changes it.
 					e := htm.Addr(w)
 					lens := t.Load(e + entryLens)
-					klen, vlen := int(lens>>32), int(lens&0xffffffff)
-					ent := snapEnt{
-						seq:    t.Load(e + entrySeq),
-						expiry: t.Load(e + entryExpiry),
-						key:    make([]byte, 0, klen),
-						val:    make([]byte, 0, vlen),
-					}
-					for j := 0; j < wordsFor(klen); j++ {
-						n := klen - j*8
-						if n > 8 {
-							n = 8
-						}
-						ent.key = unpackWord(ent.key, t.Load(e+entryHdrWords+htm.Addr(j)), n)
-					}
-					voff := htm.Addr(entryHdrWords + wordsFor(klen))
-					for j := 0; j < wordsFor(vlen); j++ {
-						n := vlen - j*8
-						if n > 8 {
-							n = 8
-						}
-						ent.val = unpackWord(ent.val, t.Load(e+voff+htm.Addr(j)), n)
-					}
+					ent := snapEnt{seq: t.Load(e + entrySeq), expiry: t.Load(e + entryExpiry)}
+					ent.key, ent.val = loadEntry(t, e, lens, true)
 					page = append(page, ent)
 				}
 			})

@@ -208,6 +208,74 @@ func TestSnapshotDuringWrites(t *testing.T) {
 	}
 }
 
+// TestManualSnapshotRacesAutomatic: manual Snapshot calls run against the
+// automatic ones a low SnapshotEvery keeps triggering, all under writers;
+// then power is cut. Two interleaved snapshots each rotate, scan and prune,
+// and the one that finishes first can prune the segment the other's barrier
+// stands on — so Snapshot serializes them. Every acknowledged write must be
+// recovered.
+func TestManualSnapshotRacesAutomatic(t *testing.T) {
+	mfs := wal.NewMemFS()
+	s := openDurable(t, mfs, 8) // an automatic snapshot every 8 mutations
+	const writers, keys, rounds = 4, 10, 12
+	shadow := make([]map[string]string, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		shadow[w] = make(map[string]string)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := 0; k < keys; k++ {
+					key, val := fmt.Sprintf("w%d-k%02d", w, k), fmt.Sprintf("r%02d", r)
+					if err := s.Put(context.Background(), []byte(key), []byte(val), 0); err != nil {
+						t.Errorf("put %s: %v", key, err)
+						return
+					}
+					shadow[w][key] = val
+				}
+			}
+		}(w)
+	}
+	writing := make(chan struct{})
+	manual := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-writing:
+				manual <- nil
+				return
+			default:
+			}
+			if _, err := s.Snapshot(); err != nil {
+				manual <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(writing)
+	if err := <-manual; err != nil {
+		t.Fatalf("manual Snapshot: %v", err)
+	}
+	s.snapWG.Wait()
+	mfs.Crash()
+
+	s2, err := Open(durableConfig(mfs, 0))
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	defer s2.Close()
+	for w := range shadow {
+		for key, want := range shadow[w] {
+			checkGet(t, s2, key, want, true)
+		}
+	}
+	if got := s2.Len(); got != writers*keys {
+		t.Fatalf("recovered %d entries, want %d", got, writers*keys)
+	}
+}
+
 // TestReplayBarrierRule feeds kv.Open a hand-crafted directory exercising the
 // sequence rule directly: a snapshot with barrier S0=5 that does NOT contain
 // key "resurrect" (it was deleted before the snapshot scan), and a log

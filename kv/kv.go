@@ -11,8 +11,8 @@
 // into consecutive heap words. Every operation — Get, Put, Delete, Scan —
 // runs as a single heap transaction via Thread.Atomic with TLE enabled, so:
 //
-//   - The sequential code path IS the concurrent code path. Probing,
-//     key comparison and value copy are ordinary loops over Txn.Load.
+//   - The sequential code path IS the concurrent code path: probing is a loop
+//     over Txn.Load, key comparison and value copy are Txn.LoadWords.
 //   - A Put that replaces or a Delete frees the displaced entry block with
 //     Txn.FreeOnCommit — memory is returned the instant the operation
 //     commits, and any racing reader of the old entry aborts (sandboxing)
@@ -28,6 +28,7 @@
 package kv
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -254,25 +255,37 @@ func hashKey(key []byte) uint64 {
 	return h
 }
 
-// packWords packs b little-endian into words, zero-padding the tail word.
-func packWords(b []byte, out []uint64) {
-	for i := range out {
-		var w uint64
-		for j := 0; j < 8; j++ {
-			if k := i*8 + j; k < len(b) {
-				w |= uint64(b[k]) << (8 * j)
-			}
-		}
-		out[i] = w
+// The entry codec: bytes travel to and from the heap as little-endian words
+// with a zero-padded tail word, and this pair is the only code that knows it.
+// Every writer (fillEntry, packKey) and every reader (loadBytes) goes through
+// it, so a stored key and a packed probe key of equal length are equal word for
+// word; lengths are compared first, so padding can never alias a longer key.
+
+// packBytes packs b into out, which must be wordsFor(len(b)) words long.
+func packBytes(out []uint64, b []byte) {
+	full := len(b) / 8
+	for i := range out[:full] {
+		out[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	if full < len(out) {
+		var tail [8]byte
+		copy(tail[:], b[8*full:])
+		out[full] = binary.LittleEndian.Uint64(tail[:])
 	}
 }
 
-// unpackWord appends up to n bytes of w (little-endian) to dst.
-func unpackWord(dst []byte, w uint64, n int) []byte {
-	for j := 0; j < n; j++ {
-		dst = append(dst, byte(w>>(8*j)))
+// unpackBytes is packBytes' inverse: it fills dst from the first
+// wordsFor(len(dst)) words.
+func unpackBytes(dst []byte, words []uint64) {
+	full := len(dst) / 8
+	for i, w := range words[:full] {
+		binary.LittleEndian.PutUint64(dst[8*i:], w)
 	}
-	return dst
+	if rest := dst[8*full:]; len(rest) > 0 {
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], words[full])
+		copy(rest, tail[:])
+	}
 }
 
 // entry block layout (payload words of one allocated block):

@@ -179,8 +179,9 @@ func TestAdmissionMiddleware(t *testing.T) {
 // plus the deadline_hits counter.
 func TestRequestTimeoutMapsToRetryAfter(t *testing.T) {
 	store := NewStore(Config{
-		Slots:  64,
-		Faults: &htm.FaultPlan{Seed: 5, BeginProb: 1},
+		Slots:      64,
+		Faults:     &htm.FaultPlan{Seed: 5, BeginProb: 1},
+		MaxRetries: 1 << 30, // fallback out of reach: only the deadline ends the loop
 	})
 	sv := NewServer(store, WithRequestTimeout(5*time.Millisecond))
 	ts := httptest.NewServer(sv)

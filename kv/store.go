@@ -3,6 +3,7 @@ package kv
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,11 +58,14 @@ type Store struct {
 	dcfg     *Durability
 	recovery *RecoveryInfo
 
-	// sinceSnap counts acknowledged mutations since the last snapshot;
-	// snapBusy single-flights automatic snapshots; snapWG lets Close wait
-	// out an in-flight one. walFails counts mutations that committed in
-	// memory but failed to reach the log (returned ErrDurability).
+	// sinceSnap counts acknowledged mutations since the last snapshot; snapMu
+	// serializes Snapshot calls, manual or automatic (two interleaved ones
+	// prune each other's segments); snapBusy single-flights the automatic
+	// ones, so a trigger that fires mid-snapshot is absorbed, not queued;
+	// snapWG lets Close wait out an in-flight one. walFails counts mutations
+	// that committed in memory but failed to reach the log (ErrDurability).
 	sinceSnap atomic.Uint64
+	snapMu    sync.Mutex
 	snapBusy  atomic.Bool
 	snapWG    sync.WaitGroup
 	walFails  atomic.Uint64
@@ -197,43 +201,90 @@ func (s *Store) InFlight() int { return int(s.inflight.Load()) }
 // DeadlineHits returns the number of operations abandoned at their deadline.
 func (s *Store) DeadlineHits() uint64 { return s.deadlines.Load() }
 
-// loadKeyEq reports whether the entry block at e holds key (hash already
-// matched). Runs inside the transaction: the key words it loads join the
-// read set, so a concurrent replace of this entry aborts us rather than
-// letting the comparison tear.
-func loadKeyEq(t *htm.Txn, e htm.Addr, hash uint64, key []byte) bool {
-	if t.Load(e+entryHash) != hash {
+// scratchWords sizes the stack buffers the data path stages words in: a packed
+// probe key, one LoadWords chunk, an entry image. It is the allocator's largest
+// magazine class; anything longer takes more chunks (reads) or a heap buffer
+// (images, keys), so only allocation counts depend on the value.
+const scratchWords = 64
+
+// packedKey is a key prepared once, outside the transaction, for the
+// comparisons inside it: hash, length in bytes, and the bytes in entry codec.
+type packedKey struct {
+	hash  uint64
+	n     int
+	words []uint64
+}
+
+// packKey packs key into buf (the caller's stack scratch) when it fits.
+func packKey(key []byte, buf []uint64) packedKey {
+	n := wordsFor(len(key))
+	if n > len(buf) {
+		buf = make([]uint64, n)
+	}
+	packBytes(buf[:n], key)
+	return packedKey{hash: hashKey(key), n: len(key), words: buf[:n]}
+}
+
+// loadKeyEq reports whether the entry block at e holds k. Runs inside the
+// transaction: the key words it loads join the read set, so a concurrent
+// replace of this entry aborts us rather than letting the comparison tear.
+// Hash and length are compared before any key word is loaded; a block that
+// matches both has its key loaded whole.
+func loadKeyEq(t *htm.Txn, e htm.Addr, k packedKey) bool {
+	if t.Load(e+entryHash) != k.hash {
 		return false
 	}
-	lens := t.Load(e + entryLens)
-	if int(lens>>32) != len(key) {
+	if lens := t.Load(e + entryLens); int(lens>>32) != k.n {
 		return false
 	}
-	kw := wordsFor(len(key))
-	var buf [8]byte
-	for i := 0; i < kw; i++ {
-		w := t.Load(e + entryHdrWords + htm.Addr(i))
-		n := len(key) - i*8
-		if n > 8 {
-			n = 8
+	var scratch [scratchWords]uint64
+	for a, want := e+entryHdrWords, k.words; len(want) > 0; {
+		got := scratch[:min(len(want), len(scratch))]
+		t.LoadWords(a, got)
+		if !slices.Equal(got, want[:len(got)]) {
+			return false
 		}
-		b := unpackWord(buf[:0], w, n)
-		for j := 0; j < n; j++ {
-			if b[j] != key[i*8+j] {
-				return false
-			}
-		}
+		a, want = a+htm.Addr(len(got)), want[len(got):]
 	}
 	return true
 }
 
-// probe walks the linear-probe cluster for hash/key inside txn t. It returns
-// the slot index holding the key (found=true), or the first reusable slot
-// (tombstone, else the terminating empty slot) with found=false. insert=-1
-// means the cluster spans the whole table with no reusable slot.
-func (s *Store) probe(t *htm.Txn, hash uint64, key []byte) (slot uint64, entry htm.Addr, found bool, insert int64) {
+// loadBytes fills dst with the bytes packed into the words at a.
+func loadBytes(t *htm.Txn, a htm.Addr, dst []byte) {
+	var scratch [scratchWords]uint64
+	for len(dst) > 0 {
+		w := scratch[:min(wordsFor(len(dst)), len(scratch))]
+		t.LoadWords(a, w)
+		n := min(len(dst), 8*len(w))
+		unpackBytes(dst[:n], w)
+		a, dst = a+htm.Addr(len(w)), dst[n:]
+	}
+}
+
+// loadEntry copies the value of the entry block at e — preceded, with withKey,
+// by its key — into one exactly-sized buffer; lens is the block's lens word,
+// which the caller has loaded. The key is carved off with its capacity capped,
+// so appending to it reallocates instead of running into the value.
+func loadEntry(t *htm.Txn, e htm.Addr, lens uint64, withKey bool) (key, val []byte) {
+	klen, vlen := int(lens>>32), int(lens&0xffffffff)
+	if withKey {
+		buf := make([]byte, klen+vlen)
+		key, val = buf[:klen:klen], buf[klen:]
+		loadBytes(t, e+entryHdrWords, key)
+	} else {
+		val = make([]byte, vlen)
+	}
+	loadBytes(t, e+htm.Addr(entryHdrWords+wordsFor(klen)), val)
+	return key, val
+}
+
+// probe walks the linear-probe cluster for k inside txn t. It returns the slot
+// index holding the key (found=true), or the first reusable slot (tombstone,
+// else the terminating empty slot) with found=false. insert=-1 means the
+// cluster spans the whole table with no reusable slot.
+func (s *Store) probe(t *htm.Txn, k packedKey) (slot uint64, entry htm.Addr, found bool, insert int64) {
 	insert = -1
-	i := hash & s.mask
+	i := k.hash & s.mask
 	for n := uint64(0); n <= s.mask; n++ {
 		w := t.Load(s.table + htm.Addr(i))
 		switch w {
@@ -248,7 +299,7 @@ func (s *Store) probe(t *htm.Txn, hash uint64, key []byte) (slot uint64, entry h
 			}
 		default:
 			e := htm.Addr(w)
-			if loadKeyEq(t, e, hash, key) {
+			if loadKeyEq(t, e, k) {
 				return i, e, true, insert
 			}
 		}
@@ -272,30 +323,22 @@ func (s *Store) Get(ctx context.Context, key []byte) (val []byte, ok bool, err e
 	if err := s.validateKey(key); err != nil {
 		return nil, false, err
 	}
-	hash := hashKey(key)
+	var kbuf [scratchWords]uint64
+	k := packKey(key, kbuf[:])
 	now := s.cfg.Now()
 	s.gets.Add(1)
 	var opErr error
 	err = s.withThreadCtx(ctx, func(th *htm.Thread) {
 		committed := th.AtomicUntil(func(t *htm.Txn) {
-			val, ok = val[:0], false // restartable body: reset on every attempt
-			_, e, found, _ := s.probe(t, hash, key)
+			val, ok = nil, false // restartable body: reset on every attempt
+			_, e, found, _ := s.probe(t, k)
 			if !found {
 				return
 			}
 			if expired(t.Load(e+entryExpiry), now) {
 				return
 			}
-			lens := t.Load(e + entryLens)
-			vlen := int(lens & 0xffffffff)
-			voff := htm.Addr(entryHdrWords + wordsFor(int(lens>>32)))
-			for i := 0; i < wordsFor(vlen); i++ {
-				n := vlen - i*8
-				if n > 8 {
-					n = 8
-				}
-				val = unpackWord(val, t.Load(e+voff+htm.Addr(i)), n)
-			}
+			_, val = loadEntry(t, e, t.Load(e+entryLens), false)
 			ok = true
 		}, stopFor(ctx))
 		if !committed {
@@ -325,7 +368,8 @@ func (s *Store) Put(ctx context.Context, key, val []byte, ttl time.Duration) err
 	if len(val) > s.cfg.MaxValueBytes {
 		return fmt.Errorf("%w (%d > %d bytes)", ErrValueTooLarge, len(val), s.cfg.MaxValueBytes)
 	}
-	hash := hashKey(key)
+	var kbuf [scratchWords]uint64
+	k := packKey(key, kbuf[:])
 	var deadline uint64
 	if ttl > 0 {
 		deadline = uint64(s.cfg.Now() + int64(ttl))
@@ -334,49 +378,21 @@ func (s *Store) Put(ctx context.Context, key, val []byte, ttl time.Duration) err
 	durable := s.wal != nil
 	var opErr error
 	err := s.withThreadCtx(ctx, func(th *htm.Thread) {
-		e := s.fillEntry(th, hash, key, val, deadline)
-		published := false
+		e := fillEntry(th, k, val, deadline, 0)
 		var seq uint64
 		committed := th.AtomicUntil(func(t *htm.Txn) {
-			opErr, published = nil, false
-			slot, old, found, insert := s.probe(t, hash, key)
-			if found {
-				t.Store(s.table+htm.Addr(slot), uint64(e))
-				t.FreeOnCommit(old)
-				seq = s.tickSeq(t, e, durable)
-				published = true
-				return
-			}
-			if insert < 0 {
-				opErr = ErrFull
-				return
-			}
-			reusing := t.Load(s.table+htm.Addr(insert)) == slotTombstone
-			count := t.Load(s.dir + dirCount)
-			tombs := t.Load(s.dir + dirTombstones)
-			if !reusing && count+tombs >= uint64(maxEntries(s.cfg.Slots)) {
-				opErr = ErrFull
-				return
-			}
-			t.Store(s.table+htm.Addr(insert), uint64(e))
-			t.Store(s.dir+dirCount, count+1)
-			if reusing {
-				t.Store(s.dir+dirTombstones, tombs-1)
-			}
-			seq = s.tickSeq(t, e, durable)
-			published = true
+			seq, opErr = s.publish(t, e, k, durable)
 		}, stopFor(ctx))
 		if !committed {
-			// An aborted final attempt may have left published=true from its
+			// The aborted final attempt may have left opErr nil from its
 			// sandboxed run; nothing actually landed.
-			published = false
 			opErr = s.deadlineErr(ctx)
 		}
-		if !published {
+		if opErr != nil {
 			th.Free(e) // rejected or abandoned: reclaim the staged entry
 			return
 		}
-		if durable && opErr == nil {
+		if durable {
 			opErr = s.logMutation(func() error { return s.wal.AppendPut(seq, deadline, key, val) })
 		}
 	})
@@ -384,6 +400,35 @@ func (s *Store) Put(ctx context.Context, key, val []byte, ttl time.Duration) err
 		return err
 	}
 	return opErr
+}
+
+// publish installs the staged entry block e under k inside t: a replace swaps
+// the slot and frees the displaced block on commit, an insert claims the
+// probe's reusable slot under the load-factor ceiling. A non-nil error
+// (ErrFull) means the transaction wrote nothing and e is still the caller's.
+// With logged, the store's durability sequence is ticked and stamped into e.
+func (s *Store) publish(t *htm.Txn, e htm.Addr, k packedKey, logged bool) (seq uint64, err error) {
+	slot, old, found, insert := s.probe(t, k)
+	if found {
+		t.Store(s.table+htm.Addr(slot), uint64(e))
+		t.FreeOnCommit(old)
+		return s.tickSeq(t, e, logged), nil
+	}
+	if insert < 0 {
+		return 0, ErrFull
+	}
+	reusing := t.Load(s.table+htm.Addr(insert)) == slotTombstone
+	count := t.Load(s.dir + dirCount)
+	tombs := t.Load(s.dir + dirTombstones)
+	if !reusing && count+tombs >= uint64(maxEntries(s.cfg.Slots)) {
+		return 0, ErrFull
+	}
+	t.Store(s.table+htm.Addr(insert), uint64(e))
+	t.Store(s.dir+dirCount, count+1)
+	if reusing {
+		t.Store(s.dir+dirTombstones, tombs-1)
+	}
+	return s.tickSeq(t, e, logged), nil
 }
 
 // tickSeq assigns the next durability sequence number inside the publishing
@@ -414,23 +459,26 @@ func (s *Store) logMutation(appendRec func() error) error {
 	return nil
 }
 
-// fillEntry allocates and fills an entry block non-transactionally. The
-// block is exclusively ours until published; NT stores are strongly atomic,
-// so even a misbehaving concurrent reader would abort rather than tear.
-func (s *Store) fillEntry(th *htm.Thread, hash uint64, key, val []byte, deadline uint64) htm.Addr {
-	kw, vw := wordsFor(len(key)), wordsFor(len(val))
-	e := th.Alloc(entryWords(len(key), len(val)))
-	h := th.Heap()
-	h.StoreNT(e+entryHash, hash)
-	h.StoreNT(e+entryLens, uint64(len(key))<<32|uint64(len(val)))
-	h.StoreNT(e+entryExpiry, deadline)
-	words := make([]uint64, kw+vw)
-	packWords(key, words[:kw])
-	packWords(val, words[kw:])
-	for i, w := range words {
-		h.StoreNT(e+entryHdrWords+htm.Addr(i), w)
+// fillEntry stages an entry block for k/val: the whole image — header, key
+// words, value words — is built in a stack buffer (entries beyond scratchWords
+// borrow the heap) and handed to AllocInit, which writes it while the block is
+// still unallocated. The block is exclusively the caller's until a publish
+// transaction commits its address into a slot.
+func fillEntry(th *htm.Thread, k packedKey, val []byte, deadline, seq uint64) htm.Addr {
+	var buf [scratchWords]uint64
+	img := buf[:]
+	if n := entryWords(k.n, len(val)); n <= len(img) {
+		img = img[:n]
+	} else {
+		img = make([]uint64, n)
 	}
-	return e
+	img[entryHash] = k.hash
+	img[entryLens] = uint64(k.n)<<32 | uint64(len(val))
+	img[entryExpiry] = deadline
+	img[entrySeq] = seq
+	copy(img[entryHdrWords:], k.words)
+	packBytes(img[entryHdrWords+len(k.words):], val)
+	return th.AllocInit(img)
 }
 
 // Delete removes key, returning whether it was present (and unexpired). The
@@ -441,7 +489,8 @@ func (s *Store) Delete(ctx context.Context, key []byte) (bool, error) {
 	if err := s.validateKey(key); err != nil {
 		return false, err
 	}
-	hash := hashKey(key)
+	var kbuf [scratchWords]uint64
+	k := packKey(key, kbuf[:])
 	now := s.cfg.Now()
 	s.deletes.Add(1)
 	durable := s.wal != nil
@@ -452,7 +501,7 @@ func (s *Store) Delete(ctx context.Context, key []byte) (bool, error) {
 		var seq uint64
 		committed := th.AtomicUntil(func(t *htm.Txn) {
 			existed, mutated = false, false
-			slot, e, found, _ := s.probe(t, hash, key)
+			slot, e, found, _ := s.probe(t, k)
 			if !found {
 				return
 			}
@@ -508,12 +557,10 @@ func (s *Store) Scan(ctx context.Context, cursor uint64, limit int) (pairs []Pai
 	if cursor >= nslots {
 		return nil, nslots, nil
 	}
-	end := cursor + scanSlotWindow
-	if end > nslots {
-		end = nslots
-	}
+	end := min(cursor+scanSlotWindow, nslots)
 	now := s.cfg.Now()
 	s.scans.Add(1)
+	pairs = make([]Pair, 0, min(uint64(limit), end-cursor))
 	var opErr error
 	err = s.withThreadCtx(ctx, func(th *htm.Thread) {
 		committed := th.AtomicUntil(func(t *htm.Txn) {
@@ -531,25 +578,8 @@ func (s *Store) Scan(ctx context.Context, cursor uint64, limit int) (pairs []Pai
 				if expired(t.Load(e+entryExpiry), now) {
 					continue
 				}
-				lens := t.Load(e + entryLens)
-				klen, vlen := int(lens>>32), int(lens&0xffffffff)
-				p := Pair{Key: make([]byte, 0, klen), Value: make([]byte, 0, vlen)}
-				for j := 0; j < wordsFor(klen); j++ {
-					n := klen - j*8
-					if n > 8 {
-						n = 8
-					}
-					p.Key = unpackWord(p.Key, t.Load(e+entryHdrWords+htm.Addr(j)), n)
-				}
-				voff := htm.Addr(entryHdrWords + wordsFor(klen))
-				for j := 0; j < wordsFor(vlen); j++ {
-					n := vlen - j*8
-					if n > 8 {
-						n = 8
-					}
-					p.Value = unpackWord(p.Value, t.Load(e+voff+htm.Addr(j)), n)
-				}
-				pairs = append(pairs, p)
+				k, v := loadEntry(t, e, t.Load(e+entryLens), true)
+				pairs = append(pairs, Pair{Key: k, Value: v})
 			}
 		}, stopFor(ctx))
 		if !committed {
