@@ -89,6 +89,56 @@ func BenchmarkTxnLoadWords16(b *testing.B) {
 	}
 }
 
+// BenchmarkTxnStoreWords32 is the staging half of a full telescoped Collect
+// step: one write transaction buffering a store-buffer's worth of consecutive
+// words with Txn.StoreWords and committing them. The write set never sees a
+// lookup, so the lazy index costs it nothing.
+func BenchmarkTxnStoreWords32(b *testing.B) {
+	h := NewHeap(Config{Words: 1 << 16})
+	th := h.NewThread()
+	var src, got [RockStoreBufferSize]uint64
+	for i := range src {
+		src[i] = uint64(i) + 1
+	}
+	a := th.Alloc(len(src))
+	body := func(t *Txn) { t.StoreWords(a, src[:]) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Atomic(body)
+	}
+	b.StopTimer()
+	if h.LoadWordsNT(a, got[:]); got != src {
+		b.Fatalf("StoreWords committed %v, want %v", got, src)
+	}
+	if n := testing.AllocsPerRun(100, func() { th.Atomic(body) }); n != 0 {
+		b.Fatalf("StoreWords transaction allocates %.1f times per op, want 0", n)
+	}
+}
+
+// BenchmarkLoadWordsNT64 is the drain half: copying 64 staged words out of
+// the heap non-transactionally with one Heap.LoadWordsNT.
+func BenchmarkLoadWordsNT64(b *testing.B) {
+	h := NewHeap(Config{Words: 1 << 16})
+	var img, dst [64]uint64
+	for i := range img {
+		img[i] = uint64(i) + 1
+	}
+	a := h.NewThread().AllocInit(img[:])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.LoadWordsNT(a, dst[:])
+	}
+	b.StopTimer()
+	if dst != img {
+		b.Fatalf("LoadWordsNT read %v, want %v", dst, img)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.LoadWordsNT(a, dst[:]) }); n != 0 {
+		b.Fatalf("LoadWordsNT allocates %.1f times per op, want 0", n)
+	}
+}
+
 // BenchmarkTxnRepeatedLoad measures the read-set dedup path: a small set of
 // words each loaded many times in one transaction — the pattern that, before
 // dedup, grew the read set unboundedly, inflated validation, and could abort

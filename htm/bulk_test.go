@@ -4,13 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
 
-// Tests for the two bulk kernels: Txn.LoadWords, whose whole specification is
-// "the Load loop", and Thread.AllocInit, whose whole specification is "Alloc,
-// born holding an image".
+// Tests for the bulk kernels: Txn.LoadWords, Txn.StoreWords and
+// Heap.LoadWordsNT, whose whole specifications are "the Load loop", "the Store
+// loop" and "the LoadNT loop"; Thread.AllocInit, whose whole specification is
+// "Alloc, born holding an image"; and the lazily built write-set index the
+// store kernel leans on.
 
 // rangeReader reads len(dst) words at a inside tx: once as the definition,
 // once as the kernel.
@@ -444,4 +447,430 @@ func TestAllocInit(t *testing.T) {
 		}
 	}()
 	h.NewThread().AllocInit(nil)
+}
+
+// rangeWriter writes src to the words at a inside tx: once as the definition,
+// once as the kernel.
+type rangeWriter func(tx *Txn, a Addr, src []uint64)
+
+func storeLoop(tx *Txn, a Addr, src []uint64) {
+	for i := range src {
+		tx.Store(a+Addr(i), src[i])
+	}
+}
+
+func storeWords(tx *Txn, a Addr, src []uint64) { tx.StoreWords(a, src) }
+
+// swResult is everything one attempt lets a caller observe about a range
+// write: the write set entry for entry as the range left it (recorded metadata
+// included), its size, the abort, and the block's contents afterwards.
+type swResult struct {
+	writes []writeEntry
+	size   int
+	code   AbortCode
+	addr   Addr
+	heap   []uint64
+}
+
+// swImage returns n values base+1, base+2, … to store.
+func swImage(n int, base uint64) []uint64 {
+	img := make([]uint64, n)
+	for i := range img {
+		img[i] = base + uint64(i) + 1
+	}
+	return img
+}
+
+// swAttempt runs one TryAtomic on th — before (optional) sets the scene from
+// inside the attempt, then write covers [a, a+len(src)) — and reads back the
+// live words of [blk, blk+n) once the attempt is over.
+func swAttempt(th *Thread, a Addr, src []uint64, write rangeWriter, before func(tx *Txn), blk Addr, n int) swResult {
+	res := swResult{size: -1}
+	err := th.TryAtomic(func(tx *Txn) {
+		if before != nil {
+			before(tx)
+		}
+		write(tx, a, src)
+		res.writes = append([]writeEntry(nil), tx.writes...)
+		res.size = tx.WriteSetSize()
+	})
+	var ab *AbortError
+	if errors.As(err, &ab) {
+		res.code, res.addr = ab.Code, ab.Addr
+	}
+	res.heap = make([]uint64, n)
+	th.Heap().LoadWordsNT(blk, res.heap)
+	return res
+}
+
+// TestStoreWordsIsTheStoreLoop is TestLoadWordsIsTheLoadLoop for the store
+// kernel: every scenario runs twice on identically built heaps, the body
+// writing its range once with a Store loop and once with StoreWords, and the
+// two runs must be indistinguishable — write set with recorded metadata, its
+// size, abort code and address, committed contents, every heap counter.
+func TestStoreWordsIsTheStoreLoop(t *testing.T) {
+	type scenario struct {
+		name string
+		cfg  Config
+		want AbortCode // 0: the attempt commits
+		run  func(t *testing.T, h *Heap, write rangeWriter) swResult
+	}
+	scenarios := []scenario{
+		{name: "plain range", run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+			th := h.NewThread()
+			a := lwBlock(th, 24, 0)
+			res := swAttempt(th, a, swImage(24, 100), write, nil, a, 24)
+			if res.size != 24 || res.heap[0] != 101 || res.heap[23] != 124 {
+				t.Errorf("committed %v from a write set of %d", res.heap, res.size)
+			}
+			return res
+		}},
+		{name: "empty range", run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+			th := h.NewThread()
+			a := lwBlock(th, 4, 0)
+			return swAttempt(th, a, nil, write, nil, a, 4)
+		}},
+		{name: "range over own earlier store", run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+			th := h.NewThread()
+			a := lwBlock(th, 16, 0)
+			res := swAttempt(th, a, swImage(16, 100), write, func(tx *Txn) { tx.Store(a+3, 99) }, a, 16)
+			// a+3 keeps its slot (the first) and takes the range's value.
+			if res.size != 16 || res.writes[0].addr != a+3 || res.heap[3] != 104 || res.heap[4] != 105 {
+				t.Errorf("write set %v, committed %v", res.writes, res.heap)
+			}
+			return res
+		}},
+		{name: "dead word mid-range", want: AbortIllegal, run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+			th := h.NewThread()
+			x, y := lwBlock(th, 8, 0), lwBlock(th, 8, 50)
+			th.Free(y)
+			res := swAttempt(th, x, swImage(20, 100), write, nil, x, 8) // runs off x into y's dead words
+			if res.addr <= x || res.addr > y || res.heap[7] != 8 {
+				t.Errorf("abort at %#x (x=%#x, freed y=%#x), x holds %v", uint32(res.addr), uint32(x), uint32(y), res.heap)
+			}
+			if h.stripeShift == 0 && res.addr != x+8 {
+				t.Errorf("abort at %#x, want the first word past x, %#x", uint32(res.addr), uint32(x+8))
+			}
+			return res
+		}},
+		{name: "range of exactly the store buffer", run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+			th := h.NewThread()
+			a := lwBlock(th, 40, 0)
+			res := swAttempt(th, a, swImage(RockStoreBufferSize, 100), write, nil, a, 40)
+			if res.size != RockStoreBufferSize || res.heap[31] != 132 || res.heap[32] != 33 {
+				t.Errorf("write set of %d, committed %v", res.size, res.heap)
+			}
+			return res
+		}},
+		{name: "range one past the store buffer", want: AbortOverflow, run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+			th := h.NewThread()
+			a := lwBlock(th, 40, 0)
+			res := swAttempt(th, a, swImage(RockStoreBufferSize+1, 100), write, nil, a, 40)
+			if res.addr != a+RockStoreBufferSize || res.heap[0] != 1 {
+				t.Errorf("abort at %#x (a=%#x), block holds %v", uint32(res.addr), uint32(a), res.heap)
+			}
+			return res
+		}},
+		{name: "range leaving the arena", want: AbortIllegal, run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+			end := Addr(len(h.words))
+			h.meta[h.mi(end-2)].Store(makeMeta(0, true))
+			h.meta[h.mi(end-1)].Store(makeMeta(0, true))
+			res := swAttempt(h.NewThread(), end-2, swImage(8, 100), write, nil, end-2, 2)
+			if res.addr != end {
+				t.Errorf("abort at %#x, want the first address past the arena, %#x", uint32(res.addr), uint32(end))
+			}
+			return res
+		}},
+		{name: "nil address", want: AbortIllegal, run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+			th := h.NewThread()
+			a := lwBlock(th, 4, 0)
+			return swAttempt(th, NilAddr, swImage(4, 100), write, nil, a, 4)
+		}},
+		{name: "word held by a parked committer", want: AbortConflict, run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+			th := h.NewThread()
+			a := lwBlock(th, 16, 0)
+			// Store records the word as if unlocked; the holder's release bumps
+			// the version, so this commit's acquisition fails there.
+			mi := h.mi(a + 5)
+			held := h.meta[mi].Load()
+			h.meta[mi].Store(held | metaLockBit)
+			var locked []writeEntry
+			err := th.TryAtomic(func(tx *Txn) {
+				write(tx, a, swImage(16, 100))
+				locked = append(locked, tx.writes...)
+				h.meta[mi].Store(makeMeta(h.tickShard(0), true))
+			})
+			res := swResult{writes: locked, size: len(locked), heap: make([]uint64, 16)}
+			var ab *AbortError
+			if errors.As(err, &ab) {
+				res.code, res.addr = ab.Code, ab.Addr
+			}
+			h.LoadWordsNT(a, res.heap)
+			if first := Addr(mi << h.stripeShift); res.addr != max(first, a) || res.heap[5] != 6 {
+				t.Errorf("abort at %#x, want the first word under the held lock; block holds %v", uint32(res.addr), res.heap)
+			}
+			return res
+		}},
+		{name: "fault plan, every 5th access", cfg: Config{Faults: &FaultPlan{Seed: 1, AccessProb: 1, AccessEvery: 5, MaxPerOp: 3}},
+			run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+				th := h.NewThread()
+				a := lwBlock(th, 16, 0)
+				var res swResult
+				th.Atomic(func(tx *Txn) { // three attempts die at their 5th access, the fourth commits
+					write(tx, a, swImage(16, 100))
+					res = swResult{writes: append([]writeEntry(nil), tx.writes...), size: tx.WriteSetSize()}
+				})
+				if s := h.Stats(); s.SpuriousAborts() != 3 || s.Starts != 4 {
+					t.Errorf("%d spurious aborts over %d starts, want 3 over 4", s.SpuriousAborts(), s.Starts)
+				}
+				res.heap = make([]uint64, 16)
+				h.LoadWordsNT(a, res.heap)
+				return res
+			}},
+	}
+	for _, global := range []bool{false, true} {
+		name := "fine-grained fallback"
+		if global {
+			name = "global fallback"
+		}
+		scenarios = append(scenarios, scenario{name: name,
+			cfg: Config{EnableTLE: true, GlobalFallback: global, StoreBufferSize: 2, MaxRetries: 1},
+			run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+				th := h.NewThread()
+				a := lwBlock(th, 16, 0)
+				var res swResult
+				th.Atomic(func(tx *Txn) { // overflows at the third word: the op ends on the fallback
+					write(tx, a, swImage(8, 100))
+					write(tx, a+4, swImage(8, 200)) // half over its own buffered stores
+					res = swResult{writes: append([]writeEntry(nil), tx.writes...), size: tx.WriteSetSize()}
+				})
+				res.heap = make([]uint64, 16)
+				h.LoadWordsNT(a, res.heap)
+				if s := h.Stats(); s.FallbackRuns != 1 || res.size != 12 || res.heap[3] != 104 || res.heap[4] != 201 || res.heap[11] != 208 || res.heap[12] != 13 {
+					t.Errorf("fallback runs %d, write set of %d, committed %v", s.FallbackRuns, res.size, res.heap)
+				}
+				requireQuiescent(t, h)
+				return res
+			}})
+	}
+
+	for _, geo := range []Config{{}, {ClockShards: 4, StripeShift: 2}} {
+		for _, sc := range scenarios {
+			cfg := sc.cfg
+			cfg.Words, cfg.ClockShards, cfg.StripeShift = 1<<12, geo.ClockShards, geo.StripeShift
+			t.Run(fmt.Sprintf("shards=%d,shift=%d/%s", geo.ClockShards, geo.StripeShift, sc.name), func(t *testing.T) {
+				hLoop, hBulk := NewHeap(cfg), NewHeap(cfg)
+				want, got := sc.run(t, hLoop, storeLoop), sc.run(t, hBulk, storeWords)
+				if want.code != sc.want {
+					t.Errorf("Store loop ended with %v, scenario expects %v", want.code, sc.want)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("StoreWords diverged from the Store loop:\n  loop  %+v\n  words %+v", want, got)
+				}
+				if sl, sb := hLoop.Stats(), hBulk.Stats(); !reflect.DeepEqual(sb, sl) {
+					t.Errorf("heap counters diverged:\n  loop  %v\n  words %v", sl, sb)
+				}
+			})
+		}
+	}
+}
+
+// TestLazyWriteIndex: the write-set index is populated only by lookups, so
+// every way of getting past setLinearMax — Store, StoreWords, both — must
+// leave Load and Store of an own write finding the right entry: right after
+// the bulk of the stores, after more stores follow a lookup (the catch-up
+// resumes mid-set), in the attempt after an aborted one, and in the next
+// operation on the same thread.
+func TestLazyWriteIndex(t *testing.T) {
+	fill := map[string]func(tx *Txn, a Addr, src []uint64){
+		"Store":      storeLoop,
+		"StoreWords": storeWords,
+		"mixed": func(tx *Txn, a Addr, src []uint64) {
+			half := len(src) / 2
+			tx.StoreWords(a, src[:half])
+			storeLoop(tx, a+Addr(half), src[half:])
+		},
+	}
+	for _, n := range []int{setLinearMax + 1, 33, 100} {
+		for name, write := range fill {
+			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) {
+				h := newTestHeap(t, Config{StoreBufferSize: -1})
+				th := h.NewThread()
+				stale, a := lwBlock(th, n, 5000), lwBlock(th, n+4, 0)
+				probe := []Addr{0, setLinearMax - 1, setLinearMax, Addr(n / 2), Addr(n - 1)}
+				body := func(tx *Txn) {
+					write(tx, a, swImage(n, 1000))
+					for _, i := range probe {
+						if got := tx.Load(a + i); got != 1001+uint64(i) {
+							t.Errorf("Load of own write %d = %d, want %d", i, got, 1001+uint64(i))
+						}
+					}
+					if got := tx.Load(a + Addr(n)); got != uint64(n)+1 {
+						t.Errorf("Load of an unwritten word = %d, want %d", got, n+1)
+					}
+					for _, i := range probe { // overwrite in place: the set must not grow
+						tx.Store(a+i, 2000+uint64(i))
+					}
+					tx.Store(a+Addr(n), 3000) // a new entry after lookups: indexed by the next one
+					tx.Store(a+Addr(n)+1, 3001)
+					if got := tx.WriteSetSize(); got != n+2 {
+						t.Errorf("WriteSetSize = %d, want %d", got, n+2)
+					}
+					if got := tx.Load(a + Addr(n) + 1); got != 3001 {
+						t.Errorf("Load of a write buffered after a lookup = %d, want 3001", got)
+					}
+					// The previous attempt's writes must be gone from the index.
+					for _, i := range probe {
+						if got := tx.Load(stale + i); got != 5001+uint64(i) {
+							t.Errorf("Load of a word only the aborted attempt wrote = %d, want %d", got, 5001+uint64(i))
+						}
+					}
+				}
+				// An aborted attempt that indexed n writes to other addresses…
+				err := th.TryAtomic(func(tx *Txn) {
+					write(tx, stale, swImage(n, 7000))
+					if got := tx.Load(stale + 1); got != 7002 {
+						t.Errorf("Load of own write = %d, want 7002", got)
+					}
+					tx.Abort()
+				})
+				if abortCodeOf(t, err) != AbortExplicit {
+					t.Fatalf("first attempt: %v", err)
+				}
+				// …then the real one, twice: the second starts from a committed
+				// attempt's index state instead of an aborted one's.
+				for round := 0; round < 2; round++ {
+					if err := th.TryAtomic(body); err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+					got := make([]uint64, n+2)
+					h.LoadWordsNT(a, got)
+					want := append(swImage(n, 1000), 3000, 3001)
+					for _, i := range probe {
+						want[i] = 2000 + uint64(i)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d committed %v, want %v", round, got, want)
+					}
+					th.Atomic(func(tx *Txn) { tx.StoreWords(a, swImage(n+4, 0)) })
+				}
+			})
+		}
+	}
+}
+
+// TestLazyWriteIndexAtCommit: a body that reads a range, then bulk-stores it,
+// never looks its write set up — so the own-lock read validation in publish is
+// the index's first user, past the linear threshold, and must still recognise
+// every read word as locked by this very commit.
+func TestLazyWriteIndexAtCommit(t *testing.T) {
+	h := newTestHeap(t, Config{})
+	th := h.NewThread()
+	const n = RockStoreBufferSize
+	a := lwBlock(th, n, 0)
+	var vals [n]uint64
+	err := th.TryAtomic(func(tx *Txn) {
+		tx.LoadWords(a, vals[:])
+		for i := range vals {
+			vals[i] *= 2
+		}
+		tx.StoreWords(a, vals[:])
+		if tx.windexed != 0 {
+			t.Errorf("%d write entries indexed before anything looked one up", tx.windexed)
+		}
+	})
+	if err != nil {
+		t.Fatalf("read-then-written range failed to commit: %v", err)
+	}
+	if got := th.txn.windexed; got != n {
+		t.Errorf("commit validation indexed %d of %d write entries", got, n)
+	}
+	h.LoadWordsNT(a, vals[:])
+	if vals[0] != 2 || vals[n-1] != 2*n {
+		t.Errorf("committed %v", vals)
+	}
+	if s := h.Stats(); s.Commits != 1 || s.Aborts[AbortConflict] != 0 {
+		t.Errorf("commits %d, conflict aborts %d", s.Commits, s.Aborts[AbortConflict])
+	}
+}
+
+// ntLoop and ntWords read a range non-transactionally: the definition and the
+// kernel.
+func ntLoop(h *Heap, a Addr, dst []uint64) {
+	for i := range dst {
+		dst[i] = h.LoadNT(a + Addr(i))
+	}
+}
+
+func ntWords(h *Heap, a Addr, dst []uint64) { h.LoadWordsNT(a, dst) }
+
+// ntRead runs read and returns what it filled in plus the panic it died of.
+func ntRead(h *Heap, a Addr, n int, read func(h *Heap, a Addr, dst []uint64)) (vals []uint64, fault any) {
+	vals = make([]uint64, n)
+	defer func() { fault = recover() }()
+	read(h, a, vals)
+	return vals, nil
+}
+
+// TestLoadWordsNTIsTheLoadNTLoop: same values, same simulated segmentation
+// fault at the same word with the same prefix filled in, and the same patience
+// with a word a committer holds locked — at both geometries and with the
+// per-access yield model on.
+func TestLoadWordsNTIsTheLoadNTLoop(t *testing.T) {
+	for _, cfg := range []Config{{}, {ClockShards: 4, StripeShift: 2}, {YieldEvery: 3}} {
+		t.Run(fmt.Sprintf("shards=%d,shift=%d,yield=%d", cfg.ClockShards, cfg.StripeShift, cfg.YieldEvery), func(t *testing.T) {
+			h := newTestHeap(t, cfg)
+			th := h.NewThread()
+			x, y := lwBlock(th, 24, 0), lwBlock(th, 8, 50)
+
+			want, _ := ntRead(h, x, 24, ntLoop)
+			got, fault := ntRead(h, x, 24, ntWords)
+			if fault != nil || !reflect.DeepEqual(got, want) || got[23] != 24 {
+				t.Errorf("plain range: LoadWordsNT %v (panic %v), LoadNT loop %v", got, fault, want)
+			}
+			if got, fault := ntRead(h, NilAddr, 0, ntWords); fault != nil || len(got) != 0 {
+				t.Errorf("empty range at the nil address: %v, panic %v", got, fault)
+			}
+
+			// A committer parked between acquiring x+5 and releasing it: the
+			// reader must wait the lock out and return what the release
+			// publishes, never the word as it stood under the lock.
+			mi := h.mi(x + 5)
+			held := h.meta[mi].Load()
+			h.meta[mi].Store(held | metaLockBit)
+			done := make(chan []uint64)
+			go func() {
+				vals, _ := ntRead(h, x, 24, ntWords)
+				done <- vals
+			}()
+			for i := 0; i < 100; i++ {
+				runtime.Gosched()
+			}
+			h.words[x+5].Store(606)
+			h.meta[mi].Store(makeMeta(h.tickShard(0), true))
+			if vals := <-done; vals[5] != 606 || vals[4] != 5 || vals[6] != 7 {
+				t.Errorf("read across a held lock: %v", vals)
+			}
+
+			// Dead words mid-range and a range running off the arena.
+			th.Free(y)
+			end := Addr(len(h.words))
+			h.meta[h.mi(end-2)].Store(makeMeta(0, true))
+			h.meta[h.mi(end-1)].Store(makeMeta(0, true))
+			for _, c := range []struct {
+				name string
+				a    Addr
+				n    int
+			}{{"range into a freed block", y - 4, 8}, {"range starting in a freed block", y, 4}, {"range leaving the arena", end - 2, 6}, {"nil address", NilAddr, 2}} {
+				want, wantFault := ntRead(h, c.a, c.n, ntLoop)
+				got, gotFault := ntRead(h, c.a, c.n, ntWords)
+				if wantFault == nil {
+					t.Errorf("%s: the LoadNT loop did not fault; the case tests nothing", c.name)
+				}
+				if gotFault != wantFault || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s:\n  loop  %v panic %v\n  words %v panic %v", c.name, want, wantFault, got, gotFault)
+				}
+			}
+		})
+	}
 }

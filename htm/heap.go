@@ -310,6 +310,35 @@ func (h *Heap) LoadNT(a Addr) uint64 {
 	}
 }
 
+// LoadWordsNT performs non-transactional (strongly atomic) loads of the
+// len(dst) consecutive words starting at a into dst. It is DEFINED as
+//
+//	for i := range dst { dst[i] = h.LoadNT(a + Addr(i)) }
+//
+// — each word individually atomic, the same panic on an invalid or freed
+// address — and is that loop under YieldEvery or when the range leaves the
+// arena. Otherwise the yield and bounds dispatch is decided once, and each
+// word whose metadata is live, unlocked and stable across the value read is
+// copied inline; any other word is handed to LoadNT, which spins or panics
+// exactly as it would have.
+func (h *Heap) LoadWordsNT(a Addr, dst []uint64) {
+	fast := h.ntYieldThresh == 0 && h.valid(a) && int(a)+len(dst) <= len(h.words)
+	for i := range dst {
+		w := a + Addr(i)
+		if fast {
+			mi := int(w) >> h.stripeShift
+			if m1 := h.meta[mi].Load(); m1&(metaLockBit|metaAllocBit) == metaAllocBit {
+				v := h.words[w].Load()
+				if h.meta[mi].Load() == m1 {
+					dst[i] = v
+					continue
+				}
+			}
+		}
+		dst[i] = h.LoadNT(w)
+	}
+}
+
 // StoreNT performs a non-transactional (strongly atomic) store of v to the
 // word at a. It is equivalent to — but cheaper than — a one-word transaction,
 // and conflicts correctly with concurrent transactions.

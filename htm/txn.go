@@ -121,9 +121,15 @@ type Txn struct {
 	rindex   setIndex
 
 	// windex indexes the write set by address once it outgrows setLinearMax,
-	// keeping read-own-writes lookups O(1). It is rebuilt from scratch when
-	// the set crosses the threshold, so reset() does not need to touch it.
-	windex setIndex
+	// keeping read-own-writes lookups O(1). It is built LAZILY: addWrite only
+	// appends, and a lookup past the threshold first indexes the entries added
+	// since the previous one. Invariant: windexed <= len(writes), entries
+	// [0, windexed) are in windex, and reset() zeroes windexed — so an attempt
+	// that never looks up after its 9th store (a telescoped Collect step, any
+	// bulk writer) never hashes at all, while a body that interleaves lookups
+	// and stores inserts each entry exactly once, as the eager index did.
+	windex   setIndex
+	windexed int
 
 	// Fine-grained fallback state (see thread.go runFallback). locks is the
 	// lock-set: every word this fallback operation holds, with its displaced
@@ -176,22 +182,28 @@ func (t *Txn) findWrite(a Addr) int {
 		}
 		return -1
 	}
+	if t.windexed != len(w) {
+		t.indexWrites()
+	}
 	return t.windex.lookup(a)
 }
 
-// addWrite appends a new write entry, indexing it past the linear threshold.
+// indexWrites catches windex up with the entries appended since the last
+// lookup; the first catch-up of an attempt starts from an emptied index.
+func (t *Txn) indexWrites() {
+	if t.windexed == 0 {
+		t.windex.reset()
+	}
+	for i := t.windexed; i < len(t.writes); i++ {
+		t.windex.insert(t.writes[i].addr, i)
+	}
+	t.windexed = len(t.writes)
+}
+
+// addWrite appends a new write entry. It never touches windex: findWrite
+// indexes lazily (see the windex field).
 func (t *Txn) addWrite(a Addr, v, meta uint64) {
 	t.writes = append(t.writes, writeEntry{addr: a, val: v, meta: meta})
-	if n := len(t.writes); n > setLinearMax {
-		if n == setLinearMax+1 {
-			t.windex.reset()
-			for i := range t.writes {
-				t.windex.insert(t.writes[i].addr, i)
-			}
-		} else {
-			t.windex.insert(a, n-1)
-		}
-	}
 }
 
 // stripeWritten reports whether any write entry maps to stripe si. Used only
@@ -714,6 +726,42 @@ func (t *Txn) Store(a Addr, v uint64) {
 	t.addWrite(a, v, m&^metaLockBit)
 }
 
+// StoreWords transactionally writes src to the len(src) consecutive words
+// starting at a. It is DEFINED as
+//
+//	for i := range src { t.Store(a+Addr(i), src[i]) }
+//
+// — same write-set entries in the same order, same recorded metadata, same
+// abort codes and addresses — and is that loop whenever anything but the plain
+// hardware-path case is in play: the fallback paths, fault injection (every
+// access must draw from the plan), YieldEvery, a non-empty write set (a word
+// of the range may already be buffered), a range that leaves the arena, and a
+// range longer than the store buffer (the loop aborts at the word that
+// overflows it). Otherwise no word of the range can hit the write set or
+// overflow it, so the per-access dispatch is decided once, the entries are
+// reserved once, and each word costs one metadata load and one append.
+func (t *Txn) StoreWords(a Addr, src []uint64) {
+	if t.direct || t.yieldThresh != 0 || t.faults != nil || len(t.writes) != 0 ||
+		a == NilAddr || int(a)+len(src) > len(t.words) ||
+		(t.storeBufSize >= 0 && len(src) > t.storeBufSize) {
+		for i := range src {
+			t.Store(a+Addr(i), src[i])
+		}
+		return
+	}
+	t.writes = slices.Grow(t.writes, len(src))
+	meta := t.meta
+	for i, v := range src {
+		w := a + Addr(i)
+		m := meta[int(w)>>t.sshift].Load()
+		if !metaAllocated(m) {
+			t.accessFault(w, "store")
+		}
+		// Lock bit cleared, exactly as Store records it.
+		t.writes = append(t.writes, writeEntry{addr: w, val: v, meta: m &^ metaLockBit})
+	}
+}
+
 // Add transactionally adds delta to the word at a and returns the new value.
 func (t *Txn) Add(a Addr, delta uint64) uint64 {
 	v := t.Load(a) + delta
@@ -962,6 +1010,7 @@ func (t *Txn) reset() {
 	t.writes = t.writes[:0]
 	t.frees = t.frees[:0]
 	t.allocs = t.allocs[:0]
+	t.windexed = 0
 	t.locks = t.locks[:0]
 	t.fbMax = 0
 	t.direct = false

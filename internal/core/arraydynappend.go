@@ -214,11 +214,11 @@ func (a *ArrayDynAppendDereg) Collect(c *Ctx, out []Value) []Value {
 			}
 			arr := htm.Addr(t.Load(a.desc + dArray))
 			for s := 0; s < step && ii >= 0; s++ {
-				v := t.Load(arr + htm.Addr(slotWords*ii) + slotVal)
-				t.Store(c.scratch+htm.Addr(k+got), v)
+				c.buf[got] = t.Load(arr + htm.Addr(slotWords*ii) + slotVal)
 				ii--
 				got++
 			}
+			c.stage(t, k, got)
 		})
 		if err != nil {
 			c.feed(step, false, 0)

@@ -161,11 +161,12 @@ func (a *ArrayDynSearchResize) Collect(c *Ctx, out []Value) []Value {
 			for s := 0; s < step && ii >= 0; s++ {
 				slot := arr + htm.Addr(slotWords*ii)
 				if t.Load(slot+slotRef) != 0 {
-					t.Store(c.scratch+htm.Addr(k+got), t.Load(slot+slotVal))
+					c.buf[got] = t.Load(slot + slotVal)
 					got++
 				}
 				ii--
 			}
+			c.stage(t, k, got)
 		})
 		if err != nil {
 			c.feed(step, false, 0)

@@ -115,11 +115,11 @@ func (a *ArrayStatAppendDereg) Collect(c *Ctx, out []Value) []Value {
 				ii = count - 1
 			}
 			for s := 0; s < step && ii >= 0; s++ {
-				v := t.Load(a.arr + htm.Addr(slotWords*ii) + slotVal)
-				t.Store(c.scratch+htm.Addr(k+got), v)
+				c.buf[got] = t.Load(a.arr + htm.Addr(slotWords*ii) + slotVal)
 				ii--
 				got++
 			}
+			c.stage(t, k, got)
 		})
 		if err != nil {
 			c.feed(step, false, 0)

@@ -41,6 +41,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/htm"
 	"repro/internal/adapt"
 )
@@ -96,12 +98,19 @@ func (o Options) normalize(h *htm.Heap) Options {
 	if o.MinStep < 1 {
 		o.MinStep = 1
 	}
+	// Every collected element costs one store-buffer entry, so a step above a
+	// bounded store buffer can only ever abort AbortOverflow — and a fixed step
+	// never shrinks, so its Collect would retry forever.
+	sb := h.Config().StoreBufferSize
 	if o.MaxStep <= 0 {
-		o.MaxStep = h.Config().StoreBufferSize
+		o.MaxStep = sb
 		if o.MaxStep <= 0 {
 			o.MaxStep = htm.RockStoreBufferSize
 		}
+	} else if sb > 0 && o.MaxStep > sb {
+		o.MaxStep = sb
 	}
+	o.MinStep = min(o.MinStep, o.MaxStep) // MaxStep sizes the Ctx's per-step buffers
 	if o.Step < o.MinStep {
 		o.Step = o.MinStep
 	}
@@ -119,22 +128,37 @@ func (o Options) normalize(h *htm.Heap) Options {
 // transactionally, so that — exactly as on Rock — every element copied by a
 // Collect step consumes a store-buffer entry, which is what limits step sizes
 // to 32 (paper §3.4).
+//
+// A step first GATHERS its values into buf with transactional loads and then
+// STAGES them with one bulk store (see stage): the transaction is atomic, so
+// the order of its loads and stores is unobservable, and gathering first lets
+// every load of the body run against an empty write set.
 type Ctx struct {
 	th      *htm.Thread
 	opts    Options
 	ctrl    *adapt.Controller
 	scratch htm.Addr
 	scrLen  int
-	// stepHist counts elements collected per step size, for Figure 6.
-	stepHist map[int]uint64
+	// buf holds the values gathered by the Collect step in flight; a step
+	// never exceeds MaxStep elements.
+	buf []Value
+	// stepHist[s] counts the elements collected at step size s, for Figure 6.
+	stepHist []stepCount
 	priv     any
 }
 
+// stepCount is one step size's histogram cell. used distinguishes a step
+// that committed without collecting anything from one never taken.
+type stepCount struct {
+	elems uint64
+	used  bool
+}
+
 func newCtx(th *htm.Thread, opts Options) *Ctx {
-	c := &Ctx{th: th, opts: opts}
+	c := &Ctx{th: th, opts: opts, buf: make([]Value, opts.MaxStep)}
 	if opts.Adaptive || opts.TrackOutcomes {
 		c.ctrl = adapt.NewController(opts.MinStep, opts.MaxStep, opts.Step)
-		c.stepHist = make(map[int]uint64)
+		c.stepHist = make([]stepCount, opts.MaxStep+1)
 	}
 	return c
 }
@@ -158,7 +182,9 @@ func (c *Ctx) feed(step int, committed bool, collected int) {
 	}
 	if committed {
 		c.ctrl.RecordCommit()
-		c.stepHist[step] += uint64(collected)
+		sc := &c.stepHist[step]
+		sc.elems += uint64(collected)
+		sc.used = true
 	} else {
 		c.ctrl.RecordAbort()
 	}
@@ -170,43 +196,46 @@ func (c *Ctx) StepHistogram() map[int]uint64 {
 	if c.stepHist == nil {
 		return nil
 	}
-	out := make(map[int]uint64, len(c.stepHist))
-	for k, v := range c.stepHist {
-		out[k] = v
+	out := make(map[int]uint64)
+	for step, sc := range c.stepHist {
+		if sc.used {
+			out[step] = sc.elems
+		}
 	}
 	return out
 }
 
 // ensureScratch guarantees the scratch buffer holds at least n words,
-// reallocating outside any transaction and preserving already-staged values.
+// reallocating outside any transaction and preserving already-staged values:
+// the grown buffer is born holding them (AllocInit), so growing mid-Collect —
+// the list collectors do — costs the allocation alone.
 func (c *Ctx) ensureScratch(n int) {
 	if n <= c.scrLen {
 		return
 	}
-	if n < 64 {
-		n = 64
-	}
-	if n < 2*c.scrLen {
-		n = 2 * c.scrLen
-	}
-	h := c.th.Heap()
-	fresh := c.th.Alloc(n)
-	if c.scratch != htm.NilAddr {
-		for i := 0; i < c.scrLen; i++ {
-			h.StoreNT(fresh+htm.Addr(i), h.LoadNT(c.scratch+htm.Addr(i)))
-		}
-		c.th.Free(c.scratch)
-	}
-	c.scratch = fresh
+	n = max(n, 64, 2*c.scrLen)
+	image := make([]uint64, n)
+	old := c.scratch
+	c.th.Heap().LoadWordsNT(old, image[:c.scrLen]) // nothing to copy the first time
+	c.scratch = c.th.AllocInit(image)
 	c.scrLen = n
+	if old != htm.NilAddr {
+		c.th.Free(old)
+	}
+}
+
+// stage buffers the got values gathered in c.buf as transactional stores to
+// scratch words [k, k+got): one store-buffer entry per collected element,
+// exactly as if each had been stored right after its load.
+func (c *Ctx) stage(t *htm.Txn, k, got int) {
+	t.StoreWords(c.scratch+htm.Addr(k), c.buf[:got])
 }
 
 // drainScratch appends the first n staged values to out.
 func (c *Ctx) drainScratch(n int, out []Value) []Value {
-	h := c.th.Heap()
-	for i := 0; i < n; i++ {
-		out = append(out, h.LoadNT(c.scratch+htm.Addr(i)))
-	}
+	base := len(out)
+	out = slices.Grow(out, n)[:base+n]
+	c.th.Heap().LoadWordsNT(c.scratch, out[base:])
 	return out
 }
 

@@ -131,12 +131,13 @@ func (l *FastCollect) Collect(c *Ctx, out []Value) []Value {
 						endReached = true
 						break
 					}
-					t.Store(c.scratch+htm.Addr(k+got), t.Load(p+fVal))
+					c.buf[got] = t.Load(p + fVal)
 					got++
 					if visited+1 < step {
 						p = htm.Addr(t.Load(p + fNext))
 					}
 				}
+				c.stage(t, k, got)
 			})
 			if err != nil {
 				c.feed(step, false, 0)

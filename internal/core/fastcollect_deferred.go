@@ -137,12 +137,13 @@ func (l *FastCollectDeferredFree) Collect(c *Ctx, out []Value) []Value {
 					endReached = true
 					break
 				}
-				t.Store(c.scratch+htm.Addr(k+got), t.Load(p+fdVal))
+				c.buf[got] = t.Load(p + fdVal)
 				got++
 				if visited+1 < step {
 					p = htm.Addr(t.Load(p + fdNext))
 				}
 			}
+			c.stage(t, k, got)
 		})
 		if err != nil {
 			c.feed(step, false, 0)

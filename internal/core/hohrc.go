@@ -42,11 +42,12 @@ var _ Collector = (*HOHRC)(nil)
 func NewHOHRC(h *htm.Heap, opts Options) *HOHRC {
 	th := h.NewThread()
 	opts = opts.normalize(h)
-	if sb := h.Config().StoreBufferSize; sb > 0 && opts.MaxStep > sb-hohrcReservedStores {
-		opts.MaxStep = sb - hohrcReservedStores
-		if opts.Step > opts.MaxStep {
-			opts.Step = opts.MaxStep
-		}
+	if sb := h.Config().StoreBufferSize; sb > 0 {
+		// normalize clamped the step to the store buffer; leave room in it for
+		// this algorithm's own stores.
+		opts.MaxStep = max(min(opts.MaxStep, sb-hohrcReservedStores), 1)
+		opts.MinStep = min(opts.MinStep, opts.MaxStep)
+		opts.Step = min(opts.Step, opts.MaxStep)
 	}
 	return &HOHRC{h: h, head: th.Alloc(hohrcNodeWords), opts: opts}
 }
@@ -144,10 +145,13 @@ func (l *HOHRC) Collect(c *Ctx, out []Value) []Value {
 				}
 				p = nxt
 				if t.Load(p+nMark) == 0 {
-					t.Store(c.scratch+htm.Addr(k+got), t.Load(p+nVal))
+					c.buf[got] = t.Load(p + nVal)
 					got++
 				}
 			}
+			// Staged before the pin/unpin stores below, as the per-element
+			// stores were: the write set keeps its order.
+			c.stage(t, k, got)
 			if !endReached && p != cur {
 				t.Add(p+nRC, 1) // pin the new anchor
 			}

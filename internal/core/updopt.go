@@ -173,10 +173,11 @@ func (a *ArrayDynAppendDeregUpdOpt) Collect(c *Ctx, out []Value) []Value {
 			arr := htm.Addr(t.Load(a.desc + dArray))
 			for s := 0; s < step && ii >= 0; s++ {
 				hb := htm.Addr(t.Load(arr + htm.Addr(slotWords*ii) + slotVal))
-				t.Store(c.scratch+htm.Addr(k+got), t.Load(hb+uVal))
+				c.buf[got] = t.Load(hb + uVal)
 				ii--
 				got++
 			}
+			c.stage(t, k, got)
 		})
 		if err != nil {
 			c.feed(step, false, 0)
