@@ -84,9 +84,7 @@ func dynamicCollectDemo() {
 	var retired []htm.Addr
 	freed := 0
 	for i := uint64(2); i <= swaps; i++ {
-		node := writer.Alloc(2)
-		heap.StoreNT(node, i)
-		heap.StoreNT(node+1, i)
+		node := writer.AllocInit([]uint64{i, i}) // filled while private
 		old := htm.Addr(heap.LoadNT(shared))
 		heap.StoreNT(shared, uint64(node))
 		retired = append(retired, old)
@@ -168,9 +166,7 @@ func epochDemo() {
 	wrec := dom.Acquire(writer)
 	liveBefore := heap.Stats().LiveWords
 	for i := uint64(2); i <= swaps; i++ {
-		node := writer.Alloc(2)
-		heap.StoreNT(node, i)
-		heap.StoreNT(node+1, i)
+		node := writer.AllocInit([]uint64{i, i}) // filled while private
 		old := htm.Addr(heap.LoadNT(shared))
 		heap.StoreNT(shared, uint64(node))
 		// Retire into the limbo list; frees happen automatically once the

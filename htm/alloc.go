@@ -252,8 +252,7 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 			panic(fmt.Sprintf("htm: allocator invariant violation: free stripe of word %#x changed concurrently", uint32(a)))
 		}
 	}
-	bump(&th.cell.allocCalls)
-	bumpBy(&th.cell.allocWords, uint64(size))
+	bump(&th.cell.allocCalls) // also stands for the tick above in Stats.ClockShardTicks
 	if h.cfg.trackMaxLive {
 		live := h.stats.liveWords.Add(uint64(size))
 		for {
@@ -262,6 +261,8 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 				break
 			}
 		}
+	} else {
+		bumpBy(&th.cell.allocWords, uint64(size)) // NoMaxLive: cellLive derives the live count
 	}
 	return a
 }
@@ -330,10 +331,11 @@ func (al *allocator) free(th *Thread, a Addr) {
 			}
 		}
 	}
-	bump(&th.cell.freeCalls)
-	bumpBy(&th.cell.freeWords, uint64(size))
+	bump(&th.cell.freeCalls) // also stands for the tick above in Stats.ClockShardTicks
 	if h.cfg.trackMaxLive {
 		h.stats.liveWords.Add(^uint64(size - 1))
+	} else {
+		bumpBy(&th.cell.freeWords, uint64(size))
 	}
 	if size <= maxMagSize {
 		m := &th.mags[size]

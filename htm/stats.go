@@ -15,19 +15,25 @@ const numAbortCodes = int(AbortSpurious) + 1
 // is padded to 64-byte cache lines so cells that end up adjacent in memory
 // never false-share. The fields are atomics only so that Heap.Stats may read
 // them while threads run.
+//
+// Every update is a locked instruction (see bump), so the cell records each
+// event ONCE and Heap.Stats derives the rest: an attempt ends in exactly one
+// of commits (read-only), writeCommits (published a write set) or
+// aborts[code], and there is no starts or per-tick counter at all — Starts,
+// Commits and ClockShardTicks are sums over these (see Heap.Stats).
 type statCell struct {
-	starts          atomic.Uint64
-	commits         atomic.Uint64
+	commits         atomic.Uint64 // read-only hardware commits
+	writeCommits    atomic.Uint64 // hardware commits that published a write set (one clock tick each)
 	aborts          [numAbortCodes]atomic.Uint64
 	fallbackRuns    atomic.Uint64
 	fallbackLocks   atomic.Uint64
 	fallbackRetries atomic.Uint64
 	fallbackStalls  atomic.Uint64
-	allocCalls      atomic.Uint64
-	freeCalls       atomic.Uint64
-	allocWords      atomic.Uint64
-	freeWords       atomic.Uint64
-	clockShardTicks atomic.Uint64
+	allocCalls      atomic.Uint64 // one clock tick each
+	freeCalls       atomic.Uint64 // one clock tick each
+	allocWords      atomic.Uint64 // Config.NoMaxLive only: cellLive, the sole reader, stands in for liveWords
+	freeWords       atomic.Uint64 // Config.NoMaxLive only
+	extraTicks      atomic.Uint64 // ticks nothing above implies: a fine-grained fallback's release, a commit that ticked and then failed validation
 	stripeConflicts atomic.Uint64
 	dedupEngages    atomic.Uint64
 	fallbackWaits   atomic.Uint64
@@ -75,9 +81,15 @@ type stats struct {
 }
 
 // bump and bumpBy update a statCell counter. Each cell has a single writer
-// (its owning thread), so a plain load+store pair — two MOVs on x86 — stands
-// in for the atomic read-modify-write; the fields stay atomic only so that
-// Heap.Stats can read them concurrently without a data race.
+// (its owning thread), so a load+store pair stands in for the atomic
+// read-modify-write and the cell's lines are never contended; the fields stay
+// atomic only so that Heap.Stats can read them concurrently without a data
+// race. That does NOT make an update cheap: Go's atomic Store is sequentially
+// consistent, which on amd64 is XCHGQ — a locked, full-fence instruction that
+// costs about what an uncontended CAS does. Count every bump on a hot path as
+// one locked instruction (DESIGN.md "Simulation performance" keeps the
+// per-operation budget) and prefer deriving a number in Heap.Stats to storing
+// it here.
 func bump(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
 func bumpBy(c *atomic.Uint64, n uint64) { c.Store(c.Load() + n) }
@@ -124,9 +136,15 @@ func (st *stats) cellLive() uint64 {
 
 // Stats is a point-in-time snapshot of heap and transaction statistics.
 type Stats struct {
-	// Starts is the number of transaction attempts begun.
+	// Starts is the number of hardware transaction attempts. It is derived —
+	// Starts == Commits + TotalAborts() in every snapshot — because an attempt
+	// is counted when it ENDS, by the single counter its outcome bumps. So an
+	// attempt still in flight when the snapshot is taken, or one whose body
+	// raised a user panic (neither a commit nor an abort), is not in Starts.
+	// TLE fallback runs are not hardware attempts; see FallbackRuns.
 	Starts uint64
-	// Commits is the number of attempts that committed.
+	// Commits is the number of attempts that committed, read-only and writing
+	// alike.
 	Commits uint64
 	// Aborts counts failed attempts by reason.
 	Aborts map[AbortCode]uint64
@@ -156,7 +174,11 @@ type Stats struct {
 	// ClockShardTicks counts version-clock ticks issued through threads —
 	// commits, fallback commits, allocs and frees. Ticks by threadless NT
 	// operations (address-hashed shards) are not counted. At quiescence with
-	// no NT writes it equals the sum of ClockShardNow over all shards.
+	// no NT writes it equals the sum of ClockShardNow over all shards. It is
+	// derived: every write commit, alloc and free ticks exactly once and is
+	// already counted, so only the ticks nothing else implies (a fine-grained
+	// fallback's release, a commit that ticked and then failed validation)
+	// carry a counter of their own.
 	ClockShardTicks uint64
 	// StripeConflicts counts conflict aborts detected on striped metadata
 	// (commit acquisition/validation failures and failed extensions while
@@ -238,8 +260,9 @@ func (h *Heap) Stats() Stats {
 	s := Stats{Aborts: make(map[AbortCode]uint64, numAbortCodes)}
 	s.ModeSwitches = h.modeSwitches.Load()
 	for _, c := range h.stats.snapshotCells() {
-		s.Starts += c.starts.Load()
-		s.Commits += c.commits.Load()
+		wc := c.writeCommits.Load()
+		s.Commits += c.commits.Load() + wc
+		s.ClockShardTicks += wc + c.extraTicks.Load()
 		s.FallbackRuns += c.fallbackRuns.Load()
 		s.FallbackLocks += c.fallbackLocks.Load()
 		s.FallbackRetries += c.fallbackRetries.Load()
@@ -247,15 +270,17 @@ func (h *Heap) Stats() Stats {
 		s.FallbackStalls += c.fallbackStalls.Load()
 		s.AllocCalls += c.allocCalls.Load()
 		s.FreeCalls += c.freeCalls.Load()
-		s.ClockShardTicks += c.clockShardTicks.Load()
 		s.StripeConflicts += c.stripeConflicts.Load()
 		s.DedupEngages += c.dedupEngages.Load()
 		for code := 1; code < numAbortCodes; code++ {
 			if n := c.aborts[code].Load(); n > 0 {
 				s.Aborts[AbortCode(code)] += n
+				s.Starts += n
 			}
 		}
 	}
+	s.Starts += s.Commits
+	s.ClockShardTicks += s.AllocCalls + s.FreeCalls
 	if h.cfg.trackMaxLive {
 		s.LiveWords = h.stats.liveWords.Load()
 		s.MaxLiveWords = h.stats.maxLiveWords.Load()

@@ -81,9 +81,11 @@ func (th *Thread) ClockShard() int { return th.clockShard }
 
 // tickClock advances this thread's home clock shard and returns the encoded
 // version. Callers must hold (or exclusively own) every metadata word the
-// version will be published to — see Heap.tickShard.
+// version will be published to — see Heap.tickShard. It bumps no statistic:
+// Stats.ClockShardTicks is derived, so every caller must either end in a
+// counter that implies the tick (writeCommits, allocCalls, freeCalls) or bump
+// extraTicks itself.
 func (th *Thread) tickClock() uint64 {
-	bump(&th.cell.clockShardTicks)
 	return th.h.tickShard(th.clockShard)
 }
 
@@ -172,8 +174,7 @@ func (th *Thread) begin() *Txn {
 	for i := range t.rv {
 		t.rv[i] = h.clock[i].v.Load()
 	}
-	th.attempts++
-	bump(&th.cell.starts)
+	th.attempts++ // thread-private; Stats.Starts is derived from the outcome counters
 	if th.faults != nil {
 		th.faults.attemptStart()
 	}
@@ -245,8 +246,14 @@ func (th *Thread) tryAtomic(f func(*Txn)) (code AbortCode, addr Addr, ok bool) {
 		bump(&th.cell.aborts[code])
 		return code, addr, false
 	}
+	// The attempt's one statistics store. A write commit ticked the clock
+	// exactly once, which is how Stats.ClockShardTicks counts it.
 	th.commits++
-	bump(&th.cell.commits)
+	if len(t.writes) == 0 {
+		bump(&th.cell.commits)
+	} else {
+		bump(&th.cell.writeCommits)
+	}
 	return 0, NilAddr, true
 }
 

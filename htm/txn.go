@@ -836,8 +836,11 @@ func (t *Txn) commit() (AbortCode, Addr) {
 				runtime.Gosched()
 			}
 			// Tick the home shard with the whole lock-set held — same
-			// lock-then-tick order as a hardware commit.
+			// lock-then-tick order as a hardware commit. No other counter
+			// implies this tick (FallbackRuns also counts read-only and
+			// global runs), so it is counted here.
 			t.fbRelease(t.th.tickClock())
+			bump(&t.th.cell.extraTicks)
 		default:
 			t.fbRelease(0)
 		}
@@ -984,6 +987,8 @@ func (t *Txn) publish() (AbortCode, Addr) {
 				continue
 			}
 		}
+		// The tick above is spent but no write commit will account for it.
+		bump(&t.th.cell.extraTicks)
 		return fail(AbortConflict, r.addr)
 	}
 

@@ -184,9 +184,8 @@ func (b *DynamicBaseline) Register(c *Ctx, v Value) Handle {
 			// Append a fresh node. We hold a pin on this edge, so it cannot
 			// be unlinked; on CAS failure re-read and either retry (count
 			// churn) or continue to the node someone else appended.
-			n := c.th.Alloc(dynNodeWords)
-			h.StoreNT(n+bStatus, stUsed)
-			h.StoreNT(n+bVal, v)
+			img := [dynNodeWords]uint64{bStatus: stUsed, bVal: v}
+			n := c.th.AllocInit(img[:]) // filled while private
 			for node == htm.NilAddr {
 				if fwdMarked(f) {
 					// An unlinker holds this edge exclusively; wait it out

@@ -56,8 +56,8 @@ func (l *FastCollect) NewCtx(th *htm.Thread) *Ctx { return newCtx(th, l.opts) }
 
 // Register implements Collector: splice a pre-allocated node in at the head.
 func (l *FastCollect) Register(c *Ctx, v Value) Handle {
-	n := c.th.Alloc(fcNodeWords)
-	c.th.Heap().StoreNT(n+fVal, v)
+	img := [fcNodeWords]uint64{fVal: v}
+	n := c.th.AllocInit(img[:]) // filled while private
 	c.th.Atomic(func(t *htm.Txn) {
 		first := htm.Addr(t.Load(l.desc + fcHead))
 		t.Store(n+fNext, uint64(first))

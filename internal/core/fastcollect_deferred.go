@@ -65,8 +65,8 @@ func (l *FastCollectDeferredFree) NewCtx(th *htm.Thread) *Ctx { return newCtx(th
 
 // Register implements Collector: splice a pre-allocated node in at the head.
 func (l *FastCollectDeferredFree) Register(c *Ctx, v Value) Handle {
-	n := c.th.Alloc(fdNodeWords)
-	c.th.Heap().StoreNT(n+fdVal, v)
+	img := [fdNodeWords]uint64{fdVal: v}
+	n := c.th.AllocInit(img[:]) // filled while private
 	c.th.Atomic(func(t *htm.Txn) {
 		first := htm.Addr(t.Load(l.desc + fdHead))
 		t.Store(n+fdNext, uint64(first))

@@ -61,8 +61,8 @@ func (l *HOHRC) NewCtx(th *htm.Thread) *Ctx { return newCtx(th, l.opts) }
 // Register implements Collector: allocate a node outside the transaction and
 // splice it in at the head of the list.
 func (l *HOHRC) Register(c *Ctx, v Value) Handle {
-	n := c.th.Alloc(hohrcNodeWords)
-	c.th.Heap().StoreNT(n+nVal, v) // unpublished; plain init
+	img := [hohrcNodeWords]uint64{nVal: v}
+	n := c.th.AllocInit(img[:]) // filled while private
 	c.th.Atomic(func(t *htm.Txn) {
 		first := htm.Addr(t.Load(l.head + nNext))
 		t.Store(n+nNext, uint64(first))

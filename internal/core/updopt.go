@@ -60,8 +60,8 @@ func (a *ArrayDynAppendDeregUpdOpt) copying(t *htm.Txn) bool {
 // Register implements Collector: the handle block {value, slot pointer} is
 // allocated outside the transaction; the array slot stores a pointer to it.
 func (a *ArrayDynAppendDeregUpdOpt) Register(c *Ctx, v Value) Handle {
-	hb := c.th.Alloc(updHandleWords)
-	c.th.Heap().StoreNT(hb+uVal, v) // unpublished; plain init
+	img := [updHandleWords]uint64{uVal: v}
+	hb := c.th.AllocInit(img[:]) // filled while private
 	for {
 		act := actNothing
 		var countL uint64

@@ -37,13 +37,12 @@ func (q *HTMQueue) Name() string { return "HTM" }
 // NewCtx implements Queue.
 func (q *HTMQueue) NewCtx(th *htm.Thread) *Ctx { return &Ctx{th: th} }
 
-// Enqueue implements Queue. The node is allocated outside the transaction
-// (Rock cannot run malloc inside one); it stays private until the
-// transaction that publishes it commits, so aborted attempts simply retry
-// with the same node.
+// Enqueue implements Queue. The node is allocated — already holding v —
+// outside the transaction (Rock cannot run malloc inside one); it stays
+// private until the transaction that publishes it commits, so aborted
+// attempts simply retry with the same node.
 func (q *HTMQueue) Enqueue(c *Ctx, v uint64) {
-	n := c.th.Alloc(qNodeWords)
-	c.th.Heap().StoreNT(n+qVal, v)
+	n := newNode(c.th, v)
 	c.th.Atomic(func(t *htm.Txn) {
 		tail := htm.Addr(t.Load(q.desc + hqTail))
 		if tail == htm.NilAddr {

@@ -65,9 +65,7 @@ func (q *MSQueueEBR) CloseCtx(c *Ctx) {
 func (q *MSQueueEBR) Enqueue(c *Ctx, v uint64) {
 	h := c.th.Heap()
 	rec := c.priv.(*ebrPriv).rec
-	n := c.th.Alloc(qNodeWords)
-	h.StoreNT(n+qVal, v)
-	h.StoreNT(n+qNext, 0)
+	n := newNode(c.th, v)
 	rec.Pin()
 	for {
 		tail := htm.Addr(h.LoadNT(q.desc + msTail))

@@ -59,9 +59,7 @@ func (q *MSQueueROP) CloseCtx(c *Ctx) {
 func (q *MSQueueROP) Enqueue(c *Ctx, v uint64) {
 	h := c.th.Heap()
 	rec := c.priv.(*ropPriv).rec
-	n := c.th.Alloc(qNodeWords)
-	h.StoreNT(n+qVal, v)
-	h.StoreNT(n+qNext, 0)
+	n := newNode(c.th, v)
 	for {
 		tail := htm.Addr(h.LoadNT(q.desc + msTail))
 		rec.Protect(0, tail)

@@ -32,6 +32,15 @@ const (
 	qNodeWords
 )
 
+// newNode allocates a node holding v with a nil next pointer. The image is
+// built on the stack and written by the allocation itself (htm.AllocInit), so
+// a fresh node — which no other thread can see yet — costs no store beyond
+// its allocation. The pooled MSQueue recycles nodes and fills them in place.
+func newNode(th *htm.Thread, v uint64) htm.Addr {
+	img := [qNodeWords]uint64{qVal: v}
+	return th.AllocInit(img[:])
+}
+
 // Queue is a concurrent FIFO of word-sized values.
 type Queue interface {
 	// Name returns the implementation's name as used in Figure 1.

@@ -396,3 +396,77 @@ func TestQuickQueueMatchesModel(t *testing.T) {
 		})
 	}
 }
+
+// TestQueueClockTicksPerOp pins how many version-clock ticks one operation
+// costs on a quiet heap. Every tick is a locked RMW on the clock plus locked
+// metadata transitions, so the count is the operation's write footprint on
+// the simulated machine — and the regression guard against filling a fresh
+// node with per-word StoreNT again (one tick per word; Thread.AllocInit fills
+// it inside the allocation's own tick). The pinned number is the operation's
+// own ticks — commits, NT stores and CASes — net of the one tick each
+// allocator call costs, because ROP and EBR free in batches and the pooled
+// queue allocates only when its pool is dry. HTMQueue allocates and frees per
+// operation, so its totals are pinned too: 2 and 2.
+func TestQueueClockTicksPerOp(t *testing.T) {
+	want := map[string]struct{ enq, deq, deqExtra uint64 }{
+		// One commit each way.
+		"HTM": {enq: 1, deq: 1},
+		// A pooled node is refilled in place: value, next-tag reset, link CAS,
+		// tail CAS. The dequeue is the head CAS.
+		"MichaelScott": {enq: 4, deq: 1},
+		// Announce, link, swing the tail, clear; announce twice, swing the
+		// head, clear twice.
+		"MichaelScottROP": {enq: 4, deq: 5},
+		// Pin, link, swing the tail, unpin; pin, swing the head, unpin — plus
+		// the epoch-advance CAS when a retirement triggers one.
+		"MichaelScottEBR": {enq: 4, deq: 3, deqExtra: 1},
+	}
+	forEachQueue(t, func(t *testing.T, im qimpl, q Queue, h *htm.Heap) {
+		c := q.NewCtx(h.NewThread())
+		defer closeCtx(q, c)
+		w := want[im.name]
+		measure := func(op func()) (own, allocs, frees uint64) {
+			ticks, s := h.ClockNow(), h.Stats()
+			op()
+			d := h.Stats()
+			allocs, frees = d.AllocCalls-s.AllocCalls, d.FreeCalls-s.FreeCalls
+			return h.ClockNow() - ticks - allocs - frees, allocs, frees
+		}
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 200; i++ {
+				own, allocs, frees := measure(func() { q.Enqueue(c, uint64(i+1)) })
+				if own != w.enq {
+					t.Fatalf("enqueue %d: %d ticks of its own, want %d", i, own, w.enq)
+				}
+				if im.name == "HTM" && (allocs != 1 || frees != 0) {
+					t.Fatalf("enqueue %d: %d allocs, %d frees, want 1, 0", i, allocs, frees)
+				}
+			}
+			for i := 0; i < 200; i++ {
+				own, allocs, frees := measure(func() { q.Dequeue(c) })
+				if own != w.deq && own != w.deq+w.deqExtra {
+					t.Fatalf("dequeue %d: %d ticks of its own, want %d (+%d at most)", i, own, w.deq, w.deqExtra)
+				}
+				if im.name == "HTM" && (allocs != 0 || frees != 1) {
+					t.Fatalf("dequeue %d: %d allocs, %d frees, want 0, 1", i, allocs, frees)
+				}
+			}
+		}
+	})
+}
+
+// TestHTMQueueDoesNotAllocate: the node image and both transaction closures
+// stay on the goroutine stack.
+func TestHTMQueueDoesNotAllocate(t *testing.T) {
+	h := htm.NewHeap(htm.Config{Words: 1 << 12})
+	q := NewHTMQueue(h)
+	c := q.NewCtx(h.NewThread())
+	if a := testing.AllocsPerRun(200, func() {
+		q.Enqueue(c, 7)
+		if v, ok := q.Dequeue(c); !ok || v != 7 {
+			t.Fatalf("Dequeue = (%d, %v), want (7, true)", v, ok)
+		}
+	}); a != 0 {
+		t.Errorf("HTMQueue enqueue+dequeue allocates %v Go objects per pair, want 0", a)
+	}
+}
