@@ -89,6 +89,43 @@ func BenchmarkTxnLoadWords16(b *testing.B) {
 	}
 }
 
+// BenchmarkTxnLoadWordsBlocks is a Scan-page-shaped read: one read-only
+// transaction copying 32 scattered 23-word blocks (a 22-byte key and 128-byte
+// value behind a 4-word header) out with one Txn.LoadWords each — 736 words,
+// so ns/op ÷ 736 is the kernel's cost per word with the begin/commit diluted.
+func BenchmarkTxnLoadWordsBlocks(b *testing.B) {
+	const blocks, words = 32, 23
+	h := NewHeap(Config{Words: 1 << 16})
+	th := h.NewThread()
+	var img, dst [words]uint64
+	for i := range img {
+		img[i] = uint64(i) + 1
+	}
+	var at [blocks]Addr
+	for i := range at {
+		at[i] = th.AllocInit(img[:])
+		th.Alloc(5 + i%7) // spacer: the blocks are not one contiguous run
+	}
+	body := func(t *Txn) {
+		for _, a := range at {
+			t.LoadWords(a, dst[:])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Atomic(body)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(blocks*words), "ns/word")
+	if dst != img {
+		b.Fatalf("LoadWords read %v, want %v", dst, img)
+	}
+	if n := testing.AllocsPerRun(100, func() { th.Atomic(body) }); n != 0 {
+		b.Fatalf("LoadWords transaction allocates %.1f times per op, want 0", n)
+	}
+}
+
 // BenchmarkTxnStoreWords32 is the staging half of a full telescoped Collect
 // step: one write transaction buffering a store-buffer's worth of consecutive
 // words with Txn.StoreWords and committing them. The write set never sees a

@@ -322,20 +322,24 @@ func (h *Heap) LoadNT(a Addr) uint64 {
 // copied inline; any other word is handed to LoadNT, which spins or panics
 // exactly as it would have.
 func (h *Heap) LoadWordsNT(a Addr, dst []uint64) {
-	fast := h.ntYieldThresh == 0 && h.valid(a) && int(a)+len(dst) <= len(h.words)
+	if h.ntYieldThresh != 0 || !h.valid(a) || int(a)+len(dst) > len(h.words) {
+		for i := range dst {
+			dst[i] = h.LoadNT(a + Addr(i))
+		}
+		return
+	}
+	// Locals and a slice cut to the range, for the reason Txn.loadRun gives.
+	words, meta, shift := h.words[a:][:len(dst)], h.meta, h.stripeShift&63
 	for i := range dst {
-		w := a + Addr(i)
-		if fast {
-			mi := int(w) >> h.stripeShift
-			if m1 := h.meta[mi].Load(); m1&(metaLockBit|metaAllocBit) == metaAllocBit {
-				v := h.words[w].Load()
-				if h.meta[mi].Load() == m1 {
-					dst[i] = v
-					continue
-				}
+		mw := &meta[(int(a)+i)>>shift]
+		if m1 := mw.Load(); m1&(metaLockBit|metaAllocBit) == metaAllocBit {
+			v := words[i].Load()
+			if mw.Load() == m1 {
+				dst[i] = v
+				continue
 			}
 		}
-		dst[i] = h.LoadNT(w)
+		dst[i] = h.LoadNT(a + Addr(i))
 	}
 }
 

@@ -655,6 +655,10 @@ func (t *Txn) Load(a Addr) uint64 {
 // the bypass-mode append inline; any other word goes through Load, which
 // spins, extends or aborts exactly as it would have.
 func (t *Txn) LoadWords(a Addr, dst []uint64) {
+	if len(dst) == 1 { // nothing to amortize the range set-up over
+		dst[0] = t.Load(a)
+		return
+	}
 	fast := 0
 	if !t.direct && t.yieldThresh == 0 && t.faults == nil && len(t.writes) == 0 && !t.dedup &&
 		a != NilAddr && int(a)+len(dst) <= len(t.words) {
@@ -662,34 +666,85 @@ func (t *Txn) LoadWords(a Addr, dst []uint64) {
 		// dedupAfter (extend never grows it), so the bypass-mode prefix of the
 		// range is known up front.
 		fast = min(len(dst), max(t.dedupAfter-len(t.reads), 0))
-	}
-	// Reserve the prefix's read entries once; the loop stores them by index and
-	// t.reads is re-sliced over them at the end. Load must see the set exactly
-	// as the loop it stands in for would have left it (extend validates it), so
-	// a word that takes Load first publishes the entries staged so far — Load
-	// then appends its own into the next reserved slot, in place.
-	base := len(t.reads)
-	t.reads = slices.Grow(t.reads, fast)
-	ents := t.reads[base : base+fast]
-	words, meta, rv := t.words, t.meta, t.rv
-	for i := range ents {
-		w := a + Addr(i)
-		mi := int(w) >> t.sshift
-		if m1 := meta[mi].Load(); m1&(metaLockBit|metaAllocBit) == metaAllocBit {
-			v := words[w].Load()
-			if ver := metaVersion(m1); meta[mi].Load() == m1 && ver>>t.shardBits <= rv[ver&t.shardMask] {
-				ents[i] = readEntry{addr: w, meta: m1}
-				dst[i] = v
-				continue
+		// Reserve the prefix's read entries once; loadRun stores them by index
+		// and t.reads is re-sliced over them at the end. Load must see the set
+		// exactly as the loop it stands in for would have left it (extend
+		// validates it), so a word that takes Load first publishes the entries
+		// staged so far — Load then appends its own into the next reserved slot,
+		// in place.
+		base := len(t.reads)
+		t.reads = slices.Grow(t.reads, fast)
+		ents := t.reads[base : base+fast]
+		for i := 0; i < fast; i++ {
+			i += t.loadRun(a+Addr(i), dst[i:fast], ents[i:])
+			if i < fast {
+				t.reads = t.reads[:base+i]
+				dst[i] = t.Load(a + Addr(i))
 			}
 		}
-		t.reads = t.reads[:base+i]
-		dst[i] = t.Load(w)
+		t.reads = t.reads[:base+fast]
 	}
-	t.reads = t.reads[:base+fast]
 	for i := fast; i < len(dst); i++ {
 		dst[i] = t.Load(a + Addr(i))
 	}
+}
+
+// loadRun is LoadWords' inner loop: it reads words from a on into dst, staging
+// one read entry each in ents (len(ents) == len(dst), the range is inside the
+// arena), and returns how many it read before the first word that fails the
+// bypass predicate — locked, freed, changed under the value read, or newer
+// than rv — which it leaves to Load. The predicate's metadata half is decided
+// once per run of words under one metadata value (a stripe's word; a block's
+// words since its allocation or last commit, which all carry the same one),
+// since words with identical metadata pass or fail together; what is left per
+// word is metadata, value, metadata again. The loops are leaves over slices
+// cut to the range: the atomic loads are compiler barriers, so a t.field or a
+// bounds check inside them is paid again after every one.
+func (t *Txn) loadRun(a Addr, dst []uint64, ents []readEntry) int {
+	words, dst := t.words[a:][:len(ents)], dst[:len(ents)]
+	readable := func(m uint64) bool {
+		ver := metaVersion(m)
+		return m&(metaLockBit|metaAllocBit) == metaAllocBit && ver>>(t.shardBits&63) <= t.rv[ver&t.shardMask]
+	}
+	if sshift := t.sshift & 63; sshift != 0 {
+		for i := 0; i < len(ents); {
+			si := (int(a) + i) >> sshift
+			mw := &t.meta[si]
+			m1 := mw.Load()
+			if !readable(m1) {
+				return i
+			}
+			for end := min(len(ents), (si+1)<<sshift-int(a)); i < end; i++ {
+				v := words[i].Load()
+				if mw.Load() != m1 {
+					return i
+				}
+				ents[i] = readEntry{addr: a + Addr(i), meta: m1}
+				dst[i] = v
+			}
+		}
+		return len(ents)
+	}
+	meta := t.meta[a:][:len(ents)]
+	for i := 0; i < len(ents); {
+		m1 := meta[i].Load()
+		if !readable(m1) {
+			return i
+		}
+		for ; i < len(ents); i++ {
+			mw := &meta[i]
+			if mw.Load() != m1 {
+				break
+			}
+			v := words[i].Load()
+			if mw.Load() != m1 {
+				return i
+			}
+			ents[i] = readEntry{addr: a + Addr(i), meta: m1}
+			dst[i] = v
+		}
+	}
+	return len(ents)
 }
 
 // Store transactionally writes v to the word at a. Writes are buffered and

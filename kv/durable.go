@@ -198,14 +198,14 @@ func (s *Store) applyDelete(key []byte) {
 	k := packKey(key, kbuf[:])
 	s.withThread(func(th *htm.Thread) {
 		th.Atomic(func(t *htm.Txn) {
-			slot, e, found, _ := s.probe(t, k)
+			slot, e, found, _ := s.probe(t, k, false)
 			if !found {
 				return
 			}
 			t.Store(s.table+htm.Addr(slot), slotTombstone)
 			t.Store(s.dir+dirCount, t.Load(s.dir+dirCount)-1)
 			t.Store(s.dir+dirTombstones, t.Load(s.dir+dirTombstones)+1)
-			t.FreeOnCommit(e)
+			t.FreeOnCommit(e.addr)
 		})
 	})
 }
@@ -226,26 +226,23 @@ func (s *Store) recoverySweep(baseline uint64) (int, error) {
 		return 0, fmt.Errorf("%d words allocated, accounting says %d live", ms.Allocated, st.LiveWords)
 	}
 	// Walk the index (paged transactions) summing the entry blocks' words.
-	var entryLive uint64
-	var count uint64
+	var entryLive, count uint64
 	nslots := uint64(s.cfg.Slots)
+	var r pageReader
 	s.withThread(func(th *htm.Thread) {
 		for cursor := uint64(0); cursor < nslots; cursor += scanSlotWindow {
-			end := cursor + scanSlotWindow
-			if end > nslots {
-				end = nslots
-			}
+			end := min(cursor+scanSlotWindow, nslots)
+			var words, n uint64
 			th.Atomic(func(t *htm.Txn) {
-				for i := cursor; i < end; i++ {
-					w := t.Load(s.table + htm.Addr(i))
-					if w == slotEmpty || w == slotTombstone {
-						continue
-					}
-					lens := t.Load(htm.Addr(w) + entryLens)
-					entryLive += uint64(entryWords(int(lens>>32), int(lens&0xffffffff)))
-					count++
-				}
+				words, n = 0, 0 // restartable body
+				r.walk(t, s.table, cursor, end, scanSlotWindow, func(e htm.Addr, _ int) bool {
+					klen, vlen := splitLens(t.Load(e + entryLens))
+					words += uint64(entryWords(klen, vlen))
+					n++
+					return true
+				})
 			})
+			entryLive, count = entryLive+words, count+n
 		}
 	})
 	if want := baseline + entryLive; st.LiveWords != want {
@@ -318,24 +315,22 @@ func (s *Store) Snapshot() (uint64, error) {
 	}
 	nslots := uint64(s.cfg.Slots)
 	var page []snapEnt
+	var r pageReader // its arena is reused page after page: Add copies the bytes out
 	for cursor := uint64(0); cursor < nslots; cursor += scanSlotWindow {
 		end := min(cursor+scanSlotWindow, nslots)
 		s.withThread(func(th *htm.Thread) {
 			th.Atomic(func(t *htm.Txn) {
-				page = page[:0] // restartable body
-				for i := cursor; i < end; i++ {
-					w := t.Load(s.table + htm.Addr(i))
-					if w == slotEmpty || w == slotTombstone {
-						continue
-					}
-					// Expired-but-unswept entries are included: the snapshot
-					// preserves state, the expiry job changes it.
-					e := htm.Addr(w)
-					lens := t.Load(e + entryLens)
-					ent := snapEnt{seq: t.Load(e + entrySeq), expiry: t.Load(e + entryExpiry)}
-					ent.key, ent.val = loadEntry(t, e, lens, true)
+				page, r.arena = page[:0], r.arena[:0] // restartable body
+				// Expired-but-unswept entries are included: the snapshot
+				// preserves state, the expiry job changes it.
+				r.walk(t, s.table, cursor, end, scanSlotWindow, func(e htm.Addr, room int) bool {
+					var hdr [hdrSeq + 1]uint64
+					t.LoadWords(e+entryLens, hdr[:])
+					ent := snapEnt{seq: hdr[hdrSeq], expiry: hdr[hdrExpiry]}
+					ent.key, ent.val = r.pair(t, e, hdr[hdrLens], room)
 					page = append(page, ent)
-				}
+					return true
+				})
 			})
 		})
 		for _, ent := range page {

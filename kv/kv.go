@@ -12,7 +12,8 @@
 // runs as a single heap transaction via Thread.Atomic with TLE enabled, so:
 //
 //   - The sequential code path IS the concurrent code path: probing is a loop
-//     over Txn.Load, key comparison and value copy are Txn.LoadWords.
+//     over Txn.Load; key comparison, value copy and Scan's slot runs and entry
+//     bodies are Txn.LoadWords, one call per run of adjacent words.
 //   - A Put that replaces or a Delete frees the displaced entry block with
 //     Txn.FreeOnCommit — memory is returned the instant the operation
 //     commits, and any racing reader of the old entry aborts (sandboxing)
@@ -257,9 +258,10 @@ func hashKey(key []byte) uint64 {
 
 // The entry codec: bytes travel to and from the heap as little-endian words
 // with a zero-padded tail word, and this pair is the only code that knows it.
-// Every writer (fillEntry, packKey) and every reader (loadBytes) goes through
-// it, so a stored key and a packed probe key of equal length are equal word for
-// word; lengths are compared first, so padding can never alias a longer key.
+// Every writer (fillEntry, packKey) and every reader (get, pageReader.pair)
+// goes through it, so a stored key and a packed probe key of equal length are
+// equal word for word; lengths are compared first, so padding can never alias a
+// longer key.
 
 // packBytes packs b into out, which must be wordsFor(len(b)) words long.
 func packBytes(out []uint64, b []byte) {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -133,6 +134,38 @@ func TestHTTPScan(t *testing.T) {
 	}
 	if resp, _ := doReq(t, http.MethodGet, ts.URL+"/scan?cursor=zap", nil); resp.StatusCode != 400 {
 		t.Fatalf("bad cursor: %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPScanAbsurdLimit: ?limit= is the client's to choose, and a page is
+// still at most the slots one Scan covers — answered 200, not sized by the
+// limit.
+func TestHTTPScanAbsurdLimit(t *testing.T) {
+	store := NewStore(Config{Slots: 4 * scanSlotWindow})
+	for i := 0; i < 3*scanSlotWindow-100; i++ {
+		mustPut(t, store, fmt.Sprintf("k%05d", i), "v")
+	}
+	ts := httptest.NewServer(NewServer(store))
+	defer ts.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, body := doReq(t, http.MethodGet, ts.URL+"/scan?limit=2000000000", nil)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != 200 {
+		t.Fatalf("scan with an absurd limit: %d %s", resp.StatusCode, body)
+	}
+	var page scanResponse
+	if err := json.Unmarshal(body, &page); err != nil {
+		t.Fatalf("scan json: %v", err)
+	}
+	if len(page.Pairs) == 0 || len(page.Pairs) > scanSlotWindow || page.Next != scanSlotWindow || page.Done {
+		t.Fatalf("page: %d pairs, next %d, done %v; want 1..%d pairs, next %d, not done",
+			len(page.Pairs), page.Next, page.Done, scanSlotWindow, scanSlotWindow)
+	}
+	// Request, page, JSON both ways and this test's own decode: a few hundred
+	// KiB. A page or arena sized by the limit would be gigabytes.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("the request allocated %d bytes for a %d-pair page", got, len(page.Pairs))
 	}
 }
 

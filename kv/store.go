@@ -225,64 +225,123 @@ func packKey(key []byte, buf []uint64) packedKey {
 	return packedKey{hash: hashKey(key), n: len(key), words: buf[:n]}
 }
 
-// loadKeyEq reports whether the entry block at e holds k. Runs inside the
-// transaction: the key words it loads join the read set, so a concurrent
-// replace of this entry aborts us rather than letting the comparison tear.
-// Hash and length are compared before any key word is loaded; a block that
-// matches both has its key loaded whole.
-func loadKeyEq(t *htm.Txn, e htm.Addr, k packedKey) bool {
+// Header words as a reader loads them: from entryLens on, as many as it needs.
+const (
+	hdrLens   = entryLens - entryLens
+	hdrExpiry = entryExpiry - entryLens
+	hdrSeq    = entrySeq - entryLens
+)
+
+// splitLens unpacks an entry's lens word into key and value byte lengths.
+func splitLens(lens uint64) (klen, vlen int) { return int(lens >> 32), int(lens & 0xffffffff) }
+
+// loadKeyEq reports whether the entry block at e holds k, returning the
+// block's lens word and — withDeadline, in the same load — its expiry word.
+// Runs inside the transaction: the words it loads join the read set, so a
+// concurrent replace of this entry aborts us rather than letting the
+// comparison tear. The hash is compared before the header is loaded, the
+// length before any key word; a block that matches both has its key loaded
+// whole — into a scratch declared only here, so a probe that ends at an empty
+// slot zeroes nothing.
+func loadKeyEq(t *htm.Txn, e htm.Addr, k packedKey, withDeadline bool) (lens, expiry uint64, eq bool) {
 	if t.Load(e+entryHash) != k.hash {
-		return false
+		return 0, 0, false
 	}
-	if lens := t.Load(e + entryLens); int(lens>>32) != k.n {
-		return false
-	}
-	var scratch [scratchWords]uint64
-	for a, want := e+entryHdrWords, k.words; len(want) > 0; {
-		got := scratch[:min(len(want), len(scratch))]
-		t.LoadWords(a, got)
-		if !slices.Equal(got, want[:len(got)]) {
-			return false
-		}
-		a, want = a+htm.Addr(len(got)), want[len(got):]
-	}
-	return true
-}
-
-// loadBytes fills dst with the bytes packed into the words at a.
-func loadBytes(t *htm.Txn, a htm.Addr, dst []byte) {
-	var scratch [scratchWords]uint64
-	for len(dst) > 0 {
-		w := scratch[:min(wordsFor(len(dst)), len(scratch))]
-		t.LoadWords(a, w)
-		n := min(len(dst), 8*len(w))
-		unpackBytes(dst[:n], w)
-		a, dst = a+htm.Addr(len(w)), dst[n:]
-	}
-}
-
-// loadEntry copies the value of the entry block at e — preceded, with withKey,
-// by its key — into one exactly-sized buffer; lens is the block's lens word,
-// which the caller has loaded. The key is carved off with its capacity capped,
-// so appending to it reallocates instead of running into the value.
-func loadEntry(t *htm.Txn, e htm.Addr, lens uint64, withKey bool) (key, val []byte) {
-	klen, vlen := int(lens>>32), int(lens&0xffffffff)
-	if withKey {
-		buf := make([]byte, klen+vlen)
-		key, val = buf[:klen:klen], buf[klen:]
-		loadBytes(t, e+entryHdrWords, key)
+	if withDeadline {
+		var hdr [hdrExpiry + 1]uint64
+		t.LoadWords(e+entryLens, hdr[:])
+		lens, expiry = hdr[hdrLens], hdr[hdrExpiry]
 	} else {
-		val = make([]byte, vlen)
+		lens = t.Load(e + entryLens)
 	}
-	loadBytes(t, e+htm.Addr(entryHdrWords+wordsFor(klen)), val)
+	if klen, _ := splitLens(lens); klen != k.n {
+		return 0, 0, false
+	}
+	var scratch [scratchWords]uint64
+	return lens, expiry, slices.Equal(loadWords(t, e+entryHdrWords, len(k.words), scratch[:]), k.words)
+}
+
+// loadWords reads the n words at a in one LoadWords — into buf when they fit,
+// into a heap buffer otherwise (fillEntry's rule, mirrored).
+func loadWords(t *htm.Txn, a htm.Addr, n int, buf []uint64) []uint64 {
+	if n > len(buf) {
+		buf = make([]uint64, n)
+	}
+	t.LoadWords(a, buf[:n])
+	return buf[:n]
+}
+
+// pageReader is one operation's staging for reading the index in bulk: the
+// run of slots being walked, the body of the entry being decoded, and the
+// arena the page's key and value bytes are carved from. Scan, Snapshot and the
+// recovery sweep all read through it, so they agree on what a transaction
+// loads: slots in LoadWords runs, then per entry the header words the caller
+// needs and — key words and value words being adjacent — its body in one
+// LoadWords.
+type pageReader struct {
+	slots [scratchWords]uint64
+	image [scratchWords]uint64
+	arena []byte
+}
+
+// arenaChunk caps one arena allocation; a page that outgrows it takes another.
+const arenaChunk = 64 << 10
+
+// walk reads the index slots [lo, hi) of table inside t and calls visit for each
+// that holds an entry, in slot order, until visit has returned true want
+// times; room is how many more entries the walk could still hand out. It
+// returns the first slot it did not read. A run is never longer than the
+// entries still wanted — it can yield at most one per slot — so a walk that
+// stops early has read no slot past the last entry it took.
+func (r *pageReader) walk(t *htm.Txn, table htm.Addr, lo, hi uint64, want int, visit func(e htm.Addr, room int) bool) uint64 {
+	for want > 0 && lo < hi {
+		run := r.slots[:min(uint64(want), hi-lo, scratchWords)]
+		t.LoadWords(table+htm.Addr(lo), run)
+		for _, w := range run {
+			if w != slotEmpty && w != slotTombstone && visit(htm.Addr(w), int(min(uint64(want), hi-lo))) {
+				want--
+			}
+			lo++
+		}
+	}
+	return lo
+}
+
+// pair loads the body of the entry at e, whose lens word the caller has read,
+// and decodes it into bytes carved off the arena; room sizes a fresh arena
+// chunk (that many entries like this one, capped). The key's capacity is
+// capped, so appending to it reallocates instead of running into the value.
+func (r *pageReader) pair(t *htm.Txn, e htm.Addr, lens uint64, room int) (key, val []byte) {
+	klen, vlen := splitLens(lens)
+	kw := wordsFor(klen)
+	body := loadWords(t, e+entryHdrWords, kw+wordsFor(vlen), r.image[:])
+	n := klen + vlen
+	if cap(r.arena)-len(r.arena) < n {
+		r.arena = make([]byte, 0, max(n, min(n*room, arenaChunk)))
+	}
+	at := len(r.arena)
+	r.arena = r.arena[:at+n]
+	key, val = r.arena[at:at+klen:at+klen], r.arena[at+klen:at+n:at+n]
+	unpackBytes(key, body[:kw])
+	unpackBytes(val, body[kw:])
 	return key, val
 }
 
+// foundEntry is what probe knows of the entry it found: the block's address,
+// its lens word, and its expiry word when the caller asked for it.
+type foundEntry struct {
+	addr         htm.Addr
+	lens, expiry uint64
+}
+
 // probe walks the linear-probe cluster for k inside txn t. It returns the slot
-// index holding the key (found=true), or the first reusable slot (tombstone,
-// else the terminating empty slot) with found=false. insert=-1 means the
-// cluster spans the whole table with no reusable slot.
-func (s *Store) probe(t *htm.Txn, k packedKey) (slot uint64, entry htm.Addr, found bool, insert int64) {
+// index holding the key and the entry there (found=true), or the first
+// reusable slot (tombstone, else the terminating empty slot) with found=false.
+// insert=-1 means the cluster spans the whole table with no reusable slot.
+// withDeadline has the found entry's expiry word loaded together with its
+// lens word: Get and Delete check it, and a Put is never made to load a word it
+// does not use.
+func (s *Store) probe(t *htm.Txn, k packedKey, withDeadline bool) (slot uint64, entry foundEntry, found bool, insert int64) {
 	insert = -1
 	i := k.hash & s.mask
 	for n := uint64(0); n <= s.mask; n++ {
@@ -292,25 +351,40 @@ func (s *Store) probe(t *htm.Txn, k packedKey) (slot uint64, entry htm.Addr, fou
 			if insert < 0 {
 				insert = int64(i)
 			}
-			return 0, 0, false, insert
+			return 0, foundEntry{}, false, insert
 		case slotTombstone:
 			if insert < 0 {
 				insert = int64(i)
 			}
 		default:
-			e := htm.Addr(w)
-			if loadKeyEq(t, e, k) {
-				return i, e, true, insert
+			if lens, expiry, eq := loadKeyEq(t, htm.Addr(w), k, withDeadline); eq {
+				return i, foundEntry{htm.Addr(w), lens, expiry}, true, insert
 			}
 		}
 		i = (i + 1) & s.mask
 	}
-	return 0, 0, false, insert
+	return 0, foundEntry{}, false, insert
+}
+
+// expiryClock is one operation's reading of the expiry clock, taken the first
+// time it meets an entry that has a deadline: a store with no TTL'd entries
+// never pays for the clock, and an operation reads it at most once however
+// many entries or retries it goes through.
+type expiryClock struct {
+	now  func() int64
+	at   int64
+	read bool
 }
 
 // expired reports whether an entry's expiry deadline (0 = never) has passed.
-func expired(deadline uint64, now int64) bool {
-	return deadline != 0 && int64(deadline) <= now
+func (c *expiryClock) expired(deadline uint64) bool {
+	if deadline == 0 {
+		return false
+	}
+	if !c.read {
+		c.at, c.read = c.now(), true
+	}
+	return int64(deadline) <= c.at
 }
 
 // Get returns a copy of the value stored under key. Expired entries read as
@@ -325,21 +399,12 @@ func (s *Store) Get(ctx context.Context, key []byte) (val []byte, ok bool, err e
 	}
 	var kbuf [scratchWords]uint64
 	k := packKey(key, kbuf[:])
-	now := s.cfg.Now()
+	clock := expiryClock{now: s.cfg.Now}
 	s.gets.Add(1)
 	var opErr error
 	err = s.withThreadCtx(ctx, func(th *htm.Thread) {
 		committed := th.AtomicUntil(func(t *htm.Txn) {
-			val, ok = nil, false // restartable body: reset on every attempt
-			_, e, found, _ := s.probe(t, k)
-			if !found {
-				return
-			}
-			if expired(t.Load(e+entryExpiry), now) {
-				return
-			}
-			_, val = loadEntry(t, e, t.Load(e+entryLens), false)
-			ok = true
+			val, ok = s.get(t, k, &clock)
 		}, stopFor(ctx))
 		if !committed {
 			opErr = s.deadlineErr(ctx)
@@ -352,6 +417,21 @@ func (s *Store) Get(ctx context.Context, key []byte) (val []byte, ok bool, err e
 		return nil, false, err
 	}
 	return val, true, nil
+}
+
+// get is Get's transaction body: probe (slot, hash, then lengths and deadline
+// in one load, key), then the value words in one load, decoded into a buffer
+// of exactly the value's size.
+func (s *Store) get(t *htm.Txn, k packedKey, clock *expiryClock) (val []byte, ok bool) {
+	_, e, found, _ := s.probe(t, k, true)
+	if !found || clock.expired(e.expiry) {
+		return nil, false
+	}
+	klen, vlen := splitLens(e.lens)
+	var scratch [scratchWords]uint64
+	val = make([]byte, vlen)
+	unpackBytes(val, loadWords(t, e.addr+htm.Addr(entryHdrWords+wordsFor(klen)), wordsFor(vlen), scratch[:]))
+	return val, true
 }
 
 // Put stores val under key, replacing any existing value. ttl bounds the
@@ -408,10 +488,10 @@ func (s *Store) Put(ctx context.Context, key, val []byte, ttl time.Duration) err
 // (ErrFull) means the transaction wrote nothing and e is still the caller's.
 // With logged, the store's durability sequence is ticked and stamped into e.
 func (s *Store) publish(t *htm.Txn, e htm.Addr, k packedKey, logged bool) (seq uint64, err error) {
-	slot, old, found, insert := s.probe(t, k)
+	slot, old, found, insert := s.probe(t, k, false)
 	if found {
 		t.Store(s.table+htm.Addr(slot), uint64(e))
-		t.FreeOnCommit(old)
+		t.FreeOnCommit(old.addr)
 		return s.tickSeq(t, e, logged), nil
 	}
 	if insert < 0 {
@@ -491,7 +571,7 @@ func (s *Store) Delete(ctx context.Context, key []byte) (bool, error) {
 	}
 	var kbuf [scratchWords]uint64
 	k := packKey(key, kbuf[:])
-	now := s.cfg.Now()
+	clock := expiryClock{now: s.cfg.Now}
 	s.deletes.Add(1)
 	durable := s.wal != nil
 	var existed bool
@@ -501,15 +581,15 @@ func (s *Store) Delete(ctx context.Context, key []byte) (bool, error) {
 		var seq uint64
 		committed := th.AtomicUntil(func(t *htm.Txn) {
 			existed, mutated = false, false
-			slot, e, found, _ := s.probe(t, k)
+			slot, e, found, _ := s.probe(t, k, true)
 			if !found {
 				return
 			}
-			existed = !expired(t.Load(e+entryExpiry), now)
+			existed = !clock.expired(e.expiry)
 			t.Store(s.table+htm.Addr(slot), slotTombstone)
 			t.Store(s.dir+dirCount, t.Load(s.dir+dirCount)-1)
 			t.Store(s.dir+dirTombstones, t.Load(s.dir+dirTombstones)+1)
-			t.FreeOnCommit(e)
+			t.FreeOnCommit(e.addr)
 			seq = s.tickSeq(t, 0, durable)
 			mutated = true
 		}, stopFor(ctx))
@@ -548,7 +628,8 @@ const scanSlotWindow = 2048
 // the cursor to resume from. The scan is complete when next == Slots(). Each
 // call is ONE transaction: the returned page is an atomic snapshot of the
 // slots it covered (entries may move under concurrent writes between pages —
-// the usual cursor-scan contract).
+// the usual cursor-scan contract). A page covers at most scanSlotWindow slots,
+// so it holds at most that many pairs whatever the limit.
 func (s *Store) Scan(ctx context.Context, cursor uint64, limit int) (pairs []Pair, next uint64, err error) {
 	if limit <= 0 {
 		limit = 64
@@ -558,29 +639,15 @@ func (s *Store) Scan(ctx context.Context, cursor uint64, limit int) (pairs []Pai
 		return nil, nslots, nil
 	}
 	end := min(cursor+scanSlotWindow, nslots)
-	now := s.cfg.Now()
+	limit = int(min(uint64(limit), end-cursor))
+	clock := expiryClock{now: s.cfg.Now}
 	s.scans.Add(1)
-	pairs = make([]Pair, 0, min(uint64(limit), end-cursor))
+	pairs = make([]Pair, 0, limit)
+	var r pageReader
 	var opErr error
 	err = s.withThreadCtx(ctx, func(th *htm.Thread) {
 		committed := th.AtomicUntil(func(t *htm.Txn) {
-			pairs, next = pairs[:0], end // restartable body
-			for i := cursor; i < end; i++ {
-				if len(pairs) >= limit {
-					next = i
-					return
-				}
-				w := t.Load(s.table + htm.Addr(i))
-				if w == slotEmpty || w == slotTombstone {
-					continue
-				}
-				e := htm.Addr(w)
-				if expired(t.Load(e+entryExpiry), now) {
-					continue
-				}
-				k, v := loadEntry(t, e, t.Load(e+entryLens), true)
-				pairs = append(pairs, Pair{Key: k, Value: v})
-			}
+			pairs, next = s.scanPage(t, &r, pairs, cursor, end, limit, &clock)
 		}, stopFor(ctx))
 		if !committed {
 			opErr = s.deadlineErr(ctx)
@@ -593,6 +660,24 @@ func (s *Store) Scan(ctx context.Context, cursor uint64, limit int) (pairs []Pai
 		return nil, 0, err
 	}
 	return pairs, next, nil
+}
+
+// scanPage is Scan's transaction body: it refills pairs (restartable) with up
+// to limit unexpired entries from the slots [cursor, end) and returns the
+// first slot the page does not cover.
+func (s *Store) scanPage(t *htm.Txn, r *pageReader, pairs []Pair, cursor, end uint64, limit int, clock *expiryClock) ([]Pair, uint64) {
+	pairs, r.arena = pairs[:0], r.arena[:0]
+	next := r.walk(t, s.table, cursor, end, limit, func(e htm.Addr, room int) bool {
+		// Deadline, then lengths, a word each: a lapsed entry adds its deadline
+		// word to the read set and nothing else.
+		if clock.expired(t.Load(e + entryExpiry)) {
+			return false
+		}
+		k, v := r.pair(t, e, t.Load(e+entryLens), room)
+		pairs = append(pairs, Pair{Key: k, Value: v})
+		return true
+	})
+	return pairs, next
 }
 
 // Len returns the number of live entries (including not-yet-expired-swept
@@ -627,7 +712,7 @@ func (s *Store) ExpireRange(lo, hi uint64) int {
 	if hi > nslots {
 		hi = nslots
 	}
-	now := s.cfg.Now()
+	clock := expiryClock{now: s.cfg.Now}
 	n := 0
 	s.withThread(func(th *htm.Thread) {
 		for i := lo; i < hi; i++ {
@@ -639,7 +724,7 @@ func (s *Store) ExpireRange(lo, hi uint64) int {
 					return
 				}
 				e := htm.Addr(w)
-				if !expired(t.Load(e+entryExpiry), now) {
+				if !clock.expired(t.Load(e + entryExpiry)) {
 					return
 				}
 				t.Store(s.table+htm.Addr(i), slotTombstone)
