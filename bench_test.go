@@ -1,220 +1,20 @@
 package repro
 
-// Repository-level benchmarks: one per table/figure in the paper's
-// evaluation, plus ablations for the design choices DESIGN.md calls out.
-//
-// Figure benches wrap the duration-based harness: each b.Run point executes
-// the workload for a fixed short duration per b.N iteration and reports the
-// paper's unit (ops/µs) as a custom metric. Use cmd/experiments for the
-// full-length sweeps; these benches are the spot-checkable versions.
+// Repository-level benchmarks: ablations for the design choices DESIGN.md
+// calls out and the two §4.1/§5.4 extensions. The paper's figures are
+// cmd/figures; substrate and data-path microbenchmarks live beside their
+// packages (htm, queue, kv, internal/core); regressions are judged by bench/.
 //
 //	go test -bench=. -benchmem
 
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/htm"
 	"repro/internal/core"
-	"repro/internal/cycles"
 	"repro/internal/harness"
-	"repro/queue"
 )
-
-func benchCfg() harness.Config {
-	return harness.Config{
-		PointDuration: 60 * time.Millisecond,
-		HeapWords:     1 << 19,
-		Clock:         cycles.Calibrate(cycles.DefaultGHz),
-		Threads:       16,
-	}
-}
-
-var benchThreads = []int{1, 4, 16}
-
-// BenchmarkFig1Queue regenerates Figure 1 (queue throughput vs threads).
-func BenchmarkFig1Queue(b *testing.B) {
-	for _, spec := range harness.QueueSpecs() {
-		for _, n := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", spec.Label, n), func(b *testing.B) {
-				cfg := benchCfg()
-				var r harness.Result
-				for i := 0; i < b.N; i++ {
-					r = harness.QueueThroughput(cfg, spec.New, n, 256)
-				}
-				b.ReportMetric(r.OpsPerUs(), "ops/µs")
-			})
-		}
-	}
-}
-
-// BenchmarkTableUpdateLatency regenerates the §5.1 update-latency table; Go's
-// native ns/op is the measurement.
-func BenchmarkTableUpdateLatency(b *testing.B) {
-	for _, spec := range harness.UpdateLatencySpecs() {
-		b.Run(spec.Label, func(b *testing.B) {
-			h := htm.NewHeap(htm.Config{Words: 1 << 19})
-			col := spec.New(h, 1)
-			c := col.NewCtx(h.NewThread())
-			hd := col.Register(c, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				col.Update(c, hd, uint64(i+1))
-			}
-		})
-	}
-}
-
-// BenchmarkFig3CollectDominated regenerates Figure 3 (collect-dominated mix
-// vs threads, all eight algorithms).
-func BenchmarkFig3CollectDominated(b *testing.B) {
-	for _, spec := range harness.Fig3Specs() {
-		for _, n := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", spec.Label, n), func(b *testing.B) {
-				cfg := benchCfg()
-				var r harness.Result
-				for i := 0; i < b.N; i++ {
-					r = harness.CollectDominated(cfg, harness.Bind(spec, n), n)
-				}
-				b.ReportMetric(r.OpsPerUs(), "ops/µs")
-			})
-		}
-	}
-}
-
-var benchPeriods = []int{1000000, 20000, 2000, 400}
-
-// BenchmarkFig4CollectUpdate regenerates Figure 4 (collect throughput vs
-// update period).
-func BenchmarkFig4CollectUpdate(b *testing.B) {
-	for _, spec := range harness.Fig4Specs() {
-		for _, p := range benchPeriods {
-			b.Run(fmt.Sprintf("%s/period=%s", spec.Label, harness.FormatCycles(p)), func(b *testing.B) {
-				cfg := benchCfg()
-				var r harness.Result
-				for i := 0; i < b.N; i++ {
-					r = harness.CollectUpdate(cfg, harness.Bind(spec, 16), 15, p)
-				}
-				b.ReportMetric(r.OpsPerUs(), "ops/µs")
-			})
-		}
-	}
-}
-
-// BenchmarkFig5StepSize regenerates Figure 5 (fixed vs adaptive step sizes
-// for ArrayDynAppendDereg).
-func BenchmarkFig5StepSize(b *testing.B) {
-	type variant struct {
-		name string
-		opts core.Options
-	}
-	variants := []variant{
-		{"step=32", core.Options{Step: 32}},
-		{"step=16", core.Options{Step: 16}},
-		{"step=8", core.Options{Step: 8}},
-		{"step=32+trackcost", core.Options{Step: 32, TrackOutcomes: true}},
-		{"adaptive", core.Options{Step: 8, Adaptive: true}},
-	}
-	for _, v := range variants {
-		for _, p := range benchPeriods {
-			b.Run(fmt.Sprintf("%s/period=%s", v.name, harness.FormatCycles(p)), func(b *testing.B) {
-				cfg := benchCfg()
-				spec := harness.SpecArrayDynAppendDereg(v.opts)
-				var r harness.Result
-				for i := 0; i < b.N; i++ {
-					r = harness.CollectUpdate(cfg, harness.Bind(spec, 16), 15, p)
-				}
-				b.ReportMetric(r.OpsPerUs(), "ops/µs")
-			})
-		}
-	}
-}
-
-// BenchmarkFig6StepDistribution regenerates Figure 6's underlying data: the
-// share of elements collected at the largest step size under low vs high
-// contention.
-func BenchmarkFig6StepDistribution(b *testing.B) {
-	for _, p := range []int{8000, 400} {
-		b.Run(fmt.Sprintf("period=%s", harness.FormatCycles(p)), func(b *testing.B) {
-			cfg := benchCfg()
-			spec := harness.SpecArrayDynAppendDereg(core.Options{Step: 8, Adaptive: true})
-			var r harness.Result
-			for i := 0; i < b.N; i++ {
-				r = harness.CollectUpdate(cfg, harness.Bind(spec, 16), 15, p)
-			}
-			var total, at32 uint64
-			for s, n := range r.StepHist {
-				total += n
-				if s == 32 {
-					at32 += n
-				}
-			}
-			if total > 0 {
-				b.ReportMetric(100*float64(at32)/float64(total), "%step32")
-			}
-			b.ReportMetric(r.OpsPerUs(), "ops/µs")
-		})
-	}
-}
-
-// BenchmarkFig7CollectDeregister regenerates Figure 7 (collect throughput vs
-// deregister period).
-func BenchmarkFig7CollectDeregister(b *testing.B) {
-	periods := []int{1000000, 20000, 1000}
-	for _, spec := range harness.Fig7Specs() {
-		for _, p := range periods {
-			b.Run(fmt.Sprintf("%s/period=%s", spec.Label, harness.FormatCycles(p)), func(b *testing.B) {
-				cfg := benchCfg()
-				var r harness.Result
-				for i := 0; i < b.N; i++ {
-					r = harness.CollectDeregister(cfg, harness.Bind(spec, 16), 15, harness.Fig7RegisterPeriod, p)
-				}
-				b.ReportMetric(r.OpsPerUs(), "ops/µs")
-			})
-		}
-	}
-}
-
-// BenchmarkFig8VaryingSlots regenerates Figure 8's mechanism in miniature:
-// throughput while the registered-slot count alternates between phases.
-func BenchmarkFig8VaryingSlots(b *testing.B) {
-	for _, spec := range harness.Fig8Specs() {
-		b.Run(spec.Label, func(b *testing.B) {
-			cfg := benchCfg()
-			var buckets []harness.TimedBucket
-			for i := 0; i < b.N; i++ {
-				buckets = harness.VaryingSlots(cfg, harness.Bind(spec, 16), 15, 16, 64,
-					100*time.Millisecond, 400*time.Millisecond, 50*time.Millisecond)
-			}
-			var sum float64
-			for _, bk := range buckets {
-				sum += bk.OpsPerUs
-			}
-			if len(buckets) > 0 {
-				b.ReportMetric(sum/float64(len(buckets)), "ops/µs")
-			}
-		})
-	}
-}
-
-// BenchmarkTableSpace regenerates the space comparison: peak live bytes for
-// the Figure 3 workload per algorithm.
-func BenchmarkTableSpace(b *testing.B) {
-	for _, spec := range harness.Fig3Specs() {
-		b.Run(spec.Label, func(b *testing.B) {
-			cfg := benchCfg()
-			cfg.TrackSpace = true // exact peak-bytes needs high-water tracking
-			var r harness.Result
-			for i := 0; i < b.N; i++ {
-				r = harness.CollectDominated(cfg, harness.Bind(spec, 8), 8)
-			}
-			b.ReportMetric(float64(r.Stats.MaxLiveWords*8), "peak-bytes")
-		})
-	}
-}
-
-// --- Ablations (design choices DESIGN.md calls out) ---
 
 // BenchmarkAblationTelescoping isolates the benefit of telescoping: the
 // Figure 2 algorithm's collect throughput at step 1 (no telescoping) versus
@@ -405,56 +205,4 @@ func BenchmarkExtensionDeferredReuse(b *testing.B) {
 			col.Deregister(c, hd)
 		}
 	})
-}
-
-// BenchmarkHTMPrimitives measures the substrate itself: transactional
-// read-modify-write, NT store, and CAS — context for every other number.
-func BenchmarkHTMPrimitives(b *testing.B) {
-	h := htm.NewHeap(htm.Config{Words: 1 << 16})
-	th := h.NewThread()
-	a := th.Alloc(1)
-	b.Run("txn-incr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			th.Atomic(func(t *htm.Txn) { t.Add(a, 1) })
-		}
-	})
-	b.Run("txn-readonly", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			th.Atomic(func(t *htm.Txn) { t.Load(a) })
-		}
-	})
-	b.Run("storent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			h.StoreNT(a, uint64(i))
-		}
-	})
-	b.Run("casnt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			h.CASNT(a, uint64(i), uint64(i+1))
-		}
-	})
-	b.Run("alloc-free", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			th.Free(th.Alloc(4))
-		}
-	})
-}
-
-// BenchmarkQueueSingleOp measures per-operation queue cost without the
-// duration harness (ns/op view of Figure 1's single-thread points).
-func BenchmarkQueueSingleOp(b *testing.B) {
-	for _, spec := range harness.QueueSpecs() {
-		b.Run(spec.Label, func(b *testing.B) {
-			h := htm.NewHeap(htm.Config{Words: 1 << 19})
-			q := spec.New(h)
-			c := q.NewCtx(h.NewThread())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Enqueue(c, uint64(i+1))
-				q.Dequeue(c)
-			}
-			b.StopTimer()
-			queue.CloseCtx(q, c)
-		})
-	}
 }

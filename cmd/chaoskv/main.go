@@ -30,10 +30,8 @@
 // tag left behind, allocation accounting exact, and — once every key is
 // deleted — the live footprint back at the empty-store baseline.
 //
-// With -json the figures are written as a machine-readable harness.Report;
-// -append merges into an existing report (the CI pipeline builds one
-// BENCH_CI.json across all benches). Any model violation, dirty sweep or
-// fingerprint mismatch makes the exit status nonzero.
+// Any model violation, dirty sweep or fingerprint mismatch makes the exit
+// status nonzero.
 package main
 
 import (
@@ -60,8 +58,7 @@ func main() {
 }
 
 // chaosProbs is the overload sweep's injection-probability axis. -quick keeps
-// the same points (only windows shrink) so quick CI runs and committed
-// snapshots cover identical series and the coverage gate can compare them.
+// the same points; only windows shrink.
 var chaosProbs = []float64{0, 0.05, 0.25}
 
 // reqTimeout bounds each overload-phase request; admitted-latency p99 is
@@ -78,9 +75,6 @@ func run() int {
 	dur := flag.Duration("duration", 250*time.Millisecond, "measured window per overload point")
 	clients := flag.Int("clients", 8, "concurrent clients in the overload phase")
 	quick := flag.Bool("quick", false, "reduced run: fewer ops and shorter windows, same sweep")
-	jsonOut := flag.String("json", "", "write (or with -append, merge) results as a machine-readable Report to this file")
-	appendTo := flag.Bool("append", false, "merge the tables into an existing -json report instead of overwriting it")
-	label := flag.String("label", "chaoskv", "label recorded in the -json report")
 	clockShards := flag.Int("clock-shards", 0, "version-clock shards for the deterministic phase (0/1 = single scalar clock)")
 	stripeShift := flag.Int("stripe-shift", 0, "metadata striping for the deterministic phase: one orec per 2^shift words")
 	adaptPinned := flag.Bool("adapt-pinned", false, "run the deterministic phase with the contention tuner enabled but pinned (sampling without acting)")
@@ -128,8 +122,7 @@ func run() int {
 		violations = append(violations, viols...)
 	}
 
-	tables := harness.ChaosTables(points)
-	for _, t := range tables {
+	for _, t := range harness.ChaosTables(points) {
 		fmt.Println(t.Render())
 	}
 
@@ -151,33 +144,6 @@ func run() int {
 	for _, v := range violations {
 		fmt.Fprintf(os.Stderr, "chaoskv: VIOLATION: %s\n", v)
 		failures++
-	}
-
-	if *jsonOut != "" {
-		rep := harness.NewReport(*label)
-		if *appendTo {
-			if existing, err := harness.ReadJSONFile(*jsonOut); err == nil {
-				rep = existing
-				rep.Label = *label
-			} else if !os.IsNotExist(err) {
-				fmt.Fprintf(os.Stderr, "chaoskv: read %s: %v\n", *jsonOut, err)
-				return 1
-			}
-		}
-		rep.SetConfig("chaos_seed", fmt.Sprint(*seed))
-		rep.SetConfig("chaos_ops", fmt.Sprint(*ops))
-		rep.SetConfig("chaos_clients", fmt.Sprint(*clients))
-		rep.SetConfig("chaos_duration", dur.String())
-		rep.SetConfig("chaos_determinism_key", fp1)
-		for _, t := range tables {
-			rep.AddTable(t)
-		}
-		rep.Benchmarks = append(rep.Benchmarks, harness.ChaosBenchmarks(points)...)
-		if err := rep.WriteJSONFile(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "chaoskv: write %s: %v\n", *jsonOut, err)
-			return 1
-		}
-		fmt.Printf("# wrote %s\n", *jsonOut)
 	}
 
 	if failures > 0 {

@@ -25,7 +25,6 @@
 //
 // The summary line `crash-verdict: ...` contains only seed-deterministic
 // fields; CI runs the harness twice with the same seed and diffs the lines.
-// With -json the recovery figures are merged into a harness.Report.
 package main
 
 import (
@@ -60,9 +59,6 @@ func run() int {
 	server := flag.String("server", "", "kvserver binary to exercise (empty = go build ./cmd/kvserver)")
 	dataDir := flag.String("dir", "", "durability directory (empty = temp dir, removed on exit)")
 	quick := flag.Bool("quick", false, "reduced run: 5 cycles and shorter kill windows")
-	jsonOut := flag.String("json", "", "write (or with -append, merge) recovery figures as a Report to this file")
-	appendTo := flag.Bool("append", false, "merge the tables into an existing -json report instead of overwriting it")
-	label := flag.String("label", "crashkv", "label recorded in the -json report")
 	flag.Parse()
 
 	if *quick && *cycles > 5 {
@@ -232,31 +228,6 @@ func run() int {
 
 	for _, t := range harness.DurabilityTables(h.points) {
 		fmt.Println(t.Render())
-	}
-
-	if *jsonOut != "" {
-		rep := harness.NewReport(*label)
-		if *appendTo {
-			if existing, err := harness.ReadJSONFile(*jsonOut); err == nil {
-				rep = existing
-				rep.Label = *label
-			} else if !os.IsNotExist(err) {
-				fmt.Fprintf(os.Stderr, "crashkv: read %s: %v\n", *jsonOut, err)
-				return 1
-			}
-		}
-		rep.SetConfig("crash_seed", fmt.Sprint(*seed))
-		rep.SetConfig("crash_cycles", fmt.Sprint(*cycles))
-		rep.SetConfig("crash_clients", fmt.Sprint(*clients))
-		for _, t := range harness.DurabilityTables(h.points) {
-			rep.AddTable(t)
-		}
-		rep.Benchmarks = append(rep.Benchmarks, harness.DurabilityBenchmarks(h.points)...)
-		if err := rep.WriteJSONFile(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "crashkv: write %s: %v\n", *jsonOut, err)
-			return 1
-		}
-		fmt.Printf("# wrote %s\n", *jsonOut)
 	}
 
 	if failures > 0 {

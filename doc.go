@@ -4,15 +4,15 @@
 //
 // The paper's HTM hardware (Sun's Rock prototype) no longer exists; this
 // repository substitutes a software-simulated HTM with Rock's semantics
-// (internal/htm) and rebuilds every system the paper describes on top of it:
+// (htm) and rebuilds every system the paper describes on top of it:
 // the Dynamic Collect algorithms (internal/core), the motivating FIFO queues
-// (internal/queue), hazard-pointer reclamation (internal/hazard),
+// (queue), hazard-pointer reclamation (internal/hazard),
 // epoch-based reclamation (internal/epoch), the adaptive telescoping
 // mechanism (internal/adapt), and a benchmark harness that regenerates every
-// table and figure (internal/harness, cmd/...).
+// table and figure (internal/harness, cmd/figures).
 //
-// See README.md for a guided tour, DESIGN.md for the system inventory and
-// substitution rationale, and EXPERIMENTS.md for paper-versus-measured
-// results. The root package contains only the repository-level benchmark
-// suite (bench_test.go).
+// See README.md for a guided tour and the figure → claim → command → test
+// table, and DESIGN.md for the system inventory and substitution rationale.
+// The root package contains only the ablation and extension benchmarks
+// (bench_test.go) and the smoke test over every binary.
 package repro

@@ -6,8 +6,7 @@ import (
 
 // Substrate microbenchmarks. Every figure in the paper is throughput of
 // operations built from these primitives, so their per-op cost and alloc
-// behaviour bound everything the harness can measure. BENCH_*.json snapshots
-// record their trajectory PR over PR.
+// behaviour bound everything the harness can measure.
 
 // BenchmarkTxnLoadStore measures the transactional load/store fast path on a
 // small working set, including read-own-writes and repeated reads of the same
@@ -208,7 +207,7 @@ func BenchmarkTxnRepeatedLoad(b *testing.B) {
 // per-goroutine blocks. Under the fine-grained lock-set the operations share
 // nothing and scale; under the global lock (the global variant) they
 // serialize. This is the microbenchmark form of the harness
-// contended-overflow workload recorded in BENCH_PR5.json.
+// contended-overflow workload (`cmd/figures fallback -exp scaling`).
 func BenchmarkFallbackOverflow(b *testing.B) {
 	run := func(global bool) func(b *testing.B) {
 		return func(b *testing.B) {

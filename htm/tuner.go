@@ -80,9 +80,9 @@ type TunerConfig struct {
 	// the out-of-order release-and-retry path, so their sum sees storms that
 	// retries alone cannot: N threads hammering one block in the same address
 	// order never retry, they just queue. Defaults to 0.75 — most runs in the
-	// epoch queued behind another run's locks, the regime where
-	// BENCH_BASELINE.json's FallbackScaling shared-footprint series show the
-	// global lock winning.
+	// epoch queued behind another run's locks, the regime where the
+	// shared-footprint series of `cmd/figures fallback -exp scaling` show
+	// the global lock winning.
 	StormRatio float64
 
 	// SwitchAfter is how many consecutive epochs of evidence a mode switch

@@ -8,9 +8,8 @@ import (
 
 // Chaos-run reduction: cmd/chaoskv drives a KV service under seeded fault
 // injection and measures how gracefully it degrades. This file owns the
-// figure shapes so the chaos report carries the same unit-tagged titles the
-// trend gate understands ([ops/us] up, [ns/op] down, [count] informational);
-// the binary only supplies numbers.
+// figure shapes (unit-tagged titles like every other figure); the binary only
+// supplies numbers.
 
 // ChaosPoint is one measured point of the overload sweep: the service driven
 // at one injection probability for a fixed window.
@@ -54,8 +53,7 @@ func chaosXs(points []ChaosPoint) []string {
 }
 
 // ChaosThroughputTable is the degradation curve: admitted throughput as the
-// injection probability rises. Tagged [ops/us] so the trend gate reads every
-// point as higher-is-better.
+// injection probability rises.
 func ChaosThroughputTable(points []ChaosPoint) *Table {
 	t := &Table{
 		Title:  "Chaos overload: admitted throughput vs injection [ops/us]",
@@ -91,7 +89,7 @@ func ChaosLatencyTable(points []ChaosPoint) *Table {
 
 // ChaosSheddingTable records where the rejected traffic went and how much
 // adversity was injected. Counts scale with run duration, so the table is
-// informational ([count]) — diffed but never gating.
+// informational ([count]).
 func ChaosSheddingTable(points []ChaosPoint) *Table {
 	t := &Table{
 		Title:  "Chaos overload: rejected requests and injected events [count]",
@@ -125,21 +123,6 @@ func ChaosTables(points []ChaosPoint) []*Table {
 		ChaosLatencyTable(points),
 		ChaosSheddingTable(points),
 	}
-}
-
-// ChaosBenchmarks flattens the sweep into named benchmark entries so the p99
-// trajectory gates point-by-point across snapshots.
-func ChaosBenchmarks(points []ChaosPoint) []Benchmark {
-	var bs []Benchmark
-	for _, p := range points {
-		bs = append(bs, Benchmark{
-			Name:    fmt.Sprintf("chaoskv/admitted-p99/p=%.2f", p.Prob),
-			NsPerOp: float64(p.P99),
-			Note: fmt.Sprintf("admitted=%d rejected=%d sheds=%d deadlines=%d",
-				p.Admitted, p.Rejected, p.Sheds, p.Deadlines),
-		})
-	}
-	return bs
 }
 
 // LatencyPercentile returns the q-quantile (0 ≤ q ≤ 1) of samples, sorting

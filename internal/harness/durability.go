@@ -7,8 +7,7 @@ import (
 
 // Durability-run reduction: cmd/crashkv SIGKILLs a real kvserver process at
 // seeded points and measures what recovery costs and preserves. This file
-// owns the figure shapes (unit-tagged titles, benchmark names) so the crash
-// report plugs into the same trend/coverage gates as every other figure; the
+// owns the figure shapes (unit-tagged titles like every other figure); the
 // binary only supplies numbers.
 
 // DurabilityPoint is one kill/restart cycle's measurement.
@@ -52,9 +51,7 @@ func durabilityXs(points []DurabilityPoint) []string {
 }
 
 // DurabilityRecoveryTable is the recovery-cost curve: restart-to-ready time
-// per cycle as the log/snapshot state grows. Tagged [ns/op] so the trend diff
-// reads it lower-is-better (the hard CI gate is coverage-only; wall-clock
-// varies across hosts).
+// per cycle as the log/snapshot state grows.
 func DurabilityRecoveryTable(points []DurabilityPoint) *Table {
 	t := &Table{
 		Title:  "Crash durability: restart-to-ready time [ns/op]",
@@ -106,19 +103,4 @@ func DurabilityTables(points []DurabilityPoint) []*Table {
 		DurabilityRecoveryTable(points),
 		DurabilityReplayTable(points),
 	}
-}
-
-// DurabilityBenchmarks flattens recovery times into named entries so the
-// restart-cost trajectory is tracked point-by-point across snapshots.
-func DurabilityBenchmarks(points []DurabilityPoint) []Benchmark {
-	var bs []Benchmark
-	for _, p := range points {
-		bs = append(bs, Benchmark{
-			Name:    "crashkv/recovery/" + p.xlabel(),
-			NsPerOp: float64(p.Recover),
-			Note: fmt.Sprintf("acked=%d verified=%d lost=%d replayed=%d+%d",
-				p.Acked, p.Verified, p.Lost, p.SnapEntries, p.LogRecords),
-		})
-	}
-	return bs
 }

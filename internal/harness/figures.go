@@ -33,9 +33,6 @@ const paperCapacity = 64
 // HTM queue, the Michael-Scott queue, Michael-Scott with ROP reclamation,
 // and Michael-Scott with epoch-based reclamation.
 func Fig1(cfg Config, threadCounts []int) *Table {
-	if threadCounts == nil {
-		threadCounts = DefaultThreadCounts
-	}
 	t := &Table{Title: "Figure 1: Queue performance [ops/us]", XLabel: "threads"}
 	for _, n := range threadCounts {
 		t.Xs = append(t.Xs, fmt.Sprint(n))
@@ -68,9 +65,6 @@ func Fig3Specs() []CollectorSpec {
 // Fig3 reproduces Figure 3: collect-dominated throughput versus thread
 // count for all eight algorithms.
 func Fig3(cfg Config, threadCounts []int) *Table {
-	if threadCounts == nil {
-		threadCounts = DefaultThreadCounts
-	}
 	t := &Table{Title: "Figure 3: Collect-dominated [ops/us]", XLabel: "threads"}
 	for _, n := range threadCounts {
 		t.Xs = append(t.Xs, fmt.Sprint(n))
@@ -102,9 +96,6 @@ func Fig4Specs() []CollectorSpec {
 // Fig4 reproduces Figure 4: Collect throughput under concurrent Updates,
 // sweeping the update period.
 func Fig4(cfg Config, updaters int, periods []int) *Table {
-	if periods == nil {
-		periods = Fig4Periods
-	}
 	t := &Table{Title: "Figure 4: Collect-Update [ops/us]", XLabel: "update period"}
 	for _, p := range periods {
 		t.Xs = append(t.Xs, FormatCycles(p))
@@ -124,9 +115,6 @@ func Fig4(cfg Config, updaters int, periods []int) *Table {
 // step with adaptation bookkeeping ("Best (adapt cost)") versus the adaptive
 // mechanism, for ArrayDynAppendDereg on the collect-update workload.
 func Fig5(cfg Config, updaters int, periods []int) *Table {
-	if periods == nil {
-		periods = Fig4Periods
-	}
 	t := &Table{Title: "Figure 5: Adapting step size (ArrayDynAppendDereg) [ops/us]", XLabel: "update period"}
 	for _, p := range periods {
 		t.Xs = append(t.Xs, FormatCycles(p))
@@ -166,9 +154,6 @@ func Fig5(cfg Config, updaters int, periods []int) *Table {
 // Fig6 reproduces Figure 6: the fraction of slots collected at each step
 // size by adaptive ArrayDynAppendDereg, per update period.
 func Fig6(cfg Config, updaters int, periods []int) *HistTable {
-	if periods == nil {
-		periods = Fig6Periods
-	}
 	t := &HistTable{Title: "Figure 6: Step size distribution (ArrayDynAppendDereg, adaptive)"}
 	for _, p := range periods {
 		t.Xs = append(t.Xs, FormatCycles(p))
@@ -194,9 +179,6 @@ func Fig7Specs() []CollectorSpec {
 // Register/Deregister churn, sweeping the deregister period with the
 // register period fixed at 20k cycles.
 func Fig7(cfg Config, churners int, periods []int) *Table {
-	if periods == nil {
-		periods = Fig7Periods
-	}
 	t := &Table{Title: "Figure 7: Collect-(De)Register [ops/us]", XLabel: "deregister period"}
 	for _, p := range periods {
 		t.Xs = append(t.Xs, FormatCycles(p))

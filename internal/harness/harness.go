@@ -11,7 +11,8 @@
 // counts as goroutines on whatever cores exist, yielding during simulated
 // busy-wait periods so that time-slicing stands in for spare cores. Shapes —
 // algorithm orderings, contention cliffs, crossovers — are the reproduction
-// target, not absolute ops/µs (see EXPERIMENTS.md).
+// target, not absolute ops/µs (README.md tabulates the claim each figure
+// carries and the test that asserts it).
 package harness
 
 import (

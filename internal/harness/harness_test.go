@@ -45,10 +45,22 @@ func TestCollectUpdateRuns(t *testing.T) {
 	}
 }
 
+// An adaptive run records a step histogram, and — §3.4, on Figure 6's own
+// data — no step it ever committed staged more words than the heap's store
+// buffer holds (a larger step can only overflow).
 func TestCollectUpdateRecordsHistogramWhenAdaptive(t *testing.T) {
-	r := CollectUpdate(quickCfg(), Bind(SpecArrayDynAppendDereg(adaptOpts(8)), 3), 2, 50000)
-	if len(r.StepHist) == 0 {
-		t.Error("adaptive run produced no step histogram")
+	cfg := quickCfg()
+	limit := cfg.newHeap().Config().StoreBufferSize
+	fig6 := Fig6(cfg, 2, []int{50000, 400})
+	for i, hist := range fig6.Hists {
+		if len(hist) == 0 {
+			t.Errorf("period %s: adaptive run produced no step histogram", fig6.Xs[i])
+		}
+		for step := range hist {
+			if step < 1 || step > limit {
+				t.Errorf("period %s: committed step %d outside [1, StoreBufferSize=%d]", fig6.Xs[i], step, limit)
+			}
+		}
 	}
 }
 
@@ -216,5 +228,43 @@ func TestSpaceTableShapes(t *testing.T) {
 	if htmQueueResidual*10 > msQueueResidual {
 		t.Errorf("HTM queue residual %f not far below MS pool residual %f",
 			htmQueueResidual, msQueueResidual)
+	}
+
+	// Figure 1 / §1.1, exactly: QueueSpace is single-threaded, so its byte
+	// counts are deterministic. Grow each queue to a small and a large n and
+	// drain it; what stays allocated separates "historical max, forever"
+	// from reclamation.
+	const small, large = 100, 10000
+	var nodeBytes uint64
+	for _, spec := range QueueSpecs() {
+		peakS, quietS := QueueSpace(cfg, spec, small)
+		peakL, quietL := QueueSpace(cfg, spec, large)
+		if spec.Label == "HTM" {
+			nodeBytes = (peakL - peakS) / (large - small)
+		}
+		if nodeBytes == 0 {
+			t.Fatalf("%s: node size unknown (HTM must be the first spec and grow with n)", spec.Label)
+		}
+		switch spec.Label {
+		case "HTM":
+			// Immediate reclamation: only the dummy node remains, at any n.
+			if quietS != quietL || quietL > nodeBytes {
+				t.Errorf("HTM quiescent bytes %d at n=%d, %d at n=%d; want equal and at most one %d-byte node",
+					quietS, small, quietL, large, nodeBytes)
+			}
+		case "Michael-Scott":
+			// The pool never returns memory: every node ever needed stays.
+			if quietS < small*nodeBytes || quietL < large*nodeBytes || quietL <= quietS {
+				t.Errorf("pooled MS quiescent bytes %d at n=%d, %d at n=%d; want at least n %d-byte nodes and growth",
+					quietS, small, quietL, large, nodeBytes)
+			}
+		default:
+			// ROP and EBR reclaim: a bound that does not depend on n —
+			// fewer than the small n's worth of nodes, at both n.
+			if bound := small * nodeBytes; quietS >= bound || quietL >= bound {
+				t.Errorf("%s quiescent bytes %d at n=%d, %d at n=%d; want both below %d",
+					spec.Label, quietS, small, quietL, large, bound)
+			}
+		}
 	}
 }

@@ -8,18 +8,17 @@ import (
 
 // Series is one curve of a figure: a label and a Y value per X position.
 type Series struct {
-	Label string    `json:"label"`
-	Ys    []float64 `json:"ys"`
+	Label string
+	Ys    []float64
 }
 
 // Table renders figure data in the layout the paper's plots encode: one row
-// per series, one column per X value. The json tags make every figure
-// directly emittable by the machine-readable bench pipeline (see json.go).
+// per series, one column per X value.
 type Table struct {
-	Title  string   `json:"title"`
-	XLabel string   `json:"x_label"`
-	Xs     []string `json:"xs"`
-	Series []Series `json:"series"`
+	Title  string
+	XLabel string
+	Xs     []string
+	Series []Series
 }
 
 // Render formats the table with aligned columns.
@@ -67,10 +66,10 @@ func (t *Table) Render() string {
 // HistTable renders a step-size distribution (Figure 6): percentage of
 // elements collected at each step size, per X value.
 type HistTable struct {
-	Title string   `json:"title"`
-	Xs    []string `json:"xs"`
+	Title string
+	Xs    []string
 	// Hists[i] is the step histogram at Xs[i].
-	Hists []map[int]uint64 `json:"hists"`
+	Hists []map[int]uint64
 }
 
 // Render formats one row per step size observed anywhere in the sweep.

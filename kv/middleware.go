@@ -48,8 +48,8 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 
 // Metrics holds the server-level request counters surfaced by /stats. All
 // fields are cumulative; latency is recorded as a running sum so the stats
-// endpoint can report a true mean without histogram machinery (the load
-// driver owns percentile measurement — see loadgen.go).
+// endpoint can report a true mean without histogram machinery (percentiles
+// are the client's to measure — bench/ does).
 type Metrics struct {
 	Requests     atomic.Uint64
 	Errors4xx    atomic.Uint64
