@@ -19,9 +19,9 @@ import (
 //     fine-grained, so a workload whose phases alternate gets the best static
 //     configuration of each phase without retuning;
 //   - the FallbackSpins knob, grown while out-of-order collisions keep
-//     forcing retries and shrunk while they don't, via an adapt.Knob (the
-//     paper's §3.4 window aimed at a lock-acquisition budget instead of a
-//     telescoping step).
+//     forcing retries and shrunk while they don't, via an adapt.Controller
+//     (the paper's §3.4 window aimed at a lock-acquisition budget instead of
+//     a telescoping step).
 //
 // A Tuner observes only aggregate counters and writes only the atomic knob
 // words, so it perturbs nothing it does not intend to; with Pinned it samples
@@ -32,7 +32,7 @@ type Tuner struct {
 	h   *Heap
 	cfg TunerConfig
 
-	spins *adapt.Knob
+	spins *adapt.Controller // guarded by mu; the live value is Heap.FallbackSpins
 
 	mu        sync.Mutex
 	last      Stats
@@ -164,14 +164,10 @@ func (h *Heap) StartTuner(cfg TunerConfig) *Tuner {
 // everything else. Requires Config.EnableTLE.
 func (h *Heap) NewTuner(cfg TunerConfig) *Tuner {
 	h.requireTLE("NewTuner")
-	spins := h.FallbackSpins()
-	if spins < 1 {
-		spins = 1
-	}
 	return &Tuner{
 		h:     h,
 		cfg:   cfg.withDefaults(),
-		spins: adapt.NewKnob(1, 4096, spins),
+		spins: adapt.NewController(1, 4096, h.FallbackSpins()),
 		last:  h.Stats(),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -379,14 +375,14 @@ func (tu *Tuner) decide(e TunerEpoch) {
 	// collision out instead of re-executing the body; retries rare → shed
 	// unused budget.
 	if busy && h.FallbackMode() == ModeFine {
-		changed := false
+		before := tu.spins.Step()
 		if e.RetryRatio >= spinsGrowRatio {
-			changed = tu.spins.RecordUp()
+			tu.spins.RecordGood()
 		} else if e.RetryRatio < spinsShedRatio {
-			changed = tu.spins.RecordDown()
+			tu.spins.RecordBad()
 		}
-		if changed {
-			h.SetFallbackSpins(tu.spins.Value())
+		if spins := tu.spins.Step(); spins != before {
+			h.SetFallbackSpins(spins)
 		}
 	}
 }

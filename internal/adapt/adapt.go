@@ -10,6 +10,9 @@
 // the step size doubles; if it drops below −2 after an abort the step size
 // halves. To avoid excessive resizing, only attempts since the last resize
 // are considered (the window is cleared whenever the step changes).
+//
+// The same window also drives htm's Tuner, whose good and bad outcomes are
+// epochs voting to grow or shed its fallback try-lock budget.
 package adapt
 
 // Paper-determined thresholds and window size (§3.4).
@@ -19,52 +22,17 @@ const (
 	shrinkThresold = -2 // halve the step when counter drops below this after an abort
 )
 
-// outcomeWindow is the paper's 8-attempt outcome tracker, shared by the
-// telescoping Controller and the generalized Knob: a bit vector of the most
-// recent attempt outcomes and the running good−bad difference over them.
-type outcomeWindow struct {
-	window uint8 // bit i set = i-th most recent attempt was good
-	filled int   // number of valid bits in window (≤ 8)
-	diff   int   // good − bad over the window
-}
-
-// record pushes an outcome into the window and updates the difference, aging
-// out the oldest outcome when full.
-func (w *outcomeWindow) record(good bool) {
-	if w.filled == windowSize {
-		if w.window&(1<<(windowSize-1)) != 0 {
-			w.diff--
-		} else {
-			w.diff++
-		}
-	} else {
-		w.filled++
-	}
-	w.window <<= 1
-	if good {
-		w.window |= 1
-		w.diff++
-	} else {
-		w.diff--
-	}
-}
-
-// reset clears the window, as required after each resize ("only transaction
-// attempts since the last resize are relevant").
-func (w *outcomeWindow) reset() {
-	w.window = 0
-	w.filled = 0
-	w.diff = 0
-}
-
-// Controller adapts a telescoping step size to transaction abort feedback.
-// It is not safe for concurrent use; each collecting thread owns one.
+// Controller adapts a power-of-two-stepped size to good (commit) and bad
+// (abort) outcomes. It is not safe for concurrent use; each collecting thread
+// owns one.
 type Controller struct {
 	step int
 	min  int
 	max  int
 
-	win outcomeWindow
+	window uint8 // bit i set = i-th most recent attempt was good
+	filled int   // number of valid bits in window (≤ 8)
+	diff   int   // good − bad over the window
 }
 
 // NewController returns a controller constrained to [min, max] starting at
@@ -89,35 +57,53 @@ func NewController(min, max, initial int) *Controller {
 // Step returns the step size to use for the next transaction attempt.
 func (c *Controller) Step() int { return c.step }
 
-// RecordCommit feeds a committed attempt into the controller, possibly
-// doubling the step size.
-func (c *Controller) RecordCommit() {
-	c.win.record(true)
-	if c.win.diff > growThreshold && c.step < c.max {
-		c.step *= 2
-		if c.step > c.max {
-			c.step = c.max
-		}
-		c.win.reset()
+// RecordGood feeds a good outcome (a committed attempt) into the controller,
+// possibly doubling the step size.
+func (c *Controller) RecordGood() {
+	c.record(true)
+	if c.diff > growThreshold && c.step < c.max {
+		c.step = min(c.step*2, c.max)
+		c.reset()
 	}
 }
 
-// RecordAbort feeds an aborted attempt into the controller, possibly halving
-// the step size.
-func (c *Controller) RecordAbort() {
-	c.win.record(false)
-	if c.win.diff < shrinkThresold && c.step > c.min {
-		c.step /= 2
-		if c.step < c.min {
-			c.step = c.min
-		}
-		c.win.reset()
+// RecordBad feeds a bad outcome (an aborted attempt) into the controller,
+// possibly halving the step size.
+func (c *Controller) RecordBad() {
+	c.record(false)
+	if c.diff < shrinkThresold && c.step > c.min {
+		c.step = max(c.step/2, c.min)
+		c.reset()
 	}
 }
 
-// Diff exposes the current commit−abort difference for tests and
-// diagnostics.
-func (c *Controller) Diff() int { return c.win.diff }
+// record pushes an outcome into the window and updates the difference, aging
+// out the oldest outcome when full.
+func (c *Controller) record(good bool) {
+	if c.filled == windowSize {
+		if c.window&(1<<(windowSize-1)) != 0 {
+			c.diff--
+		} else {
+			c.diff++
+		}
+	} else {
+		c.filled++
+	}
+	c.window <<= 1
+	if good {
+		c.window |= 1
+		c.diff++
+	} else {
+		c.diff--
+	}
+}
+
+// reset clears the window, as required after each resize ("only transaction
+// attempts since the last resize are relevant").
+func (c *Controller) reset() { c.window, c.filled, c.diff = 0, 0, 0 }
+
+// Diff exposes the current good−bad difference for tests and diagnostics.
+func (c *Controller) Diff() int { return c.diff }
 
 // Window exposes how many outcomes are currently considered.
-func (c *Controller) Window() int { return c.win.filled }
+func (c *Controller) Window() int { return c.filled }

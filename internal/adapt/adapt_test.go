@@ -31,12 +31,12 @@ func TestNewControllerClamps(t *testing.T) {
 func TestGrowAfterSevenCommits(t *testing.T) {
 	c := NewController(1, 32, 4)
 	for i := 0; i < 6; i++ {
-		c.RecordCommit()
+		c.RecordGood()
 		if c.Step() != 4 {
 			t.Fatalf("step changed to %d after only %d commits", c.Step(), i+1)
 		}
 	}
-	c.RecordCommit() // diff reaches 7 > 6
+	c.RecordGood() // diff reaches 7 > 6
 	if c.Step() != 8 {
 		t.Errorf("step = %d after 7 straight commits, want 8", c.Step())
 	}
@@ -47,12 +47,12 @@ func TestGrowAfterSevenCommits(t *testing.T) {
 
 func TestShrinkAfterAborts(t *testing.T) {
 	c := NewController(1, 32, 16)
-	c.RecordAbort() // diff -1
-	c.RecordAbort() // diff -2
+	c.RecordBad() // diff -1
+	c.RecordBad() // diff -2
 	if c.Step() != 16 {
 		t.Fatalf("step changed too early: %d", c.Step())
 	}
-	c.RecordAbort() // diff -3 < -2
+	c.RecordBad() // diff -3 < -2
 	if c.Step() != 8 {
 		t.Errorf("step = %d after 3 straight aborts, want 8", c.Step())
 	}
@@ -61,7 +61,7 @@ func TestShrinkAfterAborts(t *testing.T) {
 func TestStepBoundedByMax(t *testing.T) {
 	c := NewController(1, 32, 32)
 	for i := 0; i < 100; i++ {
-		c.RecordCommit()
+		c.RecordGood()
 	}
 	if c.Step() != 32 {
 		t.Errorf("step = %d, want capped at 32", c.Step())
@@ -71,7 +71,7 @@ func TestStepBoundedByMax(t *testing.T) {
 func TestStepBoundedByMin(t *testing.T) {
 	c := NewController(2, 32, 2)
 	for i := 0; i < 100; i++ {
-		c.RecordAbort()
+		c.RecordBad()
 	}
 	if c.Step() != 2 {
 		t.Errorf("step = %d, want floored at 2", c.Step())
@@ -83,8 +83,8 @@ func TestMixedOutcomesHoldSteady(t *testing.T) {
 	// the step should not change.
 	c := NewController(1, 32, 8)
 	for i := 0; i < 50; i++ {
-		c.RecordCommit()
-		c.RecordAbort()
+		c.RecordGood()
+		c.RecordBad()
 	}
 	if c.Step() != 8 {
 		t.Errorf("step drifted to %d under alternating outcomes", c.Step())
@@ -96,9 +96,9 @@ func TestWindowAgesOut(t *testing.T) {
 	// abort early, then commits: the abort ages out of the 8-slot window and
 	// growth eventually triggers.
 	c := NewController(1, 32, 4)
-	c.RecordAbort()
+	c.RecordBad()
 	for i := 0; i < 20 && c.Step() == 4; i++ {
-		c.RecordCommit()
+		c.RecordGood()
 	}
 	if c.Step() != 8 {
 		t.Errorf("step = %d; an early abort should age out and allow growth", c.Step())
@@ -113,16 +113,16 @@ func TestWindowAgesAtExactlyWindowSize(t *testing.T) {
 	// pinned at windowSize entries.
 	c := NewController(1, 32, 8)
 	for i := 0; i < windowSize/2; i++ {
-		c.RecordCommit()
+		c.RecordGood()
 	}
 	for i := 0; i < windowSize/2; i++ {
-		c.RecordAbort()
+		c.RecordBad()
 	}
 	if c.Window() != windowSize || c.Diff() != 0 {
 		t.Fatalf("after %d mixed outcomes: window=%d diff=%d, want %d and 0",
 			windowSize, c.Window(), c.Diff(), windowSize)
 	}
-	c.RecordAbort()
+	c.RecordBad()
 	if c.Window() != windowSize {
 		t.Errorf("window = %d after aging, want pinned at %d", c.Window(), windowSize)
 	}
@@ -139,14 +139,14 @@ func TestResetOnResize(t *testing.T) {
 	// last resize are relevant (§3.4).
 	grow := NewController(1, 32, 4)
 	for grow.Step() == 4 {
-		grow.RecordCommit()
+		grow.RecordGood()
 	}
 	if grow.Window() != 0 || grow.Diff() != 0 {
 		t.Errorf("grow resize kept window=%d diff=%d, want 0,0", grow.Window(), grow.Diff())
 	}
 	shrink := NewController(1, 32, 16)
 	for shrink.Step() == 16 {
-		shrink.RecordAbort()
+		shrink.RecordBad()
 	}
 	if shrink.Window() != 0 || shrink.Diff() != 0 {
 		t.Errorf("shrink resize kept window=%d diff=%d, want 0,0", shrink.Window(), shrink.Diff())
@@ -155,9 +155,9 @@ func TestResetOnResize(t *testing.T) {
 
 func TestDiffTracksWindow(t *testing.T) {
 	c := NewController(1, 64, 16)
-	c.RecordCommit()
-	c.RecordCommit()
-	c.RecordAbort()
+	c.RecordGood()
+	c.RecordGood()
+	c.RecordBad()
 	if c.Diff() != 1 {
 		t.Errorf("diff = %d, want 1", c.Diff())
 	}
@@ -171,9 +171,9 @@ func TestQuickStepAlwaysInBounds(t *testing.T) {
 		c := NewController(1, 32, 8)
 		for _, commit := range outcomes {
 			if commit {
-				c.RecordCommit()
+				c.RecordGood()
 			} else {
-				c.RecordAbort()
+				c.RecordBad()
 			}
 			if c.Step() < 1 || c.Step() > 32 {
 				return false
@@ -199,9 +199,9 @@ func TestQuickStepIsPowerOfTwoTimesInitial(t *testing.T) {
 		c := NewController(1, 32, 8)
 		for _, commit := range outcomes {
 			if commit {
-				c.RecordCommit()
+				c.RecordGood()
 			} else {
-				c.RecordAbort()
+				c.RecordBad()
 			}
 			s := c.Step()
 			if s&(s-1) != 0 {

@@ -27,13 +27,11 @@ const (
 	slotWords
 )
 
-// resize/registration outcomes inside the operation loops (Figure 2's
-// action_t).
+// An operation transaction's outcome (Figure 2's action_t).
 type action uint8
 
 const (
-	actNothing action = iota
-	actDone
+	actDone action = iota
 	actGrow
 	actShrink
 	actHelp
@@ -43,146 +41,73 @@ const (
 // MIN_SIZE).
 const DefaultMinSize = 16
 
-// ArrayDynAppendDereg is the paper's flagship algorithm (§4, Figure 2): a
-// dynamic array with append registration and compaction on every Deregister.
-// The array doubles when full and halves when 25% full, so space stays
-// proportional to the number of registered handles. Handles are slot
+// slotArray is what both dynamic arrays share of Figure 2: the descriptor,
+// the copy-in-progress test, the operation and help-to-completion loops,
+// Update through the slot reference and the diagnostics. Handles are slot
 // references — one-word cells pointing at the handle's current slot — so
 // slots can move (during compaction and resizing) behind the handle's back.
-type ArrayDynAppendDereg struct {
+type slotArray struct {
 	h       *htm.Heap
 	desc    htm.Addr
 	minSize uint64
 	opts    Options
 }
 
-var _ Collector = (*ArrayDynAppendDereg)(nil)
-
-// NewArrayDynAppendDereg allocates the collect object on h. minSize is
-// Figure 2's MIN_SIZE (≥1); pass 0 for DefaultMinSize.
-func NewArrayDynAppendDereg(h *htm.Heap, minSize int, opts Options) *ArrayDynAppendDereg {
+// newSlotArray allocates a descriptor of words words and an array of minSize
+// slots (≤0 selects DefaultMinSize).
+func newSlotArray(h *htm.Heap, minSize, words int, opts Options) slotArray {
 	if minSize <= 0 {
 		minSize = DefaultMinSize
 	}
 	th := h.NewThread()
-	desc := th.Alloc(descWords)
-	arr := th.Alloc(slotWords * minSize)
-	h.StoreNT(desc+dArray, uint64(arr))
+	desc := th.Alloc(words)
+	h.StoreNT(desc+dArray, uint64(th.Alloc(slotWords*minSize)))
 	h.StoreNT(desc+dCapacity, uint64(minSize))
-	return &ArrayDynAppendDereg{h: h, desc: desc, minSize: uint64(minSize), opts: opts.normalize(h)}
+	return slotArray{h: h, desc: desc, minSize: uint64(minSize), opts: opts.normalize(h)}
 }
 
-// Name implements Collector.
-func (a *ArrayDynAppendDereg) Name() string { return "Array Dyn Append Dereg" }
-
 // NewCtx implements Collector.
-func (a *ArrayDynAppendDereg) NewCtx(th *htm.Thread) *Ctx { return newCtx(th, a.opts) }
+func (a *slotArray) NewCtx(th *htm.Thread) *Ctx { return newCtx(th, a.opts) }
 
-func (a *ArrayDynAppendDereg) copying(t *htm.Txn) bool {
+func (a *slotArray) copying(t *htm.Txn) bool {
 	return t.Load(a.desc+dArrayNew) != uint64(htm.NilAddr)
 }
 
-// appendSlot is Figure 2's append: claim slot number count, link it to the
-// slot reference both ways, and bump count.
-func (a *ArrayDynAppendDereg) appendSlot(t *htm.Txn, ref htm.Addr, v Value) {
-	arr := htm.Addr(t.Load(a.desc + dArray))
-	count := t.Load(a.desc + dCount)
-	slot := arr + htm.Addr(slotWords*count)
-	t.Store(slot+slotVal, v)
-	t.Store(slot+slotRef, uint64(ref))
-	t.Store(ref, uint64(slot))
-	t.Store(a.desc+dCount, count+1)
-}
-
-// Register implements Collector (Figure 2 lines 18–43). The slot reference is
-// allocated outside the transaction, as Rock's HTM cannot run malloc inside
-// one.
-func (a *ArrayDynAppendDereg) Register(c *Ctx, v Value) Handle {
-	ref := c.th.Alloc(1)
+// retry is the loop of Figure 2's Register and Deregister: run op in a
+// transaction until it is done, in between attempting the resize it asks for
+// or helping the copy in progress.
+func (a *slotArray) retry(c *Ctx, resize func(c *Ctx, countL, capacityL uint64), copyOne func(*Ctx),
+	op func(t *htm.Txn) (act action, countL, capacityL uint64)) {
 	for {
-		act := actNothing
-		var countL uint64
-		c.th.Atomic(func(t *htm.Txn) {
-			act = actNothing
-			if !a.copying(t) {
-				count := t.Load(a.desc + dCount)
-				if count < t.Load(a.desc+dCapacity) {
-					a.appendSlot(t, ref, v)
-					act = actDone
-				} else {
-					countL = count
-					act = actGrow
-				}
-			} else {
-				count := t.Load(a.desc + dCount)
-				if count < t.Load(a.desc+dCapacity) && count < t.Load(a.desc+dCapacityNew) {
-					// A Register may complete during resizing: the same
-					// transaction that copies the last element installs the
-					// new array, so a slot claimed now is guaranteed to be
-					// copied (paper §4.2).
-					a.appendSlot(t, ref, v)
-					act = actDone
-				} else {
-					act = actHelp
-				}
-			}
-		})
-		switch act {
-		case actDone:
-			return Handle(ref)
-		case actGrow:
-			a.attemptResize(c, countL, countL)
-		case actHelp:
-			a.helpCopy(c)
-		}
-	}
-}
-
-// Deregister implements Collector (Figure 2 lines 45–66): move the last used
-// slot into the vacated one, repoint the moved slot's reference, and shrink
-// the array when it falls to 25% occupancy.
-func (a *ArrayDynAppendDereg) Deregister(c *Ctx, h Handle) {
-	ref := htm.Addr(h)
-	for {
-		act := actHelp
+		var act action
 		var countL, capacityL uint64
-		c.th.Atomic(func(t *htm.Txn) {
-			act = actHelp
-			countL = t.Load(a.desc + dCount)
-			capacityL = t.Load(a.desc + dCapacity)
-			switch {
-			case countL*4 == capacityL && countL*2 >= a.minSize:
-				act = actShrink
-			case !a.copying(t):
-				count := countL - 1
-				t.Store(a.desc+dCount, count)
-				arr := htm.Addr(t.Load(a.desc + dArray))
-				last := arr + htm.Addr(slotWords*count)
-				mine := htm.Addr(t.Load(ref))
-				lv := t.Load(last + slotVal)
-				lr := t.Load(last + slotRef)
-				t.Store(mine+slotVal, lv)
-				t.Store(mine+slotRef, lr)
-				t.Store(htm.Addr(lr), uint64(mine))
-				act = actDone
-			}
-		})
+		c.th.Atomic(func(t *htm.Txn) { act, countL, capacityL = op(t) })
 		switch act {
 		case actDone:
-			c.th.Free(ref)
 			return
-		case actShrink:
-			a.attemptResize(c, countL, capacityL)
 		case actHelp:
-			a.helpCopy(c)
+			a.helpCopy(c, copyOne)
+		default:
+			resize(c, countL, capacityL)
 		}
 	}
 }
 
-// Update implements Collector (Figure 2 lines 74–78): one indirection through
-// the slot reference, inside a transaction because the slot may move
-// concurrently.
-func (a *ArrayDynAppendDereg) Update(c *Ctx, h Handle, v Value) {
+// helpCopy is Figure 2 lines 110–112: help the copy in progress to
+// completion, one copyOne transaction at a time.
+func (a *slotArray) helpCopy(c *Ctx, copyOne func(*Ctx)) {
+	for a.h.LoadNT(a.desc+dArrayNew) != uint64(htm.NilAddr) {
+		copyOne(c)
+	}
+}
+
+// Update implements Collector through the slot reference.
+func (a *slotArray) Update(c *Ctx, h Handle, v Value) { updateSlot(c, h, v) }
+
+// updateSlot is Figure 2 lines 74–78: one indirection through the slot
+// reference, inside a transaction because the slot may move concurrently (the
+// paper measures this Update class at ~215ns versus ~135ns for direct writes).
+func updateSlot(c *Ctx, h Handle, v Value) {
 	ref := htm.Addr(h)
 	c.th.Atomic(func(t *htm.Txn) {
 		slot := htm.Addr(t.Load(ref))
@@ -190,58 +115,149 @@ func (a *ArrayDynAppendDereg) Update(c *Ctx, h Handle, v Value) {
 	})
 }
 
-// Collect implements Collector (Figure 2 lines 80–93), generalized to copy
-// `step` slots per transaction (telescoping, §3.4). It reads slots in reverse
-// order so a concurrent Deregister's compaction cannot hide a slot, and it
-// helps any in-progress resize to completion first so it cannot read a stale
-// pre-copy slot.
-func (a *ArrayDynAppendDereg) Collect(c *Ctx, out []Value) []Value {
-	a.helpCopy(c)
-	h := c.th.Heap()
-	i := int64(h.LoadNT(a.desc+dCount)) - 1
-	c.ensureScratch(int(i + 1))
-	k := 0
-	for i >= 0 {
-		step := c.step()
-		ii := i
-		got := 0
-		err := c.th.TryAtomic(func(t *htm.Txn) {
-			ii = i
-			got = 0
-			count := int64(t.Load(a.desc + dCount))
-			if ii >= count {
-				ii = count - 1
-			}
-			arr := htm.Addr(t.Load(a.desc + dArray))
-			for s := 0; s < step && ii >= 0; s++ {
-				c.buf[got] = t.Load(arr + htm.Addr(slotWords*ii) + slotVal)
-				ii--
-				got++
-			}
-			c.stage(t, k, got)
-		})
-		if err != nil {
-			c.feed(step, false, 0)
-			if isIllegal(err) {
-				// The array moved and was freed under us; re-synchronize.
-				a.helpCopy(c)
-			}
-			continue
+// collect is a dynamic array's telescoped Collect (Figure 2 lines 80–93): help
+// any resize to completion first, so no walk reads a stale pre-copy slot, then
+// walk the slots below the bound word's value in reverse order, so a
+// concurrent Deregister's compaction cannot hide a slot.
+func (a *slotArray) collect(c *Ctx, out []Value, bound htm.Addr, copyOne func(*Ctx),
+	walk func(t *htm.Txn, step int, at uint64) (uint64, walkEnd)) []Value {
+	a.helpCopy(c, copyOne)
+	n := a.h.LoadNT(bound)
+	c.ensureScratch(int(n))
+	return c.telescope(out, n, int(n), walk, func(err error) bool {
+		if isIllegal(err) {
+			// The array moved and was freed under us; re-synchronize.
+			a.helpCopy(c, copyOne)
 		}
-		c.feed(step, true, got)
-		i = ii
-		k += got
+		return false
+	})
+}
+
+// arrayEnd reports whether an array walk that has at slots left is done.
+func arrayEnd(at uint64) walkEnd {
+	if at == 0 {
+		return walkDone
 	}
-	return c.drainScratch(k, out)
+	return walkOn
+}
+
+// Registered returns the current number of registered handles (diagnostic).
+func (a *slotArray) Registered() int { return int(a.h.LoadNT(a.desc + dCount)) }
+
+// Capacity returns the current array capacity in slots (diagnostic).
+func (a *slotArray) Capacity() int { return int(a.h.LoadNT(a.desc + dCapacity)) }
+
+// fillSlot binds slot to v and links it to the slot reference ref both ways.
+func fillSlot(t *htm.Txn, slot, ref htm.Addr, v uint64) {
+	t.Store(slot+slotVal, v)
+	t.Store(slot+slotRef, uint64(ref))
+	t.Store(ref, uint64(slot))
+}
+
+// appendSlot is Figure 2's append: fill slot number count of arr and bump the
+// count word at cnt.
+func appendSlot(t *htm.Txn, arr, cnt htm.Addr, count uint64, ref htm.Addr, v uint64) {
+	fillSlot(t, arr+htm.Addr(slotWords*count), ref, v)
+	t.Store(cnt, count+1)
+}
+
+// moveSlot moves the binding in slot from into slot to and repoints its slot
+// reference: the compaction of Deregister and the copy of a resize.
+func moveSlot(t *htm.Txn, from, to htm.Addr) {
+	v := t.Load(from + slotVal)
+	r := t.Load(from + slotRef)
+	fillSlot(t, to, htm.Addr(r), v)
+}
+
+// ArrayDynAppendDereg is the paper's flagship algorithm (§4, Figure 2) and the
+// slot-array engine: a dynamic array with append registration and compaction
+// on every Deregister. The array doubles when full and halves when 25% full,
+// so space stays proportional to the number of registered handles.
+type ArrayDynAppendDereg struct{ slotArray }
+
+var _ Collector = (*ArrayDynAppendDereg)(nil)
+
+// NewArrayDynAppendDereg allocates the collect object on h. minSize is
+// Figure 2's MIN_SIZE (≥1); pass 0 for DefaultMinSize.
+func NewArrayDynAppendDereg(h *htm.Heap, minSize int, opts Options) *ArrayDynAppendDereg {
+	return &ArrayDynAppendDereg{newSlotArray(h, minSize, descWords, opts)}
+}
+
+// Name implements Collector.
+func (a *ArrayDynAppendDereg) Name() string { return "Array Dyn Append Dereg" }
+
+// Register implements Collector (Figure 2 lines 18–43). The slot reference is
+// allocated outside the transaction, as Rock's HTM cannot run malloc inside
+// one.
+func (a *ArrayDynAppendDereg) Register(c *Ctx, v Value) Handle {
+	return a.register(c, c.th.Alloc(1), v)
+}
+
+// register appends a slot holding sv and linked to the slot reference ref,
+// growing the array or helping a resize first when it must. The handle is ref.
+func (a *ArrayDynAppendDereg) register(c *Ctx, ref htm.Addr, sv uint64) Handle {
+	a.retry(c, a.attemptResize, a.helpCopyOne, func(t *htm.Txn) (action, uint64, uint64) {
+		copying := a.copying(t)
+		count := t.Load(a.desc + dCount)
+		switch {
+		case count < t.Load(a.desc+dCapacity) && (!copying || count < t.Load(a.desc+dCapacityNew)):
+			// A Register may complete during resizing: the same transaction
+			// that copies the last element installs the new array, so a slot
+			// claimed now is guaranteed to be copied (paper §4.2).
+			appendSlot(t, htm.Addr(t.Load(a.desc+dArray)), a.desc+dCount, count, ref, sv)
+			return actDone, 0, 0
+		case copying:
+			return actHelp, 0, 0
+		}
+		return actGrow, count, count
+	})
+	return Handle(ref)
+}
+
+// Deregister implements Collector (Figure 2 lines 45–66): move the last used
+// slot into the vacated one, repoint the moved slot's reference, and shrink
+// the array when it falls to 25% occupancy.
+func (a *ArrayDynAppendDereg) Deregister(c *Ctx, h Handle) {
+	ref := htm.Addr(h)
+	a.retry(c, a.attemptResize, a.helpCopyOne, func(t *htm.Txn) (action, uint64, uint64) {
+		count := t.Load(a.desc + dCount)
+		capacity := t.Load(a.desc + dCapacity)
+		switch {
+		case count*4 == capacity && count*2 >= a.minSize:
+			return actShrink, count, capacity
+		case a.copying(t):
+			return actHelp, 0, 0
+		}
+		t.Store(a.desc+dCount, count-1)
+		last := htm.Addr(t.Load(a.desc+dArray)) + htm.Addr(slotWords*(count-1))
+		moveSlot(t, last, htm.Addr(t.Load(ref)))
+		return actDone, 0, 0
+	})
+	c.th.Free(ref)
+}
+
+// Collect implements Collector (Figure 2 lines 80–93), generalized to copy
+// `step` slots per transaction (telescoping, §3.4).
+func (a *ArrayDynAppendDereg) Collect(c *Ctx, out []Value) []Value {
+	return a.collect(c, out, a.desc+dCount, a.helpCopyOne, func(t *htm.Txn, step int, at uint64) (uint64, walkEnd) {
+		at = min(at, t.Load(a.desc+dCount))
+		arr := htm.Addr(t.Load(a.desc + dArray))
+		got := 0
+		for ; got < step && at > 0; got++ {
+			at--
+			c.buf[got] = t.Load(arr + htm.Addr(slotWords*at) + slotVal)
+		}
+		c.stage(t, got)
+		return at, arrayEnd(at)
+	})
 }
 
 // attemptResize is Figure 2 lines 95–108: allocate outside the transaction,
 // install if neither count nor capacity changed and no copy is in progress,
 // otherwise discard, then help the (new or pre-existing) copy to completion.
+// countL ≥ 1: Register grows only a full array, and Deregister shrinks only
+// at countL*2 ≥ MIN_SIZE.
 func (a *ArrayDynAppendDereg) attemptResize(c *Ctx, countL, capacityL uint64) {
-	if countL == 0 {
-		return
-	}
 	tmp := c.th.Alloc(int(slotWords * countL * 2))
 	freeTmp := true
 	c.th.Atomic(func(t *htm.Txn) {
@@ -256,14 +272,7 @@ func (a *ArrayDynAppendDereg) attemptResize(c *Ctx, countL, capacityL uint64) {
 	if freeTmp {
 		c.th.Free(tmp)
 	}
-	a.helpCopy(c)
-}
-
-// helpCopy is Figure 2 lines 110–112.
-func (a *ArrayDynAppendDereg) helpCopy(c *Ctx) {
-	for a.h.LoadNT(a.desc+dArrayNew) != uint64(htm.NilAddr) {
-		a.helpCopyOne(c)
-	}
+	a.helpCopy(c, a.helpCopyOne)
 }
 
 // helpCopyOne is Figure 2 lines 114–131: copy one slot from the old array to
@@ -281,13 +290,7 @@ func (a *ArrayDynAppendDereg) helpCopyOne(c *Ctx) {
 		if copied < count {
 			arr := htm.Addr(t.Load(a.desc + dArray))
 			arrNew := htm.Addr(t.Load(a.desc + dArrayNew))
-			src := arr + htm.Addr(slotWords*copied)
-			dst := arrNew + htm.Addr(slotWords*copied)
-			v := t.Load(src + slotVal)
-			r := t.Load(src + slotRef)
-			t.Store(dst+slotVal, v)
-			t.Store(dst+slotRef, r)
-			t.Store(htm.Addr(r), uint64(dst))
+			moveSlot(t, arr+htm.Addr(slotWords*copied), arrNew+htm.Addr(slotWords*copied))
 			t.Store(a.desc+dCopied, copied+1)
 		} else {
 			toFree = htm.Addr(t.Load(a.desc + dArray))
@@ -300,12 +303,6 @@ func (a *ArrayDynAppendDereg) helpCopyOne(c *Ctx) {
 		c.th.Free(toFree)
 	}
 }
-
-// Registered returns the current number of registered handles (diagnostic).
-func (a *ArrayDynAppendDereg) Registered() int { return int(a.h.LoadNT(a.desc + dCount)) }
-
-// Capacity returns the current array capacity in slots (diagnostic).
-func (a *ArrayDynAppendDereg) Capacity() int { return int(a.h.LoadNT(a.desc + dCapacity)) }
 
 func isIllegal(err error) bool {
 	var ab *htm.AbortError

@@ -21,180 +21,91 @@ const scanBatch = 8
 // accumulates holes, so Collect traverses the whole capacity rather than just
 // the registered slots — the cost the paper observes in Figures 7 and 8.
 // Slots move during resizes, so handles are slot references and Update needs
-// a transactional indirection, like ArrayDynAppendDereg.
-type ArrayDynSearchResize struct {
-	h       *htm.Heap
-	desc    htm.Addr
-	minSize uint64
-	opts    Options
-}
+// a transactional indirection, like ArrayDynAppendDereg, whose descriptor,
+// copy loop, Update and diagnostics it shares.
+type ArrayDynSearchResize struct{ slotArray }
 
 var _ Collector = (*ArrayDynSearchResize)(nil)
 
 // NewArrayDynSearchResize allocates the collect object on h; pass minSize 0
 // for DefaultMinSize.
 func NewArrayDynSearchResize(h *htm.Heap, minSize int, opts Options) *ArrayDynSearchResize {
-	if minSize <= 0 {
-		minSize = DefaultMinSize
-	}
-	th := h.NewThread()
-	desc := th.Alloc(descWordsSearch)
-	arr := th.Alloc(slotWords * minSize)
-	h.StoreNT(desc+dArray, uint64(arr))
-	h.StoreNT(desc+dCapacity, uint64(minSize))
-	return &ArrayDynSearchResize{h: h, desc: desc, minSize: uint64(minSize), opts: opts.normalize(h)}
+	return &ArrayDynSearchResize{newSlotArray(h, minSize, descWordsSearch, opts)}
 }
 
 // Name implements Collector.
 func (a *ArrayDynSearchResize) Name() string { return "Array Dyn Search Resize" }
 
-// NewCtx implements Collector.
-func (a *ArrayDynSearchResize) NewCtx(th *htm.Thread) *Ctx { return newCtx(th, a.opts) }
-
-func (a *ArrayDynSearchResize) copying(t *htm.Txn) bool {
-	return t.Load(a.desc+dArrayNew) != uint64(htm.NilAddr)
-}
-
 // Register implements Collector: search the array for a free slot (slotRef
 // zero) and claim it; grow when the search fails.
 func (a *ArrayDynSearchResize) Register(c *Ctx, v Value) Handle {
 	ref := c.th.Alloc(1)
-	for {
-		act := actNothing
-		var countL, capacityL uint64
-		c.th.Atomic(func(t *htm.Txn) {
-			act = actHelp
-			if a.copying(t) {
-				return
-			}
-			capacity := t.Load(a.desc + dCapacity)
-			arr := htm.Addr(t.Load(a.desc + dArray))
-			for i := uint64(0); i < capacity; i++ {
-				s := arr + htm.Addr(slotWords*i)
-				if t.Load(s+slotRef) == 0 {
-					t.Store(s+slotVal, v)
-					t.Store(s+slotRef, uint64(ref))
-					t.Store(ref, uint64(s))
-					t.Store(a.desc+dCount, t.Load(a.desc+dCount)+1)
-					act = actDone
-					return
-				}
-			}
-			countL = t.Load(a.desc + dCount)
-			capacityL = capacity
-			act = actGrow
-		})
-		switch act {
-		case actDone:
-			return Handle(ref)
-		case actGrow:
-			a.attemptResize(c, countL, capacityL)
-		case actHelp:
-			a.helpCopy(c)
+	a.retry(c, a.attemptResize, a.helpCopyOne, func(t *htm.Txn) (action, uint64, uint64) {
+		if a.copying(t) {
+			return actHelp, 0, 0
 		}
-	}
+		capacity := t.Load(a.desc + dCapacity)
+		arr := htm.Addr(t.Load(a.desc + dArray))
+		for i := uint64(0); i < capacity; i++ {
+			s := arr + htm.Addr(slotWords*i)
+			if t.Load(s+slotRef) == 0 {
+				fillSlot(t, s, ref, v)
+				t.Store(a.desc+dCount, t.Load(a.desc+dCount)+1)
+				return actDone, 0, 0
+			}
+		}
+		return actGrow, t.Load(a.desc + dCount), capacity
+	})
+	return Handle(ref)
 }
 
 // Deregister implements Collector: clear the slot's reference pointer to mark
 // it free; shrink via a compacting resize when occupancy falls to 25%.
 func (a *ArrayDynSearchResize) Deregister(c *Ctx, h Handle) {
 	ref := htm.Addr(h)
-	for {
-		act := actHelp
-		var countL, capacityL uint64
-		c.th.Atomic(func(t *htm.Txn) {
-			act = actHelp
-			countL = t.Load(a.desc + dCount)
-			capacityL = t.Load(a.desc + dCapacity)
-			switch {
-			case countL*4 <= capacityL && countL*2 >= a.minSize:
-				act = actShrink
-			case !a.copying(t):
-				slot := htm.Addr(t.Load(ref))
-				t.Store(slot+slotRef, 0)
-				t.Store(a.desc+dCount, countL-1)
-				act = actDone
-			}
-		})
-		switch act {
-		case actDone:
-			c.th.Free(ref)
-			return
-		case actShrink:
-			a.attemptResize(c, countL, capacityL)
-		case actHelp:
-			a.helpCopy(c)
+	a.retry(c, a.attemptResize, a.helpCopyOne, func(t *htm.Txn) (action, uint64, uint64) {
+		count := t.Load(a.desc + dCount)
+		capacity := t.Load(a.desc + dCapacity)
+		switch {
+		case count*4 <= capacity && count*2 >= a.minSize:
+			return actShrink, count, capacity
+		case a.copying(t):
+			return actHelp, 0, 0
 		}
-	}
-}
-
-// Update implements Collector: transactional indirection through the slot
-// reference (slots move on resize).
-func (a *ArrayDynSearchResize) Update(c *Ctx, h Handle, v Value) {
-	ref := htm.Addr(h)
-	c.th.Atomic(func(t *htm.Txn) {
 		slot := htm.Addr(t.Load(ref))
-		t.Store(slot+slotVal, v)
+		t.Store(slot+slotRef, 0)
+		t.Store(a.desc+dCount, count-1)
+		return actDone, 0, 0
 	})
+	c.th.Free(ref)
 }
 
 // Collect implements Collector: help any copy to completion, then scan the
 // entire capacity in reverse, staging used slots' values transactionally.
 func (a *ArrayDynSearchResize) Collect(c *Ctx, out []Value) []Value {
-	a.helpCopy(c)
-	h := c.th.Heap()
-	i := int64(h.LoadNT(a.desc+dCapacity)) - 1
-	c.ensureScratch(int(i + 1))
-	k := 0
-	for i >= 0 {
-		step := c.step()
-		ii := i
+	return a.collect(c, out, a.desc+dCapacity, a.helpCopyOne, func(t *htm.Txn, step int, at uint64) (uint64, walkEnd) {
+		at = min(at, t.Load(a.desc+dCapacity))
+		arr := htm.Addr(t.Load(a.desc + dArray))
 		got := 0
-		err := c.th.TryAtomic(func(t *htm.Txn) {
-			ii = i
-			got = 0
-			capacity := int64(t.Load(a.desc + dCapacity))
-			if ii >= capacity {
-				ii = capacity - 1
+		for s := 0; s < step && at > 0; s++ {
+			at--
+			slot := arr + htm.Addr(slotWords*at)
+			if t.Load(slot+slotRef) != 0 {
+				c.buf[got] = t.Load(slot + slotVal)
+				got++
 			}
-			arr := htm.Addr(t.Load(a.desc + dArray))
-			for s := 0; s < step && ii >= 0; s++ {
-				slot := arr + htm.Addr(slotWords*ii)
-				if t.Load(slot+slotRef) != 0 {
-					c.buf[got] = t.Load(slot + slotVal)
-					got++
-				}
-				ii--
-			}
-			c.stage(t, k, got)
-		})
-		if err != nil {
-			c.feed(step, false, 0)
-			if isIllegal(err) {
-				a.helpCopy(c)
-			}
-			continue
 		}
-		c.feed(step, true, got)
-		i = ii
-		k += got
-	}
-	return c.drainScratch(k, out)
+		c.stage(t, got)
+		return at, arrayEnd(at)
+	})
 }
 
-// attemptResize installs a new array of 2*count slots unless the situation
-// changed, then helps the copy.
+// attemptResize installs a new array of 2*count slots, but at least MIN_SIZE,
+// unless the situation changed, then helps the copy. countL ≥ 1: Register
+// grows only when count = capacity, and Deregister shrinks only at
+// countL*2 ≥ MIN_SIZE.
 func (a *ArrayDynSearchResize) attemptResize(c *Ctx, countL, capacityL uint64) {
-	if countL == 0 {
-		countL = a.minSize / 2
-		if countL == 0 {
-			countL = 1
-		}
-	}
-	newCap := countL * 2
-	if newCap < a.minSize {
-		newCap = a.minSize
-	}
+	newCap := max(countL*2, a.minSize)
 	tmp := c.th.Alloc(int(slotWords * newCap))
 	freeTmp := true
 	c.th.Atomic(func(t *htm.Txn) {
@@ -210,13 +121,7 @@ func (a *ArrayDynSearchResize) attemptResize(c *Ctx, countL, capacityL uint64) {
 	if freeTmp {
 		c.th.Free(tmp)
 	}
-	a.helpCopy(c)
-}
-
-func (a *ArrayDynSearchResize) helpCopy(c *Ctx) {
-	for a.h.LoadNT(a.desc+dArrayNew) != uint64(htm.NilAddr) {
-		a.helpCopyOne(c)
-	}
+	a.helpCopy(c, a.helpCopyOne)
 }
 
 // helpCopyOne advances the compacting copy: skip free source slots (bounded
@@ -241,10 +146,7 @@ func (a *ArrayDynSearchResize) helpCopyOne(c *Ctx) {
 			}
 			dest := t.Load(a.desc + dDest)
 			arrNew := htm.Addr(t.Load(a.desc + dArrayNew))
-			d := arrNew + htm.Addr(slotWords*dest)
-			t.Store(d+slotVal, t.Load(s+slotVal))
-			t.Store(d+slotRef, r)
-			t.Store(htm.Addr(r), uint64(d))
+			fillSlot(t, arrNew+htm.Addr(slotWords*dest), htm.Addr(r), t.Load(s+slotVal))
 			t.Store(a.desc+dDest, dest+1)
 			src++
 			break
@@ -261,9 +163,3 @@ func (a *ArrayDynSearchResize) helpCopyOne(c *Ctx) {
 		c.th.Free(toFree)
 	}
 }
-
-// Registered returns the number of registered handles (diagnostic).
-func (a *ArrayDynSearchResize) Registered() int { return int(a.h.LoadNT(a.desc + dCount)) }
-
-// Capacity returns the current array capacity in slots (diagnostic).
-func (a *ArrayDynSearchResize) Capacity() int { return int(a.h.LoadNT(a.desc + dCapacity)) }

@@ -21,10 +21,15 @@ type impl struct {
 	// maxThreads limits concurrency for implementations with static thread
 	// maps (0 = unlimited).
 	maxThreads int
+	// freesAtCollect marks deferred reclamation: deregistered storage is freed
+	// only by a Collect that finds no other Collect in progress.
+	freesAtCollect bool
 }
 
 const testCapacity = 256
 
+// implementations is the conformance matrix: the paper's algorithms, then the
+// extensions it describes but did not implement.
 func implementations() []impl {
 	return []impl{
 		{name: "HOHRC", mk: func(h *htm.Heap) Collector { return NewHOHRC(h, Options{Step: 4}) }, dynamic: true},
@@ -38,6 +43,14 @@ func implementations() []impl {
 		{name: "ArrayDynAppendDereg/adaptive", mk: func(h *htm.Heap) Collector { return NewArrayDynAppendDereg(h, 0, Options{Step: 8, Adaptive: true}) }, dynamic: true},
 		{name: "StaticBaseline", mk: func(h *htm.Heap) Collector { return NewStaticBaseline(h, testCapacity) }, maxThreads: 16},
 		{name: "DynamicBaseline", mk: func(h *htm.Heap) Collector { return NewDynamicBaseline(h) }, dynamic: true},
+		{name: "ArrayDynAppendDeregUpdOpt", mk: func(h *htm.Heap) Collector { return NewArrayDynAppendDeregUpdOpt(h, 0, Options{Step: 8}) }, dynamic: true},
+		{name: "FastCollectDeferredFree", mk: func(h *htm.Heap) Collector { return NewFastCollectDeferredFree(h, Options{Step: 4}) }, dynamic: true, freesAtCollect: true},
+		{name: "DeferredReuse(ArrayDynAppendDereg)", mk: func(h *htm.Heap) Collector {
+			return NewDeferredReuse(NewArrayDynAppendDereg(h, 0, Options{Step: 8}), 4)
+		}, dynamic: true},
+		{name: "DeferredReuse(FastCollect)", mk: func(h *htm.Heap) Collector {
+			return NewDeferredReuse(NewFastCollect(h, Options{Step: 8}), 4)
+		}, dynamic: true},
 	}
 }
 
@@ -372,6 +385,9 @@ func TestSpaceReclaimed(t *testing.T) {
 		}
 		for _, hd := range handles {
 			col.Deregister(c, hd)
+		}
+		if im.freesAtCollect {
+			col.Collect(c, nil)
 		}
 		after := h.Stats().LiveWords
 		// Allow a small constant slack (minimum-size array, scratch buffer).

@@ -41,6 +41,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"repro/htm"
@@ -142,9 +143,14 @@ type Ctx struct {
 	// buf holds the values gathered by the Collect step in flight; a step
 	// never exceeds MaxStep elements.
 	buf []Value
+	// staged counts the values committed steps of the Collect in flight left
+	// in scratch; got counts those the step in flight staged.
+	staged, got int
 	// stepHist[s] counts the elements collected at step size s, for Figure 6.
 	stepHist []stepCount
-	priv     any
+	// inner is a wrapping collector's context for the collector it wraps.
+	inner *Ctx
+	priv  any
 }
 
 // stepCount is one step size's histogram cell. used distinguishes a step
@@ -181,13 +187,59 @@ func (c *Ctx) feed(step int, committed bool, collected int) {
 		return
 	}
 	if committed {
-		c.ctrl.RecordCommit()
+		c.ctrl.RecordGood()
 		sc := &c.stepHist[step]
 		sc.elems += uint64(collected)
 		sc.used = true
 	} else {
-		c.ctrl.RecordAbort()
+		c.ctrl.RecordBad()
 	}
+}
+
+// walkEnd is where a Collect step left its walk.
+type walkEnd uint8
+
+const (
+	walkOn    walkEnd = iota // elements may lie beyond the returned cursor
+	walkDone                 // the walk reached the end of the structure
+	walkStale                // the structure changed under the walk
+)
+
+// unbounded is a list walk's bound: its scratch buffer grows with every step.
+const unbounded = math.MaxInt
+
+// telescope is the telescoped Collect (§3.4) of all seven HTM collectors. Each
+// step runs walk in one hardware transaction: walk gathers up to step values
+// into c.buf from cursor at with transactional loads, hands them to c.stage
+// once, and returns the cursor it reached. It writes no scratch outside stage
+// and keeps nothing that outlives the attempt: the driver commits the cursor
+// and the staged values only when the transaction commits. After an aborted
+// step, or one whose walk found its structure stale, resync (nil: nothing to
+// repair) reports whether to discard what is staged and walk again from from.
+// Scratch grows per step up to bound, the most values the walk can stage; a
+// bound of 0 takes no step.
+func (c *Ctx) telescope(out []Value, from uint64, bound int,
+	walk func(t *htm.Txn, step int, at uint64) (uint64, walkEnd),
+	resync func(err error) bool) []Value {
+	at := from
+	c.staged = 0
+	for more := bound > 0; more; {
+		step := c.step()
+		c.ensureScratch(min(c.staged+step, bound))
+		c.got = 0
+		var next uint64
+		var end walkEnd
+		err := c.th.TryAtomic(func(t *htm.Txn) { next, end = walk(t, step, at) })
+		c.feed(step, err == nil, c.got)
+		switch {
+		case err == nil && end != walkStale:
+			at, more = next, end == walkOn
+			c.staged += c.got
+		case resync != nil && resync(err):
+			at, c.staged = from, 0
+		}
+	}
+	return c.drainScratch(c.staged, out)
 }
 
 // StepHistogram returns a copy of this context's elements-collected-per-step
@@ -225,10 +277,12 @@ func (c *Ctx) ensureScratch(n int) {
 }
 
 // stage buffers the got values gathered in c.buf as transactional stores to
-// scratch words [k, k+got): one store-buffer entry per collected element,
-// exactly as if each had been stored right after its load.
-func (c *Ctx) stage(t *htm.Txn, k, got int) {
-	t.StoreWords(c.scratch+htm.Addr(k), c.buf[:got])
+// the scratch words after those committed steps staged: one store-buffer entry
+// per collected element, exactly as if each had been stored right after its
+// load.
+func (c *Ctx) stage(t *htm.Txn, got int) {
+	t.StoreWords(c.scratch+htm.Addr(c.staged), c.buf[:got])
+	c.got = got
 }
 
 // drainScratch appends the first n staged values to out.
@@ -239,9 +293,12 @@ func (c *Ctx) drainScratch(n int, out []Value) []Value {
 	return out
 }
 
-// Close releases the context's heap resources. Contexts used for an entire
-// experiment need not be closed.
+// Close releases the context's heap resources, including an inner context's.
+// Contexts used for an entire experiment need not be closed.
 func (c *Ctx) Close() {
+	if c.inner != nil {
+		c.inner.Close()
+	}
 	if c.scratch != htm.NilAddr {
 		c.th.Free(c.scratch)
 		c.scratch = htm.NilAddr

@@ -33,8 +33,7 @@ type DeferredReuse struct {
 var _ Collector = (*DeferredReuse)(nil)
 
 type reusePriv struct {
-	inner *Ctx
-	pool  []Handle
+	pool []Handle
 }
 
 // NewDeferredReuse wraps inner with per-thread reuse pools of at most
@@ -49,11 +48,9 @@ func NewDeferredReuse(inner Collector, poolCap int) *DeferredReuse {
 // Name implements Collector.
 func (d *DeferredReuse) Name() string { return d.inner.Name() + " (deferred dereg)" }
 
-// NewCtx implements Collector.
+// NewCtx implements Collector. Closing the context closes the inner one.
 func (d *DeferredReuse) NewCtx(th *htm.Thread) *Ctx {
-	c := &Ctx{th: th}
-	c.priv = &reusePriv{inner: d.inner.NewCtx(th)}
-	return c
+	return &Ctx{th: th, inner: d.inner.NewCtx(th), priv: &reusePriv{}}
 }
 
 // Register implements Collector, drafting a parked handle when possible.
@@ -62,15 +59,15 @@ func (d *DeferredReuse) Register(c *Ctx, v Value) Handle {
 	if n := len(p.pool); n > 0 {
 		h := p.pool[n-1]
 		p.pool = p.pool[:n-1]
-		d.inner.Update(p.inner, h, v)
+		d.inner.Update(c.inner, h, v)
 		return h
 	}
-	return d.inner.Register(p.inner, v)
+	return d.inner.Register(c.inner, v)
 }
 
 // Update implements Collector.
 func (d *DeferredReuse) Update(c *Ctx, h Handle, v Value) {
-	d.inner.Update(c.priv.(*reusePriv).inner, h, v)
+	d.inner.Update(c.inner, h, v)
 }
 
 // Deregister implements Collector, parking the handle unless the pool is
@@ -78,17 +75,16 @@ func (d *DeferredReuse) Update(c *Ctx, h Handle, v Value) {
 func (d *DeferredReuse) Deregister(c *Ctx, h Handle) {
 	p := c.priv.(*reusePriv)
 	if len(p.pool) < d.poolCap {
-		d.inner.Update(p.inner, h, NullValue)
+		d.inner.Update(c.inner, h, NullValue)
 		p.pool = append(p.pool, h)
 		return
 	}
-	d.inner.Deregister(p.inner, h)
+	d.inner.Deregister(c.inner, h)
 }
 
 // Collect implements Collector, filtering parked (null) bindings.
 func (d *DeferredReuse) Collect(c *Ctx, out []Value) []Value {
-	p := c.priv.(*reusePriv)
-	raw := d.inner.Collect(p.inner, nil)
+	raw := d.inner.Collect(c.inner, nil)
 	for _, v := range raw {
 		if v != NullValue {
 			out = append(out, v)
@@ -101,7 +97,7 @@ func (d *DeferredReuse) Collect(c *Ctx, out []Value) []Value {
 func (d *DeferredReuse) Drain(c *Ctx) {
 	p := c.priv.(*reusePriv)
 	for _, h := range p.pool {
-		d.inner.Deregister(p.inner, h)
+		d.inner.Deregister(c.inner, h)
 	}
 	p.pool = nil
 }

@@ -1,171 +1,10 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"repro/htm"
 )
-
-// extensionImpls adds the paper-described-but-unimplemented variants to the
-// conformance matrix.
-func extensionImpls() []impl {
-	return []impl{
-		{name: "ArrayDynAppendDeregUpdOpt",
-			mk:      func(h *htm.Heap) Collector { return NewArrayDynAppendDeregUpdOpt(h, 0, Options{Step: 8}) },
-			dynamic: true},
-		{name: "FastCollectDeferredFree",
-			mk:      func(h *htm.Heap) Collector { return NewFastCollectDeferredFree(h, Options{Step: 4}) },
-			dynamic: true},
-		{name: "DeferredReuse(ArrayDynAppendDereg)",
-			mk: func(h *htm.Heap) Collector {
-				return NewDeferredReuse(NewArrayDynAppendDereg(h, 0, Options{Step: 8}), 4)
-			}},
-		{name: "DeferredReuse(FastCollect)",
-			mk: func(h *htm.Heap) Collector {
-				return NewDeferredReuse(NewFastCollect(h, Options{Step: 8}), 4)
-			}},
-	}
-}
-
-func forEachExtension(t *testing.T, f func(t *testing.T, im impl, col Collector, h *htm.Heap)) {
-	t.Helper()
-	for _, im := range extensionImpls() {
-		t.Run(im.name, func(t *testing.T) {
-			h := htm.NewHeap(htm.Config{Words: 1 << 18})
-			f(t, im, im.mk(h), h)
-		})
-	}
-}
-
-func TestExtensionBasicSemantics(t *testing.T) {
-	forEachExtension(t, func(t *testing.T, im impl, col Collector, h *htm.Heap) {
-		c := col.NewCtx(h.NewThread())
-		h1 := col.Register(c, 10)
-		h2 := col.Register(c, 20)
-		assertMultisetEqual(t, col.Collect(c, nil), []Value{10, 20}, "two registers")
-		col.Update(c, h1, 11)
-		assertMultisetEqual(t, col.Collect(c, nil), []Value{11, 20}, "update")
-		col.Deregister(c, h2)
-		assertMultisetEqual(t, col.Collect(c, nil), []Value{11}, "deregister")
-		col.Deregister(c, h1)
-		if got := col.Collect(c, nil); len(got) != 0 {
-			t.Errorf("leftovers: %v", got)
-		}
-	})
-}
-
-func TestExtensionModelCheck(t *testing.T) {
-	forEachExtension(t, func(t *testing.T, im impl, col Collector, h *htm.Heap) {
-		c := col.NewCtx(h.NewThread())
-		model := make(map[Handle]Value)
-		var handles []Handle
-		next := Value(1)
-		rng := uint64(7)
-		for op := 0; op < 1500; op++ {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			switch {
-			case rng%10 < 3 && len(handles) < 40:
-				v := next
-				next++
-				hd := col.Register(c, v)
-				if _, dup := model[hd]; dup {
-					t.Fatalf("live handle %v handed out twice", hd)
-				}
-				model[hd] = v
-				handles = append(handles, hd)
-			case rng%10 < 6 && len(handles) > 0:
-				i := int(rng>>8) % len(handles)
-				v := next
-				next++
-				col.Update(c, handles[i], v)
-				model[handles[i]] = v
-			case rng%10 < 8 && len(handles) > 0:
-				i := int(rng>>8) % len(handles)
-				hd := handles[i]
-				handles[i] = handles[len(handles)-1]
-				handles = handles[:len(handles)-1]
-				col.Deregister(c, hd)
-				delete(model, hd)
-			default:
-				want := make([]Value, 0, len(model))
-				for _, v := range model {
-					want = append(want, v)
-				}
-				assertMultisetEqual(t, col.Collect(c, nil), want, "model check")
-			}
-		}
-	})
-}
-
-func TestExtensionStableHandlesUnderChurn(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress test")
-	}
-	forEachExtension(t, func(t *testing.T, im impl, col Collector, h *htm.Heap) {
-		setup := col.NewCtx(h.NewThread())
-		stable := map[Value]bool{}
-		for i := 0; i < 6; i++ {
-			v := Value(0xF00D00 + i)
-			col.Register(setup, v)
-			stable[v] = true
-		}
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for w := 0; w < 3; w++ {
-			wg.Add(1)
-			go func(seed uint64) {
-				defer wg.Done()
-				c := col.NewCtx(h.NewThread())
-				rng := seed | 1
-				var mine []Handle
-				for {
-					select {
-					case <-stop:
-						for _, hd := range mine {
-							col.Deregister(c, hd)
-						}
-						return
-					default:
-					}
-					rng ^= rng << 13
-					rng ^= rng >> 7
-					rng ^= rng << 17
-					switch {
-					case len(mine) < 5 && rng%2 == 0:
-						mine = append(mine, col.Register(c, Value(rng|1)))
-					case len(mine) > 0 && rng%3 == 0:
-						i := int(rng>>8) % len(mine)
-						col.Deregister(c, mine[i])
-						mine[i] = mine[len(mine)-1]
-						mine = mine[:len(mine)-1]
-					case len(mine) > 0:
-						col.Update(c, mine[int(rng>>8)%len(mine)], Value(rng|1))
-					}
-				}
-			}(uint64(w + 1))
-		}
-		collector := col.NewCtx(h.NewThread())
-		for round := 0; round < 150; round++ {
-			got := col.Collect(collector, nil)
-			found := 0
-			for _, v := range got {
-				if stable[v] {
-					found++
-				}
-			}
-			if found < len(stable) {
-				close(stop)
-				wg.Wait()
-				t.Fatalf("round %d: %d of %d stable handles", round, found, len(stable))
-			}
-		}
-		close(stop)
-		wg.Wait()
-	})
-}
 
 // TestFastCollectDeferredFreeReclaimsAtQuiescence: the to-be-freed backlog
 // drains once no Collect is active, restoring live memory.
@@ -218,6 +57,31 @@ func TestDeferredReuseParksHandles(t *testing.T) {
 	d.Drain(c)
 	if got := inner.Registered(); got != 0 {
 		t.Errorf("inner registered = %d after drain", got)
+	}
+
+	// Closing the wrapper's context closes the inner one, scratch buffer
+	// included: a full cycle leaves the heap as NewCtx found it.
+	for _, inner := range []func(h *htm.Heap) Collector{
+		func(h *htm.Heap) Collector { return NewArrayDynAppendDereg(h, 0, Options{Step: 8}) },
+		func(h *htm.Heap) Collector { return NewFastCollect(h, Options{Step: 8}) },
+	} {
+		h := htm.NewHeap(htm.Config{Words: 1 << 18})
+		d := NewDeferredReuse(inner(h), 4)
+		base := h.Stats().LiveWords
+		c := d.NewCtx(h.NewThread())
+		var handles []Handle
+		for i := 0; i < 10; i++ {
+			handles = append(handles, d.Register(c, Value(i+1)))
+		}
+		d.Collect(c, nil)
+		for _, hd := range handles {
+			d.Deregister(c, hd)
+		}
+		d.Drain(c)
+		c.Close()
+		if live := h.Stats().LiveWords; live != base {
+			t.Errorf("%s: %d live words after Close, %d before NewCtx", d.Name(), live, base)
+		}
 	}
 }
 

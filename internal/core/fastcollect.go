@@ -99,66 +99,42 @@ func (l *FastCollect) Deregister(c *Ctx, h Handle) {
 // re-validates the deregister counter and walks up to `step` nodes. Any
 // change of the counter restarts the whole Collect from the head.
 func (l *FastCollect) Collect(c *Ctx, out []Value) []Value {
-	c.ensureScratch(64)
 	h := c.th.Heap()
-	for { // restart loop
-		dcStart := h.LoadNT(l.desc + fcDC)
-		cur := htm.NilAddr // NilAddr: start from the head pointer
-		k := 0
-		restart := false
-		done := false
-		for !done && !restart {
-			step := c.step()
-			c.ensureScratch(k + step)
-			var p htm.Addr
-			var endReached bool
-			got := 0
-			err := c.th.TryAtomic(func(t *htm.Txn) {
-				restart = false
-				endReached = false
-				got = 0
-				if t.Load(l.desc+fcDC) != dcStart {
-					restart = true
-					return
-				}
-				if cur == htm.NilAddr {
-					p = htm.Addr(t.Load(l.desc + fcHead))
-				} else {
-					p = htm.Addr(t.Load(cur + fNext))
-				}
-				for visited := 0; visited < step; visited++ {
-					if p == htm.NilAddr {
-						endReached = true
-						break
-					}
-					c.buf[got] = t.Load(p + fVal)
-					got++
-					if visited+1 < step {
-						p = htm.Addr(t.Load(p + fNext))
-					}
-				}
-				c.stage(t, k, got)
-			})
-			if err != nil {
-				c.feed(step, false, 0)
-				if h.LoadNT(l.desc+fcDC) != dcStart {
-					restart = true
-				}
-				continue
-			}
-			c.feed(step, true, got)
-			if restart {
-				break
-			}
-			k += got
-			if endReached {
-				done = true
-				break
-			}
-			cur = p
+	dcStart := h.LoadNT(l.desc + fcDC)
+	return c.telescope(out, uint64(htm.NilAddr), unbounded, func(t *htm.Txn, step int, at uint64) (uint64, walkEnd) {
+		if t.Load(l.desc+fcDC) != dcStart {
+			return at, walkStale
 		}
-		if done {
-			return c.drainScratch(k, out)
+		return walkList(t, c, step, l.desc+fcHead, htm.Addr(at))
+	}, func(error) bool {
+		// A changed counter means a node the walk holds may be freed: restart.
+		dc := dcStart
+		dcStart = h.LoadNT(l.desc + fcDC)
+		return dcStart != dc
+	})
+}
+
+// walkList is the step of a walk along FastCollect's node layout (which
+// FastCollectDeferredFree shares): from the node at (NilAddr: the head word),
+// gather the values of up to step nodes, and return the last node gathered.
+func walkList(t *htm.Txn, c *Ctx, step int, head, at htm.Addr) (uint64, walkEnd) {
+	var p htm.Addr
+	if at == htm.NilAddr {
+		p = htm.Addr(t.Load(head))
+	} else {
+		p = htm.Addr(t.Load(at + fNext))
+	}
+	got, end := 0, walkOn
+	for got < step {
+		if p == htm.NilAddr {
+			end = walkDone
+			break
+		}
+		c.buf[got] = t.Load(p + fVal)
+		if got++; got < step {
+			p = htm.Addr(t.Load(p + fNext))
 		}
 	}
+	c.stage(t, got)
+	return uint64(p), end
 }

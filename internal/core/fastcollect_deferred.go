@@ -4,15 +4,16 @@ import (
 	"repro/htm"
 )
 
-// Deferred-free FastCollect node layout: value, list links, and a separate
-// link for the to-be-freed list (a node's own next/prev are never modified
-// after unlinking, so stranded traversers can keep walking through it).
+// Deferred-free FastCollect node layout: FastCollect's, so both walk with
+// walkList, plus a separate link for the to-be-freed list (a node's own
+// next/prev are never modified after unlinking, so stranded traversers can
+// keep walking through it).
 const (
-	fdVal = iota
-	fdNext
-	fdPrev
-	fdTbf
-	fdNodeWords
+	fdVal       = fVal
+	fdNext      = fNext
+	fdPrev      = fPrev
+	fdTbf       = fcNodeWords
+	fdNodeWords = fdTbf + 1
 )
 
 // Descriptor layout: head pointer, to-be-freed list head, and a count of
@@ -113,52 +114,14 @@ func (l *FastCollectDeferredFree) Deregister(c *Ctx, h Handle) {
 // them (their values may flicker into the result, which the specification
 // permits for concurrent Deregisters).
 func (l *FastCollectDeferredFree) Collect(c *Ctx, out []Value) []Value {
-	c.ensureScratch(64)
 	h := c.th.Heap()
 	h.AddNT(l.desc+fdActive, 1)
-	cur := htm.NilAddr
-	k := 0
-	for {
-		step := c.step()
-		c.ensureScratch(k + step)
-		var p htm.Addr
-		var endReached bool
-		got := 0
-		err := c.th.TryAtomic(func(t *htm.Txn) {
-			endReached = false
-			got = 0
-			if cur == htm.NilAddr {
-				p = htm.Addr(t.Load(l.desc + fdHead))
-			} else {
-				p = htm.Addr(t.Load(cur + fdNext))
-			}
-			for visited := 0; visited < step; visited++ {
-				if p == htm.NilAddr {
-					endReached = true
-					break
-				}
-				c.buf[got] = t.Load(p + fdVal)
-				got++
-				if visited+1 < step {
-					p = htm.Addr(t.Load(p + fdNext))
-				}
-			}
-			c.stage(t, k, got)
-		})
-		if err != nil {
-			c.feed(step, false, 0)
-			continue
-		}
-		c.feed(step, true, got)
-		k += got
-		if endReached {
-			break
-		}
-		cur = p
-	}
+	out = c.telescope(out, uint64(htm.NilAddr), unbounded, func(t *htm.Txn, step int, at uint64) (uint64, walkEnd) {
+		return walkList(t, c, step, l.desc+fdHead, htm.Addr(at))
+	}, nil)
 	h.AddNT(l.desc+fdActive, ^uint64(0))
 	l.tryDrain(c)
-	return c.drainScratch(k, out)
+	return out
 }
 
 // tryDrain frees the to-be-freed list if no Collect is in progress. Taking

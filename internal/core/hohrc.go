@@ -124,51 +124,31 @@ func (l *HOHRC) Deregister(c *Ctx, h Handle) {
 // two endpoint nodes are written, so intermediate nodes stay clean in other
 // caches — the telescoping benefit the paper describes.
 func (l *HOHRC) Collect(c *Ctx, out []Value) []Value {
-	c.ensureScratch(64)
-	cur := l.head // sentinel: traversal anchor, pinned by construction
-	k := 0
-	for {
-		step := c.step()
-		c.ensureScratch(k + step)
-		var endReached bool
-		var p htm.Addr
-		got := 0
-		err := c.th.TryAtomic(func(t *htm.Txn) {
-			endReached = false
-			got = 0
-			p = cur
-			for visited := 0; visited < step; visited++ {
-				nxt := htm.Addr(t.Load(p + nNext))
-				if nxt == htm.NilAddr {
-					endReached = true
-					break
-				}
-				p = nxt
-				if t.Load(p+nMark) == 0 {
-					c.buf[got] = t.Load(p + nVal)
-					got++
-				}
+	// The cursor is the pinned anchor; the sentinel is pinned by construction.
+	return c.telescope(out, uint64(l.head), unbounded, func(t *htm.Txn, step int, at uint64) (uint64, walkEnd) {
+		cur := htm.Addr(at)
+		p, got, end := cur, 0, walkOn
+		for visited := 0; visited < step; visited++ {
+			nxt := htm.Addr(t.Load(p + nNext))
+			if nxt == htm.NilAddr {
+				end = walkDone
+				break
 			}
-			// Staged before the pin/unpin stores below, as the per-element
-			// stores were: the write set keeps its order.
-			c.stage(t, k, got)
-			if !endReached && p != cur {
-				t.Add(p+nRC, 1) // pin the new anchor
+			p = nxt
+			if t.Load(p+nMark) == 0 {
+				c.buf[got] = t.Load(p + nVal)
+				got++
 			}
-			if cur != l.head {
-				unpin(t, cur)
-			}
-		})
-		if err != nil {
-			c.feed(step, false, 0)
-			continue
 		}
-		c.feed(step, true, got)
-		k += got
-		if endReached {
-			break
+		// Staged before the pin/unpin stores below, as the per-element
+		// stores were: the write set keeps its order.
+		c.stage(t, got)
+		if end == walkOn && p != cur {
+			t.Add(p+nRC, 1) // pin the new anchor
 		}
-		cur = p
-	}
-	return c.drainScratch(k, out)
+		if cur != l.head {
+			unpin(t, cur)
+		}
+		return uint64(p), end
+	}, nil)
 }

@@ -93,7 +93,7 @@ func stagedImpls() []stagedImpl {
 				a, h := col.(*ArrayDynAppendDeregUpdOpt), th.Heap()
 				arr := h.LoadNT(a.desc + dArray)
 				return refArray(th, scratch, step, int(h.LoadNT(a.desc+dCount)), func(t *htm.Txn, i int) (Value, bool) {
-					return t.Load(htm.Addr(t.Load(slotAt(arr, i)+slotVal)) + uVal), true
+					return t.Load(htm.Addr(t.Load(slotAt(arr, i)+slotVal)) + hbVal), true
 				})
 			}},
 		{"ArrayDynSearchResize",
@@ -138,13 +138,53 @@ func stagedImpls() []stagedImpl {
 	}
 }
 
+// txnShape is what the staging script leaves on its heap: transaction starts
+// and commits, the clock, and live and peak words. The script aborts nothing.
+type txnShape struct{ starts, commits, clock, live, maxLive uint64 }
+
+// stagingShapes pins each script's transaction shape as recorded before the
+// seven step loops became one telescope driver (and ArrayDynAppendDeregUpdOpt
+// the slot-array engine): the refactor must not move any of these counters.
+var stagingShapes = map[string]txnShape{
+	"ArrayDynAppendDereg/step=1,adaptive=false":        {859, 859, 1032, 714, 718},
+	"ArrayDynAppendDereg/step=8,adaptive=false":        {403, 403, 576, 714, 718},
+	"ArrayDynAppendDereg/step=32,adaptive=false":       {355, 355, 528, 714, 718},
+	"ArrayDynAppendDereg/step=0,adaptive=true":         {634, 634, 807, 714, 718},
+	"ArrayDynAppendDeregUpdOpt/step=1,adaptive=false":  {809, 809, 1032, 810, 818},
+	"ArrayDynAppendDeregUpdOpt/step=8,adaptive=false":  {353, 353, 576, 810, 818},
+	"ArrayDynAppendDeregUpdOpt/step=32,adaptive=false": {305, 305, 528, 810, 818},
+	"ArrayDynAppendDeregUpdOpt/step=0,adaptive=true":   {584, 584, 807, 810, 818},
+	"ArrayDynSearchResize/step=1,adaptive=false":       {1100, 1100, 1029, 743, 747},
+	"ArrayDynSearchResize/step=8,adaptive=false":       {428, 428, 583, 743, 747},
+	"ArrayDynSearchResize/step=32,adaptive=false":      {356, 356, 529, 743, 747},
+	"ArrayDynSearchResize/step=0,adaptive=true":        {757, 757, 792, 743, 747},
+	"ArrayStatAppendDereg/step=1,adaptive=false":       {738, 738, 906, 965, 969},
+	"ArrayStatAppendDereg/step=8,adaptive=false":       {282, 282, 450, 965, 969},
+	"ArrayStatAppendDereg/step=32,adaptive=false":      {234, 234, 402, 965, 969},
+	"ArrayStatAppendDereg/step=0,adaptive=true":        {513, 513, 681, 965, 969},
+	"FastCollect/step=1,adaptive=false":                {691, 691, 907, 674, 750},
+	"FastCollect/step=8,adaptive=false":                {233, 233, 451, 674, 750},
+	"FastCollect/step=32,adaptive=false":               {185, 185, 403, 674, 750},
+	"FastCollect/step=0,adaptive=true":                 {464, 464, 682, 674, 750},
+	"FastCollectDeferredFree/step=1,adaptive=false":    {694, 694, 914, 771, 851},
+	"FastCollectDeferredFree/step=8,adaptive=false":    {236, 236, 458, 771, 851},
+	"FastCollectDeferredFree/step=32,adaptive=false":   {188, 188, 410, 771, 851},
+	"FastCollectDeferredFree/step=0,adaptive=true":     {467, 467, 689, 771, 851},
+	"HOHRC/step=1,adaptive=false":                      {691, 691, 910, 869, 953},
+	"HOHRC/step=8,adaptive=false":                      {233, 233, 452, 869, 953},
+	"HOHRC/step=32,adaptive=false":                     {185, 185, 404, 869, 953},
+	"HOHRC/step=0,adaptive=true":                       {464, 464, 683, 869, 953},
+}
+
 // TestCollectMatchesPerElementStaging: a deterministic single-thread script on
 // every collector, at fixed steps 1, 8 and 32 and with the adaptive step, must
-// collect element for element what the per-element reference collects.
+// collect element for element what the per-element reference collects, and
+// leave the heap with the pinned transaction shape.
 func TestCollectMatchesPerElementStaging(t *testing.T) {
 	for _, im := range stagedImpls() {
 		for _, o := range []Options{{Step: 1}, {Step: 8}, {Step: 32}, {Adaptive: true}} {
-			t.Run(fmt.Sprintf("%s/step=%d,adaptive=%v", im.name, o.Step, o.Adaptive), func(t *testing.T) {
+			name := fmt.Sprintf("%s/step=%d,adaptive=%v", im.name, o.Step, o.Adaptive)
+			t.Run(name, func(t *testing.T) {
 				h := htm.NewHeap(htm.Config{Words: 1 << 18})
 				col := im.mk(h, o)
 				c := col.NewCtx(h.NewThread())
@@ -181,6 +221,16 @@ func TestCollectMatchesPerElementStaging(t *testing.T) {
 					col.Register(c, Value(3000+i))
 				}
 				check("after registering more", live+30)
+				st := h.Stats()
+				got := txnShape{st.Starts, st.Commits, h.ClockNow(), st.LiveWords, st.MaxLiveWords}
+				if want := stagingShapes[name]; got != want {
+					t.Errorf("transaction shape {starts commits clock live maxLive} = %v, want %v", got, want)
+				}
+				for code, n := range st.Aborts {
+					if n != 0 {
+						t.Errorf("%d aborts %v, want none", n, code)
+					}
+				}
 			})
 		}
 	}
