@@ -24,6 +24,8 @@ type impl struct {
 	// freesAtCollect marks deferred reclamation: deregistered storage is freed
 	// only by a Collect that finds no other Collect in progress.
 	freesAtCollect bool
+	// extension marks a variant the paper describes but did not implement.
+	extension bool
 }
 
 const testCapacity = 256
@@ -43,14 +45,14 @@ func implementations() []impl {
 		{name: "ArrayDynAppendDereg/adaptive", mk: func(h *htm.Heap) Collector { return NewArrayDynAppendDereg(h, 0, Options{Step: 8, Adaptive: true}) }, dynamic: true},
 		{name: "StaticBaseline", mk: func(h *htm.Heap) Collector { return NewStaticBaseline(h, testCapacity) }, maxThreads: 16},
 		{name: "DynamicBaseline", mk: func(h *htm.Heap) Collector { return NewDynamicBaseline(h) }, dynamic: true},
-		{name: "ArrayDynAppendDeregUpdOpt", mk: func(h *htm.Heap) Collector { return NewArrayDynAppendDeregUpdOpt(h, 0, Options{Step: 8}) }, dynamic: true},
-		{name: "FastCollectDeferredFree", mk: func(h *htm.Heap) Collector { return NewFastCollectDeferredFree(h, Options{Step: 4}) }, dynamic: true, freesAtCollect: true},
+		{name: "ArrayDynAppendDeregUpdOpt", mk: func(h *htm.Heap) Collector { return NewArrayDynAppendDeregUpdOpt(h, 0, Options{Step: 8}) }, dynamic: true, extension: true},
+		{name: "FastCollectDeferredFree", mk: func(h *htm.Heap) Collector { return NewFastCollectDeferredFree(h, Options{Step: 4}) }, dynamic: true, freesAtCollect: true, extension: true},
 		{name: "DeferredReuse(ArrayDynAppendDereg)", mk: func(h *htm.Heap) Collector {
 			return NewDeferredReuse(NewArrayDynAppendDereg(h, 0, Options{Step: 8}), 4)
-		}, dynamic: true},
+		}, dynamic: true, extension: true},
 		{name: "DeferredReuse(FastCollect)", mk: func(h *htm.Heap) Collector {
 			return NewDeferredReuse(NewFastCollect(h, Options{Step: 8}), 4)
-		}, dynamic: true},
+		}, dynamic: true, extension: true},
 	}
 }
 
@@ -93,24 +95,24 @@ func TestCollectEmpty(t *testing.T) {
 	})
 }
 
-func TestRegisterCollectDeregister(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im impl, col Collector, h *htm.Heap) {
-		c := col.NewCtx(h.NewThread())
-		h1 := col.Register(c, 10)
-		h2 := col.Register(c, 20)
-		h3 := col.Register(c, 30)
-		assertMultisetEqual(t, col.Collect(c, nil), []Value{10, 20, 30}, "after 3 registers")
-		col.Deregister(c, h2)
-		assertMultisetEqual(t, col.Collect(c, nil), []Value{10, 30}, "after deregister")
-		col.Update(c, h1, 11)
-		col.Update(c, h3, 33)
-		assertMultisetEqual(t, col.Collect(c, nil), []Value{11, 33}, "after updates")
-		col.Deregister(c, h1)
-		col.Deregister(c, h3)
-		if got := col.Collect(c, nil); len(got) != 0 {
-			t.Errorf("Collect after deregistering all = %v", got)
-		}
-	})
+func TestRegisterCollectDeregister(t *testing.T) { forEachImpl(t, registerCollectDeregister) }
+
+func registerCollectDeregister(t *testing.T, im impl, col Collector, h *htm.Heap) {
+	c := col.NewCtx(h.NewThread())
+	h1 := col.Register(c, 10)
+	h2 := col.Register(c, 20)
+	h3 := col.Register(c, 30)
+	assertMultisetEqual(t, col.Collect(c, nil), []Value{10, 20, 30}, "after 3 registers")
+	col.Deregister(c, h2)
+	assertMultisetEqual(t, col.Collect(c, nil), []Value{10, 30}, "after deregister")
+	col.Update(c, h1, 11)
+	col.Update(c, h3, 33)
+	assertMultisetEqual(t, col.Collect(c, nil), []Value{11, 33}, "after updates")
+	col.Deregister(c, h1)
+	col.Deregister(c, h3)
+	if got := col.Collect(c, nil); len(got) != 0 {
+		t.Errorf("Collect after deregistering all = %v", got)
+	}
 }
 
 func TestHandleReuseAfterDeregister(t *testing.T) {
@@ -170,50 +172,50 @@ func TestManyHandlesSingleThread(t *testing.T) {
 // TestModelCheck runs a random single-threaded operation sequence against a
 // map model; with no concurrency, Collect must return the model's values
 // exactly.
-func TestModelCheck(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im impl, col Collector, h *htm.Heap) {
-		rng := rand.New(rand.NewSource(42))
-		c := col.NewCtx(h.NewThread())
-		model := make(map[Handle]Value)
-		var handles []Handle
-		next := Value(1)
-		limit := 60
-		if im.maxThreads != 0 {
-			limit = testCapacity/16 - 1
-		}
-		for op := 0; op < 2000; op++ {
-			switch r := rng.Intn(10); {
-			case r < 3 && len(handles) < limit:
-				v := next
-				next++
-				hd := col.Register(c, v)
-				if _, dup := model[hd]; dup {
-					t.Fatalf("Register returned live handle %v twice", hd)
-				}
-				model[hd] = v
-				handles = append(handles, hd)
-			case r < 6 && len(handles) > 0:
-				i := rng.Intn(len(handles))
-				v := next
-				next++
-				col.Update(c, handles[i], v)
-				model[handles[i]] = v
-			case r < 8 && len(handles) > 0:
-				i := rng.Intn(len(handles))
-				hd := handles[i]
-				handles[i] = handles[len(handles)-1]
-				handles = handles[:len(handles)-1]
-				col.Deregister(c, hd)
-				delete(model, hd)
-			default:
-				want := make([]Value, 0, len(model))
-				for _, v := range model {
-					want = append(want, v)
-				}
-				assertMultisetEqual(t, col.Collect(c, nil), want, fmt.Sprintf("op %d", op))
+func TestModelCheck(t *testing.T) { forEachImpl(t, modelCheck) }
+
+func modelCheck(t *testing.T, im impl, col Collector, h *htm.Heap) {
+	rng := rand.New(rand.NewSource(42))
+	c := col.NewCtx(h.NewThread())
+	model := make(map[Handle]Value)
+	var handles []Handle
+	next := Value(1)
+	limit := 60
+	if im.maxThreads != 0 {
+		limit = testCapacity/16 - 1
+	}
+	for op := 0; op < 2000; op++ {
+		switch r := rng.Intn(10); {
+		case r < 3 && len(handles) < limit:
+			v := next
+			next++
+			hd := col.Register(c, v)
+			if _, dup := model[hd]; dup {
+				t.Fatalf("Register returned live handle %v twice", hd)
 			}
+			model[hd] = v
+			handles = append(handles, hd)
+		case r < 6 && len(handles) > 0:
+			i := rng.Intn(len(handles))
+			v := next
+			next++
+			col.Update(c, handles[i], v)
+			model[handles[i]] = v
+		case r < 8 && len(handles) > 0:
+			i := rng.Intn(len(handles))
+			hd := handles[i]
+			handles[i] = handles[len(handles)-1]
+			handles = handles[:len(handles)-1]
+			col.Deregister(c, hd)
+			delete(model, hd)
+		default:
+			want := make([]Value, 0, len(model))
+			for _, v := range model {
+				want = append(want, v)
+			}
+			assertMultisetEqual(t, col.Collect(c, nil), want, fmt.Sprintf("op %d", op))
 		}
-	})
+	}
 }
 
 // TestStableHandlesAlwaysCollected is the key liveness/safety property under
@@ -223,73 +225,75 @@ func TestStableHandlesAlwaysCollected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	forEachImpl(t, func(t *testing.T, im impl, col Collector, h *htm.Heap) {
-		setupCtx := col.NewCtx(h.NewThread())
-		const stable = 8
-		stableVals := make(map[Value]bool, stable)
-		for i := 0; i < stable; i++ {
-			v := Value(0xBEEF000 + i)
-			col.Register(setupCtx, v)
-			stableVals[v] = true
-		}
-		churners := 4
-		if im.maxThreads != 0 && churners > im.maxThreads-2 {
-			churners = im.maxThreads - 2
-		}
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for w := 0; w < churners; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				c := col.NewCtx(h.NewThread())
-				var mine []Handle
-				vn := Value(seed) << 32
-				for {
-					select {
-					case <-stop:
-						for _, hd := range mine {
-							col.Deregister(c, hd)
-						}
-						return
-					default:
+	forEachImpl(t, stableHandlesAlwaysCollected)
+}
+
+func stableHandlesAlwaysCollected(t *testing.T, im impl, col Collector, h *htm.Heap) {
+	setupCtx := col.NewCtx(h.NewThread())
+	const stable = 8
+	stableVals := make(map[Value]bool, stable)
+	for i := 0; i < stable; i++ {
+		v := Value(0xBEEF000 + i)
+		col.Register(setupCtx, v)
+		stableVals[v] = true
+	}
+	churners := 4
+	if im.maxThreads != 0 && churners > im.maxThreads-2 {
+		churners = im.maxThreads - 2
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < churners; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			c := col.NewCtx(h.NewThread())
+			var mine []Handle
+			vn := Value(seed) << 32
+			for {
+				select {
+				case <-stop:
+					for _, hd := range mine {
+						col.Deregister(c, hd)
 					}
-					switch {
-					case len(mine) < 6 && rng.Intn(2) == 0:
-						vn++
-						mine = append(mine, col.Register(c, vn))
-					case len(mine) > 0 && rng.Intn(3) == 0:
-						i := rng.Intn(len(mine))
-						col.Deregister(c, mine[i])
-						mine[i] = mine[len(mine)-1]
-						mine = mine[:len(mine)-1]
-					case len(mine) > 0:
-						vn++
-						col.Update(c, mine[rng.Intn(len(mine))], vn)
-					}
+					return
+				default:
 				}
-			}(int64(w + 1))
-		}
-		collectCtx := col.NewCtx(h.NewThread())
-		for round := 0; round < 100; round++ {
-			got := col.Collect(collectCtx, nil)
-			found := make(map[Value]bool)
-			for _, v := range got {
-				if stableVals[v] {
-					found[v] = true
+				switch {
+				case len(mine) < 6 && rng.Intn(2) == 0:
+					vn++
+					mine = append(mine, col.Register(c, vn))
+				case len(mine) > 0 && rng.Intn(3) == 0:
+					i := rng.Intn(len(mine))
+					col.Deregister(c, mine[i])
+					mine[i] = mine[len(mine)-1]
+					mine = mine[:len(mine)-1]
+				case len(mine) > 0:
+					vn++
+					col.Update(c, mine[rng.Intn(len(mine))], vn)
 				}
 			}
-			if len(found) != stable {
-				close(stop)
-				wg.Wait()
-				t.Fatalf("round %d: Collect missed %d stable handles (got %d values)",
-					round, stable-len(found), len(got))
+		}(int64(w + 1))
+	}
+	collectCtx := col.NewCtx(h.NewThread())
+	for round := 0; round < 100; round++ {
+		got := col.Collect(collectCtx, nil)
+		found := make(map[Value]bool)
+		for _, v := range got {
+			if stableVals[v] {
+				found[v] = true
 			}
 		}
-		close(stop)
-		wg.Wait()
-	})
+		if len(found) != stable {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("round %d: Collect missed %d stable handles (got %d values)",
+				round, stable-len(found), len(got))
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestConcurrentQuiescentExactness runs churn, then quiesces and checks the

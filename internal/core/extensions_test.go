@@ -6,6 +6,33 @@ import (
 	"repro/htm"
 )
 
+// forEachExtension runs f on the matrix's extension rows alone. The three
+// tests below are focused entry points into matrix bodies (go test -run
+// Extension), not separate checks: the full matrix runs the same bodies.
+func forEachExtension(t *testing.T, f func(t *testing.T, im impl, col Collector, h *htm.Heap)) {
+	t.Helper()
+	for _, im := range implementations() {
+		if !im.extension {
+			continue
+		}
+		t.Run(im.name, func(t *testing.T) {
+			h := htm.NewHeap(htm.Config{Words: 1 << 18})
+			f(t, im, im.mk(h), h)
+		})
+	}
+}
+
+func TestExtensionBasicSemantics(t *testing.T) { forEachExtension(t, registerCollectDeregister) }
+
+func TestExtensionModelCheck(t *testing.T) { forEachExtension(t, modelCheck) }
+
+func TestExtensionStableHandlesUnderChurn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stress test")
+	}
+	forEachExtension(t, stableHandlesAlwaysCollected)
+}
+
 // TestFastCollectDeferredFreeReclaimsAtQuiescence: the to-be-freed backlog
 // drains once no Collect is active, restoring live memory.
 func TestFastCollectDeferredFreeReclaims(t *testing.T) {
