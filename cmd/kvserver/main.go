@@ -4,7 +4,7 @@
 // fallback), and background expiry/compaction jobs flow through an on-heap
 // concurrent queue. SIGINT/SIGTERM trigger a graceful shutdown: in-flight
 // requests complete, the job pipeline drains, and the process exits 0 — the
-// contract the CI e2e job asserts.
+// contract main_test.go asserts.
 //
 // Usage:
 //
@@ -55,37 +55,38 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
-	slots := flag.Int("slots", kv.DefaultSlots, "hash index capacity (rounded up to a power of two)")
-	heapWords := flag.Int("heap-words", 0, "heap arena size in 64-bit words (0 = derived from -slots)")
-	pool := flag.Int("pool", 0, "execution-context pool size / engine concurrency (0 = 4*GOMAXPROCS)")
-	maxValue := flag.Int("max-value", kv.DefaultMaxValueBytes, "maximum value size in bytes")
-	sweep := flag.Duration("sweep", 2*time.Second, "interval between background expiry/compaction sweeps")
-	jobWorkers := flag.Int("job-workers", 2, "background job worker goroutines")
-	jobQueue := flag.String("job-queue", "htm", "job queue implementation: htm, ms, rop or ebr")
-	globalFallback := flag.Bool("global-fallback", false, "use the paper's global TLE fallback lock instead of the fine-grained lock-set")
-	verbose := flag.Bool("verbose", false, "log every request")
-	admission := flag.Bool("admission", false, "shed load (503 + Retry-After) under pool saturation or abort storms")
-	reqTimeout := flag.Duration("req-timeout", 0, "per-request store-operation deadline (0 = unbounded)")
-	maxRetries := flag.Int("max-retries", 0, "hardware retry budget before the TLE fallback (0 = engine default)")
-	adapt := flag.Bool("adapt", false, "self-tune fallback mode and spin budget from live abort feedback")
-	adaptInterval := flag.Duration("adapt-interval", 0, "tuning epoch length with -adapt (0 = engine default, 25ms)")
-	clockShards := flag.Int("clock-shards", 0, "version-clock shards, rounded up to a power of two (0/1 = single scalar clock)")
-	stripeShift := flag.Int("stripe-shift", 0, "metadata striping: one orec per 2^shift heap words (0 = per-word)")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed for the -fault-* injection plan")
-	faultBegin := flag.Float64("fault-begin", 0, "probability of a spurious abort at transaction begin")
-	faultAccess := flag.Float64("fault-access", 0, "probability of a spurious abort per transactional access")
-	faultCommit := flag.Float64("fault-commit", 0, "probability of a spurious abort at commit-point")
-	faultStall := flag.Float64("fault-stall", 0, "probability a fallback run stalls while holding its lock-set")
-	walDir := flag.String("wal-dir", "", "durability directory for the commit log and snapshots (empty = in-memory only)")
-	fsync := flag.Bool("fsync", true, "fsync each commit-log batch (false trades durability for throughput)")
-	snapshotEvery := flag.Int("snapshot-every", 4096, "mutations between automatic snapshots (0 = never snapshot)")
-	segmentBytes := flag.Int("segment-bytes", 0, "commit-log segment rotation threshold in bytes (0 = default 4 MiB)")
-	flag.Parse()
+func run(args []string) int {
+	fs := flag.NewFlagSet("kvserver", flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
+	slots := fs.Int("slots", kv.DefaultSlots, "hash index capacity (rounded up to a power of two)")
+	heapWords := fs.Int("heap-words", 0, "heap arena size in 64-bit words (0 = derived from -slots)")
+	pool := fs.Int("pool", 0, "execution-context pool size / engine concurrency (0 = 4*GOMAXPROCS)")
+	maxValue := fs.Int("max-value", kv.DefaultMaxValueBytes, "maximum value size in bytes")
+	sweep := fs.Duration("sweep", 2*time.Second, "interval between background expiry/compaction sweeps")
+	jobWorkers := fs.Int("job-workers", 2, "background job worker goroutines")
+	jobQueue := fs.String("job-queue", "htm", "job queue implementation: htm, ms, rop or ebr")
+	globalFallback := fs.Bool("global-fallback", false, "use the paper's global TLE fallback lock instead of the fine-grained lock-set")
+	verbose := fs.Bool("verbose", false, "log every request")
+	admission := fs.Bool("admission", false, "shed load (503 + Retry-After) under pool saturation or abort storms")
+	reqTimeout := fs.Duration("req-timeout", 0, "per-request store-operation deadline (0 = unbounded)")
+	maxRetries := fs.Int("max-retries", 0, "hardware retry budget before the TLE fallback (0 = engine default)")
+	adapt := fs.Bool("adapt", false, "self-tune fallback mode and spin budget from live abort feedback")
+	adaptInterval := fs.Duration("adapt-interval", 0, "tuning epoch length with -adapt (0 = engine default, 25ms)")
+	clockShards := fs.Int("clock-shards", 0, "version-clock shards, rounded up to a power of two (0/1 = single scalar clock)")
+	stripeShift := fs.Int("stripe-shift", 0, "metadata striping: one orec per 2^shift heap words (0 = per-word)")
+	faultSeed := fs.Uint64("fault-seed", 1, "seed for the -fault-* injection plan")
+	faultBegin := fs.Float64("fault-begin", 0, "probability of a spurious abort at transaction begin")
+	faultAccess := fs.Float64("fault-access", 0, "probability of a spurious abort per transactional access")
+	faultCommit := fs.Float64("fault-commit", 0, "probability of a spurious abort at commit-point")
+	faultStall := fs.Float64("fault-stall", 0, "probability a fallback run stalls while holding its lock-set")
+	walDir := fs.String("wal-dir", "", "durability directory for the commit log and snapshots (empty = in-memory only)")
+	fsync := fs.Bool("fsync", true, "fsync each commit-log batch (false trades durability for throughput)")
+	snapshotEvery := fs.Int("snapshot-every", 4096, "mutations between automatic snapshots (0 = never snapshot)")
+	segmentBytes := fs.Int("segment-bytes", 0, "commit-log segment rotation threshold in bytes (0 = default 4 MiB)")
+	fs.Parse(args)
 
 	newQueue, err := queueFactory(*jobQueue)
 	if err != nil {
@@ -165,15 +166,23 @@ func run() int {
 	}
 	srv := kv.NewServer(store, opts...)
 
+	// Catch SIGINT/SIGTERM before the readiness line can go out: a supervisor
+	// may signal the moment it reads it, and the default action would skip
+	// the drain and the WAL's clean marker.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kvserver: listen: %v\n", err)
+		// Open removed the clean marker; nothing was served, so restore it.
+		if err := store.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "kvserver: %v\n", err)
+		}
 		return 1
 	}
-	// Log the bound address the moment the listener exists — before signal
-	// wiring or anything else that could delay (or, failing, suppress) the
-	// line. Supervisors and the CI e2e script treat it as the readiness
-	// signal, and with -addr :0 it is the only way to learn the chosen port.
+	// Log the bound address the moment the listener exists. Supervisors treat
+	// it as the readiness signal, and with -addr :0 it is the only way to
+	// learn the chosen port.
 	adaptState := "off"
 	if tu := store.Tuner(); tu != nil {
 		st := tu.State()
@@ -181,8 +190,6 @@ func run() int {
 	}
 	log.Printf("kvserver: serving on http://%s (slots=%d heap=%dw pool=%d queue=%s faults=%v durable=%v adapt=%s)",
 		ln.Addr(), store.Slots(), store.Heap().Config().Words, store.PoolSize(), *jobQueue, plan != nil, store.Durable(), adaptState)
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	if err := srv.Serve(ctx, ln); err != nil {
 		fmt.Fprintf(os.Stderr, "kvserver: %v\n", err)
 		return 1

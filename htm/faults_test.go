@@ -133,7 +133,7 @@ func TestAtomicUntilAbandons(t *testing.T) {
 
 // TestFaultDeterminism runs the same single-thread workload on two heaps
 // configured with the same plan and demands bit-identical statistics — the
-// replayability contract the chaos CI gate rests on. A third heap with a
+// replayability contract the kv chaos goldens rest on. A third heap with a
 // different seed must diverge (same counts would mean the seed is ignored).
 func TestFaultDeterminism(t *testing.T) {
 	run := func(seed uint64) Stats {

@@ -132,7 +132,7 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // ctx is cancelled, then shuts down gracefully: stop accepting, wait out
 // in-flight requests (bounded by ShutdownGrace), stop the pipeline, and wait
 // for every worker to release its queue context. Returns nil on a clean
-// shutdown — the exit-0 contract the CI e2e job asserts.
+// shutdown — the exit-0 contract cmd/kvserver's tests assert.
 func (sv *Server) Serve(ctx context.Context, ln net.Listener) error {
 	jobsCtx, stopJobs := context.WithCancel(context.Background())
 	jobs := StartJobs(jobsCtx, sv.store, sv.jobs)

@@ -67,7 +67,7 @@ type Options struct {
 	SegmentBytes int
 	// NoSync skips the per-batch fsync (throughput experiments; the
 	// durability guarantee is off and crashes may lose acknowledged
-	// writes — crashkv will say so).
+	// writes — cmd/kvserver's crash test would count them as lost).
 	NoSync bool
 }
 

@@ -298,7 +298,8 @@ func TestFaultFSTornWrite(t *testing.T) {
 // TestFaultFSLyingSync models a device that acknowledges fsync without
 // persisting: the log believes the append is durable, the crash loses it.
 // Recovery must still be clean (torn tail at worst) — the loss is detectable
-// only by comparing against acknowledged writes, which is crashkv's job.
+// only by comparing against acknowledged writes, which cmd/kvserver's crash
+// test does against the real binary.
 func TestFaultFSLyingSync(t *testing.T) {
 	mfs := NewMemFS()
 	ffs := NewFaultFS(mfs, FaultPlan{Seed: 7, LieSyncProb: 1})

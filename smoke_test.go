@@ -57,17 +57,6 @@ func TestSmokeExamplesAndCommands(t *testing.T) {
 			{"fallback", "-quick", "-duration", "10ms", "-threads", "4"},
 			{"-help"},
 		},
-		// A real (tiny) chaos run: deterministic shadow-model phase plus the
-		// overload sweep, exit 0 = model, sweep and determinism checks passed.
-		// Runs with the sharded clock and a pinned (observe-only) tuner so the
-		// determinism contract is exercised at shards>1 with the tuner's
-		// sampling goroutine live on every test invocation (CI also runs it
-		// unsharded, and runs the pinned same-seed pair under -race).
-		"./cmd/chaoskv": {{"-seed", "1", "-ops", "300", "-duration", "30ms", "-clients", "4", "-clock-shards", "2", "-adapt-pinned"}},
-		// A real (tiny) crash run: two SIGKILL/restart cycles plus the torn
-		// and mid-log phases against a real kvserver process; exit 0 = zero
-		// acknowledged-write loss and the refuse-to-start contract held.
-		"./cmd/crashkv": {{"-quick", "-seed", "1", "-cycles", "2", "-clients", "2", "-keys", "8"}},
 	}
 
 	pkgs := discoverPackages(t, "cmd", "examples")
