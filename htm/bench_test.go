@@ -125,10 +125,9 @@ func BenchmarkTxnLoadWordsBlocks(b *testing.B) {
 	}
 }
 
-// BenchmarkTxnStoreWords32 is the staging half of a full telescoped Collect
-// step: one write transaction buffering a store-buffer's worth of consecutive
-// words with Txn.StoreWords and committing them. The write set never sees a
-// lookup, so the lazy index costs it nothing.
+// BenchmarkTxnStoreWords32 is one write transaction buffering a
+// store-buffer's worth of consecutive words with Txn.StoreWords and committing
+// them. The write set never sees a lookup, so the lazy index costs it nothing.
 func BenchmarkTxnStoreWords32(b *testing.B) {
 	h := NewHeap(Config{Words: 1 << 16})
 	th := h.NewThread()
@@ -152,8 +151,8 @@ func BenchmarkTxnStoreWords32(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadWordsNT64 is the drain half: copying 64 staged words out of
-// the heap non-transactionally with one Heap.LoadWordsNT.
+// BenchmarkLoadWordsNT64 copies 64 words out of the heap non-transactionally
+// with one Heap.LoadWordsNT.
 func BenchmarkLoadWordsNT64(b *testing.B) {
 	h := NewHeap(Config{Words: 1 << 16})
 	var img, dst [64]uint64

@@ -139,6 +139,24 @@ func TestDerivedCountersScriptedMix(t *testing.T) {
 			} else if err == nil {
 				t.Fatal("a transaction that read a block freed under it committed")
 			}
+			// Charged-only bodies: a commit that counts as read-only and ticks
+			// nothing, an overflow, and a validation failure that — unlike
+			// the write commit's above — spent no tick. (On a re-run after an
+			// injected kill the word has already moved, so it commits.)
+			th.Atomic(func(tx *Txn) { _ = tx.Load(a + 3); tx.ChargeStores(4) })
+			want("charged overflow", try(func(tx *Txn) { tx.ChargeStores(5) }), AbortOverflow)
+			moved := false
+			err = try(func(tx *Txn) {
+				_ = tx.Load(a + 3)
+				tx.ChargeStores(1)
+				if !moved {
+					moved = true
+					other.Atomic(func(tx *Txn) { tx.Store(a+3, 1) })
+				}
+			})
+			if !faulty {
+				want("charged validation", err, AbortConflict)
+			}
 			// Fine-grained fallback: a deterministic overflow exhausts
 			// MaxRetries and completes under the word locks (one release tick),
 			// freeing a block on commit; then a read-only fallback run (no tick).
@@ -184,15 +202,18 @@ func TestDerivedCountersScriptedMix(t *testing.T) {
 			// Without injection the script's outcome is exact.
 			got := fmt.Sprint(s.Starts, s.Commits, s.Aborts[AbortExplicit], s.Aborts[AbortOverflow],
 				s.Aborts[AbortCapacity], s.Aborts[AbortIllegal], s.Aborts[AbortConflict], s.FallbackRuns, s.AllocCalls, s.FreeCalls)
-			// 1 + 8 commits; explicit, overflow, illegal, validation; 3 attempts
+			// 1 + 8 + 1 + 1 commits (read-only, write, charged, and the write
+			// that moves the charged body's read); explicit, overflow, illegal,
+			// validation, charged overflow, charged validation; 3 attempts
 			// ahead of each of the three fallback runs.
-			if want := fmt.Sprint(22, 9, 1, 7, 3, 1, 1, 3, 4, 4); got != want {
+			if want := fmt.Sprint(26, 11, 1, 8, 3, 1, 2, 3, 4, 4); got != want {
 				t.Errorf("starts commits explicit overflow capacity illegal conflict fallbacks allocs frees = %s, want %s", got, want)
 			}
-			// Ticks: 8 write commits, 1 failed validation, 1 fine fallback
-			// release, 4 allocs, 4 frees.
-			if s.ClockShardTicks != 18 {
-				t.Errorf("ClockShardTicks = %d, want 18", s.ClockShardTicks)
+			// Ticks: 9 write commits, 1 failed write-commit validation (the
+			// charged one ticks nothing), 1 fine fallback release, 4 allocs,
+			// 4 frees.
+			if s.ClockShardTicks != 19 {
+				t.Errorf("ClockShardTicks = %d, want 19", s.ClockShardTicks)
 			}
 		})
 	}

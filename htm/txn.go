@@ -69,9 +69,12 @@ type Txn struct {
 	fbSeq  uint64 // fallback-lock sequence observed at begin
 	reads  []readEntry
 	writes []writeEntry
-	frees  []Addr // to free after commit
-	allocs []Addr // allocated inside the txn; rolled back on abort
-	direct bool   // executing on the TLE fallback path
+	// charged counts the store-buffer entries ChargeStores consumed: stores
+	// to caller-private memory that occupy the buffer but publish nothing.
+	charged int
+	frees   []Addr // to free after commit
+	allocs  []Addr // allocated inside the txn; rolled back on abort
+	direct  bool   // executing on the TLE fallback path
 
 	// abortCode/abortAddr carry the failure reason of an in-body abort while
 	// the abortSentinel panic unwinds to the retry loop.
@@ -125,9 +128,9 @@ type Txn struct {
 	// appends, and a lookup past the threshold first indexes the entries added
 	// since the previous one. Invariant: windexed <= len(writes), entries
 	// [0, windexed) are in windex, and reset() zeroes windexed — so an attempt
-	// that never looks up after its 9th store (a telescoped Collect step, any
-	// bulk writer) never hashes at all, while a body that interleaves lookups
-	// and stores inserts each entry exactly once, as the eager index did.
+	// that never looks up after its 9th store (any bulk writer) never hashes
+	// at all, while a body that interleaves lookups and stores inserts each
+	// entry exactly once, as the eager index did.
 	windex   setIndex
 	windexed int
 
@@ -493,17 +496,17 @@ func (t *Txn) accessFault(a Addr, op string) {
 
 // validate checks that every read performed so far still holds the metadata
 // word it held when read — one atomic load and compare per entry; a lock, a
-// version bump, a free, or a reallocation all fail it. Stripes locked by this
-// transaction's own commit are checked against their pre-lock metadata by the
-// caller.
-func (t *Txn) validate() bool {
+// version bump, a free, or a reallocation all fail it — and returns the first
+// read that does not. Stripes locked by this transaction's own commit are
+// checked against their pre-lock metadata by publish.
+func (t *Txn) validate() (Addr, bool) {
 	for i := range t.reads {
 		r := &t.reads[i]
 		if t.meta[t.mi(r.addr)].Load() != r.meta {
-			return false
+			return r.addr, false
 		}
 	}
-	return true
+	return NilAddr, true
 }
 
 // extend attempts to move the read-validity snapshot forward after
@@ -527,7 +530,7 @@ func (t *Txn) extend() {
 	for i := range t.rv {
 		t.rv[i] = t.clock[i].v.Load()
 	}
-	if !t.validate() {
+	if _, ok := t.validate(); !ok {
 		if t.sshift != 0 {
 			bump(&t.th.cell.stripeConflicts)
 		}
@@ -772,7 +775,7 @@ func (t *Txn) Store(a Addr, v uint64) {
 		t.writes[i].val = v
 		return
 	}
-	if t.storeBufSize >= 0 && len(t.writes) >= t.storeBufSize {
+	if t.storeBufSize >= 0 && len(t.writes)+t.charged >= t.storeBufSize {
 		t.abort(AbortOverflow, a)
 	}
 	// Record the metadata with the lock bit cleared: a word locked right now
@@ -791,14 +794,15 @@ func (t *Txn) Store(a Addr, v uint64) {
 // hardware-path case is in play: the fallback paths, fault injection (every
 // access must draw from the plan), YieldEvery, a non-empty write set (a word
 // of the range may already be buffered), a range that leaves the arena, and a
-// range longer than the store buffer (the loop aborts at the word that
-// overflows it). Otherwise no word of the range can hit the write set or
-// overflow it, so the per-access dispatch is decided once, the entries are
-// reserved once, and each word costs one metadata load and one append.
+// range longer than what ChargeStores left of the store buffer (the loop
+// aborts at the word that overflows it). Otherwise no word of the range can
+// hit the write set or overflow it, so the per-access dispatch is decided
+// once, the entries are reserved once, and each word costs one metadata load
+// and one append.
 func (t *Txn) StoreWords(a Addr, src []uint64) {
 	if t.direct || t.yieldThresh != 0 || t.faults != nil || len(t.writes) != 0 ||
 		a == NilAddr || int(a)+len(src) > len(t.words) ||
-		(t.storeBufSize >= 0 && len(src) > t.storeBufSize) {
+		(t.storeBufSize >= 0 && len(src)+t.charged > t.storeBufSize) {
 		for i := range src {
 			t.Store(a+Addr(i), src[i])
 		}
@@ -814,6 +818,39 @@ func (t *Txn) StoreWords(a Addr, src []uint64) {
 		}
 		// Lock bit cleared, exactly as Store records it.
 		t.writes = append(t.writes, writeEntry{addr: w, val: v, meta: m &^ metaLockBit})
+	}
+}
+
+// ChargeStores consumes n store-buffer entries for stores to memory only the
+// caller can see — a Go slice, say — without buffering a shared write. It
+// stands for n Stores to fresh allocated words that no other thread reads: it
+// aborts AbortOverflow (at NilAddr: the words have no heap address) exactly
+// where that loop would, Store and StoreWords count the charged entries
+// against the same bound, and under YieldEvery or a fault plan each entry
+// draws the yield and fault decision its Store would have. A transaction
+// whose only stores were charged commits as such a write commit would, minus
+// its lock, tick and write-back (see commitCharged). On the fallback paths,
+// which have no store buffer, it does nothing.
+func (t *Txn) ChargeStores(n int) {
+	if t.direct {
+		return
+	}
+	if t.yieldThresh == 0 && t.faults == nil {
+		if t.storeBufSize >= 0 && len(t.writes)+t.charged+n > t.storeBufSize {
+			t.abort(AbortOverflow, NilAddr)
+		}
+		t.charged += n
+		return
+	}
+	for ; n > 0; n-- {
+		t.maybeYield()
+		if t.faults != nil && t.faults.fireAccess() {
+			t.abort(AbortSpurious, NilAddr)
+		}
+		if t.storeBufSize >= 0 && len(t.writes)+t.charged >= t.storeBufSize {
+			t.abort(AbortOverflow, NilAddr)
+		}
+		t.charged++
 	}
 }
 
@@ -907,7 +944,13 @@ func (t *Txn) commit() (AbortCode, Addr) {
 		// Read-only transactions hold a consistent snapshot as of rv at all
 		// times thanks to incremental validation, so they commit for free —
 		// as on real HTM, where an uncontended read-only transaction simply
-		// commits.
+		// commits. One that charged stores still decides its outcome the way a
+		// write commit does.
+		if t.charged > 0 {
+			if code, addr := t.commitCharged(); code != 0 {
+				return code, addr
+			}
+		}
 		t.runFrees()
 		return 0, NilAddr
 	}
@@ -940,6 +983,26 @@ func (t *Txn) commit() (AbortCode, Addr) {
 		panic(fmt.Sprintf("htm: commit to freed word %#x without sandboxing", uint32(addr)))
 	}
 	return code, addr
+}
+
+// commitCharged is the commit of a transaction whose only stores were charged:
+// what publish decides for a write set of private words. Their acquisition
+// CASes can never fail and nobody reads them, so only the steps that decide
+// the outcome are left — the TLE epoch check (AbortFallback), then read-set
+// validation against live metadata (AbortConflict at the first changed word)
+// — and none of the lock, the clock tick or the write-back. It counts as a
+// read-only commit: nothing ticked.
+func (t *Txn) commitCharged() (AbortCode, Addr) {
+	if t.tle && t.h.fallbackSeq.Load() != t.fbSeq {
+		return AbortFallback, NilAddr
+	}
+	if a, ok := t.validate(); !ok {
+		if t.sshift != 0 {
+			bump(&t.th.cell.stripeConflicts)
+		}
+		return AbortConflict, a
+	}
+	return 0, NilAddr
 }
 
 // publish is the hardware write commit proper: lock the write set, tick the
@@ -1068,6 +1131,7 @@ func (t *Txn) runFrees() {
 func (t *Txn) reset() {
 	t.reads = t.reads[:0]
 	t.writes = t.writes[:0]
+	t.charged = 0
 	t.frees = t.frees[:0]
 	t.allocs = t.allocs[:0]
 	t.windexed = 0

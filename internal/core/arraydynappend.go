@@ -123,7 +123,6 @@ func (a *slotArray) collect(c *Ctx, out []Value, bound htm.Addr, copyOne func(*C
 	walk func(t *htm.Txn, step int, at uint64) (uint64, walkEnd)) []Value {
 	a.helpCopy(c, copyOne)
 	n := a.h.LoadNT(bound)
-	c.ensureScratch(int(n))
 	return c.telescope(out, n, int(n), walk, func(err error) bool {
 		if isIllegal(err) {
 			// The array moved and was freed under us; re-synchronize.

@@ -83,7 +83,6 @@ func (a *ArrayStatAppendDereg) Update(c *Ctx, h Handle, v Value) { updateSlot(c,
 // telescoping, staging results transactionally.
 func (a *ArrayStatAppendDereg) Collect(c *Ctx, out []Value) []Value {
 	n := a.h.LoadNT(a.desc)
-	c.ensureScratch(int(n))
 	return c.telescope(out, n, int(n), func(t *htm.Txn, step int, at uint64) (uint64, walkEnd) {
 		at = min(at, t.Load(a.desc))
 		got := 0

@@ -42,7 +42,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"repro/htm"
 	"repro/internal/adapt"
@@ -122,29 +121,25 @@ func (o Options) normalize(h *htm.Heap) Options {
 }
 
 // Ctx is the per-thread execution context for a Collector. It carries the
-// htm thread, the telescoping controller, the transactional scratch buffer
-// Collect results are staged in, and algorithm-private state.
+// htm thread, the telescoping controller, the Go slice Collect results are
+// staged in, and algorithm-private state. It holds no heap block.
 //
-// Collect stages results in a heap-resident scratch buffer written
-// transactionally, so that — exactly as on Rock — every element copied by a
-// Collect step consumes a store-buffer entry, which is what limits step sizes
-// to 32 (paper §3.4).
-//
-// A step first GATHERS its values into buf with transactional loads and then
-// STAGES them with one bulk store (see stage): the transaction is atomic, so
-// the order of its loads and stores is unobservable, and gathering first lets
-// every load of the body run against an empty write set.
+// A Collect step GATHERS its values with transactional loads straight into
+// the staging slice, then STAGES them with one store-buffer charge (see
+// stage): exactly as on Rock, every element copied by a step consumes a
+// store-buffer entry, which is what limits step sizes to 32 (paper §3.4). The
+// entries stand for stores to thread-private memory, so they publish nothing
+// and cost no shared write at commit.
 type Ctx struct {
-	th      *htm.Thread
-	opts    Options
-	ctrl    *adapt.Controller
-	scratch htm.Addr
-	scrLen  int
-	// buf holds the values gathered by the Collect step in flight; a step
-	// never exceeds MaxStep elements.
-	buf []Value
+	th   *htm.Thread
+	opts Options
+	ctrl *adapt.Controller
+	// vals stages the Collect in flight: vals[:staged] holds what committed
+	// steps collected, and buf is the step in flight's gather window right
+	// after it.
+	vals, buf []Value
 	// staged counts the values committed steps of the Collect in flight left
-	// in scratch; got counts those the step in flight staged.
+	// in vals; got counts those the step in flight staged.
 	staged, got int
 	// stepHist[s] counts the elements collected at step size s, for Figure 6.
 	stepHist []stepCount
@@ -161,7 +156,7 @@ type stepCount struct {
 }
 
 func newCtx(th *htm.Thread, opts Options) *Ctx {
-	c := &Ctx{th: th, opts: opts, buf: make([]Value, opts.MaxStep)}
+	c := &Ctx{th: th, opts: opts}
 	if opts.Adaptive || opts.TrackOutcomes {
 		c.ctrl = adapt.NewController(opts.MinStep, opts.MaxStep, opts.Step)
 		c.stepHist = make([]stepCount, opts.MaxStep+1)
@@ -205,19 +200,19 @@ const (
 	walkStale                // the structure changed under the walk
 )
 
-// unbounded is a list walk's bound: its scratch buffer grows with every step.
+// unbounded is a list walk's bound: it may stage a full step every time.
 const unbounded = math.MaxInt
 
 // telescope is the telescoped Collect (§3.4) of all seven HTM collectors. Each
 // step runs walk in one hardware transaction: walk gathers up to step values
 // into c.buf from cursor at with transactional loads, hands them to c.stage
-// once, and returns the cursor it reached. It writes no scratch outside stage
-// and keeps nothing that outlives the attempt: the driver commits the cursor
-// and the staged values only when the transaction commits. After an aborted
-// step, or one whose walk found its structure stale, resync (nil: nothing to
-// repair) reports whether to discard what is staged and walk again from from.
-// Scratch grows per step up to bound, the most values the walk can stage; a
-// bound of 0 takes no step.
+// once, and returns the cursor it reached. It writes c.vals only through
+// c.buf and keeps nothing that outlives the attempt: the driver commits the
+// cursor and the staged values only when the transaction commits. After an
+// aborted step, or one whose walk found its structure stale, resync (nil:
+// nothing to repair) reports whether to discard what is staged and walk again
+// from from. bound is the most values the walk can stage in all, which caps
+// each step's window; a bound of 0 takes no step.
 func (c *Ctx) telescope(out []Value, from uint64, bound int,
 	walk func(t *htm.Txn, step int, at uint64) (uint64, walkEnd),
 	resync func(err error) bool) []Value {
@@ -225,7 +220,7 @@ func (c *Ctx) telescope(out []Value, from uint64, bound int,
 	c.staged = 0
 	for more := bound > 0; more; {
 		step := c.step()
-		c.ensureScratch(min(c.staged+step, bound))
+		c.window(min(c.staged+step, bound))
 		c.got = 0
 		var next uint64
 		var end walkEnd
@@ -239,7 +234,7 @@ func (c *Ctx) telescope(out []Value, from uint64, bound int,
 			at, c.staged = from, 0
 		}
 	}
-	return c.drainScratch(c.staged, out)
+	return append(out, c.vals[:c.staged]...)
 }
 
 // StepHistogram returns a copy of this context's elements-collected-per-step
@@ -257,51 +252,30 @@ func (c *Ctx) StepHistogram() map[int]uint64 {
 	return out
 }
 
-// ensureScratch guarantees the scratch buffer holds at least n words,
-// reallocating outside any transaction and preserving already-staged values:
-// the grown buffer is born holding them (AllocInit), so growing mid-Collect —
-// the list collectors do — costs the allocation alone.
-func (c *Ctx) ensureScratch(n int) {
-	if n <= c.scrLen {
-		return
+// window points c.buf at vals[staged:n], the step in flight's gather window,
+// first growing vals — outside any transaction, keeping the staged prefix —
+// when it is shorter than n, as a list collector's does mid-Collect.
+func (c *Ctx) window(n int) {
+	if n > len(c.vals) {
+		vals := make([]Value, max(n, 64, 2*len(c.vals)))
+		copy(vals, c.vals[:c.staged])
+		c.vals = vals
 	}
-	n = max(n, 64, 2*c.scrLen)
-	image := make([]uint64, n)
-	old := c.scratch
-	c.th.Heap().LoadWordsNT(old, image[:c.scrLen]) // nothing to copy the first time
-	c.scratch = c.th.AllocInit(image)
-	c.scrLen = n
-	if old != htm.NilAddr {
-		c.th.Free(old)
-	}
+	c.buf = c.vals[c.staged:n]
 }
 
-// stage buffers the got values gathered in c.buf as transactional stores to
-// the scratch words after those committed steps staged: one store-buffer entry
-// per collected element, exactly as if each had been stored right after its
-// load.
+// stage charges one store-buffer entry per value the step gathered into
+// c.buf, exactly as if each had been stored right after its load; the values
+// are already where the drain reads them.
 func (c *Ctx) stage(t *htm.Txn, got int) {
-	t.StoreWords(c.scratch+htm.Addr(c.staged), c.buf[:got])
+	t.ChargeStores(got)
 	c.got = got
 }
 
-// drainScratch appends the first n staged values to out.
-func (c *Ctx) drainScratch(n int, out []Value) []Value {
-	base := len(out)
-	out = slices.Grow(out, n)[:base+n]
-	c.th.Heap().LoadWordsNT(c.scratch, out[base:])
-	return out
-}
-
-// Close releases the context's heap resources, including an inner context's.
-// Contexts used for an entire experiment need not be closed.
+// Close closes a wrapping collector's inner context. A Ctx itself holds no
+// heap block — Collect stages into Go memory — so contexts need not be closed.
 func (c *Ctx) Close() {
 	if c.inner != nil {
 		c.inner.Close()
-	}
-	if c.scratch != htm.NilAddr {
-		c.th.Free(c.scratch)
-		c.scratch = htm.NilAddr
-		c.scrLen = 0
 	}
 }

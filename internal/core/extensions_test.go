@@ -86,8 +86,8 @@ func TestDeferredReuseParksHandles(t *testing.T) {
 		t.Errorf("inner registered = %d after drain", got)
 	}
 
-	// Closing the wrapper's context closes the inner one, scratch buffer
-	// included: a full cycle leaves the heap as NewCtx found it.
+	// Closing the wrapper's context closes the inner one: a full cycle leaves
+	// the heap as NewCtx found it.
 	for _, inner := range []func(h *htm.Heap) Collector{
 		func(h *htm.Heap) Collector { return NewArrayDynAppendDereg(h, 0, Options{Step: 8}) },
 		func(h *htm.Heap) Collector { return NewFastCollect(h, Options{Step: 8}) },
