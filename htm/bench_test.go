@@ -125,6 +125,39 @@ func BenchmarkTxnLoadWordsBlocks(b *testing.B) {
 	}
 }
 
+// BenchmarkTxnLoadStrided is a Collect-step-shaped read: one read-only
+// transaction gathering the 32 value words of a 64-word slot array of
+// two-word slots, top slot first, with one Txn.LoadStrided at stride -2. Each
+// slot was filled by its own commit, as registrations fill a Collect array, so
+// no two words read share a metadata value. ns/op ÷ 32 is the kernel's cost
+// per word with the begin/commit diluted.
+func BenchmarkTxnLoadStrided(b *testing.B) {
+	const slots = 32
+	h := NewHeap(Config{Words: 1 << 16})
+	th := h.NewThread()
+	arr := th.Alloc(2 * slots)
+	for i := Addr(0); i < slots; i++ {
+		th.Atomic(func(t *Txn) { t.Store(arr+2*i, uint64(i)+1) })
+	}
+	var dst [slots]uint64
+	body := func(t *Txn) { t.LoadStrided(arr+2*(slots-1), -2, dst[:]) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Atomic(body)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/slots, "ns/word")
+	for i, v := range dst {
+		if v != slots-uint64(i) {
+			b.Fatalf("LoadStrided read %v, want the slot values top down", dst)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { th.Atomic(body) }); n != 0 {
+		b.Fatalf("LoadStrided transaction allocates %.1f times per op, want 0", n)
+	}
+}
+
 // BenchmarkTxnStoreWords32 is one write transaction buffering a
 // store-buffer's worth of consecutive words with Txn.StoreWords and committing
 // them. The write set never sees a lookup, so the lazy index costs it nothing.

@@ -9,23 +9,59 @@ import (
 	"testing"
 )
 
-// Tests for the bulk kernels: Txn.LoadWords, Txn.StoreWords and
-// Heap.LoadWordsNT, whose whole specifications are "the Load loop", "the Store
-// loop" and "the LoadNT loop"; Thread.AllocInit, whose whole specification is
-// "Alloc, born holding an image"; and the lazily built write-set index the
-// store kernel leans on.
+// Tests for the bulk kernels: Txn.LoadWords, Txn.LoadStrided, Txn.StoreWords
+// and Heap.LoadWordsNT, whose whole specifications are "the Load loop", "the
+// Load loop", "the Store loop" and "the LoadNT loop"; Thread.AllocInit, whose
+// whole specification is "Alloc, born holding an image"; and the lazily built
+// write-set index the store kernel leans on.
 
-// rangeReader reads len(dst) words at a inside tx: once as the definition,
-// once as the kernel.
-type rangeReader func(tx *Txn, a Addr, dst []uint64)
+// rangeReader reads len(dst) words inside tx, the i-th at a+i*stride: once as
+// the definition, once as a kernel.
+type rangeReader func(tx *Txn, a Addr, stride int, dst []uint64)
 
-func loadLoop(tx *Txn, a Addr, dst []uint64) {
+func loadLoop(tx *Txn, a Addr, stride int, dst []uint64) {
 	for i := range dst {
-		dst[i] = tx.Load(a + Addr(i))
+		dst[i] = tx.Load(a + Addr(i*stride))
 	}
 }
 
-func loadWords(tx *Txn, a Addr, dst []uint64) { tx.LoadWords(a, dst) }
+func loadWords(tx *Txn, a Addr, _ int, dst []uint64) { tx.LoadWords(a, dst) }
+
+func loadStrided(tx *Txn, a Addr, stride int, dst []uint64) { tx.LoadStrided(a, stride, dst) }
+
+// walk is a reader bound to a stride, and what a scenario needs to lay its
+// blocks out for it: a walk of n elements spans n*|stride| words and starts at
+// its block's first word going up, at its block's last element going down.
+type walk struct {
+	stride int
+	read   rangeReader
+}
+
+func (w walk) load(tx *Txn, a Addr, dst []uint64) { w.read(tx, a, w.stride, dst) }
+
+// span is the size of a block that holds an n-element walk.
+func (w walk) span(n int) int { return n * max(w.stride, -w.stride) }
+
+// from is where an n-element walk over the block at blk starts.
+func (w walk) from(blk Addr, n int) Addr {
+	if w.stride < 0 {
+		return w.at(blk, 1-n)
+	}
+	return blk
+}
+
+// at is the address of element i of the walk that starts at a.
+func (w walk) at(a Addr, i int) Addr { return a + Addr(i*w.stride) }
+
+// first is the first element of the n-element walk from a that ok accepts.
+func (w walk) first(a Addr, n int, ok func(Addr) bool) Addr {
+	for i := 0; i < n; i++ {
+		if ok(w.at(a, i)) {
+			return w.at(a, i)
+		}
+	}
+	return NilAddr
+}
 
 // lwResult is everything one attempt lets a caller observe about a range
 // read: the values (the prefix filled before an abort included), the read set
@@ -39,14 +75,14 @@ type lwResult struct {
 }
 
 // lwAttempt runs one TryAtomic on th: before (optional) sets the scene from
-// inside the attempt, then read covers [a, a+n).
-func lwAttempt(th *Thread, a Addr, n int, read rangeReader, before func(tx *Txn)) lwResult {
+// inside the attempt, then w reads n elements from a.
+func lwAttempt(th *Thread, w walk, a Addr, n int, before func(tx *Txn)) lwResult {
 	res := lwResult{vals: make([]uint64, n), distinct: -1}
 	err := th.TryAtomic(func(tx *Txn) {
 		if before != nil {
 			before(tx)
 		}
-		read(tx, a, res.vals)
+		w.load(tx, a, res.vals)
 		res.reads = append([]readEntry(nil), tx.reads...)
 		res.distinct = tx.ReadSetSize()
 	})
@@ -67,125 +103,157 @@ func lwBlock(th *Thread, n int, base uint64) Addr {
 	return th.AllocInit(img)
 }
 
-// TestLoadWordsIsTheLoadLoop runs every scenario twice on identically built
-// heaps — the body reading its range once with a Load loop, once with
-// LoadWords — and requires the two runs to be indistinguishable: values, read
-// set, abort code and address, and every heap counter. Each scenario also
-// names the outcome it expects, so two runs that agree on the wrong thing
-// still fail. All scenarios run at the default geometry and with a sharded
-// clock over striped metadata.
-func TestLoadWordsIsTheLoadLoop(t *testing.T) {
-	type scenario struct {
-		name string
-		cfg  Config
-		want AbortCode // 0: the attempt commits
-		run  func(t *testing.T, h *Heap, read rangeReader) lwResult
-	}
-	scenarios := []scenario{
-		{name: "plain range", run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+// lwVal is what lwBlock(th, n, base) put at a, a word of the block at blk.
+func lwVal(blk Addr, base uint64, a Addr) uint64 { return base + uint64(a-blk) + 1 }
+
+// lwScenario is one case of the Load-loop parity tests: the configuration it
+// needs on top of the geometry, the abort it expects, and a body that builds
+// its heap and reads through w.
+type lwScenario struct {
+	name     string
+	cfg      Config
+	want     AbortCode // 0: the attempt commits
+	downward bool      // only for negative strides
+	run      func(t *testing.T, h *Heap, w walk) lwResult
+}
+
+// lwScenarios is the scenario table both bulk reads are held to, written for
+// any stride; at stride 1 it is the contiguous range LoadWords reads.
+func lwScenarios() []lwScenario {
+	scenarios := []lwScenario{
+		{name: "plain range", run: func(t *testing.T, h *Heap, w walk) lwResult {
 			th := h.NewThread()
-			res := lwAttempt(th, lwBlock(th, 24, 100), 24, read, nil)
-			if res.distinct != 24 || res.vals[0] != 101 || res.vals[23] != 124 {
-				t.Errorf("read %v with %d distinct entries", res.vals, res.distinct)
+			blk := lwBlock(th, w.span(24), 100)
+			a := w.from(blk, 24)
+			res := lwAttempt(th, w, a, 24, nil)
+			for i, v := range res.vals {
+				if v != lwVal(blk, 100, w.at(a, i)) {
+					t.Errorf("element %d = %d, want %d", i, v, lwVal(blk, 100, w.at(a, i)))
+				}
+			}
+			if res.distinct != 24 {
+				t.Errorf("%d distinct entries, want 24", res.distinct)
 			}
 			return res
 		}},
-		{name: "empty range", run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+		{name: "empty range", run: func(t *testing.T, h *Heap, w walk) lwResult {
 			th := h.NewThread()
-			return lwAttempt(th, lwBlock(th, 4, 0), 0, read, nil)
+			return lwAttempt(th, w, lwBlock(th, 4, 0), 0, nil)
 		}},
-		{name: "range over own earlier store", run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+		{name: "range over own earlier store", run: func(t *testing.T, h *Heap, w walk) lwResult {
 			th := h.NewThread()
-			a := lwBlock(th, 16, 0)
-			res := lwAttempt(th, a, 16, read, func(tx *Txn) { tx.Store(a+3, 99) })
-			if res.vals[3] != 99 || res.vals[4] != 5 {
+			blk := lwBlock(th, w.span(16), 0)
+			a := w.from(blk, 16)
+			res := lwAttempt(th, w, a, 16, func(tx *Txn) { tx.Store(w.at(a, 3), 99) })
+			if res.vals[3] != 99 || res.vals[4] != lwVal(blk, 0, w.at(a, 4)) {
 				t.Errorf("read-own-write: got %v", res.vals)
 			}
 			return res
 		}},
-		{name: "dead word mid-range", want: AbortIllegal, run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+		{name: "dead word mid-range", want: AbortIllegal, run: func(t *testing.T, h *Heap, w walk) lwResult {
 			th := h.NewThread()
-			x, y := lwBlock(th, 8, 0), lwBlock(th, 8, 50)
+			var x, y Addr
+			if w.stride > 0 {
+				x, y = lwBlock(th, w.span(8), 0), lwBlock(th, w.span(8), 50)
+			} else { // a walk down runs off x into the block below it
+				y, x = lwBlock(th, w.span(8), 50), lwBlock(th, w.span(8), 0)
+			}
 			th.Free(y)
-			res := lwAttempt(th, x, 20, read, nil) // runs off x into y's dead words
-			if res.addr <= x || res.addr > y || res.vals[7] != 8 {
+			a := w.from(x, 8)
+			res := lwAttempt(th, w, a, 20, nil) // runs off x into y's dead words
+			// The abort is at an element past x's last one and not past y's.
+			past, yEnd := w.at(a, 8), w.at(w.from(y, 8), 7)
+			if w.first(past, (int(yEnd)-int(past))/w.stride+1, func(e Addr) bool { return e == res.addr }) == NilAddr ||
+				res.vals[7] != lwVal(x, 0, w.at(a, 7)) {
 				t.Errorf("abort at %#x (x=%#x, freed y=%#x), values %v", uint32(res.addr), uint32(x), uint32(y), res.vals)
 			}
-			if h.stripeShift == 0 && res.addr != x+8 {
-				t.Errorf("abort at %#x, want the first word past x, %#x", uint32(res.addr), uint32(x+8))
+			if h.stripeShift == 0 && res.addr != past {
+				t.Errorf("abort at %#x, want the first element past x, %#x", uint32(res.addr), uint32(past))
 			}
 			return res
 		}},
-		{name: "range starting in a freed block", want: AbortIllegal, run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+		{name: "range starting in a freed block", want: AbortIllegal, run: func(t *testing.T, h *Heap, w walk) lwResult {
 			th := h.NewThread()
-			a := lwBlock(th, 8, 0)
-			th.Free(a)
-			res := lwAttempt(th, a, 8, read, nil)
+			blk := lwBlock(th, w.span(8), 0)
+			th.Free(blk)
+			a := w.from(blk, 8)
+			res := lwAttempt(th, w, a, 8, nil)
 			if res.addr != a {
 				t.Errorf("abort at %#x, want %#x", uint32(res.addr), uint32(a))
 			}
 			return res
 		}},
-		{name: "range leaving the arena", want: AbortIllegal, run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+		{name: "range leaving the arena", want: AbortIllegal, run: func(t *testing.T, h *Heap, w walk) lwResult {
 			// The arena's last two words, made live by hand so the range is
-			// stopped by the bound itself and not by a dead word before it.
+			// stopped by the bound itself and not by a dead word before it. A
+			// walk down starts past the end.
 			end := Addr(len(h.words))
 			h.meta[h.mi(end-2)].Store(makeMeta(0, true))
 			h.meta[h.mi(end-1)].Store(makeMeta(0, true))
-			res := lwAttempt(h.NewThread(), end-2, 8, read, nil)
-			if res.addr != end {
-				t.Errorf("abort at %#x, want the first address past the arena, %#x", uint32(res.addr), uint32(end))
+			a := end - 2
+			if w.stride < 0 {
+				a = w.at(end-1, -1)
+			}
+			res := lwAttempt(h.NewThread(), w, a, 8, nil)
+			if want := w.first(a, 8, func(e Addr) bool { return e >= end }); res.addr != want {
+				t.Errorf("abort at %#x, want the first element past the arena, %#x", uint32(res.addr), uint32(want))
 			}
 			return res
 		}},
-		{name: "nil address", want: AbortIllegal, run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
-			return lwAttempt(h.NewThread(), NilAddr, 4, read, nil)
+		{name: "nil address", want: AbortIllegal, run: func(t *testing.T, h *Heap, w walk) lwResult {
+			return lwAttempt(h.NewThread(), w, NilAddr, 4, nil)
 		}},
-		{name: "word held by a parked committer", want: AbortConflict, run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+		{name: "word held by a parked committer", want: AbortConflict, run: func(t *testing.T, h *Heap, w walk) lwResult {
 			th := h.NewThread()
-			a := lwBlock(th, 16, 0)
-			// What a committer descheduled between acquiring a+5 and releasing
-			// it leaves behind: the lock bit, nothing else changed.
-			mi := h.mi(a + 5)
+			a := w.from(lwBlock(th, w.span(16), 0), 16)
+			// What a committer descheduled between acquiring element 5 and
+			// releasing it leaves behind: the lock bit, nothing else changed.
+			mi := h.mi(w.at(a, 5))
 			held := h.meta[mi].Load()
 			h.meta[mi].Store(held | metaLockBit)
-			res := lwAttempt(th, a, 16, read, nil)
+			res := lwAttempt(th, w, a, 16, nil)
 			h.meta[mi].Store(held)
-			if first := Addr(mi << h.stripeShift); res.addr != max(first, a) {
-				t.Errorf("abort at %#x, want the first word under the held lock", uint32(res.addr))
+			if want := w.first(a, 16, func(e Addr) bool { return h.mi(e) == mi }); res.addr != want {
+				t.Errorf("abort at %#x, want the first element under the held lock, %#x", uint32(res.addr), uint32(want))
 			}
 			return res
 		}},
-		{name: "newer word, extension succeeds", run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+		{name: "newer word, extension succeeds", run: func(t *testing.T, h *Heap, w walk) lwResult {
 			th, writer := h.NewThread(), h.NewThread()
-			x, a := lwBlock(th, 1, 0), lwBlock(th, 16, 0)
-			res := lwAttempt(th, a, 16, read, func(tx *Txn) {
+			x, blk := lwBlock(th, 1, 0), lwBlock(th, w.span(16), 0)
+			a := w.from(blk, 16)
+			res := lwAttempt(th, w, a, 16, func(tx *Txn) {
 				tx.Load(x) // something for the extension to revalidate
-				writer.Atomic(func(wx *Txn) { wx.Store(a+7, 777) })
+				writer.Atomic(func(wx *Txn) { wx.Store(w.at(a, 7), 777) })
 			})
-			if res.vals[7] != 777 || res.vals[8] != 9 {
+			if res.vals[7] != 777 || res.vals[8] != lwVal(blk, 0, w.at(a, 8)) {
 				t.Errorf("after extension: %v", res.vals)
 			}
 			return res
 		}},
-		{name: "newer word, extension aborts", want: AbortConflict, run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+		{name: "newer word, extension aborts", want: AbortConflict, run: func(t *testing.T, h *Heap, w walk) lwResult {
 			th, writer := h.NewThread(), h.NewThread()
-			x, a := lwBlock(th, 1, 0), lwBlock(th, 16, 0)
-			res := lwAttempt(th, a, 16, read, func(tx *Txn) {
+			x, blk := lwBlock(th, 1, 0), lwBlock(th, w.span(16), 0)
+			a := w.from(blk, 16)
+			res := lwAttempt(th, w, a, 16, func(tx *Txn) {
 				tx.Load(x)
-				writer.Atomic(func(wx *Txn) { wx.Store(x, 1); wx.Store(a+7, 777) })
+				writer.Atomic(func(wx *Txn) { wx.Store(x, 1); wx.Store(w.at(a, 7), 777) })
 			})
-			if res.addr != NilAddr || res.vals[6] != 7 || res.vals[7] != 0 {
+			cut := 7 // the first element under element 7's metadata word
+			for cut > 0 && h.mi(w.at(a, cut-1)) == h.mi(w.at(a, 7)) {
+				cut--
+			}
+			if res.addr != NilAddr || res.vals[cut-1] != lwVal(blk, 0, w.at(a, cut-1)) || res.vals[cut] != 0 {
 				t.Errorf("abort at %#x, values %v", uint32(res.addr), res.vals)
 			}
 			return res
 		}},
-		{name: "dedup engages mid-range", cfg: Config{MaxReadSet: 16}, run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+		{name: "dedup engages mid-range", cfg: Config{MaxReadSet: 16}, run: func(t *testing.T, h *Heap, w walk) lwResult {
 			th := h.NewThread()
-			a := lwBlock(th, 12, 0)
-			res := lwAttempt(th, a, 12, read, func(tx *Txn) {
-				for i := Addr(0); i < 4; i++ { // duplicates for the compaction to drop
-					tx.Load(a + i)
+			a := w.from(lwBlock(th, w.span(12), 0), 12)
+			res := lwAttempt(th, w, a, 12, func(tx *Txn) {
+				for i := 0; i < 4; i++ { // duplicates for the compaction to drop
+					tx.Load(w.at(a, i))
 				}
 			})
 			if res.distinct != 12 || h.Stats().DedupEngages != 1 {
@@ -193,35 +261,36 @@ func TestLoadWordsIsTheLoadLoop(t *testing.T) {
 			}
 			return res
 		}},
-		{name: "range after dedup engaged", run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+		{name: "range after dedup engaged", run: func(t *testing.T, h *Heap, w walk) lwResult {
 			th := h.NewThread()
-			a := lwBlock(th, 8, 0)
-			res := lwAttempt(th, a, 8, read, func(tx *Txn) {
-				tx.Load(a + 2)
-				tx.ReadSetSize() // engages the filter: a+2 must not be recorded twice
+			a := w.from(lwBlock(th, w.span(8), 0), 8)
+			res := lwAttempt(th, w, a, 8, func(tx *Txn) {
+				tx.Load(w.at(a, 2))
+				tx.ReadSetSize() // engages the filter: element 2 must not be recorded twice
 			})
 			if res.distinct != 8 || len(res.reads) != 8 {
 				t.Errorf("%d distinct of %d entries, want 8 of 8", res.distinct, len(res.reads))
 			}
 			return res
 		}},
-		{name: "capacity abort mid-range", cfg: Config{MaxReadSet: 16}, want: AbortCapacity, run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+		{name: "capacity abort mid-range", cfg: Config{MaxReadSet: 16}, want: AbortCapacity, run: func(t *testing.T, h *Heap, w walk) lwResult {
 			th := h.NewThread()
-			a := lwBlock(th, 32, 0)
-			res := lwAttempt(th, a, 32, read, nil)
-			if res.addr != a+16 || res.vals[15] != 16 || res.vals[16] != 0 {
+			blk := lwBlock(th, w.span(32), 0)
+			a := w.from(blk, 32)
+			res := lwAttempt(th, w, a, 32, nil)
+			if res.addr != w.at(a, 16) || res.vals[15] != lwVal(blk, 0, w.at(a, 15)) || res.vals[16] != 0 {
 				t.Errorf("abort at %#x (a=%#x), values %v", uint32(res.addr), uint32(a), res.vals)
 			}
 			return res
 		}},
 		{name: "fault plan, every 5th access", cfg: Config{Faults: &FaultPlan{Seed: 1, AccessProb: 1, AccessEvery: 5, MaxPerOp: 3}},
-			run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+			run: func(t *testing.T, h *Heap, w walk) lwResult {
 				th := h.NewThread()
-				a := lwBlock(th, 16, 0)
+				a := w.from(lwBlock(th, w.span(16), 0), 16)
 				var res lwResult
 				th.Atomic(func(tx *Txn) { // three attempts die at their 5th access, the fourth commits
 					res = lwResult{vals: make([]uint64, 16)}
-					read(tx, a, res.vals)
+					w.load(tx, a, res.vals)
 					res.reads = append([]readEntry(nil), tx.reads...)
 					res.distinct = tx.ReadSetSize()
 				})
@@ -231,14 +300,14 @@ func TestLoadWordsIsTheLoadLoop(t *testing.T) {
 				return res
 			}},
 		{name: "fault plan, seeded access draws", cfg: Config{Faults: &FaultPlan{Seed: 7, AccessProb: 0.05}},
-			run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+			run: func(t *testing.T, h *Heap, w walk) lwResult {
 				th := h.NewThread()
-				a := lwBlock(th, 16, 0)
+				a := w.from(lwBlock(th, w.span(16), 0), 16)
 				var res lwResult
 				for op := 0; op < 64; op++ { // the plan's generator must be drawn from once per word
 					th.Atomic(func(tx *Txn) {
 						res = lwResult{vals: make([]uint64, 16)}
-						read(tx, a, res.vals)
+						w.load(tx, a, res.vals)
 						res.distinct = tx.ReadSetSize()
 					})
 				}
@@ -253,46 +322,138 @@ func TestLoadWordsIsTheLoadLoop(t *testing.T) {
 		if global {
 			name = "global fallback"
 		}
-		scenarios = append(scenarios, scenario{name: name,
+		scenarios = append(scenarios, lwScenario{name: name,
 			cfg: Config{EnableTLE: true, GlobalFallback: global, StoreBufferSize: 2, MaxRetries: 1},
-			run: func(t *testing.T, h *Heap, read rangeReader) lwResult {
+			run: func(t *testing.T, h *Heap, w walk) lwResult {
 				th := h.NewThread()
-				a := lwBlock(th, 16, 0)
+				blk := lwBlock(th, w.span(16), 0)
+				a := w.from(blk, 16)
 				res := lwResult{vals: make([]uint64, 32)}
 				th.Atomic(func(tx *Txn) { // three stores overflow the buffer: the op ends on the fallback
-					read(tx, a, res.vals[:16]) // write set empty: locks (fine) or NT reads (global)
-					for i := Addr(0); i < 3; i++ {
-						tx.Store(a+2*i, 1000+uint64(i))
+					w.load(tx, a, res.vals[:16]) // write set empty: locks (fine) or NT reads (global)
+					for i := 0; i < 3; i++ {
+						tx.Store(w.at(a, 2*i), 1000+uint64(i))
 					}
-					read(tx, a, res.vals[16:]) // over its own buffered stores
+					w.load(tx, a, res.vals[16:]) // over its own buffered stores
 					res.distinct = tx.ReadSetSize()
 				})
-				if s := h.Stats(); s.FallbackRuns != 1 || res.vals[4] != 5 || res.vals[20] != 1002 || res.vals[21] != 6 {
+				if s := h.Stats(); s.FallbackRuns != 1 || res.vals[4] != lwVal(blk, 0, w.at(a, 4)) || res.vals[20] != 1002 || res.vals[21] != lwVal(blk, 0, w.at(a, 5)) {
 					t.Errorf("fallback runs %d, values %v", s.FallbackRuns, res.vals)
 				}
 				requireQuiescent(t, h)
 				return res
 			}})
 	}
+	return scenarios
+}
 
+// stridedScenarios are the cases only a strided walk reaches.
+func stridedScenarios() []lwScenario {
+	return []lwScenario{
+		{name: "walk into the nil address", want: AbortIllegal, downward: true, run: func(t *testing.T, h *Heap, w walk) lwResult {
+			// Words 0 … 2|stride| made live by hand, word 0's metadata
+			// included, so that only the nil check stops the walk at 0.
+			for i := 0; i <= w.span(2); i++ {
+				h.meta[h.mi(Addr(i))].Store(makeMeta(0, true))
+			}
+			res := lwAttempt(h.NewThread(), w, w.from(NilAddr, 3), 3, nil)
+			if res.addr != NilAddr {
+				t.Errorf("abort at %#x, want the nil address", uint32(res.addr))
+			}
+			return res
+		}},
+		{name: "walk below the arena", want: AbortIllegal, downward: true, run: func(t *testing.T, h *Heap, w walk) lwResult {
+			// Word 1, made live by hand: the walk's next element is below word
+			// 0, an address that wraps past the end of the arena.
+			h.meta[h.mi(1)].Store(makeMeta(0, true))
+			res := lwAttempt(h.NewThread(), w, 1, 2, nil)
+			if want := w.at(1, 1); res.addr != want || int(want) < len(h.words) {
+				t.Errorf("abort at %#x, want %#x, past the arena", uint32(res.addr), uint32(want))
+			}
+			return res
+		}},
+		{name: "two live blocks around a freed one", run: func(t *testing.T, h *Heap, w walk) lwResult {
+			// One element in each live block: the stride hops the freed
+			// block, and each element carries its own block's metadata.
+			th := h.NewThread()
+			x, z, y := lwBlock(th, 4, 0), lwBlock(th, 4, 50), lwBlock(th, 4, 100)
+			th.Free(z)
+			hop := walk{stride: int(y - x), read: w.read}
+			a := x + 1
+			if w.stride < 0 {
+				hop.stride, a = -hop.stride, y+1
+			}
+			res := lwAttempt(th, hop, a, 2, nil)
+			want := []uint64{2, 102}
+			if w.stride < 0 {
+				want = []uint64{102, 2}
+			}
+			if !reflect.DeepEqual(res.vals, want) || res.distinct != 2 {
+				t.Errorf("values %v with %d distinct entries, want %v with 2", res.vals, res.distinct, want)
+			}
+			return res
+		}},
+		{name: "fast prefix cut by dedupAfter", cfg: Config{MaxReadSet: 64}, run: func(t *testing.T, h *Heap, w walk) lwResult {
+			// dedupAfter is 32: 8 repeats, then a 48-element walk whose first
+			// 24 elements fit the bypass prefix and whose rest take Load.
+			th := h.NewThread()
+			blk := lwBlock(th, w.span(48), 0)
+			a := w.from(blk, 48)
+			res := lwAttempt(th, w, a, 48, func(tx *Txn) { w.load(tx, a, make([]uint64, 8)) })
+			if res.distinct != 48 || len(res.reads) != 48 || res.vals[47] != lwVal(blk, 0, w.at(a, 47)) {
+				t.Errorf("%d distinct, %d entries, last value %d", res.distinct, len(res.reads), res.vals[47])
+			}
+			return res
+		}},
+	}
+}
+
+// testLoadParity runs every scenario twice per geometry on identically built
+// heaps — the body reading once with the Load loop, once with kernel, both at
+// stride — and requires the two runs to be indistinguishable: values, read
+// set, abort code and address, and every heap counter. Each scenario also
+// names the outcome it expects, so two runs that agree on the wrong thing
+// still fail. All scenarios run at the default geometry and with a sharded
+// clock over striped metadata.
+func testLoadParity(t *testing.T, kernel rangeReader, stride int, scenarios []lwScenario) {
 	for _, geo := range []Config{{}, {ClockShards: 4, StripeShift: 2}} {
 		for _, sc := range scenarios {
+			if sc.downward && stride > 0 {
+				continue
+			}
 			cfg := sc.cfg
 			cfg.Words, cfg.ClockShards, cfg.StripeShift = 1<<12, geo.ClockShards, geo.StripeShift
 			t.Run(fmt.Sprintf("shards=%d,shift=%d/%s", geo.ClockShards, geo.StripeShift, sc.name), func(t *testing.T) {
 				hLoop, hBulk := NewHeap(cfg), NewHeap(cfg)
-				want, got := sc.run(t, hLoop, loadLoop), sc.run(t, hBulk, loadWords)
+				want, got := sc.run(t, hLoop, walk{stride, loadLoop}), sc.run(t, hBulk, walk{stride, kernel})
 				if want.code != sc.want {
 					t.Errorf("Load loop ended with %v, scenario expects %v", want.code, sc.want)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("LoadWords diverged from the Load loop:\n  loop  %+v\n  words %+v", want, got)
+					t.Errorf("kernel diverged from the Load loop:\n  loop   %+v\n  kernel %+v", want, got)
 				}
 				if sl, sb := hLoop.Stats(), hBulk.Stats(); !reflect.DeepEqual(sb, sl) {
-					t.Errorf("heap counters diverged:\n  loop  %v\n  words %v", sl, sb)
+					t.Errorf("heap counters diverged:\n  loop   %v\n  kernel %v", sl, sb)
 				}
 			})
 		}
+	}
+}
+
+// TestLoadWordsIsTheLoadLoop holds LoadWords to the Load loop over contiguous
+// ranges.
+func TestLoadWordsIsTheLoadLoop(t *testing.T) {
+	testLoadParity(t, loadWords, 1, lwScenarios())
+}
+
+// TestLoadStridedIsTheLoadLoop holds LoadStrided to the Load loop at strides
+// down and up, with and without slack between the words it reads, over the
+// same table plus the cases only a stride reaches.
+func TestLoadStridedIsTheLoadLoop(t *testing.T) {
+	for _, stride := range []int{-2, 2, 3} {
+		t.Run(fmt.Sprintf("stride=%d", stride), func(t *testing.T) {
+			testLoadParity(t, loadStrided, stride, append(lwScenarios(), stridedScenarios()...))
+		})
 	}
 }
 
@@ -303,7 +464,7 @@ func TestLoadWordsPastDedupThreshold(t *testing.T) {
 	h := newTestHeap(t, Config{MaxReadSet: 64}) // dedupAfter 32
 	th := h.NewThread()
 	a := lwBlock(th, 48, 0)
-	res := lwAttempt(th, a, 48, loadWords, func(tx *Txn) { tx.LoadWords(a, make([]uint64, 8)) })
+	res := lwAttempt(th, walk{1, loadWords}, a, 48, func(tx *Txn) { tx.LoadWords(a, make([]uint64, 8)) })
 	if res.code != 0 || res.distinct != 48 || len(res.reads) != 48 {
 		t.Fatalf("code %v, %d distinct, %d entries; want a commit with 48 and 48", res.code, res.distinct, len(res.reads))
 	}
@@ -389,6 +550,66 @@ func TestStressLoadWordsAgainstPutShapedWriters(t *testing.T) {
 			if live := h.Stats().LiveWords; live != 0 {
 				t.Errorf("%d words still live after freeing every block", live)
 			}
+		})
+	}
+}
+
+// TestStressLoadStridedAgainstTransfers is LoadStrided's -race leg: readers
+// sum the value words of a slot array, gathered downward by one LoadStrided
+// per read-only transaction, while writers move a unit between two slots per
+// transaction. Every committed state sums to zero, so a gather that mixes two
+// commits shows as a non-zero sum; the run must end with nothing locked.
+func TestStressLoadStridedAgainstTransfers(t *testing.T) {
+	const slots, workers = 8, 4
+	rounds := 100000
+	if testing.Short() {
+		rounds = 5000
+	}
+	for _, cfg := range []Config{{}, {ClockShards: 4, StripeShift: 2}} {
+		t.Run(fmt.Sprintf("shards=%d,shift=%d", cfg.ClockShards, cfg.StripeShift), func(t *testing.T) {
+			h := newTestHeap(t, cfg)
+			arr := h.NewThread().Alloc(2 * slots)
+			top := arr + 2*(slots-1)
+			var wg sync.WaitGroup
+			torn := make(chan [slots]uint64, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					th := h.NewThread()
+					rng := uint64(w)*2654435761 + 1
+					for r := 0; r < rounds; r++ {
+						if w%2 == 0 {
+							var got [slots]uint64
+							th.Atomic(func(tx *Txn) { tx.LoadStrided(top, -2, got[:]) })
+							var sum uint64
+							for _, v := range got {
+								sum += v
+							}
+							if sum != 0 {
+								torn <- got
+								return
+							}
+							continue
+						}
+						rng ^= rng << 13
+						rng ^= rng >> 7
+						rng ^= rng << 17
+						from, to := arr+2*Addr(rng%slots), arr+2*Addr(rng/slots%slots)
+						th.Atomic(func(tx *Txn) {
+							tx.Store(from, tx.Load(from)-1)
+							tx.Store(to, tx.Load(to)+1)
+						})
+					}
+				}(w)
+			}
+			wg.Wait()
+			select {
+			case got := <-torn:
+				t.Fatalf("LoadStrided gathered a state no transaction committed: %v", got)
+			default:
+			}
+			requireQuiescent(t, h)
 		})
 	}
 }

@@ -225,6 +225,46 @@ func TestStripeSelfOverlap(t *testing.T) {
 	}
 }
 
+// TestStressStripeReleasedOnce is the regression test for a lost update under
+// striping: publish used to release a stripe once per write entry in it, so a
+// stripe written at both ends of a write set was released twice, and the
+// second release could land after another committer had acquired the stripe —
+// unlocking it under that committer, so a third could commit over it. Writers
+// bump two counters that share a stripe, with stores to stripes of their own
+// in between; every committed bump must survive.
+func TestStressStripeReleasedOnce(t *testing.T) {
+	const workers, fillers = 4, 4
+	rounds := 20000
+	if testing.Short() {
+		rounds = 4000
+	}
+	h := newTestHeap(t, Config{StripeShift: 2})
+	ctr := h.NewThread().Alloc(2) // both counters in one stripe
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := h.NewThread()
+			own := th.Alloc(fillers * h.StripeWords())
+			for r := 0; r < rounds; r++ {
+				th.Atomic(func(tx *Txn) {
+					tx.Store(ctr, tx.Load(ctr)+1)
+					for i := 0; i < fillers; i++ {
+						tx.Store(own+Addr(i*h.StripeWords()), uint64(r))
+					}
+					tx.Store(ctr+1, tx.Load(ctr+1)+1)
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	if a, b := h.LoadNT(ctr), h.LoadNT(ctr+1); a != uint64(workers*rounds) || b != a {
+		t.Errorf("counters read %d and %d after %d committed bumps of each", a, b, workers*rounds)
+	}
+	requireQuiescent(t, h)
+}
+
 // TestStripeAlignedAllocation: with striping every block starts on a stripe
 // boundary (header included), so no stripe is shared between blocks and
 // whole-stripe alloc/free transitions stay exclusive.

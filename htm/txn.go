@@ -662,13 +662,8 @@ func (t *Txn) LoadWords(a Addr, dst []uint64) {
 		dst[0] = t.Load(a)
 		return
 	}
-	fast := 0
-	if !t.direct && t.yieldThresh == 0 && t.faults == nil && len(t.writes) == 0 && !t.dedup &&
-		a != NilAddr && int(a)+len(dst) <= len(t.words) {
-		// Every word appends exactly one read entry while the set is below
-		// dedupAfter (extend never grows it), so the bypass-mode prefix of the
-		// range is known up front.
-		fast = min(len(dst), max(t.dedupAfter-len(t.reads), 0))
+	fast := t.bypassPrefix(int(a), int(a)+len(dst)-1, len(dst))
+	if fast > 0 {
 		// Reserve the prefix's read entries once; loadRun stores them by index
 		// and t.reads is re-sliced over them at the end. Load must see the set
 		// exactly as the loop it stands in for would have left it (extend
@@ -746,6 +741,90 @@ func (t *Txn) loadRun(a Addr, dst []uint64, ents []readEntry) int {
 			ents[i] = readEntry{addr: a + Addr(i), meta: m1}
 			dst[i] = v
 		}
+	}
+	return len(ents)
+}
+
+// bypassPrefix is the fast-path gate of both bulk reads: how many leading
+// words of a read of n words, the lowest at lo and the highest at hi, may take
+// the bypass-mode append inline. It is 0 unless the plain hardware-path case
+// is in play — no fallback path, no YieldEvery, no fault plan, an empty write
+// set, a bypass-mode read set — and every word is inside the arena. Then every
+// word appends exactly one read entry while the set is below dedupAfter
+// (extend never grows it), so the prefix is the room left below dedupAfter.
+func (t *Txn) bypassPrefix(lo, hi, n int) int {
+	if t.direct || t.yieldThresh != 0 || t.faults != nil || len(t.writes) != 0 || t.dedup ||
+		lo <= int(NilAddr) || hi >= len(t.words) {
+		return 0
+	}
+	return min(n, max(t.dedupAfter-len(t.reads), 0))
+}
+
+// LoadStrided transactionally reads len(dst) words spaced stride words apart,
+// the first at a, into dst. It is DEFINED as
+//
+//	for i := range dst { dst[i] = t.Load(a + Addr(i*stride)) }
+//
+// with everything LoadWords promises of its loop; stride may be negative, for
+// a walk down an array. Stride 1 is LoadWords. Otherwise it takes the fast
+// path under LoadWords' conditions (bypassPrefix), and each word of the
+// prefix costs the whole bypass predicate — metadata, value, metadata again —
+// plus one read entry staged in place, exactly as in LoadWords (stridedRun).
+func (t *Txn) LoadStrided(a Addr, stride int, dst []uint64) {
+	if stride == 1 {
+		t.LoadWords(a, dst)
+		return
+	}
+	lo, hi := int(a), int(a)+(len(dst)-1)*stride
+	if stride < 0 {
+		lo, hi = hi, lo
+	}
+	fast := t.bypassPrefix(lo, hi, len(dst))
+	if fast > 0 {
+		base := len(t.reads)
+		t.reads = slices.Grow(t.reads, fast)
+		ents := t.reads[base : base+fast]
+		for i := 0; i < fast; i++ {
+			i += t.stridedRun(a+Addr(i*stride), stride, dst[i:fast], ents[i:])
+			if i < fast {
+				t.reads = t.reads[:base+i]
+				dst[i] = t.Load(a + Addr(i*stride))
+			}
+		}
+		t.reads = t.reads[:base+fast]
+	}
+	for i := fast; i < len(dst); i++ {
+		dst[i] = t.Load(a + Addr(i*stride))
+	}
+}
+
+// stridedRun is LoadStrided's inner loop: it reads the words stride apart
+// from a into dst, staging one read entry each in ents (len(ents) ==
+// len(dst), every word inside the arena), and returns how many it read before
+// the first word that fails the bypass predicate, which it leaves to Load.
+// Unlike loadRun it decides the whole predicate at every word: the words of a
+// strided walk — one per slot of an array — each carry the metadata of their
+// own last commit. Like loadRun it keeps the heap and the snapshot in locals,
+// since the atomic loads are compiler barriers.
+func (t *Txn) stridedRun(a Addr, stride int, dst []uint64, ents []readEntry) int {
+	words, meta, rv := t.words, t.meta, t.rv
+	sshift, shardBits, shardMask := t.sshift&63, t.shardBits&63, t.shardMask
+	dst = dst[:len(ents)]
+	w := int(a)
+	for i := range ents {
+		mw := &meta[w>>sshift]
+		m1 := mw.Load()
+		ver := metaVersion(m1)
+		if m1&(metaLockBit|metaAllocBit) != metaAllocBit || ver>>shardBits > rv[ver&shardMask] {
+			return i
+		}
+		v := words[w].Load()
+		if mw.Load() != m1 {
+			return i
+		}
+		ents[i] = readEntry{addr: Addr(w), meta: m1}
+		dst[i] = v
+		w += stride
 	}
 	return len(ents)
 }
@@ -1113,10 +1192,16 @@ func (t *Txn) publish() (AbortCode, Addr) {
 	for i := range t.writes {
 		h.words[t.writes[i].addr].Store(t.writes[i].val)
 	}
-	// Releasing a stripe twice with the same fresh version is an idempotent
-	// store, so the release loop needs no dedup.
+	// Release each stripe once, from its first entry, as acquisition locked
+	// it: a second release is no idempotent store, because another committer
+	// may acquire the stripe between the two — and the second would then
+	// unlock the stripe under it.
 	for i := range t.writes {
-		h.releaseMeta(t.mi(t.writes[i].addr), wv)
+		si := t.mi(t.writes[i].addr)
+		if striped && skip(i, si) {
+			continue
+		}
+		h.releaseMeta(si, wv)
 	}
 	return 0, NilAddr
 }

@@ -240,15 +240,20 @@ func (a *ArrayDynAppendDereg) Deregister(c *Ctx, h Handle) {
 func (a *ArrayDynAppendDereg) Collect(c *Ctx, out []Value) []Value {
 	return a.collect(c, out, a.desc+dCount, a.helpCopyOne, func(t *htm.Txn, step int, at uint64) (uint64, walkEnd) {
 		at = min(at, t.Load(a.desc+dCount))
-		arr := htm.Addr(t.Load(a.desc + dArray))
-		got := 0
-		for ; got < step && at > 0; got++ {
-			at--
-			c.buf[got] = t.Load(arr + htm.Addr(slotWords*at) + slotVal)
-		}
-		c.stage(t, got)
+		at = gatherSlots(c, t, htm.Addr(t.Load(a.desc+dArray)), step, at)
 		return at, arrayEnd(at)
 	})
+}
+
+// gatherSlots is the append arrays' step: gather the values of up to step
+// slots of arr below slot at, from the top down, with one strided read, stage
+// them, and return the slots left.
+func gatherSlots(c *Ctx, t *htm.Txn, arr htm.Addr, step int, at uint64) uint64 {
+	got := int(min(uint64(step), at))
+	at -= uint64(got)
+	t.LoadStrided(arr+htm.Addr(slotWords*(at+uint64(got)-1))+slotVal, -slotWords, c.buf[:got])
+	c.stage(t, got)
+	return at
 }
 
 // attemptResize is Figure 2 lines 95–108: allocate outside the transaction,

@@ -84,13 +84,7 @@ func (a *ArrayStatAppendDereg) Update(c *Ctx, h Handle, v Value) { updateSlot(c,
 func (a *ArrayStatAppendDereg) Collect(c *Ctx, out []Value) []Value {
 	n := a.h.LoadNT(a.desc)
 	return c.telescope(out, n, int(n), func(t *htm.Txn, step int, at uint64) (uint64, walkEnd) {
-		at = min(at, t.Load(a.desc))
-		got := 0
-		for ; got < step && at > 0; got++ {
-			at--
-			c.buf[got] = t.Load(a.arr + htm.Addr(slotWords*at) + slotVal)
-		}
-		c.stage(t, got)
+		at = gatherSlots(c, t, a.arr, step, min(at, t.Load(a.desc)))
 		return at, arrayEnd(at)
 	}, nil)
 }

@@ -279,7 +279,9 @@ func TestOversizedFixedStepTerminates(t *testing.T) {
 // being read is compacted, resized and freed under the gather. The invariant
 // is the repo benchmark's: every sentinel (registered once, never churned) is
 // in every Collect, every other value is one the churner issued, and the heap
-// sweeps clean afterwards.
+// sweeps clean afterwards. Both append arrays gather with Txn.LoadStrided, so
+// both run, at the default geometry and with a sharded clock over striped
+// metadata.
 func TestStressCollectUnderChurn(t *testing.T) {
 	const sentinels, churned = 8, 64
 	const sentinelTag = Value(1) << 62
@@ -289,78 +291,83 @@ func TestStressCollectUnderChurn(t *testing.T) {
 	}
 	for _, im := range stagedImpls() {
 		switch im.name {
-		case "ArrayDynAppendDereg", "ArrayDynSearchResize", "FastCollect":
+		case "ArrayDynAppendDereg", "ArrayStatAppendDereg", "ArrayDynSearchResize", "FastCollect":
 		default:
 			continue
 		}
 		t.Run(im.name, func(t *testing.T) {
-			h := htm.NewHeap(htm.Config{Words: 1 << 18})
-			col := im.mk(h, Options{Adaptive: true})
-			sentCtx, churnCtx := col.NewCtx(h.NewThread()), col.NewCtx(h.NewThread())
-			var pinned, handles []Handle
-			for i := 0; i < sentinels; i++ {
-				pinned = append(pinned, col.Register(sentCtx, sentinelTag|Value(i)))
-			}
-			for i := 0; i < churned; i++ {
-				handles = append(handles, col.Register(churnCtx, Value(i+1)<<32|1))
-			}
-			var issued, collected atomic.Uint64 // newest version begun; Collects finished
-			issued.Store(1)
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() { // churner: one churn per Collect, landing inside the next one
-				defer wg.Done()
-				for i := 0; !stop.Load(); i++ {
-					slot := i % churned
-					col.Deregister(churnCtx, handles[slot])
-					ver := issued.Add(1)
-					handles[slot] = col.Register(churnCtx, Value(slot+1)<<32|ver)
-					for seen := collected.Load(); collected.Load() == seen && !stop.Load(); {
-						runtime.Gosched()
+			for _, geo := range []htm.Config{{}, {ClockShards: 4, StripeShift: 2}} {
+				t.Run(fmt.Sprintf("shards=%d,shift=%d", geo.ClockShards, geo.StripeShift), func(t *testing.T) {
+					geo.Words = 1 << 18
+					h := htm.NewHeap(geo)
+					col := im.mk(h, Options{Adaptive: true})
+					sentCtx, churnCtx := col.NewCtx(h.NewThread()), col.NewCtx(h.NewThread())
+					var pinned, handles []Handle
+					for i := 0; i < sentinels; i++ {
+						pinned = append(pinned, col.Register(sentCtx, sentinelTag|Value(i)))
 					}
-				}
-			}()
-			c := col.NewCtx(h.NewThread())
-			var vals []Value
-			for i := 0; i < collects && !t.Failed(); i++ {
-				vals = col.Collect(c, vals[:0])
-				newest := issued.Load()
-				collected.Add(1)
-				var seen [sentinels]bool
-				for _, v := range vals {
-					if v&sentinelTag != 0 {
-						if v&^sentinelTag < sentinels {
-							seen[v&^sentinelTag] = true
-							continue
+					for i := 0; i < churned; i++ {
+						handles = append(handles, col.Register(churnCtx, Value(i+1)<<32|1))
+					}
+					var issued, collected atomic.Uint64 // newest version begun; Collects finished
+					issued.Store(1)
+					var stop atomic.Bool
+					var wg sync.WaitGroup
+					wg.Add(1)
+					go func() { // churner: one churn per Collect, landing inside the next one
+						defer wg.Done()
+						for i := 0; !stop.Load(); i++ {
+							slot := i % churned
+							col.Deregister(churnCtx, handles[slot])
+							ver := issued.Add(1)
+							handles[slot] = col.Register(churnCtx, Value(slot+1)<<32|ver)
+							for seen := collected.Load(); collected.Load() == seen && !stop.Load(); {
+								runtime.Gosched()
+							}
 						}
-						t.Errorf("collect %d: value %#x is no registered sentinel", i, v)
-					} else if slot, ver := int(v>>32)-1, v&(1<<32-1); slot < 0 || slot >= churned || ver < 1 || ver > newest {
-						t.Errorf("collect %d: value %#x maps to no handle ever registered (newest version %d)", i, v, newest)
+					}()
+					c := col.NewCtx(h.NewThread())
+					var vals []Value
+					for i := 0; i < collects && !t.Failed(); i++ {
+						vals = col.Collect(c, vals[:0])
+						newest := issued.Load()
+						collected.Add(1)
+						var seen [sentinels]bool
+						for _, v := range vals {
+							if v&sentinelTag != 0 {
+								if v&^sentinelTag < sentinels {
+									seen[v&^sentinelTag] = true
+									continue
+								}
+								t.Errorf("collect %d: value %#x is no registered sentinel", i, v)
+							} else if slot, ver := int(v>>32)-1, v&(1<<32-1); slot < 0 || slot >= churned || ver < 1 || ver > newest {
+								t.Errorf("collect %d: value %#x maps to no handle ever registered (newest version %d)", i, v, newest)
+							}
+						}
+						for s, ok := range seen {
+							if !ok {
+								t.Errorf("collect %d: sentinel %d missing from %d values", i, s, len(vals))
+							}
+						}
 					}
-				}
-				for s, ok := range seen {
-					if !ok {
-						t.Errorf("collect %d: sentinel %d missing from %d values", i, s, len(vals))
+					stop.Store(true)
+					wg.Wait()
+					for _, hd := range handles {
+						col.Deregister(churnCtx, hd)
 					}
-				}
-			}
-			stop.Store(true)
-			wg.Wait()
-			for _, hd := range handles {
-				col.Deregister(churnCtx, hd)
-			}
-			for _, hd := range pinned {
-				col.Deregister(sentCtx, hd)
-			}
-			if got := col.Collect(c, nil); len(got) != 0 {
-				t.Errorf("Collect after deregistering everything = %v", got)
-			}
-			c.Close()
-			churnCtx.Close()
-			sentCtx.Close()
-			if ms, st := h.SweepMeta(), h.Stats(); ms.Locked != 0 || ms.FallbackTagged != 0 || ms.StripeErrors != 0 || ms.Allocated != st.LiveWords {
-				t.Errorf("heap not quiescent: %+v, %d live words", ms, st.LiveWords)
+					for _, hd := range pinned {
+						col.Deregister(sentCtx, hd)
+					}
+					if got := col.Collect(c, nil); len(got) != 0 {
+						t.Errorf("Collect after deregistering everything = %v", got)
+					}
+					c.Close()
+					churnCtx.Close()
+					sentCtx.Close()
+					if ms, st := h.SweepMeta(), h.Stats(); ms.Locked != 0 || ms.FallbackTagged != 0 || ms.StripeErrors != 0 || ms.Allocated != st.LiveWords {
+						t.Errorf("heap not quiescent: %+v, %d live words", ms, st.LiveWords)
+					}
+				})
 			}
 		})
 	}

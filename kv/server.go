@@ -68,7 +68,9 @@ func WithRequestTimeout(d time.Duration) ServerOption {
 	return func(sv *Server) { sv.reqTimeout = d }
 }
 
-// WithRequestLog enables per-request logging through logf (nil = log.Printf).
+// WithRequestLog enables per-request logging through logf. A nil logf prints
+// one line per request to stdout with fmt.Printf — the server's operator
+// stream, and what kvserver -log selects.
 func WithRequestLog(logf func(format string, args ...any)) ServerOption {
 	return func(sv *Server) {
 		if logf == nil {
