@@ -52,30 +52,33 @@ type sweep struct {
 	// thread: the largest axis point less one.
 	updaters int
 	// periods4, periods6 and periods7 are the cycle axes of Figures 4/5, 6
-	// and 7; fig8TotalMs is the length of the Figure 8 time series.
+	// and 7; fig8 holds the phase, total and bucket lengths in ms of the
+	// Figure 8 time series.
 	periods4, periods6, periods7 []int
-	fig8TotalMs                  int
+	fig8                         [3]int
 }
 
 // selectSweep maps the flags to a sweep. -quick thins the axes and caps the
-// per-point duration at 100ms; it never raises a shorter -duration.
+// per-point duration at 100ms; it never raises a shorter -duration. Figure 8
+// buckets at the point duration, capped at 100ms, flips its slot count every
+// 5 buckets and runs 30 buckets (12 under -quick).
 func selectSweep(quick bool, maxThreads int, dur time.Duration) sweep {
 	s := sweep{
-		cfg:         harness.Config{PointDuration: dur, Threads: maxThreads},
-		periods4:    harness.Fig4Periods,
-		periods6:    harness.Fig6Periods,
-		periods7:    harness.Fig7Periods,
-		fig8TotalMs: 3000,
+		cfg:      harness.Config{PointDuration: dur, Threads: maxThreads},
+		periods4: harness.Fig4Periods,
+		periods6: harness.Fig6Periods,
+		periods7: harness.Fig7Periods,
 	}
-	counts := harness.DefaultThreadCounts
+	counts, fig8Buckets := harness.DefaultThreadCounts, 30
 	if quick {
-		counts = []int{1, 2, 4, 8, 16}
+		counts, fig8Buckets = []int{1, 2, 4, 8, 16}, 12
 		s.periods4 = []int{1000000, 50000, 8000, 2000, 400}
 		s.periods6 = []int{8000, 2000, 400}
 		s.periods7 = []int{1000000, 50000, 8000, 1000}
-		s.fig8TotalMs = 1200
 		s.cfg.PointDuration = min(dur, 100*time.Millisecond)
 	}
+	bucket := max(1, int(min(s.cfg.PointDuration, 100*time.Millisecond)/time.Millisecond))
+	s.fig8 = [3]int{5 * bucket, fig8Buckets * bucket, bucket}
 	for _, n := range counts {
 		if n <= maxThreads {
 			s.threads = append(s.threads, n)
@@ -112,7 +115,7 @@ var experiments = []experiment{
 	{"fig6", "collect all", func(s sweep) renderer { return harness.Fig6(s.cfg, s.updaters, s.periods6) }},
 	{"fig7", "collect all", func(s sweep) renderer { return harness.Fig7(s.cfg, s.updaters, s.periods7) }},
 	{"fig8", "collect all", func(s sweep) renderer {
-		return harness.Fig8Table(harness.Fig8(s.cfg, s.updaters, 500, s.fig8TotalMs, 100))
+		return harness.Fig8Table(harness.Fig8(s.cfg, s.updaters, s.fig8[0], s.fig8[1], s.fig8[2]))
 	}},
 	{"space", "collect space all", func(s sweep) renderer { return harness.SpaceTable(s.cfg) }},
 	{"scaling", "fallback", func(s sweep) renderer { return harness.FallbackScaling(s.cfg, s.threads) }},

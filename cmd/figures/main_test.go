@@ -26,14 +26,18 @@ func TestSelectSweep(t *testing.T) {
 		wantThreads  []int
 		wantFixed    int
 		wantUpdaters int
+		// wantFig8 is Figure 8's phase, total and bucket ms.
+		wantFig8 [3]int
 	}{
-		{"quick keeps a shorter duration", true, 16, 10 * ms, 10 * ms, quickCounts, 8, 15},
-		{"quick caps a longer duration", true, 16, 200 * ms, 100 * ms, quickCounts, 8, 15},
-		{"quick at the cap", true, 16, 100 * ms, 100 * ms, quickCounts, 8, 15},
-		{"full sweep honours duration", false, 16, 350 * ms, 350 * ms, harness.DefaultThreadCounts, 8, 15},
-		{"threads caps every axis", true, 4, 10 * ms, 10 * ms, []int{1, 2, 4}, 4, 3},
-		{"threads between axis points", false, 7, 200 * ms, 200 * ms, []int{1, 2, 4, 6}, 7, 5},
-		{"one thread still has an updater", true, 1, 10 * ms, 10 * ms, []int{1}, 1, 1},
+		{"quick keeps a shorter duration", true, 16, 10 * ms, 10 * ms, quickCounts, 8, 15, [3]int{50, 120, 10}},
+		{"quick caps a longer duration", true, 16, 200 * ms, 100 * ms, quickCounts, 8, 15, [3]int{500, 1200, 100}},
+		{"quick at the cap", true, 16, 100 * ms, 100 * ms, quickCounts, 8, 15, [3]int{500, 1200, 100}},
+		{"full sweep honours duration", false, 16, 350 * ms, 350 * ms, harness.DefaultThreadCounts, 8, 15, [3]int{500, 3000, 100}},
+		{"full sweep at the default duration", false, 16, 200 * ms, 200 * ms, harness.DefaultThreadCounts, 8, 15, [3]int{500, 3000, 100}},
+		{"full sweep shortens Figure 8", false, 16, 40 * ms, 40 * ms, harness.DefaultThreadCounts, 8, 15, [3]int{200, 1200, 40}},
+		{"threads caps every axis", true, 4, 10 * ms, 10 * ms, []int{1, 2, 4}, 4, 3, [3]int{50, 120, 10}},
+		{"threads between axis points", false, 7, 200 * ms, 200 * ms, []int{1, 2, 4, 6}, 7, 5, [3]int{500, 3000, 100}},
+		{"one thread still has an updater", true, 1, 10 * ms, 10 * ms, []int{1}, 1, 1, [3]int{50, 120, 10}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := selectSweep(c.quick, c.maxThreads, c.dur)
@@ -49,14 +53,18 @@ func TestSelectSweep(t *testing.T) {
 			if s.fixed != c.wantFixed || s.updaters != c.wantUpdaters {
 				t.Errorf("fixed, updaters = %d, %d, want %d, %d", s.fixed, s.updaters, c.wantFixed, c.wantUpdaters)
 			}
-			// Period axes and the Figure 8 length: thinned under -quick, the
-			// paper's otherwise.
-			want := []int{len(harness.Fig4Periods), len(harness.Fig6Periods), len(harness.Fig7Periods), 3000}
+			// Period axes: thinned under -quick, the paper's otherwise.
+			want := []int{len(harness.Fig4Periods), len(harness.Fig6Periods), len(harness.Fig7Periods)}
 			if c.quick {
-				want = []int{5, 3, 4, 1200}
+				want = []int{5, 3, 4}
 			}
-			if got := []int{len(s.periods4), len(s.periods6), len(s.periods7), s.fig8TotalMs}; !slices.Equal(got, want) {
-				t.Errorf("period axis lengths, Figure 8 ms = %v, want %v", got, want)
+			if got := []int{len(s.periods4), len(s.periods6), len(s.periods7)}; !slices.Equal(got, want) {
+				t.Errorf("period axis lengths = %v, want %v", got, want)
+			}
+			// Figure 8 follows the point duration: the default 200ms renders
+			// the paper's 500/3000/100ms series, -quick at 100ms 500/1200/100.
+			if s.fig8 != c.wantFig8 {
+				t.Errorf("Figure 8 phase, total, bucket ms = %v, want %v", s.fig8, c.wantFig8)
 			}
 		})
 	}

@@ -13,6 +13,7 @@
 //	         [-job-queue htm|ms|rop|ebr] [-global-fallback] [-verbose]
 //	         [-admission] [-req-timeout 0] [-max-retries 0]
 //	         [-adapt] [-adapt-interval 25ms]
+//	         [-clock-shards 0] [-stripe-shift 0]
 //	         [-fault-seed 1] [-fault-begin P] [-fault-access P]
 //	         [-fault-commit P] [-fault-stall P]
 //	         [-wal-dir DIR] [-fsync=true] [-snapshot-every N]

@@ -22,10 +22,10 @@ import (
 )
 
 func main() {
-	// YieldEvery makes transactions occupy scheduler-visible time, so
-	// contention shows up even on hosts with fewer cores than goroutines
-	// (see htm.Config.YieldEvery).
-	heap := htm.NewHeap(htm.Config{YieldEvery: 4})
+	// The plan's YieldEvery makes transactions occupy scheduler-visible
+	// time, so contention shows up even on hosts with fewer cores than
+	// goroutines (see htm.FaultPlan.YieldEvery).
+	heap := htm.NewHeap(htm.Config{Faults: &htm.FaultPlan{YieldEvery: 4}})
 	clock := cycles.Calibrate(cycles.DefaultGHz)
 	col := core.NewArrayDynAppendDereg(heap, 0, core.Options{Step: 8, Adaptive: true})
 

@@ -29,9 +29,10 @@ import (
 )
 
 func dynamicCollectDemo() {
-	// YieldEvery interleaves the goroutines' heap accesses even on hosts
-	// with fewer cores than workers, so the writer and readers actually race.
-	heap := htm.NewHeap(htm.Config{YieldEvery: 8})
+	// The plan's YieldEvery interleaves the goroutines' heap accesses even on
+	// hosts with fewer cores than workers, so the writer and readers actually
+	// race.
+	heap := htm.NewHeap(htm.Config{Faults: &htm.FaultPlan{YieldEvery: 8}})
 	announce := core.NewArrayDynAppendDereg(heap, 0, core.Options{Step: 8})
 
 	setup := heap.NewThread()
@@ -121,7 +122,7 @@ func dynamicCollectDemo() {
 }
 
 func epochDemo() {
-	heap := htm.NewHeap(htm.Config{YieldEvery: 8})
+	heap := htm.NewHeap(htm.Config{Faults: &htm.FaultPlan{YieldEvery: 8}})
 	dom := epoch.NewDomain(heap)
 
 	setup := heap.NewThread()

@@ -1038,8 +1038,12 @@ func ntRead(h *Heap, a Addr, n int, read func(h *Heap, a Addr, dst []uint64)) (v
 // with a word a committer holds locked — at both geometries and with the
 // per-access yield model on.
 func TestLoadWordsNTIsTheLoadNTLoop(t *testing.T) {
-	for _, cfg := range []Config{{}, {ClockShards: 4, StripeShift: 2}, {YieldEvery: 3}} {
-		t.Run(fmt.Sprintf("shards=%d,shift=%d,yield=%d", cfg.ClockShards, cfg.StripeShift, cfg.YieldEvery), func(t *testing.T) {
+	for _, cfg := range []Config{{}, {ClockShards: 4, StripeShift: 2}, {Faults: &FaultPlan{YieldEvery: 3}}} {
+		yield := 0
+		if cfg.Faults != nil {
+			yield = cfg.Faults.YieldEvery
+		}
+		t.Run(fmt.Sprintf("shards=%d,shift=%d,yield=%d", cfg.ClockShards, cfg.StripeShift, yield), func(t *testing.T) {
 			h := newTestHeap(t, cfg)
 			th := h.NewThread()
 			x, y := lwBlock(th, 24, 0), lwBlock(th, 8, 50)

@@ -142,12 +142,12 @@ func TestChargeStoresValidatesAtCommit(t *testing.T) {
 	})
 }
 
-// TestChargeStoresDrawsLikeStores: under a fault plan and YieldEvery, charging
+// TestChargeStoresDrawsLikeStores: under a fault plan with YieldEvery, charging
 // n entries draws one yield and one fault decision per entry, as n Stores to
 // fresh words do — two heaps with the same plan, one charging and one storing,
 // see the same outcome for every attempt.
 func TestChargeStoresDrawsLikeStores(t *testing.T) {
-	cfg := Config{YieldEvery: 3, Faults: &FaultPlan{Seed: 5, AccessProb: 0.04}}
+	cfg := Config{Faults: &FaultPlan{Seed: 5, AccessProb: 0.04, YieldEvery: 3}}
 	charging, storing := newTestHeap(t, cfg), newTestHeap(t, cfg)
 	cth, sth := charging.NewThread(), storing.NewThread()
 	ca, sa := cth.Alloc(48), sth.Alloc(48)

@@ -135,21 +135,12 @@ type Config struct {
 	// meaningful with EnableTLE, and only while the mode is ModeFine.
 	FallbackSpins int
 
-	// Faults attaches a seeded fault-injection plan (see FaultPlan). nil — the
-	// default — injects nothing and costs one pointer check per transactional
-	// operation. The same Config value (plan included) reproduces the same
+	// Faults attaches the environment (see FaultPlan): seeded fault injection
+	// and the yield model (FaultPlan.YieldEvery). nil — the default — injects
+	// nothing, never yields and costs one pointer check per transactional
+	// access. The same Config value (plan included) reproduces the same
 	// injected fault sequence for equal executions.
 	Faults *FaultPlan
-
-	// YieldEvery makes a running transaction yield the processor after every
-	// N transactional accesses (0 = never). On hosts with fewer cores than
-	// simulated threads, goroutines otherwise run whole transactions within
-	// one scheduler quantum and cross-thread conflicts almost never occur;
-	// yielding mid-transaction restores the property that a transaction
-	// occupies a window of real time during which other "cores" run, so the
-	// conflict/abort gradient the paper sweeps is reproduced. Benchmarks set
-	// this; unit tests of engine semantics leave it 0.
-	YieldEvery int
 
 	// trackMaxLive is the derived internal form of !NoMaxLive: exact
 	// LiveWords/MaxLiveWords maintenance on the alloc/free path (a globally

@@ -2,16 +2,18 @@ package htm
 
 import "runtime"
 
-// Seeded fault injection for the simulated HTM. Rock transactions abort for
-// reasons that have nothing to do with the transaction itself — interrupts,
-// TLB misses, cache-line displacement (paper §3) — so code above the engine
-// must treat EVERY attempt as killable. Our engine's self-inflicted aborts
-// (conflict/overflow/capacity/illegal) are deterministic consequences of the
-// workload; a FaultPlan restores the environmental ones, replayably: each
-// thread derives its own PRNG from the plan seed and its thread ID, so a run
-// with the same plan, the same thread-creation order and the same per-thread
-// operation sequence injects the identical fault sequence. There is no global
-// or time-dependent state anywhere in the subsystem.
+// The simulated HTM's environment: seeded fault injection and time slicing.
+// Rock transactions abort for reasons that have nothing to do with the
+// transaction itself — interrupts, TLB misses, cache-line displacement
+// (paper §3) — so code above the engine must treat EVERY attempt as killable.
+// Our engine's self-inflicted aborts (conflict/overflow/capacity/illegal) are
+// deterministic consequences of the workload; a FaultPlan restores the
+// environmental ones, replayably: each thread derives its own PRNG from the
+// plan seed and its thread ID, so a run with the same plan, the same
+// thread-creation order and the same per-thread operation sequence injects the
+// identical fault sequence. There is no global or time-dependent state
+// anywhere in the subsystem. The plan's yield model (YieldEvery) draws from
+// other streams, so turning it on never moves an injected fault.
 //
 // Injection is confined to the hardware path. The TLE fallback is software —
 // on Rock it runs under a lock, not in a transaction — so it is never killed;
@@ -22,10 +24,11 @@ import "runtime"
 // write-back, which stretch the windows the deadlock-avoidance protocol and
 // the NT/commit spin loops must survive without changing any outcome.
 
-// FaultPlan configures seeded fault injection; hang it off Config.Faults.
-// Probabilities are per eligible event in [0, 1]; values ≥ 1 fire always
-// (exactly — no PRNG roll), which is what the deterministic termination tests
-// rely on. The zero value injects nothing.
+// FaultPlan configures the environment — seeded fault injection and the
+// yield model; hang it off Config.Faults. Probabilities are per eligible event
+// in [0, 1]; values ≥ 1 fire always (exactly — no PRNG roll), which is what
+// the deterministic termination tests rely on. The zero value injects nothing
+// and never yields.
 type FaultPlan struct {
 	// Seed is the root seed; per-thread PRNG streams are derived from it and
 	// the thread ID. Two heaps configured with the same plan inject the same
@@ -62,15 +65,27 @@ type FaultPlan struct {
 	// commit's write-back and its lock-set release, widening the window in
 	// which other threads observe the words still fallback-locked.
 	ReleaseDelay int
+
+	// YieldEvery yields the processor once per N transactional or NT
+	// accesses on average (0 = never). With fewer cores than simulated
+	// threads a goroutine otherwise runs whole transactions within one
+	// scheduler quantum and cross-thread conflicts almost never occur; a
+	// yield mid-transaction gives it a window of real time during which other
+	// "cores" run, reproducing the conflict/abort gradient the paper sweeps.
+	// The decision is randomized — a fixed cadence would park every attempt
+	// of a transaction at the same point and livelock hot-word retries — and
+	// draws the thread's backoff PRNG (NT yields: a heap-wide counter), never
+	// the fault stream. Benchmarks set it; engine unit tests leave it 0.
+	YieldEvery int
 }
 
-// enabled reports whether the plan can inject anything at all.
+// enabled reports whether the plan can inject or yield at all.
 func (p *FaultPlan) enabled() bool {
 	if p == nil {
 		return false
 	}
 	return p.BeginProb > 0 || p.AccessProb > 0 || p.CommitProb > 0 ||
-		p.StallProb > 0 || p.ReleaseDelay > 0
+		p.StallProb > 0 || p.ReleaseDelay > 0 || p.YieldEvery > 0
 }
 
 // faultProb is a compiled probability: compare one PRNG draw against thresh,
@@ -107,10 +122,11 @@ func (fp faultProb) fire(rng *uint64) bool {
 	return x < fp.thresh
 }
 
-// threadFaults is one thread's injection state: its private PRNG stream plus
-// the compiled plan. It lives on the Thread (nil when no plan is configured),
-// so the disabled cost on the transactional hot paths is one nil check.
-type threadFaults struct {
+// threadEnv is one thread's environment state: its private fault PRNG stream
+// plus the compiled plan. It lives in the thread's Txn (Txn.env, nil when the
+// plan is absent or empty), so the disabled cost on the transactional hot
+// paths is one nil check.
+type threadEnv struct {
 	rng    uint64
 	begin  faultProb
 	access faultProb
@@ -121,6 +137,7 @@ type threadFaults struct {
 	maxPerOp     int
 	stallSpins   int
 	releaseDelay int
+	yieldBelow   uint64 // YieldEvery as a yieldThreshold: rand() below it yields
 
 	opBudget    int // injections left for the current op; -1 = unlimited
 	accessCount int // eligible-access counter, reset each attempt
@@ -138,9 +155,9 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// newThreadFaults derives a thread's injection state from the plan.
-func newThreadFaults(p *FaultPlan, id uint64) *threadFaults {
-	f := &threadFaults{
+// newThreadEnv derives a thread's environment state from the plan.
+func newThreadEnv(p *FaultPlan, id uint64) *threadEnv {
+	f := &threadEnv{
 		rng:          splitmix64(p.Seed ^ id*0x9E3779B97F4A7C15),
 		begin:        compileProb(p.BeginProb),
 		access:       compileProb(p.AccessProb),
@@ -150,6 +167,7 @@ func newThreadFaults(p *FaultPlan, id uint64) *threadFaults {
 		maxPerOp:     p.MaxPerOp,
 		stallSpins:   p.StallSpins,
 		releaseDelay: p.ReleaseDelay,
+		yieldBelow:   yieldThreshold(p.YieldEvery),
 	}
 	if f.rng == 0 {
 		f.rng = 0x9E3779B97F4A7C15 // xorshift must not start at zero
@@ -164,7 +182,7 @@ func newThreadFaults(p *FaultPlan, id uint64) *threadFaults {
 }
 
 // opStart resets the per-operation injection budget (one Atomic/TryAtomic).
-func (f *threadFaults) opStart() {
+func (f *threadEnv) opStart() {
 	if f.maxPerOp > 0 {
 		f.opBudget = f.maxPerOp
 	} else {
@@ -173,11 +191,11 @@ func (f *threadFaults) opStart() {
 }
 
 // attemptStart resets the per-attempt access counter.
-func (f *threadFaults) attemptStart() { f.accessCount = 0 }
+func (f *threadEnv) attemptStart() { f.accessCount = 0 }
 
 // spend consumes one unit of the op budget; false means the budget is dry and
 // nothing may be injected into this operation anymore.
-func (f *threadFaults) spend() bool {
+func (f *threadEnv) spend() bool {
 	if f.opBudget == 0 {
 		return false
 	}
@@ -188,13 +206,22 @@ func (f *threadFaults) spend() bool {
 }
 
 // fireBegin decides a begin-site injection for this attempt.
-func (f *threadFaults) fireBegin() bool {
+func (f *threadEnv) fireBegin() bool {
 	return f.begin.fire(&f.rng) && f.spend()
 }
 
-// fireAccess decides an access-site injection; called once per transactional
-// Load/Store on the hardware path.
-func (f *threadFaults) fireAccess() bool {
+// yield runs the yield model at one transactional access: one draw from the
+// thread's backoff PRNG, which the fault stream never shares.
+func (f *threadEnv) yield(th *Thread) {
+	if f.yieldBelow != 0 && th.rand() < f.yieldBelow {
+		runtime.Gosched()
+	}
+}
+
+// fireAccess is the environment's turn at one transactional access on the
+// hardware path: yield, then decide an access-site injection.
+func (f *threadEnv) fireAccess(th *Thread) bool {
+	f.yield(th)
 	f.accessCount++
 	if f.accessCount%f.accessEvery != 0 {
 		return false
@@ -203,13 +230,13 @@ func (f *threadFaults) fireAccess() bool {
 }
 
 // fireCommit decides a commit-point injection for this attempt.
-func (f *threadFaults) fireCommit() bool {
+func (f *threadEnv) fireCommit() bool {
 	return f.commit.fire(&f.rng) && f.spend()
 }
 
 // maybeStall runs the fallback lock-holder stall window; returns whether it
 // stalled (the caller bumps the counter — stats stay in thread.go).
-func (f *threadFaults) maybeStall() bool {
+func (f *threadEnv) maybeStall() bool {
 	if !f.stall.fire(&f.rng) {
 		return false
 	}

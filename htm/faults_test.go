@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -160,6 +161,55 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 	if s3 := run(43); s3.SpuriousAborts() == s1.SpuriousAborts() && s3.Starts == s1.Starts {
 		t.Fatalf("different seeds produced identical runs: %v", s3)
+	}
+}
+
+// TestYieldsDoNotMoveFaultSchedule: the yield model shares the environment
+// seam with fault injection but never its PRNG stream. One thread runs a
+// seeded plan over a scripted mix of every instrumented site — Load, Store,
+// LoadWords, StoreWords, ChargeStores, and fallback runs (an overflowing body
+// engages the fallback after MaxRetries, where stalls draw too) — once
+// without yields and once with YieldEvery 3 in the same plan. Every counter
+// must agree; the yielding run must have drawn its yields from the thread's
+// backoff PRNG.
+func TestYieldsDoNotMoveFaultSchedule(t *testing.T) {
+	run := func(yieldEvery int) (Stats, uint64) {
+		plan := FaultPlan{Seed: 11, BeginProb: 0.05, AccessProb: 0.03, CommitProb: 0.05,
+			StallProb: 0.5, StallSpins: 1, YieldEvery: yieldEvery}
+		h := newTestHeap(t, Config{EnableTLE: true, MaxRetries: 3, Faults: &plan})
+		th := h.NewThread()
+		a := th.Alloc(64)
+		buf := make([]uint64, 40)
+		for i := 0; i < 300; i++ {
+			th.Atomic(func(tx *Txn) {
+				switch w := a + Addr(i%16); i % 5 {
+				case 0:
+					tx.Store(w, tx.Load(w+1)+1)
+				case 1:
+					tx.LoadWords(a, buf[:8])
+				case 2:
+					tx.StoreWords(w, buf[:8])
+				case 3:
+					tx.Load(w)
+					tx.ChargeStores(4)
+				case 4:
+					tx.StoreWords(a, buf) // overflows every hardware attempt
+				}
+			})
+		}
+		return h.Stats(), th.rng
+	}
+	plain, plainRng := run(0)
+	yielding, yieldRng := run(3)
+	if !reflect.DeepEqual(plain, yielding) {
+		t.Fatalf("YieldEvery moved the fault schedule:\n  without: %v\n  with:    %v", plain, yielding)
+	}
+	if plain.SpuriousAborts() == 0 || plain.FallbackRuns == 0 || plain.FallbackStalls == 0 {
+		t.Fatalf("script injected %d aborts, ran %d fallbacks with %d stalls; want all three",
+			plain.SpuriousAborts(), plain.FallbackRuns, plain.FallbackStalls)
+	}
+	if yieldRng == plainRng {
+		t.Fatal("YieldEvery 3 drew no yield from the thread's PRNG")
 	}
 }
 

@@ -144,7 +144,7 @@ type Heap struct {
 	nextTID atomic.Uint64
 
 	// ntAccesses drives cooperative yields for non-transactional accesses
-	// when Config.YieldEvery is set, so that HTM-free algorithms pay the
+	// when FaultPlan.YieldEvery is set, so that HTM-free algorithms pay the
 	// same simulated per-access time as transactional ones on
 	// under-provisioned hosts. ntYieldThresh is 2^64/YieldEvery (0 = never),
 	// making the per-access decision a hash-and-compare, not a division.
@@ -168,7 +168,9 @@ func NewHeap(cfg Config) *Heap {
 	for n := cfg.ClockShards; n > 1; n >>= 1 {
 		h.shardBits++
 	}
-	h.ntYieldThresh = yieldThreshold(cfg.YieldEvery)
+	if cfg.Faults != nil {
+		h.ntYieldThresh = yieldThreshold(cfg.Faults.YieldEvery)
+	}
 	if cfg.GlobalFallback {
 		h.fbMode.Store(uint32(ModeGlobal))
 	}
@@ -212,9 +214,9 @@ func (h *Heap) allocated(a Addr) bool {
 	return h.valid(a) && metaAllocated(h.meta[h.mi(a)].Load())
 }
 
-// yieldThreshold converts Config.YieldEvery into the compare threshold used
-// by the per-access yield checks: a uniformly random uint64 falls below it
-// with probability 1/y. YieldEvery=1 saturates to always-yield (the naive
+// yieldThreshold converts FaultPlan.YieldEvery into the compare threshold
+// used by the per-access yield checks: a uniformly random uint64 falls below
+// it with probability 1/y. YieldEvery=1 saturates to always-yield (the naive
 // 2^64/1+1 would wrap to zero and disable yielding entirely).
 func yieldThreshold(y int) uint64 {
 	switch {
@@ -228,7 +230,7 @@ func yieldThreshold(y int) uint64 {
 }
 
 // maybeYieldNT models access time for non-transactional operations; see
-// Config.YieldEvery. A shared counter (cheap on the hosts where this is on)
+// FaultPlan.YieldEvery. A shared counter (cheap on the hosts where this is on)
 // spreads yields across all NT traffic; hashing it keeps the expected rate at
 // one yield per YieldEvery accesses without a per-access division.
 func (h *Heap) maybeYieldNT() {
@@ -316,7 +318,7 @@ func (h *Heap) LoadNT(a Addr) uint64 {
 //	for i := range dst { dst[i] = h.LoadNT(a + Addr(i)) }
 //
 // — each word individually atomic, the same panic on an invalid or freed
-// address — and is that loop under YieldEvery or when the range leaves the
+// address — and is that loop under NT yields or when the range leaves the
 // arena. Otherwise the yield and bounds dispatch is decided once, and each
 // word whose metadata is live, unlocked and stable across the value read is
 // copied inline; any other word is handed to LoadNT, which spins or panics

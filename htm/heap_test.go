@@ -264,7 +264,7 @@ func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Words", "StoreBufferSize", "MaxReadSet", "NoSandbox", "AllowAllocInTxn",
 		"MaxRetries", "EnableTLE", "GlobalFallback", "NoMaxLive", "ClockShards",
-		"StripeShift", "FallbackSpins", "Faults", "YieldEvery",
+		"StripeShift", "FallbackSpins", "Faults",
 	}
 	var got []string
 	rt := reflect.TypeOf(Config{})

@@ -77,11 +77,12 @@ const (
 	// set capacity (Config.MaxReadSet).
 	AbortCapacity
 	// AbortSpurious indicates the attempt was killed by the seeded
-	// fault-injection plan (Config.Faults), modeling Rock's environmental
-	// aborts — interrupts, TLB misses, cache displacement — which carry no
-	// information about the transaction's own behaviour. Spurious aborts are
-	// produced only by fault injection, never by the engine itself, and only
-	// on the hardware path: the software fallback, like Rock's, is immune.
+	// environment plan (Config.Faults), modeling Rock's environmental aborts —
+	// interrupts, TLB misses, cache displacement — which carry no information
+	// about the transaction's own behaviour. Spurious aborts are produced only
+	// by the plan's fault draws, never by the engine itself or the plan's
+	// yields (FaultPlan.YieldEvery), and only on the hardware path: the
+	// software fallback, like Rock's, is immune.
 	AbortSpurious
 )
 

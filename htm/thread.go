@@ -25,10 +25,6 @@ type Thread struct {
 	// cell is this thread's private statistics block; see stats.
 	cell *statCell
 
-	// faults is this thread's fault-injection state; nil when the heap has no
-	// plan, so the hot paths pay a single pointer check.
-	faults *threadFaults
-
 	// Attempt outcome counters for this thread.
 	attempts uint64
 	commits  uint64
@@ -59,16 +55,13 @@ func (h *Heap) NewThread() *Thread {
 	th.txn.shardMask = h.shardMask
 	th.txn.sshift = h.stripeShift
 	th.txn.rv = make([]uint64, len(h.clock))
-	th.txn.yieldThresh = h.ntYieldThresh // same conversion as NT accesses
 	th.txn.maxReadSet = h.cfg.MaxReadSet
 	th.txn.storeBufSize = h.cfg.StoreBufferSize
 	th.txn.dedupAfter = h.cfg.dedupBypassThreshold()
 	th.txn.fbOwner = id & fallbackOwnerMask
 	th.txn.tle = h.cfg.EnableTLE
 	if h.cfg.Faults.enabled() {
-		th.faults = newThreadFaults(h.cfg.Faults, id)
-		th.txn.faults = th.faults
-		th.txn.fbDelay = th.faults.releaseDelay
+		th.txn.env = newThreadEnv(h.cfg.Faults, id)
 	}
 	return th
 }
@@ -175,8 +168,8 @@ func (th *Thread) begin() *Txn {
 		t.rv[i] = h.clock[i].v.Load()
 	}
 	th.attempts++ // thread-private; Stats.Starts is derived from the outcome counters
-	if th.faults != nil {
-		th.faults.attemptStart()
+	if t.env != nil {
+		t.env.attemptStart()
 	}
 	return t
 }
@@ -184,8 +177,8 @@ func (th *Thread) begin() *Txn {
 // faultOpStart opens a new fault-injection operation scope (one Atomic,
 // AtomicUntil or TryAtomic call), resetting the per-op injection budget.
 func (th *Thread) faultOpStart() {
-	if th.faults != nil {
-		th.faults.opStart()
+	if e := th.txn.env; e != nil {
+		e.opStart()
 	}
 }
 
@@ -229,14 +222,14 @@ func (th *Thread) tryAtomic(f func(*Txn)) (code AbortCode, addr Addr, ok bool) {
 	// interrupt landing right after checkpoint. Only hardware attempts pass
 	// through here (runFallback calls fallbackAttempt directly), so the
 	// fallback path is structurally immune to injection.
-	if th.faults != nil && th.faults.fireBegin() {
+	if t.env != nil && t.env.fireBegin() {
 		t.abort(AbortSpurious, NilAddr)
 	}
 	f(t)
 	// Commit-point injection: the body ran to completion and every buffered
 	// effect is discarded anyway — the most expensive abort the environment
 	// can inflict.
-	if th.faults != nil && th.faults.fireCommit() {
+	if t.env != nil && t.env.fireCommit() {
 		t.rollbackAllocs()
 		bump(&th.cell.aborts[AbortSpurious])
 		return AbortSpurious, NilAddr, false
@@ -337,7 +330,7 @@ func (th *Thread) runFallback(f func(*Txn)) {
 			// colliding with this footprint must survive a long hold. The
 			// stall is finite (StallSpins yields), so progress is delayed,
 			// never destroyed.
-			if th.faults != nil && th.faults.maybeStall() {
+			if t.env != nil && t.env.maybeStall() {
 				bump(&th.cell.fallbackStalls)
 			}
 			t.commit() // write-back, release lock-set, run deferred frees

@@ -460,7 +460,7 @@ func TestTunerEndToEndSharedStorm(t *testing.T) {
 	// observe the held lock-set (FallbackWaits) even on few CPUs; without it
 	// a single-CPU run can convoy invisibly, every holder completing within
 	// its scheduling quantum.
-	h := newTLEHeap(t, Config{MaxRetries: 1, YieldEvery: 3})
+	h := newTLEHeap(t, Config{MaxRetries: 1, Faults: &FaultPlan{YieldEvery: 3}})
 	tu := h.NewTuner(TunerConfig{MinFallbackRuns: 8, SwitchAfter: 2, StormRatio: 0.5})
 	setup := h.NewThread()
 	shared := setup.Alloc(4)

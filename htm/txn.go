@@ -89,18 +89,16 @@ type Txn struct {
 	clock        []clockLine // the heap's sharded version clock
 	shardBits    uint        // version encoding: tick<<shardBits | shard
 	shardMask    uint64
-	sshift       uint   // metadata stripe shift (Config.StripeShift)
-	yieldThresh  uint64 // rand() below this yields; 0 = never (see maybeYield)
+	sshift       uint // metadata stripe shift (Config.StripeShift)
 	maxReadSet   int
 	storeBufSize int
 	dedupAfter   int  // read-set length at which dedup engages (see below)
 	tle          bool // Config.EnableTLE: monitor the global fallback epoch
 
-	// Fault injection (Config.Faults): faults is the owning thread's injection
-	// state (nil without a plan — one pointer check per access), fbDelay the
-	// injected yield count between fallback write-back and lock-set release.
-	faults  *threadFaults
-	fbDelay int
+	// env is the owning thread's environment state (Config.Faults: fault
+	// injection and yields), nil without an enabled plan — the one pointer
+	// every instrumented site tests.
+	env *threadEnv
 
 	// Read-set dedup state. Attempts start in BYPASS mode: loads append to
 	// the read set without any duplicate tracking — duplicate entries are
@@ -338,7 +336,9 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 // (commits and NT writes take the same metadata lock), so no read-set entry
 // or validation is needed.
 func (t *Txn) fbLoad(a Addr) uint64 {
-	t.maybeYield()
+	if t.env != nil {
+		t.env.yield(t.th) // the fallback yields but is never injected into
+	}
 	if a == NilAddr || int(a) >= len(t.words) {
 		t.accessFault(a, "load")
 	}
@@ -355,7 +355,9 @@ func (t *Txn) fbLoad(a Addr) uint64 {
 // lock-set has published nothing. The store buffer bound does not apply —
 // the fallback exists precisely to complete bodies that overflow it.
 func (t *Txn) fbStore(a Addr, v uint64) {
-	t.maybeYield()
+	if t.env != nil {
+		t.env.yield(t.th)
+	}
 	if a == NilAddr || int(a) >= len(t.words) {
 		t.accessFault(a, "store")
 	}
@@ -538,35 +540,16 @@ func (t *Txn) extend() {
 	}
 }
 
-// maybeYield models transaction duration on under-provisioned hosts; see
-// Config.YieldEvery. The yield decision is randomized (expected one yield per
-// YieldEvery accesses): a deterministic cadence would park every attempt of a
-// given transaction at the same point — e.g. right before commit — making
-// hot-word conflicts certain instead of probable and livelocking retries.
-// yieldThresh precomputes 2^64/YieldEvery so the per-access check is a
-// compare, not a division.
-func (t *Txn) maybeYield() {
-	if t.yieldThresh != 0 {
-		t.yieldSlow()
-	}
-}
-
-func (t *Txn) yieldSlow() {
-	if t.th.rand() < t.yieldThresh {
-		runtime.Gosched()
-	}
-}
-
 // Load transactionally reads the word at a.
 func (t *Txn) Load(a Addr) uint64 {
 	if t.direct {
 		return t.directLoad(a)
 	}
-	t.maybeYield()
-	// Access-site injection (hardware attempts only — the direct paths
-	// returned above): the attempt dies mid-body, like a TLB miss or cache
-	// displacement landing on a transactional access.
-	if t.faults != nil && t.faults.fireAccess() {
+	// The environment's turn (hardware attempts only — the direct paths
+	// returned above): a yield, then access-site injection, where the attempt
+	// dies mid-body like a TLB miss or cache displacement landing on a
+	// transactional access.
+	if t.env != nil && t.env.fireAccess(t.th) {
 		t.abort(AbortSpurious, NilAddr)
 	}
 	if a == NilAddr || int(a) >= len(t.words) {
@@ -649,8 +632,8 @@ func (t *Txn) Load(a Addr) uint64 {
 //
 // — same read-set entries in the same order, same sandbox predicate per word,
 // same abort codes and addresses — and is that loop whenever anything but the
-// plain hardware-path case is in play: the fallback paths, fault injection
-// (every access must draw from the plan), YieldEvery, a non-empty write set
+// plain hardware-path case is in play: the fallback paths, an environment
+// plan (every access must yield and draw from it), a non-empty write set
 // (read-own-writes), a range that leaves the arena, and every word from the
 // point where the read set reaches dedupAfter. Otherwise the per-access
 // dispatch is decided once for the whole range, and each word whose metadata
@@ -748,12 +731,12 @@ func (t *Txn) loadRun(a Addr, dst []uint64, ents []readEntry) int {
 // bypassPrefix is the fast-path gate of both bulk reads: how many leading
 // words of a read of n words, the lowest at lo and the highest at hi, may take
 // the bypass-mode append inline. It is 0 unless the plain hardware-path case
-// is in play — no fallback path, no YieldEvery, no fault plan, an empty write
-// set, a bypass-mode read set — and every word is inside the arena. Then every
+// is in play — no fallback path, no environment plan, an empty write set, a
+// bypass-mode read set — and every word is inside the arena. Then every
 // word appends exactly one read entry while the set is below dedupAfter
 // (extend never grows it), so the prefix is the room left below dedupAfter.
 func (t *Txn) bypassPrefix(lo, hi, n int) int {
-	if t.direct || t.yieldThresh != 0 || t.faults != nil || len(t.writes) != 0 || t.dedup ||
+	if t.direct || t.env != nil || len(t.writes) != 0 || t.dedup ||
 		lo <= int(NilAddr) || hi >= len(t.words) {
 		return 0
 	}
@@ -838,9 +821,8 @@ func (t *Txn) Store(a Addr, v uint64) {
 		t.directStore(a, v)
 		return
 	}
-	t.maybeYield()
-	// Access-site injection; see Load.
-	if t.faults != nil && t.faults.fireAccess() {
+	// The environment's turn; see Load.
+	if t.env != nil && t.env.fireAccess(t.th) {
 		t.abort(AbortSpurious, NilAddr)
 	}
 	if a == NilAddr || int(a) >= len(t.words) {
@@ -870,8 +852,8 @@ func (t *Txn) Store(a Addr, v uint64) {
 //
 // — same write-set entries in the same order, same recorded metadata, same
 // abort codes and addresses — and is that loop whenever anything but the plain
-// hardware-path case is in play: the fallback paths, fault injection (every
-// access must draw from the plan), YieldEvery, a non-empty write set (a word
+// hardware-path case is in play: the fallback paths, an environment plan
+// (every access must yield and draw from it), a non-empty write set (a word
 // of the range may already be buffered), a range that leaves the arena, and a
 // range longer than what ChargeStores left of the store buffer (the loop
 // aborts at the word that overflows it). Otherwise no word of the range can
@@ -879,7 +861,7 @@ func (t *Txn) Store(a Addr, v uint64) {
 // once, the entries are reserved once, and each word costs one metadata load
 // and one append.
 func (t *Txn) StoreWords(a Addr, src []uint64) {
-	if t.direct || t.yieldThresh != 0 || t.faults != nil || len(t.writes) != 0 ||
+	if t.direct || t.env != nil || len(t.writes) != 0 ||
 		a == NilAddr || int(a)+len(src) > len(t.words) ||
 		(t.storeBufSize >= 0 && len(src)+t.charged > t.storeBufSize) {
 		for i := range src {
@@ -905,16 +887,16 @@ func (t *Txn) StoreWords(a Addr, src []uint64) {
 // stands for n Stores to fresh allocated words that no other thread reads: it
 // aborts AbortOverflow (at NilAddr: the words have no heap address) exactly
 // where that loop would, Store and StoreWords count the charged entries
-// against the same bound, and under YieldEvery or a fault plan each entry
-// draws the yield and fault decision its Store would have. A transaction
-// whose only stores were charged commits as such a write commit would, minus
-// its lock, tick and write-back (see commitCharged). On the fallback paths,
-// which have no store buffer, it does nothing.
+// against the same bound, and under an environment plan each entry draws the
+// yield and fault decision its Store would have. A transaction whose only
+// stores were charged commits as such a write commit would, minus its lock,
+// tick and write-back (see commitCharged). On the fallback paths, which have
+// no store buffer, it does nothing.
 func (t *Txn) ChargeStores(n int) {
 	if t.direct {
 		return
 	}
-	if t.yieldThresh == 0 && t.faults == nil {
+	if t.env == nil {
 		if t.storeBufSize >= 0 && len(t.writes)+t.charged+n > t.storeBufSize {
 			t.abort(AbortOverflow, NilAddr)
 		}
@@ -922,8 +904,7 @@ func (t *Txn) ChargeStores(n int) {
 		return
 	}
 	for ; n > 0; n-- {
-		t.maybeYield()
-		if t.faults != nil && t.faults.fireAccess() {
+		if t.env.fireAccess(t.th) {
 			t.abort(AbortSpurious, NilAddr)
 		}
 		if t.storeBufSize >= 0 && len(t.writes)+t.charged >= t.storeBufSize {
@@ -1003,8 +984,10 @@ func (t *Txn) commit() (AbortCode, Addr) {
 			// Injected adversity (Config.Faults.ReleaseDelay): hold the
 			// lock-set a while longer after write-back, stretching the
 			// window in which contenders see the words fallback-locked.
-			for i := 0; i < t.fbDelay; i++ {
-				runtime.Gosched()
+			if t.env != nil {
+				for i := 0; i < t.env.releaseDelay; i++ {
+					runtime.Gosched()
+				}
 			}
 			// Tick the home shard with the whole lock-set held — same
 			// lock-then-tick order as a hardware commit. No other counter

@@ -274,14 +274,14 @@ func TestDynamicBaselineRecyclesNodes(t *testing.T) {
 
 // TestDynamicBaselineConcurrentChurn hammers the counted-pointer protocol;
 // the heap panics on any use-after-free, double free, or torn traversal.
-// YieldEvery maximizes interleaving: the benchmark suite originally caught a
-// use-after-free in tryUnlink (node dereferenced without holding the edge
-// mark) only under yield-amplified schedules.
+// The plan's YieldEvery maximizes interleaving: the benchmark suite
+// originally caught a use-after-free in tryUnlink (node dereferenced without
+// holding the edge mark) only under yield-amplified schedules.
 func TestDynamicBaselineConcurrentChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	h := htm.NewHeap(htm.Config{Words: 1 << 18, YieldEvery: 2})
+	h := htm.NewHeap(htm.Config{Words: 1 << 18, Faults: &htm.FaultPlan{YieldEvery: 2}})
 	b := NewDynamicBaseline(h)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

@@ -77,15 +77,7 @@ func (r PhaseResult) OverallOpsPerUs() float64 {
 // Tuner's storm signal reads.
 func AdaptivePhaseShift(cfg Config, threads int, mode AdaptiveMode) PhaseResult {
 	cfg = cfg.withDefaults()
-	h := htm.NewHeap(htm.Config{
-		Words:           fallbackHeapWords,
-		StoreBufferSize: fallbackStoreBuffer,
-		EnableTLE:       true,
-		MaxRetries:      1,
-		GlobalFallback:  mode == AdaptiveGlobal,
-		YieldEvery:      cfg.YieldEvery,
-		NoMaxLive:       true,
-	})
+	h := cfg.heap(fallbackConfig(mode == AdaptiveGlobal, 0))
 	phaseLen := cfg.PointDuration / adaptivePhases
 	if phaseLen < 20*time.Millisecond {
 		phaseLen = 20 * time.Millisecond // keep several tuner epochs per phase

@@ -31,13 +31,7 @@ const clockTxnWords = 4
 // `stripeShift` metadata striping.
 func DisjointCommits(cfg Config, threads, shards, stripeShift int) Result {
 	cfg = cfg.withDefaults()
-	h := htm.NewHeap(htm.Config{
-		Words:       clockHeapWords,
-		ClockShards: shards,
-		StripeShift: stripeShift,
-		YieldEvery:  cfg.YieldEvery,
-		NoMaxLive:   true,
-	})
+	h := cfg.heap(htm.Config{Words: clockHeapWords, ClockShards: shards, StripeShift: stripeShift})
 	b := newBarrier(threads)
 	var ops atomic.Uint64
 	var wg sync.WaitGroup
@@ -111,12 +105,7 @@ const stripeNeighborWords = 16
 // alias onto the same metadata word and commit-time CAS conflicts appear.
 func StripeContention(cfg Config, threads, stripeShift int) Result {
 	cfg = cfg.withDefaults()
-	h := htm.NewHeap(htm.Config{
-		Words:       clockHeapWords,
-		StripeShift: stripeShift,
-		YieldEvery:  cfg.YieldEvery,
-		NoMaxLive:   true,
-	})
+	h := cfg.heap(htm.Config{Words: clockHeapWords, StripeShift: stripeShift})
 	setup := h.NewThread()
 	shared := setup.Alloc(stripeNeighborWords)
 	b := newBarrier(threads)

@@ -28,24 +28,19 @@ const (
 	fallbackWrites      = 8
 )
 
-func fallbackHeap(cfg Config, global bool) *htm.Heap {
-	return fallbackHeapSpins(cfg, global, 0)
-}
-
-// fallbackHeapSpins additionally sets the out-of-order acquire budget
+// fallbackConfig configures the contended-overflow heap, starting in the
+// global-lock mode if global, with the out-of-order acquire budget spins
 // (htm.Config.FallbackSpins: 0 selects the engine default, negative means no
 // spinning — release-and-retry immediately on any out-of-order conflict).
-func fallbackHeapSpins(cfg Config, global bool, spins int) *htm.Heap {
-	return htm.NewHeap(htm.Config{
+func fallbackConfig(global bool, spins int) htm.Config {
+	return htm.Config{
 		Words:           fallbackHeapWords,
 		StoreBufferSize: fallbackStoreBuffer,
 		EnableTLE:       true,
 		MaxRetries:      1,
 		GlobalFallback:  global,
 		FallbackSpins:   spins,
-		YieldEvery:      cfg.YieldEvery,
-		NoMaxLive:       true,
-	})
+	}
 }
 
 // FallbackOverflow measures fallback throughput: `threads` workers each run
@@ -55,7 +50,7 @@ func fallbackHeapSpins(cfg Config, global bool, spins int) *htm.Heap {
 // heap in the global-lock mode (htm.Config.GlobalFallback).
 func FallbackOverflow(cfg Config, threads int, disjoint, global bool) Result {
 	cfg = cfg.withDefaults()
-	return overflowOn(fallbackHeap(cfg, global), cfg, threads, disjoint)
+	return overflowOn(cfg.heap(fallbackConfig(global, 0)), cfg, threads, disjoint)
 }
 
 // FallbackSpinsOverflow is the shared-footprint overflow workload run with an
@@ -68,7 +63,7 @@ func FallbackSpinsOverflow(cfg Config, threads, spins int) Result {
 	if spins == 0 {
 		spins = -1 // Config.FallbackSpins: 0 would select the default
 	}
-	return overflowOn(fallbackHeapSpins(cfg, false, spins), cfg, threads, false)
+	return overflowOn(cfg.heap(fallbackConfig(false, spins)), cfg, threads, false)
 }
 
 // overflowOn runs the contended-overflow workload on a prepared heap.
@@ -118,7 +113,7 @@ func overflowOn(h *htm.Heap, cfg Config, threads int, disjoint bool) Result {
 // footprints are disjoint and the hardware path never waits.
 func FallbackInterference(cfg Config, threads int, global bool) Result {
 	cfg = cfg.withDefaults()
-	h := fallbackHeap(cfg, global)
+	h := cfg.heap(fallbackConfig(global, 0))
 
 	b := newBarrier(threads + 1)
 	stop := make(chan struct{})

@@ -40,9 +40,9 @@ type Config struct {
 	// Threads is the maximum simulated thread count (the paper's machine
 	// has 16).
 	Threads int
-	// YieldEvery is passed to htm.Config.YieldEvery so that transactions
+	// YieldEvery is passed to htm.FaultPlan.YieldEvery so that transactions
 	// occupy scheduler-visible time on hosts with fewer cores than simulated
-	// threads. Defaults to 4 when the host has fewer cores than Threads and
+	// threads. Defaults to 12 when the host has fewer cores than Threads and
 	// 0 otherwise; set to a negative value to force 0.
 	YieldEvery int
 	// TrackSpace keeps exact LiveWords/MaxLiveWords accounting on the
@@ -74,9 +74,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// newHeap builds the per-point heap with the experiment's yield policy.
-func (c Config) newHeap() *htm.Heap {
-	return htm.NewHeap(htm.Config{Words: c.HeapWords, YieldEvery: c.YieldEvery, NoMaxLive: !c.TrackSpace})
+// heap builds a per-point heap from hc under the experiment's policy: the
+// yield model (YieldEvery) and exact space tracking only with TrackSpace.
+// hc.Words defaults to HeapWords.
+func (c Config) heap(hc htm.Config) *htm.Heap {
+	if hc.Words == 0 {
+		hc.Words = c.HeapWords
+	}
+	if c.YieldEvery > 0 {
+		hc.Faults = &htm.FaultPlan{YieldEvery: c.YieldEvery}
+	}
+	hc.NoMaxLive = !c.TrackSpace
+	return htm.NewHeap(hc)
 }
 
 // Result is one measured data point.
@@ -193,7 +202,7 @@ func pickOp(rng *uint64) opKind {
 // at most 64/threads handles, with 32 handles pre-registered in total.
 func CollectDominated(cfg Config, mk func(h *htm.Heap) core.Collector, threads int) Result {
 	cfg = cfg.withDefaults()
-	h := cfg.newHeap()
+	h := cfg.heap(htm.Config{})
 	col := mk(h)
 
 	const totalSlots = 64

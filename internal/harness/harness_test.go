@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/htm"
 	"repro/internal/cycles"
 )
 
@@ -50,7 +51,7 @@ func TestCollectUpdateRuns(t *testing.T) {
 // buffer holds (a larger step can only overflow).
 func TestCollectUpdateRecordsHistogramWhenAdaptive(t *testing.T) {
 	cfg := quickCfg()
-	limit := cfg.newHeap().Config().StoreBufferSize
+	limit := cfg.heap(htm.Config{}).Config().StoreBufferSize
 	fig6 := Fig6(cfg, 2, []int{50000, 400})
 	for i, hist := range fig6.Hists {
 		if len(hist) == 0 {

@@ -14,7 +14,7 @@ import (
 // mostly succeed. Throughput counts all operations.
 func QueueThroughput(cfg Config, mk func(h *htm.Heap) queue.Queue, threads, prefill int) Result {
 	cfg = cfg.withDefaults()
-	h := cfg.newHeap()
+	h := cfg.heap(htm.Config{})
 	q := mk(h)
 
 	setup := q.NewCtx(h.NewThread())

@@ -16,7 +16,7 @@ import (
 // of the thread count. Throughput counts the collector's operations only.
 func CollectUpdate(cfg Config, mk func(h *htm.Heap) core.Collector, updaters, updatePeriod int) Result {
 	cfg = cfg.withDefaults()
-	h := cfg.newHeap()
+	h := cfg.heap(htm.Config{})
 	col := mk(h)
 
 	const totalHandles = 64
@@ -91,7 +91,7 @@ func CollectUpdate(cfg Config, mk func(h *htm.Heap) core.Collector, updaters, up
 // Register — wait(deregPeriod) loops over an initial total of 64 handles.
 func CollectDeregister(cfg Config, mk func(h *htm.Heap) core.Collector, churners, registerPeriod, deregPeriod int) Result {
 	cfg = cfg.withDefaults()
-	h := cfg.newHeap()
+	h := cfg.heap(htm.Config{})
 	col := mk(h)
 
 	const totalHandles = 64
@@ -173,7 +173,7 @@ type TimedBucket struct {
 // buckets.
 func VaryingSlots(cfg Config, mk func(h *htm.Heap) core.Collector, updaters int, lo, hi int, phase, total, bucket time.Duration) []TimedBucket {
 	cfg = cfg.withDefaults()
-	h := cfg.newHeap()
+	h := cfg.heap(htm.Config{})
 	col := mk(h)
 	const updatePeriod = 20000
 
@@ -283,7 +283,7 @@ func VaryingSlots(cfg Config, mk func(h *htm.Heap) core.Collector, updaters int,
 // ~135ns comparison) in nanoseconds per operation.
 func UpdateLatency(cfg Config, mk func(h *htm.Heap) core.Collector, iters int) float64 {
 	cfg = cfg.withDefaults()
-	h := cfg.newHeap()
+	h := cfg.heap(htm.Config{})
 	col := mk(h)
 	c := col.NewCtx(h.NewThread())
 	hd := col.Register(c, 1)
