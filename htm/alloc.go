@@ -6,12 +6,17 @@ import (
 	"sync"
 )
 
-// The allocator hands out blocks of whole words from the arena. Each block
+// The allocator hands out blocks of whole lines from the arena. Each block
 // has a one-word header holding the payload size and an allocated bit, so
-// Free needs only the payload address. Freed blocks are recycled on
-// exact-size free lists (no splitting or coalescing — the experiments
-// allocate a small set of block sizes, and exact-size recycling keeps the
-// simulation simple and fast without affecting any measured behaviour).
+// Free needs only the payload address; the header starts a line and the
+// footprint rounds up to whole lines, so no line is shared between blocks
+// (or a block and free space) and every line transition is exactly one
+// block's alloc or free. The slack words after a block's payload in its last
+// line belong to the block: they read as live, and as zero unless the program
+// wrote past its block. Freed blocks are recycled on exact-size free lists (no
+// splitting or coalescing — the experiments allocate a small set of block
+// sizes, and exact-size recycling keeps the simulation simple and fast
+// without affecting any measured behaviour).
 //
 // The design follows libumem, the allocator the paper's experiments ran on:
 // each Thread owns a per-size-class magazine (a small fixed array of free
@@ -68,20 +73,10 @@ type allocShard struct {
 type allocator struct {
 	h      *Heap
 	shards []allocShard
-
-	// stripeMask aligns carved blocks to metadata stripes when
-	// Config.StripeShift is set: a block's header+payload footprint is
-	// rounded up to whole stripes and starts on a stripe boundary, so no
-	// stripe is ever shared between two blocks (or a block and free space).
-	// That keeps the per-stripe allocated bit and version coherent — every
-	// stripe transition is owned by exactly one block's alloc/free. Zero
-	// without striping, making the carve arithmetic the identity.
-	stripeMask Addr
 }
 
 func (al *allocator) init(h *Heap) {
 	al.h = h
-	al.stripeMask = Addr(1)<<h.stripeShift - 1
 	n := 1
 	for n < runtime.NumCPU()*2 {
 		n <<= 1
@@ -103,11 +98,10 @@ func (al *allocator) init(h *Heap) {
 
 // carve cuts a fresh block of size payload words from shard s's bump region
 // (mutex held by the caller), returning NilAddr when the region is exhausted.
-// With striping both the block's start and its footprint round up to stripe
-// boundaries; see stripeMask.
+// Both the block's start and its footprint round up to line boundaries.
 func (al *allocator) carve(s *allocShard, size int) Addr {
-	b := (s.bump + al.stripeMask) &^ al.stripeMask
-	need := (Addr(size+1) + al.stripeMask) &^ al.stripeMask
+	b := (s.bump + lineMask) &^ lineMask
+	need := (Addr(size+1) + lineMask) &^ lineMask
 	if b > s.end || s.end-b < need {
 		return NilAddr
 	}
@@ -207,10 +201,9 @@ func (al *allocator) allocBigFrom(si, size int) Addr {
 // arena is exhausted.
 //
 // One tick of the thread's home clock shard versions the whole block, and
-// each governing metadata word's free->allocated transition is a single CAS
-// (one per word by default, one per stripe with striping — a block owns whole
-// stripes, so every transition is exclusively this alloc's). The fresh
-// version (rather than reusing the stripe's last one) is what closes the
+// each of its lines' free->allocated transition is a single CAS (a block owns
+// whole lines, so every transition is exclusively this alloc's). The fresh
+// version (rather than reusing the line's last one) is what closes the
 // reallocation window: any transaction that began before this tick and read
 // the block's previous life will see a tick above its rv entry for this shard
 // on its next access to the block, be forced to extend, and fail revalidation
@@ -241,15 +234,15 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 			words[i].Store(image[i])
 		}
 	}
-	for si, hi := h.mi(a), h.mi(a+Addr(size)-1); si <= hi; si++ {
-		m := h.meta[si].Load()
+	for l, hi := lineOf(a), lineOf(a+Addr(size)-1); l <= hi; l++ {
+		m := h.meta[l].Load()
 		if m&(metaAllocBit|metaLockBit) != 0 {
-			panic(fmt.Sprintf("htm: allocator invariant violation: stripe of word %#x already allocated or locked", uint32(a)))
+			panic(fmt.Sprintf("htm: allocator invariant violation: line of word %#x already allocated or locked", uint32(a)))
 		}
-		if !h.meta[si].CompareAndSwap(m, live) {
-			// Free stripes are never locked and never written by anyone but
+		if !h.meta[l].CompareAndSwap(m, live) {
+			// Free lines are never locked and never written by anyone but
 			// the allocator, which holds this block exclusively.
-			panic(fmt.Sprintf("htm: allocator invariant violation: free stripe of word %#x changed concurrently", uint32(a)))
+			panic(fmt.Sprintf("htm: allocator invariant violation: free line of word %#x changed concurrently", uint32(a)))
 		}
 	}
 	bump(&th.cell.allocCalls) // also stands for the tick above in Stats.ClockShardTicks
@@ -268,13 +261,12 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 }
 
 // free returns the block whose payload starts at a to th's magazine (or, for
-// oversized blocks, to th's home shard). Each governing metadata word's
-// allocated bit is cleared and its version bumped in ONE CAS — the version
-// bump IS the generation flip of the old two-array design — so any in-flight
+// oversized blocks, to th's home shard). Each of the block's lines has its
+// allocated bit cleared and its version bumped in ONE CAS — the version bump
+// IS the generation flip of the old two-array design — so any in-flight
 // transaction that read the block aborts at its next validation, and any
-// later transactional access aborts immediately (sandboxing). With striping
-// the block owns its stripes outright, so per-stripe transitions stay
-// exclusively this free's.
+// later transactional access aborts immediately (sandboxing). The block owns
+// its lines outright, so every transition is exclusively this free's.
 func (al *allocator) free(th *Thread, a Addr) {
 	h := al.h
 	if !h.valid(a) {
@@ -287,12 +279,12 @@ func (al *allocator) free(th *Thread, a Addr) {
 	size := int(hdr >> 1)
 	h.words[a-1].Store(uint64(size) << 1)
 	// One tick of th's home clock shard versions the whole block. Unlike the
-	// old flip-before-release dance, the tick may precede the per-stripe
+	// old flip-before-release dance, the tick may precede the per-line
 	// transitions: a transaction that began after the tick (rv admits wv) can
-	// still read a not-yet-flipped word's pre-free value — that read is of
+	// still read a not-yet-flipped line's pre-free value — that read is of
 	// then-live memory and linearizes before the free — but it can never pair
 	// it with post-reallocation state under one snapshot, because allocate
-	// stamps reused stripes with a version from a LATER tick of SOME shard
+	// stamps reused lines with a version from a LATER tick of SOME shard
 	// that postdates every such reader's begin-scan of that shard, which
 	// forces an extension whose revalidation rereads the flipped metadata and
 	// aborts. A CAS that observes the lock bit (a commit's write-back, or an
@@ -300,13 +292,13 @@ func (al *allocator) free(th *Thread, a Addr) {
 	// deadlock.
 	wv := th.tickClock()
 	dead := makeMeta(wv, false)
-	for w, hi := h.mi(a), h.mi(a+Addr(size)-1); w <= hi; w++ {
+	for l, hi := lineOf(a), lineOf(a+Addr(size)-1); l <= hi; l++ {
 		for spins := 0; ; spins++ {
-			m := h.meta[w].Load()
+			m := h.meta[l].Load()
 			if !metaAllocated(m) {
-				panic(fmt.Sprintf("htm: free of already-free stripe (block %#x)", uint32(a)))
+				panic(fmt.Sprintf("htm: free of already-free line (block %#x)", uint32(a)))
 			}
-			if !metaLocked(m) && h.meta[w].CompareAndSwap(m, dead) {
+			if !metaLocked(m) && h.meta[l].CompareAndSwap(m, dead) {
 				break
 			}
 			// Held by a commit write-back (short) or a fallback lock-set
@@ -320,10 +312,10 @@ func (al *allocator) free(th *Thread, a Addr) {
 			// lock-set is released.
 			if metaFallbackLocked(m) {
 				if metaFallbackOwner(m) == th.id&fallbackOwnerMask {
-					panic(fmt.Sprintf("htm: free of %#x inside a fallback operation holding word %#x locked (self-deadlock); use Txn.FreeOnCommit", uint32(a), uint32(w)))
+					panic(fmt.Sprintf("htm: free of %#x inside a fallback operation holding its line %d locked (self-deadlock); use Txn.FreeOnCommit", uint32(a), l))
 				}
-				if th.inTxn && th.txn.direct && len(th.txn.locks) > 0 {
-					panic(fmt.Sprintf("htm: free of %#x inside a fallback operation while word %#x is fallback-locked by another thread (deadlock risk); use Txn.FreeOnCommit", uint32(a), uint32(w)))
+				if th.inTxn && th.txn.direct && len(th.txn.lines) > 0 {
+					panic(fmt.Sprintf("htm: free of %#x inside a fallback operation while its line %d is fallback-locked by another thread (deadlock risk); use Txn.FreeOnCommit", uint32(a), l))
 				}
 			}
 			if spins&63 == 63 {

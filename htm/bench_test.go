@@ -128,9 +128,9 @@ func BenchmarkTxnLoadWordsBlocks(b *testing.B) {
 // BenchmarkTxnLoadStrided is a Collect-step-shaped read: one read-only
 // transaction gathering the 32 value words of a 64-word slot array of
 // two-word slots, top slot first, with one Txn.LoadStrided at stride -2. Each
-// slot was filled by its own commit, as registrations fill a Collect array, so
-// no two words read share a metadata value. ns/op ÷ 32 is the kernel's cost
-// per word with the begin/commit diluted.
+// slot was filled by its own commit, as registrations fill a Collect array;
+// four slots share each 8-word line. ns/op ÷ 32 is the kernel's cost per word
+// with the begin/commit diluted.
 func BenchmarkTxnLoadStrided(b *testing.B) {
 	const slots = 32
 	h := NewHeap(Config{Words: 1 << 16})
@@ -155,55 +155,6 @@ func BenchmarkTxnLoadStrided(b *testing.B) {
 	}
 	if n := testing.AllocsPerRun(100, func() { th.Atomic(body) }); n != 0 {
 		b.Fatalf("LoadStrided transaction allocates %.1f times per op, want 0", n)
-	}
-}
-
-// BenchmarkTxnStoreWords32 is one write transaction buffering a
-// store-buffer's worth of consecutive words with Txn.StoreWords and committing
-// them. The write set never sees a lookup, so the lazy index costs it nothing.
-func BenchmarkTxnStoreWords32(b *testing.B) {
-	h := NewHeap(Config{Words: 1 << 16})
-	th := h.NewThread()
-	var src, got [RockStoreBufferSize]uint64
-	for i := range src {
-		src[i] = uint64(i) + 1
-	}
-	a := th.Alloc(len(src))
-	body := func(t *Txn) { t.StoreWords(a, src[:]) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		th.Atomic(body)
-	}
-	b.StopTimer()
-	if h.LoadWordsNT(a, got[:]); got != src {
-		b.Fatalf("StoreWords committed %v, want %v", got, src)
-	}
-	if n := testing.AllocsPerRun(100, func() { th.Atomic(body) }); n != 0 {
-		b.Fatalf("StoreWords transaction allocates %.1f times per op, want 0", n)
-	}
-}
-
-// BenchmarkLoadWordsNT64 copies 64 words out of the heap non-transactionally
-// with one Heap.LoadWordsNT.
-func BenchmarkLoadWordsNT64(b *testing.B) {
-	h := NewHeap(Config{Words: 1 << 16})
-	var img, dst [64]uint64
-	for i := range img {
-		img[i] = uint64(i) + 1
-	}
-	a := h.NewThread().AllocInit(img[:])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.LoadWordsNT(a, dst[:])
-	}
-	b.StopTimer()
-	if dst != img {
-		b.Fatalf("LoadWordsNT read %v, want %v", dst, img)
-	}
-	if n := testing.AllocsPerRun(100, func() { h.LoadWordsNT(a, dst[:]) }); n != 0 {
-		b.Fatalf("LoadWordsNT allocates %.1f times per op, want 0", n)
 	}
 }
 

@@ -4,16 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// Tests for the bulk kernels: Txn.LoadWords, Txn.LoadStrided, Txn.StoreWords
-// and Heap.LoadWordsNT, whose whole specifications are "the Load loop", "the
-// Load loop", "the Store loop" and "the LoadNT loop"; Thread.AllocInit, whose
-// whole specification is "Alloc, born holding an image"; and the lazily built
-// write-set index the store kernel leans on.
+// Tests for the bulk reads, Txn.LoadWords and Txn.LoadStrided, whose whole
+// specification is "the Load loop"; Thread.AllocInit, whose whole
+// specification is "Alloc, born holding an image"; a range written with a
+// Store loop; and the lazily built write-set index.
 
 // rangeReader reads len(dst) words inside tx, the i-th at a+i*stride: once as
 // the definition, once as a kernel.
@@ -161,14 +160,15 @@ func lwScenarios() []lwScenario {
 			th.Free(y)
 			a := w.from(x, 8)
 			res := lwAttempt(th, w, a, 20, nil) // runs off x into y's dead words
-			// The abort is at an element past x's last one and not past y's.
+			// The abort is at an element past x's last one and not past y's:
+			// the first one outside x's lines, whose slack reads as live.
 			past, yEnd := w.at(a, 8), w.at(w.from(y, 8), 7)
 			if w.first(past, (int(yEnd)-int(past))/w.stride+1, func(e Addr) bool { return e == res.addr }) == NilAddr ||
 				res.vals[7] != lwVal(x, 0, w.at(a, 7)) {
 				t.Errorf("abort at %#x (x=%#x, freed y=%#x), values %v", uint32(res.addr), uint32(x), uint32(y), res.vals)
 			}
-			if h.stripeShift == 0 && res.addr != past {
-				t.Errorf("abort at %#x, want the first element past x, %#x", uint32(res.addr), uint32(past))
+			if want := w.first(a, 20, func(e Addr) bool { return !h.allocated(e) }); res.addr != want {
+				t.Errorf("abort at %#x, want the first element outside x's lines, %#x", uint32(res.addr), uint32(want))
 			}
 			return res
 		}},
@@ -188,8 +188,8 @@ func lwScenarios() []lwScenario {
 			// stopped by the bound itself and not by a dead word before it. A
 			// walk down starts past the end.
 			end := Addr(len(h.words))
-			h.meta[h.mi(end-2)].Store(makeMeta(0, true))
-			h.meta[h.mi(end-1)].Store(makeMeta(0, true))
+			h.meta[lineOf(end-2)].Store(makeMeta(0, true))
+			h.meta[lineOf(end-1)].Store(makeMeta(0, true))
 			a := end - 2
 			if w.stride < 0 {
 				a = w.at(end-1, -1)
@@ -208,12 +208,12 @@ func lwScenarios() []lwScenario {
 			a := w.from(lwBlock(th, w.span(16), 0), 16)
 			// What a committer descheduled between acquiring element 5 and
 			// releasing it leaves behind: the lock bit, nothing else changed.
-			mi := h.mi(w.at(a, 5))
-			held := h.meta[mi].Load()
-			h.meta[mi].Store(held | metaLockBit)
+			l := lineOf(w.at(a, 5))
+			held := h.meta[l].Load()
+			h.meta[l].Store(held | metaLockBit)
 			res := lwAttempt(th, w, a, 16, nil)
-			h.meta[mi].Store(held)
-			if want := w.first(a, 16, func(e Addr) bool { return h.mi(e) == mi }); res.addr != want {
+			h.meta[l].Store(held)
+			if want := w.first(a, 16, func(e Addr) bool { return lineOf(e) == l }); res.addr != want {
 				t.Errorf("abort at %#x, want the first element under the held lock, %#x", uint32(res.addr), uint32(want))
 			}
 			return res
@@ -239,8 +239,8 @@ func lwScenarios() []lwScenario {
 				tx.Load(x)
 				writer.Atomic(func(wx *Txn) { wx.Store(x, 1); wx.Store(w.at(a, 7), 777) })
 			})
-			cut := 7 // the first element under element 7's metadata word
-			for cut > 0 && h.mi(w.at(a, cut-1)) == h.mi(w.at(a, 7)) {
+			cut := 7 // the first element in element 7's line
+			for cut > 0 && lineOf(w.at(a, cut-1)) == lineOf(w.at(a, 7)) {
 				cut--
 			}
 			if res.addr != NilAddr || res.vals[cut-1] != lwVal(blk, 0, w.at(a, cut-1)) || res.vals[cut] != 0 {
@@ -351,10 +351,10 @@ func lwScenarios() []lwScenario {
 func stridedScenarios() []lwScenario {
 	return []lwScenario{
 		{name: "walk into the nil address", want: AbortIllegal, downward: true, run: func(t *testing.T, h *Heap, w walk) lwResult {
-			// Words 0 … 2|stride| made live by hand, word 0's metadata
-			// included, so that only the nil check stops the walk at 0.
+			// Words 0 … 2|stride| made live by hand, word 0's line included,
+			// so that only the nil check stops the walk at 0.
 			for i := 0; i <= w.span(2); i++ {
-				h.meta[h.mi(Addr(i))].Store(makeMeta(0, true))
+				h.meta[lineOf(Addr(i))].Store(makeMeta(0, true))
 			}
 			res := lwAttempt(h.NewThread(), w, w.from(NilAddr, 3), 3, nil)
 			if res.addr != NilAddr {
@@ -365,7 +365,7 @@ func stridedScenarios() []lwScenario {
 		{name: "walk below the arena", want: AbortIllegal, downward: true, run: func(t *testing.T, h *Heap, w walk) lwResult {
 			// Word 1, made live by hand: the walk's next element is below word
 			// 0, an address that wraps past the end of the arena.
-			h.meta[h.mi(1)].Store(makeMeta(0, true))
+			h.meta[lineOf(1)].Store(makeMeta(0, true))
 			res := lwAttempt(h.NewThread(), w, 1, 2, nil)
 			if want := w.at(1, 1); res.addr != want || int(want) < len(h.words) {
 				t.Errorf("abort at %#x, want %#x, past the arena", uint32(res.addr), uint32(want))
@@ -413,17 +413,16 @@ func stridedScenarios() []lwScenario {
 // stride — and requires the two runs to be indistinguishable: values, read
 // set, abort code and address, and every heap counter. Each scenario also
 // names the outcome it expects, so two runs that agree on the wrong thing
-// still fail. All scenarios run at the default geometry and with a sharded
-// clock over striped metadata.
+// still fail. All scenarios run under both geometries.
 func testLoadParity(t *testing.T, kernel rangeReader, stride int, scenarios []lwScenario) {
-	for _, geo := range []Config{{}, {ClockShards: 4, StripeShift: 2}} {
+	for _, geo := range geometries {
 		for _, sc := range scenarios {
 			if sc.downward && stride > 0 {
 				continue
 			}
 			cfg := sc.cfg
-			cfg.Words, cfg.ClockShards, cfg.StripeShift = 1<<12, geo.ClockShards, geo.StripeShift
-			t.Run(fmt.Sprintf("shards=%d,shift=%d/%s", geo.ClockShards, geo.StripeShift, sc.name), func(t *testing.T) {
+			cfg.Words, cfg.ClockShards = 1<<12, geo.cfg.ClockShards
+			t.Run(geo.name+"/"+sc.name, func(t *testing.T) {
 				hLoop, hBulk := NewHeap(cfg), NewHeap(cfg)
 				want, got := sc.run(t, hLoop, walk{stride, loadLoop}), sc.run(t, hBulk, walk{stride, kernel})
 				if want.code != sc.want {
@@ -487,8 +486,9 @@ func TestStressLoadWordsAgainstPutShapedWriters(t *testing.T) {
 	if testing.Short() {
 		rounds = 400
 	}
-	for _, cfg := range []Config{{}, {ClockShards: 4, StripeShift: 2}} {
-		t.Run(fmt.Sprintf("shards=%d,shift=%d", cfg.ClockShards, cfg.StripeShift), func(t *testing.T) {
+	for _, geo := range geometries {
+		t.Run(geo.name, func(t *testing.T) {
+			cfg := geo.cfg
 			cfg.EnableTLE = true
 			h := newTestHeap(t, cfg)
 			setup := h.NewThread()
@@ -565,9 +565,9 @@ func TestStressLoadStridedAgainstTransfers(t *testing.T) {
 	if testing.Short() {
 		rounds = 5000
 	}
-	for _, cfg := range []Config{{}, {ClockShards: 4, StripeShift: 2}} {
-		t.Run(fmt.Sprintf("shards=%d,shift=%d", cfg.ClockShards, cfg.StripeShift), func(t *testing.T) {
-			h := newTestHeap(t, cfg)
+	for _, geo := range geometries {
+		t.Run(geo.name, func(t *testing.T) {
+			h := newTestHeap(t, geo.cfg)
 			arr := h.NewThread().Alloc(2 * slots)
 			top := arr + 2*(slots-1)
 			var wg sync.WaitGroup
@@ -614,15 +614,15 @@ func TestStressLoadStridedAgainstTransfers(t *testing.T) {
 	}
 }
 
-// TestAllocInit pins AllocInit as Alloc born holding its image, at the
-// default geometry and sharded/striped: the payload is there for the next
-// transaction and for LoadNT, the block is exactly len(image) words, the
-// image is copied, the whole thing costs the one clock tick Alloc costs, and
-// the allocator's books balance afterwards.
+// TestAllocInit pins AllocInit as Alloc born holding its image, under both
+// geometries: the payload is there for the next transaction and for LoadNT,
+// the block is exactly len(image) words and owns the rest of its last line,
+// the image is copied, the whole thing costs the one clock tick Alloc costs,
+// and the allocator's books balance afterwards.
 func TestAllocInit(t *testing.T) {
-	for _, cfg := range []Config{{}, {ClockShards: 4, StripeShift: 2}} {
-		t.Run(fmt.Sprintf("shards=%d,shift=%d", cfg.ClockShards, cfg.StripeShift), func(t *testing.T) {
-			h := newTestHeap(t, cfg)
+	for _, geo := range geometries {
+		t.Run(geo.name, func(t *testing.T) {
+			h := newTestHeap(t, geo.cfg)
 			th := h.NewThread()
 			th.Free(th.Alloc(5)) // the next 5-word block is a recycled one, dirty metadata and all
 			img := []uint64{11, 22, 33, 44, 55}
@@ -634,8 +634,8 @@ func TestAllocInit(t *testing.T) {
 			if got := h.ClockShardNow(th.ClockShard()) - home; got != 1 {
 				t.Errorf("AllocInit ticked its home shard %d times, want 1", got)
 			}
-			if (a-1)&Addr(h.StripeWords()-1) != 0 {
-				t.Errorf("block %#x: header not stripe-aligned", uint32(a))
+			if (a-1)&lineMask != 0 {
+				t.Errorf("block %#x: header not line-aligned", uint32(a))
 			}
 			img[0] = 99 // the heap holds a copy
 			var got [5]uint64
@@ -648,10 +648,14 @@ func TestAllocInit(t *testing.T) {
 			if n := th.BlockSize(a); n != len(img) {
 				t.Errorf("BlockSize = %d, want %d", n, len(img))
 			}
-			if cfg.StripeShift == 0 { // striped blocks own their alignment slack; per-word ones end exactly
-				if err := th.TryAtomic(func(tx *Txn) { tx.Load(a + 5) }); abortCodeOf(t, err) != AbortIllegal {
-					t.Errorf("word past the image is live: %v", err)
-				}
+			// The block's last line ends at a+6: its slack reads as live zeros
+			// (the recycled block's slack included), and the next line is free.
+			var slack [2]uint64
+			if err := th.TryAtomic(func(tx *Txn) { slack = [2]uint64{tx.Load(a + 5), tx.Load(a + 6)} }); err != nil || slack != [2]uint64{} {
+				t.Errorf("slack words read %v (%v), want live zeros", slack, err)
+			}
+			if err := th.TryAtomic(func(tx *Txn) { tx.Load(a + 7) }); abortCodeOf(t, err) != AbortIllegal {
+				t.Errorf("word past the block's last line is live: %v", err)
 			}
 			if s := h.Stats(); s.AllocCalls != 2 || s.LiveWords != 5 {
 				t.Errorf("AllocCalls = %d, LiveWords = %d; want 2 and 5", s.AllocCalls, s.LiveWords)
@@ -670,27 +674,11 @@ func TestAllocInit(t *testing.T) {
 	h.NewThread().AllocInit(nil)
 }
 
-// rangeWriter writes src to the words at a inside tx: once as the definition,
-// once as the kernel.
-type rangeWriter func(tx *Txn, a Addr, src []uint64)
-
+// storeLoop buffers src into the words at a inside tx, one Store per word.
 func storeLoop(tx *Txn, a Addr, src []uint64) {
 	for i := range src {
 		tx.Store(a+Addr(i), src[i])
 	}
-}
-
-func storeWords(tx *Txn, a Addr, src []uint64) { tx.StoreWords(a, src) }
-
-// swResult is everything one attempt lets a caller observe about a range
-// write: the write set entry for entry as the range left it (recorded metadata
-// included), its size, the abort, and the block's contents afterwards.
-type swResult struct {
-	writes []writeEntry
-	size   int
-	code   AbortCode
-	addr   Addr
-	heap   []uint64
 }
 
 // swImage returns n values base+1, base+2, … to store.
@@ -702,150 +690,193 @@ func swImage(n int, base uint64) []uint64 {
 	return img
 }
 
+// loadNT copies the n words at a out of h non-transactionally.
+func loadNT(h *Heap, a Addr, n int) []uint64 {
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = h.LoadNT(a + Addr(i))
+	}
+	return vals
+}
+
+// swResult is everything one attempt lets a caller observe about a range
+// write: the write set entry for entry as the range left it, the line records
+// it made, its size, the abort, and the block's contents afterwards.
+type swResult struct {
+	writes []writeEntry
+	lines  []lineEntry
+	size   int
+	code   AbortCode
+	addr   Addr
+	heap   []uint64
+}
+
 // swAttempt runs one TryAtomic on th — before (optional) sets the scene from
-// inside the attempt, then write covers [a, a+len(src)) — and reads back the
-// live words of [blk, blk+n) once the attempt is over.
-func swAttempt(th *Thread, a Addr, src []uint64, write rangeWriter, before func(tx *Txn), blk Addr, n int) swResult {
+// inside the attempt, then a Store loop covers [a, a+len(src)) — and reads
+// back the live words of [blk, blk+n) once the attempt is over.
+func swAttempt(th *Thread, a Addr, src []uint64, before func(tx *Txn), blk Addr, n int) swResult {
 	res := swResult{size: -1}
 	err := th.TryAtomic(func(tx *Txn) {
 		if before != nil {
 			before(tx)
 		}
-		write(tx, a, src)
+		storeLoop(tx, a, src)
 		res.writes = append([]writeEntry(nil), tx.writes...)
+		res.lines = append([]lineEntry(nil), tx.lines...)
 		res.size = tx.WriteSetSize()
 	})
 	var ab *AbortError
 	if errors.As(err, &ab) {
 		res.code, res.addr = ab.Code, ab.Addr
 	}
-	res.heap = make([]uint64, n)
-	th.Heap().LoadWordsNT(blk, res.heap)
+	res.heap = loadNT(th.Heap(), blk, n)
 	return res
 }
 
-// TestStoreWordsIsTheStoreLoop is TestLoadWordsIsTheLoadLoop for the store
-// kernel: every scenario runs twice on identically built heaps, the body
-// writing its range once with a Store loop and once with StoreWords, and the
-// two runs must be indistinguishable — write set with recorded metadata, its
-// size, abort code and address, committed contents, every heap counter.
+// TestStoreWordsIsTheStoreLoop pins a range written with a Store loop, the
+// definition a bulk store kernel was once held to and the shape every
+// multi-word write in the repository takes, at each edge such a range can
+// cross: the write set, the abort code and address, and the committed
+// contents, under both geometries. Every scenario also checks the line
+// records: one per line the range touched, made by the first store to the
+// line and in the order the lines were first stored to — none on the global
+// fallback.
 func TestStoreWordsIsTheStoreLoop(t *testing.T) {
 	type scenario struct {
 		name string
 		cfg  Config
 		want AbortCode // 0: the attempt commits
-		run  func(t *testing.T, h *Heap, write rangeWriter) swResult
+		run  func(t *testing.T, h *Heap) swResult
 	}
 	scenarios := []scenario{
-		{name: "plain range", run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+		{name: "plain range", run: func(t *testing.T, h *Heap) swResult {
 			th := h.NewThread()
 			a := lwBlock(th, 24, 0)
-			res := swAttempt(th, a, swImage(24, 100), write, nil, a, 24)
-			if res.size != 24 || res.heap[0] != 101 || res.heap[23] != 124 {
-				t.Errorf("committed %v from a write set of %d", res.heap, res.size)
+			res := swAttempt(th, a, swImage(24, 100), nil, a, 24)
+			if res.size != 24 || len(res.lines) != 4 || res.heap[0] != 101 || res.heap[23] != 124 {
+				t.Errorf("committed %v from a write set of %d over %d lines", res.heap, res.size, len(res.lines))
 			}
 			return res
 		}},
-		{name: "empty range", run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+		{name: "empty range", run: func(t *testing.T, h *Heap) swResult {
 			th := h.NewThread()
 			a := lwBlock(th, 4, 0)
-			return swAttempt(th, a, nil, write, nil, a, 4)
+			res := swAttempt(th, a, nil, nil, a, 4)
+			if res.size != 0 || len(res.lines) != 0 {
+				t.Errorf("write set of %d over %d lines", res.size, len(res.lines))
+			}
+			return res
 		}},
-		{name: "range over own earlier store", run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+		{name: "range over own earlier store", run: func(t *testing.T, h *Heap) swResult {
 			th := h.NewThread()
 			a := lwBlock(th, 16, 0)
-			res := swAttempt(th, a, swImage(16, 100), write, func(tx *Txn) { tx.Store(a+3, 99) }, a, 16)
+			res := swAttempt(th, a, swImage(16, 100), func(tx *Txn) { tx.Store(a+3, 99) }, a, 16)
 			// a+3 keeps its slot (the first) and takes the range's value.
 			if res.size != 16 || res.writes[0].addr != a+3 || res.heap[3] != 104 || res.heap[4] != 105 {
 				t.Errorf("write set %v, committed %v", res.writes, res.heap)
 			}
 			return res
 		}},
-		{name: "dead word mid-range", want: AbortIllegal, run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+		{name: "dead word mid-range", want: AbortIllegal, run: func(t *testing.T, h *Heap) swResult {
 			th := h.NewThread()
 			x, y := lwBlock(th, 8, 0), lwBlock(th, 8, 50)
 			th.Free(y)
-			res := swAttempt(th, x, swImage(20, 100), write, nil, x, 8) // runs off x into y's dead words
+			res := swAttempt(th, x, swImage(20, 100), nil, x, 8) // runs off x into y's dead words
 			if res.addr <= x || res.addr > y || res.heap[7] != 8 {
 				t.Errorf("abort at %#x (x=%#x, freed y=%#x), x holds %v", uint32(res.addr), uint32(x), uint32(y), res.heap)
 			}
-			if h.stripeShift == 0 && res.addr != x+8 {
-				t.Errorf("abort at %#x, want the first word past x, %#x", uint32(res.addr), uint32(x+8))
+			// x's slack reads as live: the abort is at the first word outside
+			// x's lines.
+			want := x
+			for h.allocated(want) {
+				want++
+			}
+			if res.addr != want {
+				t.Errorf("abort at %#x, want the first word outside x's lines, %#x", uint32(res.addr), uint32(want))
 			}
 			return res
 		}},
-		{name: "range of exactly the store buffer", run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+		{name: "range of exactly the store buffer", run: func(t *testing.T, h *Heap) swResult {
 			th := h.NewThread()
 			a := lwBlock(th, 40, 0)
-			res := swAttempt(th, a, swImage(RockStoreBufferSize, 100), write, nil, a, 40)
+			res := swAttempt(th, a, swImage(RockStoreBufferSize, 100), nil, a, 40)
 			if res.size != RockStoreBufferSize || res.heap[31] != 132 || res.heap[32] != 33 {
 				t.Errorf("write set of %d, committed %v", res.size, res.heap)
 			}
 			return res
 		}},
-		{name: "range one past the store buffer", want: AbortOverflow, run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+		{name: "range one past the store buffer", want: AbortOverflow, run: func(t *testing.T, h *Heap) swResult {
 			th := h.NewThread()
 			a := lwBlock(th, 40, 0)
-			res := swAttempt(th, a, swImage(RockStoreBufferSize+1, 100), write, nil, a, 40)
+			res := swAttempt(th, a, swImage(RockStoreBufferSize+1, 100), nil, a, 40)
 			if res.addr != a+RockStoreBufferSize || res.heap[0] != 1 {
 				t.Errorf("abort at %#x (a=%#x), block holds %v", uint32(res.addr), uint32(a), res.heap)
 			}
 			return res
 		}},
-		{name: "range leaving the arena", want: AbortIllegal, run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+		{name: "range leaving the arena", want: AbortIllegal, run: func(t *testing.T, h *Heap) swResult {
+			// The arena's last two words, made live by hand so the range is
+			// stopped by the bound itself and not by a dead word before it.
 			end := Addr(len(h.words))
-			h.meta[h.mi(end-2)].Store(makeMeta(0, true))
-			h.meta[h.mi(end-1)].Store(makeMeta(0, true))
-			res := swAttempt(h.NewThread(), end-2, swImage(8, 100), write, nil, end-2, 2)
+			h.meta[lineOf(end-2)].Store(makeMeta(0, true))
+			h.meta[lineOf(end-1)].Store(makeMeta(0, true))
+			res := swAttempt(h.NewThread(), end-2, swImage(8, 100), nil, end-2, 2)
 			if res.addr != end {
 				t.Errorf("abort at %#x, want the first address past the arena, %#x", uint32(res.addr), uint32(end))
 			}
 			return res
 		}},
-		{name: "nil address", want: AbortIllegal, run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+		{name: "nil address", want: AbortIllegal, run: func(t *testing.T, h *Heap) swResult {
 			th := h.NewThread()
 			a := lwBlock(th, 4, 0)
-			return swAttempt(th, NilAddr, swImage(4, 100), write, nil, a, 4)
+			res := swAttempt(th, NilAddr, swImage(4, 100), nil, a, 4)
+			if res.addr != NilAddr || res.heap[0] != 1 {
+				t.Errorf("abort at %#x, block holds %v", uint32(res.addr), res.heap)
+			}
+			return res
 		}},
-		{name: "word held by a parked committer", want: AbortConflict, run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+		{name: "word held by a parked committer", want: AbortConflict, run: func(t *testing.T, h *Heap) swResult {
 			th := h.NewThread()
 			a := lwBlock(th, 16, 0)
-			// Store records the word as if unlocked; the holder's release bumps
-			// the version, so this commit's acquisition fails there.
-			mi := h.mi(a + 5)
-			held := h.meta[mi].Load()
-			h.meta[mi].Store(held | metaLockBit)
-			var locked []writeEntry
+			// Store records the line as if unlocked; the holder's release
+			// bumps the version, so this commit's acquisition fails there.
+			l := lineOf(a + 5)
+			held := h.meta[l].Load()
+			h.meta[l].Store(held | metaLockBit)
+			var res swResult
 			err := th.TryAtomic(func(tx *Txn) {
-				write(tx, a, swImage(16, 100))
-				locked = append(locked, tx.writes...)
-				h.meta[mi].Store(makeMeta(h.tickShard(0), true))
+				storeLoop(tx, a, swImage(16, 100))
+				res.writes = append([]writeEntry(nil), tx.writes...)
+				res.lines = append([]lineEntry(nil), tx.lines...)
+				res.size = tx.WriteSetSize()
+				h.meta[l].Store(makeMeta(h.tickShard(0), true))
 			})
-			res := swResult{writes: locked, size: len(locked), heap: make([]uint64, 16)}
 			var ab *AbortError
 			if errors.As(err, &ab) {
 				res.code, res.addr = ab.Code, ab.Addr
 			}
-			h.LoadWordsNT(a, res.heap)
-			if first := Addr(mi << h.stripeShift); res.addr != max(first, a) || res.heap[5] != 6 {
+			res.heap = loadNT(h, a, 16)
+			if first := Addr(l << lineShift); res.addr != max(first, a) || res.heap[5] != 6 {
 				t.Errorf("abort at %#x, want the first word under the held lock; block holds %v", uint32(res.addr), res.heap)
 			}
 			return res
 		}},
 		{name: "fault plan, every 5th access", cfg: Config{Faults: &FaultPlan{Seed: 1, AccessProb: 1, AccessEvery: 5, MaxPerOp: 3}},
-			run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+			run: func(t *testing.T, h *Heap) swResult {
 				th := h.NewThread()
 				a := lwBlock(th, 16, 0)
 				var res swResult
 				th.Atomic(func(tx *Txn) { // three attempts die at their 5th access, the fourth commits
-					write(tx, a, swImage(16, 100))
-					res = swResult{writes: append([]writeEntry(nil), tx.writes...), size: tx.WriteSetSize()}
+					storeLoop(tx, a, swImage(16, 100))
+					res = swResult{writes: append([]writeEntry(nil), tx.writes...), lines: append([]lineEntry(nil), tx.lines...), size: tx.WriteSetSize()}
 				})
 				if s := h.Stats(); s.SpuriousAborts() != 3 || s.Starts != 4 {
 					t.Errorf("%d spurious aborts over %d starts, want 3 over 4", s.SpuriousAborts(), s.Starts)
 				}
-				res.heap = make([]uint64, 16)
-				h.LoadWordsNT(a, res.heap)
+				res.heap = loadNT(h, a, 16)
+				if res.size != 16 || res.heap[15] != 116 {
+					t.Errorf("write set of %d, committed %v", res.size, res.heap)
+				}
 				return res
 			}},
 	}
@@ -856,17 +887,16 @@ func TestStoreWordsIsTheStoreLoop(t *testing.T) {
 		}
 		scenarios = append(scenarios, scenario{name: name,
 			cfg: Config{EnableTLE: true, GlobalFallback: global, StoreBufferSize: 2, MaxRetries: 1},
-			run: func(t *testing.T, h *Heap, write rangeWriter) swResult {
+			run: func(t *testing.T, h *Heap) swResult {
 				th := h.NewThread()
 				a := lwBlock(th, 16, 0)
 				var res swResult
 				th.Atomic(func(tx *Txn) { // overflows at the third word: the op ends on the fallback
-					write(tx, a, swImage(8, 100))
-					write(tx, a+4, swImage(8, 200)) // half over its own buffered stores
-					res = swResult{writes: append([]writeEntry(nil), tx.writes...), size: tx.WriteSetSize()}
+					storeLoop(tx, a, swImage(8, 100))
+					storeLoop(tx, a+4, swImage(8, 200)) // half over its own buffered stores
+					res = swResult{writes: append([]writeEntry(nil), tx.writes...), lines: append([]lineEntry(nil), tx.lines...), size: tx.WriteSetSize()}
 				})
-				res.heap = make([]uint64, 16)
-				h.LoadWordsNT(a, res.heap)
+				res.heap = loadNT(h, a, 16)
 				if s := h.Stats(); s.FallbackRuns != 1 || res.size != 12 || res.heap[3] != 104 || res.heap[4] != 201 || res.heap[11] != 208 || res.heap[12] != 13 {
 					t.Errorf("fallback runs %d, write set of %d, committed %v", s.FallbackRuns, res.size, res.heap)
 				}
@@ -875,21 +905,30 @@ func TestStoreWordsIsTheStoreLoop(t *testing.T) {
 			}})
 	}
 
-	for _, geo := range []Config{{}, {ClockShards: 4, StripeShift: 2}} {
+	for _, geo := range geometries {
 		for _, sc := range scenarios {
 			cfg := sc.cfg
-			cfg.Words, cfg.ClockShards, cfg.StripeShift = 1<<12, geo.ClockShards, geo.StripeShift
-			t.Run(fmt.Sprintf("shards=%d,shift=%d/%s", geo.ClockShards, geo.StripeShift, sc.name), func(t *testing.T) {
-				hLoop, hBulk := NewHeap(cfg), NewHeap(cfg)
-				want, got := sc.run(t, hLoop, storeLoop), sc.run(t, hBulk, storeWords)
-				if want.code != sc.want {
-					t.Errorf("Store loop ended with %v, scenario expects %v", want.code, sc.want)
+			cfg.Words, cfg.ClockShards = 1<<12, geo.cfg.ClockShards
+			t.Run(geo.name+"/"+sc.name, func(t *testing.T) {
+				res := sc.run(t, NewHeap(cfg))
+				if res.code != sc.want {
+					t.Errorf("Store loop ended with %v, scenario expects %v", res.code, sc.want)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("StoreWords diverged from the Store loop:\n  loop  %+v\n  words %+v", want, got)
+				var first []Addr // the first store to each line, in order
+				for _, w := range res.writes {
+					if !slices.ContainsFunc(first, func(f Addr) bool { return lineOf(f) == lineOf(w.addr) }) {
+						first = append(first, w.addr)
+					}
 				}
-				if sl, sb := hLoop.Stats(), hBulk.Stats(); !reflect.DeepEqual(sb, sl) {
-					t.Errorf("heap counters diverged:\n  loop  %v\n  words %v", sl, sb)
+				if cfg.GlobalFallback { // the one global lock covers every line: no records
+					first = nil
+				}
+				var got []Addr
+				for _, le := range res.lines {
+					got = append(got, le.addr)
+				}
+				if !slices.Equal(got, first) {
+					t.Errorf("line records at %v, want one at each line's first store, %v", got, first)
 				}
 			})
 		}
@@ -897,18 +936,18 @@ func TestStoreWordsIsTheStoreLoop(t *testing.T) {
 }
 
 // TestLazyWriteIndex: the write-set index is populated only by lookups, so
-// every way of getting past setLinearMax — Store, StoreWords, both — must
-// leave Load and Store of an own write finding the right entry: right after
-// the bulk of the stores, after more stores follow a lookup (the catch-up
-// resumes mid-set), in the attempt after an aborted one, and in the next
-// operation on the same thread.
+// every way of getting past setLinearMax — stores alone, or stores with a
+// lookup halfway — must leave Load and Store of an own write finding the
+// right entry: right after the bulk of the stores, after more stores follow a
+// lookup (the catch-up resumes mid-set), in the attempt after an aborted one,
+// and in the next operation on the same thread.
 func TestLazyWriteIndex(t *testing.T) {
 	fill := map[string]func(tx *Txn, a Addr, src []uint64){
-		"Store":      storeLoop,
-		"StoreWords": storeWords,
+		"Store": storeLoop,
 		"mixed": func(tx *Txn, a Addr, src []uint64) {
 			half := len(src) / 2
-			tx.StoreWords(a, src[:half])
+			storeLoop(tx, a, src[:half])
+			tx.Load(a) // indexes the first half, if it is past setLinearMax
 			storeLoop(tx, a+Addr(half), src[half:])
 		},
 	}
@@ -964,8 +1003,7 @@ func TestLazyWriteIndex(t *testing.T) {
 					if err := th.TryAtomic(body); err != nil {
 						t.Fatalf("round %d: %v", round, err)
 					}
-					got := make([]uint64, n+2)
-					h.LoadWordsNT(a, got)
+					got := loadNT(h, a, n+2)
 					want := append(swImage(n, 1000), 3000, 3001)
 					for _, i := range probe {
 						want[i] = 2000 + uint64(i)
@@ -973,129 +1011,46 @@ func TestLazyWriteIndex(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("round %d committed %v, want %v", round, got, want)
 					}
-					th.Atomic(func(tx *Txn) { tx.StoreWords(a, swImage(n+4, 0)) })
+					th.Atomic(func(tx *Txn) { storeLoop(tx, a, swImage(n+4, 0)) })
 				}
 			})
 		}
 	}
 }
 
-// TestLazyWriteIndexAtCommit: a body that reads a range, then bulk-stores it,
-// never looks its write set up — so the own-lock read validation in publish is
-// the index's first user, past the linear threshold, and must still recognise
-// every read word as locked by this very commit.
+// TestLazyWriteIndexAtCommit: publish's own-lock read validation asks the
+// line records, not the write set, so a body that reads a range and then
+// stores it commits without indexing one write entry more than the stores'
+// own lookups did — and must still recognise every read word, past the line
+// records' linear threshold here, as locked by this very commit.
 func TestLazyWriteIndexAtCommit(t *testing.T) {
-	h := newTestHeap(t, Config{})
+	h := newTestHeap(t, Config{StoreBufferSize: -1})
 	th := h.NewThread()
-	const n = RockStoreBufferSize
+	const n = 100 // 13 lines
 	a := lwBlock(th, n, 0)
 	var vals [n]uint64
+	indexed := -1
 	err := th.TryAtomic(func(tx *Txn) {
 		tx.LoadWords(a, vals[:])
 		for i := range vals {
 			vals[i] *= 2
 		}
-		tx.StoreWords(a, vals[:])
-		if tx.windexed != 0 {
-			t.Errorf("%d write entries indexed before anything looked one up", tx.windexed)
+		storeLoop(tx, a, vals[:])
+		if len(tx.lines) <= setLinearMax {
+			t.Errorf("%d line records: the commit would not reach the line index", len(tx.lines))
 		}
+		indexed = tx.windexed
 	})
 	if err != nil {
 		t.Fatalf("read-then-written range failed to commit: %v", err)
 	}
-	if got := th.txn.windexed; got != n {
-		t.Errorf("commit validation indexed %d of %d write entries", got, n)
+	if got := th.txn.windexed; got != indexed {
+		t.Errorf("commit indexed write entries %d through %d", indexed, got)
 	}
-	h.LoadWordsNT(a, vals[:])
-	if vals[0] != 2 || vals[n-1] != 2*n {
-		t.Errorf("committed %v", vals)
+	if got := loadNT(h, a, n); got[0] != 2 || got[n-1] != 2*n {
+		t.Errorf("committed %v", got)
 	}
 	if s := h.Stats(); s.Commits != 1 || s.Aborts[AbortConflict] != 0 {
 		t.Errorf("commits %d, conflict aborts %d", s.Commits, s.Aborts[AbortConflict])
-	}
-}
-
-// ntLoop and ntWords read a range non-transactionally: the definition and the
-// kernel.
-func ntLoop(h *Heap, a Addr, dst []uint64) {
-	for i := range dst {
-		dst[i] = h.LoadNT(a + Addr(i))
-	}
-}
-
-func ntWords(h *Heap, a Addr, dst []uint64) { h.LoadWordsNT(a, dst) }
-
-// ntRead runs read and returns what it filled in plus the panic it died of.
-func ntRead(h *Heap, a Addr, n int, read func(h *Heap, a Addr, dst []uint64)) (vals []uint64, fault any) {
-	vals = make([]uint64, n)
-	defer func() { fault = recover() }()
-	read(h, a, vals)
-	return vals, nil
-}
-
-// TestLoadWordsNTIsTheLoadNTLoop: same values, same simulated segmentation
-// fault at the same word with the same prefix filled in, and the same patience
-// with a word a committer holds locked — at both geometries and with the
-// per-access yield model on.
-func TestLoadWordsNTIsTheLoadNTLoop(t *testing.T) {
-	for _, cfg := range []Config{{}, {ClockShards: 4, StripeShift: 2}, {Faults: &FaultPlan{YieldEvery: 3}}} {
-		yield := 0
-		if cfg.Faults != nil {
-			yield = cfg.Faults.YieldEvery
-		}
-		t.Run(fmt.Sprintf("shards=%d,shift=%d,yield=%d", cfg.ClockShards, cfg.StripeShift, yield), func(t *testing.T) {
-			h := newTestHeap(t, cfg)
-			th := h.NewThread()
-			x, y := lwBlock(th, 24, 0), lwBlock(th, 8, 50)
-
-			want, _ := ntRead(h, x, 24, ntLoop)
-			got, fault := ntRead(h, x, 24, ntWords)
-			if fault != nil || !reflect.DeepEqual(got, want) || got[23] != 24 {
-				t.Errorf("plain range: LoadWordsNT %v (panic %v), LoadNT loop %v", got, fault, want)
-			}
-			if got, fault := ntRead(h, NilAddr, 0, ntWords); fault != nil || len(got) != 0 {
-				t.Errorf("empty range at the nil address: %v, panic %v", got, fault)
-			}
-
-			// A committer parked between acquiring x+5 and releasing it: the
-			// reader must wait the lock out and return what the release
-			// publishes, never the word as it stood under the lock.
-			mi := h.mi(x + 5)
-			held := h.meta[mi].Load()
-			h.meta[mi].Store(held | metaLockBit)
-			done := make(chan []uint64)
-			go func() {
-				vals, _ := ntRead(h, x, 24, ntWords)
-				done <- vals
-			}()
-			for i := 0; i < 100; i++ {
-				runtime.Gosched()
-			}
-			h.words[x+5].Store(606)
-			h.meta[mi].Store(makeMeta(h.tickShard(0), true))
-			if vals := <-done; vals[5] != 606 || vals[4] != 5 || vals[6] != 7 {
-				t.Errorf("read across a held lock: %v", vals)
-			}
-
-			// Dead words mid-range and a range running off the arena.
-			th.Free(y)
-			end := Addr(len(h.words))
-			h.meta[h.mi(end-2)].Store(makeMeta(0, true))
-			h.meta[h.mi(end-1)].Store(makeMeta(0, true))
-			for _, c := range []struct {
-				name string
-				a    Addr
-				n    int
-			}{{"range into a freed block", y - 4, 8}, {"range starting in a freed block", y, 4}, {"range leaving the arena", end - 2, 6}, {"nil address", NilAddr, 2}} {
-				want, wantFault := ntRead(h, c.a, c.n, ntLoop)
-				got, gotFault := ntRead(h, c.a, c.n, ntWords)
-				if wantFault == nil {
-					t.Errorf("%s: the LoadNT loop did not fault; the case tests nothing", c.name)
-				}
-				if gotFault != wantFault || !reflect.DeepEqual(got, want) {
-					t.Errorf("%s:\n  loop  %v panic %v\n  words %v panic %v", c.name, want, wantFault, got, gotFault)
-				}
-			}
-		})
 	}
 }

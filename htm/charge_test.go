@@ -52,7 +52,6 @@ func TestChargeStoresOverflowParity(t *testing.T) {
 		{"charge sb, then 1", func(tx *Txn) { tx.ChargeStores(sb); tx.ChargeStores(1) }, AbortOverflow, NilAddr},
 		{"charge sb-1, store 2", func(tx *Txn) { tx.ChargeStores(sb - 1); tx.Store(a, 1); tx.Store(a+1, 1) }, AbortOverflow, a + 1},
 		{"store 1, charge sb", func(tx *Txn) { tx.Store(a, 1); tx.ChargeStores(sb) }, AbortOverflow, NilAddr},
-		{"charge sb-1, StoreWords 2", func(tx *Txn) { tx.ChargeStores(sb - 1); tx.StoreWords(a, []uint64{1, 2}) }, AbortOverflow, a + 1},
 		{"charge sb-1, restore 1", func(tx *Txn) { tx.ChargeStores(sb - 1); tx.Store(a, 1); tx.Store(a, 2) }, 0, NilAddr},
 	} {
 		if code, addr := abortOf(t, th.TryAtomic(c.body)); code != c.code || addr != c.addr {
@@ -86,7 +85,7 @@ func TestChargeStoresValidatesAtCommit(t *testing.T) {
 			addr  Addr
 		}{
 			{"charged", func(tx *Txn) { tx.ChargeStores(3) }, AbortConflict, w},
-			{"stored to private words", func(tx *Txn) { tx.StoreWords(private, []uint64{1, 2, 3}) }, AbortConflict, w},
+			{"stored to private words", func(tx *Txn) { storeLoop(tx, private, []uint64{1, 2, 3}) }, AbortConflict, w},
 			{"read-only", func(tx *Txn) {}, 0, NilAddr},
 		} {
 			err := th.TryAtomic(func(tx *Txn) {

@@ -17,11 +17,6 @@ const (
 // still unreachable within any simulated run.
 const MaxClockShards = 256
 
-// MaxStripeShift caps Config.StripeShift: 2^8 = 256-word stripes. Beyond that
-// the allocator's stripe alignment wastes more arena than any conflict-rate
-// saving is worth.
-const MaxStripeShift = 8
-
 // FallbackOwnerBits is the width of the owner thread ID recorded in a word's
 // metadata while the fine-grained TLE fallback holds its lock. The merged
 // metadata word spends bit 0 on the lock, bit 1 on the allocated flag and the
@@ -74,9 +69,9 @@ type Config struct {
 	// EnableTLE enables the transactional-lock-elision fallback described in
 	// paper §6: after MaxRetries failed attempts the operation completes on
 	// a pessimistic software path instead of retrying forever. By default
-	// that path acquires the per-word metadata locks of exactly the words it
-	// touches (fine-grained fallback), so fallback operations with disjoint
-	// footprints — and hardware transactions on unrelated words — proceed
+	// that path acquires the metadata locks of exactly the lines it touches
+	// (fine-grained fallback), so fallback operations with disjoint
+	// footprints — and hardware transactions on unrelated lines — proceed
 	// concurrently. Which path fallback operations take is a runtime mode
 	// (Heap.FallbackMode, switchable under load with Heap.SetFallbackMode);
 	// GlobalFallback picks the mode the heap starts in.
@@ -103,7 +98,7 @@ type Config struct {
 	NoMaxLive bool
 
 	// ClockShards is the number of independent version-clock shards (see
-	// DESIGN.md "Sharded clock & striped metadata"). Each committing writer
+	// DESIGN.md "Sharded clock"). Each committing writer
 	// ticks only its thread's home shard (cache-line padded), so disjoint
 	// commits stop serializing on one clock word; readers validate against a
 	// per-shard snapshot taken at begin. 0 or 1 selects the single global
@@ -112,19 +107,8 @@ type Config struct {
 	// MaxClockShards.
 	ClockShards int
 
-	// StripeShift makes one metadata word govern a 2^StripeShift-word stripe
-	// instead of a single word: a commit acquires one CAS per touched stripe,
-	// the fine-grained fallback locks stripes, and alloc/free version whole
-	// stripes. Distinct words in one stripe conflict falsely (counted by
-	// Stats.StripeConflicts); the allocator stripe-aligns blocks so no stripe
-	// is ever shared between blocks, which preserves the per-word liveness
-	// sandbox at block granularity (words in a live block's alignment slack
-	// read as live zeros instead of faulting). 0 — the default — is the exact
-	// pre-stripe per-word engine. Capped at MaxStripeShift.
-	StripeShift int
-
 	// FallbackSpins bounds how long the fine-grained TLE fallback spins on a
-	// locked word it reached OUT OF ADDRESS ORDER before engaging the
+	// locked line it reached OUT OF ADDRESS ORDER before engaging the
 	// deadlock-avoidance release-and-retry protocol (drop the whole lock-set,
 	// re-run the body). In-order acquisitions spin indefinitely — they cannot
 	// deadlock. 0 selects the default (128, see defaultFallbackSpins);
@@ -175,12 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	for c.ClockShards&(c.ClockShards-1) != 0 {
 		c.ClockShards++ // round up to a power of two
-	}
-	if c.StripeShift < 0 {
-		c.StripeShift = 0
-	}
-	if c.StripeShift > MaxStripeShift {
-		c.StripeShift = MaxStripeShift
 	}
 	c.sandboxed = !c.NoSandbox
 	c.trackMaxLive = !c.NoMaxLive

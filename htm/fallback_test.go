@@ -46,8 +46,8 @@ func TestFallbackMetaEncoding(t *testing.T) {
 
 // TestFallbackHoldsOnlyItsFootprint parks a fallback operation while it holds
 // its lock-set and checks the two properties the fine-grained design exists
-// for: the held words carry the owner's ID in their metadata, and hardware
-// transactions on disjoint words begin and commit while the fallback is still
+// for: the held line carries the owner's ID in its metadata, and hardware
+// transactions on disjoint lines begin and commit while the fallback is still
 // parked (under the global-lock design they would wait at begin until the
 // fallback finished).
 func TestFallbackHoldsOnlyItsFootprint(t *testing.T) {
@@ -74,16 +74,14 @@ func TestFallbackHoldsOnlyItsFootprint(t *testing.T) {
 	}()
 	<-held
 
-	// The fallback is parked holding fa and fa+1; its locks must carry the
-	// fallback tag and its thread ID.
-	for w := fa; w <= fa+1; w++ {
-		m := h.meta[w].Load()
-		if !metaFallbackLocked(m) {
-			t.Fatalf("word %#x not fallback-locked while fallback parked (meta %#x)", uint32(w), m)
-		}
-		if got := metaFallbackOwner(m); got != fbThread.ID()&fallbackOwnerMask {
-			t.Fatalf("word %#x owner = %d, want thread %d", uint32(w), got, fbThread.ID())
-		}
+	// The fallback is parked holding fa and fa+1, one line; its lock must
+	// carry the fallback tag and its thread ID.
+	m := h.meta[lineOf(fa)].Load()
+	if !metaFallbackLocked(m) {
+		t.Fatalf("line of %#x not fallback-locked while fallback parked (meta %#x)", uint32(fa), m)
+	}
+	if got := metaFallbackOwner(m); got != fbThread.ID()&fallbackOwnerMask {
+		t.Fatalf("line of %#x owner = %d, want thread %d", uint32(fa), got, fbThread.ID())
 	}
 
 	// A hardware transaction on a disjoint footprint must proceed: with the
@@ -114,8 +112,8 @@ func TestFallbackHoldsOnlyItsFootprint(t *testing.T) {
 	if s.FallbackRuns != 1 {
 		t.Errorf("FallbackRuns = %d, want 1", s.FallbackRuns)
 	}
-	if s.FallbackLocks < 2 {
-		t.Errorf("FallbackLocks = %d, want >= 2", s.FallbackLocks)
+	if s.FallbackLocks != 1 {
+		t.Errorf("FallbackLocks = %d, want 1: two words of one line", s.FallbackLocks)
 	}
 	if n := s.Aborts[AbortFallback]; n != 0 {
 		t.Errorf("fine-grained fallback produced %d AbortFallback aborts", n)

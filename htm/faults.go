@@ -249,11 +249,9 @@ func (f *threadEnv) maybeStall() bool {
 // MetaSweep is the result of Heap.SweepMeta: a census of metadata states
 // across the whole arena.
 type MetaSweep struct {
-	// Allocated counts allocated payload words. At quiescence this must equal
-	// Stats().LiveWords — a mismatch means a transition leaked. Without
-	// striping it is the count of words whose allocated bit is set; with
-	// Config.StripeShift it is computed by walking block headers, so the unit
-	// stays payload words rather than stripes.
+	// Allocated counts allocated payload words, found by walking block
+	// headers. At quiescence this must equal Stats().LiveWords — a mismatch
+	// means a transition leaked.
 	Allocated uint64
 	// Locked counts metadata words whose lock bit is set (commit write-back,
 	// NT operation, or fallback hold). Must be zero at quiescence.
@@ -262,10 +260,10 @@ type MetaSweep struct {
 	// Must be zero at quiescence — a leftover tag means a fallback lock-set
 	// leaked.
 	FallbackTagged uint64
-	// StripeErrors counts per-stripe invariant violations found by the
-	// striped block walk: a live block with a non-allocated stripe, a free
-	// block with an allocated or locked stripe, or a corrupt header. Always
-	// zero without striping; must be zero at quiescence with it.
+	// StripeErrors counts per-line invariant violations found by the block
+	// walk: a live block with a non-allocated line, a free block with an
+	// allocated or locked line, or a corrupt header. Must be zero at
+	// quiescence.
 	StripeErrors uint64
 }
 
@@ -273,17 +271,15 @@ type MetaSweep struct {
 // diagnostic for quiescent heaps (the chaos harness's post-run invariant
 // sweep); concurrent activity makes the counts approximate.
 //
-// With Config.StripeShift set it additionally walks every allocator region
-// block by block (headers survive free, and blocks are stripe-aligned, so the
-// walk is exact) and cross-checks each block's state against all of its
-// stripes' metadata, reporting disagreements in StripeErrors.
+// It also walks every allocator region block by block (headers survive free,
+// and blocks are line-aligned, so the walk is exact), counting live payload
+// words and cross-checking each block's state against all of its lines'
+// metadata: all allocated for a live block, none allocated or locked for a
+// free one.
 func (h *Heap) SweepMeta() MetaSweep {
 	var s MetaSweep
 	for i := range h.meta {
 		m := h.meta[i].Load()
-		if h.stripeShift == 0 && metaAllocated(m) {
-			s.Allocated++
-		}
 		if metaLocked(m) {
 			s.Locked++
 		}
@@ -291,25 +287,12 @@ func (h *Heap) SweepMeta() MetaSweep {
 			s.FallbackTagged++
 		}
 	}
-	if h.stripeShift != 0 {
-		h.sweepStripes(&s)
-	}
-	return s
-}
-
-// sweepStripes walks every shard's carved region block by block, counting
-// live payload words and checking that each block's stripes agree with its
-// header: all allocated for a live block, none allocated or locked for a free
-// one. Stripe alignment guarantees the walk sees every stripe that ever
-// transitioned exactly once.
-func (h *Heap) sweepStripes(s *MetaSweep) {
-	mask := Addr(1)<<h.stripeShift - 1
 	for i := range h.alloc.shards {
 		sh := &h.alloc.shards[i]
 		sh.mu.Lock()
 		start, bump := sh.start, sh.bump
 		sh.mu.Unlock()
-		pos := (start + mask) &^ mask
+		pos := (start + lineMask) &^ lineMask
 		for pos < bump {
 			hdr := h.words[pos].Load()
 			size := int(hdr >> 1)
@@ -321,15 +304,15 @@ func (h *Heap) sweepStripes(s *MetaSweep) {
 			if live {
 				s.Allocated += uint64(size)
 			}
-			for si, hi := h.mi(pos+1), h.mi(pos+Addr(size)); si <= hi; si++ {
-				m := h.meta[si].Load()
+			for l, hi := lineOf(pos), lineOf(pos+Addr(size)); l <= hi; l++ {
+				m := h.meta[l].Load()
 				if live != metaAllocated(m) || (!live && metaLocked(m)) {
 					s.StripeErrors++
 				}
 			}
-			// Next block starts at the next stripe boundary past this one's
-			// header+payload footprint (see allocator.carve).
-			pos = (pos + Addr(size+1) + mask) &^ mask
+			// The next block starts at the next line boundary (see carve).
+			pos = (pos + Addr(size+1) + lineMask) &^ lineMask
 		}
 	}
+	return s
 }

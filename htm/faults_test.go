@@ -167,7 +167,7 @@ func TestFaultDeterminism(t *testing.T) {
 // TestYieldsDoNotMoveFaultSchedule: the yield model shares the environment
 // seam with fault injection but never its PRNG stream. One thread runs a
 // seeded plan over a scripted mix of every instrumented site — Load, Store,
-// LoadWords, StoreWords, ChargeStores, and fallback runs (an overflowing body
+// LoadWords, Store loops, ChargeStores, and fallback runs (an overflowing body
 // engages the fallback after MaxRetries, where stalls draw too) — once
 // without yields and once with YieldEvery 3 in the same plan. Every counter
 // must agree; the yielding run must have drawn its yields from the thread's
@@ -188,12 +188,12 @@ func TestYieldsDoNotMoveFaultSchedule(t *testing.T) {
 				case 1:
 					tx.LoadWords(a, buf[:8])
 				case 2:
-					tx.StoreWords(w, buf[:8])
+					storeLoop(tx, w, buf[:8])
 				case 3:
 					tx.Load(w)
 					tx.ChargeStores(4)
 				case 4:
-					tx.StoreWords(a, buf) // overflows every hardware attempt
+					storeLoop(tx, a, buf) // overflows every hardware attempt
 				}
 			})
 		}

@@ -7,19 +7,22 @@ import (
 	"sync/atomic"
 )
 
-// Metadata encoding. Each metadata word governs one heap word (the default)
-// or one 2^StripeShift-word stripe, and fuses the versioned ownership record
+// Metadata geometry and encoding. One metadata word governs one aligned
+// 8-word line — the conflict granule of real HTMs, Rock included, which track
+// reads and writes per cache line — and fuses the versioned ownership record
 // (orec) with the allocation state that used to live in a separate generation
 // array:
 //
 //	bit 0     lock bit (held during commit write-back and NT writes)
-//	bit 1     allocated bit (set while the word belongs to a live block)
+//	bit 1     allocated bit (set while the line belongs to a live block)
 //	bits 2-63 version: (per-shard tick << shardBits) | shard ID
 //
 // Folding both cells into one atomic word makes every transactional load's
 // entire validation predicate — unlocked, allocated, version ≤ rv — a single
 // atomic read whose three fields are mutually consistent by construction, and
-// makes every allocate/free transition a single CAS per metadata word.
+// makes every allocate/free transition a single CAS per line. The allocator
+// starts every block (header included) on a line boundary and rounds its
+// footprint up to whole lines, so no line is ever shared between blocks.
 //
 // The version field is shard-relative (Config.ClockShards): the heap keeps one
 // padded clock word per shard, a writer ticks exactly one shard, and the
@@ -28,8 +31,8 @@ import (
 // ClockShards=1 (the default) shardBits is zero and the encoding degenerates
 // to the plain global-clock version of the pre-shard engine. Invariants:
 //
-//   - Only live stripes are ever locked (all lock paths check the allocated
-//     bit in the same word they CAS), so free stripes are always unlocked and
+//   - Only live lines are ever locked (all lock paths check the allocated
+//     bit in the same word they CAS), so free lines are always unlocked and
 //     the allocator can transition them without a lock handshake.
 //   - Every transition writes a fresh version drawn from SOME shard's clock:
 //     commit write-back, NT writes, free, AND allocate. Writers that hold the
@@ -40,15 +43,15 @@ import (
 //     version bump on free is the generation flip of the old design; the bump
 //     on allocate is what forces any transaction that read the block's
 //     previous life to revalidate (and fail) before it can observe the new
-//     one. See DESIGN.md "Per-word metadata" and "Sharded clock & striped
-//     metadata" for the sandbox and linearization arguments.
+//     one. See DESIGN.md "Line metadata" and "Sharded clock" for the sandbox
+//     and linearization arguments.
 const (
 	metaLockBit  uint64 = 1 << 0
 	metaAllocBit uint64 = 1 << 1
 	metaVerShift        = 2
 
-	// metaFBTagBit marks a word locked by the fine-grained TLE fallback
-	// (thread.go). While a fallback operation holds a word, the version field
+	// metaFBTagBit marks a line locked by the fine-grained TLE fallback
+	// (thread.go). While a fallback operation holds a line, the version field
 	// carries the owner's thread ID instead of a version — the pre-lock word
 	// is preserved in the owner's lock-set and the release writes either that
 	// word back (read-locked) or a fresh version (written), so no version
@@ -67,7 +70,7 @@ func metaVersion(m uint64) uint64 { return m >> metaVerShift }
 func metaLocked(m uint64) bool    { return m&metaLockBit != 0 }
 func metaAllocated(m uint64) bool { return m&metaAllocBit != 0 }
 
-// makeFallbackMeta builds the metadata word for a fallback-locked live word:
+// makeFallbackMeta builds the metadata word for a fallback-locked live line:
 // locked, allocated, fallback-tagged, owner ID in the version field.
 func makeFallbackMeta(owner uint64) uint64 {
 	return metaFBTagBit | owner<<metaVerShift&^metaFBTagBit | metaAllocBit | metaLockBit
@@ -108,7 +111,7 @@ type Heap struct {
 	cfg Config
 
 	words []atomic.Uint64 // word values
-	meta  []atomic.Uint64 // per-stripe metadata: lock | allocated | version
+	meta  []atomic.Uint64 // per-line metadata: lock | allocated | version
 
 	// Sharded version clock (Config.ClockShards). Every writer ticks exactly
 	// one shard — its thread's home shard, or an address-hashed shard for the
@@ -135,9 +138,8 @@ type Heap struct {
 
 	// Version encoding (tick<<shardBits | shard); both are zero with one clock
 	// shard, collapsing the scheme to the single global clock.
-	shardBits   uint
-	shardMask   uint64
-	stripeShift uint // log2 words per metadata stripe (Config.StripeShift)
+	shardBits uint
+	shardMask uint64
 
 	alloc   allocator
 	stats   stats
@@ -156,14 +158,12 @@ type Heap struct {
 // Rock-like defaults).
 func NewHeap(cfg Config) *Heap {
 	cfg = cfg.withDefaults()
-	shift := uint(cfg.StripeShift)
 	h := &Heap{
-		cfg:         cfg,
-		words:       make([]atomic.Uint64, cfg.Words),
-		meta:        make([]atomic.Uint64, (cfg.Words+(1<<shift)-1)>>shift),
-		clock:       make([]clockLine, cfg.ClockShards),
-		shardMask:   uint64(cfg.ClockShards - 1),
-		stripeShift: shift,
+		cfg:       cfg,
+		words:     make([]atomic.Uint64, cfg.Words),
+		meta:      make([]atomic.Uint64, (cfg.Words+int(lineMask))>>lineShift),
+		clock:     make([]clockLine, cfg.ClockShards),
+		shardMask: uint64(cfg.ClockShards - 1),
 	}
 	for n := cfg.ClockShards; n > 1; n >>= 1 {
 		h.shardBits++
@@ -179,9 +179,15 @@ func NewHeap(cfg Config) *Heap {
 	return h
 }
 
-// mi maps a word address to the index of its governing metadata word: the
-// identity with per-word metadata, the stripe index with Config.StripeShift.
-func (h *Heap) mi(a Addr) int { return int(a) >> h.stripeShift }
+// lineShift is log2 of the words one metadata word governs, and lineMask
+// extracts a word's offset within its line.
+const (
+	lineShift      = 3
+	lineMask  Addr = 1<<lineShift - 1
+)
+
+// lineOf maps a word address to its line: the index of its metadata word.
+func lineOf(a Addr) int { return int(a) >> lineShift }
 
 // tickShard advances shard s of the version clock and returns the new tick
 // encoded as a version (tick<<shardBits | s). Callers must already exclude
@@ -211,7 +217,7 @@ func (h *Heap) valid(a Addr) bool {
 
 // allocated reports whether the word at a is currently allocated.
 func (h *Heap) allocated(a Addr) bool {
-	return h.valid(a) && metaAllocated(h.meta[h.mi(a)].Load())
+	return h.valid(a) && metaAllocated(h.meta[lineOf(a)].Load())
 }
 
 // yieldThreshold converts FaultPlan.YieldEvery into the compare threshold
@@ -260,7 +266,7 @@ func ntFreedPanic(a Addr, op string) {
 // descheduled mid-operation), so the loop yields periodically instead of
 // burning the core.
 func (h *Heap) lockMeta(a Addr, op string) uint64 {
-	mi := h.mi(a)
+	mi := lineOf(a)
 	for spins := 0; ; spins++ {
 		m := h.meta[mi].Load()
 		if !metaAllocated(m) {
@@ -282,7 +288,7 @@ func (h *Heap) releaseMeta(mi int, version uint64) {
 }
 
 // releaseMetaUnchanged unlocks a metadata word without changing its version,
-// used when a locked stripe was not actually modified.
+// used when a locked line was not actually modified.
 func (h *Heap) releaseMetaUnchanged(mi int, prev uint64) {
 	h.meta[mi].Store(prev)
 }
@@ -293,7 +299,7 @@ func (h *Heap) releaseMetaUnchanged(mi int, prev uint64) {
 func (h *Heap) LoadNT(a Addr) uint64 {
 	h.maybeYieldNT()
 	h.checkNTAddr(a, "load")
-	mi := h.mi(a)
+	mi := lineOf(a)
 	for spins := 0; ; spins++ {
 		m1 := h.meta[mi].Load()
 		if metaLocked(m1) {
@@ -312,39 +318,6 @@ func (h *Heap) LoadNT(a Addr) uint64 {
 	}
 }
 
-// LoadWordsNT performs non-transactional (strongly atomic) loads of the
-// len(dst) consecutive words starting at a into dst. It is DEFINED as
-//
-//	for i := range dst { dst[i] = h.LoadNT(a + Addr(i)) }
-//
-// — each word individually atomic, the same panic on an invalid or freed
-// address — and is that loop under NT yields or when the range leaves the
-// arena. Otherwise the yield and bounds dispatch is decided once, and each
-// word whose metadata is live, unlocked and stable across the value read is
-// copied inline; any other word is handed to LoadNT, which spins or panics
-// exactly as it would have.
-func (h *Heap) LoadWordsNT(a Addr, dst []uint64) {
-	if h.ntYieldThresh != 0 || !h.valid(a) || int(a)+len(dst) > len(h.words) {
-		for i := range dst {
-			dst[i] = h.LoadNT(a + Addr(i))
-		}
-		return
-	}
-	// Locals and a slice cut to the range, for the reason Txn.loadRun gives.
-	words, meta, shift := h.words[a:][:len(dst)], h.meta, h.stripeShift&63
-	for i := range dst {
-		mw := &meta[(int(a)+i)>>shift]
-		if m1 := mw.Load(); m1&(metaLockBit|metaAllocBit) == metaAllocBit {
-			v := words[i].Load()
-			if mw.Load() == m1 {
-				dst[i] = v
-				continue
-			}
-		}
-		dst[i] = h.LoadNT(a + Addr(i))
-	}
-}
-
 // StoreNT performs a non-transactional (strongly atomic) store of v to the
 // word at a. It is equivalent to — but cheaper than — a one-word transaction,
 // and conflicts correctly with concurrent transactions.
@@ -354,7 +327,7 @@ func (h *Heap) StoreNT(a Addr, v uint64) {
 	h.lockMeta(a, "store")
 	h.words[a].Store(v)
 	wv := h.tickShard(h.ntShard(a))
-	h.releaseMeta(h.mi(a), wv)
+	h.releaseMeta(lineOf(a), wv)
 }
 
 // CASNT performs a non-transactional compare-and-swap on the word at a,
@@ -365,12 +338,12 @@ func (h *Heap) CASNT(a Addr, old, new uint64) bool {
 	h.checkNTAddr(a, "cas")
 	prev := h.lockMeta(a, "cas")
 	if h.words[a].Load() != old {
-		h.releaseMetaUnchanged(h.mi(a), prev)
+		h.releaseMetaUnchanged(lineOf(a), prev)
 		return false
 	}
 	h.words[a].Store(new)
 	wv := h.tickShard(h.ntShard(a))
-	h.releaseMeta(h.mi(a), wv)
+	h.releaseMeta(lineOf(a), wv)
 	return true
 }
 
@@ -383,7 +356,7 @@ func (h *Heap) AddNT(a Addr, delta uint64) uint64 {
 	v := h.words[a].Load() + delta
 	h.words[a].Store(v)
 	wv := h.tickShard(h.ntShard(a))
-	h.releaseMeta(h.mi(a), wv)
+	h.releaseMeta(lineOf(a), wv)
 	return v
 }
 
@@ -405,7 +378,3 @@ func (h *Heap) ClockShards() int { return len(h.clock) }
 
 // ClockShardNow returns the current tick of clock shard s.
 func (h *Heap) ClockShardNow(s int) uint64 { return h.clock[s].v.Load() }
-
-// StripeWords returns the number of heap words governed by one metadata word
-// (1 unless Config.StripeShift is set).
-func (h *Heap) StripeWords() int { return 1 << h.stripeShift }

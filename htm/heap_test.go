@@ -3,6 +3,7 @@ package htm
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -12,6 +13,18 @@ func newTestHeap(t testing.TB, cfg Config) *Heap {
 		cfg.Words = 1 << 16
 	}
 	return NewHeap(cfg)
+}
+
+// geometries are the heap shapes the twin and stress tables run under: the
+// single clock and a 4-shard clock, both over 8-word lines. A row's name is
+// its test ID; the second row's shift=2 is the width of a metadata stripe it
+// also varied before the line became the one conflict granule.
+var geometries = []struct {
+	name string
+	cfg  Config
+}{
+	{"shards=0,shift=0", Config{}},
+	{"shards=4,shift=2", Config{ClockShards: 4}},
 }
 
 func TestNewHeapDefaults(t *testing.T) {
@@ -133,6 +146,28 @@ func TestNTLoadStore(t *testing.T) {
 	h.StoreNT(a, 12345)
 	if v := h.LoadNT(a); v != 12345 {
 		t.Errorf("LoadNT = %d, want 12345", v)
+	}
+}
+
+// TestLoadNTWaitsOutAHeldLine: a committer parked between acquiring a line
+// and releasing it holds every word of the line, so LoadNT of a neighbour of
+// the word it writes waits the lock out and returns what the release
+// publishes, never the line as it stood under the lock.
+func TestLoadNTWaitsOutAHeldLine(t *testing.T) {
+	h := newTestHeap(t, Config{})
+	a := h.NewThread().Alloc(4)
+	h.StoreNT(a+1, 7)
+	l := lineOf(a)
+	h.meta[l].Store(h.meta[l].Load() | metaLockBit)
+	done := make(chan uint64)
+	go func() { done <- h.LoadNT(a + 1) }()
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+	}
+	h.words[a+1].Store(8)
+	h.meta[l].Store(makeMeta(h.tickShard(0), true))
+	if v := <-done; v != 8 {
+		t.Errorf("LoadNT across a held line returned %d, want the released 8", v)
 	}
 }
 
@@ -264,7 +299,7 @@ func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Words", "StoreBufferSize", "MaxReadSet", "NoSandbox", "AllowAllocInTxn",
 		"MaxRetries", "EnableTLE", "GlobalFallback", "NoMaxLive", "ClockShards",
-		"StripeShift", "FallbackSpins", "Faults",
+		"FallbackSpins", "Faults",
 	}
 	var got []string
 	rt := reflect.TypeOf(Config{})

@@ -16,8 +16,8 @@
 //     concurrent transactions.
 //   - Transactional lock elision (TLE) fallback: optionally, a transaction
 //     that fails repeatedly is executed on a pessimistic software path. By
-//     default that path acquires the per-word metadata locks of exactly the
-//     words it touches, so disjoint fallback operations and unrelated
+//     default that path acquires the metadata locks of exactly the lines it
+//     touches, so disjoint fallback operations and unrelated
 //     hardware transactions proceed concurrently; the heap's runtime mode
 //     word (Config.GlobalFallback, Heap.SetFallbackMode) selects the paper's
 //     single global fallback lock that all transactions monitor instead (§6).
@@ -69,9 +69,9 @@ const (
 	// AbortFallback indicates the transaction observed the global TLE
 	// fallback lock held (or acquired during its execution) and must wait.
 	// Produced only by a ModeGlobal fallback run: the fine-grained fallback
-	// holds per-word metadata locks, so a transaction
-	// that collides with it aborts with AbortConflict on the contended word,
-	// and transactions on disjoint words are unaffected.
+	// holds line metadata locks, so a transaction
+	// that collides with it aborts with AbortConflict on the contended line,
+	// and transactions on disjoint lines are unaffected.
 	AbortFallback
 	// AbortCapacity indicates the transaction exceeded the configured read
 	// set capacity (Config.MaxReadSet).

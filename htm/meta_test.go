@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Tests for the unified per-word metadata encoding: one 64-bit word carrying
+// Tests for the unified per-line metadata encoding: one 64-bit word carrying
 // {lock, allocated, version}, where alloc/free transitions are single CASes
 // and a transactional load's whole validation predicate is one atomic read.
 
@@ -82,9 +82,9 @@ func TestReallocVersionExceedsFreeVersion(t *testing.T) {
 			th := h.NewThread()
 			a := th.Alloc(2)
 			h.StoreNT(a, 1) // bump the word's version past its birth version
-			liveMeta := h.meta[a].Load()
+			liveMeta := h.meta[lineOf(a)].Load()
 			th.Free(a)
-			freedMeta := h.meta[a].Load()
+			freedMeta := h.meta[lineOf(a)].Load()
 			if metaAllocated(freedMeta) {
 				t.Fatal("freed word still marked allocated")
 			}
@@ -105,7 +105,7 @@ func TestReallocVersionExceedsFreeVersion(t *testing.T) {
 			if b != a {
 				t.Skipf("allocator did not recycle the block (%#x -> %#x)", uint32(a), uint32(b))
 			}
-			reusedMeta := h.meta[a].Load()
+			reusedMeta := h.meta[lineOf(a)].Load()
 			if !metaAllocated(reusedMeta) {
 				t.Fatal("reallocated word not marked allocated")
 			}
@@ -178,8 +178,8 @@ func TestFreeInvalidatesReadOnlySnapshot(t *testing.T) {
 }
 
 // TestCommitToFreedWordAborts drives the commit-time acquisition path of the
-// merged encoding: acquisition CASes each written word from the metadata
-// recorded at Store time, so a block freed between Store and commit fails
+// merged encoding: acquisition CASes each written line from the metadata
+// recorded at its first Store, so a block freed between Store and commit fails
 // the acquisition — with AbortIllegal if still free (never locked), and with
 // AbortConflict if already reused (the recorded version can never recur), so
 // a blind write can never land in a reused block's new life.

@@ -25,7 +25,7 @@ import "runtime"
 //     word and fallbackSeq: if the mode is global it clears the flag and takes
 //     the global path; if a global section is in flight (odd seq) it clears
 //     the flag, yields, and re-enters. The flag stays set while the attempt
-//     holds word locks and is cleared only after the lock-set is released.
+//     holds line locks and is cleared only after the lock-set is released.
 //   - A global fallback acquirer takes fallbackMu, bumps fallbackSeq odd, and
 //     then waits until every registered cell shows inCommit==0 and inFine==0.
 //     Threads created after the scan snapshot self-exclude: they observe the
@@ -45,7 +45,7 @@ import "runtime"
 type FallbackMode uint32
 
 const (
-	// ModeFine is the default fine-grained per-word lock-set fallback.
+	// ModeFine is the default fine-grained per-line lock-set fallback.
 	ModeFine FallbackMode = iota
 	// ModeGlobal is the paper's §6 single global fallback lock.
 	ModeGlobal

@@ -34,7 +34,6 @@ type statCell struct {
 	allocWords      atomic.Uint64 // Config.NoMaxLive only: cellLive, the sole reader, stands in for liveWords
 	freeWords       atomic.Uint64 // Config.NoMaxLive only
 	extraTicks      atomic.Uint64 // ticks nothing above implies: a fine-grained fallback's release, a commit that ticked and then failed validation
-	stripeConflicts atomic.Uint64
 	dedupEngages    atomic.Uint64
 	fallbackWaits   atomic.Uint64
 	// inCommit and inFine are NOT statistics: they are the TLE fallback's
@@ -47,7 +46,7 @@ type statCell struct {
 	// global-fallback acquirer draining the heap. Always 0 without EnableTLE.
 	inCommit atomic.Uint64
 	inFine   atomic.Uint64
-	// 24 words: exactly three full cache lines (192 B), no padding left.
+	_        uint64 // pads 23 words to exactly three full cache lines (192 B)
 }
 
 // statCellBytes pins statCell's intended footprint: whole cache lines, so
@@ -151,8 +150,8 @@ type Stats struct {
 	// FallbackRuns is the number of operations completed on the TLE fallback
 	// path (fine-grained lock-set or global lock, per Heap.FallbackMode).
 	FallbackRuns uint64
-	// FallbackLocks counts per-word metadata lock acquisitions by the
-	// fine-grained fallback (none are taken in ModeGlobal).
+	// FallbackLocks counts line lock acquisitions by the fine-grained
+	// fallback (none are taken in ModeGlobal).
 	FallbackLocks uint64
 	// FallbackRetries counts fine-grained fallback attempts that released
 	// their whole lock-set and re-ran the operation body — the
@@ -180,12 +179,6 @@ type Stats struct {
 	// fallback's release, a commit that ticked and then failed validation)
 	// carry a counter of their own.
 	ClockShardTicks uint64
-	// StripeConflicts counts conflict aborts detected on striped metadata
-	// (commit acquisition/validation failures and failed extensions while
-	// Config.StripeShift > 0). It includes both true word-level conflicts and
-	// stripe-aliasing false conflicts — the difference from a StripeShift=0
-	// run of the same workload is the aliasing cost. Always 0 unstriped.
-	StripeConflicts uint64
 	// DedupEngages counts transaction attempts that outgrew the read-set
 	// bypass budget (bypassReadCap, clamped to MaxReadSet/2) and compacted
 	// their read set.
@@ -243,9 +236,6 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, ") fallback=%d fblocks=%d fbretries=%d fbwaits=%d fbstalls=%d alloc=%d free=%d live=%dw maxLive=%dw clockticks=%d",
 		s.FallbackRuns, s.FallbackLocks, s.FallbackRetries, s.FallbackWaits, s.FallbackStalls,
 		s.AllocCalls, s.FreeCalls, s.LiveWords, s.MaxLiveWords, s.ClockShardTicks)
-	if s.StripeConflicts > 0 {
-		fmt.Fprintf(&b, " stripeconf=%d", s.StripeConflicts)
-	}
 	if s.ModeSwitches > 0 {
 		fmt.Fprintf(&b, " modeswitches=%d", s.ModeSwitches)
 	}
@@ -270,7 +260,6 @@ func (h *Heap) Stats() Stats {
 		s.FallbackStalls += c.fallbackStalls.Load()
 		s.AllocCalls += c.allocCalls.Load()
 		s.FreeCalls += c.freeCalls.Load()
-		s.StripeConflicts += c.stripeConflicts.Load()
 		s.DedupEngages += c.dedupEngages.Load()
 		for code := 1; code < numAbortCodes; code++ {
 			if n := c.aborts[code].Load(); n > 0 {

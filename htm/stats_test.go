@@ -48,7 +48,7 @@ func TestDerivedCountersScriptedMix(t *testing.T) {
 		name string
 		cfg  Config
 	}
-	legs := []leg{{"plain", Config{}}, {"shards4-stripe2", Config{ClockShards: 4, StripeShift: 2}}}
+	legs := []leg{{"plain", Config{}}, {"shards4-stripe2", Config{ClockShards: 4}}}
 	for _, l := range legs[:2] {
 		l.cfg.NoMaxLive = true
 		legs = append(legs, leg{l.name + "/nomaxlive", l.cfg})
@@ -248,7 +248,7 @@ func TestStartsCountsEndedAttempts(t *testing.T) {
 func TestDerivedCountersUnderContention(t *testing.T) {
 	for _, cfg := range []Config{
 		{Words: 1 << 14},
-		{Words: 1 << 14, ClockShards: 4, StripeShift: 2, EnableTLE: true, MaxRetries: 4},
+		{Words: 1 << 14, ClockShards: 4, EnableTLE: true, MaxRetries: 4},
 	} {
 		t.Run(fmt.Sprintf("shards%d-tle%v", cfg.ClockShards, cfg.EnableTLE), func(t *testing.T) {
 			h := NewHeap(cfg)

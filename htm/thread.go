@@ -53,7 +53,6 @@ func (h *Heap) NewThread() *Thread {
 	th.txn.clock = h.clock
 	th.txn.shardBits = h.shardBits
 	th.txn.shardMask = h.shardMask
-	th.txn.sshift = h.stripeShift
 	th.txn.rv = make([]uint64, len(h.clock))
 	th.txn.maxReadSet = h.cfg.MaxReadSet
 	th.txn.storeBufSize = h.cfg.StoreBufferSize
@@ -94,7 +93,7 @@ func (th *Thread) Alloc(size int) Addr {
 // outside any transaction. It is Alloc with the payload written in place of
 // the zero fill — before the block's allocated metadata is published — so a
 // node is filled while private at the cost of the allocation alone: one clock
-// tick and one CAS per metadata word, no store per payload word afterwards.
+// tick and one CAS per line, no store per payload word afterwards.
 // An empty image panics, as Alloc(0) does.
 func (th *Thread) AllocInit(words []uint64) Addr {
 	return th.h.alloc.alloc(th, len(words), words)
@@ -253,8 +252,8 @@ func (th *Thread) tryAtomic(f func(*Txn)) (code AbortCode, addr Addr, ok bool) {
 // Atomic executes f atomically, retrying with exponential backoff until it
 // commits. If the heap enables TLE and an attempt fails MaxRetries times, f
 // runs on the pessimistic fallback path the heap's mode word selects: in
-// ModeFine a software transaction that locks the per-word metadata of exactly
-// the words it touches, in ModeGlobal under the paper's single global lock
+// ModeFine a software transaction that locks the metadata of exactly the
+// lines it touches, in ModeGlobal under the paper's single global lock
 // (§6). Without TLE, a transaction that deterministically overflows the
 // store buffer panics rather than retrying forever.
 func (th *Thread) Atomic(f func(*Txn)) {
@@ -296,15 +295,15 @@ func (th *Thread) AtomicUntil(f func(*Txn), stop func() bool) bool {
 }
 
 // runFallback executes f on the TLE fallback path the mode word selects. In
-// ModeFine that is a pessimistic software transaction over the per-word
-// metadata locks: every word f loads or stores is lock-acquired on first touch
-// (with the thread's owner ID recorded in the held word), stores are buffered,
-// and the commit writes them back under the locks and releases the whole set
-// with one version tick. Fallback operations with disjoint footprints — and
-// hardware transactions on words the fallback does not hold — run
-// concurrently; a lock-order conflict with another fallback releases
-// everything and retries with jittered backoff (see fbAcquire for the
-// deadlock-avoidance argument).
+// ModeFine that is a pessimistic software transaction over the line metadata
+// locks: the line of every word f loads or stores is lock-acquired on first
+// touch (with the thread's owner ID recorded in the held line), stores are
+// buffered, and the commit writes them back under the locks and releases the
+// whole set with one version tick. Fallback operations with disjoint
+// footprints — and hardware transactions on lines the fallback does not
+// hold — run concurrently; a lock-order conflict with another fallback
+// releases everything and retries with jittered backoff (see fbAcquire for
+// the deadlock-avoidance argument).
 func (th *Thread) runFallback(f func(*Txn)) {
 	t := &th.txn
 	th.inTxn = true
@@ -349,7 +348,7 @@ func (th *Thread) runFallback(f func(*Txn)) {
 // whether it completed. An abortSentinel panic — an out-of-order lock
 // conflict, or the body calling Txn.Abort — releases the lock-set (restoring
 // every displaced metadata word; buffered stores were never applied, and the
-// global path holds no word locks), rolls back in-body allocations and asks
+// global path holds no line locks), rolls back in-body allocations and asks
 // the caller to retry. Any
 // other panic (including the simulated segfault for a freed-word access,
 // which the fallback, like all direct access, never sandboxes) releases the

@@ -102,10 +102,10 @@ func TestTLEFallbackOnOverflow(t *testing.T) {
 			t.Error("fallback was not engaged")
 		}
 		if !l.flip && l.global && s.FallbackLocks != 0 {
-			t.Errorf("global fallback acquired %d per-word locks", s.FallbackLocks)
+			t.Errorf("global fallback acquired %d line locks", s.FallbackLocks)
 		}
 		if !l.flip && !l.global && s.FallbackLocks == 0 {
-			t.Error("fine-grained fallback acquired no per-word locks")
+			t.Error("fine-grained fallback acquired no line locks")
 		}
 	})
 }
@@ -265,7 +265,7 @@ func TestFallbackReadOnlyRestoresMetadata(t *testing.T) {
 	scratch := th.Alloc(2)
 	var before [4]uint64
 	for i := range before {
-		before[i] = h.meta[a+Addr(i)].Load()
+		before[i] = h.meta[lineOf(a+Addr(i))].Load()
 	}
 	clock := h.ClockNow()
 	homeBefore := h.ClockShardNow(th.ClockShard())
@@ -282,7 +282,7 @@ func TestFallbackReadOnlyRestoresMetadata(t *testing.T) {
 		t.Errorf("fallback read sum = %d, want 6", sum)
 	}
 	for i := range before {
-		if got := h.meta[a+Addr(i)].Load(); got != before[i] {
+		if got := h.meta[lineOf(a+Addr(i))].Load(); got != before[i] {
 			t.Errorf("word %d metadata %#x, want restored %#x", i, got, before[i])
 		}
 	}

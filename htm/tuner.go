@@ -124,11 +124,10 @@ func (c TunerConfig) withDefaults() TunerConfig {
 // the epoch's decisions, as delivered to observers.
 type TunerEpoch struct {
 	// Counter deltas over the epoch.
-	Starts, Commits, Aborts        uint64
-	Conflicts, Spurious, Capacity  uint64
-	FallbackRuns, FallbackRetries  uint64
-	FallbackWaits                  uint64
-	FallbackLocks, StripeConflicts uint64
+	Starts, Commits, Aborts       uint64
+	Conflicts, Spurious, Capacity uint64
+	FallbackRuns, FallbackRetries uint64
+	FallbackWaits, FallbackLocks  uint64
 	// AbortRate is Aborts/Starts for the epoch (0 when idle).
 	AbortRate float64
 	// RetryRatio is FallbackRetries/FallbackRuns for the epoch (0 when no
@@ -270,7 +269,6 @@ func (tu *Tuner) epochDelta(s Stats) TunerEpoch {
 		FallbackRetries: sub(s.FallbackRetries, tu.last.FallbackRetries),
 		FallbackWaits:   sub(s.FallbackWaits, tu.last.FallbackWaits),
 		FallbackLocks:   sub(s.FallbackLocks, tu.last.FallbackLocks),
-		StripeConflicts: sub(s.StripeConflicts, tu.last.StripeConflicts),
 	}
 	e.Aborts = sub(s.TotalAborts(), tu.last.TotalAborts())
 	if e.Starts > 0 {

@@ -116,10 +116,10 @@ func TestAdaptiveFallbackBothModes(t *testing.T) {
 				t.Error("fallback was not engaged")
 			}
 			if mode == ModeGlobal && s.FallbackLocks != 0 {
-				t.Errorf("global mode acquired %d per-word locks", s.FallbackLocks)
+				t.Errorf("global mode acquired %d line locks", s.FallbackLocks)
 			}
 			if mode == ModeFine && s.FallbackLocks == 0 {
-				t.Error("fine mode acquired no per-word locks")
+				t.Error("fine mode acquired no line locks")
 			}
 		})
 	}

@@ -20,33 +20,38 @@ var abortSentinel = &txnAbort{}
 // readEntry records one read: the address and the full metadata word observed
 // when the value was read (unlocked, allocated, version ≤ rv at that time).
 // Validation is a single load-and-compare against the live metadata: any
-// concurrent commit, free, or reallocation of the governing stripe rewrites
-// the one word the validator rereads.
+// concurrent commit, free, or reallocation of the word's line rewrites the
+// one word the validator rereads.
 type readEntry struct {
 	addr Addr
 	meta uint64
 }
 
-// writeEntry buffers one write: the address, the value, and the metadata
-// word observed when the store was buffered (lock bit cleared). Commit
-// acquisition CASes the live metadata from exactly this recorded word, so a
-// stripe that changed in ANY way since the store — a concurrent commit, an NT
-// write, a free, or a free-and-reallocation — fails acquisition and aborts.
-// Per-shard version monotonicity makes the recorded word unrepeatable, which
-// is what keeps a blind write from ever landing in a reused block's new life.
+// writeEntry buffers one write: the address and the value. What the commit
+// validates it by is its line's entry in Txn.lines.
 type writeEntry struct {
 	addr Addr
 	val  uint64
-	meta uint64
 }
 
-// lockEntry records one metadata word (a word's, or a whole stripe's with
-// Config.StripeShift) held by a fine-grained fallback operation: the METADATA
-// INDEX, the metadata word displaced by the lock acquisition (restored
-// verbatim if the stripe is released unwritten), and whether the operation
-// buffered a store under it (released with a fresh version instead).
-type lockEntry struct {
-	addr    Addr // metadata index, not a word address
+// lineEntry records one line an attempt writes or holds: the first word the
+// attempt touched in it (the line is addr>>lineShift), the line's metadata
+// word as the attempt found it, and — on the fine-grained fallback — whether
+// the operation buffered a store under it.
+//
+// On the hardware path the entry is made by the first Store to the line, and
+// prev is the metadata that Store observed, lock bit cleared. Commit
+// acquisition CASes the line from exactly that word, so a line that changed in
+// ANY way since its first store — a concurrent commit, an NT write, a free, or
+// a free-and-reallocation — fails acquisition and aborts. Per-shard version
+// monotonicity makes the recorded word unrepeatable, which is what keeps a
+// blind write from ever landing in a reused block's new life.
+//
+// On the fallback path the entry is the lock-set's: prev is the metadata word
+// displaced by the lock acquisition, restored verbatim if the line is released
+// unwritten; a written line is released with a fresh version instead.
+type lineEntry struct {
+	addr    Addr
 	prev    uint64
 	written bool
 }
@@ -89,7 +94,6 @@ type Txn struct {
 	clock        []clockLine // the heap's sharded version clock
 	shardBits    uint        // version encoding: tick<<shardBits | shard
 	shardMask    uint64
-	sshift       uint // metadata stripe shift (Config.StripeShift)
 	maxReadSet   int
 	storeBufSize int
 	dedupAfter   int  // read-set length at which dedup engages (see below)
@@ -132,19 +136,21 @@ type Txn struct {
 	windex   setIndex
 	windexed int
 
-	// Fine-grained fallback state (see thread.go runFallback). locks is the
-	// lock-set: every word this fallback operation holds, with its displaced
-	// metadata. lindex indexes it past setLinearMax, exactly as windex does
-	// the write set. fbMax is the highest address currently held — the
+	// lines holds one entry per line written (hardware path) or held
+	// (fine-grained fallback), in first-touch order; lindex indexes it past
+	// setLinearMax, as windex does the write set.
+	lines  []lineEntry
+	lindex setIndex
+
+	// Fine-grained fallback state (see thread.go runFallback); the lock-set is
+	// lines. fbMax is the highest line currently held — the
 	// ordered-acquisition watermark the deadlock-avoidance protocol compares
 	// against. fbOwner is the thread ID masked to FallbackOwnerBits, recorded
-	// in each held word's metadata. fbSpins is the out-of-order try-lock bound,
-	// read from the heap's live knob as each fine-grained attempt starts.
-	// directGlobal is per-run state: this fallback run executes under the
-	// global lock (set by runGlobalFallback), so loads are NT reads and the
-	// buffered stores are written back with NT stores — no word locks held.
-	locks        []lockEntry
-	lindex       setIndex
+	// in each held line's metadata. fbSpins is the out-of-order try-lock
+	// bound, read from the heap's live knob as each fine-grained attempt
+	// starts. directGlobal is per-run state: this fallback run executes under
+	// the global lock (set by runGlobalFallback), so loads are NT reads and
+	// the buffered stores are written back with NT stores — no line locks held.
 	fbMax        Addr
 	fbOwner      uint64
 	fbSpins      int
@@ -167,10 +173,6 @@ func readFilterBits(a Addr) (fw uint32, mask uint64) {
 // so pathological repeat-heavy bodies cannot grow the duplicated read set
 // without limit (Config.dedupBypassThreshold clamps it to MaxReadSet/2).
 const bypassReadCap = 4096
-
-// mi maps a word address to the index of its governing metadata word; the
-// identity unless Config.StripeShift groups words into stripes (see Heap.mi).
-func (t *Txn) mi(a Addr) int { return int(a) >> t.sshift }
 
 // findWrite returns the write-set slot holding a, or -1.
 func (t *Txn) findWrite(a Addr) int {
@@ -203,83 +205,72 @@ func (t *Txn) indexWrites() {
 
 // addWrite appends a new write entry. It never touches windex: findWrite
 // indexes lazily (see the windex field).
-func (t *Txn) addWrite(a Addr, v, meta uint64) {
-	t.writes = append(t.writes, writeEntry{addr: a, val: v, meta: meta})
+func (t *Txn) addWrite(a Addr, v uint64) {
+	t.writes = append(t.writes, writeEntry{addr: a, val: v})
 }
 
-// stripeWritten reports whether any write entry maps to stripe si. Used only
-// on the striped commit path (the per-word path uses findWrite); the write
-// set is bounded by the store buffer, so the scan is small.
-func (t *Txn) stripeWritten(si int) bool {
-	for i := range t.writes {
-		if t.mi(t.writes[i].addr) == si {
-			return true
-		}
-	}
-	return false
-}
-
-// findLock returns the lock-set slot holding a, or -1. Same shape as
+// findLine returns the slot of line l in t.lines, or -1. Same shape as
 // findWrite: linear scan up to setLinearMax, indexed lookup above.
-func (t *Txn) findLock(a Addr) int {
-	l := t.locks
-	if len(l) <= setLinearMax {
-		for i := range l {
-			if l[i].addr == a {
-				return i
-			}
-		}
-		return -1
+func (t *Txn) findLine(l Addr) int {
+	if len(t.lines) > setLinearMax {
+		return t.lindex.lookup(l)
 	}
-	return t.lindex.lookup(a)
+	for i := range t.lines {
+		if t.lines[i].addr>>lineShift == l {
+			return i
+		}
+	}
+	return -1
 }
 
-// addLock appends a newly acquired word to the lock-set, indexing it past the
-// linear threshold, and returns its slot.
-func (t *Txn) addLock(a Addr, prev uint64) int {
-	t.locks = append(t.locks, lockEntry{addr: a, prev: prev})
-	n := len(t.locks)
-	if n > setLinearMax {
-		if n == setLinearMax+1 {
-			t.lindex.reset()
-			for i := range t.locks {
-				t.lindex.insert(t.locks[i].addr, i)
-			}
-		} else {
-			t.lindex.insert(a, n-1)
-		}
+// addLine appends line a>>lineShift, first touched at a with metadata prev,
+// indexing it past the linear threshold.
+func (t *Txn) addLine(a Addr, prev uint64) {
+	t.lines = append(t.lines, lineEntry{addr: a, prev: prev})
+	if len(t.lines) > setLinearMax {
+		t.indexLines()
 	}
-	if a > t.fbMax {
-		t.fbMax = a
+}
+
+// indexLines brings lindex up to date with t.lines after an append past the
+// linear threshold: the first such append indexes every entry, later ones
+// just their own.
+func (t *Txn) indexLines() {
+	n := len(t.lines)
+	if n > setLinearMax+1 {
+		t.lindex.insert(t.lines[n-1].addr>>lineShift, n-1)
+		return
 	}
-	return n - 1
+	t.lindex.reset()
+	for i := range t.lines {
+		t.lindex.insert(t.lines[i].addr>>lineShift, i)
+	}
 }
 
 // defaultFallbackSpins is the default bound on how long a fallback operation
-// try-locks a word BELOW its acquisition watermark before releasing everything
-// and retrying (Config.FallbackSpins overrides it). Waiting on a word above
-// every held address follows the global address order and cannot deadlock, so
+// try-locks a line BELOW its acquisition watermark before releasing everything
+// and retrying (Config.FallbackSpins overrides it). Waiting on a line above
+// every held line follows the global line order and cannot deadlock, so
 // in-order waits are unbounded; out-of-order waits are where cycles form, so
 // they are bounded.
 const defaultFallbackSpins = 128
 
-// fbAcquire takes the fine-grained fallback lock on the metadata word
-// governing a and returns its lock-set slot (immediately, if already held).
-// With Config.StripeShift the lock-set is keyed by stripe index, so two words
-// in one stripe cost one acquisition — exactly as a hardware commit CASes one
-// stripe once. Deadlock avoidance is ordered try-lock with bounded backoff:
-// acquiring above the watermark may wait indefinitely (metadata-index order is
-// a global total order, so such waits cannot cycle; hardware commits and NT
-// operations never wait while holding locks and are waited out
-// unconditionally), while acquiring below it try-locks Config.FallbackSpins
-// times and then aborts the attempt — the runFallback loop releases the entire
-// lock-set, backs off with jitter, and re-runs the body. The owner ID recorded
-// in the held word lets a contending fallback see who holds it in a debugger
-// and turns a same-thread re-lock — impossible unless the lock-set invariant
-// broke — into a loud panic instead of a silent self-deadlock.
+// fbAcquire takes the fine-grained fallback lock on a's line and returns its
+// lock-set slot (immediately, if already held): two words in one line cost
+// one acquisition, exactly as a hardware commit CASes a line once. Deadlock
+// avoidance is ordered try-lock with bounded backoff: acquiring above the
+// watermark may wait indefinitely (line order is a global total order, so
+// such waits cannot cycle; hardware commits and NT operations never wait
+// while holding locks and are waited out unconditionally), while acquiring
+// below it try-locks Config.FallbackSpins times and then aborts the attempt —
+// the runFallback loop releases the entire lock-set, backs off with jitter,
+// and re-runs the body. The owner ID recorded in the held line lets a
+// contending fallback see who holds it in a debugger and turns a same-thread
+// re-lock — impossible unless the lock-set invariant broke — into a loud
+// panic instead of a silent self-deadlock.
 func (t *Txn) fbAcquire(a Addr, op string) int {
-	s := Addr(t.mi(a))
-	if i := t.findLock(s); i >= 0 {
+	s := a >> lineShift
+	if i := t.findLine(s); i >= 0 {
 		return i
 	}
 	locked := makeFallbackMeta(t.fbOwner)
@@ -293,11 +284,13 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 			}
 			if t.meta[s].CompareAndSwap(m, locked) {
 				bump(&t.th.cell.fallbackLocks)
-				return t.addLock(s, m)
+				t.fbMax = max(t.fbMax, s)
+				t.addLine(a, m)
+				return len(t.lines) - 1
 			}
 		case metaFallbackLocked(m):
 			if metaFallbackOwner(m) == t.fbOwner {
-				panic(fmt.Sprintf("htm: fallback self-deadlock: word %#x is locked by this thread but missing from its lock-set", uint32(a)))
+				panic(fmt.Sprintf("htm: fallback self-deadlock: the line of word %#x is locked by this thread but missing from its lock-set", uint32(a)))
 			}
 			if !waited {
 				// Count the collision once per acquisition, in-order or not:
@@ -306,7 +299,7 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 				bump(&t.th.cell.fallbackWaits)
 			}
 			// Held by another fallback operation, potentially for long.
-			if len(t.locks) > 0 && s < t.fbMax && spins >= t.fbSpins {
+			if len(t.lines) > 0 && s < t.fbMax && spins >= t.fbSpins {
 				t.abort(AbortConflict, a) // release-and-retry (runFallback)
 			}
 			if t.h.fallbackSeq.Load()&1 != 0 || FallbackMode(t.h.fbMode.Load()) == ModeGlobal {
@@ -323,7 +316,7 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 			runtime.Gosched()
 		default:
 			// Commit write-back or NT operation: short by construction
-			// (neither ever waits while holding word locks), so spin it out.
+			// (neither ever waits while holding line locks), so spin it out.
 			if spins&63 == 63 {
 				runtime.Gosched()
 			}
@@ -331,8 +324,8 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 	}
 }
 
-// fbLoad is Txn.Load on the fine-grained fallback path: lock the governing
-// stripe, then read the word directly — the lock excludes every writer
+// fbLoad is Txn.Load on the fine-grained fallback path: lock the word's line,
+// then read the word directly — the lock excludes every writer
 // (commits and NT writes take the same metadata lock), so no read-set entry
 // or validation is needed.
 func (t *Txn) fbLoad(a Addr) uint64 {
@@ -349,8 +342,8 @@ func (t *Txn) fbLoad(a Addr) uint64 {
 	return t.words[a].Load()
 }
 
-// fbStore is Txn.Store on the fine-grained fallback path: lock the word and
-// buffer the write. Buffering (rather than writing in place) is what makes
+// fbStore is Txn.Store on the fine-grained fallback path: lock the word's line
+// and buffer the write. Buffering (rather than writing in place) is what makes
 // the deadlock-avoidance release-and-retry safe: an attempt that drops its
 // lock-set has published nothing. The store buffer bound does not apply —
 // the fallback exists precisely to complete bodies that overflow it.
@@ -366,8 +359,8 @@ func (t *Txn) fbStore(a Addr, v uint64) {
 		return
 	}
 	li := t.fbAcquire(a, "store")
-	t.locks[li].written = true
-	t.addWrite(a, v, 0) // metadata slot unused: release stores, not CASes
+	t.lines[li].written = true
+	t.addWrite(a, v)
 }
 
 // directLoad and directStore are Txn.Load and Txn.Store on the TLE fallback
@@ -395,24 +388,24 @@ func (t *Txn) directStore(a Addr, v uint64) {
 		t.writes[i].val = v
 		return
 	}
-	t.addWrite(a, v, 0) // metadata slot unused: write-back is StoreNT
+	t.addWrite(a, v) // written back with StoreNT
 }
 
-// fbRelease releases the whole lock-set: written stripes take a fresh live
+// fbRelease releases the whole lock-set: written lines take a fresh live
 // metadata word at version wv (the caller has already stored their values),
-// read-locked stripes get their displaced metadata back verbatim (no
+// read-locked lines get their displaced metadata back verbatim (no
 // observable transition). Pass wv=0 on abort/retry paths — buffered writes
-// were never applied, so every stripe restores to its pre-lock state.
+// were never applied, so every line restores to its pre-lock state.
 func (t *Txn) fbRelease(wv uint64) {
-	for i := range t.locks {
-		l := &t.locks[i]
+	for i := range t.lines {
+		l := &t.lines[i]
 		if l.written && wv != 0 {
-			t.meta[l.addr].Store(makeMeta(wv, true))
+			t.meta[l.addr>>lineShift].Store(makeMeta(wv, true))
 		} else {
-			t.meta[l.addr].Store(l.prev)
+			t.meta[l.addr>>lineShift].Store(l.prev)
 		}
 	}
-	t.locks = t.locks[:0]
+	t.lines = t.lines[:0]
 	t.fbMax = 0
 }
 
@@ -483,7 +476,7 @@ func (t *Txn) Abort() {
 // the identical guard by hand because the combined check+call exceeds the
 // compiler's inlining budget — keep the three copies in sync.
 func (t *Txn) checkAccess(a Addr, op string) {
-	if a != NilAddr && int(a) < len(t.words) && metaAllocated(t.meta[t.mi(a)].Load()) {
+	if a != NilAddr && int(a) < len(t.words) && metaAllocated(t.meta[a>>lineShift].Load()) {
 		return
 	}
 	t.accessFault(a, op)
@@ -499,12 +492,12 @@ func (t *Txn) accessFault(a Addr, op string) {
 // validate checks that every read performed so far still holds the metadata
 // word it held when read — one atomic load and compare per entry; a lock, a
 // version bump, a free, or a reallocation all fail it — and returns the first
-// read that does not. Stripes locked by this transaction's own commit are
+// read that does not. Lines locked by this transaction's own commit are
 // checked against their pre-lock metadata by publish.
 func (t *Txn) validate() (Addr, bool) {
 	for i := range t.reads {
 		r := &t.reads[i]
-		if t.meta[t.mi(r.addr)].Load() != r.meta {
+		if t.meta[r.addr>>lineShift].Load() != r.meta {
 			return r.addr, false
 		}
 	}
@@ -533,9 +526,6 @@ func (t *Txn) extend() {
 		t.rv[i] = t.clock[i].v.Load()
 	}
 	if _, ok := t.validate(); !ok {
-		if t.sshift != 0 {
-			bump(&t.th.cell.stripeConflicts)
-		}
 		t.abort(AbortConflict, NilAddr)
 	}
 }
@@ -555,7 +545,7 @@ func (t *Txn) Load(a Addr) uint64 {
 	if a == NilAddr || int(a) >= len(t.words) {
 		t.accessFault(a, "load")
 	}
-	mi := t.mi(a)
+	mi := a >> lineShift
 	if i := t.findWrite(a); i >= 0 {
 		// Read-own-write still faults at the access if the word was freed
 		// since the store — same semantics as Store and the loop below.
@@ -675,48 +665,24 @@ func (t *Txn) LoadWords(a Addr, dst []uint64) {
 // arena), and returns how many it read before the first word that fails the
 // bypass predicate — locked, freed, changed under the value read, or newer
 // than rv — which it leaves to Load. The predicate's metadata half is decided
-// once per run of words under one metadata value (a stripe's word; a block's
-// words since its allocation or last commit, which all carry the same one),
-// since words with identical metadata pass or fail together; what is left per
-// word is metadata, value, metadata again. The loops are leaves over slices
+// once per line, since the words of a line share one metadata word; what is
+// left per word is value, metadata again. The loops are leaves over slices
 // cut to the range: the atomic loads are compiler barriers, so a t.field or a
 // bounds check inside them is paid again after every one.
 func (t *Txn) loadRun(a Addr, dst []uint64, ents []readEntry) int {
-	words, dst := t.words[a:][:len(ents)], dst[:len(ents)]
+	words, meta, dst := t.words[a:][:len(ents)], t.meta, dst[:len(ents)]
 	readable := func(m uint64) bool {
 		ver := metaVersion(m)
 		return m&(metaLockBit|metaAllocBit) == metaAllocBit && ver>>(t.shardBits&63) <= t.rv[ver&t.shardMask]
 	}
-	if sshift := t.sshift & 63; sshift != 0 {
-		for i := 0; i < len(ents); {
-			si := (int(a) + i) >> sshift
-			mw := &t.meta[si]
-			m1 := mw.Load()
-			if !readable(m1) {
-				return i
-			}
-			for end := min(len(ents), (si+1)<<sshift-int(a)); i < end; i++ {
-				v := words[i].Load()
-				if mw.Load() != m1 {
-					return i
-				}
-				ents[i] = readEntry{addr: a + Addr(i), meta: m1}
-				dst[i] = v
-			}
-		}
-		return len(ents)
-	}
-	meta := t.meta[a:][:len(ents)]
 	for i := 0; i < len(ents); {
-		m1 := meta[i].Load()
+		l := lineOf(a + Addr(i))
+		mw := &meta[l]
+		m1 := mw.Load()
 		if !readable(m1) {
 			return i
 		}
-		for ; i < len(ents); i++ {
-			mw := &meta[i]
-			if mw.Load() != m1 {
-				break
-			}
+		for end := min(len(ents), (l+1)<<lineShift-int(a)); i < end; i++ {
 			v := words[i].Load()
 			if mw.Load() != m1 {
 				return i
@@ -750,9 +716,10 @@ func (t *Txn) bypassPrefix(lo, hi, n int) int {
 //
 // with everything LoadWords promises of its loop; stride may be negative, for
 // a walk down an array. Stride 1 is LoadWords. Otherwise it takes the fast
-// path under LoadWords' conditions (bypassPrefix), and each word of the
-// prefix costs the whole bypass predicate — metadata, value, metadata again —
-// plus one read entry staged in place, exactly as in LoadWords (stridedRun).
+// path under LoadWords' conditions (bypassPrefix): each line of the prefix
+// costs one metadata load and the readable test, each word a value, the
+// metadata again and one read entry staged in place, as in LoadWords
+// (stridedRun).
 func (t *Txn) LoadStrided(a Addr, stride int, dst []uint64) {
 	if stride == 1 {
 		t.LoadWords(a, dst)
@@ -785,29 +752,32 @@ func (t *Txn) LoadStrided(a Addr, stride int, dst []uint64) {
 // from a into dst, staging one read entry each in ents (len(ents) ==
 // len(dst), every word inside the arena), and returns how many it read before
 // the first word that fails the bypass predicate, which it leaves to Load.
-// Unlike loadRun it decides the whole predicate at every word: the words of a
-// strided walk — one per slot of an array — each carry the metadata of their
-// own last commit. Like loadRun it keeps the heap and the snapshot in locals,
-// since the atomic loads are compiler barriers.
+// Like loadRun it decides the metadata half of the predicate once per line —
+// a strided walk over an array's slots meets several slots in each — and
+// keeps the heap and the snapshot in locals, since the atomic loads are
+// compiler barriers.
 func (t *Txn) stridedRun(a Addr, stride int, dst []uint64, ents []readEntry) int {
 	words, meta, rv := t.words, t.meta, t.rv
-	sshift, shardBits, shardMask := t.sshift&63, t.shardBits&63, t.shardMask
+	shardBits, shardMask := t.shardBits&63, t.shardMask
 	dst = dst[:len(ents)]
 	w := int(a)
-	for i := range ents {
-		mw := &meta[w>>sshift]
+	for i := 0; i < len(ents); {
+		l := w >> lineShift
+		mw := &meta[l]
 		m1 := mw.Load()
 		ver := metaVersion(m1)
 		if m1&(metaLockBit|metaAllocBit) != metaAllocBit || ver>>shardBits > rv[ver&shardMask] {
 			return i
 		}
-		v := words[w].Load()
-		if mw.Load() != m1 {
-			return i
+		for ; i < len(ents) && w>>lineShift == l; i++ {
+			v := words[w].Load()
+			if mw.Load() != m1 {
+				return i
+			}
+			ents[i] = readEntry{addr: Addr(w), meta: m1}
+			dst[i] = v
+			w += stride
 		}
-		ents[i] = readEntry{addr: Addr(w), meta: m1}
-		dst[i] = v
-		w += stride
 	}
 	return len(ents)
 }
@@ -828,57 +798,41 @@ func (t *Txn) Store(a Addr, v uint64) {
 	if a == NilAddr || int(a) >= len(t.words) {
 		t.accessFault(a, "store")
 	}
-	m := t.meta[t.mi(a)].Load()
+	l := a >> lineShift
+	m := t.meta[l].Load()
 	if !metaAllocated(m) {
 		t.accessFault(a, "store")
 	}
-	if i := t.findWrite(a); i >= 0 {
+	// Is a buffered already, and is its line? A small write set answers both
+	// in one pass.
+	newLine := true
+	if w := t.writes; len(w) <= setLinearMax {
+		for i := range w {
+			if w[i].addr>>lineShift == l {
+				if w[i].addr == a {
+					w[i].val = v
+					return
+				}
+				newLine = false
+			}
+		}
+	} else if i := t.findWrite(a); i >= 0 {
 		t.writes[i].val = v
 		return
+	} else {
+		newLine = t.findLine(l) < 0
 	}
 	if t.storeBufSize >= 0 && len(t.writes)+t.charged >= t.storeBufSize {
 		t.abort(AbortOverflow, a)
 	}
-	// Record the metadata with the lock bit cleared: a word locked right now
-	// is mid-commit elsewhere, and its release will bump the version, so our
-	// commit's CAS from this recorded word correctly fails as a conflict.
-	t.addWrite(a, v, m&^metaLockBit)
-}
-
-// StoreWords transactionally writes src to the len(src) consecutive words
-// starting at a. It is DEFINED as
-//
-//	for i := range src { t.Store(a+Addr(i), src[i]) }
-//
-// — same write-set entries in the same order, same recorded metadata, same
-// abort codes and addresses — and is that loop whenever anything but the plain
-// hardware-path case is in play: the fallback paths, an environment plan
-// (every access must yield and draw from it), a non-empty write set (a word
-// of the range may already be buffered), a range that leaves the arena, and a
-// range longer than what ChargeStores left of the store buffer (the loop
-// aborts at the word that overflows it). Otherwise no word of the range can
-// hit the write set or overflow it, so the per-access dispatch is decided
-// once, the entries are reserved once, and each word costs one metadata load
-// and one append.
-func (t *Txn) StoreWords(a Addr, src []uint64) {
-	if t.direct || t.env != nil || len(t.writes) != 0 ||
-		a == NilAddr || int(a)+len(src) > len(t.words) ||
-		(t.storeBufSize >= 0 && len(src)+t.charged > t.storeBufSize) {
-		for i := range src {
-			t.Store(a+Addr(i), src[i])
-		}
-		return
-	}
-	t.writes = slices.Grow(t.writes, len(src))
-	meta := t.meta
-	for i, v := range src {
-		w := a + Addr(i)
-		m := meta[int(w)>>t.sshift].Load()
-		if !metaAllocated(m) {
-			t.accessFault(w, "store")
-		}
-		// Lock bit cleared, exactly as Store records it.
-		t.writes = append(t.writes, writeEntry{addr: w, val: v, meta: m &^ metaLockBit})
+	t.addWrite(a, v)
+	// The first store to a line records its metadata with the lock bit
+	// cleared: a line locked right now is mid-commit elsewhere, and its
+	// release will bump the version, so our commit's CAS from this recorded
+	// word correctly fails as a conflict. A later store to the line records
+	// nothing: a line that changed since its first store fails that CAS too.
+	if newLine {
+		t.addLine(a, m&^metaLockBit)
 	}
 }
 
@@ -886,12 +840,12 @@ func (t *Txn) StoreWords(a Addr, src []uint64) {
 // caller can see — a Go slice, say — without buffering a shared write. It
 // stands for n Stores to fresh allocated words that no other thread reads: it
 // aborts AbortOverflow (at NilAddr: the words have no heap address) exactly
-// where that loop would, Store and StoreWords count the charged entries
-// against the same bound, and under an environment plan each entry draws the
-// yield and fault decision its Store would have. A transaction whose only
-// stores were charged commits as such a write commit would, minus its lock,
-// tick and write-back (see commitCharged). On the fallback paths, which have
-// no store buffer, it does nothing.
+// where that loop would, Store counts the charged entries against the same
+// bound, and under an environment plan each entry draws the yield and fault
+// decision its Store would have. A transaction whose only stores were charged
+// commits as such a write commit would, minus its lock, tick and write-back
+// (see commitCharged). On the fallback paths, which have no store buffer, it
+// does nothing.
 func (t *Txn) ChargeStores(n int) {
 	if t.direct {
 		return
@@ -972,18 +926,18 @@ func (t *Txn) commit() (AbortCode, Addr) {
 			}
 		case len(t.writes) > 0:
 			// Fine-grained fallback: write the buffered stores back under the
-			// held locks, then release every word — written words with one
+			// held locks, then release every line — written lines with one
 			// fresh version tick shared by the whole operation (exactly as a
-			// hardware commit versions its write set), read-locked words by
+			// hardware commit versions its write set), read-locked lines by
 			// restoring their displaced metadata. Frees run only after the
-			// release: a block being freed may contain held words, and free()
-			// waits out word locks.
+			// release: a block being freed may contain held lines, and free()
+			// waits out line locks.
 			for i := range t.writes {
 				h.words[t.writes[i].addr].Store(t.writes[i].val)
 			}
 			// Injected adversity (Config.Faults.ReleaseDelay): hold the
 			// lock-set a while longer after write-back, stretching the
-			// window in which contenders see the words fallback-locked.
+			// window in which contenders see the lines fallback-locked.
 			if t.env != nil {
 				for i := 0; i < t.env.releaseDelay; i++ {
 					runtime.Gosched()
@@ -1024,7 +978,7 @@ func (t *Txn) commit() (AbortCode, Addr) {
 		// moment. inCommit is published BEFORE revalidating the epoch, so this
 		// commit either observes the section (and aborts) or is observed by
 		// its acquirer (and waited out). The fine-grained fallback needs no
-		// fence — it holds the metadata locks of the words it touches, so a
+		// fence — it holds the metadata locks of the lines it touches, so a
 		// conflicting commit simply fails its acquisition CAS, and a disjoint
 		// commit proceeds concurrently.
 		fence := &t.th.cell.inCommit
@@ -1059,134 +1013,84 @@ func (t *Txn) commitCharged() (AbortCode, Addr) {
 		return AbortFallback, NilAddr
 	}
 	if a, ok := t.validate(); !ok {
-		if t.sshift != 0 {
-			bump(&t.th.cell.stripeConflicts)
-		}
 		return AbortConflict, a
 	}
 	return 0, NilAddr
 }
 
-// publish is the hardware write commit proper: lock the write set, tick the
-// clock, validate the read set, write back, release. It reports AbortIllegal
-// only for a written word freed (and not yet reused) since its store; nothing
-// is held when it returns, whatever the outcome.
+// publish is the hardware write commit proper: lock the written lines, tick
+// the clock, validate the read set, write back, release. It reports
+// AbortIllegal only for a written line freed (and not yet reused) since its
+// first store; nothing is held when it returns, whatever the outcome.
 func (t *Txn) publish() (AbortCode, Addr) {
-	h := t.h
-	// Acquire ownership of the write set: one CAS per governing metadata word
-	// (per word by default, per stripe with Config.StripeShift), from exactly
-	// the metadata recorded when the store was buffered to that word locked.
-	// The CAS doubles as full validation of the written stripe — a concurrent
-	// commit, an NT write, a free, or a free-and-reallocation all rewrote
-	// the metadata since then (versions only grow within their shard and the
+	meta, lines := t.meta, t.lines
+	// Acquire each written line once: one CAS from exactly the metadata its
+	// first store recorded to that word locked. The CAS doubles as full
+	// validation of every write to the line — a concurrent commit, an NT
+	// write, a free, or a free-and-reallocation since the first store all
+	// rewrote the metadata (versions only grow within their shard and the
 	// shard rides in the encoding, so a recorded word can never recur), and
 	// each fails the acquisition. In particular a blind write can never land
-	// in a reused block's new life, and a freed stripe is never locked (which
-	// is what lets the allocator transition free stripes with a bare CAS
+	// in a reused block's new life, and a freed line is never locked (which
+	// is what lets the allocator transition free lines with a bare CAS
 	// instead of a lock handshake).
-	//
-	// With striping, several write entries can share a stripe; only the FIRST
-	// entry of each stripe CASes it (later entries are skipped by a backscan —
-	// the write set is bounded by the store buffer, so the scan is tiny). A
-	// later entry whose recorded metadata differs from the first's proves the
-	// stripe changed between the two stores: abort, as the per-word engine
-	// would have on whichever word changed.
-	striped := t.sshift != 0
-	acquired := 0
-	skip := func(i int, si int) bool { // a non-first entry of an acquired stripe?
-		for j := 0; j < i; j++ {
-			if t.mi(t.writes[j].addr) == si {
-				return true
+	for i := range lines {
+		l := &lines[i]
+		mw := &meta[l.addr>>lineShift]
+		if !mw.CompareAndSwap(l.prev, l.prev|metaLockBit) {
+			code := AbortConflict
+			if cur := mw.Load(); !metaAllocated(cur) && !metaLocked(cur) {
+				// Freed — and not yet reused — since the store. (A freed-and-
+				// reused line aborts as a conflict, which is equally safe:
+				// nothing was written.)
+				code = AbortIllegal
 			}
+			t.unlockLines(lines[:i])
+			return code, l.addr
 		}
-		return false
-	}
-	fail := func(code AbortCode, a Addr) (AbortCode, Addr) {
-		for i := 0; i < acquired; i++ {
-			si := t.mi(t.writes[i].addr)
-			if striped && skip(i, si) {
-				continue
-			}
-			h.releaseMetaUnchanged(si, t.writes[i].meta)
-		}
-		if striped && code == AbortConflict {
-			bump(&t.th.cell.stripeConflicts)
-		}
-		return code, a
-	}
-	for i := range t.writes {
-		w := &t.writes[i]
-		si := t.mi(w.addr)
-		if striped && skip(i, si) {
-			if t.writes[i].meta != h.meta[si].Load()&^metaLockBit {
-				// Our own lock bit is set on the stripe; anything else
-				// differing from this entry's recorded metadata means the
-				// stripe moved between this store and the first one.
-				return fail(AbortConflict, w.addr)
-			}
-			acquired++
-			continue
-		}
-		if !h.meta[si].CompareAndSwap(w.meta, w.meta|metaLockBit) {
-			if cur := h.meta[si].Load(); !metaAllocated(cur) && !metaLocked(cur) {
-				// The word was freed — and not yet reused — since our store.
-				// (A freed-and-reused word aborts as a conflict below, which
-				// is equally safe: nothing was locked or written.)
-				return fail(AbortIllegal, w.addr)
-			}
-			return fail(AbortConflict, w.addr)
-		}
-		acquired++
 	}
 
 	// Tick the home shard of the version clock. The order is load-bearing and
 	// unchanged from the scalar clock: every write lock is already held, so
 	// any transaction whose begin-scan observes this tick and then reads one
-	// of our words either sees it locked (waits/aborts) or sees the fresh
+	// of our lines either sees it locked (waits/aborts) or sees the fresh
 	// version — never the old value under a snapshot that admits the new one.
 	wv := t.th.tickClock()
 
-	// Validate the read set. Stripes we hold locked for writing are validated
-	// against their pre-lock (recorded) metadata.
+	// Validate the read set. A line we hold is validated against the metadata
+	// it was locked from: it must read as our lock on exactly the word the
+	// read recorded.
 	for i := range t.reads {
 		r := &t.reads[i]
-		si := t.mi(r.addr)
-		o := h.meta[si].Load()
-		if o == r.meta {
-			continue
+		o := meta[r.addr>>lineShift].Load()
+		if o != r.meta && (o != r.meta|metaLockBit || t.findLine(r.addr>>lineShift) < 0) {
+			// The tick above is spent but no write commit will account for it.
+			bump(&t.th.cell.extraTicks)
+			t.unlockLines(lines)
+			return AbortConflict, r.addr
 		}
-		if metaLocked(o) {
-			if striped {
-				// Own-lock check at stripe granularity: the read is covered if
-				// ANY of our write entries locked this stripe from exactly the
-				// metadata the read recorded.
-				if o&^metaLockBit == r.meta && t.stripeWritten(si) {
-					continue
-				}
-			} else if j := t.findWrite(r.addr); j >= 0 && t.writes[j].meta == r.meta {
-				continue
-			}
-		}
-		// The tick above is spent but no write commit will account for it.
-		bump(&t.th.cell.extraTicks)
-		return fail(AbortConflict, r.addr)
 	}
 
+	words := t.words
 	for i := range t.writes {
-		h.words[t.writes[i].addr].Store(t.writes[i].val)
+		words[t.writes[i].addr].Store(t.writes[i].val)
 	}
-	// Release each stripe once, from its first entry, as acquisition locked
-	// it: a second release is no idempotent store, because another committer
-	// may acquire the stripe between the two — and the second would then
-	// unlock the stripe under it.
-	for i := range t.writes {
-		si := t.mi(t.writes[i].addr)
-		if striped && skip(i, si) {
-			continue
-		}
-		h.releaseMeta(si, wv)
+	// Release each line once, as acquisition locked it: a second release is
+	// no idempotent store, because another committer may acquire the line
+	// between the two — and the second would then unlock it under that one.
+	live := makeMeta(wv, true)
+	for i := range lines {
+		meta[lines[i].addr>>lineShift].Store(live)
 	}
 	return 0, NilAddr
+}
+
+// unlockLines releases the commit locks on ls, each to the metadata it was
+// locked from.
+func (t *Txn) unlockLines(ls []lineEntry) {
+	for i := range ls {
+		t.meta[ls[i].addr>>lineShift].Store(ls[i].prev)
+	}
 }
 
 func (t *Txn) runFrees() {
@@ -1203,7 +1107,7 @@ func (t *Txn) reset() {
 	t.frees = t.frees[:0]
 	t.allocs = t.allocs[:0]
 	t.windexed = 0
-	t.locks = t.locks[:0]
+	t.lines = t.lines[:0]
 	t.fbMax = 0
 	t.direct = false
 	t.directGlobal = false

@@ -280,8 +280,9 @@ func TestOversizedFixedStepTerminates(t *testing.T) {
 // is the repo benchmark's: every sentinel (registered once, never churned) is
 // in every Collect, every other value is one the churner issued, and the heap
 // sweeps clean afterwards. Both append arrays gather with Txn.LoadStrided, so
-// both run, at the default geometry and with a sharded clock over striped
-// metadata.
+// both run, at the default geometry and with a sharded clock. The geometry
+// rows' names are their test IDs, kept from when the second row also varied
+// a metadata stripe width.
 func TestStressCollectUnderChurn(t *testing.T) {
 	const sentinels, churned = 8, 64
 	const sentinelTag = Value(1) << 62
@@ -296,10 +297,13 @@ func TestStressCollectUnderChurn(t *testing.T) {
 			continue
 		}
 		t.Run(im.name, func(t *testing.T) {
-			for _, geo := range []htm.Config{{}, {ClockShards: 4, StripeShift: 2}} {
-				t.Run(fmt.Sprintf("shards=%d,shift=%d", geo.ClockShards, geo.StripeShift), func(t *testing.T) {
-					geo.Words = 1 << 18
-					h := htm.NewHeap(geo)
+			for _, geo := range []struct {
+				name string
+				cfg  htm.Config
+			}{{"shards=0,shift=0", htm.Config{}}, {"shards=4,shift=2", htm.Config{ClockShards: 4}}} {
+				t.Run(geo.name, func(t *testing.T) {
+					geo.cfg.Words = 1 << 18
+					h := htm.NewHeap(geo.cfg)
 					col := im.mk(h, Options{Adaptive: true})
 					sentCtx, churnCtx := col.NewCtx(h.NewThread()), col.NewCtx(h.NewThread())
 					var pinned, handles []Handle

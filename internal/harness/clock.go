@@ -27,11 +27,10 @@ const clockHeapWords = 1 << 18
 const clockTxnWords = 4
 
 // DisjointCommits measures disjoint read-write transaction throughput with
-// `threads` workers on a heap configured with `shards` clock shards and
-// `stripeShift` metadata striping.
-func DisjointCommits(cfg Config, threads, shards, stripeShift int) Result {
+// `threads` workers on a heap configured with `shards` clock shards.
+func DisjointCommits(cfg Config, threads, shards int) Result {
 	cfg = cfg.withDefaults()
-	h := cfg.heap(htm.Config{Words: clockHeapWords, ClockShards: shards, StripeShift: stripeShift})
+	h := cfg.heap(htm.Config{Words: clockHeapWords, ClockShards: shards})
 	b := newBarrier(threads)
 	var ops atomic.Uint64
 	var wg sync.WaitGroup
@@ -86,85 +85,10 @@ func ClockScaling(cfg Config, threadCounts, shardCounts []int) *Table {
 		seen[shards] = true
 		s := Series{Label: fmt.Sprintf("shards=%d", shards)}
 		for _, n := range threadCounts {
-			r := DisjointCommits(cfg, n, shards, 0)
+			r := DisjointCommits(cfg, n, shards)
 			s.Ys = append(s.Ys, r.OpsPerUs())
 		}
 		t.Series = append(t.Series, s)
 	}
-	return t
-}
-
-// stripeNeighborWords is the block size of the stripe-aliasing workload:
-// wide enough that at StripeShift 4 a block still spans a full stripe.
-const stripeNeighborWords = 16
-
-// StripeContention measures the striping tradeoff: `threads` workers share
-// one block of stripeNeighborWords words, each transaction rewriting a
-// single worker-owned word (all footprints disjoint at word granularity).
-// With StripeShift 0 these never conflict; as the shift grows, more workers
-// alias onto the same metadata word and commit-time CAS conflicts appear.
-func StripeContention(cfg Config, threads, stripeShift int) Result {
-	cfg = cfg.withDefaults()
-	h := cfg.heap(htm.Config{Words: clockHeapWords, StripeShift: stripeShift})
-	setup := h.NewThread()
-	shared := setup.Alloc(stripeNeighborWords)
-	b := newBarrier(threads)
-	var ops atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := h.NewThread()
-			word := shared + htm.Addr(id%stripeNeighborWords)
-			b.arrive()
-			d := deadliner{deadline: time.Now().Add(cfg.PointDuration)}
-			n := uint64(0)
-			for !d.expired() {
-				th.Atomic(func(tx *htm.Txn) {
-					tx.Store(word, tx.Load(word)+1)
-				})
-				n++
-			}
-			ops.Add(n)
-		}(w)
-	}
-	startedAt := b.release()
-	wg.Wait()
-	return Result{Ops: ops.Load(), Elapsed: time.Since(startedAt), Stats: h.Stats()}
-}
-
-// StripeConflictTable renders the striping tradeoff at a fixed thread
-// count: neighbor-word throughput, the overall abort rate, and the share of
-// aborts attributed to stripe aliasing, across StripeShift values. The
-// memory saved by striping (one metadata word per 2^shift words) is bought
-// with exactly the false conflicts this table makes visible.
-func StripeConflictTable(cfg Config, threads int, shifts []int) *Table {
-	if shifts == nil {
-		shifts = []int{0, 1, 2, 4}
-	}
-	t := &Table{
-		Title:  fmt.Sprintf("Stripe knob: neighbor-word commits, %d threads", threads),
-		XLabel: "stripe shift",
-	}
-	for _, sh := range shifts {
-		t.Xs = append(t.Xs, fmt.Sprint(sh))
-	}
-	tput := Series{Label: "throughput [ops/us]"}
-	aborts := Series{Label: "aborts per 1k ops"}
-	aliased := Series{Label: "stripe conflicts per 1k ops"}
-	for _, sh := range shifts {
-		r := StripeContention(cfg, threads, sh)
-		tput.Ys = append(tput.Ys, r.OpsPerUs())
-		perK := func(n uint64) float64 {
-			if r.Ops == 0 {
-				return 0
-			}
-			return 1000 * float64(n) / float64(r.Ops)
-		}
-		aborts.Ys = append(aborts.Ys, perK(r.Stats.TotalAborts()))
-		aliased.Ys = append(aliased.Ys, perK(r.Stats.StripeConflicts))
-	}
-	t.Series = append(t.Series, tput, aborts, aliased)
 	return t
 }

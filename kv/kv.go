@@ -96,7 +96,7 @@ type Config struct {
 	PoolThreads int
 
 	// GlobalFallback selects the paper's global TLE fallback lock instead of
-	// the default fine-grained per-word lock-set (comparison benchmarks).
+	// the default fine-grained per-line lock-set (comparison benchmarks).
 	GlobalFallback bool
 
 	// MaxRetries overrides the engine's retry budget before an operation
@@ -108,12 +108,6 @@ type Config struct {
 	// commits tick a per-thread home shard instead of one global word.
 	// 0/1 selects the single scalar clock.
 	ClockShards int
-
-	// StripeShift maintains one metadata word per 2^StripeShift heap words
-	// (htm.Config.StripeShift): less metadata memory and one commit CAS per
-	// stripe, bought with false conflicts between neighboring entries.
-	// 0 keeps per-word metadata.
-	StripeShift int
 
 	// Faults attaches a seeded fault-injection plan to the backing heap (see
 	// htm.FaultPlan) — the chaos harness's adversity dial. nil injects

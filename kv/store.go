@@ -98,7 +98,6 @@ func newStoreCore(cfg Config) *Store {
 		AllowAllocInTxn: false, // entries are pre-allocated, Rock-style
 		MaxRetries:      cfg.MaxRetries,
 		ClockShards:     cfg.ClockShards,
-		StripeShift:     cfg.StripeShift,
 		Faults:          cfg.Faults,
 	})
 	s := &Store{
