@@ -114,9 +114,7 @@ var experiments = []experiment{
 	{"fig5", "collect all", func(s sweep) renderer { return harness.Fig5(s.cfg, s.updaters, s.periods4) }},
 	{"fig6", "collect all", func(s sweep) renderer { return harness.Fig6(s.cfg, s.updaters, s.periods6) }},
 	{"fig7", "collect all", func(s sweep) renderer { return harness.Fig7(s.cfg, s.updaters, s.periods7) }},
-	{"fig8", "collect all", func(s sweep) renderer {
-		return harness.Fig8Table(harness.Fig8(s.cfg, s.updaters, s.fig8[0], s.fig8[1], s.fig8[2]))
-	}},
+	{"fig8", "collect all", func(s sweep) renderer { return harness.Fig8(s.cfg, s.updaters, s.fig8[0], s.fig8[1], s.fig8[2]) }},
 	{"space", "collect space all", func(s sweep) renderer { return harness.SpaceTable(s.cfg) }},
 	{"scaling", "fallback", func(s sweep) renderer { return harness.FallbackScaling(s.cfg, s.threads) }},
 	{"interference", "fallback", func(s sweep) renderer { return harness.FallbackInterferenceTable(s.cfg, s.threads) }},

@@ -2,9 +2,11 @@ package main
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cycles"
 	"repro/internal/harness"
 )
 
@@ -67,6 +69,76 @@ func TestSelectSweep(t *testing.T) {
 				t.Errorf("Figure 8 phase, total, bucket ms = %v, want %v", s.fig8, c.wantFig8)
 			}
 		})
+	}
+}
+
+// TestExperimentSkeletons pins the shape of every figure at the smallest
+// quick sweep: each table's title, X label, X values and series labels, in
+// order. Only the measured numbers may differ between runs. Figure 6's step
+// rows and Figure 8's bucket times depend on timing, so those two pin what
+// does not: Figure 6 its title and period columns, Figure 8 its title, X label
+// and series labels.
+func TestExperimentSkeletons(t *testing.T) {
+	s := selectSweep(true, 2, time.Millisecond)
+	s.cfg.Clock = cycles.Calibrate(cycles.DefaultGHz)
+	periods := "1M 50k 8k 2k 400"
+	fig3 := "Array Stat Search No|Array Dyn Append Dereg (step 32)|Array Stat Append Dereg (step 32)|" +
+		"List Fast Collect (step 32)|Static Baseline|Array Dyn Search Resize (step 32)|List HoH RC (step 28)|Dynamic Baseline"
+	queues := "HTM|Michael-Scott|Michael-Scott ROP|Michael-Scott EBR"
+	// want maps an experiment to "title ; X label ; X values ; series labels",
+	// X values space-separated and labels |-separated. A field of "*" is not
+	// pinned.
+	want := map[string]string{
+		"fig1":       "Figure 1: Queue performance [ops/us] ; threads ; 1 2 ; " + queues,
+		"comparison": "Queue comparison at 2 threads: throughput, per-op overhead, quiescent memory ; queue ; ops/us ns/op ovhd% peak B quiescent B ; " + queues,
+		"latency": "Section 5.1: Update latency [ns/op] ; algorithm ; ns/op ; Array Stat Search No|Array Stat Append Dereg|" +
+			"Array Dyn Search Resize|Array Dyn Append Dereg|List Fast Collect|List HoH RC|Static Baseline|Dynamic Baseline",
+		"fig3": "Figure 3: Collect-dominated [ops/us] ; threads ; 1 2 ; " + fig3,
+		"fig4": "Figure 4: Collect-Update [ops/us] ; update period ; " + periods + " ; Array Dyn Append Dereg (adapt)|" +
+			"Array Stat Append Dereg (adapt)|List Fast Collect (adapt)|Array Dyn Search Resize (adapt)|Array Stat Search No|Static Baseline",
+		"fig5": "Figure 5: Adapting step size (ArrayDynAppendDereg) [ops/us] ; update period ; " + periods +
+			" ; Step 32|Step 16|Step 8|Best (adapt cost)|Adaptive",
+		"fig6": "Figure 6: Step size distribution (ArrayDynAppendDereg, adaptive) ; * ; 8k 2k 400 ; *",
+		"fig7": "Figure 7: Collect-(De)Register [ops/us] ; deregister period ; 1M 50k 8k 1k ; Array Stat Append Dereg (step 32)|" +
+			"Array Dyn Append Dereg (step 32)|List Fast Collect (step 32)|Array Dyn Search Resize (step 32)|Array Stat Search No|Static Baseline",
+		"fig8": "Figure 8: Collect throughput with varying registered slots [ops/us] ; time [ms] ; * ; Array Stat Append Dereg (step 32)|" +
+			"Array Dyn Append Dereg (step 32)|List Fast Collect (step 32)|Array Stat Search No|Static Baseline",
+		"space": "Space: peak live heap during Figure 3 workload / queue residual after drain [bytes] ; system ; peak residual ; " +
+			fig3 + "|Queue: HTM|Queue: Michael-Scott|Queue: Michael-Scott ROP|Queue: Michael-Scott EBR",
+		"scaling": "Fallback scaling: contended-overflow [ops/us] ; threads ; 1 2 ; " +
+			"fine-grained disjoint|global-lock disjoint|fine-grained shared|global-lock shared",
+		"interference": "Hardware throughput beside persistent fallback traffic [ops/us] ; hw threads ; 1 2 ; fine-grained fallback|global-lock fallback",
+		"spins":        "Fallback spins knob: shared contended-overflow [ops/us] ; spins ; 0 32 128 512 ; fine-grained shared, 2 threads",
+		"clock":        "Sharded clock: disjoint read-write commits [ops/us] ; threads ; 1 2 ; shards=1|shards=4|shards=16",
+		"adaptive":     "Adaptive contention management: phase-shift overflow [ops/us] ; phase ; disjoint shared overall ; fine|global|adaptive",
+	}
+	for _, e := range experiments {
+		w, ok := want[e.name]
+		if !ok {
+			t.Errorf("experiment %q has no pinned skeleton", e.name)
+			continue
+		}
+		var got [4]string
+		switch tab := e.run(s).(type) {
+		case *harness.Table:
+			var labels []string
+			for _, ser := range tab.Series {
+				labels = append(labels, ser.Label)
+				if len(ser.Ys) > len(tab.Xs) {
+					t.Errorf("%s: series %q has %d values for %d X values", e.name, ser.Label, len(ser.Ys), len(tab.Xs))
+				}
+			}
+			got = [4]string{tab.Title, tab.XLabel, strings.Join(tab.Xs, " "), strings.Join(labels, "|")}
+		case *harness.HistTable:
+			got = [4]string{tab.Title, "", strings.Join(tab.Xs, " "), ""}
+		default:
+			t.Fatalf("%s renders a %T", e.name, tab)
+		}
+		for i, field := range strings.Split(w, " ; ") {
+			if field != "*" && got[i] != field {
+				t.Errorf("%s: field %d = %q, want %q", e.name, i, got[i], field)
+			}
+		}
 	}
 }
 

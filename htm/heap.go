@@ -363,8 +363,8 @@ func (h *Heap) AddNT(a Addr, delta uint64) uint64 {
 // ClockNow returns the total number of version-clock ticks across all shards.
 // With ClockShards=1 this is exactly the pre-shard global clock value; with
 // more shards it is a census, not a version — versions are shard-relative and
-// only per-shard ticks (ClockShardNow) are comparable. It is exported for
-// tests and diagnostics.
+// only per-shard ticks are comparable. It is exported for the queue and
+// internal/core tests, which pin clock ticks per operation.
 func (h *Heap) ClockNow() uint64 {
 	var sum uint64
 	for i := range h.clock {
@@ -375,6 +375,3 @@ func (h *Heap) ClockNow() uint64 {
 
 // ClockShards returns the effective number of version-clock shards.
 func (h *Heap) ClockShards() int { return len(h.clock) }
-
-// ClockShardNow returns the current tick of clock shard s.
-func (h *Heap) ClockShardNow(s int) uint64 { return h.clock[s].v.Load() }

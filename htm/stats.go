@@ -173,7 +173,7 @@ type Stats struct {
 	// ClockShardTicks counts version-clock ticks issued through threads —
 	// commits, fallback commits, allocs and frees. Ticks by threadless NT
 	// operations (address-hashed shards) are not counted. At quiescence with
-	// no NT writes it equals the sum of ClockShardNow over all shards. It is
+	// no NT writes it equals ClockNow(), the sum over all shards. It is
 	// derived: every write commit, alloc and free ticks exactly once and is
 	// already counted, so only the ticks nothing else implies (a fine-grained
 	// fallback's release, a commit that ticked and then failed validation)
@@ -285,14 +285,4 @@ func (h *Heap) Stats() Stats {
 	}
 	s.MaxLiveWords = h.stats.maxLiveWords.Load()
 	return s
-}
-
-// ResetMaxLive resets the live-words high-water mark to the current live
-// count, so space measurements can be scoped to an experiment phase.
-func (h *Heap) ResetMaxLive() {
-	if h.cfg.trackMaxLive {
-		h.stats.maxLiveWords.Store(h.stats.liveWords.Load())
-		return
-	}
-	h.stats.maxLiveWords.Store(h.stats.cellLive())
 }

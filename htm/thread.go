@@ -65,12 +65,6 @@ func (h *Heap) NewThread() *Thread {
 	return th
 }
 
-// ID returns the thread's unique identifier (1-based).
-func (th *Thread) ID() uint64 { return th.id }
-
-// ClockShard returns the version-clock shard this thread's commits tick.
-func (th *Thread) ClockShard() int { return th.clockShard }
-
 // tickClock advances this thread's home clock shard and returns the encoded
 // version. Callers must hold (or exclusively own) every metadata word the
 // version will be published to — see Heap.tickShard. It bumps no statistic:
@@ -105,9 +99,6 @@ func (th *Thread) AllocInit(words []uint64) Addr {
 func (th *Thread) Free(a Addr) {
 	th.h.alloc.free(th, a)
 }
-
-// BlockSize returns the payload size in words of the allocated block at a.
-func (th *Thread) BlockSize(a Addr) int { return th.h.alloc.blockSize(a) }
 
 // xorshift PRNG for backoff jitter.
 func (th *Thread) rand() uint64 {
@@ -395,10 +386,4 @@ func (th *Thread) runGlobalFallback(f func(*Txn)) {
 			return
 		}
 	}
-}
-
-// AttemptStats returns the number of transaction attempts and commits made
-// by this thread.
-func (th *Thread) AttemptStats() (attempts, commits uint64) {
-	return th.attempts, th.commits
 }

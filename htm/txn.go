@@ -126,15 +126,8 @@ type Txn struct {
 	rindex   setIndex
 
 	// windex indexes the write set by address once it outgrows setLinearMax,
-	// keeping read-own-writes lookups O(1). It is built LAZILY: addWrite only
-	// appends, and a lookup past the threshold first indexes the entries added
-	// since the previous one. Invariant: windexed <= len(writes), entries
-	// [0, windexed) are in windex, and reset() zeroes windexed — so an attempt
-	// that never looks up after its 9th store (any bulk writer) never hashes
-	// at all, while a body that interleaves lookups and stores inserts each
-	// entry exactly once, as the eager index did.
-	windex   setIndex
-	windexed int
+	// keeping read-own-writes lookups O(1).
+	windex setIndex
 
 	// lines holds one entry per line written (hardware path) or held
 	// (fine-grained fallback), in first-touch order; lindex indexes it past
@@ -185,28 +178,30 @@ func (t *Txn) findWrite(a Addr) int {
 		}
 		return -1
 	}
-	if t.windexed != len(w) {
-		t.indexWrites()
-	}
 	return t.windex.lookup(a)
 }
 
-// indexWrites catches windex up with the entries appended since the last
-// lookup; the first catch-up of an attempt starts from an emptied index.
-func (t *Txn) indexWrites() {
-	if t.windexed == 0 {
-		t.windex.reset()
-	}
-	for i := t.windexed; i < len(t.writes); i++ {
-		t.windex.insert(t.writes[i].addr, i)
-	}
-	t.windexed = len(t.writes)
-}
-
-// addWrite appends a new write entry. It never touches windex: findWrite
-// indexes lazily (see the windex field).
+// addWrite appends a new write entry, indexing it past the linear threshold.
+// The index work stays out of line so that Store inlines the append.
 func (t *Txn) addWrite(a Addr, v uint64) {
 	t.writes = append(t.writes, writeEntry{addr: a, val: v})
+	if len(t.writes) > setLinearMax {
+		t.indexWrite()
+	}
+}
+
+// indexWrite brings windex up to date with t.writes after an append past the
+// linear threshold, as indexLines does lindex.
+func (t *Txn) indexWrite() {
+	n := len(t.writes)
+	if n > setLinearMax+1 {
+		t.windex.insert(t.writes[n-1].addr, n-1)
+		return
+	}
+	t.windex.reset()
+	for i := range t.writes {
+		t.windex.insert(t.writes[i].addr, i)
+	}
 }
 
 // findLine returns the slot of line l in t.lines, or -1. Same shape as
@@ -1106,7 +1101,6 @@ func (t *Txn) reset() {
 	t.charged = 0
 	t.frees = t.frees[:0]
 	t.allocs = t.allocs[:0]
-	t.windexed = 0
 	t.lines = t.lines[:0]
 	t.fbMax = 0
 	t.direct = false
@@ -1122,15 +1116,11 @@ func (t *Txn) reset() {
 	t.rindexed = false
 }
 
-// ReadSetSize and WriteSetSize report the current footprint of the attempt;
-// useful for tests and for algorithms that adapt transaction size.
-// ReadSetSize counts distinct words read: it compacts any bypass-mode
-// duplicates first (engaging dedup for the rest of the attempt), so repeat
-// reads are never counted.
+// ReadSetSize reports the number of distinct words the attempt has read;
+// useful for tests and for algorithms that adapt transaction size. It
+// compacts any bypass-mode duplicates first (engaging dedup for the rest of
+// the attempt), so repeat reads are never counted.
 func (t *Txn) ReadSetSize() int {
 	t.engageDedup()
 	return len(t.reads)
 }
-
-// WriteSetSize reports the number of distinct words buffered for writing.
-func (t *Txn) WriteSetSize() int { return len(t.writes) }

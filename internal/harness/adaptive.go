@@ -102,7 +102,7 @@ func AdaptivePhaseShift(cfg Config, threads int, mode AdaptiveMode) PhaseResult 
 		go func(id int) {
 			defer wg.Done()
 			th := h.NewThread()
-			private := th.Alloc(fallbackWrites)
+			disjointOp := overflowOp(th, th.Alloc(fallbackWrites))
 			b.arrive()
 			var dOps, sOps uint64
 			for {
@@ -119,12 +119,7 @@ func AdaptivePhaseShift(cfg Config, threads int, mode AdaptiveMode) PhaseResult 
 					})
 					sOps++
 				} else {
-					th.Atomic(func(tx *htm.Txn) {
-						for k := 0; k < fallbackWrites; k++ {
-							a := private + htm.Addr(k)
-							tx.Store(a, tx.Load(a)+1)
-						}
-					})
+					disjointOp()
 					dOps++
 				}
 			}

@@ -3,9 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
+	"strconv"
 
 	"repro/htm"
 )
@@ -31,34 +29,19 @@ const clockTxnWords = 4
 func DisjointCommits(cfg Config, threads, shards int) Result {
 	cfg = cfg.withDefaults()
 	h := cfg.heap(htm.Config{Words: clockHeapWords, ClockShards: shards})
-	b := newBarrier(threads)
-	var ops atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := h.NewThread()
-			blk := th.Alloc(clockTxnWords)
-			b.arrive()
-			d := deadliner{deadline: time.Now().Add(cfg.PointDuration)}
-			n := uint64(0)
-			for !d.expired() {
-				th.Atomic(func(tx *htm.Txn) {
-					var sum uint64
-					for i := 0; i < clockTxnWords; i++ {
-						sum += tx.Load(blk + htm.Addr(i))
-					}
-					tx.Store(blk, sum+1)
-				})
-				n++
-			}
-			ops.Add(n)
-		}(w)
-	}
-	startedAt := b.release()
-	wg.Wait()
-	return Result{Ops: ops.Load(), Elapsed: time.Since(startedAt), Stats: h.Stats()}
+	return cfg.measure(h, threads, func(int) (func(), func() map[int]uint64) {
+		th := h.NewThread()
+		blk := th.Alloc(clockTxnWords)
+		return func() {
+			th.Atomic(func(tx *htm.Txn) {
+				var sum uint64
+				for i := 0; i < clockTxnWords; i++ {
+					sum += tx.Load(blk + htm.Addr(i))
+				}
+				tx.Store(blk, sum+1)
+			})
+		}, nil
+	}, 0, nil)
 }
 
 // ClockScaling renders the sharded-clock figure: disjoint read-write
@@ -73,22 +56,14 @@ func ClockScaling(cfg Config, threadCounts, shardCounts []int) *Table {
 	if shardCounts == nil {
 		shardCounts = []int{1, 4, 16, runtime.GOMAXPROCS(0)}
 	}
-	t := &Table{Title: "Sharded clock: disjoint read-write commits [ops/us]", XLabel: "threads"}
-	for _, n := range threadCounts {
-		t.Xs = append(t.Xs, fmt.Sprint(n))
-	}
+	var rows []row
 	seen := map[int]bool{}
 	for _, shards := range shardCounts {
-		if seen[shards] {
-			continue // GOMAXPROCS may collide with a fixed count
+		if !seen[shards] { // GOMAXPROCS may collide with a fixed count
+			seen[shards] = true
+			rows = append(rows, row{fmt.Sprintf("shards=%d", shards),
+				func(n int) float64 { return DisjointCommits(cfg, n, shards).OpsPerUs() }})
 		}
-		seen[shards] = true
-		s := Series{Label: fmt.Sprintf("shards=%d", shards)}
-		for _, n := range threadCounts {
-			r := DisjointCommits(cfg, n, shards)
-			s.Ys = append(s.Ys, r.OpsPerUs())
-		}
-		t.Series = append(t.Series, s)
 	}
-	return t
+	return grid("Sharded clock: disjoint read-write commits [ops/us]", "threads", threadCounts, strconv.Itoa, rows...)
 }

@@ -2,9 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
+	"strconv"
 
 	"repro/htm"
 )
@@ -70,103 +68,53 @@ func FallbackSpinsOverflow(cfg Config, threads, spins int) Result {
 func overflowOn(h *htm.Heap, cfg Config, threads int, disjoint bool) Result {
 	setup := h.NewThread()
 	shared := setup.Alloc(fallbackWrites)
+	return cfg.measure(h, threads, func(int) (func(), func() map[int]uint64) {
+		th := h.NewThread()
+		blk := shared
+		if disjoint {
+			blk = th.Alloc(fallbackWrites)
+		}
+		return overflowOp(th, blk), nil
+	}, 0, nil)
+}
 
-	b := newBarrier(threads)
-	var ops atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := h.NewThread()
-			blk := shared
-			if disjoint {
-				blk = th.Alloc(fallbackWrites)
+// overflowOp is one contended-overflow operation: increment every word of
+// blk in one transaction, more stores than the store buffer holds.
+func overflowOp(th *htm.Thread, blk htm.Addr) func() {
+	return func() {
+		th.Atomic(func(tx *htm.Txn) {
+			for i := 0; i < fallbackWrites; i++ {
+				a := blk + htm.Addr(i)
+				tx.Store(a, tx.Load(a)+1)
 			}
-			b.arrive()
-			d := deadliner{deadline: time.Now().Add(cfg.PointDuration)}
-			n := uint64(0)
-			for !d.expired() {
-				th.Atomic(func(tx *htm.Txn) {
-					for i := 0; i < fallbackWrites; i++ {
-						a := blk + htm.Addr(i)
-						tx.Store(a, tx.Load(a)+1)
-					}
-				})
-				n++
-			}
-			ops.Add(n)
-		}(w)
+		})
 	}
-	startedAt := b.release()
-	wg.Wait()
-	elapsed := time.Since(startedAt)
-	return Result{Ops: ops.Load(), Elapsed: elapsed, Stats: h.Stats()}
 }
 
 // FallbackInterference measures what persistent fallback traffic costs the
-// hardware path: one worker loops overflowing (fallback) operations on its
-// private block while `threads` other workers run small hardware
-// transactions on their own private words. Only the hardware workers'
-// operations are counted. Under the global lock every hardware begin waits
-// out every fallback critical section; under the fine-grained fallback the
-// footprints are disjoint and the hardware path never waits.
+// hardware path: one background worker loops overflowing (fallback)
+// operations on its private block while `threads` other workers run small
+// hardware transactions on their own private words. Only the hardware
+// workers' operations are counted, and the fallback looper runs until they
+// are done, so they face fallback traffic for the whole window. Under the
+// global lock every hardware begin waits out every fallback critical
+// section; under the fine-grained fallback the footprints are disjoint and
+// the hardware path never waits.
 func FallbackInterference(cfg Config, threads int, global bool) Result {
 	cfg = cfg.withDefaults()
 	h := cfg.heap(fallbackConfig(global, 0))
-
-	b := newBarrier(threads + 1)
-	stop := make(chan struct{})
-	var ops atomic.Uint64
-	var hwWg, fbWg sync.WaitGroup
-
-	fbWg.Add(1)
-	go func() { // the fallback looper
-		defer fbWg.Done()
+	return cfg.measure(h, threads, func(int) (func(), func() map[int]uint64) {
 		th := h.NewThread()
-		blk := th.Alloc(fallbackWrites)
-		b.arrive()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		word := th.Alloc(1)
+		return func() {
 			th.Atomic(func(tx *htm.Txn) {
-				for i := 0; i < fallbackWrites; i++ {
-					a := blk + htm.Addr(i)
-					tx.Store(a, tx.Load(a)+1)
-				}
+				tx.Store(word, tx.Load(word)+1)
 			})
-		}
-	}()
-
-	for w := 0; w < threads; w++ {
-		hwWg.Add(1)
-		go func(id int) {
-			defer hwWg.Done()
-			th := h.NewThread()
-			word := th.Alloc(1)
-			b.arrive()
-			d := deadliner{deadline: time.Now().Add(cfg.PointDuration)}
-			n := uint64(0)
-			for !d.expired() {
-				th.Atomic(func(tx *htm.Txn) {
-					tx.Store(word, tx.Load(word)+1)
-				})
-				n++
-			}
-			ops.Add(n)
-		}(w)
-	}
-	startedAt := b.release()
-	// The hardware workers own the deadline; the fallback looper runs until
-	// they are done, so they face fallback traffic for the whole window.
-	hwWg.Wait()
-	elapsed := time.Since(startedAt)
-	close(stop)
-	fbWg.Wait()
-	return Result{Ops: ops.Load(), Elapsed: elapsed, Stats: h.Stats()}
+		}, nil
+	}, 1, func(int) (func(), func() map[int]uint64) {
+		th := h.NewThread()
+		return overflowOp(th, th.Alloc(fallbackWrites)), nil
+	})
 }
 
 // FallbackScaling renders the contended-overflow figure: fallback throughput
@@ -179,28 +127,14 @@ func FallbackScaling(cfg Config, threadCounts []int) *Table {
 	if threadCounts == nil {
 		threadCounts = DefaultThreadCounts
 	}
-	t := &Table{Title: "Fallback scaling: contended-overflow [ops/us]", XLabel: "threads"}
-	for _, n := range threadCounts {
-		t.Xs = append(t.Xs, fmt.Sprint(n))
+	overflow := func(label string, disjoint, global bool) row {
+		return row{label, func(n int) float64 { return FallbackOverflow(cfg, n, disjoint, global).OpsPerUs() }}
 	}
-	variants := []struct {
-		label            string
-		disjoint, global bool
-	}{
-		{"fine-grained disjoint", true, false},
-		{"global-lock disjoint", true, true},
-		{"fine-grained shared", false, false},
-		{"global-lock shared", false, true},
-	}
-	for _, v := range variants {
-		s := Series{Label: v.label}
-		for _, n := range threadCounts {
-			r := FallbackOverflow(cfg, n, v.disjoint, v.global)
-			s.Ys = append(s.Ys, r.OpsPerUs())
-		}
-		t.Series = append(t.Series, s)
-	}
-	return t
+	return grid("Fallback scaling: contended-overflow [ops/us]", "threads", threadCounts, strconv.Itoa,
+		overflow("fine-grained disjoint", true, false),
+		overflow("global-lock disjoint", true, true),
+		overflow("fine-grained shared", false, false),
+		overflow("global-lock shared", false, true))
 }
 
 // FallbackSpinsSweep renders shared-footprint overflow throughput across
@@ -209,20 +143,9 @@ func FallbackScaling(cfg Config, threadCounts []int) *Table {
 // inversion; too large spins on locks whose owners are themselves spinning.
 // The sweep locates the engine default (128) on that curve.
 func FallbackSpinsSweep(cfg Config, threads int, spinsValues []int) *Table {
-	t := &Table{
-		Title:  "Fallback spins knob: shared contended-overflow [ops/us]",
-		XLabel: "spins",
-	}
-	for _, sp := range spinsValues {
-		t.Xs = append(t.Xs, fmt.Sprint(sp))
-	}
-	s := Series{Label: fmt.Sprintf("fine-grained shared, %d threads", threads)}
-	for _, sp := range spinsValues {
-		r := FallbackSpinsOverflow(cfg, threads, sp)
-		s.Ys = append(s.Ys, r.OpsPerUs())
-	}
-	t.Series = append(t.Series, s)
-	return t
+	return grid("Fallback spins knob: shared contended-overflow [ops/us]", "spins", spinsValues, strconv.Itoa,
+		row{fmt.Sprintf("fine-grained shared, %d threads", threads),
+			func(sp int) float64 { return FallbackSpinsOverflow(cfg, threads, sp).OpsPerUs() }})
 }
 
 // FallbackInterferenceTable renders hardware throughput beside one
@@ -232,21 +155,9 @@ func FallbackInterferenceTable(cfg Config, threadCounts []int) *Table {
 	if threadCounts == nil {
 		threadCounts = DefaultThreadCounts
 	}
-	t := &Table{Title: "Hardware throughput beside persistent fallback traffic [ops/us]", XLabel: "hw threads"}
-	for _, n := range threadCounts {
-		t.Xs = append(t.Xs, fmt.Sprint(n))
+	beside := func(label string, global bool) row {
+		return row{label, func(n int) float64 { return FallbackInterference(cfg, n, global).OpsPerUs() }}
 	}
-	for _, global := range []bool{false, true} {
-		label := "fine-grained fallback"
-		if global {
-			label = "global-lock fallback"
-		}
-		s := Series{Label: label}
-		for _, n := range threadCounts {
-			r := FallbackInterference(cfg, n, global)
-			s.Ys = append(s.Ys, r.OpsPerUs())
-		}
-		t.Series = append(t.Series, s)
-	}
-	return t
+	return grid("Hardware throughput beside persistent fallback traffic [ops/us]", "hw threads", threadCounts, strconv.Itoa,
+		beside("fine-grained fallback", false), beside("global-lock fallback", true))
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/htm"
@@ -33,19 +34,22 @@ const paperCapacity = 64
 // HTM queue, the Michael-Scott queue, Michael-Scott with ROP reclamation,
 // and Michael-Scott with epoch-based reclamation.
 func Fig1(cfg Config, threadCounts []int) *Table {
-	t := &Table{Title: "Figure 1: Queue performance [ops/us]", XLabel: "threads"}
-	for _, n := range threadCounts {
-		t.Xs = append(t.Xs, fmt.Sprint(n))
-	}
+	var rows []row
 	for _, spec := range QueueSpecs() {
-		s := Series{Label: spec.Label}
-		for _, n := range threadCounts {
-			r := QueueThroughput(cfg, spec.New, n, 256)
-			s.Ys = append(s.Ys, r.OpsPerUs())
-		}
-		t.Series = append(t.Series, s)
+		rows = append(rows, row{spec.Label,
+			func(n int) float64 { return QueueThroughput(cfg, spec.New, n, 256).OpsPerUs() }})
 	}
-	return t
+	return grid("Figure 1: Queue performance [ops/us]", "threads", threadCounts, strconv.Itoa, rows...)
+}
+
+// specRows makes one row per collector spec, labelled as the spec, whose
+// point at x is the throughput of point(spec, x).
+func specRows(specs []CollectorSpec, point func(spec CollectorSpec, x int) Result) []row {
+	rows := make([]row, len(specs))
+	for i, spec := range specs {
+		rows[i] = row{spec.Label, func(x int) float64 { return point(spec, x).OpsPerUs() }}
+	}
+	return rows
 }
 
 // Fig3Specs is the algorithm set of Figure 3, in the paper's legend order.
@@ -65,19 +69,8 @@ func Fig3Specs() []CollectorSpec {
 // Fig3 reproduces Figure 3: collect-dominated throughput versus thread
 // count for all eight algorithms.
 func Fig3(cfg Config, threadCounts []int) *Table {
-	t := &Table{Title: "Figure 3: Collect-dominated [ops/us]", XLabel: "threads"}
-	for _, n := range threadCounts {
-		t.Xs = append(t.Xs, fmt.Sprint(n))
-	}
-	for _, spec := range Fig3Specs() {
-		s := Series{Label: spec.Label}
-		for _, n := range threadCounts {
-			r := CollectDominated(cfg, Bind(spec, n), n)
-			s.Ys = append(s.Ys, r.OpsPerUs())
-		}
-		t.Series = append(t.Series, s)
-	}
-	return t
+	return grid("Figure 3: Collect-dominated [ops/us]", "threads", threadCounts, strconv.Itoa,
+		specRows(Fig3Specs(), func(spec CollectorSpec, n int) Result { return CollectDominated(cfg, Bind(spec, n), n) })...)
 }
 
 // Fig4Specs is the algorithm set of Figure 4 (HOHRC and the Dynamic baseline
@@ -96,59 +89,34 @@ func Fig4Specs() []CollectorSpec {
 // Fig4 reproduces Figure 4: Collect throughput under concurrent Updates,
 // sweeping the update period.
 func Fig4(cfg Config, updaters int, periods []int) *Table {
-	t := &Table{Title: "Figure 4: Collect-Update [ops/us]", XLabel: "update period"}
-	for _, p := range periods {
-		t.Xs = append(t.Xs, FormatCycles(p))
-	}
-	for _, spec := range Fig4Specs() {
-		s := Series{Label: spec.Label}
-		for _, p := range periods {
-			r := CollectUpdate(cfg, Bind(spec, updaters+1), updaters, p)
-			s.Ys = append(s.Ys, r.OpsPerUs())
-		}
-		t.Series = append(t.Series, s)
-	}
-	return t
+	return grid("Figure 4: Collect-Update [ops/us]", "update period", periods, FormatCycles,
+		specRows(Fig4Specs(), func(spec CollectorSpec, p int) Result {
+			return CollectUpdate(cfg, Bind(spec, updaters+1), updaters, p)
+		})...)
 }
 
 // Fig5 reproduces Figure 5: fixed step sizes 8/16/32 versus the best fixed
 // step with adaptation bookkeeping ("Best (adapt cost)") versus the adaptive
 // mechanism, for ArrayDynAppendDereg on the collect-update workload.
 func Fig5(cfg Config, updaters int, periods []int) *Table {
-	t := &Table{Title: "Figure 5: Adapting step size (ArrayDynAppendDereg) [ops/us]", XLabel: "update period"}
-	for _, p := range periods {
-		t.Xs = append(t.Xs, FormatCycles(p))
+	update := func(o core.Options, p int) float64 {
+		return CollectUpdate(cfg, Bind(SpecArrayDynAppendDereg(o), updaters+1), updaters, p).OpsPerUs()
 	}
 	fixedSteps := []int{32, 16, 8}
+	var rows []row
 	for _, step := range fixedSteps {
-		spec := SpecArrayDynAppendDereg(stepOpts(step))
-		s := Series{Label: fmt.Sprintf("Step %d", step)}
-		for _, p := range periods {
-			r := CollectUpdate(cfg, Bind(spec, updaters+1), updaters, p)
-			s.Ys = append(s.Ys, r.OpsPerUs())
-		}
-		t.Series = append(t.Series, s)
+		rows = append(rows, row{fmt.Sprintf("Step %d", step), func(p int) float64 { return update(stepOpts(step), p) }})
 	}
-	best := Series{Label: "Best (adapt cost)"}
-	for _, p := range periods {
+	best := func(p int) float64 {
 		bestY := 0.0
 		for _, step := range fixedSteps {
-			o := core.Options{Step: step, TrackOutcomes: true}
-			r := CollectUpdate(cfg, Bind(SpecArrayDynAppendDereg(o), updaters+1), updaters, p)
-			if y := r.OpsPerUs(); y > bestY {
-				bestY = y
-			}
+			bestY = max(bestY, update(core.Options{Step: step, TrackOutcomes: true}, p))
 		}
-		best.Ys = append(best.Ys, bestY)
+		return bestY
 	}
-	t.Series = append(t.Series, best)
-	adaptive := Series{Label: "Adaptive"}
-	for _, p := range periods {
-		r := CollectUpdate(cfg, Bind(SpecArrayDynAppendDereg(adaptOpts(8)), updaters+1), updaters, p)
-		adaptive.Ys = append(adaptive.Ys, r.OpsPerUs())
-	}
-	t.Series = append(t.Series, adaptive)
-	return t
+	adaptive := func(p int) float64 { return update(adaptOpts(8), p) }
+	return grid("Figure 5: Adapting step size (ArrayDynAppendDereg) [ops/us]", "update period", periods, FormatCycles,
+		append(rows, row{"Best (adapt cost)", best}, row{"Adaptive", adaptive})...)
 }
 
 // Fig6 reproduces Figure 6: the fraction of slots collected at each step
@@ -179,19 +147,10 @@ func Fig7Specs() []CollectorSpec {
 // Register/Deregister churn, sweeping the deregister period with the
 // register period fixed at 20k cycles.
 func Fig7(cfg Config, churners int, periods []int) *Table {
-	t := &Table{Title: "Figure 7: Collect-(De)Register [ops/us]", XLabel: "deregister period"}
-	for _, p := range periods {
-		t.Xs = append(t.Xs, FormatCycles(p))
-	}
-	for _, spec := range Fig7Specs() {
-		s := Series{Label: spec.Label}
-		for _, p := range periods {
-			r := CollectDeregister(cfg, Bind(spec, churners+1), churners, Fig7RegisterPeriod, p)
-			s.Ys = append(s.Ys, r.OpsPerUs())
-		}
-		t.Series = append(t.Series, s)
-	}
-	return t
+	return grid("Figure 7: Collect-(De)Register [ops/us]", "deregister period", periods, FormatCycles,
+		specRows(Fig7Specs(), func(spec CollectorSpec, p int) Result {
+			return CollectDeregister(cfg, Bind(spec, churners+1), churners, Fig7RegisterPeriod, p)
+		})...)
 }
 
 // Fig8Specs is the algorithm set of Figure 8.
@@ -205,49 +164,22 @@ func Fig8Specs() []CollectorSpec {
 	}
 }
 
-// Fig8Point is one algorithm's Figure 8 time series.
-type Fig8Point struct {
-	Label   string
-	Buckets []TimedBucket
-}
-
 // Fig8 reproduces Figure 8: Collect throughput over time while update
 // threads alternate the registered-handle count between 16 and 64 every
-// `phaseMs` milliseconds, for `totalMs` total, bucketed every `bucketMs`.
-func Fig8(cfg Config, updaters int, phaseMs, totalMs, bucketMs int) []Fig8Point {
-	var out []Fig8Point
+// `phaseMs` milliseconds, for `totalMs` total, bucketed every `bucketMs`. The
+// table has one column per bucket, labelled with the end time the first
+// series to reach that bucket recorded.
+func Fig8(cfg Config, updaters int, phaseMs, totalMs, bucketMs int) *Table {
+	t := &Table{Title: "Figure 8: Collect throughput with varying registered slots [ops/us]", XLabel: "time [ms]"}
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	for _, spec := range Fig8Specs() {
 		buckets := VaryingSlots(cfg, Bind(spec, updaters+1), updaters, 16, 64,
 			ms(phaseMs), ms(totalMs), ms(bucketMs))
-		out = append(out, Fig8Point{Label: spec.Label, Buckets: buckets})
-	}
-	return out
-}
-
-// Fig8Table renders the Figure 8 series as a table with one column per
-// bucket.
-func Fig8Table(points []Fig8Point) *Table {
-	t := &Table{Title: "Figure 8: Collect throughput with varying registered slots [ops/us]", XLabel: "time [ms]"}
-	max := 0
-	for _, p := range points {
-		if len(p.Buckets) > max {
-			max = len(p.Buckets)
-		}
-	}
-	for i := 0; i < max; i++ {
-		x := ""
-		for _, p := range points {
-			if i < len(p.Buckets) {
-				x = fmt.Sprint(p.Buckets[i].AtMs)
-				break
+		s := Series{Label: spec.Label}
+		for i, b := range buckets {
+			if i == len(t.Xs) {
+				t.Xs = append(t.Xs, fmt.Sprint(b.AtMs))
 			}
-		}
-		t.Xs = append(t.Xs, x)
-	}
-	for _, p := range points {
-		s := Series{Label: p.Label}
-		for _, b := range p.Buckets {
 			s.Ys = append(s.Ys, b.OpsPerUs)
 		}
 		t.Series = append(t.Series, s)

@@ -18,7 +18,6 @@ package harness
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/htm"
@@ -135,32 +134,78 @@ func (b *barrier) release() time.Time {
 	return t
 }
 
-// deadliner amortizes time.Now calls inside worker loops.
-type deadliner struct {
-	deadline time.Time
-	n        int
+// A worker is one thread of a measured point. Its set-up runs on the
+// thread's goroutine before the start barrier and returns the operation the
+// scaffold repeats, plus an optional finish hook that runs after the last
+// operation and returns the thread's step histogram (nil for none).
+type worker func(id int) (op func(), finish func() map[int]uint64)
+
+// measure is the worker scaffold of every fixed-duration workload on h. It
+// starts `counted` workers made by mk and `bg` background workers made by
+// mkBg (ids count from 0 within each group), releases them together, and
+// repeats each counted worker's op until the point deadline. Background
+// workers repeat theirs until the counted workers are done, and also stop on
+// their own at 5/4 of the point: a Collect can be starved indefinitely by hot
+// enough churn (the paper's "do not complete" points), and the run must still
+// end. Ops counts the counted workers' operations, Elapsed runs from release
+// until they have joined, Stats is read once every worker has joined, and
+// StepHist sums every worker's histogram.
+func (c Config) measure(h *htm.Heap, counted int, mk worker, bg int, mkBg worker) Result {
+	b := newBarrier(counted + bg)
+	stop := make(chan struct{})
+	ops := make([]uint64, counted+bg)
+	hists := make([]map[int]uint64, counted+bg)
+	var fg, back sync.WaitGroup
+	for i := range ops {
+		wg, w, id, d := &fg, mk, i, c.PointDuration
+		if i >= counted {
+			wg, w, id, d = &back, mkBg, i-counted, d+d/4
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op, finish := w(id)
+			b.arrive()
+			deadline := time.Now().Add(d)
+			n := uint64(0)
+			// The clock is read every 64th operation, the stop channel every one.
+			for ; (n%64 != 0 || time.Now().Before(deadline)) && !stopped(stop); n++ {
+				op()
+			}
+			ops[i] = n
+			if finish != nil {
+				hists[i] = finish()
+			}
+		}()
+	}
+	startedAt := b.release()
+	fg.Wait()
+	res := Result{Elapsed: time.Since(startedAt)}
+	close(stop)
+	back.Wait()
+	for _, n := range ops[:counted] {
+		res.Ops += n
+	}
+	for _, hist := range hists {
+		for k, v := range hist {
+			if res.StepHist == nil {
+				res.StepHist = make(map[int]uint64)
+			}
+			res.StepHist[k] += v
+		}
+	}
+	res.Stats = h.Stats()
+	return res
 }
 
-func (d *deadliner) expired() bool {
-	d.n++
-	if d.n&0x3F != 0 {
+// stopped reports whether stop has been closed, without blocking.
+func stopped(stop chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
 		return false
 	}
-	return time.Now().After(d.deadline)
-}
-
-// mergeHists sums per-thread step histograms.
-func mergeHists(dst, src map[int]uint64) map[int]uint64 {
-	if src == nil {
-		return dst
-	}
-	if dst == nil {
-		dst = make(map[int]uint64)
-	}
-	for k, v := range src {
-		dst[k] += v
-	}
-	return dst
 }
 
 // value constructs a distinct non-zero value for thread id and counter n.
@@ -219,66 +264,43 @@ func CollectDominated(cfg Config, mk func(h *htm.Heap) core.Collector, threads i
 		prePer = maxPer
 	}
 
-	b := newBarrier(threads)
-	var ops atomic.Uint64
-	hists := make([]map[int]uint64, threads)
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c := col.NewCtx(h.NewThread())
-			rng := uint64(id+1) * 0x9E3779B97F4A7C15
-			var queue []core.Handle
-			vn := uint64(0)
-			for i := 0; i < prePer; i++ {
-				vn++
-				queue = append(queue, col.Register(c, value(uint64(id+1), vn)))
-			}
-			b.arrive()
-			d := deadliner{deadline: time.Now().Add(cfg.PointDuration)}
-			n := uint64(0)
-			var scratch []core.Value
-			for !d.expired() {
-				switch pickOp(&rng) {
-				case opCollect:
-					scratch = col.Collect(c, scratch[:0])
-				case opUpdate:
-					if len(queue) > 0 {
-						vn++
-						// Least recently used handle: front of the queue,
-						// rotated to the back.
-						hd := queue[0]
-						copy(queue, queue[1:])
-						queue[len(queue)-1] = hd
-						col.Update(c, hd, value(uint64(id+1), vn))
-					}
-				case opRegister:
-					if len(queue) < maxPer {
-						vn++
-						queue = append(queue, col.Register(c, value(uint64(id+1), vn)))
-					}
-				case opDeregister:
-					if len(queue) > 0 {
-						hd := queue[0]
-						copy(queue, queue[1:])
-						queue = queue[:len(queue)-1]
-						col.Deregister(c, hd)
-					}
+	return cfg.measure(h, threads, func(id int) (func(), func() map[int]uint64) {
+		c := col.NewCtx(h.NewThread())
+		rng := uint64(id+1) * 0x9E3779B97F4A7C15
+		var queue []core.Handle
+		vn := uint64(0)
+		for i := 0; i < prePer; i++ {
+			vn++
+			queue = append(queue, col.Register(c, value(uint64(id+1), vn)))
+		}
+		var scratch []core.Value
+		return func() {
+			switch pickOp(&rng) {
+			case opCollect:
+				scratch = col.Collect(c, scratch[:0])
+			case opUpdate:
+				if len(queue) > 0 {
+					vn++
+					// Least recently used handle: front of the queue,
+					// rotated to the back.
+					hd := queue[0]
+					copy(queue, queue[1:])
+					queue[len(queue)-1] = hd
+					col.Update(c, hd, value(uint64(id+1), vn))
 				}
-				n++
+			case opRegister:
+				if len(queue) < maxPer {
+					vn++
+					queue = append(queue, col.Register(c, value(uint64(id+1), vn)))
+				}
+			case opDeregister:
+				if len(queue) > 0 {
+					hd := queue[0]
+					copy(queue, queue[1:])
+					queue = queue[:len(queue)-1]
+					col.Deregister(c, hd)
+				}
 			}
-			ops.Add(n)
-			hists[id] = c.StepHistogram()
-		}(w)
-	}
-	startedAt := b.release()
-	wg.Wait()
-	elapsed := time.Since(startedAt)
-
-	res := Result{Ops: ops.Load(), Elapsed: elapsed, Stats: h.Stats()}
-	for _, hist := range hists {
-		res.StepHist = mergeHists(res.StepHist, hist)
-	}
-	return res
+		}, c.StepHistogram
+	}, 0, nil)
 }

@@ -1,10 +1,6 @@
 package harness
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"repro/htm"
 	"repro/queue"
 )
@@ -23,20 +19,11 @@ func QueueThroughput(cfg Config, mk func(h *htm.Heap) queue.Queue, threads, pref
 	}
 	queue.CloseCtx(q, setup)
 
-	b := newBarrier(threads)
-	var ops atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c := q.NewCtx(h.NewThread())
-			rng := uint64(id+1) * 0x9E3779B97F4A7C15
-			b.arrive()
-			d := deadliner{deadline: time.Now().Add(cfg.PointDuration)}
-			n := uint64(0)
-			vn := uint64(0)
-			for !d.expired() {
+	return cfg.measure(h, threads, func(id int) (func(), func() map[int]uint64) {
+		c := q.NewCtx(h.NewThread())
+		rng := uint64(id+1) * 0x9E3779B97F4A7C15
+		vn := uint64(0)
+		return func() {
 				rng ^= rng << 13
 				rng ^= rng >> 7
 				rng ^= rng << 17
@@ -46,14 +33,9 @@ func QueueThroughput(cfg Config, mk func(h *htm.Heap) queue.Queue, threads, pref
 				} else {
 					q.Dequeue(c)
 				}
-				n++
+			}, func() map[int]uint64 {
+				queue.CloseCtx(q, c)
+				return nil
 			}
-			ops.Add(n)
-			queue.CloseCtx(q, c)
-		}(w)
-	}
-	startedAt := b.release()
-	wg.Wait()
-	elapsed := time.Since(startedAt)
-	return Result{Ops: ops.Load(), Elapsed: elapsed, Stats: h.Stats()}
+	}, 0, nil)
 }

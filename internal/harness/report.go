@@ -21,6 +21,30 @@ type Table struct {
 	Series []Series
 }
 
+// row is one labelled series of a grid: y measures its point at axis value x.
+type row struct {
+	label string
+	y     func(x int) float64
+}
+
+// grid measures a Table over the axis xs, each X value rendered by format
+// (strconv.Itoa or FormatCycles), with one series per row. It measures
+// series by series, each along the whole axis.
+func grid(title, xlabel string, xs []int, format func(int) string, rows ...row) *Table {
+	t := &Table{Title: title, XLabel: xlabel}
+	for _, x := range xs {
+		t.Xs = append(t.Xs, format(x))
+	}
+	for _, r := range rows {
+		s := Series{Label: r.label}
+		for _, x := range xs {
+			s.Ys = append(s.Ys, r.y(x))
+		}
+		t.Series = append(t.Series, s)
+	}
+	return t
+}
+
 // Render formats the table with aligned columns.
 func (t *Table) Render() string {
 	var b strings.Builder

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,70 +19,35 @@ func CollectUpdate(cfg Config, mk func(h *htm.Heap) core.Collector, updaters, up
 	col := mk(h)
 
 	const totalHandles = 64
-	per := totalHandles / updaters
-	if per < 1 {
-		per = 1
-	}
-
-	b := newBarrier(updaters + 1)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < updaters; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c := col.NewCtx(h.NewThread())
-			n := per
-			if id == 0 {
-				n += totalHandles - per*updaters // remainder to the first
-			}
-			handles := make([]core.Handle, 0, n)
-			vn := uint64(0)
-			for i := 0; i < n; i++ {
-				vn++
-				handles = append(handles, col.Register(c, value(uint64(id+1), vn)))
-			}
-			b.arrive()
-			// Workers also observe the point deadline directly: a Collect
-			// can be starved indefinitely by sufficiently hot churn (the
-			// paper's "do not complete" points), and the run must still end.
-			d := deadliner{deadline: time.Now().Add(cfg.PointDuration + cfg.PointDuration/4)}
-			for !d.expired() {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				cfg.Clock.SpinCoop(updatePeriod)
-				vn++
-				col.Update(c, handles[0], value(uint64(id+1), vn))
-			}
-		}(w)
-	}
-
-	var collects uint64
-	var hist map[int]uint64
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	per := max(1, totalHandles/updaters)
+	return cfg.measure(h, 1, collecting(h, col), updaters, func(id int) (func(), func() map[int]uint64) {
 		c := col.NewCtx(h.NewThread())
-		b.arrive()
-		d := deadliner{deadline: time.Now().Add(cfg.PointDuration)}
-		var scratch []core.Value
-		n := uint64(0)
-		for !d.expired() {
-			scratch = col.Collect(c, scratch[:0])
-			n++
+		n := per
+		if id == 0 {
+			n += totalHandles - per*updaters // remainder to the first
 		}
-		collects = n
-		hist = c.StepHistogram()
-		close(stop)
-	}()
+		handles := make([]core.Handle, 0, n)
+		vn := uint64(0)
+		for i := 0; i < n; i++ {
+			vn++
+			handles = append(handles, col.Register(c, value(uint64(id+1), vn)))
+		}
+		return func() {
+			cfg.Clock.SpinCoop(updatePeriod)
+			vn++
+			col.Update(c, handles[0], value(uint64(id+1), vn))
+		}, nil
+	})
+}
 
-	startedAt := b.release()
-	wg.Wait()
-	elapsed := time.Since(startedAt)
-	return Result{Ops: collects, Elapsed: elapsed, Stats: h.Stats(), StepHist: hist}
+// collecting is the worker of the one collecting thread beside background
+// churn: a Collect per operation.
+func collecting(h *htm.Heap, col core.Collector) worker {
+	return func(int) (func(), func() map[int]uint64) {
+		c := col.NewCtx(h.NewThread())
+		var scratch []core.Value
+		return func() { scratch = col.Collect(c, scratch[:0]) }, c.StepHistogram
+	}
 }
 
 // CollectDeregister runs the §5.4 workload (Figure 7): one collector thread
@@ -94,68 +58,27 @@ func CollectDeregister(cfg Config, mk func(h *htm.Heap) core.Collector, churners
 	h := cfg.heap(htm.Config{})
 	col := mk(h)
 
-	const totalHandles = 64
-	per := totalHandles / churners
-	if per < 1 {
-		per = 1
-	}
-
-	b := newBarrier(churners + 1)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < churners; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c := col.NewCtx(h.NewThread())
-			handles := make([]core.Handle, 0, per)
-			vn := uint64(0)
-			for i := 0; i < per; i++ {
-				vn++
-				handles = append(handles, col.Register(c, value(uint64(id+1), vn)))
-			}
-			b.arrive()
-			i := 0
-			d := deadliner{deadline: time.Now().Add(cfg.PointDuration + cfg.PointDuration/4)}
-			for !d.expired() {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Start with a Deregister so the registered total never
-				// exceeds 64 (paper §5.4).
-				col.Deregister(c, handles[i])
-				cfg.Clock.SpinCoop(registerPeriod)
-				vn++
-				handles[i] = col.Register(c, value(uint64(id+1), vn))
-				cfg.Clock.SpinCoop(deregPeriod)
-				i = (i + 1) % len(handles)
-			}
-		}(w)
-	}
-
-	var collects uint64
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	per := max(1, 64/churners)
+	return cfg.measure(h, 1, collecting(h, col), churners, func(id int) (func(), func() map[int]uint64) {
 		c := col.NewCtx(h.NewThread())
-		b.arrive()
-		d := deadliner{deadline: time.Now().Add(cfg.PointDuration)}
-		var scratch []core.Value
-		n := uint64(0)
-		for !d.expired() {
-			scratch = col.Collect(c, scratch[:0])
-			n++
+		handles := make([]core.Handle, 0, per)
+		vn := uint64(0)
+		for i := 0; i < per; i++ {
+			vn++
+			handles = append(handles, col.Register(c, value(uint64(id+1), vn)))
 		}
-		collects = n
-		close(stop)
-	}()
-
-	startedAt := b.release()
-	wg.Wait()
-	elapsed := time.Since(startedAt)
-	return Result{Ops: collects, Elapsed: elapsed, Stats: h.Stats()}
+		i := 0
+		return func() {
+			// Start with a Deregister so the registered total never
+			// exceeds 64 (paper §5.4).
+			col.Deregister(c, handles[i])
+			cfg.Clock.SpinCoop(registerPeriod)
+			vn++
+			handles[i] = col.Register(c, value(uint64(id+1), vn))
+			cfg.Clock.SpinCoop(deregPeriod)
+			i = (i + 1) % len(handles)
+		}, nil
+	})
 }
 
 // TimedBucket is one point of the Figure 8 time series.
@@ -170,112 +93,78 @@ type TimedBucket struct {
 // `updaters` update threads (20k-cycle period). The update threads alternate
 // the total number of registered handles between lo and hi every phase
 // (500ms in the paper), and the collector's throughput is recorded in
-// buckets.
+// buckets over a point of length total.
 func VaryingSlots(cfg Config, mk func(h *htm.Heap) core.Collector, updaters int, lo, hi int, phase, total, bucket time.Duration) []TimedBucket {
 	cfg = cfg.withDefaults()
+	cfg.PointDuration = total
 	h := cfg.heap(htm.Config{})
 	col := mk(h)
 	const updatePeriod = 20000
 
 	// target holds the current per-thread handle count goal.
 	var target atomic.Int64
-	perLo, perHi := lo/updaters, hi/updaters
-	if perLo < 1 {
-		perLo = 1
-	}
-	if perHi < perLo {
-		perHi = perLo
-	}
+	perLo := max(1, lo/updaters)
+	perHi := max(perLo, hi/updaters)
 	target.Store(int64(perLo))
 
-	b := newBarrier(updaters + 1)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < updaters; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c := col.NewCtx(h.NewThread())
-			var handles []core.Handle
-			vn := uint64(0)
-			reg := func() {
-				vn++
-				handles = append(handles, col.Register(c, value(uint64(id+1), vn)))
-			}
-			for len(handles) < perLo {
-				reg()
-			}
-			b.arrive()
-			d := deadliner{deadline: time.Now().Add(total + total/4)}
-			for !d.expired() {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for t := int(target.Load()); len(handles) < t; {
-					reg()
-					t = int(target.Load())
-				}
-				for t := int(target.Load()); len(handles) > t && len(handles) > 1; {
-					last := handles[len(handles)-1]
-					handles = handles[:len(handles)-1]
-					col.Deregister(c, last)
-					t = int(target.Load())
-				}
-				cfg.Clock.SpinCoop(updatePeriod)
-				vn++
-				col.Update(c, handles[0], value(uint64(id+1), vn))
-			}
-		}(w)
-	}
-
 	var buckets []TimedBucket
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	collector := func(int) (func(), func() map[int]uint64) {
 		c := col.NewCtx(h.NewThread())
-		b.arrive()
-		start := time.Now()
-		deadline := start.Add(total)
-		nextPhase := start.Add(phase)
-		nextBucket := start.Add(bucket)
-		bucketStart := start
-		cur := perLo
+		var start, nextPhase, nextBucket, bucketStart time.Time
 		var scratch []core.Value
 		n := uint64(0)
-		for {
+		return func() {
+			if start.IsZero() { // the first operation starts the clock
+				start = time.Now()
+				nextPhase, nextBucket, bucketStart = start.Add(phase), start.Add(bucket), start
+			}
 			scratch = col.Collect(c, scratch[:0])
 			n++
 			now := time.Now()
 			if now.After(nextBucket) {
-				el := now.Sub(bucketStart)
 				buckets = append(buckets, TimedBucket{
 					AtMs:     int(now.Sub(start).Milliseconds()),
-					OpsPerUs: float64(n) / float64(el.Microseconds()),
+					OpsPerUs: float64(n) / float64(now.Sub(bucketStart).Microseconds()),
 				})
-				n = 0
-				bucketStart = now
-				nextBucket = now.Add(bucket)
+				n, bucketStart, nextBucket = 0, now, now.Add(bucket)
 			}
 			if now.After(nextPhase) {
-				if cur == perLo {
-					cur = perHi
+				if target.Load() == int64(perLo) {
+					target.Store(int64(perHi))
 				} else {
-					cur = perLo
+					target.Store(int64(perLo))
 				}
-				target.Store(int64(cur))
 				nextPhase = now.Add(phase)
 			}
-			if now.After(deadline) {
-				break
-			}
+		}, nil
+	}
+	cfg.measure(h, 1, collector, updaters, func(id int) (func(), func() map[int]uint64) {
+		c := col.NewCtx(h.NewThread())
+		var handles []core.Handle
+		vn := uint64(0)
+		reg := func() {
+			vn++
+			handles = append(handles, col.Register(c, value(uint64(id+1), vn)))
 		}
-		close(stop)
-	}()
-
-	b.release()
-	wg.Wait()
+		for len(handles) < perLo {
+			reg()
+		}
+		return func() {
+			for t := int(target.Load()); len(handles) < t; {
+				reg()
+				t = int(target.Load())
+			}
+			for t := int(target.Load()); len(handles) > t && len(handles) > 1; {
+				last := handles[len(handles)-1]
+				handles = handles[:len(handles)-1]
+				col.Deregister(c, last)
+				t = int(target.Load())
+			}
+			cfg.Clock.SpinCoop(updatePeriod)
+			vn++
+			col.Update(c, handles[0], value(uint64(id+1), vn))
+		}, nil
+	})
 	return buckets
 }
 
