@@ -14,8 +14,8 @@
 //	          the space table.
 //	fallback  TLE fallback, §6: fine-grained lock-set versus global lock under
 //	          contended overflow, hardware throughput beside fallback traffic,
-//	          the spins knob, the sharded clock, and the phase-shift workload
-//	          under each pinned mode and the Tuner.
+//	          the spins knob, and the phase-shift workload under each pinned
+//	          mode and the Tuner.
 //	space     the space table alone.
 //	all       every paper figure in the order the paper presents them.
 //
@@ -121,7 +121,6 @@ var experiments = []experiment{
 	{"spins", "fallback", func(s sweep) renderer {
 		return harness.FallbackSpinsSweep(s.cfg, s.fixed, []int{0, 32, 128, 512})
 	}},
-	{"clock", "fallback", func(s sweep) renderer { return harness.ClockScaling(s.cfg, s.threads, []int{1, 4, 16}) }},
 	{"adaptive", "fallback", func(s sweep) renderer { return harness.AdaptiveScaling(s.cfg, s.fixed) }},
 }
 

@@ -13,7 +13,6 @@
 //	         [-job-queue htm|ms|rop|ebr] [-global-fallback] [-verbose]
 //	         [-admission] [-req-timeout 0] [-max-retries 0]
 //	         [-adapt] [-adapt-interval 25ms]
-//	         [-clock-shards 0]
 //	         [-fault-seed 1] [-fault-begin P] [-fault-access P]
 //	         [-fault-commit P] [-fault-stall P]
 //	         [-wal-dir DIR] [-fsync=true] [-snapshot-every N]
@@ -76,7 +75,6 @@ func run(args []string) int {
 	maxRetries := fs.Int("max-retries", 0, "hardware retry budget before the TLE fallback (0 = engine default)")
 	adapt := fs.Bool("adapt", false, "self-tune fallback mode and spin budget from live abort feedback")
 	adaptInterval := fs.Duration("adapt-interval", 0, "tuning epoch length with -adapt (0 = engine default, 25ms)")
-	clockShards := fs.Int("clock-shards", 0, "version-clock shards, rounded up to a power of two (0/1 = single scalar clock)")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for the -fault-* injection plan")
 	faultBegin := fs.Float64("fault-begin", 0, "probability of a spurious abort at transaction begin")
 	faultAccess := fs.Float64("fault-access", 0, "probability of a spurious abort per transactional access")
@@ -112,7 +110,6 @@ func run(args []string) int {
 		PoolThreads:    *pool,
 		GlobalFallback: *globalFallback,
 		MaxRetries:     *maxRetries,
-		ClockShards:    *clockShards,
 		Faults:         plan,
 	}
 	if *adapt {

@@ -200,15 +200,14 @@ func (al *allocator) allocBigFrom(si, size int) Addr {
 // must then be size words long) or, with a nil image, zeros. It panics if the
 // arena is exhausted.
 //
-// One tick of the thread's home clock shard versions the whole block, and
+// One tick of the version clock versions the whole block, and
 // each of its lines' free->allocated transition is a single CAS (a block owns
 // whole lines, so every transition is exclusively this alloc's). The fresh
 // version (rather than reusing the line's last one) is what closes the
 // reallocation window: any transaction that began before this tick and read
-// the block's previous life will see a tick above its rv entry for this shard
-// on its next access to the block, be forced to extend, and fail revalidation
-// on the word it read (whose metadata the free already rewrote — an equality
-// check, so it holds whatever shard the free ticked). The word values are
+// the block's previous life will see a tick above its rv on its next access
+// to the block, be forced to extend, and fail revalidation on the word it read
+// (whose metadata the free already rewrote). The word values are
 // written before the allocated bit is published, so no reader can observe
 // stale contents as live memory — and, for the same reason, none can observe
 // the image early: a reader still holding the previous life's metadata word
@@ -222,7 +221,7 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 	a := al.allocRaw(th, size)
 	h := al.h
 	h.words[a-1].Store(uint64(size)<<1 | headerAllocBit)
-	wv := th.tickClock()
+	wv := h.tick()
 	live := makeMeta(wv, true)
 	words := h.words[a : a+Addr(size)]
 	if image == nil {
@@ -278,19 +277,18 @@ func (al *allocator) free(th *Thread, a Addr) {
 	}
 	size := int(hdr >> 1)
 	h.words[a-1].Store(uint64(size) << 1)
-	// One tick of th's home clock shard versions the whole block. Unlike the
+	// One tick of the version clock versions the whole block. Unlike the
 	// old flip-before-release dance, the tick may precede the per-line
 	// transitions: a transaction that began after the tick (rv admits wv) can
 	// still read a not-yet-flipped line's pre-free value — that read is of
 	// then-live memory and linearizes before the free — but it can never pair
 	// it with post-reallocation state under one snapshot, because allocate
-	// stamps reused lines with a version from a LATER tick of SOME shard
-	// that postdates every such reader's begin-scan of that shard, which
-	// forces an extension whose revalidation rereads the flipped metadata and
-	// aborts. A CAS that observes the lock bit (a commit's write-back, or an
-	// NT write) spins: commits never block on a held word, so this cannot
-	// deadlock.
-	wv := th.tickClock()
+	// stamps reused lines with a version from a LATER tick that postdates
+	// every such reader's begin, which forces an extension whose revalidation
+	// rereads the flipped metadata and aborts. A CAS that observes the lock
+	// bit (a commit's write-back, or an NT write) spins: commits never block
+	// on a held word, so this cannot deadlock.
+	wv := h.tick()
 	dead := makeMeta(wv, false)
 	for l, hi := lineOf(a), lineOf(a+Addr(size)-1); l <= hi; l++ {
 		for spins := 0; ; spins++ {

@@ -243,8 +243,8 @@ func lwScenarios() []lwScenario {
 			for cut > 0 && lineOf(w.at(a, cut-1)) == lineOf(w.at(a, 7)) {
 				cut--
 			}
-			if res.addr != NilAddr || res.vals[cut-1] != lwVal(blk, 0, w.at(a, cut-1)) || res.vals[cut] != 0 {
-				t.Errorf("abort at %#x, values %v", uint32(res.addr), res.vals)
+			if res.addr != x || res.vals[cut-1] != lwVal(blk, 0, w.at(a, cut-1)) || res.vals[cut] != 0 {
+				t.Errorf("abort at %#x, want x %#x; values %v", uint32(res.addr), uint32(x), res.vals)
 			}
 			return res
 		}},
@@ -421,7 +421,7 @@ func testLoadParity(t *testing.T, kernel rangeReader, stride int, scenarios []lw
 				continue
 			}
 			cfg := sc.cfg
-			cfg.Words, cfg.ClockShards = 1<<12, geo.cfg.ClockShards
+			cfg.Words, cfg.EnableTLE = 1<<12, cfg.EnableTLE || geo.cfg.EnableTLE
 			t.Run(geo.name+"/"+sc.name, func(t *testing.T) {
 				hLoop, hBulk := NewHeap(cfg), NewHeap(cfg)
 				want, got := sc.run(t, hLoop, walk{stride, loadLoop}), sc.run(t, hBulk, walk{stride, kernel})
@@ -628,13 +628,10 @@ func TestAllocInit(t *testing.T) {
 			th := h.NewThread()
 			th.Free(th.Alloc(5)) // the next 5-word block is a recycled one, dirty metadata and all
 			img := []uint64{11, 22, 33, 44, 55}
-			ticks, home := h.ClockNow(), h.ClockShardNow(th.ClockShard())
+			ticks := h.ClockNow()
 			a := th.AllocInit(img)
 			if got := h.ClockNow() - ticks; got != 1 {
-				t.Errorf("AllocInit ticked the clocks %d times, want 1", got)
-			}
-			if got := h.ClockShardNow(th.ClockShard()) - home; got != 1 {
-				t.Errorf("AllocInit ticked its home shard %d times, want 1", got)
+				t.Errorf("AllocInit ticked the clock %d times, want 1", got)
 			}
 			if (a-1)&lineMask != 0 {
 				t.Errorf("block %#x: header not line-aligned", uint32(a))
@@ -851,7 +848,7 @@ func TestStoreWordsIsTheStoreLoop(t *testing.T) {
 				res.writes = append([]writeEntry(nil), tx.writes...)
 				res.lines = append([]lineEntry(nil), tx.lines...)
 				res.size = tx.WriteSetSize()
-				h.meta[l].Store(makeMeta(h.tickShard(0), true))
+				h.meta[l].Store(makeMeta(h.tick(), true))
 			})
 			var ab *AbortError
 			if errors.As(err, &ab) {
@@ -910,7 +907,7 @@ func TestStoreWordsIsTheStoreLoop(t *testing.T) {
 	for _, geo := range geometries {
 		for _, sc := range scenarios {
 			cfg := sc.cfg
-			cfg.Words, cfg.ClockShards = 1<<12, geo.cfg.ClockShards
+			cfg.Words, cfg.EnableTLE = 1<<12, cfg.EnableTLE || geo.cfg.EnableTLE
 			t.Run(geo.name+"/"+sc.name, func(t *testing.T) {
 				res := sc.run(t, NewHeap(cfg))
 				if res.code != sc.want {

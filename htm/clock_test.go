@@ -7,79 +7,19 @@ import (
 	"testing"
 )
 
-// Tests for the sharded version clock (Config.ClockShards) and the line
-// metadata commit. The deterministic tests drive a second thread's commit
-// from inside the first thread's transaction body — each Thread is used by
-// one goroutine at a time, so this is legal — which pins the exact
-// interleaving the shard and line machinery must survive.
+// Tests for the version clock and the line metadata commit. The
+// deterministic tests drive a second thread's commit from inside the first
+// thread's transaction body — each Thread is used by one goroutine at a time,
+// so this is legal — which pins the exact interleaving the clock and line
+// machinery must survive.
 
-// twoShardThreads returns two threads whose home clock shards differ,
-// skipping the test if the round-robin assignment ever stops providing one.
-func twoShardThreads(t *testing.T, h *Heap) (*Thread, *Thread) {
-	t.Helper()
-	reader := h.NewThread()
-	for i := 0; i < 8; i++ {
-		if writer := h.NewThread(); writer.ClockShard() != reader.ClockShard() {
-			return reader, writer
-		}
-	}
-	t.Skip("could not obtain threads on distinct clock shards")
-	return nil, nil
-}
-
-// TestConfigClockShardNormalization pins the knob clamping: shard counts
-// round up to powers of two and saturate at their cap, and the metadata array
-// holds one word per 8-word line whatever the Config.
-func TestConfigClockShardNormalization(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {MaxClockShards + 1, MaxClockShards},
-	} {
-		h := NewHeap(Config{Words: 1 << 10, ClockShards: tc.in})
-		if got := h.ClockShards(); got != tc.want {
-			t.Errorf("ClockShards %d normalized to %d, want %d", tc.in, got, tc.want)
-		}
-	}
-	for _, words := range []int{1 << 10, 1<<10 + 1} {
-		if h := NewHeap(Config{Words: words}); h.ClockShards() != 1 || len(h.meta) != (words+7)/8 {
-			t.Errorf("%d words: %d shards and %d metadata words, want 1 and one per line", words, h.ClockShards(), len(h.meta))
-		}
-	}
-}
-
-// TestDisjointCommitsTickOwnShards is the zero-shared-RMW property in
-// counter form: two threads homed on different shards commit disjoint
-// write sets, and each commit moves exactly its own shard's clock — the
-// other thread's shard is untouched, so no clock cache line was shared.
-func TestDisjointCommitsTickOwnShards(t *testing.T) {
-	h := newTestHeap(t, Config{ClockShards: 4})
-	thA, thB := twoShardThreads(t, h)
-	a, b := thA.Alloc(2), thB.Alloc(2)
-	sA, sB := thA.ClockShard(), thB.ClockShard()
-	beforeA, beforeB := h.ClockShardNow(sA), h.ClockShardNow(sB)
-	thA.Atomic(func(tx *Txn) { tx.Store(a, 1) })
-	thB.Atomic(func(tx *Txn) { tx.Store(b, 1) })
-	if got := h.ClockShardNow(sA); got != beforeA+1 {
-		t.Errorf("thread A's shard ticked %d times, want 1", got-beforeA)
-	}
-	if got := h.ClockShardNow(sB); got != beforeB+1 {
-		t.Errorf("thread B's shard ticked %d times, want 1", got-beforeB)
-	}
-	// The published versions carry their shard IDs.
-	if s := h.versionShard(metaVersion(h.meta[lineOf(a)].Load())); s != sA {
-		t.Errorf("word a versioned from shard %d, want %d", s, sA)
-	}
-	if s := h.versionShard(metaVersion(h.meta[lineOf(b)].Load())); s != sB {
-		t.Errorf("word b versioned from shard %d, want %d", s, sB)
-	}
-}
-
-// TestCrossShardExtendSucceeds: a reader homed on shard A observes a version
-// from shard B that postdates its begin snapshot of B. The read must force an
-// extension, the extension must succeed (nothing the reader previously read
-// changed), and the reader must see the writer's committed value.
+// TestCrossShardExtendSucceeds: a reader observes a version that postdates
+// its begin snapshot. The read must force an extension, the extension must
+// succeed (nothing the reader previously read changed), and the reader must
+// see the writer's committed value, versioned with the writer's tick.
 func TestCrossShardExtendSucceeds(t *testing.T) {
-	h := newTestHeap(t, Config{ClockShards: 4})
-	reader, writer := twoShardThreads(t, h)
+	h := newTestHeap(t, Config{})
+	reader, writer := h.NewThread(), h.NewThread()
 	x, y := reader.Alloc(1), reader.Alloc(1)
 	wrote := false
 	var got uint64
@@ -92,20 +32,20 @@ func TestCrossShardExtendSucceeds(t *testing.T) {
 		got = tx.Load(y)
 	})
 	if got != 42 {
-		t.Errorf("reader saw %d after cross-shard extension, want 42", got)
+		t.Errorf("reader saw %d after extension, want 42", got)
 	}
-	if s := h.versionShard(metaVersion(h.meta[lineOf(y)].Load())); s != writer.ClockShard() {
-		t.Errorf("y versioned from shard %d, want writer's shard %d", s, writer.ClockShard())
+	if v := metaVersion(h.meta[lineOf(y)].Load()); v != h.ClockNow() {
+		t.Errorf("y versioned %d, want the writer's tick %d", v, h.ClockNow())
 	}
 }
 
-// TestCrossShardExtendAborts: same shape, but the cross-shard writer also
-// rewrites a word the reader already read — the forced extension must fail
-// revalidation and abort the attempt with AbortConflict rather than let the
+// TestCrossShardExtendAborts: same shape, but the writer also rewrites a word
+// the reader already read — the forced extension must fail revalidation and
+// abort the attempt with AbortConflict at that word rather than let the
 // reader pair pre- and post-commit state.
 func TestCrossShardExtendAborts(t *testing.T) {
-	h := newTestHeap(t, Config{ClockShards: 4})
-	reader, writer := twoShardThreads(t, h)
+	h := newTestHeap(t, Config{})
+	reader, writer := h.NewThread(), h.NewThread()
 	x, y := reader.Alloc(1), reader.Alloc(1)
 	err := reader.TryAtomic(func(tx *Txn) {
 		tx.Load(x)
@@ -113,11 +53,11 @@ func TestCrossShardExtendAborts(t *testing.T) {
 			wx.Store(x, 7) // invalidates the reader's snapshot
 			wx.Store(y, 7)
 		})
-		tx.Load(y) // version above rv[writer's shard] -> extend -> must fail
-		t.Error("reader survived a torn cross-shard snapshot")
+		tx.Load(y) // version above rv -> extend -> must fail
+		t.Error("reader survived a torn snapshot")
 	})
-	if code := abortCodeOf(t, err); code != AbortConflict {
-		t.Errorf("abort code = %v, want AbortConflict", code)
+	if code, addr := abortOf(t, err); code != AbortConflict || addr != x {
+		t.Errorf("abort %v at %#x, want AbortConflict at x %#x", code, uint32(addr), uint32(x))
 	}
 }
 
@@ -322,87 +262,85 @@ func TestSweepMetaStripeInvariants(t *testing.T) {
 	h.meta[l].Store(saved)
 }
 
-// TestClockStripeStressRace is the -race stress mix over the clock knob and
-// the line granule: mixed transactional read-modify-write, NT stores,
-// alloc/free churn and TLE overflow fallbacks, at each shard count, ending
-// with a full metadata sweep. Each shared block has three hot words 2^shift
-// apart: at shift 0 they share one line, at shift 2 they span two.
+// TestClockStripeStressRace is the -race stress mix over the clock and the
+// line granule: mixed transactional read-modify-write, NT stores, alloc/free
+// churn and TLE overflow fallbacks, ending with a full metadata sweep. Each
+// shared block has three hot words 2^shift apart: at shift 0 they share one
+// line, at shift 2 they span two. The subtest names keep the one clock's
+// shards=1 of the sharded clock they once varied.
 func TestClockStripeStressRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short")
 	}
-	for _, shards := range []int{1, 4} {
-		for _, shift := range []int{0, 2} {
-			t.Run(fmt.Sprintf("shards=%d/shift=%d", shards, shift), func(t *testing.T) {
-				sp := Addr(1) << shift
-				h := newTestHeap(t, Config{
-					Words:       1 << 16,
-					ClockShards: shards,
-					EnableTLE:   true,
-					MaxRetries:  8,
-				})
-				setup := h.NewThread()
-				shared := make([]Addr, 8)
-				for i := range shared {
-					shared[i] = setup.Alloc(int(2*sp + 1))
-				}
-				const workers = 4
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(seed uint64) {
-						defer wg.Done()
-						th := h.NewThread()
-						rng := seed*0x9E3779B97F4A7C15 | 1
-						next := func(n uint64) uint64 {
-							rng ^= rng << 13
-							rng ^= rng >> 7
-							rng ^= rng << 17
-							return rng % n
-						}
-						var mine Addr
-						for i := 0; i < 400; i++ {
-							blk := shared[next(uint64(len(shared)))]
-							switch next(4) {
-							case 0: // transactional RMW across two blocks
-								blk2 := shared[next(uint64(len(shared)))]
-								th.Atomic(func(tx *Txn) {
-									v := tx.Load(blk) + tx.Load(blk2+sp)
-									tx.Store(blk+2*sp, v)
-								})
-							case 1: // NT store (address-hashed shard tick)
-								h.StoreNT(blk+Addr(next(3))*sp, uint64(i))
-							case 2: // alloc/free churn on private blocks
-								if mine != NilAddr {
-									th.Free(mine)
-									mine = NilAddr
-								} else {
-									mine = th.Alloc(int(1 + next(5)))
-								}
-							case 3: // store-buffer overflow -> fallback path
-								th.Atomic(func(tx *Txn) {
-									base := shared[0]
-									for j := Addr(0); j < 3; j++ {
-										tx.Store(base+j*sp, tx.Load(base+j*sp)+1)
-									}
-								})
-							}
-						}
-						if mine != NilAddr {
-							th.Free(mine)
-						}
-					}(uint64(w + 1))
-				}
-				wg.Wait()
-				ms := h.SweepMeta()
-				if ms.Locked != 0 || ms.FallbackTagged != 0 || ms.StripeErrors != 0 {
-					t.Errorf("post-stress sweep: Locked=%d FallbackTagged=%d StripeErrors=%d",
-						ms.Locked, ms.FallbackTagged, ms.StripeErrors)
-				}
-				if live := h.Stats().LiveWords; ms.Allocated != live {
-					t.Errorf("post-stress leak: sweep=%d live=%d", ms.Allocated, live)
-				}
+	for _, shift := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=1/shift=%d", shift), func(t *testing.T) {
+			sp := Addr(1) << shift
+			h := newTestHeap(t, Config{
+				Words:      1 << 16,
+				EnableTLE:  true,
+				MaxRetries: 8,
 			})
-		}
+			setup := h.NewThread()
+			shared := make([]Addr, 8)
+			for i := range shared {
+				shared[i] = setup.Alloc(int(2*sp + 1))
+			}
+			const workers = 4
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(seed uint64) {
+					defer wg.Done()
+					th := h.NewThread()
+					rng := seed*0x9E3779B97F4A7C15 | 1
+					next := func(n uint64) uint64 {
+						rng ^= rng << 13
+						rng ^= rng >> 7
+						rng ^= rng << 17
+						return rng % n
+					}
+					var mine Addr
+					for i := 0; i < 400; i++ {
+						blk := shared[next(uint64(len(shared)))]
+						switch next(4) {
+						case 0: // transactional RMW across two blocks
+							blk2 := shared[next(uint64(len(shared)))]
+							th.Atomic(func(tx *Txn) {
+								v := tx.Load(blk) + tx.Load(blk2+sp)
+								tx.Store(blk+2*sp, v)
+							})
+						case 1: // NT store
+							h.StoreNT(blk+Addr(next(3))*sp, uint64(i))
+						case 2: // alloc/free churn on private blocks
+							if mine != NilAddr {
+								th.Free(mine)
+								mine = NilAddr
+							} else {
+								mine = th.Alloc(int(1 + next(5)))
+							}
+						case 3: // store-buffer overflow -> fallback path
+							th.Atomic(func(tx *Txn) {
+								base := shared[0]
+								for j := Addr(0); j < 3; j++ {
+									tx.Store(base+j*sp, tx.Load(base+j*sp)+1)
+								}
+							})
+						}
+					}
+					if mine != NilAddr {
+						th.Free(mine)
+					}
+				}(uint64(w + 1))
+			}
+			wg.Wait()
+			ms := h.SweepMeta()
+			if ms.Locked != 0 || ms.FallbackTagged != 0 || ms.StripeErrors != 0 {
+				t.Errorf("post-stress sweep: Locked=%d FallbackTagged=%d StripeErrors=%d",
+					ms.Locked, ms.FallbackTagged, ms.StripeErrors)
+			}
+			if live := h.Stats().LiveWords; ms.Allocated != live {
+				t.Errorf("post-stress leak: sweep=%d live=%d", ms.Allocated, live)
+			}
+		})
 	}
 }

@@ -12,11 +12,6 @@ const (
 	defaultMaxReadSet = 1 << 16
 )
 
-// MaxClockShards caps Config.ClockShards. 256 shards spend 8 bits of the
-// 61-bit version field on the shard ID, leaving 53 bits of per-shard tick —
-// still unreachable within any simulated run.
-const MaxClockShards = 256
-
 // FallbackOwnerBits is the width of the owner thread ID recorded in a word's
 // metadata while the fine-grained TLE fallback holds its lock. The merged
 // metadata word spends bit 0 on the lock, bit 1 on the allocated flag and the
@@ -97,16 +92,6 @@ type Config struct {
 	// this; space-measured runs must leave it unset.
 	NoMaxLive bool
 
-	// ClockShards is the number of independent version-clock shards (see
-	// DESIGN.md "Sharded clock"). Each committing writer
-	// ticks only its thread's home shard (cache-line padded), so disjoint
-	// commits stop serializing on one clock word; readers validate against a
-	// per-shard snapshot taken at begin. 0 or 1 selects the single global
-	// clock, whose semantics and version encoding are bit-for-bit those of the
-	// pre-shard engine. Values are rounded up to a power of two and capped at
-	// MaxClockShards.
-	ClockShards int
-
 	// FallbackSpins bounds how long the fine-grained TLE fallback spins on a
 	// locked line it reached OUT OF ADDRESS ORDER before engaging the
 	// deadlock-avoidance release-and-retry protocol (drop the whole lock-set,
@@ -150,15 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = defaultMaxRetries
-	}
-	if c.ClockShards < 1 {
-		c.ClockShards = 1
-	}
-	if c.ClockShards > MaxClockShards {
-		c.ClockShards = MaxClockShards
-	}
-	for c.ClockShards&(c.ClockShards-1) != 0 {
-		c.ClockShards++ // round up to a power of two
 	}
 	c.sandboxed = !c.NoSandbox
 	c.trackMaxLive = !c.NoMaxLive

@@ -7,9 +7,6 @@ package htm
 // ID returns the thread's unique identifier (1-based).
 func (th *Thread) ID() uint64 { return th.id }
 
-// ClockShard returns the version-clock shard this thread's commits tick.
-func (th *Thread) ClockShard() int { return th.clockShard }
-
 // BlockSize returns the payload size in words of the allocated block at a.
 func (th *Thread) BlockSize(a Addr) int { return th.h.alloc.blockSize(a) }
 
@@ -18,9 +15,6 @@ func (th *Thread) BlockSize(a Addr) int { return th.h.alloc.blockSize(a) }
 func (th *Thread) AttemptStats() (attempts, commits uint64) {
 	return th.attempts, th.commits
 }
-
-// ClockShardNow returns the current tick of clock shard s.
-func (h *Heap) ClockShardNow(s int) uint64 { return h.clock[s].v.Load() }
 
 // ResetMaxLive resets the live-words high-water mark to the current live
 // count, so space measurements can be scoped to an experiment phase.

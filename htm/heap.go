@@ -15,7 +15,7 @@ import (
 //
 //	bit 0     lock bit (held during commit write-back and NT writes)
 //	bit 1     allocated bit (set while the line belongs to a live block)
-//	bits 2-63 version: (per-shard tick << shardBits) | shard ID
+//	bits 2-63 version: the version-clock tick of the line's last transition
 //
 // Folding both cells into one atomic word makes every transactional load's
 // entire validation predicate — unlocked, allocated, version ≤ rv — a single
@@ -24,27 +24,23 @@ import (
 // starts every block (header included) on a line boundary and rounds its
 // footprint up to whole lines, so no line is ever shared between blocks.
 //
-// The version field is shard-relative (Config.ClockShards): the heap keeps one
-// padded clock word per shard, a writer ticks exactly one shard, and the
-// encoded version carries the shard ID in its low bits so a validator can
-// compare the tick against the right entry of its per-shard snapshot. With
-// ClockShards=1 (the default) shardBits is zero and the encoding degenerates
-// to the plain global-clock version of the pre-shard engine. Invariants:
+// The heap keeps one version clock (Heap.clock), and a version is one of its
+// ticks, so a validator's whole version test is one compare against its
+// snapshot rv. Invariants:
 //
 //   - Only live lines are ever locked (all lock paths check the allocated
 //     bit in the same word they CAS), so free lines are always unlocked and
 //     the allocator can transition them without a lock handshake.
-//   - Every transition writes a fresh version drawn from SOME shard's clock:
-//     commit write-back, NT writes, free, AND allocate. Writers that hold the
+//   - Every transition writes a fresh version drawn from the clock: commit
+//     write-back, NT writes, free, AND allocate. Writers that hold the
 //     affected metadata locks (commits, NT ops, the fallback) tick after
-//     acquiring them; alloc/free own their block exclusively. Versions within
-//     one shard are strictly monotonic and a (tick, shard) pair can never
-//     recur, which is what keeps recorded metadata words unrepeatable. The
-//     version bump on free is the generation flip of the old design; the bump
-//     on allocate is what forces any transaction that read the block's
-//     previous life to revalidate (and fail) before it can observe the new
-//     one. See DESIGN.md "Line metadata" and "Sharded clock" for the sandbox
-//     and linearization arguments.
+//     acquiring them; alloc/free own their block exclusively. Versions are
+//     strictly monotonic and a tick can never recur, which is what keeps
+//     recorded metadata words unrepeatable. The version bump on free is the
+//     generation flip of the old design; the bump on allocate is what forces
+//     any transaction that read the block's previous life to revalidate (and
+//     fail) before it can observe the new one. See DESIGN.md "Line metadata"
+//     and "The version clock" for the sandbox and linearization arguments.
 const (
 	metaLockBit  uint64 = 1 << 0
 	metaAllocBit uint64 = 1 << 1
@@ -56,10 +52,9 @@ const (
 	// is preserved in the owner's lock-set and the release writes either that
 	// word back (read-locked) or a fresh version (written), so no version
 	// information is lost and version monotonicity is preserved. The tag sits
-	// in the version field's top bit: each clock shard ticks once per
-	// committed write/alloc/free transition and the shard ID occupies at most
-	// 8 low bits, so a real encoded version can never reach 2^61. The tag
-	// lets a contending fallback distinguish a long-held
+	// in the version field's top bit: the clock ticks once per committed
+	// write/alloc/free transition, so a real version can never reach 2^61.
+	// The tag lets a contending fallback distinguish a long-held
 	// fallback lock (apply the deadlock-avoidance protocol) from a commit
 	// write-back (always short: commits never wait while holding locks, so
 	// spinning is safe), and makes the owner readable in a debugger.
@@ -96,9 +91,9 @@ func makeMeta(version uint64, allocated bool) uint64 {
 	return m
 }
 
-// clockLine is one version-clock shard, padded to a full cache line so that
-// commits homed on different shards never contend on adjacent clock words —
-// the whole point of sharding the clock.
+// clockLine is the version clock, padded to a full cache line of its own and
+// allocated apart from the Heap, so that the commits, allocs and frees that
+// tick it never invalidate the line holding the heap's hot read-only fields.
 type clockLine struct {
 	v atomic.Uint64
 	_ [7]uint64
@@ -113,17 +108,15 @@ type Heap struct {
 	words []atomic.Uint64 // word values
 	meta  []atomic.Uint64 // per-line metadata: lock | allocated | version
 
-	// Sharded version clock (Config.ClockShards). Every writer ticks exactly
-	// one shard — its thread's home shard, or an address-hashed shard for the
-	// threadless NT operations — and encodes the shard ID into the versions
-	// it publishes (shardBits/shardMask below decode that encoding).
-	clock []clockLine
+	// The version clock. Every writer ticks it once and publishes the tick
+	// as the version of the lines it wrote (see tick).
+	clock *clockLine
 
 	// TLE fallback dispatch (Config.EnableTLE; see mode.go). fallbackSeq is
 	// the global fallback lock's epoch: even when free, odd while a global
 	// critical section is in flight; hardware attempts snapshot it at begin
-	// and revalidate it at extend and commit. It sits beside the clock slice
-	// header, which every begin loads anyway, so that snapshot does not pull
+	// and revalidate it at extend and commit. It sits beside the clock
+	// pointer, which every begin loads anyway, so that snapshot does not pull
 	// in a cache line of its own. fbMode is the runtime mode word consulted
 	// at fallback entry, seeded by Config.GlobalFallback; fallbackMu is the
 	// global fallback lock; fbSpins is the live FallbackSpins knob, read as
@@ -135,11 +128,6 @@ type Heap struct {
 	fallbackMu   sync.Mutex
 	fbSpins      atomic.Int64
 	modeSwitches atomic.Uint64
-
-	// Version encoding (tick<<shardBits | shard); both are zero with one clock
-	// shard, collapsing the scheme to the single global clock.
-	shardBits uint
-	shardMask uint64
 
 	alloc   allocator
 	stats   stats
@@ -159,14 +147,10 @@ type Heap struct {
 func NewHeap(cfg Config) *Heap {
 	cfg = cfg.withDefaults()
 	h := &Heap{
-		cfg:       cfg,
-		words:     make([]atomic.Uint64, cfg.Words),
-		meta:      make([]atomic.Uint64, (cfg.Words+int(lineMask))>>lineShift),
-		clock:     make([]clockLine, cfg.ClockShards),
-		shardMask: uint64(cfg.ClockShards - 1),
-	}
-	for n := cfg.ClockShards; n > 1; n >>= 1 {
-		h.shardBits++
+		cfg:   cfg,
+		words: make([]atomic.Uint64, cfg.Words),
+		meta:  make([]atomic.Uint64, (cfg.Words+int(lineMask))>>lineShift),
+		clock: new(clockLine),
 	}
 	if cfg.Faults != nil {
 		h.ntYieldThresh = yieldThreshold(cfg.Faults.YieldEvery)
@@ -189,23 +173,14 @@ const (
 // lineOf maps a word address to its line: the index of its metadata word.
 func lineOf(a Addr) int { return int(a) >> lineShift }
 
-// tickShard advances shard s of the version clock and returns the new tick
-// encoded as a version (tick<<shardBits | s). Callers must already exclude
-// every concurrent writer of the metadata words the version will be stored to
-// (by holding their locks, or — for alloc/free — by owning the block).
-func (h *Heap) tickShard(s int) uint64 {
-	return h.clock[s].v.Add(1)<<h.shardBits | uint64(s)
-}
-
-// ntShard picks the clock shard ticked by a non-transactional write to a.
-// NT operations have no Thread and hence no home shard; any shard is correct
-// (the encoded version always names the shard that was ticked), so hash the
-// address to spread unrelated NT traffic across shards.
-func (h *Heap) ntShard(a Addr) int { return int(uint64(a) & h.shardMask) }
-
-// versionTick and versionShard decode an encoded version.
-func (h *Heap) versionTick(v uint64) uint64 { return v >> h.shardBits }
-func (h *Heap) versionShard(v uint64) int   { return int(v & h.shardMask) }
+// tick advances the version clock and returns the new tick, which is the
+// version the caller publishes. Callers must already exclude every concurrent
+// writer of the metadata words the version will be stored to (by holding
+// their locks, or — for alloc/free — by owning the block). It bumps no
+// statistic: Stats.ClockShardTicks is derived, so every tick a thread issues
+// must end in a counter that implies it (writeCommits, allocCalls, freeCalls)
+// or bump extraTicks itself; the threadless NT operations' ticks go uncounted.
+func (h *Heap) tick() uint64 { return h.clock.v.Add(1) }
 
 // Config returns the effective configuration of the heap.
 func (h *Heap) Config() Config { return h.cfg }
@@ -326,7 +301,7 @@ func (h *Heap) StoreNT(a Addr, v uint64) {
 	h.checkNTAddr(a, "store")
 	h.lockMeta(a, "store")
 	h.words[a].Store(v)
-	wv := h.tickShard(h.ntShard(a))
+	wv := h.tick()
 	h.releaseMeta(lineOf(a), wv)
 }
 
@@ -342,7 +317,7 @@ func (h *Heap) CASNT(a Addr, old, new uint64) bool {
 		return false
 	}
 	h.words[a].Store(new)
-	wv := h.tickShard(h.ntShard(a))
+	wv := h.tick()
 	h.releaseMeta(lineOf(a), wv)
 	return true
 }
@@ -355,23 +330,12 @@ func (h *Heap) AddNT(a Addr, delta uint64) uint64 {
 	h.lockMeta(a, "add")
 	v := h.words[a].Load() + delta
 	h.words[a].Store(v)
-	wv := h.tickShard(h.ntShard(a))
+	wv := h.tick()
 	h.releaseMeta(lineOf(a), wv)
 	return v
 }
 
-// ClockNow returns the total number of version-clock ticks across all shards.
-// With ClockShards=1 this is exactly the pre-shard global clock value; with
-// more shards it is a census, not a version — versions are shard-relative and
-// only per-shard ticks are comparable. It is exported for the queue and
-// internal/core tests, which pin clock ticks per operation.
-func (h *Heap) ClockNow() uint64 {
-	var sum uint64
-	for i := range h.clock {
-		sum += h.clock[i].v.Load()
-	}
-	return sum
-}
-
-// ClockShards returns the effective number of version-clock shards.
-func (h *Heap) ClockShards() int { return len(h.clock) }
+// ClockNow returns the version clock: the number of ticks issued so far. It
+// is exported for the queue and internal/core tests, which pin clock ticks
+// per operation.
+func (h *Heap) ClockNow() uint64 { return h.clock.v.Load() }

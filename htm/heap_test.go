@@ -16,15 +16,26 @@ func newTestHeap(t testing.TB, cfg Config) *Heap {
 }
 
 // geometries are the heap shapes the twin and stress tables run under: the
-// single clock and a 4-shard clock, both over 8-word lines. A row's name is
-// its test ID; the second row's shift=2 is the width of a metadata stripe it
-// also varied before the line became the one conflict granule.
+// plain heap and the TLE heap kv runs, both over 8-word lines. A row's name is
+// its test ID; the second row once ran a 4-shard clock and a 4-word metadata
+// stripe, before the clock became one word and the line the one conflict
+// granule. A table OR-s the row's EnableTLE into its scenario's own.
 var geometries = []struct {
 	name string
 	cfg  Config
 }{
 	{"shards=0,shift=0", Config{}},
-	{"shards=4,shift=2", Config{ClockShards: 4}},
+	{"shards=4,shift=2", Config{EnableTLE: true}},
+}
+
+// clockRows are the heap shapes the clock tests run under, named as
+// geometries are: the second row's name is that of the 4-shard clock it ran.
+var clockRows = []struct {
+	name string
+	cfg  Config
+}{
+	{"shards=1", Config{}},
+	{"shards=4", Config{EnableTLE: true}},
 }
 
 func TestNewHeapDefaults(t *testing.T) {
@@ -41,6 +52,11 @@ func TestNewHeapDefaults(t *testing.T) {
 	}
 	if cfg.MaxRetries != defaultMaxRetries {
 		t.Errorf("MaxRetries = %d, want %d", cfg.MaxRetries, defaultMaxRetries)
+	}
+	for _, words := range []int{1 << 10, 1<<10 + 1} {
+		if h := NewHeap(Config{Words: words}); len(h.meta) != (words+7)/8 {
+			t.Errorf("%d words: %d metadata words, want one per line", words, len(h.meta))
+		}
 	}
 }
 
@@ -165,7 +181,7 @@ func TestLoadNTWaitsOutAHeldLine(t *testing.T) {
 		runtime.Gosched()
 	}
 	h.words[a+1].Store(8)
-	h.meta[l].Store(makeMeta(h.tickShard(0), true))
+	h.meta[l].Store(makeMeta(h.tick(), true))
 	if v := <-done; v != 8 {
 		t.Errorf("LoadNT across a held line returned %d, want the released 8", v)
 	}
@@ -298,8 +314,8 @@ func TestStatsAbortRateZeroStarts(t *testing.T) {
 func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Words", "StoreBufferSize", "MaxReadSet", "NoSandbox", "AllowAllocInTxn",
-		"MaxRetries", "EnableTLE", "GlobalFallback", "NoMaxLive", "ClockShards",
-		"FallbackSpins", "Faults",
+		"MaxRetries", "EnableTLE", "GlobalFallback", "NoMaxLive", "FallbackSpins",
+		"Faults",
 	}
 	var got []string
 	rt := reflect.TypeOf(Config{})

@@ -2,7 +2,6 @@ package htm
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -35,32 +34,23 @@ func TestMetaEncodingRoundTrip(t *testing.T) {
 }
 
 // TestAllocFreeSingleTickPerTransition pins the merged design's clock
-// discipline, shard-relatively: allocate and free each tick the owning
-// thread's home clock shard exactly once per block (one fresh version stamps
-// every word of the transition), not once per word — and no other shard
-// moves.
+// discipline: allocate and free each tick the version clock exactly once per
+// block (one fresh version stamps every word of the transition), not once per
+// word.
 func TestAllocFreeSingleTickPerTransition(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			h := newTestHeap(t, Config{ClockShards: shards})
+	for _, row := range clockRows {
+		t.Run(row.name, func(t *testing.T) {
+			h := newTestHeap(t, row.cfg)
 			th := h.NewThread()
 			a := th.Alloc(8)
 			before := h.ClockNow()
-			home := th.ClockShard()
-			homeBefore := h.ClockShardNow(home)
 			th.Free(a)
 			if got := h.ClockNow(); got != before+1 {
-				t.Errorf("free of 8-word block ticked clocks %d times, want 1", got-before)
-			}
-			if got := h.ClockShardNow(home); got != homeBefore+1 {
-				t.Errorf("free ticked home shard %d times, want 1", got-homeBefore)
+				t.Errorf("free of 8-word block ticked the clock %d times, want 1", got-before)
 			}
 			b := th.Alloc(8)
 			if got := h.ClockNow(); got != before+2 {
-				t.Errorf("alloc of 8-word block ticked clocks %d times, want 1", got-before-1)
-			}
-			if got := h.ClockShardNow(home); got != homeBefore+2 {
-				t.Errorf("alloc ticked home shard %d times, want 1", got-homeBefore-1)
+				t.Errorf("alloc of 8-word block ticked the clock %d times, want 1", got-before-1)
 			}
 			if b != a {
 				t.Logf("allocator did not recycle (%#x -> %#x); tick counts still checked", uint32(a), uint32(b))
@@ -70,15 +60,14 @@ func TestAllocFreeSingleTickPerTransition(t *testing.T) {
 }
 
 // TestReallocVersionExceedsFreeVersion checks the linchpin of the sandbox
-// argument, per shard: within one clock shard versions are strictly
-// monotonic across a block's free and reuse, and across shards the encoded
-// metadata words never repeat — so a transaction holding a pre-free read can
-// never accept post-reallocation state without an extension that revalidates
-// (and fails on) the old entry, whatever shards the transitions ticked.
+// argument: versions are strictly monotonic across a block's free and reuse,
+// so the metadata words never repeat — and a transaction holding a pre-free
+// read can never accept post-reallocation state without an extension that
+// revalidates (and fails on) the old entry.
 func TestReallocVersionExceedsFreeVersion(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			h := newTestHeap(t, Config{ClockShards: shards})
+	for _, row := range clockRows {
+		t.Run(row.name, func(t *testing.T) {
+			h := newTestHeap(t, row.cfg)
 			th := h.NewThread()
 			a := th.Alloc(2)
 			h.StoreNT(a, 1) // bump the word's version past its birth version
@@ -91,15 +80,9 @@ func TestReallocVersionExceedsFreeVersion(t *testing.T) {
 			if freedMeta == liveMeta {
 				t.Error("free did not rewrite the metadata word")
 			}
-			// The free ticked th's home shard; shard-relative monotonicity
-			// only compares versions drawn from one shard.
-			if s := h.versionShard(metaVersion(freedMeta)); s != th.ClockShard() {
-				t.Errorf("free versioned from shard %d, want home shard %d", s, th.ClockShard())
-			}
-			if h.versionShard(metaVersion(liveMeta)) == h.versionShard(metaVersion(freedMeta)) &&
-				h.versionTick(metaVersion(freedMeta)) <= h.versionTick(metaVersion(liveMeta)) {
-				t.Errorf("free did not advance its shard's version: %d -> %d",
-					h.versionTick(metaVersion(liveMeta)), h.versionTick(metaVersion(freedMeta)))
+			if metaVersion(freedMeta) <= metaVersion(liveMeta) {
+				t.Errorf("free did not advance the version: %d -> %d",
+					metaVersion(liveMeta), metaVersion(freedMeta))
 			}
 			b := th.Alloc(2)
 			if b != a {
@@ -109,15 +92,9 @@ func TestReallocVersionExceedsFreeVersion(t *testing.T) {
 			if !metaAllocated(reusedMeta) {
 				t.Fatal("reallocated word not marked allocated")
 			}
-			// Free and realloc ran on the same thread, hence the same home
-			// shard: the tick comparison is exact, pinning per-shard
-			// monotonicity across reuse.
-			if s := h.versionShard(metaVersion(reusedMeta)); s != th.ClockShard() {
-				t.Errorf("realloc versioned from shard %d, want home shard %d", s, th.ClockShard())
-			}
-			if h.versionTick(metaVersion(reusedMeta)) <= h.versionTick(metaVersion(freedMeta)) {
-				t.Errorf("realloc did not advance its shard's version: %d -> %d",
-					h.versionTick(metaVersion(freedMeta)), h.versionTick(metaVersion(reusedMeta)))
+			if metaVersion(reusedMeta) <= metaVersion(freedMeta) {
+				t.Errorf("realloc did not advance the version: %d -> %d",
+					metaVersion(freedMeta), metaVersion(reusedMeta))
 			}
 		})
 	}

@@ -172,8 +172,8 @@ type Stats struct {
 	AllocCalls, FreeCalls uint64
 	// ClockShardTicks counts version-clock ticks issued through threads —
 	// commits, fallback commits, allocs and frees. Ticks by threadless NT
-	// operations (address-hashed shards) are not counted. At quiescence with
-	// no NT writes it equals ClockNow(), the sum over all shards. It is
+	// operations are not counted. At quiescence with no NT writes it equals
+	// ClockNow(). It is
 	// derived: every write commit, alloc and free ticks exactly once and is
 	// already counted, so only the ticks nothing else implies (a fine-grained
 	// fallback's release, a commit that ticked and then failed validation)

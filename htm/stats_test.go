@@ -48,7 +48,7 @@ func TestDerivedCountersScriptedMix(t *testing.T) {
 		name string
 		cfg  Config
 	}
-	legs := []leg{{"plain", Config{}}, {"shards4-stripe2", Config{ClockShards: 4}}}
+	legs := []leg{{"plain", Config{}}, {"shards4-stripe2", Config{EnableTLE: true}}}
 	for _, l := range legs[:2] {
 		l.cfg.NoMaxLive = true
 		legs = append(legs, leg{l.name + "/nomaxlive", l.cfg})
@@ -246,12 +246,15 @@ func TestStartsCountsEndedAttempts(t *testing.T) {
 // at quiescence every attempt and every tick must still be accounted for,
 // including the commits that tick and then lose read-set validation.
 func TestDerivedCountersUnderContention(t *testing.T) {
-	for _, cfg := range []Config{
-		{Words: 1 << 14},
-		{Words: 1 << 14, ClockShards: 4, EnableTLE: true, MaxRetries: 4},
+	for _, row := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"shards0-tlefalse", Config{Words: 1 << 14}},
+		{"shards4-tletrue", Config{Words: 1 << 14, EnableTLE: true, MaxRetries: 4}},
 	} {
-		t.Run(fmt.Sprintf("shards%d-tle%v", cfg.ClockShards, cfg.EnableTLE), func(t *testing.T) {
-			h := NewHeap(cfg)
+		t.Run(row.name, func(t *testing.T) {
+			h := NewHeap(row.cfg)
 			setup := h.NewThread()
 			shared := setup.Alloc(4)
 			const workers, ops = 4, 2000

@@ -13,14 +13,9 @@ type Thread struct {
 	h     *Heap
 	id    uint64
 	shard int // allocator home shard
-	// clockShard is the version-clock shard this thread's commits, allocs and
-	// frees tick (Config.ClockShards). Assigning threads round-robin by ID
-	// keeps concurrently created threads on distinct shards, so disjoint
-	// commits from different threads never RMW a shared clock line.
-	clockShard int
-	rng        uint64
-	txn        Txn
-	inTxn      bool
+	rng   uint64
+	txn   Txn
+	inTxn bool
 
 	// cell is this thread's private statistics block; see stats.
 	cell *statCell
@@ -39,21 +34,16 @@ type Thread struct {
 func (h *Heap) NewThread() *Thread {
 	id := h.nextTID.Add(1)
 	th := &Thread{
-		h:          h,
-		id:         id,
-		shard:      int(id) & (len(h.alloc.shards) - 1),
-		clockShard: int(id & h.shardMask),
-		rng:        id*0x9E3779B97F4A7C15 | 1,
-		cell:       h.stats.register(),
+		h:     h,
+		id:    id,
+		shard: int(id) & (len(h.alloc.shards) - 1),
+		rng:   id*0x9E3779B97F4A7C15 | 1,
+		cell:  h.stats.register(),
 	}
 	th.txn.th = th
 	th.txn.h = h
 	th.txn.words = h.words
 	th.txn.meta = h.meta
-	th.txn.clock = h.clock
-	th.txn.shardBits = h.shardBits
-	th.txn.shardMask = h.shardMask
-	th.txn.rv = make([]uint64, len(h.clock))
 	th.txn.maxReadSet = h.cfg.MaxReadSet
 	th.txn.storeBufSize = h.cfg.StoreBufferSize
 	th.txn.dedupAfter = h.cfg.dedupBypassThreshold()
@@ -63,16 +53,6 @@ func (h *Heap) NewThread() *Thread {
 		th.txn.env = newThreadEnv(h.cfg.Faults, id)
 	}
 	return th
-}
-
-// tickClock advances this thread's home clock shard and returns the encoded
-// version. Callers must hold (or exclusively own) every metadata word the
-// version will be published to — see Heap.tickShard. It bumps no statistic:
-// Stats.ClockShardTicks is derived, so every caller must either end in a
-// counter that implies the tick (writeCommits, allocCalls, freeCalls) or bump
-// extraTicks itself.
-func (th *Thread) tickClock() uint64 {
-	return th.h.tickShard(th.clockShard)
 }
 
 // Heap returns the heap this thread operates on.
@@ -151,12 +131,9 @@ func (th *Thread) begin() *Txn {
 			runtime.Gosched()
 		}
 	}
-	// Snapshot every clock shard. One load per shard, no RMW: begin leaves no
-	// trace on any shared cache line. With one shard this is the scalar
-	// rv = clock.Load() of the pre-shard engine.
-	for i := range t.rv {
-		t.rv[i] = h.clock[i].v.Load()
-	}
+	// Snapshot the clock. One load, no RMW: begin leaves no trace on any
+	// shared cache line.
+	t.rv = h.clock.v.Load()
 	th.attempts++ // thread-private; Stats.Starts is derived from the outcome counters
 	if t.env != nil {
 		t.env.attemptStart()

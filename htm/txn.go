@@ -43,7 +43,7 @@ type writeEntry struct {
 // prev is the metadata that Store observed, lock bit cleared. Commit
 // acquisition CASes the line from exactly that word, so a line that changed in
 // ANY way since its first store — a concurrent commit, an NT write, a free, or
-// a free-and-reallocation — fails acquisition and aborts. Per-shard version
+// a free-and-reallocation — fails acquisition and aborts. Version
 // monotonicity makes the recorded word unrepeatable, which is what keeps a
 // blind write from ever landing in a reused block's new life.
 //
@@ -65,12 +65,9 @@ type lineEntry struct {
 type Txn struct {
 	th *Thread
 	h  *Heap
-	// rv is the read-validity snapshot: one tick per clock shard, taken at
-	// begin and advanced wholesale by extend(). A version with shard s and
-	// tick k is readable iff k <= rv[s]. With one shard this is the classic
-	// TL2 scalar timestamp; the slice is allocated once per Thread and reused
-	// by every attempt, so begin stays allocation-free.
-	rv     []uint64
+	// rv is the read-validity snapshot, TL2's timestamp: the clock as begin
+	// read it, advanced by extend(). A version is readable iff it is <= rv.
+	rv     uint64
 	fbSeq  uint64 // fallback-lock sequence observed at begin
 	reads  []readEntry
 	writes []writeEntry
@@ -91,9 +88,6 @@ type Txn struct {
 	// cfg) on every transactional access.
 	words        []atomic.Uint64
 	meta         []atomic.Uint64
-	clock        []clockLine // the heap's sharded version clock
-	shardBits    uint        // version encoding: tick<<shardBits | shard
-	shardMask    uint64
 	maxReadSet   int
 	storeBufSize int
 	dedupAfter   int  // read-set length at which dedup engages (see below)
@@ -500,13 +494,13 @@ func (t *Txn) validate() (Addr, bool) {
 }
 
 // extend attempts to move the read-validity snapshot forward after
-// encountering a version newer than its shard's rv entry, aborting on any
-// stale read. This gives the engine HTM-like conflict behaviour: transactions
-// abort only when a word they actually read or wrote is modified
-// concurrently. The shard clocks are re-read BEFORE revalidating, exactly as
-// the scalar scheme read the clock before validate(): any write that the new
-// snapshot admits but that landed before the scan is caught by the equality
-// revalidation, so a torn snapshot can never be certified.
+// encountering a version newer than rv, aborting on any stale read at the
+// address that failed validation. This gives the engine HTM-like conflict
+// behaviour: transactions abort only when a word they actually read or wrote
+// is modified concurrently. The clock is re-read BEFORE revalidating: any
+// write that the new snapshot admits but that landed before the read is
+// caught by the equality revalidation, so a torn snapshot can never be
+// certified.
 func (t *Txn) extend() {
 	// A timestamp extension across a global-lock fallback acquisition could
 	// mix pre- and post-critical-section state; abort instead, exactly as a
@@ -517,11 +511,9 @@ func (t *Txn) extend() {
 	if t.tle && t.h.fallbackSeq.Load() != t.fbSeq {
 		t.abort(AbortFallback, NilAddr)
 	}
-	for i := range t.rv {
-		t.rv[i] = t.clock[i].v.Load()
-	}
-	if _, ok := t.validate(); !ok {
-		t.abort(AbortConflict, NilAddr)
+	t.rv = t.h.clock.v.Load()
+	if a, ok := t.validate(); !ok {
+		t.abort(AbortConflict, a)
 	}
 }
 
@@ -569,10 +561,7 @@ func (t *Txn) Load(a Addr) uint64 {
 		if t.meta[mi].Load() != m1 {
 			continue
 		}
-		// The version is shard-relative: compare its tick against the rv
-		// entry of the shard that issued it (one decode, one indexed load;
-		// with one shard this is exactly the scalar version > rv test).
-		if ver := metaVersion(m1); ver>>t.shardBits > t.rv[ver&t.shardMask] {
+		if metaVersion(m1) > t.rv {
 			t.extend()
 			// The word may have changed again between the value read and the
 			// extension; re-read under the new snapshot.
@@ -665,10 +654,9 @@ func (t *Txn) LoadWords(a Addr, dst []uint64) {
 // cut to the range: the atomic loads are compiler barriers, so a t.field or a
 // bounds check inside them is paid again after every one.
 func (t *Txn) loadRun(a Addr, dst []uint64, ents []readEntry) int {
-	words, meta, dst := t.words[a:][:len(ents)], t.meta, dst[:len(ents)]
+	words, meta, rv, dst := t.words[a:][:len(ents)], t.meta, t.rv, dst[:len(ents)]
 	readable := func(m uint64) bool {
-		ver := metaVersion(m)
-		return m&(metaLockBit|metaAllocBit) == metaAllocBit && ver>>(t.shardBits&63) <= t.rv[ver&t.shardMask]
+		return m&(metaLockBit|metaAllocBit) == metaAllocBit && metaVersion(m) <= rv
 	}
 	for i := 0; i < len(ents); {
 		l := lineOf(a + Addr(i))
@@ -753,15 +741,13 @@ func (t *Txn) LoadStrided(a Addr, stride int, dst []uint64) {
 // compiler barriers.
 func (t *Txn) stridedRun(a Addr, stride int, dst []uint64, ents []readEntry) int {
 	words, meta, rv := t.words, t.meta, t.rv
-	shardBits, shardMask := t.shardBits&63, t.shardMask
 	dst = dst[:len(ents)]
 	w := int(a)
 	for i := 0; i < len(ents); {
 		l := w >> lineShift
 		mw := &meta[l]
 		m1 := mw.Load()
-		ver := metaVersion(m1)
-		if m1&(metaLockBit|metaAllocBit) != metaAllocBit || ver>>shardBits > rv[ver&shardMask] {
+		if m1&(metaLockBit|metaAllocBit) != metaAllocBit || metaVersion(m1) > rv {
 			return i
 		}
 		for ; i < len(ents) && w>>lineShift == l; i++ {
@@ -938,11 +924,11 @@ func (t *Txn) commit() (AbortCode, Addr) {
 					runtime.Gosched()
 				}
 			}
-			// Tick the home shard with the whole lock-set held — same
+			// Tick the clock with the whole lock-set held — same
 			// lock-then-tick order as a hardware commit. No other counter
 			// implies this tick (FallbackRuns also counts read-only and
 			// global runs), so it is counted here.
-			t.fbRelease(t.th.tickClock())
+			t.fbRelease(t.h.tick())
 			bump(&t.th.cell.extraTicks)
 		default:
 			t.fbRelease(0)
@@ -1023,12 +1009,11 @@ func (t *Txn) publish() (AbortCode, Addr) {
 	// first store recorded to that word locked. The CAS doubles as full
 	// validation of every write to the line — a concurrent commit, an NT
 	// write, a free, or a free-and-reallocation since the first store all
-	// rewrote the metadata (versions only grow within their shard and the
-	// shard rides in the encoding, so a recorded word can never recur), and
-	// each fails the acquisition. In particular a blind write can never land
-	// in a reused block's new life, and a freed line is never locked (which
-	// is what lets the allocator transition free lines with a bare CAS
-	// instead of a lock handshake).
+	// rewrote the metadata (versions only grow, so a recorded word can never
+	// recur), and each fails the acquisition. In particular a blind write can
+	// never land in a reused block's new life, and a freed line is never
+	// locked (which is what lets the allocator transition free lines with a
+	// bare CAS instead of a lock handshake).
 	for i := range lines {
 		l := &lines[i]
 		mw := &meta[l.addr>>lineShift]
@@ -1045,12 +1030,12 @@ func (t *Txn) publish() (AbortCode, Addr) {
 		}
 	}
 
-	// Tick the home shard of the version clock. The order is load-bearing and
-	// unchanged from the scalar clock: every write lock is already held, so
-	// any transaction whose begin-scan observes this tick and then reads one
-	// of our lines either sees it locked (waits/aborts) or sees the fresh
-	// version — never the old value under a snapshot that admits the new one.
-	wv := t.th.tickClock()
+	// Tick the version clock. The order is load-bearing: every write lock is
+	// already held, so any transaction whose begin observes this tick and
+	// then reads one of our lines either sees it locked (waits/aborts) or sees
+	// the fresh version — never the old value under a snapshot that admits
+	// the new one.
+	wv := t.h.tick()
 
 	// Validate the read set. A line we hold is validated against the metadata
 	// it was locked from: it must read as our lock on exactly the word the

@@ -2,7 +2,6 @@ package htm
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -404,39 +403,31 @@ func TestSnapshotConsistencyWithNTWriter(t *testing.T) {
 	wg.Wait()
 }
 
-// TestClockMonotonic pins the shard-relative tick discipline: every
-// committing write transaction ticks its thread's home clock shard exactly
-// once, and only that shard (the total across shards advances by exactly the
-// home shard's delta).
+// TestClockMonotonic pins the tick discipline: every committing write
+// transaction ticks the version clock exactly once.
 func TestClockMonotonic(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			h := newTestHeap(t, Config{ClockShards: shards})
+	for _, row := range clockRows {
+		t.Run(row.name, func(t *testing.T) {
+			h := newTestHeap(t, row.cfg)
 			th := h.NewThread()
 			a := th.Alloc(1)
-			home := th.ClockShard()
-			prev := h.ClockShardNow(home)
-			prevTotal := h.ClockNow()
+			prev := h.ClockNow()
 			for i := 0; i < 100; i++ {
 				th.Atomic(func(tx *Txn) { tx.Store(a, uint64(i)) })
-				now := h.ClockShardNow(home)
+				now := h.ClockNow()
 				if now != prev+1 {
-					t.Fatalf("home shard ticked %d times for one commit", now-prev)
-				}
-				if total := h.ClockNow(); total != prevTotal+1 {
-					t.Fatalf("commit moved a foreign shard: total %d -> %d", prevTotal, total)
+					t.Fatalf("clock ticked %d times for one commit", now-prev)
 				}
 				prev = now
-				prevTotal++
 			}
 		})
 	}
 }
 
 func TestReadOnlyTxnDoesNotAdvanceClock(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			h := newTestHeap(t, Config{ClockShards: shards})
+	for _, row := range clockRows {
+		t.Run(row.name, func(t *testing.T) {
+			h := newTestHeap(t, row.cfg)
 			th := h.NewThread()
 			a := th.Alloc(1)
 			before := h.ClockNow()

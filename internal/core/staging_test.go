@@ -280,9 +280,9 @@ func TestOversizedFixedStepTerminates(t *testing.T) {
 // is the repo benchmark's: every sentinel (registered once, never churned) is
 // in every Collect, every other value is one the churner issued, and the heap
 // sweeps clean afterwards. Both append arrays gather with Txn.LoadStrided, so
-// both run, at the default geometry and with a sharded clock. The geometry
-// rows' names are their test IDs, kept from when the second row also varied
-// a metadata stripe width.
+// both run, on the plain heap and on the TLE heap kv runs. The geometry rows'
+// names are their test IDs, kept from when the second row varied the clock's
+// shard count and a metadata stripe width.
 func TestStressCollectUnderChurn(t *testing.T) {
 	const sentinels, churned = 8, 64
 	const sentinelTag = Value(1) << 62
@@ -300,7 +300,7 @@ func TestStressCollectUnderChurn(t *testing.T) {
 			for _, geo := range []struct {
 				name string
 				cfg  htm.Config
-			}{{"shards=0,shift=0", htm.Config{}}, {"shards=4,shift=2", htm.Config{ClockShards: 4}}} {
+			}{{"shards=0,shift=0", htm.Config{}}, {"shards=4,shift=2", htm.Config{EnableTLE: true}}} {
 				t.Run(geo.name, func(t *testing.T) {
 					geo.cfg.Words = 1 << 18
 					h := htm.NewHeap(geo.cfg)

@@ -23,40 +23,39 @@ import (
 // same fault and abort counts, so any failure replays exactly).
 
 // chaosGoldens are the deterministic phase's fingerprints, each seed's plain
-// row (shards=1 adapt=0) first. Each line's seed, ops, shards and adapt fields
-// also configure its run. They are edited by hand and only
+// row (adapt=0) first. Each line's seed, ops and adapt fields also configure
+// its run. They are edited by hand and only
 // on purpose: fault schedules count transactional accesses, so a changed line
 // means a change moved the per-operation access sequence, and that change
 // must say so.
 var chaosGoldens = []string{
-	"determinism-key: seed=1 ops=1000 shards=1 adapt=0 starts=1611 commits=1133 spurious=478 conflicts=0 capacity=0 fallbacks=58 stalls=18 fulls=0 gets=232 puts=489 dels=322 scans=148 model=75f9ae5722a308ad",
-	"determinism-key: seed=2 ops=1000 shards=1 adapt=0 starts=1665 commits=1104 spurious=561 conflicts=0 capacity=0 fallbacks=74 stalls=15 fulls=0 gets=236 puts=449 dels=321 scans=172 model=44bd26a85c988ae0",
-	"determinism-key: seed=7 ops=1000 shards=1 adapt=0 starts=1605 commits=1115 spurious=490 conflicts=0 capacity=0 fallbacks=63 stalls=17 fulls=0 gets=247 puts=444 dels=324 scans=163 model=97ad13ec213c8cd2",
-	"determinism-key: seed=1 ops=1000 shards=4 adapt=0 starts=1611 commits=1133 spurious=478 conflicts=0 capacity=0 fallbacks=58 stalls=18 fulls=0 gets=232 puts=489 dels=322 scans=148 model=75f9ae5722a308ad",
-	"determinism-key: seed=1 ops=1000 shards=1 adapt=1 starts=1611 commits=1133 spurious=478 conflicts=0 capacity=0 fallbacks=58 stalls=18 fulls=0 gets=232 puts=489 dels=322 scans=148 model=75f9ae5722a308ad",
+	"determinism-key: seed=1 ops=1000 adapt=0 starts=1611 commits=1133 spurious=478 conflicts=0 capacity=0 fallbacks=58 stalls=18 fulls=0 gets=232 puts=489 dels=322 scans=148 model=75f9ae5722a308ad",
+	"determinism-key: seed=2 ops=1000 adapt=0 starts=1665 commits=1104 spurious=561 conflicts=0 capacity=0 fallbacks=74 stalls=15 fulls=0 gets=236 puts=449 dels=321 scans=172 model=44bd26a85c988ae0",
+	"determinism-key: seed=7 ops=1000 adapt=0 starts=1605 commits=1115 spurious=490 conflicts=0 capacity=0 fallbacks=63 stalls=17 fulls=0 gets=247 puts=444 dels=324 scans=163 model=97ad13ec213c8cd2",
+	"determinism-key: seed=1 ops=1000 adapt=1 starts=1611 commits=1133 spurious=478 conflicts=0 capacity=0 fallbacks=58 stalls=18 fulls=0 gets=232 puts=489 dels=322 scans=148 model=75f9ae5722a308ad",
 }
 
 // TestChaosDeterminism replays every golden row and requires its fingerprint
 // byte for byte. Matching a committed line proves replay across processes and
-// builds. It also requires every row to carry its seed's plain counts: clock
-// shards change no outcome, and a pinned Tuner samples the live heap but never
-// acts, so it must perturb nothing.
+// builds. It also requires every row to carry its seed's plain counts: a
+// pinned Tuner samples the live heap but never acts, so it must perturb
+// nothing.
 func TestChaosDeterminism(t *testing.T) {
-	geometry := regexp.MustCompile(` shards=\d+ adapt=\d+`)
+	geometry := regexp.MustCompile(` adapt=\d+`)
 	plain := make(map[uint64]string) // seed -> its plain row, geometry removed
 	for _, want := range chaosGoldens {
 		var seed uint64
-		var ops, shards, adapt int
-		if _, err := fmt.Sscanf(want, "determinism-key: seed=%d ops=%d shards=%d adapt=%d",
-			&seed, &ops, &shards, &adapt); err != nil {
+		var ops, adapt int
+		if _, err := fmt.Sscanf(want, "determinism-key: seed=%d ops=%d adapt=%d",
+			&seed, &ops, &adapt); err != nil {
 			t.Fatalf("golden %q: %v", want, err)
 		}
-		got := deterministicRun(t, seed, ops, shards, adapt)
+		got := deterministicRun(t, seed, ops, adapt)
 		if got != want {
 			t.Errorf("fingerprint moved:\n got %s\nwant %s", got, want)
 		}
 		counts := geometry.ReplaceAllString(got, "")
-		if shards == 1 && adapt == 0 {
+		if adapt == 0 {
 			plain[seed] = counts
 		} else if counts != plain[seed] {
 			t.Errorf("counts differ from the seed's plain row:\n got %s\nwant %s", got, plain[seed])
@@ -109,14 +108,13 @@ func scanPairs(t *testing.T, sv *Server, target string, model map[string]string)
 // adapt=1 runs the contention Tuner pinned: its sampling goroutine ticks
 // on real time, so epoch counts stay OUT of the fingerprint, but it never
 // writes a knob.
-func deterministicRun(t *testing.T, seed uint64, ops, clockShards, adapt int) string {
+func deterministicRun(t *testing.T, seed uint64, ops, adapt int) string {
 	t.Helper()
 	var tick int64 // logical clock: single-threaded phase, no atomics needed
 	cfg := Config{
 		Slots:       1 << 10,
 		PoolThreads: 1,
 		MaxRetries:  4, // below MaxPerOp: unlucky ops engage the (injection-immune) fallback
-		ClockShards: clockShards,
 		Faults: &htm.FaultPlan{
 			Seed:         seed,
 			BeginProb:    0.05,
@@ -208,8 +206,8 @@ func deterministicRun(t *testing.T, seed uint64, ops, clockShards, adapt int) st
 	st := store.Heap().Stats()
 	oc := store.OpCounters()
 	return fmt.Sprintf(
-		"determinism-key: seed=%d ops=%d shards=%d adapt=%d starts=%d commits=%d spurious=%d conflicts=%d capacity=%d fallbacks=%d stalls=%d fulls=%d gets=%d puts=%d dels=%d scans=%d model=%016x",
-		seed, ops, store.Heap().ClockShards(), adapt, st.Starts, st.Commits, st.SpuriousAborts(),
+		"determinism-key: seed=%d ops=%d adapt=%d starts=%d commits=%d spurious=%d conflicts=%d capacity=%d fallbacks=%d stalls=%d fulls=%d gets=%d puts=%d dels=%d scans=%d model=%016x",
+		seed, ops, adapt, st.Starts, st.Commits, st.SpuriousAborts(),
 		st.Aborts[htm.AbortConflict], st.Aborts[htm.AbortCapacity],
 		st.FallbackRuns, st.FallbackStalls, fulls,
 		oc.Gets, oc.Puts, oc.Deletes, oc.Scans, hash)

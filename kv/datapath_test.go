@@ -265,11 +265,12 @@ func refGet(s *Store, t *htm.Txn, k packedKey, now int64) ([]byte, bool) {
 
 // TestScanGetMatchReference runs the production and the reference bodies over
 // seeded random stores — tombstones, live and lapsed TTLs, keys and values on
-// both sides of scratchWords words, empty values — two stores per clock
-// geometry, with and without a fault plan (under which LoadWords is the Load
-// loop), and requires identical pairs, cursors, values and distinct read sets.
-// A row's stripe field only salts its store's seed: the rows' names are their
-// test IDs, kept from when rows also varied a metadata stripe width.
+// both sides of scratchWords words, empty values — four seeded stores, with
+// and without a fault plan (under which LoadWords is the Load loop), and
+// requires identical pairs, cursors, values and distinct read sets. A row's
+// stripe and shards fields only salt its store's seed: the rows' names are
+// their test IDs, kept from when rows also varied a metadata stripe width and
+// the clock's shard count; the store always runs TLE.
 func TestScanGetMatchReference(t *testing.T) {
 	const slots = 4096
 	for _, g := range []struct{ stripe, shards int }{{0, 1}, {0, 4}, {2, 1}, {2, 4}} {
@@ -278,7 +279,7 @@ func TestScanGetMatchReference(t *testing.T) {
 				var now atomic.Int64
 				now.Store(1_000)
 				cfg := Config{Slots: slots, MaxKeyBytes: 8 * (scratchWords + 8), MaxValueBytes: 8 * (scratchWords + 40),
-					HeapWords: 1 << 18, ClockShards: g.shards, Now: now.Load}
+					HeapWords: 1 << 18, Now: now.Load}
 				if faulty {
 					// Capped per operation, so every body still commits on the
 					// hardware path, where it has a read set to compare.

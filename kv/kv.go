@@ -104,11 +104,6 @@ type Config struct {
 	// raise it to keep operations on the killable hardware path longer.
 	MaxRetries int
 
-	// ClockShards shards the heap's version clock (htm.Config.ClockShards):
-	// commits tick a per-thread home shard instead of one global word.
-	// 0/1 selects the single scalar clock.
-	ClockShards int
-
 	// Faults attaches a seeded fault-injection plan to the backing heap (see
 	// htm.FaultPlan) — the chaos harness's adversity dial. nil injects
 	// nothing.

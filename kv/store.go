@@ -97,7 +97,6 @@ func newStoreCore(cfg Config) *Store {
 		GlobalFallback:  cfg.GlobalFallback,
 		AllowAllocInTxn: false, // entries are pre-allocated, Rock-style
 		MaxRetries:      cfg.MaxRetries,
-		ClockShards:     cfg.ClockShards,
 		Faults:          cfg.Faults,
 	})
 	s := &Store{
