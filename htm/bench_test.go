@@ -158,10 +158,9 @@ func BenchmarkTxnLoadStrided(b *testing.B) {
 	}
 }
 
-// BenchmarkTxnRepeatedLoad measures the read-set dedup path: a small set of
-// words each loaded many times in one transaction — the pattern that, before
-// dedup, grew the read set unboundedly, inflated validation, and could abort
-// with AbortCapacity despite a tiny distinct working set.
+// BenchmarkTxnRepeatedLoad measures repeated loads: a small set of words each
+// loaded many times in one transaction. The four words share a line, so the
+// read set holds one entry however many loads the body makes.
 func BenchmarkTxnRepeatedLoad(b *testing.B) {
 	h := NewHeap(Config{Words: 1 << 16})
 	th := h.NewThread()

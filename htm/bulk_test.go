@@ -52,6 +52,16 @@ func (w walk) from(blk Addr, n int) Addr {
 // at is the address of element i of the walk that starts at a.
 func (w walk) at(a Addr, i int) Addr { return a + Addr(i*w.stride) }
 
+// lines is the number of distinct lines the n-element walk from a reads: the
+// read-set size it leaves behind on its own.
+func (w walk) lines(a Addr, n int) int {
+	seen := map[int]bool{}
+	for i := 0; i < n; i++ {
+		seen[lineOf(w.at(a, i))] = true
+	}
+	return len(seen)
+}
+
 // first is the first element of the n-element walk from a that ok accepts.
 func (w walk) first(a Addr, n int, ok func(Addr) bool) Addr {
 	for i := 0; i < n; i++ {
@@ -130,8 +140,8 @@ func lwScenarios() []lwScenario {
 					t.Errorf("element %d = %d, want %d", i, v, lwVal(blk, 100, w.at(a, i)))
 				}
 			}
-			if res.distinct != 24 {
-				t.Errorf("%d distinct entries, want 24", res.distinct)
+			if want := w.lines(a, 24); res.distinct != want || len(res.reads) != want {
+				t.Errorf("%d distinct of %d entries, want %d of %d", res.distinct, len(res.reads), want, want)
 			}
 			return res
 		}},
@@ -249,15 +259,19 @@ func lwScenarios() []lwScenario {
 			return res
 		}},
 		{name: "dedup engages mid-range", cfg: Config{MaxReadSet: 16}, run: func(t *testing.T, h *Heap, w walk) lwResult {
+			// 15 entries over two lines of x, then a range whose kernel prefix
+			// is one word: the set fills there, and the range's next line
+			// compacts it to x's two lines before taking an entry.
 			th := h.NewThread()
+			x := lwBlock(th, 9, 500)
 			a := w.from(lwBlock(th, w.span(12), 0), 12)
 			res := lwAttempt(th, w, a, 12, func(tx *Txn) {
-				for i := 0; i < 4; i++ { // duplicates for the compaction to drop
-					tx.Load(w.at(a, i))
+				for i := 0; i < 15; i++ {
+					tx.Load(x + Addr(i%2*8))
 				}
 			})
-			if res.distinct != 12 || h.Stats().DedupEngages != 1 {
-				t.Errorf("%d distinct entries, %d dedup engages", res.distinct, h.Stats().DedupEngages)
+			if want := 2 + w.lines(a, 12); res.distinct != want || len(res.reads) != want {
+				t.Errorf("%d distinct of %d entries, want %d of %d", res.distinct, len(res.reads), want, want)
 			}
 			return res
 		}},
@@ -266,20 +280,34 @@ func lwScenarios() []lwScenario {
 			a := w.from(lwBlock(th, w.span(8), 0), 8)
 			res := lwAttempt(th, w, a, 8, func(tx *Txn) {
 				tx.Load(w.at(a, 2))
-				tx.ReadSetSize() // engages the filter: element 2 must not be recorded twice
+				tx.ReadSetSize() // compacts: element 2's line must still count once
 			})
-			if res.distinct != 8 || len(res.reads) != 8 {
-				t.Errorf("%d distinct of %d entries, want 8 of 8", res.distinct, len(res.reads))
+			// Element 2's entry, then one per run of the range: the first run
+			// extends that entry when it is on element 2's line.
+			runs := w.lines(a, 8)
+			if lineOf(a) != lineOf(w.at(a, 2)) {
+				runs++
+			}
+			if res.distinct != w.lines(a, 8) || len(res.reads) != runs {
+				t.Errorf("%d distinct of %d entries, want %d of %d", res.distinct, len(res.reads), w.lines(a, 8), runs)
 			}
 			return res
 		}},
 		{name: "capacity abort mid-range", cfg: Config{MaxReadSet: 16}, want: AbortCapacity, run: func(t *testing.T, h *Heap, w walk) lwResult {
+			// A walk over 17 lines or more — at least 17 elements whose words
+			// span at least 16 lines' worth: the abort is at the first element
+			// of its 17th line.
+			n := max(17, 16<<lineShift/max(w.stride, -w.stride)+2)
 			th := h.NewThread()
-			blk := lwBlock(th, w.span(32), 0)
-			a := w.from(blk, 32)
-			res := lwAttempt(th, w, a, 32, nil)
-			if res.addr != w.at(a, 16) || res.vals[15] != lwVal(blk, 0, w.at(a, 15)) || res.vals[16] != 0 {
-				t.Errorf("abort at %#x (a=%#x), values %v", uint32(res.addr), uint32(a), res.vals)
+			blk := lwBlock(th, w.span(n), 0)
+			a := w.from(blk, n)
+			res := lwAttempt(th, w, a, n, nil)
+			cut := 0
+			for w.lines(a, cut+1) <= 16 {
+				cut++
+			}
+			if res.addr != w.at(a, cut) || res.vals[cut-1] != lwVal(blk, 0, w.at(a, cut-1)) || res.vals[cut] != 0 {
+				t.Errorf("abort at %#x (a=%#x, want element %d), values %v", uint32(res.addr), uint32(a), cut, res.vals)
 			}
 			return res
 		}},
@@ -394,14 +422,20 @@ func stridedScenarios() []lwScenario {
 			return res
 		}},
 		{name: "fast prefix cut by dedupAfter", cfg: Config{MaxReadSet: 64}, run: func(t *testing.T, h *Heap, w walk) lwResult {
-			// dedupAfter is 32: 8 repeats, then a 48-element walk whose first
-			// 24 elements fit the bypass prefix and whose rest take Load.
+			// 40 entries alternating between the walk's first two lines leave
+			// room for 24: a 48-element walk whose first 24 elements take the
+			// kernel and whose rest take Load.
 			th := h.NewThread()
 			blk := lwBlock(th, w.span(48), 0)
 			a := w.from(blk, 48)
-			res := lwAttempt(th, w, a, 48, func(tx *Txn) { w.load(tx, a, make([]uint64, 8)) })
-			if res.distinct != 48 || len(res.reads) != 48 || res.vals[47] != lwVal(blk, 0, w.at(a, 47)) {
-				t.Errorf("%d distinct, %d entries, last value %d", res.distinct, len(res.reads), res.vals[47])
+			b := w.first(a, 48, func(e Addr) bool { return lineOf(e) != lineOf(a) })
+			res := lwAttempt(th, w, a, 48, func(tx *Txn) {
+				for i := 0; i < 40; i++ {
+					tx.Load([]Addr{a, b}[i%2])
+				}
+			})
+			if res.distinct != w.lines(a, 48) || res.vals[47] != lwVal(blk, 0, w.at(a, 47)) {
+				t.Errorf("%d distinct, want %d; last value %d", res.distinct, w.lines(a, 48), res.vals[47])
 			}
 			return res
 		}},
@@ -458,16 +492,22 @@ func TestLoadStridedIsTheLoadLoop(t *testing.T) {
 	}
 }
 
-// TestLoadWordsPastDedupThreshold: a range that starts in bypass mode and
-// crosses dedupAfter mid-way keeps the kernel for the prefix and the Load loop
-// for the rest; the read set comes out as if Load had done it all.
+// TestLoadWordsPastDedupThreshold: a range that starts with room for four
+// entries keeps the kernel for its first four words and the Load loop for the
+// rest, and the Load loop compacts the full set it meets; the read set comes
+// out as if Load had done it all, one entry per distinct line.
 func TestLoadWordsPastDedupThreshold(t *testing.T) {
-	h := newTestHeap(t, Config{MaxReadSet: 64}) // dedupAfter 32
+	h := newTestHeap(t, Config{MaxReadSet: 16})
 	th := h.NewThread()
-	a := lwBlock(th, 48, 0)
-	res := lwAttempt(th, walk{1, loadWords}, a, 48, func(tx *Txn) { tx.LoadWords(a, make([]uint64, 8)) })
-	if res.code != 0 || res.distinct != 48 || len(res.reads) != 48 {
-		t.Fatalf("code %v, %d distinct, %d entries; want a commit with 48 and 48", res.code, res.distinct, len(res.reads))
+	x := lwBlock(th, 9, 500)
+	a := lwBlock(th, 48, 0) // 7 lines, the header's included
+	res := lwAttempt(th, walk{1, loadWords}, a, 48, func(tx *Txn) {
+		for i := 0; i < 12; i++ { // 12 entries over x's two lines
+			tx.Load(x + Addr(i%2*8))
+		}
+	})
+	if res.code != 0 || res.distinct != 9 || len(res.reads) != 9 {
+		t.Fatalf("code %v, %d distinct, %d entries; want a commit with 9 and 9", res.code, res.distinct, len(res.reads))
 	}
 	for i, v := range res.vals {
 		if v != uint64(i)+1 {

@@ -38,10 +38,12 @@ type Config struct {
 	// store buffer (a "future HTM", paper §6).
 	StoreBufferSize int
 
-	// MaxReadSet bounds the transactional read set; exceeding it aborts with
-	// AbortCapacity. Rock tracks reads in the L1 cache, which is large
-	// relative to the store buffer, so the default is generous (1<<16).
-	// Set to a negative value for an unbounded read set.
+	// MaxReadSet bounds the transactional read set, in distinct 8-word
+	// lines; reading more distinct lines aborts with AbortCapacity. Rock
+	// tracks reads per cache line in the L1 cache, which is large relative to
+	// the store buffer, so the default is generous (1<<16 lines). Set to a
+	// negative value for an unbounded read set, which is then never
+	// compacted: a line read in many separate runs keeps an entry for each.
 	MaxReadSet int
 
 	// NoSandbox disables Rock-style sandboxing. By default a transaction that
@@ -152,16 +154,4 @@ func (c Config) fallbackSpins() int {
 	default:
 		return defaultFallbackSpins
 	}
-}
-
-// dedupBypassThreshold is the read-set length at which an attempt switches
-// from bypass to filtered mode: bypassReadCap, but never above MaxReadSet/2 —
-// which is what preserves the guarantee that a transaction whose distinct read
-// set fits MaxReadSet never aborts with AbortCapacity (after compaction,
-// capacity aborts depend only on the distinct read set).
-func (c Config) dedupBypassThreshold() int {
-	if mrs := c.MaxReadSet; mrs >= 0 && mrs/2 < bypassReadCap {
-		return mrs / 2
-	}
-	return bypassReadCap
 }

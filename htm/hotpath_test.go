@@ -8,15 +8,16 @@ import (
 // TestReadSetDedupRepeatedLoads is the regression test for the read-set
 // duplication bug: repeated loads of one address used to append one read
 // entry each, so a workload whose *distinct* read set fit MaxReadSet could
-// still abort with AbortCapacity.
+// still abort with AbortCapacity. Its four words sit on four lines, so that
+// every load starts a run of its own and the full set is compacted.
 func TestReadSetDedupRepeatedLoads(t *testing.T) {
 	h := newTestHeap(t, Config{MaxReadSet: 4})
 	th := h.NewThread()
-	a := th.Alloc(4)
+	a := th.Alloc(4 << lineShift)
 	err := th.TryAtomic(func(tx *Txn) {
 		for rep := 0; rep < 100; rep++ {
 			for i := Addr(0); i < 4; i++ {
-				tx.Load(a + i)
+				tx.Load(a + i<<lineShift)
 			}
 		}
 		if tx.ReadSetSize() != 4 {
@@ -29,11 +30,12 @@ func TestReadSetDedupRepeatedLoads(t *testing.T) {
 }
 
 // TestReadSetDedupLargeSet drives the read set well past the linear threshold
-// and the filter into its indexed regime, with every address re-loaded.
+// and the compaction into its indexed regime, with every address re-loaded:
+// 300 words from a line-aligned header on are 38 lines.
 func TestReadSetDedupLargeSet(t *testing.T) {
 	h := newTestHeap(t, Config{})
 	th := h.NewThread()
-	const words = 300
+	const words, lines = 300, (300 + 1 + 7) >> lineShift
 	a := th.Alloc(words)
 	th.Atomic(func(tx *Txn) {
 		for pass := 0; pass < 3; pass++ {
@@ -41,45 +43,52 @@ func TestReadSetDedupLargeSet(t *testing.T) {
 				tx.Load(a + i)
 			}
 		}
-		if tx.ReadSetSize() != words {
-			t.Errorf("ReadSetSize = %d, want %d", tx.ReadSetSize(), words)
+		if tx.ReadSetSize() != lines {
+			t.Errorf("ReadSetSize = %d, want %d", tx.ReadSetSize(), lines)
 		}
 	})
 }
 
-// TestDedupBypassThreshold pins the bypass budget against MaxReadSet:
-// bypassReadCap until that would exceed MaxReadSet/2, the bound that keeps the
-// AbortCapacity guarantee intact.
+// TestDedupBypassThreshold pins the bulk reads' fast prefix to the room left
+// below MaxReadSet, whatever the set holds, and to the whole range when reads
+// are unbounded.
 func TestDedupBypassThreshold(t *testing.T) {
 	cases := []struct {
-		maxReadSet, want int
+		maxReadSet, held, want int
 	}{
-		{0, bypassReadCap},  // default MaxReadSet (1<<16)
-		{1000, 500},         // MaxReadSet/2 below the cap
-		{1, 0},              // dedup from the first read
-		{-1, bypassReadCap}, // unbounded reads: the cap still bounds
+		{0, 0, 100},     // default MaxReadSet (1<<16 lines)
+		{1000, 10, 100}, // room past the range
+		{100, 10, 90},   // room cuts the range
+		{1, 1, 0},       // a full set: every word takes Load
+		{-1, 3, 100},    // unbounded reads
 	}
 	for _, c := range cases {
-		h := NewHeap(Config{Words: 1 << 10, MaxReadSet: c.maxReadSet})
+		h := NewHeap(Config{Words: 1 << 12, MaxReadSet: c.maxReadSet})
 		th := h.NewThread()
-		if got := th.txn.dedupAfter; got != c.want {
-			t.Errorf("MaxReadSet=%d: dedupAfter = %d, want %d", c.maxReadSet, got, c.want)
-		}
+		a := th.Alloc(1000)
+		th.Atomic(func(tx *Txn) {
+			for i := 0; i < c.held; i++ {
+				tx.Load(a + Addr(i<<lineShift))
+			}
+			if got := tx.bypassPrefix(int(a), int(a)+99, 100); got != c.want {
+				t.Errorf("MaxReadSet=%d with %d lines held: prefix %d, want %d", c.maxReadSet, c.held, got, c.want)
+			}
+		})
 	}
 }
 
-// TestDedupFromFirstRead: with no bypass budget at all (MaxReadSet 1, so the
-// threshold is 0) every attempt runs in filtered mode from its first read, and
-// repeated loads still collapse to one entry.
+// TestDedupFromFirstRead: at MaxReadSet 1 repeated loads of one word, and of
+// the other words of its line, hold a single read entry from the first read
+// on.
 func TestDedupFromFirstRead(t *testing.T) {
 	h := newTestHeap(t, Config{MaxReadSet: 1})
 	th := h.NewThread()
-	a := th.Alloc(1)
+	a := th.Alloc(4)
 	err := th.TryAtomic(func(tx *Txn) {
 		for rep := 0; rep < 100; rep++ {
-			tx.Load(a)
-			if !tx.dedup || len(tx.reads) != 1 {
-				t.Fatalf("after load %d: dedup=%v, %d read entries, want filtered mode with 1", rep, tx.dedup, len(tx.reads))
+			tx.Load(a + Addr(rep%4))
+			if len(tx.reads) != 1 {
+				t.Fatalf("after load %d: %d read entries, want 1", rep, len(tx.reads))
 			}
 		}
 	})
@@ -88,48 +97,49 @@ func TestDedupFromFirstRead(t *testing.T) {
 	}
 }
 
-// TestDedupEngagesAtThreshold drives an attempt across a small bypass budget
-// mid-transaction: duplicates accumulate up to exactly MaxReadSet/2 entries,
-// the next load compacts them, and the distinct working set stays within
-// capacity from then on.
+// TestDedupEngagesAtThreshold drives an attempt into a full read set
+// mid-transaction: loads alternating over four lines append an entry each up
+// to exactly MaxReadSet entries, the next load compacts them to the four
+// lines, and the distinct working set stays within capacity from then on.
 func TestDedupEngagesAtThreshold(t *testing.T) {
-	h := newTestHeap(t, Config{MaxReadSet: 16}) // bypass budget 8
+	h := newTestHeap(t, Config{MaxReadSet: 16})
 	th := h.NewThread()
-	a := th.Alloc(4)
+	a := th.Alloc(4 << lineShift)
+	line := func(i int) Addr { return a + Addr(i%4)<<lineShift }
 	th.Atomic(func(tx *Txn) {
-		for i := 0; i < 8; i++ {
-			tx.Load(a + Addr(i%4))
+		for i := 0; i < 16; i++ {
+			tx.Load(line(i))
 		}
-		if tx.dedup || len(tx.reads) != 8 {
-			t.Errorf("at the budget: dedup=%v, %d read entries, want bypass mode with 8", tx.dedup, len(tx.reads))
+		if len(tx.reads) != 16 {
+			t.Errorf("at the bound: %d read entries, want 16", len(tx.reads))
 		}
-		tx.Load(a)
-		if !tx.dedup || len(tx.reads) != 4 {
-			t.Errorf("past the budget: dedup=%v, %d read entries, want compacted to 4", tx.dedup, len(tx.reads))
+		tx.Load(line(0))
+		if len(tx.reads) != 4 {
+			t.Errorf("past the bound: %d read entries, want compacted to 4", len(tx.reads))
 		}
 		for rep := 0; rep < 50; rep++ {
-			for i := Addr(0); i < 4; i++ {
-				tx.Load(a + i)
+			for i := 0; i < 4; i++ {
+				tx.Load(line(i))
 			}
 		}
 		if tx.ReadSetSize() != 4 {
 			t.Errorf("ReadSetSize = %d, want 4", tx.ReadSetSize())
 		}
 	})
-	if n := h.Stats().DedupEngages; n != 1 {
-		t.Errorf("DedupEngages = %d, want 1", n)
+	if n := h.Stats().Aborts[AbortCapacity]; n != 0 {
+		t.Errorf("%d capacity aborts, want 0", n)
 	}
 }
 
-// TestReadSetCapacityStillEnforced checks that dedup did not weaken the
-// capacity bound for genuinely distinct reads.
+// TestReadSetCapacityStillEnforced checks that compaction did not weaken the
+// capacity bound for genuinely distinct lines: 17 of them against 16.
 func TestReadSetCapacityStillEnforced(t *testing.T) {
 	h := newTestHeap(t, Config{MaxReadSet: 16})
 	th := h.NewThread()
-	a := th.Alloc(32)
+	a := th.Alloc(17 << lineShift)
 	err := th.TryAtomic(func(tx *Txn) {
-		for i := Addr(0); i < 32; i++ {
-			tx.Load(a + i)
+		for i := Addr(0); i < 17; i++ {
+			tx.Load(a + i<<lineShift)
 		}
 	})
 	ab, ok := err.(*AbortError)
@@ -323,7 +333,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 	runTxn := func() { th.Atomic(txnBody) }
-	runTxn() // warmup: grow read/write sets, indexes, filter
+	runTxn() // warmup: grow read/write sets and indexes
 	if n := testing.AllocsPerRun(200, runTxn); n != 0 {
 		t.Errorf("Txn.Load/Store steady state allocates %.1f allocs/op, want 0", n)
 	}
@@ -334,9 +344,8 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("Thread.Alloc/Free steady state allocates %.1f allocs/op, want 0", n)
 	}
 
-	// Read-only transactions run the dedup-bypass fast path (append-only read
-	// set, no filter maintenance); it too must be allocation-free once the
-	// read-set slice has grown.
+	// Read-only transactions append to the read set alone; they too must be
+	// allocation-free once the read-set slice has grown.
 	runRO := func() {
 		th.Atomic(func(tx *Txn) {
 			var s uint64
@@ -348,7 +357,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	}
 	runRO() // warmup: grow the read set
 	if n := testing.AllocsPerRun(200, runRO); n != 0 {
-		t.Errorf("read-only bypass steady state allocates %.1f allocs/op, want 0", n)
+		t.Errorf("read-only steady state allocates %.1f allocs/op, want 0", n)
 	}
 }
 

@@ -73,8 +73,8 @@ const (
 	// that collides with it aborts with AbortConflict on the contended line,
 	// and transactions on disjoint lines are unaffected.
 	AbortFallback
-	// AbortCapacity indicates the transaction exceeded the configured read
-	// set capacity (Config.MaxReadSet).
+	// AbortCapacity indicates the transaction read more distinct lines than
+	// the configured read set capacity (Config.MaxReadSet).
 	AbortCapacity
 	// AbortSpurious indicates the attempt was killed by the seeded
 	// environment plan (Config.Faults), modeling Rock's environmental aborts —

@@ -316,22 +316,22 @@ func TestStressMixedTxnNTAllocFree(t *testing.T) {
 	}
 }
 
-// TestDedupBypassCapacityRegression is the regression test for the adaptive
-// read-set dedup bypass: repeated loads of a tiny distinct working set must
-// not abort with AbortCapacity even though bypass mode appends duplicate
-// entries — MaxReadSet pressure engages the filter, compaction drops the
-// duplicates, and the filtered regime dedups from then on (the original
-// repeated-Load AbortCapacity fix, preserved across the bypass).
+// TestDedupBypassCapacityRegression is the regression test for the read-set
+// capacity guarantee under repeats: repeated loads of a tiny distinct working
+// set must not abort with AbortCapacity even though every load that changes
+// line appends an entry — a full set is compacted to its distinct lines, and
+// the loads go on from there (the original repeated-Load AbortCapacity fix).
+// Its four words sit on four lines, so that every load starts a run.
 func TestDedupBypassCapacityRegression(t *testing.T) {
 	h := newTestHeap(t, Config{MaxReadSet: 8})
 	th := h.NewThread()
-	a := th.Alloc(4)
+	a := th.Alloc(4 << lineShift)
 	err := th.TryAtomic(func(tx *Txn) {
-		// 400 loads of 4 distinct words: bypass appends until pressure
-		// (MaxReadSet/2 = 4 entries), then the engaged filter takes over.
+		// 400 loads of 4 distinct lines: the set fills at 8 entries and is
+		// compacted to 4, again and again.
 		for rep := 0; rep < 100; rep++ {
 			for i := Addr(0); i < 4; i++ {
-				tx.Load(a + i)
+				tx.Load(a + i<<lineShift)
 			}
 		}
 		if n := tx.ReadSetSize(); n != 4 {
@@ -343,33 +343,34 @@ func TestDedupBypassCapacityRegression(t *testing.T) {
 	}
 }
 
-// TestDedupBypassWriteTxnDuplicates checks that a write transaction whose
-// bypass-mode read set still holds duplicates at commit time validates and
-// commits correctly (each duplicate entry re-checks the same metadata word),
-// and that ReadSetSize compacts on demand — engaging the filter — without
-// perturbing the outcome.
+// TestDedupBypassWriteTxnDuplicates checks that a write transaction whose read
+// set still holds several entries for one line at commit time validates and
+// commits correctly (each entry re-checks the same metadata word), and that
+// ReadSetSize compacts on demand without perturbing the outcome. Its two
+// words sit on two lines, so that alternating loads append an entry each.
 func TestDedupBypassWriteTxnDuplicates(t *testing.T) {
 	h := newTestHeap(t, Config{MaxReadSet: 100})
 	th := h.NewThread()
-	a := th.Alloc(2)
+	a := th.Alloc(2 << lineShift)
+	b := a + 1<<lineShift
 	err := th.TryAtomic(func(tx *Txn) {
 		var s uint64
-		for rep := 0; rep < 16; rep++ { // stays below pressure: bypass all the way
-			s += tx.Load(a) + tx.Load(a+1)
+		for rep := 0; rep < 16; rep++ { // 32 entries, well below the bound
+			s += tx.Load(a) + tx.Load(b)
 		}
 		tx.Store(a, s)
-		if n := tx.ReadSetSize(); n != 2 { // compacts 32 entries to 2, engages filter
+		if n := tx.ReadSetSize(); n != 2 { // compacts 32 entries to 2
 			t.Errorf("ReadSetSize = %d after compaction, want 2", n)
 		}
-		for rep := 0; rep < 16; rep++ { // filtered from here on
-			s += tx.Load(a + 1)
+		for rep := 0; rep < 16; rep++ { // the last entry's line: no entries
+			s += tx.Load(b)
 		}
 		if n := tx.ReadSetSize(); n != 2 {
-			t.Errorf("ReadSetSize = %d after filtered reloads, want 2", n)
+			t.Errorf("ReadSetSize = %d after reloads, want 2", n)
 		}
 	})
 	if err != nil {
-		t.Fatalf("write txn with duplicated bypass reads aborted: %v", err)
+		t.Fatalf("write txn with duplicated reads aborted: %v", err)
 	}
 	if v := h.LoadNT(a); v != 0 {
 		// 16 reps of (0 + 0) = 0; the point is the commit succeeded.

@@ -34,7 +34,6 @@ type statCell struct {
 	allocWords      atomic.Uint64 // Config.NoMaxLive only: cellLive, the sole reader, stands in for liveWords
 	freeWords       atomic.Uint64 // Config.NoMaxLive only
 	extraTicks      atomic.Uint64 // ticks nothing above implies: a fine-grained fallback's release, a commit that ticked and then failed validation
-	dedupEngages    atomic.Uint64
 	fallbackWaits   atomic.Uint64
 	// inCommit and inFine are NOT statistics: they are the TLE fallback's
 	// quiesce-barrier words (see mode.go). inCommit is
@@ -46,7 +45,7 @@ type statCell struct {
 	// global-fallback acquirer draining the heap. Always 0 without EnableTLE.
 	inCommit atomic.Uint64
 	inFine   atomic.Uint64
-	_        uint64 // pads 23 words to exactly three full cache lines (192 B)
+	_        [2]uint64 // pads 22 words to exactly three full cache lines (192 B)
 }
 
 // statCellBytes pins statCell's intended footprint: whole cache lines, so
@@ -179,10 +178,6 @@ type Stats struct {
 	// fallback's release, a commit that ticked and then failed validation)
 	// carry a counter of their own.
 	ClockShardTicks uint64
-	// DedupEngages counts transaction attempts that outgrew the read-set
-	// bypass budget (bypassReadCap, clamped to MaxReadSet/2) and compacted
-	// their read set.
-	DedupEngages uint64
 	// ModeSwitches counts runtime fallback-mode changes applied through
 	// Heap.SetFallbackMode. It is a heap-level
 	// counter, not a per-thread one: switches are rare control-plane events.
@@ -260,7 +255,6 @@ func (h *Heap) Stats() Stats {
 		s.FallbackStalls += c.fallbackStalls.Load()
 		s.AllocCalls += c.allocCalls.Load()
 		s.FreeCalls += c.freeCalls.Load()
-		s.DedupEngages += c.dedupEngages.Load()
 		for code := 1; code < numAbortCodes; code++ {
 			if n := c.aborts[code].Load(); n > 0 {
 				s.Aborts[AbortCode(code)] += n

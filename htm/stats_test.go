@@ -97,7 +97,7 @@ func TestDerivedCountersScriptedMix(t *testing.T) {
 				peak = max(peak, live)
 				return th.Alloc(n)
 			}
-			a := alloc(th, 8)
+			a := alloc(th, 8<<lineShift) // 8 lines: the capacity row reads one word of each
 			b := alloc(other, 1)
 			img := []uint64{7, 8, 9}
 			c := th.AllocInit(img)
@@ -168,9 +168,9 @@ func TestDerivedCountersScriptedMix(t *testing.T) {
 			}
 			th.Atomic(func(tx *Txn) { overflow(tx); tx.FreeOnCommit(d) })
 			live -= 2
-			th.Atomic(func(tx *Txn) { // 8 reads against MaxReadSet 7
+			th.Atomic(func(tx *Txn) { // 8 lines read against MaxReadSet 7
 				for i := Addr(0); i < 8; i++ {
-					_ = tx.Load(a + i)
+					_ = tx.Load(a + i<<lineShift)
 				}
 			})
 			s := checkDerived(t, h, 0, th, other)
@@ -184,7 +184,7 @@ func TestDerivedCountersScriptedMix(t *testing.T) {
 			runs := s.FallbackRuns
 			th.Atomic(overflow)
 			th.Free(a)
-			live -= 8
+			live -= 8 << lineShift
 			s = checkDerived(t, h, 6, th, other)
 			if s.FallbackRuns != runs+1 {
 				t.Errorf("global fallback ran %d times, want 1", s.FallbackRuns-runs)

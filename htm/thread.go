@@ -46,7 +46,6 @@ func (h *Heap) NewThread() *Thread {
 	th.txn.meta = h.meta
 	th.txn.maxReadSet = h.cfg.MaxReadSet
 	th.txn.storeBufSize = h.cfg.StoreBufferSize
-	th.txn.dedupAfter = h.cfg.dedupBypassThreshold()
 	th.txn.fbOwner = id & fallbackOwnerMask
 	th.txn.tle = h.cfg.EnableTLE
 	if h.cfg.Faults.enabled() {
@@ -223,7 +222,8 @@ func (th *Thread) tryAtomic(f func(*Txn)) (code AbortCode, addr Addr, ok bool) {
 // ModeFine a software transaction that locks the metadata of exactly the
 // lines it touches, in ModeGlobal under the paper's single global lock
 // (§6). Without TLE, a transaction that deterministically overflows the
-// store buffer panics rather than retrying forever.
+// store buffer (AbortOverflow) or reads more than MaxReadSet distinct lines
+// (AbortCapacity) panics rather than retrying forever.
 func (th *Thread) Atomic(f func(*Txn)) {
 	th.AtomicUntil(f, nil)
 }
@@ -250,10 +250,16 @@ func (th *Thread) AtomicUntil(f func(*Txn), stop func() bool) bool {
 			th.runFallback(f)
 			return true
 		}
-		if code == AbortOverflow && !cfg.EnableTLE {
-			// Deterministic failure: the same body will overflow again.
-			panic(fmt.Sprintf("htm: transaction overflows the %d-entry store buffer and no TLE fallback is enabled: %v",
-				cfg.StoreBufferSize, &AbortError{Code: code, Addr: addr}))
+		if !cfg.EnableTLE {
+			// Deterministic failures: the same body will overflow the same bound again.
+			switch code {
+			case AbortOverflow:
+				panic(fmt.Sprintf("htm: transaction overflows the %d-entry store buffer and no TLE fallback is enabled: %v",
+					cfg.StoreBufferSize, &AbortError{Code: code, Addr: addr}))
+			case AbortCapacity:
+				panic(fmt.Sprintf("htm: transaction reads more than MaxReadSet (%d) distinct lines and no TLE fallback is enabled: %v",
+					cfg.MaxReadSet, &AbortError{Code: code, Addr: addr}))
+			}
 		}
 		if stop != nil && stop() {
 			return false

@@ -17,11 +17,11 @@ type txnAbort struct{}
 
 var abortSentinel = &txnAbort{}
 
-// readEntry records one read: the address and the full metadata word observed
-// when the value was read (unlocked, allocated, version ≤ rv at that time).
-// Validation is a single load-and-compare against the live metadata: any
-// concurrent commit, free, or reallocation of the word's line rewrites the
-// one word the validator rereads.
+// readEntry records one run of reads of a line: the first word the run read
+// and the full metadata word observed when it was read (unlocked, allocated,
+// version ≤ rv at that time). Validation is a single load-and-compare against
+// the live metadata: any concurrent commit, free, or reallocation of the line
+// rewrites the one word the validator rereads.
 type readEntry struct {
 	addr Addr
 	meta uint64
@@ -90,7 +90,6 @@ type Txn struct {
 	meta         []atomic.Uint64
 	maxReadSet   int
 	storeBufSize int
-	dedupAfter   int  // read-set length at which dedup engages (see below)
 	tle          bool // Config.EnableTLE: monitor the global fallback epoch
 
 	// env is the owning thread's environment state (Config.Faults: fault
@@ -98,26 +97,9 @@ type Txn struct {
 	// every instrumented site tests.
 	env *threadEnv
 
-	// Read-set dedup state. Attempts start in BYPASS mode: loads append to
-	// the read set without any duplicate tracking — duplicate entries are
-	// harmless for correctness (validation and commit re-check the same
-	// predicate once per entry, and all duplicates of one address provably
-	// hold identical metadata) and the common scan-shaped transaction has
-	// none, so it pays nothing per load. When the read set reaches
-	// dedupAfter entries (MaxReadSet pressure), engageDedup compacts the
-	// duplicates away and switches the attempt to FILTERED mode: rfilter is
-	// a 512-bit presence filter over read addresses (two hash bits per
-	// address); a load whose bits are clear is definitely new and appends
-	// without any lookup. When both bits are set the read is confirmed
-	// against rindex, built lazily on the first suspected repeat (rindexed
-	// tracks whether it is current for this attempt). This keeps the
-	// AbortCapacity guarantee of dedup — a transaction whose DISTINCT read
-	// set fits MaxReadSet never aborts for capacity — while removing the
-	// per-load filter cost from transactions that never near the bound.
-	dedup    bool
-	rfilter  [readFilterWords]uint64
-	rindexed bool
-	rindex   setIndex
+	// rindex indexes the read set by line while a full set is compacted
+	// (compactReads).
+	rindex setIndex
 
 	// windex indexes the write set by address once it outgrows setLinearMax,
 	// keeping read-own-writes lookups O(1).
@@ -143,23 +125,6 @@ type Txn struct {
 	fbSpins      int
 	directGlobal bool
 }
-
-// readFilterWords sizes rfilter; 8 words = 512 bits keeps the false-positive
-// rate low for read sets up to a few hundred words.
-const readFilterWords = 8
-
-// readFilterBits maps an address to its filter word and two-bit mask (two
-// hash bits within one filter word: one load tests both, one store sets
-// both). Shared by Load's filtered path and engageDedup's rebuild.
-func readFilterBits(a Addr) (fw uint32, mask uint64) {
-	hb := idxHash(a)
-	return (hb >> 12) & (readFilterWords - 1), uint64(1)<<(hb&63) | uint64(1)<<((hb>>6)&63)
-}
-
-// bypassReadCap bounds how long an attempt may stay in read-set bypass mode,
-// so pathological repeat-heavy bodies cannot grow the duplicated read set
-// without limit (Config.dedupBypassThreshold clamps it to MaxReadSet/2).
-const bypassReadCap = 4096
 
 // findWrite returns the write-set slot holding a, or -1.
 func (t *Txn) findWrite(a Addr) int {
@@ -404,46 +369,39 @@ func (t *Txn) fbRelease(wv uint64) {
 // synchronize only once the fallback engaged.
 func (t *Txn) InFallback() bool { return t.direct }
 
-// confirmRead reports whether a is in the read set, building the exact index
-// on the first suspected repeat of this attempt.
-func (t *Txn) confirmRead(a Addr) bool {
-	if !t.rindexed {
-		t.rindex.reset()
-		for i := range t.reads {
-			t.rindex.insert(t.reads[i].addr, i)
-		}
-		t.rindexed = true
-	}
-	return t.rindex.lookup(a) >= 0
-}
-
-// engageDedup switches the attempt from bypass to filtered mode: the read set
-// accumulated so far is compacted in place — duplicates of one address are
-// guaranteed to hold identical metadata (a load that would record a different
-// metadata word first forces an extension that revalidates, and fails on, the
-// earlier entry) so dropping all but the first is exact — and the presence
-// filter and index are rebuilt over the survivors. Idempotent.
-func (t *Txn) engageDedup() {
-	if t.dedup || t.direct {
-		return
-	}
-	t.dedup = true
-	bump(&t.th.cell.dedupEngages)
-	t.rfilter = [readFilterWords]uint64{}
+// compactReads drops, in place, every read entry whose line an earlier entry
+// already holds, leaving one entry per distinct line and rindex mapping each
+// line to its entry. It is exact: two entries of one line hold the same
+// metadata word, because a read that finds its line's metadata changed since
+// the earlier entry sees a version above rv and extends, and the extension's
+// validation fails on the earlier entry.
+func (t *Txn) compactReads() {
 	t.rindex.reset()
 	kept := t.reads[:0]
-	for i := range t.reads {
-		r := t.reads[i]
-		if t.rindex.lookup(r.addr) >= 0 {
+	for _, r := range t.reads {
+		l := r.addr >> lineShift
+		if t.rindex.lookup(l) >= 0 {
 			continue
 		}
-		t.rindex.insert(r.addr, len(kept))
+		t.rindex.insert(l, len(kept))
 		kept = append(kept, r)
-		fw, m := readFilterBits(r.addr)
-		t.rfilter[fw] |= m
 	}
 	t.reads = kept
-	t.rindexed = true
+}
+
+// readSetFull is Load's capacity edge: the set holds MaxReadSet entries and
+// the word at a starts a new run. It compacts the set and reports whether a's
+// line is already held — the read then needs no entry — and aborts
+// AbortCapacity at a if every entry is still a distinct line.
+func (t *Txn) readSetFull(a Addr) bool {
+	t.compactReads()
+	if t.rindex.lookup(a>>lineShift) >= 0 {
+		return true
+	}
+	if len(t.reads) == t.maxReadSet {
+		t.abort(AbortCapacity, a)
+	}
+	return false
 }
 
 func (t *Txn) abort(code AbortCode, a Addr) {
@@ -569,32 +527,15 @@ func (t *Txn) Load(a Addr) uint64 {
 				continue
 			}
 		}
-		if !t.dedup {
-			// Bypass mode: append without duplicate tracking (see the dedup
-			// field) until MaxReadSet pressure forces compaction.
-			if len(t.reads) < t.dedupAfter {
-				t.reads = append(t.reads, readEntry{addr: a, meta: m1})
-				return v
-			}
-			t.engageDedup()
-		}
-		// Repeated reads do not grow the read set: the entry recorded by the
-		// first read still guards this word (any later write to it carries a
-		// version above rv and the extension above would have aborted), so a
-		// duplicate would only inflate validate() and burn MaxReadSet
-		// capacity the distinct working set never used.
-		fw, m := readFilterBits(a)
-		if t.rfilter[fw]&m == m && t.confirmRead(a) {
+		// One entry guards a run of reads of a line (see compactReads), so
+		// a read on the last entry's line adds none.
+		if n := len(t.reads); n > 0 && t.reads[n-1].addr>>lineShift == mi {
 			return v
 		}
-		if t.maxReadSet >= 0 && len(t.reads) >= t.maxReadSet {
-			t.abort(AbortCapacity, a)
+		if len(t.reads) == t.maxReadSet && t.readSetFull(a) {
+			return v
 		}
 		t.reads = append(t.reads, readEntry{addr: a, meta: m1})
-		t.rfilter[fw] |= m
-		if t.rindexed {
-			t.rindex.insert(a, len(t.reads)-1)
-		}
 		return v
 	}
 }
@@ -608,88 +549,102 @@ func (t *Txn) Load(a Addr) uint64 {
 // same abort codes and addresses — and is that loop whenever anything but the
 // plain hardware-path case is in play: the fallback paths, an environment
 // plan (every access must yield and draw from it), a non-empty write set
-// (read-own-writes), a range that leaves the arena, and every word from the
-// point where the read set reaches dedupAfter. Otherwise the per-access
-// dispatch is decided once for the whole range, and each word whose metadata
-// is live, unlocked, stable across the value read and no newer than rv takes
-// the bypass-mode append inline; any other word goes through Load, which
-// spins, extends or aborts exactly as it would have.
+// (read-own-writes), a range that leaves the arena, and every word past the
+// room left below MaxReadSet. Otherwise the per-access dispatch is decided
+// once for the whole range, and each word whose metadata is live, unlocked,
+// stable across the value read and no newer than rv is read inline; any other
+// word goes through Load, which spins, extends or aborts exactly as it would
+// have.
 func (t *Txn) LoadWords(a Addr, dst []uint64) {
 	if len(dst) == 1 { // nothing to amortize the range set-up over
 		dst[0] = t.Load(a)
 		return
 	}
 	fast := t.bypassPrefix(int(a), int(a)+len(dst)-1, len(dst))
-	if fast > 0 {
-		// Reserve the prefix's read entries once; loadRun stores them by index
-		// and t.reads is re-sliced over them at the end. Load must see the set
-		// exactly as the loop it stands in for would have left it (extend
-		// validates it), so a word that takes Load first publishes the entries
-		// staged so far — Load then appends its own into the next reserved slot,
-		// in place.
-		base := len(t.reads)
-		t.reads = slices.Grow(t.reads, fast)
-		ents := t.reads[base : base+fast]
-		for i := 0; i < fast; i++ {
-			i += t.loadRun(a+Addr(i), dst[i:fast], ents[i:])
-			if i < fast {
-				t.reads = t.reads[:base+i]
-				dst[i] = t.Load(a + Addr(i))
-			}
+	t.reads = slices.Grow(t.reads, fast)
+	for i := 0; i < fast; i++ {
+		i += t.loadRun(a+Addr(i), dst[i:fast])
+		if i < fast {
+			dst[i] = t.Load(a + Addr(i))
 		}
-		t.reads = t.reads[:base+fast]
 	}
 	for i := fast; i < len(dst); i++ {
 		dst[i] = t.Load(a + Addr(i))
 	}
 }
 
-// loadRun is LoadWords' inner loop: it reads words from a on into dst, staging
-// one read entry each in ents (len(ents) == len(dst), the range is inside the
-// arena), and returns how many it read before the first word that fails the
-// bypass predicate — locked, freed, changed under the value read, or newer
-// than rv — which it leaves to Load. The predicate's metadata half is decided
-// once per line, since the words of a line share one metadata word; what is
-// left per word is value, metadata again. The loops are leaves over slices
-// cut to the range: the atomic loads are compiler barriers, so a t.field or a
-// bounds check inside them is paid again after every one.
-func (t *Txn) loadRun(a Addr, dst []uint64, ents []readEntry) int {
-	words, meta, rv, dst := t.words[a:][:len(ents)], t.meta, t.rv, dst[:len(ents)]
-	readable := func(m uint64) bool {
-		return m&(metaLockBit|metaAllocBit) == metaAllocBit && metaVersion(m) <= rv
-	}
-	for i := 0; i < len(ents); {
+// loadRun is LoadWords' inner loop: it reads words from a on into dst (the
+// range is inside the arena), appending one read entry per line as Load would,
+// and returns how many it read before the first word that fails the bypass
+// predicate — locked, freed, changed under the value read, or newer than rv —
+// which it leaves to Load. The predicate's metadata half is decided once per
+// line, since the words of a line share one metadata word; what is left per
+// word is value, metadata again. The loops are leaves over slices cut to the
+// range: the atomic loads are compiler barriers, so a t.field or a bounds
+// check inside them is paid again after every one.
+func (t *Txn) loadRun(a Addr, dst []uint64) int {
+	words, meta, rv := t.words[a:][:len(dst)], t.meta, t.rv
+	ents, adv := t.readRoom(lineOf(a), len(dst))
+	i, k := 0, 0
+run:
+	for i < len(dst) {
 		l := lineOf(a + Addr(i))
 		mw := &meta[l]
 		m1 := mw.Load()
-		if !readable(m1) {
-			return i
+		if m1&(metaLockBit|metaAllocBit) != metaAllocBit || metaVersion(m1) > rv {
+			break
 		}
-		for end := min(len(ents), (l+1)<<lineShift-int(a)); i < end; i++ {
+		v := words[i].Load()
+		if mw.Load() != m1 {
+			break
+		}
+		ents[k] = readEntry{addr: a + Addr(i), meta: m1}
+		k, adv = k+adv, 1
+		dst[i] = v
+		end := min(len(dst), (l+1)<<lineShift-int(a))
+		for i++; i < end; i++ {
 			v := words[i].Load()
 			if mw.Load() != m1 {
-				return i
+				break run
 			}
-			ents[i] = readEntry{addr: a + Addr(i), meta: m1}
 			dst[i] = v
 		}
 	}
-	return len(ents)
+	t.reads = t.reads[:len(t.reads)+k]
+	return i
+}
+
+// readRoom returns the room for k more read entries past the read set, which
+// the caller made, and what a kernel's first entry adds to the set's length:
+// 0 when the kernel's first line, first, is the line of the set's last entry
+// — a read of the same line extends that entry instead of adding one — and 1
+// otherwise; every later line adds 1. The bulk reads make the room before
+// their loops, so that the kernels fill entries by index and never grow the
+// set: a call inside a kernel would spill every local its loops keep in a
+// register.
+func (t *Txn) readRoom(first, k int) (room []readEntry, adv int) {
+	n := len(t.reads)
+	if n > 0 && lineOf(t.reads[n-1].addr) == first {
+		return t.reads[n : n+k], 0
+	}
+	return t.reads[n : n+k], 1
 }
 
 // bypassPrefix is the fast-path gate of both bulk reads: how many leading
-// words of a read of n words, the lowest at lo and the highest at hi, may take
-// the bypass-mode append inline. It is 0 unless the plain hardware-path case
-// is in play — no fallback path, no environment plan, an empty write set, a
-// bypass-mode read set — and every word is inside the arena. Then every
-// word appends exactly one read entry while the set is below dedupAfter
-// (extend never grows it), so the prefix is the room left below dedupAfter.
+// words of a read of n words, the lowest at lo and the highest at hi, may skip
+// the per-access dispatch. It is 0 unless the plain hardware-path case is in
+// play — no fallback path, no environment plan, an empty write set — and every
+// word is inside the arena. Then the prefix is the room left below
+// MaxReadSet: a word adds at most one read entry, so no word of the prefix
+// finds the set full.
 func (t *Txn) bypassPrefix(lo, hi, n int) int {
-	if t.direct || t.env != nil || len(t.writes) != 0 || t.dedup ||
-		lo <= int(NilAddr) || hi >= len(t.words) {
+	if t.direct || t.env != nil || len(t.writes) != 0 || lo <= int(NilAddr) || hi >= len(t.words) {
 		return 0
 	}
-	return min(n, max(t.dedupAfter-len(t.reads), 0))
+	if t.maxReadSet < 0 {
+		return n
+	}
+	return min(n, t.maxReadSet-len(t.reads))
 }
 
 // LoadStrided transactionally reads len(dst) words spaced stride words apart,
@@ -700,9 +655,8 @@ func (t *Txn) bypassPrefix(lo, hi, n int) int {
 // with everything LoadWords promises of its loop; stride may be negative, for
 // a walk down an array. Stride 1 is LoadWords. Otherwise it takes the fast
 // path under LoadWords' conditions (bypassPrefix): each line of the prefix
-// costs one metadata load and the readable test, each word a value, the
-// metadata again and one read entry staged in place, as in LoadWords
-// (stridedRun).
+// costs one metadata load, the readable test and at most one read entry, each
+// word a value and the metadata again, as in LoadWords (stridedRun).
 func (t *Txn) LoadStrided(a Addr, stride int, dst []uint64) {
 	if stride == 1 {
 		t.LoadWords(a, dst)
@@ -713,18 +667,12 @@ func (t *Txn) LoadStrided(a Addr, stride int, dst []uint64) {
 		lo, hi = hi, lo
 	}
 	fast := t.bypassPrefix(lo, hi, len(dst))
-	if fast > 0 {
-		base := len(t.reads)
-		t.reads = slices.Grow(t.reads, fast)
-		ents := t.reads[base : base+fast]
-		for i := 0; i < fast; i++ {
-			i += t.stridedRun(a+Addr(i*stride), stride, dst[i:fast], ents[i:])
-			if i < fast {
-				t.reads = t.reads[:base+i]
-				dst[i] = t.Load(a + Addr(i*stride))
-			}
+	t.reads = slices.Grow(t.reads, fast)
+	for i := 0; i < fast; i++ {
+		i += t.stridedRun(a+Addr(i*stride), stride, dst[i:fast])
+		if i < fast {
+			dst[i] = t.Load(a + Addr(i*stride))
 		}
-		t.reads = t.reads[:base+fast]
 	}
 	for i := fast; i < len(dst); i++ {
 		dst[i] = t.Load(a + Addr(i*stride))
@@ -732,35 +680,41 @@ func (t *Txn) LoadStrided(a Addr, stride int, dst []uint64) {
 }
 
 // stridedRun is LoadStrided's inner loop: it reads the words stride apart
-// from a into dst, staging one read entry each in ents (len(ents) ==
-// len(dst), every word inside the arena), and returns how many it read before
-// the first word that fails the bypass predicate, which it leaves to Load.
-// Like loadRun it decides the metadata half of the predicate once per line —
-// a strided walk over an array's slots meets several slots in each — and
-// keeps the heap and the snapshot in locals, since the atomic loads are
-// compiler barriers.
-func (t *Txn) stridedRun(a Addr, stride int, dst []uint64, ents []readEntry) int {
+// from a into dst (every word inside the arena), appending one read entry per
+// line as Load would, and returns how many it read before the first word that
+// fails the bypass predicate, which it leaves to Load. Like loadRun it decides
+// the metadata half of the predicate once per line — a strided walk over an
+// array's slots meets several slots in each — and keeps the heap and the
+// snapshot in locals, since the atomic loads are compiler barriers.
+func (t *Txn) stridedRun(a Addr, stride int, dst []uint64) int {
 	words, meta, rv := t.words, t.meta, t.rv
-	dst = dst[:len(ents)]
-	w := int(a)
-	for i := 0; i < len(ents); {
+	ents, adv := t.readRoom(lineOf(a), len(dst))
+	w, i, k := int(a), 0, 0
+run:
+	for i < len(dst) {
 		l := w >> lineShift
 		mw := &meta[l]
 		m1 := mw.Load()
 		if m1&(metaLockBit|metaAllocBit) != metaAllocBit || metaVersion(m1) > rv {
-			return i
+			break
 		}
-		for ; i < len(ents) && w>>lineShift == l; i++ {
+		v := words[w].Load()
+		if mw.Load() != m1 {
+			break
+		}
+		ents[k] = readEntry{addr: Addr(w), meta: m1}
+		k, adv = k+adv, 1
+		dst[i] = v
+		for i, w = i+1, w+stride; i < len(dst) && w>>lineShift == l; i, w = i+1, w+stride {
 			v := words[w].Load()
 			if mw.Load() != m1 {
-				return i
+				break run
 			}
-			ents[i] = readEntry{addr: Addr(w), meta: m1}
 			dst[i] = v
-			w += stride
 		}
 	}
-	return len(ents)
+	t.reads = t.reads[:len(t.reads)+k]
+	return i
 }
 
 // Store transactionally writes v to the word at a. Writes are buffered and
@@ -1091,21 +1045,13 @@ func (t *Txn) reset() {
 	t.direct = false
 	t.directGlobal = false
 	t.fbSeq = 0
-	if t.dedup {
-		// The filter carries bits only when the previous attempt engaged
-		// dedup; bypass attempts never touch it, so read-only transactions
-		// skip the 64-byte clear too.
-		t.rfilter = [readFilterWords]uint64{}
-		t.dedup = false
-	}
-	t.rindexed = false
 }
 
-// ReadSetSize reports the number of distinct words the attempt has read;
+// ReadSetSize reports the number of distinct lines the attempt has read;
 // useful for tests and for algorithms that adapt transaction size. It
-// compacts any bypass-mode duplicates first (engaging dedup for the rest of
-// the attempt), so repeat reads are never counted.
+// compacts the read set first (compactReads), so a line read in several runs
+// counts once.
 func (t *Txn) ReadSetSize() int {
-	t.engageDedup()
+	t.compactReads()
 	return len(t.reads)
 }

@@ -2,8 +2,10 @@ package htm
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestAtomicBasicReadWrite(t *testing.T) {
@@ -122,18 +124,49 @@ func TestUnboundedStoreBuffer(t *testing.T) {
 	}
 }
 
+// TestReadSetCapacity pins MaxReadSet's unit, the distinct line: one line
+// past it aborts at the extra line's first word, words packed into lines that
+// fit commit however many they are, and a body alternating over exactly
+// MaxReadSet lines commits through compaction of the full set.
 func TestReadSetCapacity(t *testing.T) {
-	h := newTestHeap(t, Config{MaxReadSet: 4})
+	const maxLines = 4
+	h := newTestHeap(t, Config{MaxReadSet: maxLines})
 	th := h.NewThread()
-	a := th.Alloc(8)
+	a := th.Alloc((maxLines + 1) << lineShift)
+	line := func(i int) Addr { return a + Addr(i)<<lineShift }
+
 	err := th.TryAtomic(func(tx *Txn) {
-		for i := Addr(0); i < 8; i++ {
-			tx.Load(a + i)
+		for i := 0; i <= maxLines; i++ {
+			tx.Load(line(i))
 		}
 	})
 	var ab *AbortError
-	if !errors.As(err, &ab) || ab.Code != AbortCapacity {
-		t.Fatalf("err = %v, want read-capacity abort", err)
+	if !errors.As(err, &ab) || ab.Code != AbortCapacity || ab.Addr != line(maxLines) {
+		t.Fatalf("%d distinct lines: err = %v, want a read-capacity abort at %#x", maxLines+1, err, uint32(line(maxLines)))
+	}
+
+	size := -1
+	err = th.TryAtomic(func(tx *Txn) {
+		for i := 0; i < maxLines; i++ {
+			for w := Addr(0); w < 4; w++ {
+				tx.Load(line(i) + w)
+			}
+		}
+		size = tx.ReadSetSize()
+	})
+	if err != nil || size != maxLines {
+		t.Fatalf("%d words in %d lines: err = %v, ReadSetSize = %d; want a commit over %d lines", 4*maxLines, maxLines, err, size, maxLines)
+	}
+
+	size = -1
+	err = th.TryAtomic(func(tx *Txn) {
+		for i := 0; i < 25*maxLines; i++ {
+			tx.Load(line(i % maxLines))
+		}
+		size = tx.ReadSetSize()
+	})
+	if err != nil || size != maxLines {
+		t.Fatalf("loads alternating over %d lines: err = %v, ReadSetSize = %d; want a commit over %d lines", maxLines, err, size, maxLines)
 	}
 }
 
@@ -283,14 +316,51 @@ func TestOverflowWithoutTLEPanicsInAtomic(t *testing.T) {
 	})
 }
 
+// TestCapacityWithoutTLEPanicsInAtomic: a body that reads MaxReadSet+1
+// distinct lines aborts AbortCapacity on every attempt, so Atomic without TLE
+// must panic, as it does on a deterministic overflow, and not retry forever.
+// The body runs on its own goroutine so that a retry loop fails the test
+// instead of hanging it.
+func TestCapacityWithoutTLEPanicsInAtomic(t *testing.T) {
+	h := newTestHeap(t, Config{MaxReadSet: 4})
+	th := h.NewThread()
+	a := th.Alloc(5 << lineShift)
+	stop := make(chan struct{})
+	defer close(stop)
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		th.AtomicUntil(func(tx *Txn) {
+			for i := Addr(0); i < 5; i++ {
+				tx.Load(a + i<<lineShift)
+			}
+		}, func() bool {
+			select {
+			case <-stop:
+				return true
+			default:
+				return false
+			}
+		})
+	}()
+	select {
+	case r := <-done:
+		if msg, _ := r.(string); !strings.Contains(msg, "MaxReadSet") {
+			t.Errorf("deterministic capacity abort in Atomic: recovered %v, want a panic naming MaxReadSet", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("deterministic capacity abort in Atomic still retrying after 5s")
+	}
+}
+
 func TestReadWriteSetSizes(t *testing.T) {
 	h := newTestHeap(t, Config{})
 	th := h.NewThread()
-	a := th.Alloc(4)
+	a := th.Alloc(3 << lineShift)
 	th.Atomic(func(tx *Txn) {
 		tx.Load(a)
-		tx.Load(a + 1)
-		tx.Store(a+2, 1)
+		tx.Load(a + 1<<lineShift)
+		tx.Store(a+2<<lineShift, 1)
 		if tx.ReadSetSize() != 2 {
 			t.Errorf("ReadSetSize = %d, want 2", tx.ReadSetSize())
 		}
