@@ -13,45 +13,52 @@ import (
 // (or a block and free space) and every line transition is exactly one
 // block's alloc or free. The slack words after a block's payload in its last
 // line belong to the block: they read as live, and as zero unless the program
-// wrote past its block. Freed blocks are recycled on exact-size free lists (no
-// splitting or coalescing — the experiments allocate a small set of block
-// sizes, and exact-size recycling keeps the simulation simple and fast
-// without affecting any measured behaviour).
+// wrote past its block.
+//
+// A block's size class is its footprint in lines (footprint), and freed
+// blocks are recycled within their class, with no splitting or coalescing: a
+// freed 2-word node serves a later 5-word request, since both own one line.
+// The header survives the free, so alloc knows how much of a recycled block
+// its previous life wrote and zeroes the part the new payload does not cover.
 //
 // The design follows libumem, the allocator the paper's experiments ran on:
-// each Thread owns a per-size-class magazine (a small fixed array of free
-// payload addresses) that serves the alloc/free fast path with no locking at
-// all. Magazines refill from and drain to the arena's shards in batches of
-// magBatch blocks, so the shard mutex is touched once per magBatch operations
-// in steady state rather than once per operation. Shards hold fixed arrays of
-// exact-size free lists (one slice per class, indexed directly by size) plus
-// a bump region; only sizes above maxMagSize fall back to a per-shard map.
+// each Thread owns one magazine (a small fixed array of free payload
+// addresses) per class up to magLines, serving the alloc/free fast path with
+// no locking at all. Magazines refill from and drain to the arena's shards in
+// batches of magBatch blocks, so the shard mutex is touched once per magBatch
+// operations in steady state rather than once per operation. A shard holds
+// one free list per class, indexed by line count, plus a bump region; larger
+// classes skip the magazine and go to the shard directly.
 //
 // Threads are assigned shards round-robin, so even refills are uncontended
 // when the number of worker threads does not exceed the shard count.
 //
 // Like any thread-caching allocator (libumem, tcmalloc), magazines strand a
-// bounded amount of memory: up to magCap addresses per active size class per
+// bounded amount of memory: up to magCap addresses per active class per
 // thread are invisible to other threads until the owner drains them. Size
 // arenas with that headroom; an allocation that finds every shard empty
-// panics even if peer magazines hold free blocks of the right size.
+// panics even if peer magazines hold free blocks of the right class.
 
 const headerAllocBit uint64 = 1
 
 const (
-	// maxMagSize is the largest payload size (in words) served by magazines
-	// and the shards' array free lists; class s serves exactly size s. The
-	// paper's structures allocate queue nodes (a few words) and collect
-	// arrays (up to 64 handles), so this covers every hot allocation.
-	maxMagSize = 64
-	// magCap is the number of addresses a magazine holds per size class.
+	// magLines is the largest class, in lines, served by magazines: the
+	// footprint of a 64-word payload. The paper's structures allocate queue
+	// nodes (a few words) and collect arrays (up to 64 handles), so this
+	// covers every hot allocation.
+	magLines = 9
+	// magCap is the number of addresses a magazine holds.
 	magCap = 16
 	// magBatch is the number of blocks moved between a magazine and its
 	// shard per refill or drain, amortizing the shard mutex.
 	magBatch = 8
 )
 
-// magazine is a per-thread cache of free blocks of one size class.
+// footprint returns the size class of a block of size payload words: the
+// lines its header and payload span.
+func footprint(size int) int { return (size + 1 + int(lineMask)) >> lineShift }
+
+// magazine is a per-thread cache of free blocks of one class.
 type magazine struct {
 	n     int
 	addrs [magCap]Addr
@@ -59,11 +66,10 @@ type magazine struct {
 
 type allocShard struct {
 	mu    sync.Mutex
-	start Addr                   // first word of this shard's region (for sweeps)
-	bump  Addr                   // next unused word in this shard's region
-	end   Addr                   // one past the shard's region
-	free  [maxMagSize + 1][]Addr // exact payload size -> free payload addresses
-	big   map[int][]Addr         // sizes above maxMagSize (off the hot path)
+	start Addr     // first word of this shard's region (for sweeps)
+	bump  Addr     // next unused word in this shard's region
+	end   Addr     // one past the shard's region
+	free  [][]Addr // class (lines) -> free payload addresses; grown on demand
 
 	// Pad the shard tail so the hot header fields (mutex, bump) of shard
 	// i+1 never share a cache line with the free-list spine of shard i.
@@ -88,7 +94,7 @@ func (al *allocator) init(h *Heap) {
 	per := total / n
 	for i := range al.shards {
 		s := &al.shards[i]
-		s.big = make(map[int][]Addr)
+		s.free = make([][]Addr, magLines+1)
 		s.start = Addr(lo + i*per)
 		s.bump = s.start
 		s.end = Addr(lo + (i+1)*per)
@@ -96,104 +102,75 @@ func (al *allocator) init(h *Heap) {
 	al.shards[n-1].end = Addr(len(h.words))
 }
 
-// carve cuts a fresh block of size payload words from shard s's bump region
-// (mutex held by the caller), returning NilAddr when the region is exhausted.
-// Both the block's start and its footprint round up to line boundaries.
-func (al *allocator) carve(s *allocShard, size int) Addr {
+// take moves up to len(dst) free blocks of the given class from shard si into
+// dst or, when the shard has none, carves one fresh block from its bump
+// region — only recycled blocks batch, so idle classes never pin unused arena
+// words. It returns the number of blocks moved.
+func (al *allocator) take(si, lines int, dst []Addr) int {
+	s := &al.shards[si]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if lines < len(s.free) {
+		lst := s.free[lines]
+		n := copy(dst, lst[max(len(lst)-len(dst), 0):])
+		if n > 0 {
+			s.free[lines] = lst[:len(lst)-n]
+			return n
+		}
+	}
+	// Both the block's start and its footprint are whole lines.
 	b := (s.bump + lineMask) &^ lineMask
-	need := (Addr(size+1) + lineMask) &^ lineMask
+	need := Addr(lines) << lineShift
 	if b > s.end || s.end-b < need {
-		return NilAddr
+		return 0
 	}
 	s.bump = b + need
-	return b + 1
+	dst[0] = b + 1
+	return 1
 }
 
-// refillMag moves up to magBatch free blocks of the given size class from
-// shard si into m. Fresh blocks are carved from the bump region one at a
-// time — only recycled blocks batch — so idle size classes never pin unused
-// arena words. It reports whether m ended up non-empty.
-func (al *allocator) refillMag(si, size int, m *magazine) bool {
+// give pushes blocks of the given class onto shard si's free list.
+func (al *allocator) give(si, lines int, blocks []Addr) {
 	s := &al.shards[si]
 	s.mu.Lock()
-	lst := s.free[size]
-	take := magBatch - m.n
-	if take > len(lst) {
-		take = len(lst)
+	for len(s.free) <= lines {
+		s.free = append(s.free, nil)
 	}
-	if take > 0 {
-		copy(m.addrs[m.n:], lst[len(lst)-take:])
-		s.free[size] = lst[:len(lst)-take]
-		m.n += take
-	}
-	if m.n == 0 {
-		if a := al.carve(s, size); a != NilAddr {
-			m.addrs[0] = a
-			m.n = 1
-		}
-	}
+	s.free[lines] = append(s.free[lines], blocks...)
 	s.mu.Unlock()
-	return m.n > 0
 }
 
-// drainMag returns magBatch blocks from a full magazine to shard si's free
-// list, keeping the rest cached for subsequent allocs.
-func (al *allocator) drainMag(si, size int, m *magazine) {
-	s := &al.shards[si]
-	keep := m.n - magBatch
-	s.mu.Lock()
-	s.free[size] = append(s.free[size], m.addrs[keep:m.n]...)
-	s.mu.Unlock()
-	m.n = keep
-}
-
-// allocRaw obtains a recycled or freshly carved block of size payload words
-// for th, without preparing its header, contents or statistics. It panics if
-// the arena is exhausted.
+// allocRaw obtains a recycled or freshly carved block of size's class for th,
+// without preparing its header, contents or statistics.
 func (al *allocator) allocRaw(th *Thread, size int) Addr {
-	if size >= 1 && size <= maxMagSize {
-		m := &th.mags[size]
-		if m.n == 0 && !al.refillMag(th.shard, size, m) {
-			for i := range al.shards {
-				if i != th.shard && al.refillMag(i, size, m) {
-					break
-				}
-			}
-		}
-		if m.n > 0 {
-			m.n--
-			return m.addrs[m.n]
-		}
-	} else {
-		if a := al.allocBigFrom(th.shard, size); a != NilAddr {
-			return a
-		}
-		for i := range al.shards {
-			if i == th.shard {
-				continue
-			}
-			if a := al.allocBigFrom(i, size); a != NilAddr {
-				return a
-			}
-		}
+	lines := footprint(size)
+	if lines > magLines {
+		var one [1]Addr
+		al.refill(th.shard, lines, one[:])
+		return one[0]
 	}
-	panic(fmt.Sprintf("htm: arena exhausted allocating %d words (capacity %d; note: peer threads' magazines may cache freed blocks — size the arena with thread-cache headroom)", size, len(al.h.words)))
+	m := &th.mags[lines-1]
+	if m.n == 0 {
+		m.n = al.refill(th.shard, lines, m.addrs[:magBatch])
+	}
+	m.n--
+	return m.addrs[m.n]
 }
 
-// allocBigFrom serves the slow path for sizes above maxMagSize from shard
-// si's map-backed free lists or bump region, returning NilAddr on failure.
-func (al *allocator) allocBigFrom(si, size int) Addr {
-	s := &al.shards[si]
-	s.mu.Lock()
-	if lst := s.big[size]; len(lst) > 0 {
-		a := lst[len(lst)-1]
-		s.big[size] = lst[:len(lst)-1]
-		s.mu.Unlock()
-		return a
+// refill takes blocks of the given class into dst from shard home or else the
+// first shard that can serve, and returns how many it took. It panics if the
+// arena is exhausted.
+func (al *allocator) refill(home, lines int, dst []Addr) int {
+	n := al.take(home, lines, dst)
+	for i := 0; n == 0 && i < len(al.shards); i++ {
+		if i != home {
+			n = al.take(i, lines, dst)
+		}
 	}
-	a := al.carve(s, size)
-	s.mu.Unlock()
-	return a
+	if n == 0 {
+		panic(fmt.Sprintf("htm: arena exhausted allocating a %d-line block (capacity %d words; note: peer threads' magazines may cache freed blocks — size the arena with thread-cache headroom)", lines, len(al.h.words)))
+	}
+	return n
 }
 
 // alloc returns an allocated block of size words for th, holding image (which
@@ -220,6 +197,14 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 	}
 	a := al.allocRaw(th, size)
 	h := al.h
+	// A recycled block's header still records its previous payload size;
+	// zero what that life wrote beyond the new payload, so the slack reads
+	// as zero.
+	if old := Addr(h.words[a-1].Load() >> 1); old > Addr(size) {
+		for i := a + Addr(size); i < a+old; i++ {
+			h.words[i].Store(0)
+		}
+	}
 	h.words[a-1].Store(uint64(size)<<1 | headerAllocBit)
 	wv := h.tick()
 	live := makeMeta(wv, true)
@@ -259,16 +244,19 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 	return a
 }
 
-// free returns the block whose payload starts at a to th's magazine (or, for
-// oversized blocks, to th's home shard). Each of the block's lines has its
-// allocated bit cleared and its version bumped in ONE CAS — the version bump
-// IS the generation flip of the old two-array design — so any in-flight
-// transaction that read the block aborts at its next validation, and any
-// later transactional access aborts immediately (sandboxing). The block owns
-// its lines outright, so every transition is exclusively this free's.
+// free returns the block whose payload starts at a to th's magazine for its
+// class (or, above magLines, to th's home shard). Each of the block's lines
+// has its allocated bit cleared and its version bumped in ONE CAS — the
+// version bump IS the generation flip of the old two-array design — so any
+// in-flight transaction that read the block aborts at its next validation,
+// and any later transactional access aborts immediately (sandboxing). The
+// block owns its lines outright, so every transition is exclusively this
+// free's. An address whose header word would not start a line is not a
+// block's and panics before anything is read; an interior pointer that
+// happens to start a later line of a multi-line block is not detected.
 func (al *allocator) free(th *Thread, a Addr) {
 	h := al.h
-	if !h.valid(a) {
+	if !h.valid(a) || (a-1)&lineMask != 0 {
 		panic(fmt.Sprintf("htm: free of invalid address %#x", uint32(a)))
 	}
 	hdr := h.words[a-1].Load()
@@ -327,19 +315,18 @@ func (al *allocator) free(th *Thread, a Addr) {
 	} else {
 		bumpBy(&th.cell.freeWords, uint64(size))
 	}
-	if size <= maxMagSize {
-		m := &th.mags[size]
-		if m.n == magCap {
-			al.drainMag(th.shard, size, m)
-		}
-		m.addrs[m.n] = a
-		m.n++
+	lines := footprint(size)
+	if lines > magLines {
+		al.give(th.shard, lines, []Addr{a})
 		return
 	}
-	s := &al.shards[th.shard]
-	s.mu.Lock()
-	s.big[size] = append(s.big[size], a)
-	s.mu.Unlock()
+	m := &th.mags[lines-1]
+	if m.n == magCap {
+		m.n -= magBatch
+		al.give(th.shard, lines, m.addrs[m.n:])
+	}
+	m.addrs[m.n] = a
+	m.n++
 }
 
 // blockSize returns the payload size in words of the allocated block at a.

@@ -664,44 +664,11 @@ func TestStressLoadStridedAgainstTransfers(t *testing.T) {
 func TestAllocInit(t *testing.T) {
 	for _, geo := range geometries {
 		t.Run(geo.name, func(t *testing.T) {
-			h := newTestHeap(t, geo.cfg)
-			th := h.NewThread()
-			th.Free(th.Alloc(5)) // the next 5-word block is a recycled one, dirty metadata and all
-			img := []uint64{11, 22, 33, 44, 55}
-			ticks := h.ClockNow()
-			a := th.AllocInit(img)
-			if got := h.ClockNow() - ticks; got != 1 {
-				t.Errorf("AllocInit ticked the clock %d times, want 1", got)
+			// The next 5-word block is a recycled one, dirty metadata and all:
+			// a 5-word one, or a 7-word one that filled the new slack.
+			for _, prev := range []int{5, 7} {
+				t.Run(fmt.Sprintf("prev=%d", prev), func(t *testing.T) { testAllocInitOver(t, geo.cfg, prev) })
 			}
-			if (a-1)&lineMask != 0 {
-				t.Errorf("block %#x: header not line-aligned", uint32(a))
-			}
-			img[0] = 99 // the heap holds a copy
-			var got [5]uint64
-			th.Atomic(func(tx *Txn) { tx.LoadWords(a, got[:]) })
-			for i, want := range []uint64{11, 22, 33, 44, 55} {
-				if got[i] != want || h.LoadNT(a+Addr(i)) != want {
-					t.Errorf("word %d: txn read %d, LoadNT %d, want %d", i, got[i], h.LoadNT(a+Addr(i)), want)
-				}
-			}
-			if n := th.BlockSize(a); n != len(img) {
-				t.Errorf("BlockSize = %d, want %d", n, len(img))
-			}
-			// The block's last line ends at a+6: its slack reads as live zeros
-			// (the recycled block's slack included), and the next line is free.
-			var slack [2]uint64
-			if err := th.TryAtomic(func(tx *Txn) { slack = [2]uint64{tx.Load(a + 5), tx.Load(a + 6)} }); err != nil || slack != [2]uint64{} {
-				t.Errorf("slack words read %v (%v), want live zeros", slack, err)
-			}
-			if err := th.TryAtomic(func(tx *Txn) { tx.Load(a + 7) }); abortCodeOf(t, err) != AbortIllegal {
-				t.Errorf("word past the block's last line is live: %v", err)
-			}
-			if s := h.Stats(); s.AllocCalls != 2 || s.LiveWords != 5 {
-				t.Errorf("AllocCalls = %d, LiveWords = %d; want 2 and 5", s.AllocCalls, s.LiveWords)
-			}
-			requireQuiescent(t, h)
-			th.Free(a)
-			requireQuiescent(t, h)
 		})
 	}
 	h := newTestHeap(t, Config{})
@@ -711,6 +678,56 @@ func TestAllocInit(t *testing.T) {
 		}
 	}()
 	h.NewThread().AllocInit(nil)
+}
+
+// testAllocInitOver runs TestAllocInit's checks on a 5-word AllocInit that
+// recycles a freed block of prev words, each of which held a nonzero value.
+func testAllocInitOver(t *testing.T, cfg Config, prev int) {
+	h := newTestHeap(t, cfg)
+	th := h.NewThread()
+	p := th.Alloc(prev)
+	for i := 0; i < prev; i++ {
+		h.StoreNT(p+Addr(i), 77)
+	}
+	th.Free(p)
+	img := []uint64{11, 22, 33, 44, 55}
+	ticks := h.ClockNow()
+	a := th.AllocInit(img)
+	if got := h.ClockNow() - ticks; got != 1 {
+		t.Errorf("AllocInit ticked the clock %d times, want 1", got)
+	}
+	if (a-1)&lineMask != 0 {
+		t.Errorf("block %#x: header not line-aligned", uint32(a))
+	}
+	if a != p {
+		t.Errorf("AllocInit(5 words) = %#x, not the freed %d-word block %#x", uint32(a), prev, uint32(p))
+	}
+	img[0] = 99 // the heap holds a copy
+	var got [5]uint64
+	th.Atomic(func(tx *Txn) { tx.LoadWords(a, got[:]) })
+	for i, want := range []uint64{11, 22, 33, 44, 55} {
+		if got[i] != want || h.LoadNT(a+Addr(i)) != want {
+			t.Errorf("word %d: txn read %d, LoadNT %d, want %d", i, got[i], h.LoadNT(a+Addr(i)), want)
+		}
+	}
+	if n := th.BlockSize(a); n != len(img) {
+		t.Errorf("BlockSize = %d, want %d", n, len(img))
+	}
+	// The block's last line ends at a+6: its slack reads as live zeros
+	// (the recycled block's slack included), and the next line is free.
+	var slack [2]uint64
+	if err := th.TryAtomic(func(tx *Txn) { slack = [2]uint64{tx.Load(a + 5), tx.Load(a + 6)} }); err != nil || slack != [2]uint64{} {
+		t.Errorf("slack words read %v (%v), want live zeros", slack, err)
+	}
+	if err := th.TryAtomic(func(tx *Txn) { tx.Load(a + 7) }); abortCodeOf(t, err) != AbortIllegal {
+		t.Errorf("word past the block's last line is live: %v", err)
+	}
+	if s := h.Stats(); s.AllocCalls != 2 || s.LiveWords != 5 {
+		t.Errorf("AllocCalls = %d, LiveWords = %d; want 2 and 5", s.AllocCalls, s.LiveWords)
+	}
+	requireQuiescent(t, h)
+	th.Free(a)
+	requireQuiescent(t, h)
 }
 
 // storeLoop buffers src into the words at a inside tx, one Store per word.

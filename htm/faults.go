@@ -310,8 +310,8 @@ func (h *Heap) SweepMeta() MetaSweep {
 					s.StripeErrors++
 				}
 			}
-			// The next block starts at the next line boundary (see carve).
-			pos = (pos + Addr(size+1) + lineMask) &^ lineMask
+			// The next block starts right after this one's footprint.
+			pos += Addr(footprint(size)) << lineShift
 		}
 	}
 	return s

@@ -61,25 +61,35 @@ func TestNewHeapDefaults(t *testing.T) {
 }
 
 func TestAllocZeroesAndFreeRecycles(t *testing.T) {
-	h := newTestHeap(t, Config{})
-	th := h.NewThread()
-	a := th.Alloc(4)
-	if a == NilAddr {
-		t.Fatal("Alloc returned nil")
-	}
-	for i := Addr(0); i < 4; i++ {
-		if v := h.LoadNT(a + i); v != 0 {
-			t.Errorf("fresh word %d = %d, want 0", i, v)
+	// Each case fills a block of first words, frees it and allocates second
+	// words: one footprint class, so the LIFO magazine hands the same block
+	// back, and every word the first life wrote reads zero in the second.
+	for _, c := range []struct{ first, second int }{{4, 4}, {7, 2}} {
+		h := newTestHeap(t, Config{})
+		th := h.NewThread()
+		a := th.Alloc(c.first)
+		if a == NilAddr {
+			t.Fatal("Alloc returned nil")
 		}
-	}
-	h.StoreNT(a, 42)
-	th.Free(a)
-	b := th.Alloc(4)
-	if b != a {
-		t.Errorf("exact-size free list should recycle: got %#x, want %#x", uint32(b), uint32(a))
-	}
-	if v := h.LoadNT(b); v != 0 {
-		t.Errorf("recycled word = %d, want 0", v)
+		for i := Addr(0); i < Addr(c.first); i++ {
+			if v := h.LoadNT(a + i); v != 0 {
+				t.Errorf("fresh word %d = %d, want 0", i, v)
+			}
+			h.StoreNT(a+i, 42)
+		}
+		th.Free(a)
+		b := th.Alloc(c.second)
+		if b != a {
+			t.Errorf("%d then %d words: the class's free list should recycle: got %#x, want %#x", c.first, c.second, uint32(b), uint32(a))
+		}
+		th.Atomic(func(tx *Txn) {
+			for i := Addr(0); i < Addr(c.first); i++ {
+				if v, nt := tx.Load(b+i), h.LoadNT(b+i); v != 0 || nt != 0 {
+					t.Errorf("%d then %d words: recycled word %d reads %d (LoadNT %d), want 0", c.first, c.second, i, v, nt)
+				}
+			}
+		})
+		requireQuiescent(t, h)
 	}
 }
 
@@ -129,6 +139,31 @@ func TestFreeInvalidPanics(t *testing.T) {
 		}
 	}()
 	th.Free(NilAddr)
+}
+
+// TestFreeInteriorPointerPanics frees a pointer into a live block's first
+// line: the free must panic before it reads the word it takes for a header,
+// and leave the block, its line and the allocator's books as they were.
+func TestFreeInteriorPointerPanics(t *testing.T) {
+	h := newTestHeap(t, Config{})
+	th := h.NewThread()
+	a := th.Alloc(4)
+	h.StoreNT(a, 3) // from a+1, reads as a live 1-word block's header
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("free of an interior pointer did not panic")
+			}
+		}()
+		th.Free(a + 1)
+	}()
+	if s := h.Stats(); s.LiveWords != 4 || s.FreeCalls != 0 {
+		t.Errorf("LiveWords = %d, FreeCalls = %d; want 4 and 0", s.LiveWords, s.FreeCalls)
+	}
+	requireQuiescent(t, h)
+	if b := th.Alloc(1); b >= a-1 && b <= a+4 {
+		t.Errorf("Alloc(1) = %#x overlaps the live block at %#x", uint32(b), uint32(a))
+	}
 }
 
 func TestAllocNonPositivePanics(t *testing.T) {

@@ -254,8 +254,8 @@ func TestMagazineStress(t *testing.T) {
 			local := make([]Addr, 0, 64)
 			for i := 0; i < rounds; i++ {
 				switch next() % 4 {
-				case 0: // alloc a magazine-class block, sizes straddling classes
-					size := int(next()%uint64(maxMagSize)) + 1
+				case 0: // alloc a block, sizes straddling classes and one past the magazines
+					size := int(next()%uint64(topMagSize+1)) + 1
 					local = append(local, th.Alloc(size))
 				case 1: // free the newest local block
 					if n := len(local); n > 0 {
@@ -296,26 +296,39 @@ func TestMagazineStress(t *testing.T) {
 	if s.LiveWords != 0 {
 		t.Errorf("LiveWords = %d at quiescence, want 0", s.LiveWords)
 	}
+	requireQuiescent(t, h)
 }
 
-// TestMagazineRecyclingCrossSize checks that blocks freed into a magazine are
-// recycled for the same size class only, and that drained blocks reappear via
-// shard refills rather than leaking: alloc/free churn far beyond magCap per
-// class must never exhaust a modest arena.
+// topMagSize is the largest payload a magazine serves: its footprint is
+// magLines. The churn tests draw sizes up to one past it, so the shard-only
+// path runs too.
+const topMagSize = magLines<<lineShift - 1
+
+// TestMagazineRecyclingCrossSize checks that blocks are recycled within a
+// footprint class — every size of the class reuses the block just freed — and
+// that drained blocks reappear via shard refills rather than leaking:
+// alloc/free churn far beyond magCap per class must never exhaust a modest
+// arena.
 func TestMagazineRecyclingCrossSize(t *testing.T) {
 	h := NewHeap(Config{Words: 1 << 14})
 	th := h.NewThread()
+	prev := NilAddr
 	for round := 0; round < 10000; round++ {
-		size := round%maxMagSize + 1
+		size := round%(topMagSize+1) + 1
 		a := th.Alloc(size)
 		if got := th.BlockSize(a); got != size {
 			t.Fatalf("BlockSize = %d, want %d", got, size)
 		}
+		if size > 1 && footprint(size) == footprint(size-1) && a != prev {
+			t.Fatalf("%d-word alloc got %#x, not the %#x its class just freed", size, uint32(a), uint32(prev))
+		}
 		th.Free(a)
+		prev = a
 	}
 	if live := h.Stats().LiveWords; live != 0 {
 		t.Fatalf("LiveWords = %d after matched churn, want 0", live)
 	}
+	requireQuiescent(t, h)
 }
 
 // TestZeroAllocSteadyState asserts the acceptance criterion directly: after
@@ -338,10 +351,14 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("Txn.Load/Store steady state allocates %.1f allocs/op, want 0", n)
 	}
 
-	runAlloc := func() { th.Free(th.Alloc(4)) }
-	runAlloc() // warmup: populate the magazine
-	if n := testing.AllocsPerRun(200, runAlloc); n != 0 {
-		t.Errorf("Thread.Alloc/Free steady state allocates %.1f allocs/op, want 0", n)
+	// 4 words hit a magazine; 100 words (13 lines) are above the magazine
+	// classes and go to the shard's free list for their class.
+	for _, size := range []int{4, 100} {
+		runAlloc := func() { th.Free(th.Alloc(size)) }
+		runAlloc() // warmup: populate the magazine or the shard's list
+		if n := testing.AllocsPerRun(200, runAlloc); n != 0 {
+			t.Errorf("Thread.Alloc/Free(%d words) steady state allocates %.1f allocs/op, want 0", size, n)
+		}
 	}
 
 	// Read-only transactions append to the read set alone; they too must be

@@ -127,7 +127,7 @@ func TestFreeInvalidatesReadOnlySnapshot(t *testing.T) {
 					nb := blk
 					switch mode {
 					case "freed-and-reused":
-						nb = mut.Alloc(2) // exact-size free list: reuses blk
+						nb = mut.Alloc(2) // the class's free list: reuses blk
 						h.StoreNT(nb, 9)
 						h.StoreNT(nb+1, 9)
 					case "freed-and-reborn-initialized":
@@ -178,7 +178,7 @@ func TestCommitToFreedWordAborts(t *testing.T) {
 					raced = true
 					mut.Free(blk)
 					if realloc {
-						nb := mut.Alloc(1) // exact-size free list: reuses blk
+						nb := mut.Alloc(1) // the class's free list: reuses blk
 						if nb != blk {
 							t.Skipf("allocator did not recycle (%#x -> %#x)", uint32(blk), uint32(nb))
 						}

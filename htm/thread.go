@@ -24,9 +24,9 @@ type Thread struct {
 	attempts uint64
 	commits  uint64
 
-	// mags are the per-size-class allocator magazines (see alloc.go); they
-	// serve the alloc/free fast path with no locking.
-	mags [maxMagSize + 1]magazine
+	// mags are the allocator magazines, mags[c-1] for the class of c lines
+	// (see alloc.go); they serve the alloc/free fast path with no locking.
+	mags [magLines]magazine
 }
 
 // NewThread creates an execution context bound to the heap. Each worker
