@@ -328,9 +328,3 @@ func (al *allocator) free(th *Thread, a Addr) {
 	m.addrs[m.n] = a
 	m.n++
 }
-
-// blockSize returns the payload size in words of the allocated block at a.
-func (al *allocator) blockSize(a Addr) int {
-	hdr := al.h.words[a-1].Load()
-	return int(hdr >> 1)
-}

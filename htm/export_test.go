@@ -1,5 +1,7 @@
 package htm
 
+import "fmt"
+
 // Inspection helpers that only this package's tests call. They live in a test
 // file, so the package exports none of them; the tests keep calling them by
 // the names they always had.
@@ -8,7 +10,19 @@ package htm
 func (th *Thread) ID() uint64 { return th.id }
 
 // BlockSize returns the payload size in words of the allocated block at a.
-func (th *Thread) BlockSize(a Addr) int { return th.h.alloc.blockSize(a) }
+// Like free, it panics on an address that is not a block's start and on a
+// block that is not allocated.
+func (th *Thread) BlockSize(a Addr) int {
+	h := th.h
+	if !h.valid(a) || (a-1)&lineMask != 0 {
+		panic(fmt.Sprintf("htm: BlockSize of invalid address %#x", uint32(a)))
+	}
+	hdr := h.words[a-1].Load()
+	if hdr&headerAllocBit == 0 {
+		panic(fmt.Sprintf("htm: BlockSize of unallocated block %#x", uint32(a)))
+	}
+	return int(hdr >> 1)
+}
 
 // AttemptStats returns the number of transaction attempts and commits made
 // by this thread.

@@ -115,6 +115,14 @@ func TestBlockSize(t *testing.T) {
 			t.Errorf("BlockSize(%d-word block) = %d", size, got)
 		}
 	}
+	// An interior pointer is not a block: BlockSize applies free's check.
+	a := th.Alloc(4)
+	defer func() {
+		if recover() == nil {
+			t.Error("BlockSize of an interior pointer did not panic")
+		}
+	}()
+	th.BlockSize(a + 1)
 }
 
 func TestDoubleFreePanics(t *testing.T) {

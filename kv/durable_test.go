@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -205,6 +206,82 @@ func TestSnapshotDuringWrites(t *testing.T) {
 	}
 	if s2.Len() != total {
 		t.Fatalf("recovered %d entries, shadow has %d", s2.Len(), total)
+	}
+}
+
+// slowSyncFS is wal.MemFS with a Sync that takes 50 µs the way the
+// benchmark's model device does: it polls the clock and yields between polls,
+// so the other writers run while the flush leader waits on the device.
+type slowSyncFS struct{ *wal.MemFS }
+
+type slowSyncFile struct{ wal.File }
+
+func (f slowSyncFile) Sync() error {
+	for end := time.Now().Add(50 * time.Microsecond); time.Now().Before(end); {
+		runtime.Gosched()
+	}
+	return f.File.Sync()
+}
+
+func (fs slowSyncFS) OpenAppend(name string) (wal.File, error) {
+	f, err := fs.MemFS.OpenAppend(name)
+	return slowSyncFile{f}, err
+}
+
+// TestDurableGroupCommitFillsBatches: eight writers on one CPU share their
+// syncs at least six records at a time, and a power cut loses none of their
+// acknowledged writes, with automatic snapshots rotating the log under them.
+// The flush leader yields once before it takes a batch, and the records that
+// join during that yield belong to Puts whose heap transactions have already
+// committed (the store logs after it commits). So a Rotate that waits out the
+// flush still leaves below its returned segment only records of operations
+// that committed before it returned, and the snapshot barrier stays sound.
+func TestDurableGroupCommitFillsBatches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const writers, keys, rounds = 8, 64, 2
+	mfs := wal.NewMemFS()
+	cfg := durableConfig(mfs, 256)
+	cfg.Durability.FS = slowSyncFS{mfs}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := 0; k < keys; k++ {
+					key := fmt.Sprintf("w%d-k%02d", w, k)
+					if err := s.Put(context.Background(), []byte(key), []byte(fmt.Sprintf("r%d-%s", r, key)), 0); err != nil {
+						t.Errorf("put %s: %v", key, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	s.snapWG.Wait()
+	st, _ := s.WalStats()
+	t.Logf("%d appends in %d batches, %d snapshots", st.Appends, st.Batches, s.Snapshots())
+	if st.Appends != writers*keys*rounds || st.Batches > st.Appends/6 {
+		t.Fatalf("%d appends in %d batches, want %d appends in at most %d batches",
+			st.Appends, st.Batches, writers*keys*rounds, writers*keys*rounds/6)
+	}
+	mfs.Crash()
+
+	s2 := openDurable(t, mfs, 0)
+	defer s2.Close()
+	for w := 0; w < writers; w++ {
+		for k := 0; k < keys; k++ {
+			key := fmt.Sprintf("w%d-k%02d", w, k)
+			checkGet(t, s2, key, fmt.Sprintf("r%d-%s", rounds-1, key), true)
+		}
+	}
+	if s2.Len() != writers*keys {
+		t.Fatalf("recovered %d entries, want %d", s2.Len(), writers*keys)
 	}
 }
 

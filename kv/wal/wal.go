@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,7 +94,9 @@ type Stats struct {
 // Log is the append-only commit log. Append is safe for concurrent use and
 // group-commits: concurrent appenders share one write+fsync batch (the first
 // to arrive becomes the flush leader; the rest ride its sync), so the fsync
-// rate is bounded by I/O latency, not by the operation rate.
+// rate is bounded by I/O latency, not by the operation rate. A leader whose
+// previous flush released other writers yields once before it takes the
+// batch, so those writers join it (see flushLocked).
 type Log struct {
 	opt Options
 	dir string
@@ -104,6 +107,8 @@ type Log struct {
 	segIdx    uint64 // active segment index
 	segSize   int64  // bytes written to the active segment
 	pending   []byte // framed records awaiting the next flush
+	pendingN  int    // records in pending
+	released  int    // records the last completed flush released
 	writeGen  uint64 // generation of the last flush STARTED
 	syncedGen uint64 // generation of the last flush COMPLETED
 	flushing  bool
@@ -168,6 +173,7 @@ func (l *Log) append(rec Record) error {
 		return l.err
 	}
 	l.pending = appendFrame(l.pending, rec)
+	l.pendingN++
 	l.appends.Add(1)
 	target := l.writeGen + 1 // the flush generation that will carry this record
 	for l.syncedGen < target {
@@ -188,10 +194,24 @@ func (l *Log) append(rec Record) error {
 
 // flushLocked writes and fsyncs the pending batch as generation writeGen+1.
 // Called with mu held; unlocks around the I/O and relocks before returning.
+//
+// If the last flush released more than one record, the leader yields once
+// before it takes the batch. It is usually one of the writers that flush
+// released, back with its next record before the others have run; without the
+// yield it would start the next sync at once, the others would queue behind
+// it, and N concurrent writers would settle into two alternating batches of
+// N/2. The writers that append during the yield see flushing set and target
+// writeGen+1, the generation being formed, so they ride this sync. A lone
+// writer's flushes release one record each and never yield.
 func (l *Log) flushLocked() {
 	l.flushing = true
-	batch := l.pending
-	l.pending = nil
+	if l.released > 1 {
+		l.mu.Unlock()
+		runtime.Gosched()
+		l.mu.Lock()
+	}
+	batch, n := l.pending, l.pendingN
+	l.pending, l.pendingN = nil, 0
 	gen := l.writeGen + 1
 	l.writeGen = gen
 	seg := l.seg
@@ -212,6 +232,7 @@ func (l *Log) flushLocked() {
 	}
 	l.mu.Lock()
 
+	l.released = n
 	if err == nil && len(batch) > 0 {
 		l.segSize += int64(len(batch))
 		l.bytes.Add(uint64(len(batch)))

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestFrameRoundTrip encodes every record kind through the frame layer and
@@ -125,6 +127,68 @@ func TestGroupCommit(t *testing.T) {
 	}
 	if res.TruncatedBytes != 0 {
 		t.Fatalf("unexpected truncation: %+v", res)
+	}
+}
+
+// slowSyncFS is MemFS with a Sync that takes 50 µs the way the benchmark's
+// model device does: it polls the clock and yields between polls, so the
+// other writers run while the leader waits on the device.
+type slowSyncFS struct{ *MemFS }
+
+type slowSyncFile struct{ File }
+
+func (f slowSyncFile) Sync() error {
+	for end := time.Now().Add(50 * time.Microsecond); time.Now().Before(end); {
+		runtime.Gosched()
+	}
+	return f.File.Sync()
+}
+
+func (fs slowSyncFS) OpenAppend(name string) (File, error) {
+	f, err := fs.MemFS.OpenAppend(name)
+	return slowSyncFile{f}, err
+}
+
+// TestGroupCommitFillsBatches: eight writers on one CPU, each appending as
+// soon as its last record is durable, must share syncs nearly eight at a time.
+// A leader that starts its next flush before the writers its last flush
+// released have run splits them into two alternating batches of four.
+func TestGroupCommitFillsBatches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const writers, perWriter = 8, 64
+	mfs := NewMemFS()
+	l, err := OpenLog("d", 0, Options{FS: slowSyncFS{mfs}})
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				key := fmt.Sprintf("w%d-k%d", w, i)
+				if err := l.AppendPut(uint64(w*perWriter+i+1), 0, []byte(key), []byte("v")); err != nil {
+					t.Errorf("append %s: %v", key, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := l.Stats()
+	if st.Appends != writers*perWriter {
+		t.Fatalf("appends = %d, want %d", st.Appends, writers*perWriter)
+	}
+	per := float64(st.Appends) / float64(st.Batches)
+	t.Logf("%d appends in %d batches = %.2f records per batch", st.Appends, st.Batches, per)
+	if per < 6 {
+		t.Fatalf("%d appends in %d batches = %.2f records per batch, want >= 6", st.Appends, st.Batches, per)
+	}
+	mfs.Crash() // no Close: every acknowledged append was fsynced by its batch
+	recs, _ := recoverAll(t, mfs, "d")
+	if len(recs) != writers*perWriter {
+		t.Fatalf("recovered %d records, want %d", len(recs), writers*perWriter)
 	}
 }
 
