@@ -358,7 +358,7 @@ func lwScenarios() []lwScenario {
 				a := w.from(blk, 16)
 				res := lwResult{vals: make([]uint64, 32)}
 				th.Atomic(func(tx *Txn) { // three stores overflow the buffer: the op ends on the fallback
-					w.load(tx, a, res.vals[:16]) // write set empty: locks (fine) or NT reads (global)
+					w.load(tx, a, res.vals[:16]) // write set empty: every line is locked as it is read
 					for i := 0; i < 3; i++ {
 						tx.Store(w.at(a, 2*i), 1000+uint64(i))
 					}
@@ -795,8 +795,8 @@ func swAttempt(th *Thread, a Addr, src []uint64, before func(tx *Txn), blk Addr,
 // cross: the write set, the abort code and address, and the committed
 // contents, under both geometries. Every scenario also checks the line
 // records: one per line the range touched, made by the first store to the
-// line and in the order the lines were first stored to — none on the global
-// fallback.
+// line and in the order the lines were first stored to — on either fallback
+// too, where they are the held lock-set.
 func TestStoreWordsIsTheStoreLoop(t *testing.T) {
 	type scenario struct {
 		name string
@@ -975,9 +975,6 @@ func TestStoreWordsIsTheStoreLoop(t *testing.T) {
 					if !slices.ContainsFunc(first, func(f Addr) bool { return lineOf(f) == lineOf(w.addr) }) {
 						first = append(first, w.addr)
 					}
-				}
-				if cfg.GlobalFallback { // the one global lock covers every line: no records
-					first = nil
 				}
 				var got []Addr
 				for _, le := range res.lines {

@@ -13,7 +13,7 @@ const (
 )
 
 // FallbackOwnerBits is the width of the owner thread ID recorded in a word's
-// metadata while the fine-grained TLE fallback holds its lock. The merged
+// metadata while a TLE fallback run holds its lock. The merged
 // metadata word spends bit 0 on the lock, bit 1 on the allocated flag and the
 // top bit on the fallback tag, leaving 61 bits of version field to carry the
 // owner while the word is held (the displaced version is preserved in the
@@ -65,22 +65,24 @@ type Config struct {
 
 	// EnableTLE enables the transactional-lock-elision fallback described in
 	// paper §6: after MaxRetries failed attempts the operation completes on
-	// a pessimistic software path instead of retrying forever. By default
-	// that path acquires the metadata locks of exactly the lines it touches
-	// (fine-grained fallback), so fallback operations with disjoint
-	// footprints — and hardware transactions on unrelated lines — proceed
-	// concurrently. Which path fallback operations take is a runtime mode
-	// (Heap.FallbackMode, switchable under load with Heap.SetFallbackMode);
-	// GlobalFallback picks the mode the heap starts in.
+	// a pessimistic software path instead of retrying forever. That path
+	// acquires the metadata locks of exactly the lines it touches. In the
+	// default mode (ModeFine) nothing else is taken, so fallback operations
+	// with disjoint footprints — and hardware transactions on unrelated
+	// lines — proceed concurrently. The mode is switchable under load
+	// (Heap.FallbackMode, Heap.SetFallbackMode); GlobalFallback picks the
+	// mode the heap starts in.
 	EnableTLE bool
 
 	// GlobalFallback starts the heap in ModeGlobal, the §6 global-lock
-	// fallback the paper describes: the fallback operation takes one
-	// process-wide lock, every hardware transaction waits out the critical
-	// section at begin and validates the lock's sequence number at commit. It
-	// serializes all fallback operations and stalls all hardware commits for
-	// the duration, but is the faithful Rock-era baseline and wins when every
-	// fallback footprint is shared. It selects only the INITIAL mode —
+	// fallback the paper describes: each fallback attempt also holds one
+	// process-wide lock, and every hardware transaction waits out the
+	// critical section at begin and validates the lock's sequence number at
+	// extend and commit. The run still takes the line locks of what it
+	// touches, as in ModeFine. It serializes all fallback operations and
+	// stalls all hardware commits for the duration, but is the faithful
+	// Rock-era baseline and wins when every fallback footprint is shared. It
+	// selects only the INITIAL mode —
 	// Heap.SetFallbackMode (typically driven by a Tuner) can change it at any
 	// time. Only meaningful with EnableTLE.
 	GlobalFallback bool
@@ -94,7 +96,7 @@ type Config struct {
 	// this; space-measured runs must leave it unset.
 	NoMaxLive bool
 
-	// FallbackSpins bounds how long the fine-grained TLE fallback spins on a
+	// FallbackSpins bounds how long a TLE fallback run spins on a
 	// locked line it reached OUT OF ADDRESS ORDER before engaging the
 	// deadlock-avoidance release-and-retry protocol (drop the whole lock-set,
 	// re-run the body). In-order acquisitions spin indefinitely — they cannot
@@ -102,8 +104,9 @@ type Config struct {
 	// negative releases-and-retries immediately on any out-of-order collision
 	// (maximally paranoid, maximally re-execution-happy). It is the initial
 	// value of a runtime knob: Heap.SetFallbackSpins overrides it, and every
-	// fine-grained fallback attempt reads the live value as it starts. Only
-	// meaningful with EnableTLE, and only while the mode is ModeFine.
+	// fallback attempt reads the live value as it starts. Only meaningful
+	// with EnableTLE. Global runs never meet one another, so in ModeGlobal it
+	// only bounds a wait on a fine run that entered before a switch.
 	FallbackSpins int
 
 	// Faults attaches the environment (see FaultPlan): seeded fault injection
@@ -144,7 +147,7 @@ func (c Config) withDefaults() Config {
 }
 
 // fallbackSpins resolves the FallbackSpins knob: the out-of-order try-lock
-// spin bound used by the fine-grained fallback's deadlock avoidance.
+// spin bound used by the fallback's deadlock avoidance.
 func (c Config) fallbackSpins() int {
 	switch {
 	case c.FallbackSpins > 0:

@@ -214,75 +214,93 @@ func TestFallbackLockOrderingRetry(t *testing.T) {
 // TestFallbackDirectFreeSelfDeadlockPanics: a fallback body that calls
 // Thread.Free on a block whose words its own lock-set holds would spin
 // forever on its own lock; the owner ID turns that into a loud panic
-// directing the author to FreeOnCommit.
+// directing the author to FreeOnCommit. A global-mode body holds line locks
+// too, so the rule is the same there, and the panic leaves the global lock
+// released.
 func TestFallbackDirectFreeSelfDeadlockPanics(t *testing.T) {
-	h := newTestHeap(t, overflowCfg())
-	th := h.NewThread()
-	a := th.Alloc(2)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("free of a self-locked block did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "self-deadlock") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	th.Atomic(func(tx *Txn) {
-		tx.Store(a, 1)
-		tx.Store(a+1, 2) // overflow -> fallback locks both words
-		th.Free(a)       // must panic, not hang
-	})
+	for _, global := range []bool{false, true} {
+		cfg := overflowCfg()
+		cfg.GlobalFallback = global
+		h := newTestHeap(t, cfg)
+		th := h.NewThread()
+		a := th.Alloc(2)
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("global=%v: free of a self-locked block did not panic", global)
+				}
+				msg, ok := r.(string)
+				if !ok || !strings.Contains(msg, "self-deadlock") {
+					t.Fatalf("global=%v: unexpected panic: %v", global, r)
+				}
+			}()
+			th.Atomic(func(tx *Txn) {
+				tx.Store(a, 1)
+				tx.Store(a+1, 2) // overflow -> fallback locks both words
+				th.Free(a)       // must panic, not hang
+			})
+		}()
+		requireGlobalLockFree(t, h)
+	}
 }
 
 // TestFallbackCrossThreadFreeDeadlockPanics: a fallback body that calls
 // Thread.Free on a block fallback-locked by ANOTHER thread, while itself
 // holding locks, would wait outside the ordered-acquisition protocol and can
 // close a deadlock cycle the protocol cannot break. The guard panics instead.
+// With global set, the freeing body runs in ModeGlobal: the mode switches
+// after the parked run took its locks (two global runs never overlap, so the
+// holder is a fine run that entered before the switch).
 func TestFallbackCrossThreadFreeDeadlockPanics(t *testing.T) {
-	h := newTestHeap(t, overflowCfg())
-	setup := h.NewThread()
-	b := setup.Alloc(2) // parked thread 1 will hold these words
+	for _, global := range []bool{false, true} {
+		h := newTestHeap(t, overflowCfg())
+		setup := h.NewThread()
+		b := setup.Alloc(2) // parked thread 1 will hold these words
 
-	held := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		th := h.NewThread()
-		th.Atomic(func(tx *Txn) {
-			tx.Store(b, 1)
-			tx.Store(b+1, 2) // overflow -> fallback locks both words
-			if tx.InFallback() {
-				close(held)
-				<-release
-			}
-		})
-	}()
-	<-held
-
-	th2 := h.NewThread()
-	own := th2.Alloc(2)
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Error("cross-thread free under a held lock-set did not panic")
-				return
-			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, "fallback-locked by another thread") {
-				t.Errorf("unexpected panic: %v", r)
-			}
+		held := make(chan struct{})
+		release := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			th := h.NewThread()
+			th.Atomic(func(tx *Txn) {
+				tx.Store(b, 1)
+				tx.Store(b+1, 2) // overflow -> fallback locks both words
+				if tx.InFallback() {
+					close(held)
+					<-release
+				}
+			})
 		}()
-		th2.Atomic(func(tx *Txn) {
-			tx.Store(own, 1)
-			tx.Store(own+1, 1) // overflow -> fallback holds own's words
-			th2.Free(b)        // b is held by the parked fallback: must panic
-		})
-	}()
-	close(release)
-	<-done
+		<-held
+		if global {
+			h.SetFallbackMode(ModeGlobal)
+		}
+
+		th2 := h.NewThread()
+		own := th2.Alloc(2)
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("global=%v: cross-thread free under a held lock-set did not panic", global)
+					return
+				}
+				if msg, ok := r.(string); !ok || !strings.Contains(msg, "fallback-locked by another thread") {
+					t.Errorf("global=%v: unexpected panic: %v", global, r)
+				}
+			}()
+			th2.Atomic(func(tx *Txn) {
+				tx.Store(own, 1)
+				tx.Store(own+1, 1) // overflow -> fallback holds own's words
+				th2.Free(b)        // b is held by the parked fallback: must panic
+			})
+		}()
+		close(release)
+		<-done
+		requireGlobalLockFree(t, h)
+	}
 }
 
 // TestStressFallbackMixed interleaves fine-grained fallback operations with

@@ -46,7 +46,7 @@ const (
 	metaAllocBit uint64 = 1 << 1
 	metaVerShift        = 2
 
-	// metaFBTagBit marks a line locked by the fine-grained TLE fallback
+	// metaFBTagBit marks a line locked by a TLE fallback run
 	// (thread.go). While a fallback operation holds a line, the version field
 	// carries the owner's thread ID instead of a version — the pre-lock word
 	// is preserved in the owner's lock-set and the release writes either that
@@ -120,7 +120,7 @@ type Heap struct {
 	// in a cache line of its own. fbMode is the runtime mode word consulted
 	// at fallback entry, seeded by Config.GlobalFallback; fallbackMu is the
 	// global fallback lock; fbSpins is the live FallbackSpins knob, read as
-	// each fine-grained fallback attempt starts; modeSwitches counts applied
+	// each fallback attempt starts; modeSwitches counts applied
 	// mode changes. A heap without TLE never reads any of them on a
 	// transactional path.
 	fallbackSeq  atomic.Uint64

@@ -15,12 +15,13 @@
 //     (Heap.LoadNT, Heap.StoreNT, Heap.CASNT) interoperate correctly with
 //     concurrent transactions.
 //   - Transactional lock elision (TLE) fallback: optionally, a transaction
-//     that fails repeatedly is executed on a pessimistic software path. By
-//     default that path acquires the metadata locks of exactly the lines it
-//     touches, so disjoint fallback operations and unrelated
-//     hardware transactions proceed concurrently; the heap's runtime mode
-//     word (Config.GlobalFallback, Heap.SetFallbackMode) selects the paper's
-//     single global fallback lock that all transactions monitor instead (§6).
+//     that fails repeatedly is executed on a pessimistic software path that
+//     acquires the metadata locks of exactly the lines it touches, so it is
+//     strongly atomic like everything else. By default disjoint fallback
+//     operations and unrelated hardware transactions proceed concurrently;
+//     the heap's runtime mode word (Config.GlobalFallback,
+//     Heap.SetFallbackMode) adds the paper's single global fallback lock,
+//     which all transactions monitor (§6).
 //
 // Internally the engine is a TL2/TinySTM-style software TM: a global version
 // clock, one metadata word per heap word fusing the versioned lock with the
@@ -68,10 +69,10 @@ const (
 	AbortExplicit
 	// AbortFallback indicates the transaction observed the global TLE
 	// fallback lock held (or acquired during its execution) and must wait.
-	// Produced only by a ModeGlobal fallback run: the fine-grained fallback
-	// holds line metadata locks, so a transaction
-	// that collides with it aborts with AbortConflict on the contended line,
-	// and transactions on disjoint lines are unaffected.
+	// Produced only by a ModeGlobal fallback run. A fallback run in either
+	// mode holds line metadata locks, so a transaction that collides with
+	// its lines aborts with AbortConflict; only the global lock also aborts
+	// transactions on disjoint lines.
 	AbortFallback
 	// AbortCapacity indicates the transaction read more distinct lines than
 	// the configured read set capacity (Config.MaxReadSet).

@@ -1,45 +1,27 @@
 package htm
 
-import "runtime"
-
-// The runtime TLE fallback mode and the quiesce barrier that makes it safe to
-// change under full concurrent load. Every EnableTLE heap dispatches its
-// fallback through this one mechanism; Config.GlobalFallback only seeds the
-// mode word.
+// The runtime TLE fallback mode. Every EnableTLE heap dispatches its fallback
+// through the one mode word; Config.GlobalFallback only seeds it.
 //
-// The global-lock fallback is correct only while it is mutually exclusive
-// with every hardware commit write-back and every fine-grained fallback run,
-// and the mode word can change an instant after a thread read it. So
-// SetFallbackMode is a plain store, and the exclusion is decentralized into a
-// Dekker-style barrier at the three entry points, built from one epoch word
-// (Heap.fallbackSeq, odd while a global critical section is in flight) and
-// two per-thread flag words in each thread's statCell (inCommit, inFine):
+// Both modes run the same pessimistic engine (runFallback): the body locks
+// the line of every word it touches, buffers its stores, and the commit
+// writes them back under the locks, ticks the clock once and releases. Line
+// locks alone therefore exclude a fallback run from every hardware commit,
+// every NT operation, every free and every other fallback run, in either
+// mode. ModeGlobal adds the paper's §6 global lock on top: each attempt runs
+// holding Heap.fallbackMu with Heap.fallbackSeq odd, so global runs are
+// serialized, hardware attempts wait at begin while one is in flight, and
+// extend() and commit abort with AbortFallback if the epoch moved under them.
+// That subscription models Rock's elided lock; no safety argument rests on
+// it.
 //
-//   - A hardware attempt's begin waits until fallbackSeq is even and
-//     snapshots it; extend() and commit revalidate the snapshot. A write
-//     commit publishes inCommit=1 BEFORE revalidating and clears it once its
-//     write-back is released — so a commit either observes the section and
-//     aborts, or is observed by the acquirer and waited out (both sides
-//     store-then-load, so at least one sees the other).
-//   - A fine-grained fallback attempt publishes inFine=1, THEN loads the mode
-//     word and fallbackSeq: if the mode is global it clears the flag and takes
-//     the global path; if a global section is in flight (odd seq) it clears
-//     the flag, yields, and re-enters. The flag stays set while the attempt
-//     holds line locks and is cleared only after the lock-set is released.
-//   - A global fallback acquirer takes fallbackMu, bumps fallbackSeq odd, and
-//     then waits until every registered cell shows inCommit==0 and inFine==0.
-//     Threads created after the scan snapshot self-exclude: they observe the
-//     odd seq at begin / fallback entry. Once the scan drains, no commit
-//     write-back and no fallback lock-set is live anywhere.
-//
-// Every wait above is on a condition some running thread clears in bounded
-// work (commit write-backs never block; fine attempts hold locks only for the
-// body plus a bounded write-back, and abandon in-order waits once a global
-// section is pending; the global section is one body), so the fallback stays
-// a termination guarantee in either mode and across any sequence of switches.
-// A heap without EnableTLE runs none of this: its hardware attempts never load
-// fallbackSeq and never touch the flag words. See DESIGN.md "Adaptive
-// contention management" for the full argument.
+// So SetFallbackMode is a plain store. A run that read the old mode word
+// finishes under the old mode's rule, and a fine run and a global run that
+// overlap after a switch meet only at line locks, where the ordered try-lock
+// and release-and-retry protocol of fbAcquire keeps them deadlock-free as it
+// does two fine runs. A heap without EnableTLE runs none of this: its
+// hardware attempts never load fallbackSeq. See DESIGN.md "Adaptive
+// contention management".
 
 // FallbackMode identifies which TLE fallback path operations engage.
 type FallbackMode uint32
@@ -74,10 +56,10 @@ func (h *Heap) requireTLE(what string) {
 }
 
 // SetFallbackMode switches the TLE fallback mode at runtime. The switch is a
-// plain store: in-flight operations finish on the path they entered (the
-// quiesce barrier in runGlobalFallback keeps the two paths mutually
-// exclusive regardless), and subsequent fallback entries take the new mode.
-// Requires Config.EnableTLE.
+// plain store: an in-flight fallback attempt finishes under the mode it read
+// (line locks exclude it from everything else either way), and every later
+// attempt — including a retry of an operation already in the fallback —
+// takes the new mode. Requires Config.EnableTLE.
 func (h *Heap) SetFallbackMode(m FallbackMode) {
 	h.requireTLE("SetFallbackMode")
 	if m != ModeFine && m != ModeGlobal {
@@ -106,57 +88,4 @@ func (h *Heap) SetFallbackSpins(v int) {
 		v = 0
 	}
 	h.fbSpins.Store(int64(v))
-}
-
-// enterFineFallback publishes this thread's intent to run a fine-grained
-// fallback (inFine=1) and then consults the mode word and the global
-// fallback epoch; it returns true once the thread may proceed on the fine
-// path — the caller must clear inFine after releasing its lock-set — and
-// false if the mode word directs it to the global path (inFine already
-// cleared). The store-then-load order against runGlobalFallback's
-// bump-then-scan is the Dekker pairing that makes the two paths mutually
-// exclusive: whichever side's store lands second sees the other side's.
-func (th *Thread) enterFineFallback() bool {
-	h := th.h
-	for {
-		// Cheap pre-check: in steady global mode, return without ever touching
-		// inFine — a transient inFine=1 here would make every concurrent global
-		// acquirer's quiesce scan yield for nothing. The authoritative re-check
-		// below (after publishing) is what the Dekker argument relies on; this
-		// one is purely an optimization.
-		if FallbackMode(h.fbMode.Load()) == ModeGlobal {
-			return false
-		}
-		th.cell.inFine.Store(1)
-		if FallbackMode(h.fbMode.Load()) == ModeGlobal {
-			th.cell.inFine.Store(0)
-			return false
-		}
-		if h.fallbackSeq.Load()&1 == 0 {
-			return true
-		}
-		// A global critical section is in flight (or draining us out of its
-		// way): step aside, then re-check the mode — the section may well have
-		// been the global path of the mode we are about to re-read.
-		th.cell.inFine.Store(0)
-		runtime.Gosched()
-	}
-}
-
-// quiesceForGlobal is the global fallback acquirer's half of the barrier:
-// with fallbackSeq already odd, wait until no registered thread has a
-// hardware commit write-back (inCommit) or a fine-grained fallback run
-// (inFine) in flight. Threads registered after the snapshot self-exclude by
-// observing the odd seq at begin / fallback entry, so the snapshot is a
-// complete list of threats. Every flag is cleared in bounded work by its
-// owner, so the wait terminates.
-func (h *Heap) quiesceForGlobal(self *statCell) {
-	for _, c := range h.stats.snapshotCells() {
-		if c == self {
-			continue
-		}
-		for c.inCommit.Load() != 0 || c.inFine.Load() != 0 {
-			runtime.Gosched()
-		}
-	}
 }

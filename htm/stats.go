@@ -33,19 +33,9 @@ type statCell struct {
 	freeCalls       atomic.Uint64 // one clock tick each
 	allocWords      atomic.Uint64 // Config.NoMaxLive only: cellLive, the sole reader, stands in for liveWords
 	freeWords       atomic.Uint64 // Config.NoMaxLive only
-	extraTicks      atomic.Uint64 // ticks nothing above implies: a fine-grained fallback's release, a commit that ticked and then failed validation
+	extraTicks      atomic.Uint64 // ticks nothing above implies: a fallback run's release, a commit that ticked and then failed validation
 	fallbackWaits   atomic.Uint64
-	// inCommit and inFine are NOT statistics: they are the TLE fallback's
-	// quiesce-barrier words (see mode.go). inCommit is
-	// nonzero while this thread's hardware commit write-back is in flight,
-	// inFine while a fine-grained fallback run is. They live in the cell
-	// because the cell registry is already the heap's per-thread scan list and
-	// the cell's tail padding absorbs them for free; like the counters, each
-	// has a single writer (its owning thread) and is read by others — here the
-	// global-fallback acquirer draining the heap. Always 0 without EnableTLE.
-	inCommit atomic.Uint64
-	inFine   atomic.Uint64
-	_        [2]uint64 // pads 22 words to exactly three full cache lines (192 B)
+	_               [4]uint64 // pads 20 words to exactly three full cache lines (192 B)
 }
 
 // statCellBytes pins statCell's intended footprint: whole cache lines, so
@@ -63,19 +53,12 @@ const (
 // stats is the heap-internal statistics block: a registry of per-thread
 // cells, plus the exact global live/high-water pair maintained on the alloc
 // path unless Config.NoMaxLive is set (throughput-only runs).
-//
-// The registry is copy-on-write: register (rare — once per NewThread)
-// rebuilds the slice under mu, readers load the current slice pointer with no
-// lock and no allocation. That matters because quiesceForGlobal reads it
-// inside every global-fallback critical section — a mutex plus a
-// slice copy there would tax the exact serial path the mode switch is trying
-// to make fast.
 type stats struct {
 	liveWords    atomic.Uint64
 	maxLiveWords atomic.Uint64
 
-	mu    sync.Mutex // serializes register
-	cells atomic.Pointer[[]*statCell]
+	mu    sync.Mutex // guards cells
+	cells []*statCell
 }
 
 // bump and bumpBy update a statCell counter. Each cell has a single writer
@@ -92,29 +75,23 @@ func bump(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
 func bumpBy(c *atomic.Uint64, n uint64) { c.Store(c.Load() + n) }
 
-// register adds a fresh cell for a new thread (copy-on-write).
+// register adds a fresh cell for a new thread.
 func (st *stats) register() *statCell {
 	c := &statCell{}
 	st.mu.Lock()
-	var cells []*statCell
-	if old := st.cells.Load(); old != nil {
-		cells = append(cells, *old...)
-	}
-	cells = append(cells, c)
-	st.cells.Store(&cells)
+	st.cells = append(st.cells, c)
 	st.mu.Unlock()
 	return c
 }
 
-// snapshotCells returns the current registry: an immutable slice, safe to
-// iterate without locking. Threads registered after the load are absent, which
-// every caller already tolerates (sums can only lag, and the quiesce barrier's
-// newcomers self-exclude by observing the odd fallback sequence).
+// snapshotCells returns the registry as it stands. register only appends, so
+// the returned prefix is never written again and is safe to iterate without
+// the lock; threads registered later are absent, which the callers tolerate
+// (sums can only lag).
 func (st *stats) snapshotCells() []*statCell {
-	if p := st.cells.Load(); p != nil {
-		return *p
-	}
-	return nil
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.cells
 }
 
 // cellLive sums the per-thread words counters into a current live estimate,
@@ -147,16 +124,17 @@ type Stats struct {
 	// Aborts counts failed attempts by reason.
 	Aborts map[AbortCode]uint64
 	// FallbackRuns is the number of operations completed on the TLE fallback
-	// path (fine-grained lock-set or global lock, per Heap.FallbackMode).
+	// path, in either mode (Heap.FallbackMode).
 	FallbackRuns uint64
-	// FallbackLocks counts line lock acquisitions by the fine-grained
-	// fallback (none are taken in ModeGlobal).
+	// FallbackLocks counts line lock acquisitions by fallback runs, in
+	// either mode: a ModeGlobal run takes the same line locks under the
+	// global lock.
 	FallbackLocks uint64
-	// FallbackRetries counts fine-grained fallback attempts that released
-	// their whole lock-set and re-ran the operation body — the
-	// deadlock-avoidance release-and-retry path.
+	// FallbackRetries counts fallback attempts that released their whole
+	// lock-set and re-ran the operation body — the deadlock-avoidance
+	// release-and-retry path, or a body that called Txn.Abort.
 	FallbackRetries uint64
-	// FallbackWaits counts fine-grained fallback lock acquisitions that
+	// FallbackWaits counts fallback lock acquisitions that
 	// collided with another operation's held lock-set (at most one count per
 	// acquisition, however long the wait). Unlike FallbackRetries — which
 	// only fires on OUT-OF-ORDER collisions — this counts in-order convoying
@@ -174,8 +152,8 @@ type Stats struct {
 	// operations are not counted. At quiescence with no NT writes it equals
 	// ClockNow(). It is
 	// derived: every write commit, alloc and free ticks exactly once and is
-	// already counted, so only the ticks nothing else implies (a fine-grained
-	// fallback's release, a commit that ticked and then failed validation)
+	// already counted, so only the ticks nothing else implies (a fallback
+	// run's release, a commit that ticked and then failed validation)
 	// carry a counter of their own.
 	ClockShardTicks uint64
 	// ModeSwitches counts runtime fallback-mode changes applied through

@@ -113,8 +113,8 @@ func spinHint() {}
 // begin initializes the reusable transaction descriptor for an attempt. On a
 // TLE heap it waits out any global fallback critical section and snapshots
 // the epoch such a section would bump; while the mode is fine the epoch never
-// moves, so the wait is a single load — a concurrent fine-grained fallback is
-// visible to the attempt purely as locked metadata words, exactly like any
+// moves, so the wait is a single load. A concurrent fallback run — in either
+// mode — is visible to the attempt as locked metadata words, exactly like any
 // other conflicting writer.
 func (th *Thread) begin() *Txn {
 	t := &th.txn
@@ -218,12 +218,12 @@ func (th *Thread) tryAtomic(f func(*Txn)) (code AbortCode, addr Addr, ok bool) {
 
 // Atomic executes f atomically, retrying with exponential backoff until it
 // commits. If the heap enables TLE and an attempt fails MaxRetries times, f
-// runs on the pessimistic fallback path the heap's mode word selects: in
-// ModeFine a software transaction that locks the metadata of exactly the
-// lines it touches, in ModeGlobal under the paper's single global lock
-// (§6). Without TLE, a transaction that deterministically overflows the
-// store buffer (AbortOverflow) or reads more than MaxReadSet distinct lines
-// (AbortCapacity) panics rather than retrying forever.
+// runs on the pessimistic fallback path: a software transaction that locks
+// the metadata of exactly the lines it touches, in ModeGlobal also under the
+// paper's single global lock (§6). Without TLE, a transaction that
+// deterministically overflows the store buffer (AbortOverflow) or reads more
+// than MaxReadSet distinct lines (AbortCapacity) panics rather than retrying
+// forever.
 func (th *Thread) Atomic(f func(*Txn)) {
 	th.AtomicUntil(f, nil)
 }
@@ -268,65 +268,68 @@ func (th *Thread) AtomicUntil(f func(*Txn), stop func() bool) bool {
 	}
 }
 
-// runFallback executes f on the TLE fallback path the mode word selects. In
-// ModeFine that is a pessimistic software transaction over the line metadata
-// locks: the line of every word f loads or stores is lock-acquired on first
-// touch (with the thread's owner ID recorded in the held line), stores are
-// buffered, and the commit writes them back under the locks and releases the
-// whole set with one version tick. Fallback operations with disjoint
-// footprints — and hardware transactions on lines the fallback does not
-// hold — run concurrently; a lock-order conflict with another fallback
-// releases everything and retries with jittered backoff (see fbAcquire for
-// the deadlock-avoidance argument).
+// runFallback executes f on the TLE fallback path: a pessimistic software
+// transaction over the line metadata locks. The line of every word f loads or
+// stores is lock-acquired on first touch (with the thread's owner ID recorded
+// in the held line), stores are buffered, and the commit writes them back
+// under the locks and releases the whole set with one version tick. Fallback
+// runs with disjoint footprints — and hardware transactions on lines the run
+// does not hold — proceed concurrently; a lock-order conflict with another
+// run releases everything and retries with jittered backoff (see fbAcquire
+// for the deadlock-avoidance argument). The mode word only decides whether
+// each attempt also holds the global lock (fallbackOnce).
 func (th *Thread) runFallback(f func(*Txn)) {
-	t := &th.txn
 	th.inTxn = true
-	defer func() {
-		th.inTxn = false
-		th.cell.inFine.Store(0) // still up after a completed run or a panicking body
-	}()
-	for attempt := 0; ; attempt++ {
-		// Nothing is held here, so every attempt re-enters the barrier and
-		// re-consults the mode word: in a storm so dense that runs stop
-		// completing, a switch to the global lock must redirect the operations
-		// ALREADY in the retry loop, not only new entries — they are the storm.
-		if !th.enterFineFallback() {
-			th.runGlobalFallback(f)
-			return
-		}
-		t.reset()
-		t.direct = true
-		t.fbSpins = int(th.h.fbSpins.Load())
-		if th.fallbackAttempt(f) {
-			// Injected adversity: stall at the worst possible moment — body
-			// done, entire lock-set held, commit not yet run — so every thread
-			// colliding with this footprint must survive a long hold. The
-			// stall is finite (StallSpins yields), so progress is delayed,
-			// never destroyed.
-			if t.env != nil && t.env.maybeStall() {
-				bump(&th.cell.fallbackStalls)
-			}
-			t.commit() // write-back, release lock-set, run deferred frees
-			bump(&th.cell.fallbackRuns)
-			return
-		}
+	defer func() { th.inTxn = false }()
+	for attempt := 0; !th.fallbackOnce(f); attempt++ {
 		bump(&th.cell.fallbackRetries)
-		// Dropping inFine for the backoff lets a global acquirer's quiesce
-		// scan drain past this thread.
-		th.cell.inFine.Store(0)
 		th.backoff(attempt)
 	}
+	bump(&th.cell.fallbackRuns)
 }
 
-// fallbackAttempt runs one execution of f on either fallback path and reports
+// fallbackOnce runs one fallback attempt of f and, if the body completed, its
+// commit; it reports whether the operation took effect. Every attempt
+// re-reads the mode word: in a storm so dense that runs stop completing, a
+// switch to the global lock must redirect the operations ALREADY in the retry
+// loop, not only new entries — they are the storm. In ModeGlobal the attempt
+// runs under the paper's §6 global lock: fallbackMu held and fallbackSeq odd,
+// so hardware attempts wait at begin and abort at extend or commit.
+func (th *Thread) fallbackOnce(f func(*Txn)) bool {
+	h, t := th.h, &th.txn
+	if FallbackMode(h.fbMode.Load()) == ModeGlobal {
+		h.fallbackMu.Lock()
+		h.fallbackSeq.Add(1) // odd: lock held; new transactions wait
+		defer func() {
+			h.fallbackSeq.Add(1) // even: released
+			h.fallbackMu.Unlock()
+		}()
+	}
+	t.reset()
+	t.direct = true
+	t.fbSpins = int(h.fbSpins.Load())
+	if !th.fallbackAttempt(f) {
+		return false
+	}
+	// Injected adversity: stall at the worst possible moment — body done,
+	// entire lock-set held, commit not yet run — so every thread colliding
+	// with this footprint must survive a long hold. The stall is finite
+	// (StallSpins yields), so progress is delayed, never destroyed.
+	if t.env != nil && t.env.maybeStall() {
+		bump(&th.cell.fallbackStalls)
+	}
+	t.commit() // write-back, release lock-set, run deferred frees
+	return true
+}
+
+// fallbackAttempt runs one execution of f on the fallback path and reports
 // whether it completed. An abortSentinel panic — an out-of-order lock
 // conflict, or the body calling Txn.Abort — releases the lock-set (restoring
-// every displaced metadata word; buffered stores were never applied, and the
-// global path holds no line locks), rolls back in-body allocations and asks
-// the caller to retry. Any
-// other panic (including the simulated segfault for a freed-word access,
-// which the fallback, like all direct access, never sandboxes) releases the
-// locks and propagates.
+// every displaced metadata word; buffered stores were never applied), rolls
+// back in-body allocations and asks the caller to retry. Any other panic
+// (including the simulated segfault for a freed-word access, which the
+// fallback, like all direct access, never sandboxes) releases the locks and
+// propagates.
 func (th *Thread) fallbackAttempt(f func(*Txn)) (done bool) {
 	t := &th.txn
 	defer func() {
@@ -340,33 +343,4 @@ func (th *Thread) fallbackAttempt(f func(*Txn)) (done bool) {
 	}()
 	f(t)
 	return true
-}
-
-// runGlobalFallback is the ModeGlobal fallback path (paper §6): f runs under
-// the process-wide fallback lock, mutually exclusive — via the odd epoch and
-// the quiesce barrier — with every hardware commit and every fine-grained
-// fallback run. Stores are buffered like any other attempt's, so a body that
-// calls Txn.Abort has published nothing and simply re-runs under the lock.
-func (th *Thread) runGlobalFallback(f func(*Txn)) {
-	h := th.h
-	h.fallbackMu.Lock()
-	defer h.fallbackMu.Unlock()
-	h.fallbackSeq.Add(1) // odd: lock held; new transactions wait
-	th.inTxn = true
-	defer func() {
-		th.inTxn = false
-		h.fallbackSeq.Add(1) // even: released
-	}()
-	h.quiesceForGlobal(th.cell)
-	t := &th.txn
-	for {
-		t.reset()
-		t.direct = true
-		t.directGlobal = true
-		if th.fallbackAttempt(f) {
-			t.commit() // direct commits cannot abort
-			bump(&th.cell.fallbackRuns)
-			return
-		}
-	}
 }

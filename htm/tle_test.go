@@ -49,21 +49,28 @@ func (l tleLeg) heap(t *testing.T, cfg Config) *Heap {
 }
 
 // requireQuiescent checks that an idle TLE heap is exactly at rest: clean
-// metadata sweep, no global section in flight, barrier words drained.
+// metadata sweep and no global section in flight.
 func requireQuiescent(t *testing.T, h *Heap) {
 	t.Helper()
 	sweep, s := h.SweepMeta(), h.Stats()
 	if sweep.Locked != 0 || sweep.FallbackTagged != 0 || sweep.StripeErrors != 0 || sweep.Allocated != s.LiveWords {
 		t.Errorf("quiescent sweep not clean: %+v (live words %d)", sweep, s.LiveWords)
 	}
+	requireGlobalLockFree(t, h)
+}
+
+// requireGlobalLockFree checks that no global fallback section is left in
+// flight: the sequence is even and the mutex is free.
+func requireGlobalLockFree(t *testing.T, h *Heap) {
+	t.Helper()
 	if seq := h.fallbackSeq.Load(); seq&1 != 0 {
 		t.Errorf("fallback sequence left odd: %d", seq)
 	}
-	for _, c := range h.stats.snapshotCells() {
-		if c.inCommit.Load() != 0 || c.inFine.Load() != 0 {
-			t.Error("quiesce barrier words not drained")
-		}
+	if !h.fallbackMu.TryLock() {
+		t.Error("global fallback lock left held")
+		return
 	}
+	h.fallbackMu.Unlock()
 }
 
 // allFallbackModes runs f with the heap starting (and staying) in each mode,
@@ -101,11 +108,46 @@ func TestTLEFallbackOnOverflow(t *testing.T) {
 		if s.FallbackRuns == 0 {
 			t.Error("fallback was not engaged")
 		}
-		if !l.flip && l.global && s.FallbackLocks != 0 {
-			t.Errorf("global fallback acquired %d line locks", s.FallbackLocks)
+		// Either mode runs the lock-set engine: a global run is a lock-set
+		// run under the global lock.
+		if s.FallbackLocks == 0 {
+			t.Error("fallback acquired no line locks")
 		}
-		if !l.flip && !l.global && s.FallbackLocks == 0 {
-			t.Error("fine-grained fallback acquired no line locks")
+	})
+}
+
+// TestTLEFallbackAtomicWithNT: a fallback run is atomic against NT writes
+// (strong atomicity) in every mode. The run reads x, then gives another
+// thread's AddNT(x, 1) a bounded chance to land before it stores read+1. The
+// run holds x's line from the read on, so the AddNT waits for the commit and
+// both increments count: x ends at read+2. Had the run read x without the
+// line lock, the AddNT would land in the gap and the run's store would
+// overwrite it.
+func TestTLEFallbackAtomicWithNT(t *testing.T) {
+	allFallbackModes(t, func(t *testing.T, l tleLeg) {
+		h := l.heap(t, Config{StoreBufferSize: 1, MaxRetries: 1})
+		th := h.NewThread()
+		x := th.Alloc(2)
+		added := make(chan struct{})
+		var once sync.Once
+		var read uint64
+		th.Atomic(func(tx *Txn) {
+			read = tx.Load(x)
+			if tx.InFallback() {
+				once.Do(func() {
+					go func() { h.AddNT(x, 1); close(added) }()
+					select {
+					case <-added:
+					case <-time.After(20 * time.Millisecond):
+					}
+				})
+			}
+			tx.Store(x, read+1)
+			tx.Store(x+1, 1) // overflows the 1-entry buffer: the op ends on the fallback
+		})
+		<-added
+		if v := h.LoadNT(x); v != read+2 {
+			t.Errorf("x = %d after a fallback increment of %d and an AddNT, want %d", v, read, read+2)
 		}
 	})
 }

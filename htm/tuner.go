@@ -69,7 +69,7 @@ type TunerConfig struct {
 	// carries no mode evidence (too little traffic to judge). In fine mode
 	// the storm vote counts completed runs PLUS collisions (waits and
 	// retries) against it — a livelocked epoch completes almost nothing but
-	// collides constantly; in global mode, where collisions cannot occur, it
+	// collides constantly; in global mode, where runs are serialized, it
 	// is a floor on completed runs. Defaults to 32.
 	MinFallbackRuns uint64
 
@@ -91,8 +91,9 @@ type TunerConfig struct {
 	SwitchAfter int
 
 	// ProbeEvery is how many busy global-mode epochs the Tuner serves before
-	// probing fine-grained mode again. Under the global lock fallbacks never
-	// retry, so disjointness is unobservable from counters; the probe is the
+	// probing fine-grained mode again. Under the global lock fallback runs
+	// never collide with one another, so disjointness is unobservable from
+	// counters; the probe is the
 	// only way back, and its period is the controller's recovery latency when
 	// a shared phase ends. A probe that was wrong is cheap — probe stints
 	// sample at a quarter interval and forgo the SwitchAfter hysteresis, since

@@ -36,8 +36,8 @@ type writeEntry struct {
 
 // lineEntry records one line an attempt writes or holds: the first word the
 // attempt touched in it (the line is addr>>lineShift), the line's metadata
-// word as the attempt found it, and — on the fine-grained fallback — whether
-// the operation buffered a store under it.
+// word as the attempt found it, and — on the fallback — whether the
+// operation buffered a store under it.
 //
 // On the hardware path the entry is made by the first Store to the line, and
 // prev is the metadata that Store observed, lock bit cleared. Commit
@@ -106,24 +106,20 @@ type Txn struct {
 	windex setIndex
 
 	// lines holds one entry per line written (hardware path) or held
-	// (fine-grained fallback), in first-touch order; lindex indexes it past
-	// setLinearMax, as windex does the write set.
+	// (fallback), in first-touch order; lindex indexes it past setLinearMax,
+	// as windex does the write set.
 	lines  []lineEntry
 	lindex setIndex
 
-	// Fine-grained fallback state (see thread.go runFallback); the lock-set is
-	// lines. fbMax is the highest line currently held — the
-	// ordered-acquisition watermark the deadlock-avoidance protocol compares
-	// against. fbOwner is the thread ID masked to FallbackOwnerBits, recorded
-	// in each held line's metadata. fbSpins is the out-of-order try-lock
-	// bound, read from the heap's live knob as each fine-grained attempt
-	// starts. directGlobal is per-run state: this fallback run executes under
-	// the global lock (set by runGlobalFallback), so loads are NT reads and
-	// the buffered stores are written back with NT stores — no line locks held.
-	fbMax        Addr
-	fbOwner      uint64
-	fbSpins      int
-	directGlobal bool
+	// Fallback state (see thread.go runFallback); the lock-set is lines. fbMax
+	// is the highest line currently held — the ordered-acquisition watermark
+	// the deadlock-avoidance protocol compares against. fbOwner is the thread
+	// ID masked to FallbackOwnerBits, recorded in each held line's metadata.
+	// fbSpins is the out-of-order try-lock bound, read from the heap's live
+	// knob as each fallback attempt starts.
+	fbMax   Addr
+	fbOwner uint64
+	fbSpins int
 }
 
 // findWrite returns the write-set slot holding a, or -1.
@@ -209,19 +205,21 @@ func (t *Txn) indexLines() {
 // they are bounded.
 const defaultFallbackSpins = 128
 
-// fbAcquire takes the fine-grained fallback lock on a's line and returns its
-// lock-set slot (immediately, if already held): two words in one line cost
-// one acquisition, exactly as a hardware commit CASes a line once. Deadlock
+// fbAcquire takes the fallback lock on a's line and returns its lock-set slot
+// (immediately, if already held): two words in one line cost one
+// acquisition, exactly as a hardware commit CASes a line once. Deadlock
 // avoidance is ordered try-lock with bounded backoff: acquiring above the
 // watermark may wait indefinitely (line order is a global total order, so
 // such waits cannot cycle; hardware commits and NT operations never wait
 // while holding locks and are waited out unconditionally), while acquiring
 // below it try-locks Config.FallbackSpins times and then aborts the attempt —
 // the runFallback loop releases the entire lock-set, backs off with jitter,
-// and re-runs the body. The owner ID recorded in the held line lets a
-// contending fallback see who holds it in a debugger and turns a same-thread
-// re-lock — impossible unless the lock-set invariant broke — into a loud
-// panic instead of a silent self-deadlock.
+// and re-runs the body. A ModeGlobal attempt also holds fallbackMu, but it
+// takes the mutex before its first line and nothing waits for the mutex
+// while holding a line, so the mutex closes no cycle. The owner ID recorded
+// in the held line lets a contending fallback see who holds it in a debugger
+// and turns a same-thread re-lock — impossible unless the lock-set invariant
+// broke — into a loud panic instead of a silent self-deadlock.
 func (t *Txn) fbAcquire(a Addr, op string) int {
 	s := a >> lineShift
 	if i := t.findLine(s); i >= 0 {
@@ -256,17 +254,6 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 			if len(t.lines) > 0 && s < t.fbMax && spins >= t.fbSpins {
 				t.abort(AbortConflict, a) // release-and-retry (runFallback)
 			}
-			if t.h.fallbackSeq.Load()&1 != 0 || FallbackMode(t.h.fbMode.Load()) == ModeGlobal {
-				// A global critical section is pending, or the mode switched
-				// mid-storm. In-order waits are normally unbounded (they
-				// follow the address order, so they cannot deadlock), but an
-				// unbounded wait here would hold inFine hostage to the very
-				// storm the switch is meant to break — the global acquirer's
-				// quiesce cannot finish until this thread drains. Abandoning
-				// the attempt is always safe; the retry loop re-enters the
-				// barrier and redirects to the global path.
-				t.abort(AbortConflict, a)
-			}
 			runtime.Gosched()
 		default:
 			// Commit write-back or NT operation: short by construction
@@ -278,7 +265,7 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 	}
 }
 
-// fbLoad is Txn.Load on the fine-grained fallback path: lock the word's line,
+// fbLoad is Txn.Load on the fallback path: lock the word's line,
 // then read the word directly — the lock excludes every writer
 // (commits and NT writes take the same metadata lock), so no read-set entry
 // or validation is needed.
@@ -296,7 +283,7 @@ func (t *Txn) fbLoad(a Addr) uint64 {
 	return t.words[a].Load()
 }
 
-// fbStore is Txn.Store on the fine-grained fallback path: lock the word's line
+// fbStore is Txn.Store on the fallback path: lock the word's line
 // and buffer the write. Buffering (rather than writing in place) is what makes
 // the deadlock-avoidance release-and-retry safe: an attempt that drops its
 // lock-set has published nothing. The store buffer bound does not apply —
@@ -315,34 +302,6 @@ func (t *Txn) fbStore(a Addr, v uint64) {
 	li := t.fbAcquire(a, "store")
 	t.lines[li].written = true
 	t.addWrite(a, v)
-}
-
-// directLoad and directStore are Txn.Load and Txn.Store on the TLE fallback
-// paths, kept out of line so the hardware path's functions stay small. Under
-// the global lock nothing else commits: a load reads its own buffered store or
-// the word itself, a store is buffered until commit writes it back.
-func (t *Txn) directLoad(a Addr) uint64 {
-	if !t.directGlobal {
-		return t.fbLoad(a)
-	}
-	t.checkAccess(a, "load")
-	if i := t.findWrite(a); i >= 0 {
-		return t.writes[i].val
-	}
-	return t.h.LoadNT(a)
-}
-
-func (t *Txn) directStore(a Addr, v uint64) {
-	if !t.directGlobal {
-		t.fbStore(a, v)
-		return
-	}
-	t.checkAccess(a, "store")
-	if i := t.findWrite(a); i >= 0 {
-		t.writes[i].val = v
-		return
-	}
-	t.addWrite(a, v) // written back with StoreNT
 }
 
 // fbRelease releases the whole lock-set: written lines take a fresh live
@@ -364,9 +323,9 @@ func (t *Txn) fbRelease(wv uint64) {
 }
 
 // InFallback reports whether this attempt is executing on the TLE fallback
-// path (fine-grained lock-set or global lock) rather than as a hardware
-// transaction attempt. Bodies can use it to adapt — e.g. tests that must
-// synchronize only once the fallback engaged.
+// path (in either mode) rather than as a hardware transaction attempt. Bodies
+// can use it to adapt — e.g. tests that must synchronize only once the
+// fallback engaged.
 func (t *Txn) InFallback() bool { return t.direct }
 
 // compactReads drops, in place, every read entry whose line an earlier entry
@@ -417,18 +376,6 @@ func (t *Txn) Abort() {
 	t.abort(AbortExplicit, NilAddr)
 }
 
-// checkAccess validates that a names an allocated word, aborting with
-// AbortIllegal under sandboxing or panicking (simulated segmentation fault)
-// otherwise. The direct (TLE fallback) paths call it; Load and Store inline
-// the identical guard by hand because the combined check+call exceeds the
-// compiler's inlining budget — keep the three copies in sync.
-func (t *Txn) checkAccess(a Addr, op string) {
-	if a != NilAddr && int(a) < len(t.words) && metaAllocated(t.meta[a>>lineShift].Load()) {
-		return
-	}
-	t.accessFault(a, op)
-}
-
 func (t *Txn) accessFault(a Addr, op string) {
 	if t.h.cfg.sandboxed && !t.direct {
 		t.abort(AbortIllegal, a)
@@ -460,10 +407,9 @@ func (t *Txn) validate() (Addr, bool) {
 // caught by the equality revalidation, so a torn snapshot can never be
 // certified.
 func (t *Txn) extend() {
-	// A timestamp extension across a global-lock fallback acquisition could
-	// mix pre- and post-critical-section state; abort instead, exactly as a
-	// hardware transaction holding the lock word in its read set would. The
-	// fine-grained fallback needs no check here — a fallback that touched any
+	// A hardware transaction holding the global lock word in its read set
+	// aborts when the lock is taken (§6); this is that subscription. Safety
+	// does not rest on it: a fallback run in either mode that touched any
 	// word this transaction read rewrote that word's metadata, so validate()
 	// below catches it.
 	if t.tle && t.h.fallbackSeq.Load() != t.fbSeq {
@@ -478,7 +424,7 @@ func (t *Txn) extend() {
 // Load transactionally reads the word at a.
 func (t *Txn) Load(a Addr) uint64 {
 	if t.direct {
-		return t.directLoad(a)
+		return t.fbLoad(a)
 	}
 	// The environment's turn (hardware attempts only — the direct paths
 	// returned above): a yield, then access-site injection, where the attempt
@@ -723,7 +669,7 @@ run:
 // bounded transactions.
 func (t *Txn) Store(a Addr, v uint64) {
 	if t.direct {
-		t.directStore(a, v)
+		t.fbStore(a, v)
 		return
 	}
 	// The environment's turn; see Load.
@@ -829,10 +775,10 @@ func (t *Txn) Alloc(size int) Addr {
 		panic("htm: Txn.Alloc requires Config.AllowAllocInTxn (Rock cannot allocate inside transactions; pre-allocate outside, as the paper's algorithms do)")
 	}
 	a := t.th.Alloc(size)
-	// Tracked even on the fallback path: a fine-grained fallback attempt can
-	// release-and-retry (deadlock avoidance), which must roll its allocations
-	// back exactly as an aborted hardware attempt does. Committed attempts
-	// clear the list without freeing.
+	// Tracked even on the fallback path: a fallback attempt can release and
+	// retry (deadlock avoidance), which must roll its allocations back
+	// exactly as an aborted hardware attempt does. Committed attempts clear
+	// the list without freeing.
 	t.allocs = append(t.allocs, a)
 	return a
 }
@@ -852,21 +798,14 @@ func (t *Txn) rollbackAllocs() {
 func (t *Txn) commit() (AbortCode, Addr) {
 	h := t.h
 	if t.direct {
-		switch {
-		case t.directGlobal:
-			// Global fallback: nothing else can commit, so the buffered stores
-			// go back one NT store at a time.
-			for i := range t.writes {
-				h.StoreNT(t.writes[i].addr, t.writes[i].val)
-			}
-		case len(t.writes) > 0:
-			// Fine-grained fallback: write the buffered stores back under the
-			// held locks, then release every line — written lines with one
-			// fresh version tick shared by the whole operation (exactly as a
-			// hardware commit versions its write set), read-locked lines by
-			// restoring their displaced metadata. Frees run only after the
-			// release: a block being freed may contain held lines, and free()
-			// waits out line locks.
+		if len(t.writes) > 0 {
+			// Fallback: write the buffered stores back under the held locks,
+			// then release every line — written lines with one fresh version
+			// tick shared by the whole operation (exactly as a hardware commit
+			// versions its write set), read-locked lines by restoring their
+			// displaced metadata. Frees run only after the release: a block
+			// being freed may contain held lines, and free() waits out line
+			// locks.
 			for i := range t.writes {
 				h.words[t.writes[i].addr].Store(t.writes[i].val)
 			}
@@ -880,11 +819,11 @@ func (t *Txn) commit() (AbortCode, Addr) {
 			}
 			// Tick the clock with the whole lock-set held — same
 			// lock-then-tick order as a hardware commit. No other counter
-			// implies this tick (FallbackRuns also counts read-only and
-			// global runs), so it is counted here.
+			// implies this tick (FallbackRuns also counts read-only runs), so
+			// it is counted here.
 			t.fbRelease(t.h.tick())
 			bump(&t.th.cell.extraTicks)
-		default:
+		} else {
 			t.fbRelease(0)
 		}
 		t.runFrees()
@@ -905,28 +844,15 @@ func (t *Txn) commit() (AbortCode, Addr) {
 		t.runFrees()
 		return 0, NilAddr
 	}
-	var code AbortCode
-	var addr Addr
-	if t.tle {
-		// Global-fallback fence: a write-back may not overlap a global-lock
-		// fallback critical section, and the global path may engage at any
-		// moment. inCommit is published BEFORE revalidating the epoch, so this
-		// commit either observes the section (and aborts) or is observed by
-		// its acquirer (and waited out). The fine-grained fallback needs no
-		// fence — it holds the metadata locks of the lines it touches, so a
-		// conflicting commit simply fails its acquisition CAS, and a disjoint
-		// commit proceeds concurrently.
-		fence := &t.th.cell.inCommit
-		fence.Store(1)
-		if h.fallbackSeq.Load() == t.fbSeq {
-			code, addr = t.publish()
-		} else {
-			code = AbortFallback
-		}
-		fence.Store(0)
-	} else {
-		code, addr = t.publish()
+	// The global-lock subscription (§6): a commit that sees the global
+	// fallback epoch moved since begin aborts. It is the model's rule, not a
+	// safety fence — a fallback run in either mode holds the line locks of
+	// what it touches, so a conflicting commit fails its acquisition CAS and
+	// a disjoint one proceeds.
+	if t.tle && h.fallbackSeq.Load() != t.fbSeq {
+		return AbortFallback, NilAddr
 	}
+	code, addr := t.publish()
 	switch {
 	case code == 0:
 		t.runFrees()
@@ -1043,7 +969,6 @@ func (t *Txn) reset() {
 	t.lines = t.lines[:0]
 	t.fbMax = 0
 	t.direct = false
-	t.directGlobal = false
 	t.fbSeq = 0
 }
 
