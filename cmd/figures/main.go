@@ -14,8 +14,8 @@
 //	          the space table.
 //	fallback  TLE fallback, §6: fine-grained lock-set versus global lock under
 //	          contended overflow, hardware throughput beside fallback traffic,
-//	          the spins knob, and the phase-shift workload under each pinned
-//	          mode and the Tuner.
+//	          and the phase-shift workload under each pinned mode and the
+//	          Tuner.
 //	space     the space table alone.
 //	all       every paper figure in the order the paper presents them.
 //
@@ -118,9 +118,6 @@ var experiments = []experiment{
 	{"space", "collect space all", func(s sweep) renderer { return harness.SpaceTable(s.cfg) }},
 	{"scaling", "fallback", func(s sweep) renderer { return harness.FallbackScaling(s.cfg, s.threads) }},
 	{"interference", "fallback", func(s sweep) renderer { return harness.FallbackInterferenceTable(s.cfg, s.threads) }},
-	{"spins", "fallback", func(s sweep) renderer {
-		return harness.FallbackSpinsSweep(s.cfg, s.fixed, []int{0, 32, 128, 512})
-	}},
 	{"adaptive", "fallback", func(s sweep) renderer { return harness.AdaptiveScaling(s.cfg, s.fixed) }},
 }
 

@@ -22,9 +22,9 @@
 // heap — the chaos knobs, usable against a live server; -admission turns on
 // load shedding (503 + Retry-After under pool saturation or abort storms)
 // and -req-timeout bounds each request's store operation. -adapt attaches
-// the online contention tuner (htm.Tuner): the fallback mode and spin budget
-// self-tune from live abort feedback, and with -admission the governor's
-// storm threshold tracks the heap's abort mix.
+// the online contention tuner (htm.Tuner): the fallback mode self-tunes from
+// live abort feedback, and with -admission the governor's storm threshold
+// tracks the heap's abort mix.
 //
 // -wal-dir turns on durability: acknowledged mutations are written to a
 // CRC-framed commit log before the response goes out, snapshots truncate old
@@ -73,7 +73,7 @@ func run(args []string) int {
 	admission := fs.Bool("admission", false, "shed load (503 + Retry-After) under pool saturation or abort storms")
 	reqTimeout := fs.Duration("req-timeout", 0, "per-request store-operation deadline (0 = unbounded)")
 	maxRetries := fs.Int("max-retries", 0, "hardware retry budget before the TLE fallback (0 = engine default)")
-	adapt := fs.Bool("adapt", false, "self-tune fallback mode and spin budget from live abort feedback")
+	adapt := fs.Bool("adapt", false, "self-tune the fallback mode from live abort feedback")
 	adaptInterval := fs.Duration("adapt-interval", 0, "tuning epoch length with -adapt (0 = engine default, 25ms)")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for the -fault-* injection plan")
 	faultBegin := fs.Float64("fault-begin", 0, "probability of a spurious abort at transaction begin")
@@ -182,7 +182,7 @@ func run(args []string) int {
 	adaptState := "off"
 	if tu := store.Tuner(); tu != nil {
 		st := tu.State()
-		adaptState = fmt.Sprintf("mode=%s spins=%d", st.Mode, st.FallbackSpins)
+		adaptState = fmt.Sprintf("mode=%s", st.Mode)
 	}
 	log.Printf("kvserver: serving on http://%s (slots=%d heap=%dw pool=%d queue=%s faults=%v durable=%v adapt=%s)",
 		ln.Addr(), store.Slots(), store.Heap().Config().Words, store.PoolSize(), *jobQueue, plan != nil, store.Durable(), adaptState)

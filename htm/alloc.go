@@ -264,6 +264,15 @@ func (al *allocator) free(th *Thread, a Addr) {
 		panic(fmt.Sprintf("htm: double free of %#x", uint32(a)))
 	}
 	size := int(hdr >> 1)
+	lo, hi := lineOf(a), lineOf(a+Addr(size)-1)
+	if th.inFallbackHoldingLines() {
+		// Decide the misuse panics (see freeGuard) before any state changes,
+		// so a panicking free leaves the block allocated and the clock
+		// unticked.
+		for l := lo; l <= hi; l++ {
+			th.freeGuard(a, l, h.meta[l].Load())
+		}
+	}
 	h.words[a-1].Store(uint64(size) << 1)
 	// One tick of the version clock versions the whole block. Unlike the
 	// old flip-before-release dance, the tick may precede the per-line
@@ -278,7 +287,7 @@ func (al *allocator) free(th *Thread, a Addr) {
 	// on a held word, so this cannot deadlock.
 	wv := h.tick()
 	dead := makeMeta(wv, false)
-	for l, hi := lineOf(a), lineOf(a+Addr(size)-1); l <= hi; l++ {
+	for l := lo; l <= hi; l++ {
 		for spins := 0; ; spins++ {
 			m := h.meta[l].Load()
 			if !metaAllocated(m) {
@@ -288,22 +297,11 @@ func (al *allocator) free(th *Thread, a Addr) {
 				break
 			}
 			// Held by a commit write-back (short) or a fallback lock-set
-			// (potentially long); yield rather than burn the core. Two cases
-			// must panic instead of waiting: our own fallback's lock would be
-			// waited on forever, and ANY fallback's lock, if this thread is
-			// itself inside a fallback holding locks, closes a cross-thread
-			// cycle the ordered-acquisition protocol cannot see (free() waits
-			// outside it). Both are a fallback body calling Thread.Free
-			// directly; it must use Txn.FreeOnCommit, which runs after the
-			// lock-set is released.
-			if metaFallbackLocked(m) {
-				if metaFallbackOwner(m) == th.id&fallbackOwnerMask {
-					panic(fmt.Sprintf("htm: free of %#x inside a fallback operation holding its line %d locked (self-deadlock); use Txn.FreeOnCommit", uint32(a), l))
-				}
-				if th.inTxn && th.txn.direct && len(th.txn.lines) > 0 {
-					panic(fmt.Sprintf("htm: free of %#x inside a fallback operation while its line %d is fallback-locked by another thread (deadlock risk); use Txn.FreeOnCommit", uint32(a), l))
-				}
-			}
+			// (potentially long); yield rather than burn the core. The scan
+			// above already decided the misuse panics; this guard fires only
+			// when another thread's fallback locked one of the block's lines
+			// after it, a race with the free itself.
+			th.freeGuard(a, l, m)
 			if spins&63 == 63 {
 				runtime.Gosched()
 			}
@@ -327,4 +325,28 @@ func (al *allocator) free(th *Thread, a Addr) {
 	}
 	m.addrs[m.n] = a
 	m.n++
+}
+
+// inFallbackHoldingLines reports whether th is inside a fallback body that
+// holds line locks.
+func (th *Thread) inFallbackHoldingLines() bool {
+	return th.inTxn && th.txn.direct && len(th.txn.lines) > 0
+}
+
+// freeGuard panics where free of block a must not wait on line l, whose
+// metadata is m. Our own fallback's lock would be waited on forever, and ANY
+// fallback's lock, if th is itself inside a fallback holding locks, closes a
+// cross-thread cycle the ordered-acquisition protocol cannot see (free waits
+// outside it). Both are a fallback body calling Thread.Free directly; it must
+// use Txn.FreeOnCommit, which runs after the lock-set is released.
+func (th *Thread) freeGuard(a Addr, l int, m uint64) {
+	if !metaFallbackLocked(m) {
+		return
+	}
+	if metaFallbackOwner(m) == th.id&fallbackOwnerMask {
+		panic(fmt.Sprintf("htm: free of %#x inside a fallback operation holding its line %d locked (self-deadlock); use Txn.FreeOnCommit", uint32(a), l))
+	}
+	if th.inFallbackHoldingLines() {
+		panic(fmt.Sprintf("htm: free of %#x inside a fallback operation while its line %d is fallback-locked by another thread (deadlock risk); use Txn.FreeOnCommit", uint32(a), l))
+	}
 }

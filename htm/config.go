@@ -81,8 +81,9 @@ type Config struct {
 	// extend and commit. The run still takes the line locks of what it
 	// touches, as in ModeFine. It serializes all fallback operations and
 	// stalls all hardware commits for the duration, but is the faithful
-	// Rock-era baseline and wins when every fallback footprint is shared. It
-	// selects only the INITIAL mode —
+	// Rock-era baseline, and it wins when every fallback footprint is
+	// shared, where fine-grained runs queue on one another's line locks or
+	// release and re-run their bodies. It selects only the INITIAL mode;
 	// Heap.SetFallbackMode (typically driven by a Tuner) can change it at any
 	// time. Only meaningful with EnableTLE.
 	GlobalFallback bool
@@ -95,19 +96,6 @@ type Config struct {
 	// across cells and over- or under-state them. Throughput-only runs set
 	// this; space-measured runs must leave it unset.
 	NoMaxLive bool
-
-	// FallbackSpins bounds how long a TLE fallback run spins on a
-	// locked line it reached OUT OF ADDRESS ORDER before engaging the
-	// deadlock-avoidance release-and-retry protocol (drop the whole lock-set,
-	// re-run the body). In-order acquisitions spin indefinitely — they cannot
-	// deadlock. 0 selects the default (128, see defaultFallbackSpins);
-	// negative releases-and-retries immediately on any out-of-order collision
-	// (maximally paranoid, maximally re-execution-happy). It is the initial
-	// value of a runtime knob: Heap.SetFallbackSpins overrides it, and every
-	// fallback attempt reads the live value as it starts. Only meaningful
-	// with EnableTLE. Global runs never meet one another, so in ModeGlobal it
-	// only bounds a wait on a fine run that entered before a switch.
-	FallbackSpins int
 
 	// Faults attaches the environment (see FaultPlan): seeded fault injection
 	// and the yield model (FaultPlan.YieldEvery). nil — the default — injects
@@ -144,17 +132,4 @@ func (c Config) withDefaults() Config {
 	c.sandboxed = !c.NoSandbox
 	c.trackMaxLive = !c.NoMaxLive
 	return c
-}
-
-// fallbackSpins resolves the FallbackSpins knob: the out-of-order try-lock
-// spin bound used by the fallback's deadlock avoidance.
-func (c Config) fallbackSpins() int {
-	switch {
-	case c.FallbackSpins > 0:
-		return c.FallbackSpins
-	case c.FallbackSpins < 0:
-		return 0
-	default:
-		return defaultFallbackSpins
-	}
 }

@@ -123,8 +123,8 @@ func TestFallbackHoldsOnlyItsFootprint(t *testing.T) {
 // TestFallbackLockOrderingRetry provokes the deadlock-avoidance path
 // deterministically: thread 1's fallback holds the LOW block and then wants
 // the high one (in-order, so it waits); thread 2's fallback holds the HIGH
-// block and then wants the low one (out-of-order, so its bounded try-lock
-// must give up, release everything and retry). Without release-and-retry the
+// block and then wants the low one (out-of-order, so it must release
+// everything and retry). Without release-and-retry the
 // two would deadlock; the test also verifies that allocations made by retried
 // attempts are rolled back.
 func TestFallbackLockOrderingRetry(t *testing.T) {
@@ -241,7 +241,7 @@ func TestFallbackDirectFreeSelfDeadlockPanics(t *testing.T) {
 				th.Free(a)       // must panic, not hang
 			})
 		}()
-		requireGlobalLockFree(t, h)
+		requireQuiescent(t, h)
 	}
 }
 
@@ -299,7 +299,7 @@ func TestFallbackCrossThreadFreeDeadlockPanics(t *testing.T) {
 		}()
 		close(release)
 		<-done
-		requireGlobalLockFree(t, h)
+		requireQuiescent(t, h)
 	}
 }
 

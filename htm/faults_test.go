@@ -2,6 +2,7 @@ package htm
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -221,7 +222,6 @@ func TestFallbackStallNoDeadlock(t *testing.T) {
 	plan := FaultPlan{Seed: 7, StallProb: 1, StallSpins: 8, ReleaseDelay: 4}
 	cfg := overflowCfg() // every multi-word write goes straight to fallback
 	cfg.Faults = &plan
-	cfg.FallbackSpins = 4 // tight bound: exercise release-and-retry hard
 	h := newTestHeap(t, cfg)
 	setup := h.NewThread()
 	words := setup.Alloc(8)
@@ -291,23 +291,57 @@ func TestSweepMeta(t *testing.T) {
 	}
 }
 
-// TestFallbackSpinsKnob pins the knob's resolution (0 = default, negative =
-// no out-of-order spinning) and runs contended fallback traffic at the
-// paranoid setting to prove immediate release-and-retry still terminates.
+// TestFallbackSpinsKnob pins the out-of-order rule that replaced the
+// spin-budget knob: a fallback attempt that meets another run's line lock
+// below its watermark releases its lock-set and retries at once; it never
+// waits there. A parked run holds the lower line until the other run's wait
+// is counted, so a rule that waited would see the line freed and record no
+// retry. Then contended fallback traffic proves that immediate
+// release-and-retry still terminates.
 func TestFallbackSpinsKnob(t *testing.T) {
-	if got := (Config{}).withDefaults().fallbackSpins(); got != defaultFallbackSpins {
-		t.Errorf("default FallbackSpins = %d, want %d", got, defaultFallbackSpins)
-	}
-	if got := (Config{FallbackSpins: 7}).fallbackSpins(); got != 7 {
-		t.Errorf("FallbackSpins=7 resolved to %d", got)
-	}
-	if got := (Config{FallbackSpins: -1}).fallbackSpins(); got != 0 {
-		t.Errorf("FallbackSpins=-1 resolved to %d, want 0", got)
-	}
+	h := newTestHeap(t, overflowCfg())
+	lo := h.NewThread().Alloc(16)
+	hi := lo + 8 // the next line up
 
-	cfg := overflowCfg()
-	cfg.FallbackSpins = -1
-	h := newTestHeap(t, cfg)
+	held := make(chan struct{})
+	release := make(chan struct{})
+	parkedDone := make(chan struct{})
+	go func() {
+		defer close(parkedDone)
+		h.NewThread().Atomic(func(tx *Txn) {
+			tx.Store(lo, 1)
+			tx.Store(lo+1, 1) // overflow -> the fallback locks lo's line
+			if tx.InFallback() {
+				close(held)
+				<-release
+			}
+		})
+	}()
+	<-held
+	th := h.NewThread()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		th.Atomic(func(tx *Txn) {
+			tx.Store(hi, 2) // watermark: hi's line
+			tx.Store(lo, 2) // below it, held by the parked run
+		})
+	}()
+	for th.cell.fallbackWaits.Load() == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	<-parkedDone
+	<-done
+	if got := th.cell.fallbackRetries.Load(); got == 0 {
+		t.Error("an out-of-order collision waited instead of releasing and retrying")
+	}
+	if v := h.LoadNT(lo); v != 2 {
+		t.Errorf("lo = %d, want 2 (the retried run commits after the parked one)", v)
+	}
+	requireQuiescent(t, h)
+
+	h = newTestHeap(t, overflowCfg())
 	words := h.NewThread().Alloc(4)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

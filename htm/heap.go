@@ -119,14 +119,11 @@ type Heap struct {
 	// pointer, which every begin loads anyway, so that snapshot does not pull
 	// in a cache line of its own. fbMode is the runtime mode word consulted
 	// at fallback entry, seeded by Config.GlobalFallback; fallbackMu is the
-	// global fallback lock; fbSpins is the live FallbackSpins knob, read as
-	// each fallback attempt starts; modeSwitches counts applied
-	// mode changes. A heap without TLE never reads any of them on a
-	// transactional path.
+	// global fallback lock; modeSwitches counts applied mode changes. A heap
+	// without TLE never reads any of them on a transactional path.
 	fallbackSeq  atomic.Uint64
 	fbMode       atomic.Uint32
 	fallbackMu   sync.Mutex
-	fbSpins      atomic.Int64
 	modeSwitches atomic.Uint64
 
 	alloc   allocator
@@ -158,7 +155,6 @@ func NewHeap(cfg Config) *Heap {
 	if cfg.GlobalFallback {
 		h.fbMode.Store(uint32(ModeGlobal))
 	}
-	h.fbSpins.Store(int64(cfg.fallbackSpins()))
 	h.alloc.init(h)
 	return h
 }

@@ -357,8 +357,7 @@ func TestStatsAbortRateZeroStarts(t *testing.T) {
 func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Words", "StoreBufferSize", "MaxReadSet", "NoSandbox", "AllowAllocInTxn",
-		"MaxRetries", "EnableTLE", "GlobalFallback", "NoMaxLive", "FallbackSpins",
-		"Faults",
+		"MaxRetries", "EnableTLE", "GlobalFallback", "NoMaxLive", "Faults",
 	}
 	var got []string
 	rt := reflect.TypeOf(Config{})

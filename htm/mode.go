@@ -17,11 +17,11 @@ package htm
 //
 // So SetFallbackMode is a plain store. A run that read the old mode word
 // finishes under the old mode's rule, and a fine run and a global run that
-// overlap after a switch meet only at line locks, where the ordered try-lock
-// and release-and-retry protocol of fbAcquire keeps them deadlock-free as it
-// does two fine runs. A heap without EnableTLE runs none of this: its
-// hardware attempts never load fallbackSeq. See DESIGN.md "Adaptive
-// contention management".
+// overlap after a switch meet only at line locks, where the ordered
+// acquisition and release-and-retry protocol of fbAcquire keeps them
+// deadlock-free as it does two fine runs. A heap without EnableTLE runs none
+// of this: its hardware attempts never load fallbackSeq. See DESIGN.md
+// "Adaptive contention management".
 
 // FallbackMode identifies which TLE fallback path operations engage.
 type FallbackMode uint32
@@ -73,19 +73,3 @@ func (h *Heap) SetFallbackMode(m FallbackMode) {
 // ModeSwitches returns the number of fallback-mode changes applied through
 // SetFallbackMode.
 func (h *Heap) ModeSwitches() uint64 { return h.modeSwitches.Load() }
-
-// FallbackSpins returns the live out-of-order try-lock bound (see
-// Config.FallbackSpins).
-func (h *Heap) FallbackSpins() int { return int(h.fbSpins.Load()) }
-
-// SetFallbackSpins overrides the FallbackSpins knob at runtime (clamped to
-// ≥ 0; 0 releases-and-retries immediately on any out-of-order collision).
-// Fine-grained fallback attempts pick the new value up as they start.
-// Requires Config.EnableTLE.
-func (h *Heap) SetFallbackSpins(v int) {
-	h.requireTLE("SetFallbackSpins")
-	if v < 0 {
-		v = 0
-	}
-	h.fbSpins.Store(int64(v))
-}

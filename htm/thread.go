@@ -307,7 +307,6 @@ func (th *Thread) fallbackOnce(f func(*Txn)) bool {
 	}
 	t.reset()
 	t.direct = true
-	t.fbSpins = int(h.fbSpins.Load())
 	if !th.fallbackAttempt(f) {
 		return false
 	}

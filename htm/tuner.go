@@ -3,36 +3,26 @@ package htm
 import (
 	"sync"
 	"time"
-
-	"repro/internal/adapt"
 )
 
 // Tuner is the per-heap online contention controller: a background goroutine
-// that samples Stats deltas over short epochs and drives a TLE heap's runtime
-// knobs from live abort feedback —
+// that samples Stats deltas over short epochs and drives a TLE heap's
+// fallback MODE from live abort feedback. Sustained fallback traffic whose
+// contention ratio (lock-set collisions plus release-and-retries per run)
+// says footprints are fully shared switches the heap to the global lock,
+// which wins there: serializing one shared footprint beats N fallbacks
+// fighting over one lock-set. Calm or periodic probe epochs switch it back
+// to fine-grained, so a workload whose phases alternate gets the best static
+// configuration of each phase without retuning.
 //
-//   - the fallback MODE: sustained fallback traffic whose contention ratio
-//     (lock-set collisions plus release-and-retries per run) says footprints
-//     are fully shared switches the heap to the global lock (which wins there
-//     — serializing one shared footprint beats N fallbacks fighting over one
-//     lock-set); calm or periodic probe epochs switch it back to
-//     fine-grained, so a workload whose phases alternate gets the best static
-//     configuration of each phase without retuning;
-//   - the FallbackSpins knob, grown while out-of-order collisions keep
-//     forcing retries and shrunk while they don't, via an adapt.Controller
-//     (the paper's §3.4 window aimed at a lock-acquisition budget instead of
-//     a telescoping step).
-//
-// A Tuner observes only aggregate counters and writes only the atomic knob
-// words, so it perturbs nothing it does not intend to; with Pinned it samples
-// and publishes epochs but never writes, which is what determinism harnesses
-// run. kv.Store attaches a third client through Observe: the overload
+// A Tuner observes only aggregate counters and writes only the mode word,
+// so it perturbs nothing it does not intend to; with Pinned it samples and
+// publishes epochs but never writes, which is what determinism harnesses
+// run. kv.Store attaches a second client through Observe: the overload
 // Governor tracks the epoch abort mix (see kv/overload.go).
 type Tuner struct {
 	h   *Heap
 	cfg TunerConfig
-
-	spins *adapt.Controller // guarded by mu; the live value is Heap.FallbackSpins
 
 	mu        sync.Mutex
 	last      Stats
@@ -59,10 +49,10 @@ type TunerConfig struct {
 	// within a few tens of milliseconds.
 	Interval time.Duration
 
-	// Pinned arms the sampling loop but never writes a knob or switches a
-	// mode: epochs tick, State and observers see live data, decisions are
-	// suppressed. Determinism harnesses run enabled-but-pinned, proving the
-	// sampling itself perturbs nothing.
+	// Pinned arms the sampling loop but never switches the mode: epochs
+	// tick, State and observers see live data, decisions are suppressed.
+	// Determinism harnesses run enabled-but-pinned, proving the sampling
+	// itself perturbs nothing.
 	Pinned bool
 
 	// MinFallbackRuns is the per-epoch evidence floor below which the epoch
@@ -121,8 +111,8 @@ func (c TunerConfig) withDefaults() TunerConfig {
 	return c
 }
 
-// TunerEpoch is one epoch's worth of Stats deltas plus the knob state after
-// the epoch's decisions, as delivered to observers.
+// TunerEpoch is one epoch's worth of Stats deltas plus the mode after the
+// epoch's decision, as delivered to observers.
 type TunerEpoch struct {
 	// Counter deltas over the epoch.
 	Starts, Commits, Aborts       uint64
@@ -131,19 +121,14 @@ type TunerEpoch struct {
 	FallbackWaits, FallbackLocks  uint64
 	// AbortRate is Aborts/Starts for the epoch (0 when idle).
 	AbortRate float64
-	// RetryRatio is FallbackRetries/FallbackRuns for the epoch (0 when no
-	// fallback ran) — the out-of-order collision rate, which drives the
-	// FallbackSpins knob.
-	RetryRatio float64
 	// ContentionRatio is (FallbackWaits+FallbackRetries)/max(FallbackRuns, 1)
 	// for the epoch — the mode controller's shared-footprint signal (see
 	// TunerConfig.StormRatio). The max(…, 1) denominator keeps a
 	// zero-completion collision storm (a retry livelock) reading as a huge
 	// ratio instead of vacuously calm.
 	ContentionRatio float64
-	// Knob state after this epoch's decisions applied.
-	Mode          FallbackMode
-	FallbackSpins int
+	// Mode is the heap's fallback mode after this epoch's decision.
+	Mode FallbackMode
 	// Epoch is the 1-based epoch ordinal; Pinned echoes the config.
 	Epoch  uint64
 	Pinned bool
@@ -165,17 +150,16 @@ func (h *Heap) StartTuner(cfg TunerConfig) *Tuner {
 func (h *Heap) NewTuner(cfg TunerConfig) *Tuner {
 	h.requireTLE("NewTuner")
 	return &Tuner{
-		h:     h,
-		cfg:   cfg.withDefaults(),
-		spins: adapt.NewController(1, 4096, h.FallbackSpins()),
-		last:  h.Stats(),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		h:    h,
+		cfg:  cfg.withDefaults(),
+		last: h.Stats(),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 }
 
 // Observe registers f to be called after every epoch (pinned or not) with
-// that epoch's deltas and knob state. f runs on the Tuner goroutine and must
+// that epoch's deltas and mode. f runs on the Tuner goroutine and must
 // not block.
 func (tu *Tuner) Observe(f func(TunerEpoch)) {
 	tu.mu.Lock()
@@ -246,7 +230,6 @@ func (tu *Tuner) Tick() {
 		tu.decide(e)
 	}
 	e.Mode = tu.h.FallbackMode()
-	e.FallbackSpins = tu.h.FallbackSpins()
 	for _, f := range tu.observers {
 		f(e)
 	}
@@ -275,9 +258,6 @@ func (tu *Tuner) epochDelta(s Stats) TunerEpoch {
 	if e.Starts > 0 {
 		e.AbortRate = float64(e.Aborts) / float64(e.Starts)
 	}
-	if e.FallbackRuns > 0 {
-		e.RetryRatio = float64(e.FallbackRetries) / float64(e.FallbackRuns)
-	}
 	// ContentionRatio divides by max(runs, 1), not runs: an epoch of pure
 	// collisions with ZERO completed runs is the severest storm there is — a
 	// retry livelock — and must read as a huge ratio, not as 0/0 = calm.
@@ -289,15 +269,6 @@ func (tu *Tuner) epochDelta(s Stats) TunerEpoch {
 	return e
 }
 
-// spinsGrowRatio and spinsShedRatio bound the FallbackSpins knob's votes: an
-// epoch whose out-of-order retry rate reaches spinsGrowRatio votes to double
-// the try-lock budget (riding a collision out is cheaper than re-running the
-// body), one below spinsShedRatio votes to halve it (budget going unused).
-const (
-	spinsGrowRatio = 0.25
-	spinsShedRatio = 0.05
-)
-
 // stormCatastrophe is the contention ratio at or above which a SINGLE epoch
 // switches the mode, bypassing SwitchAfter hysteresis. Hysteresis guards
 // against flipping on noise, but ≥8 collisions per completed run on an epoch
@@ -306,7 +277,7 @@ const (
 // flip is bounded: the probe path returns to fine within ProbeEvery epochs.
 const stormCatastrophe = 8.0
 
-// decide applies one epoch of evidence to the mode controller and the knobs.
+// decide applies one epoch of evidence to the mode controller.
 func (tu *Tuner) decide(e TunerEpoch) {
 	h := tu.h
 	busy := e.FallbackRuns >= tu.cfg.MinFallbackRuns
@@ -368,22 +339,6 @@ func (tu *Tuner) decide(e TunerEpoch) {
 			}
 		}
 	}
-
-	// FallbackSpins knob: meaningful only for fine-mode traffic. Retries
-	// present in quantity → a longer out-of-order try-lock budget may ride a
-	// collision out instead of re-executing the body; retries rare → shed
-	// unused budget.
-	if busy && h.FallbackMode() == ModeFine {
-		before := tu.spins.Step()
-		if e.RetryRatio >= spinsGrowRatio {
-			tu.spins.RecordGood()
-		} else if e.RetryRatio < spinsShedRatio {
-			tu.spins.RecordBad()
-		}
-		if spins := tu.spins.Step(); spins != before {
-			h.SetFallbackSpins(spins)
-		}
-	}
 }
 
 // TunerState is a point-in-time summary of the Tuner for diagnostics and the
@@ -397,8 +352,6 @@ type TunerState struct {
 	// changes applied so far.
 	Mode         FallbackMode
 	ModeSwitches uint64
-	// FallbackSpins is the live knob value.
-	FallbackSpins int
 }
 
 // State returns the Tuner's current summary.
@@ -407,10 +360,9 @@ func (tu *Tuner) State() TunerState {
 	epochs := tu.epochs
 	tu.mu.Unlock()
 	return TunerState{
-		Epochs:        epochs,
-		Pinned:        tu.cfg.Pinned,
-		Mode:          tu.h.FallbackMode(),
-		ModeSwitches:  tu.h.ModeSwitches(),
-		FallbackSpins: tu.h.FallbackSpins(),
+		Epochs:       epochs,
+		Pinned:       tu.cfg.Pinned,
+		Mode:         tu.h.FallbackMode(),
+		ModeSwitches: tu.h.ModeSwitches(),
 	}
 }

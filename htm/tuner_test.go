@@ -21,16 +21,15 @@ func newTLEHeap(t testing.TB, cfg Config) *Heap {
 	return newTestHeap(t, cfg)
 }
 
-// TestRuntimeControlsRequireTLE: the mode/spins setters and the Tuner work on
+// TestRuntimeControlsRequireTLE: the mode setter and the Tuner work on
 // any TLE heap and panic exactly when there is no fallback for them to act on.
 func TestRuntimeControlsRequireTLE(t *testing.T) {
 	for _, tle := range []bool{false, true} {
 		h := newTestHeap(t, Config{EnableTLE: tle})
 		for name, f := range map[string]func(){
-			"SetFallbackMode":  func() { h.SetFallbackMode(ModeGlobal) },
-			"SetFallbackSpins": func() { h.SetFallbackSpins(7) },
-			"NewTuner":         func() { h.NewTuner(TunerConfig{}) },
-			"StartTuner":       func() { h.StartTuner(TunerConfig{}).Stop() },
+			"SetFallbackMode": func() { h.SetFallbackMode(ModeGlobal) },
+			"NewTuner":        func() { h.NewTuner(TunerConfig{}) },
+			"StartTuner":      func() { h.StartTuner(TunerConfig{}).Stop() },
 		} {
 			panicked := func() (p bool) {
 				defer func() { p = recover() != nil }()
@@ -44,30 +43,30 @@ func TestRuntimeControlsRequireTLE(t *testing.T) {
 	}
 }
 
+// TestFallbackSpinsOverride: the mode word is the only thing a Tuner writes;
+// there is no spin budget to override. A sampled epoch heavy with
+// out-of-order retries but under the storm ratio moves nothing; one whose
+// retries reach the ratio moves the mode word once.
 func TestFallbackSpinsOverride(t *testing.T) {
 	h := newTLEHeap(t, Config{})
-	if got := h.FallbackSpins(); got != defaultFallbackSpins {
-		t.Errorf("initial FallbackSpins = %d, want default %d", got, defaultFallbackSpins)
-	}
-	h.SetFallbackSpins(-5)
-	if got := h.FallbackSpins(); got != 0 {
-		t.Errorf("SetFallbackSpins(-5) → %d, want clamped 0", got)
-	}
-	h.SetFallbackSpins(999)
-	if got := h.FallbackSpins(); got != 999 {
-		t.Errorf("FallbackSpins = %d, want 999", got)
-	}
-
-	// A fine-grained fallback attempt picks the live value up as it starts.
+	tu := h.NewTuner(TunerConfig{SwitchAfter: 1})
 	th := h.NewThread()
-	a := th.Alloc(4)
-	th.Atomic(func(tx *Txn) {
-		for i := Addr(0); i < 4; i++ {
-			tx.Store(a+i, 1) // overflows the 2-entry buffer
-		}
-	})
-	if got := th.txn.fbSpins; got != 999 {
-		t.Errorf("fallback attempt ran with fbSpins = %d, want the override 999", got)
+	var seen []TunerEpoch
+	tu.Observe(func(e TunerEpoch) { seen = append(seen, e) })
+	epoch := func(runs, retries uint64) TunerState {
+		th.cell.fallbackRuns.Add(runs)
+		th.cell.fallbackRetries.Add(retries)
+		tu.Tick()
+		return tu.State()
+	}
+	if st := epoch(100, 50); st.Mode != ModeFine || st.ModeSwitches != 0 {
+		t.Errorf("after a 0.5-retry epoch: %+v, want fine with no switch", st)
+	}
+	if st := epoch(100, 100); st.Mode != ModeGlobal || st.ModeSwitches != 1 {
+		t.Errorf("after a 1.0-retry epoch: %+v, want global after one switch", st)
+	}
+	if len(seen) != 2 || seen[0].Mode != ModeFine || seen[1].Mode != ModeGlobal {
+		t.Errorf("observed epochs %+v, want modes fine then global", seen)
 	}
 }
 
@@ -229,10 +228,10 @@ func TestAdaptiveModeFlipStress(t *testing.T) {
 
 // Synthetic epoch helpers for driving the decision logic deterministically.
 func stormEpoch() TunerEpoch {
-	return TunerEpoch{FallbackRuns: 100, FallbackWaits: 150, FallbackRetries: 100, RetryRatio: 1.0, ContentionRatio: 2.5}
+	return TunerEpoch{FallbackRuns: 100, FallbackWaits: 150, FallbackRetries: 100, ContentionRatio: 2.5}
 }
 func busyCalmEpoch() TunerEpoch {
-	return TunerEpoch{FallbackRuns: 100, FallbackWaits: 1, RetryRatio: 0, ContentionRatio: 0.01}
+	return TunerEpoch{FallbackRuns: 100, FallbackWaits: 1, ContentionRatio: 0.01}
 }
 func idleEpoch() TunerEpoch { return TunerEpoch{} }
 
@@ -364,31 +363,33 @@ func TestTunerEpochDeltaLivelockRatio(t *testing.T) {
 	}
 }
 
+// TestTunerKnobDrivers: retry-heavy epochs drive the mode word and nothing
+// else. Sustained retries under the storm ratio never switch it; retries
+// alone at the ratio switch it after SwitchAfter epochs.
 func TestTunerKnobDrivers(t *testing.T) {
 	h := newTLEHeap(t, Config{})
 	tu := h.NewTuner(TunerConfig{MinFallbackRuns: 10})
-
-	// Sustained moderate retry pressure grows the spins budget.
-	start := h.FallbackSpins()
-	for i := 0; i < 20 && h.FallbackSpins() == start; i++ {
-		tu.decide(TunerEpoch{FallbackRuns: 100, FallbackRetries: 100, RetryRatio: 1.0, ContentionRatio: 0.5})
+	for i := 0; i < 20; i++ {
+		tu.decide(TunerEpoch{FallbackRuns: 100, FallbackRetries: 50, ContentionRatio: 0.5})
 	}
-	if got := h.FallbackSpins(); got != start*2 {
-		t.Errorf("FallbackSpins = %d after sustained retries, want doubled %d", got, start*2)
+	if h.FallbackMode() != ModeFine || h.ModeSwitches() != 0 {
+		t.Errorf("sub-storm retries moved the mode: %v after %d switches", h.FallbackMode(), h.ModeSwitches())
 	}
-	// Retry-free fallback traffic sheds it again.
-	for i := 0; i < 40 && h.FallbackSpins() > start/2; i++ {
-		tu.decide(TunerEpoch{FallbackRuns: 100, RetryRatio: 0})
+	retryStorm := TunerEpoch{FallbackRuns: 100, FallbackRetries: 100, ContentionRatio: 1.0}
+	tu.decide(retryStorm)
+	if h.ModeSwitches() != 0 {
+		t.Error("one retry-storm epoch switched the mode; want SwitchAfter = 2")
 	}
-	if got := h.FallbackSpins(); got > start {
-		t.Errorf("FallbackSpins = %d after calm epochs, want shed below %d", got, start)
+	tu.decide(retryStorm)
+	if h.FallbackMode() != ModeGlobal || h.ModeSwitches() != 1 {
+		t.Errorf("after two retry-storm epochs: %v after %d switches, want global after 1", h.FallbackMode(), h.ModeSwitches())
 	}
 }
 
 func TestTunerPinnedNeverActs(t *testing.T) {
 	h := newTLEHeap(t, Config{})
 	tu := h.NewTuner(TunerConfig{Pinned: true, SwitchAfter: 1, MinFallbackRuns: 1})
-	mode, spins := h.FallbackMode(), h.FallbackSpins()
+	mode := h.FallbackMode()
 
 	// Generate real fallback traffic so the sampled epochs are nonempty.
 	th := h.NewThread()
@@ -405,8 +406,8 @@ func TestTunerPinnedNeverActs(t *testing.T) {
 	tu.Tick()
 	tu.Tick()
 
-	if h.FallbackMode() != mode || h.FallbackSpins() != spins {
-		t.Error("pinned tuner changed a knob")
+	if h.FallbackMode() != mode {
+		t.Error("pinned tuner changed the mode")
 	}
 	if h.ModeSwitches() != 0 {
 		t.Error("pinned tuner switched modes")

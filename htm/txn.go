@@ -115,11 +115,8 @@ type Txn struct {
 	// is the highest line currently held — the ordered-acquisition watermark
 	// the deadlock-avoidance protocol compares against. fbOwner is the thread
 	// ID masked to FallbackOwnerBits, recorded in each held line's metadata.
-	// fbSpins is the out-of-order try-lock bound, read from the heap's live
-	// knob as each fallback attempt starts.
 	fbMax   Addr
 	fbOwner uint64
-	fbSpins int
 }
 
 // findWrite returns the write-set slot holding a, or -1.
@@ -197,29 +194,24 @@ func (t *Txn) indexLines() {
 	}
 }
 
-// defaultFallbackSpins is the default bound on how long a fallback operation
-// try-locks a line BELOW its acquisition watermark before releasing everything
-// and retrying (Config.FallbackSpins overrides it). Waiting on a line above
-// every held line follows the global line order and cannot deadlock, so
-// in-order waits are unbounded; out-of-order waits are where cycles form, so
-// they are bounded.
-const defaultFallbackSpins = 128
-
 // fbAcquire takes the fallback lock on a's line and returns its lock-set slot
 // (immediately, if already held): two words in one line cost one
 // acquisition, exactly as a hardware commit CASes a line once. Deadlock
-// avoidance is ordered try-lock with bounded backoff: acquiring above the
-// watermark may wait indefinitely (line order is a global total order, so
-// such waits cannot cycle; hardware commits and NT operations never wait
-// while holding locks and are waited out unconditionally), while acquiring
-// below it try-locks Config.FallbackSpins times and then aborts the attempt —
-// the runFallback loop releases the entire lock-set, backs off with jitter,
-// and re-runs the body. A ModeGlobal attempt also holds fallbackMu, but it
-// takes the mutex before its first line and nothing waits for the mutex
-// while holding a line, so the mutex closes no cycle. The owner ID recorded
-// in the held line lets a contending fallback see who holds it in a debugger
-// and turns a same-thread re-lock — impossible unless the lock-set invariant
-// broke — into a loud panic instead of a silent self-deadlock.
+// avoidance is ordered acquisition with release-and-retry: a line above the
+// watermark (every held line) may be waited for indefinitely, because line
+// order is a global total order and such waits cannot cycle; hardware
+// commits and NT operations never wait while holding locks, so they are
+// waited out unconditionally. A line below the watermark that another
+// fallback run holds is where a cycle could close, so the attempt aborts at
+// once — the runFallback loop releases the entire lock-set, backs off with
+// jitter, and re-runs the body. Every fallback wait therefore points up the
+// line order, and no cycle of waits exists. A ModeGlobal attempt also holds
+// fallbackMu, but it takes the mutex before its first line and nothing
+// waits for the mutex while holding a line, so the mutex closes no cycle.
+// The owner ID recorded in the held line lets a contending fallback see who
+// holds it in a debugger and turns a same-thread re-lock — impossible unless
+// the lock-set invariant broke — into a loud panic instead of a silent
+// self-deadlock.
 func (t *Txn) fbAcquire(a Addr, op string) int {
 	s := a >> lineShift
 	if i := t.findLine(s); i >= 0 {
@@ -251,7 +243,7 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 				bump(&t.th.cell.fallbackWaits)
 			}
 			// Held by another fallback operation, potentially for long.
-			if len(t.lines) > 0 && s < t.fbMax && spins >= t.fbSpins {
+			if s < t.fbMax {
 				t.abort(AbortConflict, a) // release-and-retry (runFallback)
 			}
 			runtime.Gosched()

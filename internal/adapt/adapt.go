@@ -10,9 +10,6 @@
 // the step size doubles; if it drops below −2 after an abort the step size
 // halves. To avoid excessive resizing, only attempts since the last resize
 // are considered (the window is cleared whenever the step changes).
-//
-// The same window also drives htm's Tuner, whose good and bad outcomes are
-// epochs voting to grow or shed its fallback try-lock budget.
 package adapt
 
 // Paper-determined thresholds and window size (§3.4).

@@ -5,12 +5,12 @@ import (
 	"testing/quick"
 )
 
-// The Tuner's FallbackSpins budget, once the Knob type, is a Controller over
-// [spinMin, spinMax] fed one vote per busy epoch: RecordGood while retries
-// stay high, RecordBad while they stay low. These tests keep the Knob suite's
-// names and check the window in that role.
+// The Controller over a range far wider than the paper's [1, 32] step: the
+// window's thresholds, its aging and the power-of-two bounds must not depend
+// on the range. The test names are from the Knob type these tests first
+// checked, a wide-range client the Controller no longer has.
 
-const spinMin, spinMax = 1, 4096 // htm.NewTuner's bounds
+const wideMin, wideMax = 1, 4096
 
 func TestNewKnobClamps(t *testing.T) {
 	tests := []struct {
@@ -18,11 +18,11 @@ func TestNewKnobClamps(t *testing.T) {
 		min, max, initial          int
 		wantMin, wantMax, wantInit int
 	}{
-		{"normal", spinMin, spinMax, 64, 1, 4096, 64},
-		// FallbackSpins 0: NewTuner relies on this clamp to start at 1.
-		{"initial below min", spinMin, spinMax, 0, 1, 4096, 1},
-		{"initial above max", spinMin, spinMax, 10000, 1, 4096, 4096},
-		{"min below one", -3, spinMax, 2, 1, 4096, 2},
+		{"normal", wideMin, wideMax, 64, 1, 4096, 64},
+		// An initial 0 clamps up to the floor.
+		{"initial below min", wideMin, wideMax, 0, 1, 4096, 1},
+		{"initial above max", wideMin, wideMax, 10000, 1, 4096, 4096},
+		{"min below one", -3, wideMax, 2, 1, 4096, 2},
 		{"max below min", 8, 2, 8, 8, 8, 8},
 	}
 	for _, tt := range tests {
@@ -37,16 +37,16 @@ func TestNewKnobClamps(t *testing.T) {
 }
 
 func TestKnobGrowAfterSevenUps(t *testing.T) {
-	c := NewController(spinMin, spinMax, 4)
+	c := NewController(wideMin, wideMax, 4)
 	for i := 0; i < 6; i++ {
 		c.RecordGood()
 		if c.Step() != 4 {
-			t.Fatalf("budget changed to %d after only %d up-votes", c.Step(), i+1)
+			t.Fatalf("step changed to %d after only %d up-votes", c.Step(), i+1)
 		}
 	}
 	c.RecordGood() // diff reaches 7 > 6
 	if c.Step() != 8 {
-		t.Errorf("budget = %d after 7 straight up-votes, want 8", c.Step())
+		t.Errorf("step = %d after 7 straight up-votes, want 8", c.Step())
 	}
 	if c.Window() != 0 {
 		t.Errorf("window not reset after resize: %d", c.Window())
@@ -54,31 +54,31 @@ func TestKnobGrowAfterSevenUps(t *testing.T) {
 }
 
 func TestKnobShrinkAfterDowns(t *testing.T) {
-	c := NewController(spinMin, spinMax, 16)
+	c := NewController(wideMin, wideMax, 16)
 	c.RecordBad() // diff -1
 	c.RecordBad() // diff -2
 	if c.Step() != 16 {
-		t.Fatalf("budget changed too early: %d", c.Step())
+		t.Fatalf("step changed too early: %d", c.Step())
 	}
 	c.RecordBad() // diff -3 < -2
 	if c.Step() != 8 {
-		t.Errorf("budget = %d after 3 straight down-votes, want 8", c.Step())
+		t.Errorf("step = %d after 3 straight down-votes, want 8", c.Step())
 	}
 }
 
 func TestKnobBoundedByMinMax(t *testing.T) {
-	c := NewController(spinMin, spinMax, spinMax)
+	c := NewController(wideMin, wideMax, wideMax)
 	for i := 0; i < 100; i++ {
 		c.RecordGood()
 	}
-	if c.Step() != spinMax {
-		t.Errorf("budget = %d, want capped at %d", c.Step(), spinMax)
+	if c.Step() != wideMax {
+		t.Errorf("step = %d, want capped at %d", c.Step(), wideMax)
 	}
 	for i := 0; i < 100; i++ {
 		c.RecordBad()
 	}
-	if c.Step() != spinMin {
-		t.Errorf("budget = %d, want floored at %d", c.Step(), spinMin)
+	if c.Step() != wideMin {
+		t.Errorf("step = %d, want floored at %d", c.Step(), wideMin)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestKnobWindowAgesAtExactlyWindowSize(t *testing.T) {
 	// The (windowSize+1)-th vote ages out the oldest vote, so a down-vote
 	// after a balanced full window moves the difference by −2 and the window
 	// stays pinned at windowSize.
-	c := NewController(spinMin, spinMax, 8)
+	c := NewController(wideMin, wideMax, 8)
 	for i := 0; i < windowSize/2; i++ {
 		c.RecordGood()
 	}
@@ -105,19 +105,19 @@ func TestKnobWindowAgesAtExactlyWindowSize(t *testing.T) {
 		t.Errorf("diff = %d after aging out an up-vote, want -2", c.Diff())
 	}
 	if c.Step() != 8 {
-		t.Errorf("budget = %d, want unchanged 8 (diff -2 is not < -2)", c.Step())
+		t.Errorf("step = %d, want unchanged 8 (diff -2 is not < -2)", c.Step())
 	}
 }
 
 func TestKnobResetOnResize(t *testing.T) {
-	grow := NewController(spinMin, spinMax, 4)
+	grow := NewController(wideMin, wideMax, 4)
 	for grow.Step() == 4 {
 		grow.RecordGood()
 	}
 	if grow.Window() != 0 || grow.Diff() != 0 {
 		t.Errorf("grow resize kept window=%d diff=%d, want 0,0", grow.Window(), grow.Diff())
 	}
-	shrink := NewController(spinMin, spinMax, 16)
+	shrink := NewController(wideMin, wideMax, 16)
 	for shrink.Step() == 16 {
 		shrink.RecordBad()
 	}
@@ -128,7 +128,7 @@ func TestKnobResetOnResize(t *testing.T) {
 
 func TestQuickKnobAlwaysInBounds(t *testing.T) {
 	f := func(votes []bool) bool {
-		c := NewController(spinMin, spinMax, 8)
+		c := NewController(wideMin, wideMax, 8)
 		for _, up := range votes {
 			if up {
 				c.RecordGood()
@@ -136,7 +136,7 @@ func TestQuickKnobAlwaysInBounds(t *testing.T) {
 				c.RecordBad()
 			}
 			v := c.Step()
-			if v < spinMin || v > spinMax || v&(v-1) != 0 {
+			if v < wideMin || v > wideMax || v&(v-1) != 0 {
 				return false
 			}
 			if c.Diff() < -windowSize || c.Diff() > windowSize || c.Window() > windowSize {

@@ -77,7 +77,7 @@ func (r PhaseResult) OverallOpsPerUs() float64 {
 // Tuner's storm signal reads.
 func AdaptivePhaseShift(cfg Config, threads int, mode AdaptiveMode) PhaseResult {
 	cfg = cfg.withDefaults()
-	h := cfg.heap(fallbackConfig(mode == AdaptiveGlobal, 0))
+	h := cfg.heap(fallbackConfig(mode == AdaptiveGlobal))
 	phaseLen := cfg.PointDuration / adaptivePhases
 	if phaseLen < 20*time.Millisecond {
 		phaseLen = 20 * time.Millisecond // keep several tuner epochs per phase

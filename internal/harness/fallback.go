@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/htm"
@@ -27,17 +26,14 @@ const (
 )
 
 // fallbackConfig configures the contended-overflow heap, starting in the
-// global-lock mode if global, with the out-of-order acquire budget spins
-// (htm.Config.FallbackSpins: 0 selects the engine default, negative means no
-// spinning — release-and-retry immediately on any out-of-order conflict).
-func fallbackConfig(global bool, spins int) htm.Config {
+// global-lock mode if global.
+func fallbackConfig(global bool) htm.Config {
 	return htm.Config{
 		Words:           fallbackHeapWords,
 		StoreBufferSize: fallbackStoreBuffer,
 		EnableTLE:       true,
 		MaxRetries:      1,
 		GlobalFallback:  global,
-		FallbackSpins:   spins,
 	}
 }
 
@@ -48,24 +44,7 @@ func fallbackConfig(global bool, spins int) htm.Config {
 // heap in the global-lock mode (htm.Config.GlobalFallback).
 func FallbackOverflow(cfg Config, threads int, disjoint, global bool) Result {
 	cfg = cfg.withDefaults()
-	return overflowOn(cfg.heap(fallbackConfig(global, 0)), cfg, threads, disjoint)
-}
-
-// FallbackSpinsOverflow is the shared-footprint overflow workload run with an
-// explicit out-of-order acquire budget: how long a fallback acquire spins on
-// a lock held by a LOWER-addressed owner before releasing its whole set and
-// retrying. spins=0 means no spinning at all (mapped to the config's
-// negative encoding); the engine default is 128.
-func FallbackSpinsOverflow(cfg Config, threads, spins int) Result {
-	cfg = cfg.withDefaults()
-	if spins == 0 {
-		spins = -1 // Config.FallbackSpins: 0 would select the default
-	}
-	return overflowOn(cfg.heap(fallbackConfig(false, spins)), cfg, threads, false)
-}
-
-// overflowOn runs the contended-overflow workload on a prepared heap.
-func overflowOn(h *htm.Heap, cfg Config, threads int, disjoint bool) Result {
+	h := cfg.heap(fallbackConfig(global))
 	setup := h.NewThread()
 	shared := setup.Alloc(fallbackWrites)
 	return cfg.measure(h, threads, func(int) (func(), func() map[int]uint64) {
@@ -102,7 +81,7 @@ func overflowOp(th *htm.Thread, blk htm.Addr) func() {
 // the hardware path never waits.
 func FallbackInterference(cfg Config, threads int, global bool) Result {
 	cfg = cfg.withDefaults()
-	h := cfg.heap(fallbackConfig(global, 0))
+	h := cfg.heap(fallbackConfig(global))
 	return cfg.measure(h, threads, func(int) (func(), func() map[int]uint64) {
 		th := h.NewThread()
 		word := th.Alloc(1)
@@ -135,17 +114,6 @@ func FallbackScaling(cfg Config, threadCounts []int) *Table {
 		overflow("global-lock disjoint", true, true),
 		overflow("fine-grained shared", false, false),
 		overflow("global-lock shared", false, true))
-}
-
-// FallbackSpinsSweep renders shared-footprint overflow throughput across
-// out-of-order acquire budgets (the Config.FallbackSpins knob) at a fixed
-// thread count. Too small a budget releases and retries on every transient
-// inversion; too large spins on locks whose owners are themselves spinning.
-// The sweep locates the engine default (128) on that curve.
-func FallbackSpinsSweep(cfg Config, threads int, spinsValues []int) *Table {
-	return grid("Fallback spins knob: shared contended-overflow [ops/us]", "spins", spinsValues, strconv.Itoa,
-		row{fmt.Sprintf("fine-grained shared, %d threads", threads),
-			func(sp int) float64 { return FallbackSpinsOverflow(cfg, threads, sp).OpsPerUs() }})
 }
 
 // FallbackInterferenceTable renders hardware throughput beside one

@@ -130,7 +130,7 @@ func TestStatsAdaptiveSection(t *testing.T) {
 	if st.Adaptive["pinned"] != true {
 		t.Errorf("adaptive.pinned = %v, want true", st.Adaptive["pinned"])
 	}
-	for _, k := range []string{"mode_switches", "fallback_spins", "epochs"} {
+	for _, k := range []string{"mode_switches", "epochs"} {
 		if _, ok := st.Adaptive[k]; !ok {
 			t.Errorf("adaptive section missing %q", k)
 		}

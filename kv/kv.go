@@ -110,11 +110,10 @@ type Config struct {
 	Faults *htm.FaultPlan
 
 	// Adaptive, when non-nil, attaches an htm.Tuner to the store: the
-	// fallback mode and spin budget self-tune from live abort feedback, and
-	// the admission Governor (if the server enables one) tracks the heap's
-	// abort mix instead of using a static storm threshold. nil leaves the
-	// mode and spin budget where GlobalFallback and the engine default put
-	// them.
+	// fallback mode self-tunes from live abort feedback, and the admission
+	// Governor (if the server enables one) tracks the heap's abort mix
+	// instead of using a static storm threshold. nil leaves the mode where
+	// GlobalFallback put it.
 	Adaptive *AdaptiveConfig
 
 	// Durability, when non-nil, attaches a write-ahead commit log and
@@ -134,7 +133,7 @@ type AdaptiveConfig struct {
 	// Interval is the tuning epoch length (0 = htm default, 25ms).
 	Interval time.Duration
 	// Pinned arms the sampling loop but suppresses every decision: epochs
-	// tick and /stats reports live data, yet no knob is ever written. The
+	// tick and /stats reports live data, yet the mode is never switched. The
 	// chaos harness runs enabled-but-pinned to prove the sampling itself
 	// perturbs nothing.
 	Pinned bool

@@ -354,11 +354,10 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if tu := sv.store.Tuner(); tu != nil {
 		ts := tu.State()
 		resp.Adaptive = map[string]any{
-			"mode":           ts.Mode.String(),
-			"mode_switches":  ts.ModeSwitches,
-			"fallback_spins": ts.FallbackSpins,
-			"epochs":         ts.Epochs,
-			"pinned":         ts.Pinned,
+			"mode":          ts.Mode.String(),
+			"mode_switches": ts.ModeSwitches,
+			"epochs":        ts.Epochs,
+			"pinned":        ts.Pinned,
 		}
 	}
 	if ws, ok := sv.store.WalStats(); ok {
