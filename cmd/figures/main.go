@@ -13,9 +13,8 @@
 //	collect   Dynamic Collect, §5: the §5.1 update latency, Figures 3-8 and
 //	          the space table.
 //	fallback  TLE fallback, §6: fine-grained lock-set versus global lock under
-//	          contended overflow, hardware throughput beside fallback traffic,
-//	          and the phase-shift workload under each pinned mode and the
-//	          Tuner.
+//	          contended overflow, and hardware throughput beside fallback
+//	          traffic.
 //	space     the space table alone.
 //	all       every paper figure in the order the paper presents them.
 //
@@ -118,7 +117,6 @@ var experiments = []experiment{
 	{"space", "collect space all", func(s sweep) renderer { return harness.SpaceTable(s.cfg) }},
 	{"scaling", "fallback", func(s sweep) renderer { return harness.FallbackScaling(s.cfg, s.threads) }},
 	{"interference", "fallback", func(s sweep) renderer { return harness.FallbackInterferenceTable(s.cfg, s.threads) }},
-	{"adaptive", "fallback", func(s sweep) renderer { return harness.AdaptiveScaling(s.cfg, s.fixed) }},
 }
 
 // selected returns the experiments of subcommand sub named exp ("all" for

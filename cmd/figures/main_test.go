@@ -108,7 +108,6 @@ func TestExperimentSkeletons(t *testing.T) {
 		"scaling": "Fallback scaling: contended-overflow [ops/us] ; threads ; 1 2 ; " +
 			"fine-grained disjoint|global-lock disjoint|fine-grained shared|global-lock shared",
 		"interference": "Hardware throughput beside persistent fallback traffic [ops/us] ; hw threads ; 1 2 ; fine-grained fallback|global-lock fallback",
-		"adaptive":     "Adaptive contention management: phase-shift overflow [ops/us] ; phase ; disjoint shared overall ; fine|global|adaptive",
 	}
 	for _, e := range experiments {
 		w, ok := want[e.name]

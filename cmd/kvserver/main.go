@@ -12,7 +12,6 @@
 //	         [-pool N] [-max-value 4096] [-sweep 2s] [-job-workers 2]
 //	         [-job-queue htm|ms|rop|ebr] [-global-fallback] [-verbose]
 //	         [-admission] [-req-timeout 0] [-max-retries 0]
-//	         [-adapt] [-adapt-interval 25ms]
 //	         [-fault-seed 1] [-fault-begin P] [-fault-access P]
 //	         [-fault-commit P] [-fault-stall P]
 //	         [-wal-dir DIR] [-fsync=true] [-snapshot-every N]
@@ -21,10 +20,8 @@
 // The -fault-* flags attach a seeded injection plan (htm.FaultPlan) to the
 // heap — the chaos knobs, usable against a live server; -admission turns on
 // load shedding (503 + Retry-After under pool saturation or abort storms)
-// and -req-timeout bounds each request's store operation. -adapt attaches
-// the online contention tuner (htm.Tuner): the fallback mode self-tunes from
-// live abort feedback, and with -admission the governor's storm threshold
-// tracks the heap's abort mix.
+// and -req-timeout bounds each request's store operation. -global-fallback
+// fixes the paper's single global fallback lock for the server's lifetime.
 //
 // -wal-dir turns on durability: acknowledged mutations are written to a
 // CRC-framed commit log before the response goes out, snapshots truncate old
@@ -73,8 +70,6 @@ func run(args []string) int {
 	admission := fs.Bool("admission", false, "shed load (503 + Retry-After) under pool saturation or abort storms")
 	reqTimeout := fs.Duration("req-timeout", 0, "per-request store-operation deadline (0 = unbounded)")
 	maxRetries := fs.Int("max-retries", 0, "hardware retry budget before the TLE fallback (0 = engine default)")
-	adapt := fs.Bool("adapt", false, "self-tune the fallback mode from live abort feedback")
-	adaptInterval := fs.Duration("adapt-interval", 0, "tuning epoch length with -adapt (0 = engine default, 25ms)")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for the -fault-* injection plan")
 	faultBegin := fs.Float64("fault-begin", 0, "probability of a spurious abort at transaction begin")
 	faultAccess := fs.Float64("fault-access", 0, "probability of a spurious abort per transactional access")
@@ -111,9 +106,6 @@ func run(args []string) int {
 		GlobalFallback: *globalFallback,
 		MaxRetries:     *maxRetries,
 		Faults:         plan,
-	}
-	if *adapt {
-		cfg.Adaptive = &kv.AdaptiveConfig{Interval: *adaptInterval}
 	}
 	if *walDir != "" {
 		cfg.Durability = &kv.Durability{
@@ -179,13 +171,12 @@ func run(args []string) int {
 	// Log the bound address the moment the listener exists. Supervisors treat
 	// it as the readiness signal, and with -addr :0 it is the only way to
 	// learn the chosen port.
-	adaptState := "off"
-	if tu := store.Tuner(); tu != nil {
-		st := tu.State()
-		adaptState = fmt.Sprintf("mode=%s", st.Mode)
+	fallback := "fine"
+	if *globalFallback {
+		fallback = "global"
 	}
-	log.Printf("kvserver: serving on http://%s (slots=%d heap=%dw pool=%d queue=%s faults=%v durable=%v adapt=%s)",
-		ln.Addr(), store.Slots(), store.Heap().Config().Words, store.PoolSize(), *jobQueue, plan != nil, store.Durable(), adaptState)
+	log.Printf("kvserver: serving on http://%s (slots=%d heap=%dw pool=%d queue=%s faults=%v durable=%v fallback=%s)",
+		ln.Addr(), store.Slots(), store.Heap().Config().Words, store.PoolSize(), *jobQueue, plan != nil, store.Durable(), fallback)
 	if err := srv.Serve(ctx, ln); err != nil {
 		fmt.Fprintf(os.Stderr, "kvserver: %v\n", err)
 		return 1

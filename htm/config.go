@@ -66,26 +66,25 @@ type Config struct {
 	// EnableTLE enables the transactional-lock-elision fallback described in
 	// paper §6: after MaxRetries failed attempts the operation completes on
 	// a pessimistic software path instead of retrying forever. That path
-	// acquires the metadata locks of exactly the lines it touches. In the
-	// default mode (ModeFine) nothing else is taken, so fallback operations
+	// acquires the metadata locks of exactly the lines it touches. Unless
+	// GlobalFallback is set nothing else is taken, so fallback operations
 	// with disjoint footprints — and hardware transactions on unrelated
-	// lines — proceed concurrently. The mode is switchable under load
-	// (Heap.FallbackMode, Heap.SetFallbackMode); GlobalFallback picks the
-	// mode the heap starts in.
+	// lines — proceed concurrently, and a run that meets another's line lock
+	// sleeps until that line is released.
 	EnableTLE bool
 
-	// GlobalFallback starts the heap in ModeGlobal, the §6 global-lock
+	// GlobalFallback selects, for the heap's lifetime, the §6 global-lock
 	// fallback the paper describes: each fallback attempt also holds one
 	// process-wide lock, and every hardware transaction waits out the
 	// critical section at begin and validates the lock's sequence number at
 	// extend and commit. The run still takes the line locks of what it
-	// touches, as in ModeFine. It serializes all fallback operations and
-	// stalls all hardware commits for the duration, but is the faithful
-	// Rock-era baseline, and it wins when every fallback footprint is
+	// touches. It serializes all fallback operations and stalls all hardware
+	// commits for the duration, but is the faithful Rock-era baseline, and
+	// it is the choice for a heap whose fallback footprints are known to be
 	// shared, where fine-grained runs queue on one another's line locks or
-	// release and re-run their bodies. It selects only the INITIAL mode;
-	// Heap.SetFallbackMode (typically driven by a Tuner) can change it at any
-	// time. Only meaningful with EnableTLE.
+	// release and re-run their bodies. A heap without it never loads the
+	// global lock's sequence on a hardware attempt. Only meaningful with
+	// EnableTLE.
 	GlobalFallback bool
 
 	// NoMaxLive disables exact high-water tracking, removing the last

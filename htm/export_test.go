@@ -42,3 +42,9 @@ func (h *Heap) ResetMaxLive() {
 
 // WriteSetSize reports the number of distinct words buffered for writing.
 func (t *Txn) WriteSetSize() int { return len(t.writes) }
+
+// parked returns how many fallback runs sleep on the waiter stripe of a's
+// line (Heap.fbPark).
+func (h *Heap) parked(a Addr) int32 {
+	return h.fbWait[Addr(lineOf(a))&(fbWaitStripes-1)].n.Load()
+}

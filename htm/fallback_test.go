@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,7 +86,7 @@ func TestFallbackHoldsOnlyItsFootprint(t *testing.T) {
 	}
 
 	// A hardware transaction on a disjoint footprint must proceed: with the
-	// global fallback lock (ModeGlobal) this would hang at begin.
+	// global fallback lock (GlobalFallback) this would hang at begin.
 	hwDone := make(chan struct{})
 	go func() {
 		defer close(hwDone)
@@ -245,62 +246,145 @@ func TestFallbackDirectFreeSelfDeadlockPanics(t *testing.T) {
 	}
 }
 
+// TestFallbackParkWokenByRelease: a fallback run that meets another fallback
+// run's line lock sleeps until the holder's release wakes it, then commits.
+// Run A holds lo's line and stalls; run B collides with it. In line order B
+// parks at once, keeping the lower line it holds; out of order (B holds the
+// line above lo) it first releases its lock-set, so it parks holding nothing,
+// and re-runs its body once woken.
+func TestFallbackParkWokenByRelease(t *testing.T) {
+	for _, leg := range []struct {
+		name    string
+		inOrder bool
+	}{{"in-order", true}, {"out-of-order", false}} {
+		t.Run(leg.name, func(t *testing.T) {
+			h := newTestHeap(t, overflowCfg())
+			below := h.NewThread().Alloc(24)
+			lo, above := below+8, below+16 // three consecutive lines
+			first := above                 // B's first line: above lo, out of order
+			if leg.inOrder {
+				first = below
+			}
+
+			held, release, aDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(aDone)
+				h.NewThread().Atomic(func(tx *Txn) {
+					tx.Store(lo, 1)
+					tx.Store(lo+1, 1) // overflow -> the fallback locks lo's line
+					if tx.InFallback() {
+						close(held)
+						<-release
+					}
+				})
+			}()
+			<-held
+
+			b := h.NewThread()
+			bDone := make(chan struct{})
+			go func() {
+				defer close(bDone)
+				b.Atomic(func(tx *Txn) {
+					tx.Store(first, 2)
+					tx.Store(lo, 2) // collides with A's lock-set
+				})
+			}()
+			for deadline := time.Now().Add(10 * time.Second); h.parked(lo) == 0; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatal("B never parked on lo's line")
+				}
+			}
+			select {
+			case <-bDone:
+				t.Fatal("B finished while A held lo's line")
+			default:
+			}
+			m := h.meta[lineOf(first)].Load()
+			if leg.inOrder && !metaFallbackLocked(m) {
+				t.Errorf("in order, B parked without holding its lower line: meta %#x", m)
+			}
+			if !leg.inOrder && metaLocked(m) {
+				t.Errorf("out of order, B parked holding the line above: meta %#x", m)
+			}
+
+			close(release)
+			<-aDone
+			select {
+			case <-bDone:
+			case <-time.After(10 * time.Second):
+				t.Fatal("A's release did not wake the parked B")
+			}
+			if v := h.LoadNT(lo); v != 2 {
+				t.Errorf("lo = %d, want 2 (B commits after A)", v)
+			}
+			if v := h.LoadNT(first); v != 2 {
+				t.Errorf("B's first word = %d, want 2", v)
+			}
+			retries := b.cell.fallbackRetries.Load()
+			if leg.inOrder && retries != 0 {
+				t.Errorf("in-order park retried %d times, want 0", retries)
+			}
+			if !leg.inOrder && retries == 0 {
+				t.Error("out-of-order collision did not release and retry")
+			}
+			if w := b.cell.fallbackWaits.Load(); w == 0 {
+				t.Error("the collision was not counted in FallbackWaits")
+			}
+			requireQuiescent(t, h)
+		})
+	}
+}
+
 // TestFallbackCrossThreadFreeDeadlockPanics: a fallback body that calls
 // Thread.Free on a block fallback-locked by ANOTHER thread, while itself
 // holding locks, would wait outside the ordered-acquisition protocol and can
 // close a deadlock cycle the protocol cannot break. The guard panics instead.
-// With global set, the freeing body runs in ModeGlobal: the mode switches
-// after the parked run took its locks (two global runs never overlap, so the
-// holder is a fine run that entered before the switch).
+// It needs two overlapping fallback runs, so it has no GlobalFallback leg:
+// global runs never overlap.
 func TestFallbackCrossThreadFreeDeadlockPanics(t *testing.T) {
-	for _, global := range []bool{false, true} {
-		h := newTestHeap(t, overflowCfg())
-		setup := h.NewThread()
-		b := setup.Alloc(2) // parked thread 1 will hold these words
+	h := newTestHeap(t, overflowCfg())
+	setup := h.NewThread()
+	b := setup.Alloc(2) // parked thread 1 will hold these words
 
-		held := make(chan struct{})
-		release := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			th := h.NewThread()
-			th.Atomic(func(tx *Txn) {
-				tx.Store(b, 1)
-				tx.Store(b+1, 2) // overflow -> fallback locks both words
-				if tx.InFallback() {
-					close(held)
-					<-release
-				}
-			})
-		}()
-		<-held
-		if global {
-			h.SetFallbackMode(ModeGlobal)
-		}
+	held := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		th := h.NewThread()
+		th.Atomic(func(tx *Txn) {
+			tx.Store(b, 1)
+			tx.Store(b+1, 2) // overflow -> fallback locks both words
+			if tx.InFallback() {
+				close(held)
+				<-release
+			}
+		})
+	}()
+	<-held
 
-		th2 := h.NewThread()
-		own := th2.Alloc(2)
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Errorf("global=%v: cross-thread free under a held lock-set did not panic", global)
-					return
-				}
-				if msg, ok := r.(string); !ok || !strings.Contains(msg, "fallback-locked by another thread") {
-					t.Errorf("global=%v: unexpected panic: %v", global, r)
-				}
-			}()
-			th2.Atomic(func(tx *Txn) {
-				tx.Store(own, 1)
-				tx.Store(own+1, 1) // overflow -> fallback holds own's words
-				th2.Free(b)        // b is held by the parked fallback: must panic
-			})
+	th2 := h.NewThread()
+	own := th2.Alloc(2)
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Error("cross-thread free under a held lock-set did not panic")
+				return
+			}
+			if msg, ok := r.(string); !ok || !strings.Contains(msg, "fallback-locked by another thread") {
+				t.Errorf("unexpected panic: %v", r)
+			}
 		}()
-		close(release)
-		<-done
-		requireQuiescent(t, h)
-	}
+		th2.Atomic(func(tx *Txn) {
+			tx.Store(own, 1)
+			tx.Store(own+1, 1) // overflow -> fallback holds own's words
+			th2.Free(b)        // b is held by the parked fallback: must panic
+		})
+	}()
+	close(release)
+	<-done
+	requireQuiescent(t, h)
 }
 
 // TestStressFallbackMixed interleaves fine-grained fallback operations with

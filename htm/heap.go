@@ -112,19 +112,18 @@ type Heap struct {
 	// as the version of the lines it wrote (see tick).
 	clock *clockLine
 
-	// TLE fallback dispatch (Config.EnableTLE; see mode.go). fallbackSeq is
+	// The TLE fallback (Config.EnableTLE; see runFallback). fallbackSeq is
 	// the global fallback lock's epoch: even when free, odd while a global
-	// critical section is in flight; hardware attempts snapshot it at begin
-	// and revalidate it at extend and commit. It sits beside the clock
-	// pointer, which every begin loads anyway, so that snapshot does not pull
-	// in a cache line of its own. fbMode is the runtime mode word consulted
-	// at fallback entry, seeded by Config.GlobalFallback; fallbackMu is the
-	// global fallback lock; modeSwitches counts applied mode changes. A heap
-	// without TLE never reads any of them on a transactional path.
-	fallbackSeq  atomic.Uint64
-	fbMode       atomic.Uint32
-	fallbackMu   sync.Mutex
-	modeSwitches atomic.Uint64
+	// critical section is in flight; on a GlobalFallback heap hardware
+	// attempts snapshot it at begin and revalidate it at extend and commit.
+	// It sits beside the clock pointer, which every begin loads anyway, so
+	// that snapshot does not pull in a cache line of its own. fallbackMu is
+	// the global fallback lock. A heap without GlobalFallback never reads
+	// either; fbWait parks its fallback runs that wait for another fallback's
+	// line lock (fbPark), and is nil without EnableTLE.
+	fallbackSeq atomic.Uint64
+	fallbackMu  sync.Mutex
+	fbWait      *[fbWaitStripes]fbWaitStripe
 
 	alloc   allocator
 	stats   stats
@@ -152,11 +151,62 @@ func NewHeap(cfg Config) *Heap {
 	if cfg.Faults != nil {
 		h.ntYieldThresh = yieldThreshold(cfg.Faults.YieldEvery)
 	}
-	if cfg.GlobalFallback {
-		h.fbMode.Store(uint32(ModeGlobal))
+	if cfg.EnableTLE {
+		h.fbWait = new([fbWaitStripes]fbWaitStripe)
+		for i := range h.fbWait {
+			h.fbWait[i].cond.L = &h.fbWait[i].mu
+		}
 	}
 	h.alloc.init(h)
 	return h
+}
+
+// fbWaitStripes is the number of waiter stripes lines hash to (a power of
+// two); a stripe is shared by every line congruent modulo it.
+const fbWaitStripes = 64
+
+// fbWaitStripe is where fallback runs sleep until a fallback-locked line of
+// the stripe is released: n counts the sleepers, so that a release with none
+// costs one load and no lock.
+type fbWaitStripe struct {
+	n    atomic.Int32
+	mu   sync.Mutex
+	cond sync.Cond
+}
+
+// fbPark blocks until line l is not fallback-locked. It is the fallback's
+// wait for another fallback's line: a lock-set can be held for a whole body,
+// and waiters that yield in a loop starve its holder of the CPU it needs to
+// release, where a sleeper costs nothing until the release wakes it.
+//
+// No wakeup is lost. fbRelease is the only writer that moves a metadata word
+// out of the fallback-locked state, and it stores the word before it loads
+// the stripe's count; the sleeper increments the count before it re-checks
+// the word under the stripe's mutex. With both sequentially consistent,
+// either the release sees the count and broadcasts under the mutex — which
+// the sleeper holds from its check until Wait releases it — or the sleeper's
+// check comes after the store and sees the line released. A line re-locked
+// by a third run in between is a new hold whose release wakes again.
+func (h *Heap) fbPark(l Addr) {
+	st := &h.fbWait[l&(fbWaitStripes-1)]
+	st.n.Add(1)
+	st.mu.Lock()
+	for metaFallbackLocked(h.meta[l].Load()) {
+		st.cond.Wait()
+	}
+	st.mu.Unlock()
+	st.n.Add(-1)
+}
+
+// fbWake wakes every run parked on line l's stripe, after fbRelease stored
+// l's released metadata word. A stripe is shared, so all its sleepers wake
+// and each re-checks its own line.
+func (h *Heap) fbWake(l Addr) {
+	if st := &h.fbWait[l&(fbWaitStripes-1)]; st.n.Load() != 0 {
+		st.mu.Lock()
+		st.cond.Broadcast()
+		st.mu.Unlock()
+	}
 }
 
 // lineShift is log2 of the words one metadata word governs, and lineMask

@@ -19,9 +19,8 @@
 //     acquires the metadata locks of exactly the lines it touches, so it is
 //     strongly atomic like everything else. By default disjoint fallback
 //     operations and unrelated hardware transactions proceed concurrently;
-//     the heap's runtime mode word (Config.GlobalFallback,
-//     Heap.SetFallbackMode) adds the paper's single global fallback lock,
-//     which all transactions monitor (§6).
+//     Config.GlobalFallback, fixed when the heap is built, adds the paper's
+//     single global fallback lock, which all transactions monitor (§6).
 //
 // Internally the engine is a TL2/TinySTM-style software TM: a global version
 // clock, one metadata word per heap word fusing the versioned lock with the
@@ -69,9 +68,9 @@ const (
 	AbortExplicit
 	// AbortFallback indicates the transaction observed the global TLE
 	// fallback lock held (or acquired during its execution) and must wait.
-	// Produced only by a ModeGlobal fallback run. A fallback run in either
-	// mode holds line metadata locks, so a transaction that collides with
-	// its lines aborts with AbortConflict; only the global lock also aborts
+	// Produced only on a Config.GlobalFallback heap. Every fallback run holds
+	// line metadata locks, so a transaction that collides with its lines
+	// aborts with AbortConflict; only the global lock also aborts
 	// transactions on disjoint lines.
 	AbortFallback
 	// AbortCapacity indicates the transaction read more distinct lines than

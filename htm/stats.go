@@ -124,23 +124,22 @@ type Stats struct {
 	// Aborts counts failed attempts by reason.
 	Aborts map[AbortCode]uint64
 	// FallbackRuns is the number of operations completed on the TLE fallback
-	// path, in either mode (Heap.FallbackMode).
+	// path, with or without the global lock (Config.GlobalFallback).
 	FallbackRuns uint64
-	// FallbackLocks counts line lock acquisitions by fallback runs, in
-	// either mode: a ModeGlobal run takes the same line locks under the
-	// global lock.
+	// FallbackLocks counts line lock acquisitions by fallback runs: a
+	// GlobalFallback run takes the same line locks under the global lock.
 	FallbackLocks uint64
 	// FallbackRetries counts fallback attempts that released their whole
 	// lock-set and re-ran the operation body — the deadlock-avoidance
 	// release-and-retry path, or a body that called Txn.Abort.
 	FallbackRetries uint64
-	// FallbackWaits counts fallback lock acquisitions that
-	// collided with another operation's held lock-set (at most one count per
+	// FallbackWaits counts fallback lock acquisitions that collided with
+	// another fallback run's held lock-set (at most one count per
 	// acquisition, however long the wait). Unlike FallbackRetries — which
 	// only fires on OUT-OF-ORDER collisions — this counts in-order convoying
-	// too, so its per-run rate is the Tuner's shared-footprint signal: 0 when
-	// fallback footprints are disjoint, ~1+ when every run queues behind the
-	// same words.
+	// too, so its per-run rate says how shared the fallback footprints are:
+	// 0 when they are disjoint, ~1+ when every run queues behind the same
+	// words. Each such collision parks the run until the line is released.
 	FallbackWaits uint64
 	// FallbackStalls counts injected lock-holder stall windows executed on the
 	// fallback path (Config.Faults with StallProb > 0); 0 without injection.
@@ -156,10 +155,6 @@ type Stats struct {
 	// run's release, a commit that ticked and then failed validation)
 	// carry a counter of their own.
 	ClockShardTicks uint64
-	// ModeSwitches counts runtime fallback-mode changes applied through
-	// Heap.SetFallbackMode. It is a heap-level
-	// counter, not a per-thread one: switches are rare control-plane events.
-	ModeSwitches uint64
 	// LiveWords is the number of currently allocated payload words;
 	// MaxLiveWords is its high-water mark. These drive the paper's
 	// space-usage comparisons and are exact in the default configuration.
@@ -209,9 +204,6 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, ") fallback=%d fblocks=%d fbretries=%d fbwaits=%d fbstalls=%d alloc=%d free=%d live=%dw maxLive=%dw clockticks=%d",
 		s.FallbackRuns, s.FallbackLocks, s.FallbackRetries, s.FallbackWaits, s.FallbackStalls,
 		s.AllocCalls, s.FreeCalls, s.LiveWords, s.MaxLiveWords, s.ClockShardTicks)
-	if s.ModeSwitches > 0 {
-		fmt.Fprintf(&b, " modeswitches=%d", s.ModeSwitches)
-	}
 	return b.String()
 }
 
@@ -221,7 +213,6 @@ func (s Stats) String() string {
 // the snapshot feeds, and the snapshot is exact at quiescence.
 func (h *Heap) Stats() Stats {
 	s := Stats{Aborts: make(map[AbortCode]uint64, numAbortCodes)}
-	s.ModeSwitches = h.modeSwitches.Load()
 	for _, c := range h.stats.snapshotCells() {
 		wc := c.writeCommits.Load()
 		s.Commits += c.commits.Load() + wc

@@ -47,7 +47,7 @@ func (h *Heap) NewThread() *Thread {
 	th.txn.maxReadSet = h.cfg.MaxReadSet
 	th.txn.storeBufSize = h.cfg.StoreBufferSize
 	th.txn.fbOwner = id & fallbackOwnerMask
-	th.txn.tle = h.cfg.EnableTLE
+	th.txn.global = h.cfg.EnableTLE && h.cfg.GlobalFallback
 	if h.cfg.Faults.enabled() {
 		th.txn.env = newThreadEnv(h.cfg.Faults, id)
 	}
@@ -111,16 +111,15 @@ func (th *Thread) backoff(attempt int) {
 func spinHint() {}
 
 // begin initializes the reusable transaction descriptor for an attempt. On a
-// TLE heap it waits out any global fallback critical section and snapshots
-// the epoch such a section would bump; while the mode is fine the epoch never
-// moves, so the wait is a single load. A concurrent fallback run — in either
-// mode — is visible to the attempt as locked metadata words, exactly like any
-// other conflicting writer.
+// GlobalFallback heap it waits out any global fallback critical section and
+// snapshots the epoch such a section would bump. A concurrent fallback run —
+// on either kind of heap — is visible to the attempt as locked metadata
+// words, exactly like any other conflicting writer.
 func (th *Thread) begin() *Txn {
 	t := &th.txn
 	t.reset()
 	h := th.h
-	if t.tle {
+	if t.global {
 		for {
 			seq := h.fallbackSeq.Load()
 			if seq&1 == 0 {
@@ -219,8 +218,8 @@ func (th *Thread) tryAtomic(f func(*Txn)) (code AbortCode, addr Addr, ok bool) {
 // Atomic executes f atomically, retrying with exponential backoff until it
 // commits. If the heap enables TLE and an attempt fails MaxRetries times, f
 // runs on the pessimistic fallback path: a software transaction that locks
-// the metadata of exactly the lines it touches, in ModeGlobal also under the
-// paper's single global lock (§6). Without TLE, a transaction that
+// the metadata of exactly the lines it touches, on a GlobalFallback heap also
+// under the paper's single global lock (§6). Without TLE, a transaction that
 // deterministically overflows the store buffer (AbortOverflow) or reads more
 // than MaxReadSet distinct lines (AbortCapacity) panics rather than retrying
 // forever.
@@ -272,32 +271,44 @@ func (th *Thread) AtomicUntil(f func(*Txn), stop func() bool) bool {
 // transaction over the line metadata locks. The line of every word f loads or
 // stores is lock-acquired on first touch (with the thread's owner ID recorded
 // in the held line), stores are buffered, and the commit writes them back
-// under the locks and releases the whole set with one version tick. Fallback
-// runs with disjoint footprints — and hardware transactions on lines the run
-// does not hold — proceed concurrently; a lock-order conflict with another
-// run releases everything and retries with jittered backoff (see fbAcquire
-// for the deadlock-avoidance argument). The mode word only decides whether
-// each attempt also holds the global lock (fallbackOnce).
+// under the locks and releases the whole set with one version tick. Line locks
+// alone therefore exclude a fallback run from every hardware commit, every NT
+// operation, every free and every other fallback run. Runs with disjoint
+// footprints — and hardware transactions on lines the run does not hold —
+// proceed concurrently. A run that meets another run's line lock sleeps until
+// that line is released (Heap.fbPark): in line order it waits holding its
+// lock-set, out of order it first releases everything (see fbAcquire for the
+// deadlock-avoidance argument) and re-runs the body once woken.
+//
+// The heap's Config.GlobalFallback fixes, for its lifetime, whether each
+// attempt also holds the paper's §6 global lock (fallbackOnce).
 func (th *Thread) runFallback(f func(*Txn)) {
 	th.inTxn = true
 	defer func() { th.inTxn = false }()
+	t := &th.txn
 	for attempt := 0; !th.fallbackOnce(f); attempt++ {
 		bump(&th.cell.fallbackRetries)
-		th.backoff(attempt)
+		if t.abortCode == AbortConflict {
+			// An out-of-order collision: the lock-set is released, so sleep
+			// holding nothing until the blocking line is.
+			th.h.fbPark(t.abortAddr >> lineShift)
+		} else {
+			th.backoff(attempt) // the body called Txn.Abort
+		}
 	}
 	bump(&th.cell.fallbackRuns)
 }
 
 // fallbackOnce runs one fallback attempt of f and, if the body completed, its
-// commit; it reports whether the operation took effect. Every attempt
-// re-reads the mode word: in a storm so dense that runs stop completing, a
-// switch to the global lock must redirect the operations ALREADY in the retry
-// loop, not only new entries — they are the storm. In ModeGlobal the attempt
-// runs under the paper's §6 global lock: fallbackMu held and fallbackSeq odd,
-// so hardware attempts wait at begin and abort at extend or commit.
+// commit; it reports whether the operation took effect. On a GlobalFallback
+// heap the attempt runs under the paper's §6 global lock: fallbackMu held and
+// fallbackSeq odd, so global runs are serialized (and never meet at a line
+// lock), hardware attempts wait at begin while one is in flight, and extend()
+// and commit abort with AbortFallback if the epoch moved under them. That
+// subscription models Rock's elided lock; no safety argument rests on it.
 func (th *Thread) fallbackOnce(f func(*Txn)) bool {
 	h, t := th.h, &th.txn
-	if FallbackMode(h.fbMode.Load()) == ModeGlobal {
+	if t.global {
 		h.fallbackMu.Lock()
 		h.fallbackSeq.Add(1) // odd: lock held; new transactions wait
 		defer func() {

@@ -2,54 +2,31 @@ package htm
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// tleLeg is one configuration of the TLE contract tests: the mode the heap
-// starts in, and whether a side goroutine keeps flipping it while the test
-// body runs.
+// tleLeg is one configuration of the TLE contract tests: the fallback mode
+// the heap is built in.
 type tleLeg struct {
 	name   string
-	global bool // initial mode (Config.GlobalFallback)
-	flip   bool
+	global bool // Config.GlobalFallback
 }
 
 // heap builds the leg's TLE heap from cfg. Every leg ends in a quiescent
-// invariant sweep; the flipping leg also starts — and stops first — the mode
-// flipper, so the contract is checked across live switches, not only at each
-// pinned mode.
+// invariant sweep.
 func (l tleLeg) heap(t *testing.T, cfg Config) *Heap {
 	t.Helper()
 	cfg.EnableTLE = true
 	cfg.GlobalFallback = l.global
 	h := newTestHeap(t, cfg)
-	stopFlip := func() {}
-	if l.flip {
-		stop, done := make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 1; ; i++ { // global, fine, global, …
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				h.SetFallbackMode(FallbackMode(i % 2))
-				time.Sleep(20 * time.Microsecond)
-			}
-		}()
-		stopFlip = func() { close(stop); <-done }
-	}
-	t.Cleanup(func() {
-		stopFlip()
-		requireQuiescent(t, h)
-	})
+	t.Cleanup(func() { requireQuiescent(t, h) })
 	return h
 }
 
 // requireQuiescent checks that an idle TLE heap is exactly at rest: clean
-// metadata sweep and no global section in flight.
+// metadata sweep, no global section in flight and no parked fallback run.
 func requireQuiescent(t *testing.T, h *Heap) {
 	t.Helper()
 	sweep, s := h.SweepMeta(), h.Stats()
@@ -57,6 +34,13 @@ func requireQuiescent(t *testing.T, h *Heap) {
 		t.Errorf("quiescent sweep not clean: %+v (live words %d)", sweep, s.LiveWords)
 	}
 	requireGlobalLockFree(t, h)
+	if h.fbWait != nil {
+		for i := range h.fbWait {
+			if n := h.fbWait[i].n.Load(); n != 0 {
+				t.Errorf("waiter stripe %d still counts %d parked runs", i, n)
+			}
+		}
+	}
 }
 
 // requireGlobalLockFree checks that no global fallback section is left in
@@ -73,14 +57,12 @@ func requireGlobalLockFree(t *testing.T, h *Heap) {
 	h.fallbackMu.Unlock()
 }
 
-// allFallbackModes runs f with the heap starting (and staying) in each mode,
-// and once with the mode flipping underneath it, so both paths and every
-// switch between them keep satisfying the same TLE contract.
+// allFallbackModes runs f on a heap built in each fallback mode, so both
+// paths keep satisfying the same TLE contract.
 func allFallbackModes(t *testing.T, f func(t *testing.T, l tleLeg)) {
 	for _, l := range []tleLeg{
 		{name: "fine-grained"},
 		{name: "global", global: true},
-		{name: "flipping", flip: true},
 	} {
 		l := l
 		t.Run(l.name, func(t *testing.T) { f(t, l) })
@@ -330,5 +312,131 @@ func TestFallbackReadOnlyRestoresMetadata(t *testing.T) {
 	// The write-back of scratch ticks the clock exactly once.
 	if got := h.ClockNow(); got != clock+1 {
 		t.Errorf("clock advanced by %d, want 1 (single tick per fallback commit)", got-clock)
+	}
+}
+
+// newTLEHeap builds a TLE heap that overflows quickly, so fallback traffic is
+// easy to provoke.
+func newTLEHeap(t testing.TB, cfg Config) *Heap {
+	t.Helper()
+	cfg.EnableTLE = true
+	if cfg.StoreBufferSize == 0 {
+		cfg.StoreBufferSize = 2
+	}
+	if cfg.MaxRetries == 0 {
+		cfg.MaxRetries = 2
+	}
+	return newTestHeap(t, cfg)
+}
+
+// TestAdaptiveFallbackBothModes runs the overflow workload on a heap built in
+// each fallback mode: both paths must preserve the multi-word invariant and
+// count fallback runs.
+func TestAdaptiveFallbackBothModes(t *testing.T) {
+	for _, l := range []tleLeg{{name: "fine"}, {name: "global", global: true}} {
+		t.Run(l.name, func(t *testing.T) {
+			h := newTLEHeap(t, Config{GlobalFallback: l.global})
+			th := h.NewThread()
+			a := th.Alloc(8)
+			th.Atomic(func(tx *Txn) {
+				for i := Addr(0); i < 8; i++ {
+					tx.Store(a+i, uint64(i)+1)
+				}
+			})
+			for i := Addr(0); i < 8; i++ {
+				if v := h.LoadNT(a + i); v != uint64(i)+1 {
+					t.Errorf("word %d = %d, want %d", i, v, i+1)
+				}
+			}
+			s := h.Stats()
+			if s.FallbackRuns == 0 {
+				t.Error("fallback was not engaged")
+			}
+			if s.FallbackLocks == 0 {
+				t.Errorf("%s mode acquired no line locks", l.name)
+			}
+		})
+	}
+}
+
+// TestAdaptiveModeFlipStress is the acceptance stress, on a heap built in
+// each fallback mode (run with -race). Writers maintain a multi-word
+// invariant on a SHARED block through deliberately overflowing transactions —
+// every attempt takes the fallback, so fine-mode runs collide and park on one
+// another's lines — while readers verify the invariant. Afterwards the heap
+// must be exactly quiescent: clean SweepMeta, even fallback sequence, no
+// sleeper left on a waiter stripe.
+func TestAdaptiveModeFlipStress(t *testing.T) {
+	for _, l := range []tleLeg{{name: "fine"}, {name: "global", global: true}} {
+		t.Run(l.name, func(t *testing.T) {
+			h := newTLEHeap(t, Config{MaxRetries: 1, GlobalFallback: l.global})
+			setup := h.NewThread()
+			shared := setup.Alloc(4)
+
+			const (
+				writers = 4
+				readers = 2
+				iters   = 400
+			)
+			var wg sync.WaitGroup
+			var total atomic.Uint64
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(seed uint64) {
+					defer wg.Done()
+					th := h.NewThread()
+					for i := 0; i < iters; i++ {
+						v := seed*uint64(iters) + uint64(i)
+						th.Atomic(func(tx *Txn) {
+							// 4 distinct stores overflow the 2-entry buffer:
+							// the body completes only on the fallback.
+							for k := Addr(0); k < 4; k++ {
+								tx.Store(shared+k, v)
+							}
+						})
+						total.Add(1)
+					}
+				}(uint64(w) + 1)
+			}
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					th := h.NewThread()
+					for i := 0; i < iters; i++ {
+						var vals [4]uint64
+						th.Atomic(func(tx *Txn) {
+							for k := Addr(0); k < 4; k++ {
+								vals[k] = tx.Load(shared + k)
+							}
+						})
+						for k := 1; k < 4; k++ {
+							if vals[k] != vals[0] {
+								t.Errorf("torn read: %v", vals)
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+
+			if got := total.Load(); got != writers*iters {
+				t.Errorf("completed %d writes, want %d", got, writers*iters)
+			}
+			var final [4]uint64
+			for k := Addr(0); k < 4; k++ {
+				final[k] = h.LoadNT(shared + k)
+			}
+			for k := 1; k < 4; k++ {
+				if final[k] != final[0] {
+					t.Errorf("final state torn: %v", final)
+				}
+			}
+			if s := h.Stats(); s.FallbackRuns == 0 {
+				t.Error("stress never engaged the fallback")
+			}
+			requireQuiescent(t, h)
+		})
 	}
 }

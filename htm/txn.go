@@ -68,7 +68,7 @@ type Txn struct {
 	// rv is the read-validity snapshot, TL2's timestamp: the clock as begin
 	// read it, advanced by extend(). A version is readable iff it is <= rv.
 	rv     uint64
-	fbSeq  uint64 // fallback-lock sequence observed at begin
+	fbSeq  uint64 // global fallback-lock sequence observed at begin
 	reads  []readEntry
 	writes []writeEntry
 	// charged counts the store-buffer entries ChargeStores consumed: stores
@@ -90,7 +90,7 @@ type Txn struct {
 	meta         []atomic.Uint64
 	maxReadSet   int
 	storeBufSize int
-	tle          bool // Config.EnableTLE: monitor the global fallback epoch
+	global       bool // EnableTLE && GlobalFallback: monitor the global fallback epoch
 
 	// env is the owning thread's environment state (Config.Faults: fault
 	// injection and yields), nil without an enabled plan — the one pointer
@@ -199,18 +199,19 @@ func (t *Txn) indexLines() {
 // acquisition, exactly as a hardware commit CASes a line once. Deadlock
 // avoidance is ordered acquisition with release-and-retry: a line above the
 // watermark (every held line) may be waited for indefinitely, because line
-// order is a global total order and such waits cannot cycle; hardware
-// commits and NT operations never wait while holding locks, so they are
-// waited out unconditionally. A line below the watermark that another
-// fallback run holds is where a cycle could close, so the attempt aborts at
-// once — the runFallback loop releases the entire lock-set, backs off with
-// jitter, and re-runs the body. Every fallback wait therefore points up the
-// line order, and no cycle of waits exists. A ModeGlobal attempt also holds
-// fallbackMu, but it takes the mutex before its first line and nothing
-// waits for the mutex while holding a line, so the mutex closes no cycle.
-// The owner ID recorded in the held line lets a contending fallback see who
-// holds it in a debugger and turns a same-thread re-lock — impossible unless
-// the lock-set invariant broke — into a loud panic instead of a silent
+// order is a global total order and such waits cannot cycle; the run parks
+// until the holder's release wakes it (Heap.fbPark). Hardware commits and NT
+// operations never wait while holding locks, so they are spun out
+// unconditionally. A line below the watermark that another fallback run
+// holds is where a cycle could close, so the attempt aborts at once — the
+// runFallback loop releases the entire lock-set, parks holding nothing until
+// that line is released, and re-runs the body. Every fallback wait therefore
+// points up the line order, and no cycle of waits exists. A GlobalFallback
+// attempt also holds fallbackMu, but it takes the mutex before its first line
+// and nothing waits for the mutex while holding a line, so the mutex closes no
+// cycle. The owner ID recorded in the held line lets a contending fallback see
+// who holds it in a debugger and turns a same-thread re-lock — impossible
+// unless the lock-set invariant broke — into a loud panic instead of a silent
 // self-deadlock.
 func (t *Txn) fbAcquire(a Addr, op string) int {
 	s := a >> lineShift
@@ -237,16 +238,15 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 				panic(fmt.Sprintf("htm: fallback self-deadlock: the line of word %#x is locked by this thread but missing from its lock-set", uint32(a)))
 			}
 			if !waited {
-				// Count the collision once per acquisition, in-order or not:
-				// this is the Tuner's shared-footprint signal (FallbackWaits).
+				// Count the collision once per acquisition, in-order or not.
 				waited = true
 				bump(&t.th.cell.fallbackWaits)
 			}
 			// Held by another fallback operation, potentially for long.
 			if s < t.fbMax {
-				t.abort(AbortConflict, a) // release-and-retry (runFallback)
+				t.abort(AbortConflict, a) // release, park on s, retry (runFallback)
 			}
-			runtime.Gosched()
+			t.h.fbPark(s)
 		default:
 			// Commit write-back or NT operation: short by construction
 			// (neither ever waits while holding line locks), so spin it out.
@@ -309,15 +309,16 @@ func (t *Txn) fbRelease(wv uint64) {
 		} else {
 			t.meta[l.addr>>lineShift].Store(l.prev)
 		}
+		t.h.fbWake(l.addr >> lineShift)
 	}
 	t.lines = t.lines[:0]
 	t.fbMax = 0
 }
 
 // InFallback reports whether this attempt is executing on the TLE fallback
-// path (in either mode) rather than as a hardware transaction attempt. Bodies
-// can use it to adapt — e.g. tests that must synchronize only once the
-// fallback engaged.
+// path (with or without the global lock) rather than as a hardware
+// transaction attempt. Bodies can use it to adapt — e.g. tests that must
+// synchronize only once the fallback engaged.
 func (t *Txn) InFallback() bool { return t.direct }
 
 // compactReads drops, in place, every read entry whose line an earlier entry
@@ -401,10 +402,10 @@ func (t *Txn) validate() (Addr, bool) {
 func (t *Txn) extend() {
 	// A hardware transaction holding the global lock word in its read set
 	// aborts when the lock is taken (§6); this is that subscription. Safety
-	// does not rest on it: a fallback run in either mode that touched any
-	// word this transaction read rewrote that word's metadata, so validate()
-	// below catches it.
-	if t.tle && t.h.fallbackSeq.Load() != t.fbSeq {
+	// does not rest on it: any fallback run that touched a word this
+	// transaction read rewrote that word's metadata, so validate() below
+	// catches it.
+	if t.global && t.h.fallbackSeq.Load() != t.fbSeq {
 		t.abort(AbortFallback, NilAddr)
 	}
 	t.rv = t.h.clock.v.Load()
@@ -838,10 +839,10 @@ func (t *Txn) commit() (AbortCode, Addr) {
 	}
 	// The global-lock subscription (§6): a commit that sees the global
 	// fallback epoch moved since begin aborts. It is the model's rule, not a
-	// safety fence — a fallback run in either mode holds the line locks of
+	// safety fence — every fallback run holds the line locks of
 	// what it touches, so a conflicting commit fails its acquisition CAS and
 	// a disjoint one proceeds.
-	if t.tle && h.fallbackSeq.Load() != t.fbSeq {
+	if t.global && h.fallbackSeq.Load() != t.fbSeq {
 		return AbortFallback, NilAddr
 	}
 	code, addr := t.publish()
@@ -857,12 +858,12 @@ func (t *Txn) commit() (AbortCode, Addr) {
 // commitCharged is the commit of a transaction whose only stores were charged:
 // what publish decides for a write set of private words. Their acquisition
 // CASes can never fail and nobody reads them, so only the steps that decide
-// the outcome are left — the TLE epoch check (AbortFallback), then read-set
-// validation against live metadata (AbortConflict at the first changed word)
-// — and none of the lock, the clock tick or the write-back. It counts as a
-// read-only commit: nothing ticked.
+// the outcome are left — the global-lock epoch check (AbortFallback), then
+// read-set validation against live metadata (AbortConflict at the first
+// changed word) — and none of the lock, the clock tick or the write-back. It
+// counts as a read-only commit: nothing ticked.
 func (t *Txn) commitCharged() (AbortCode, Addr) {
-	if t.tle && t.h.fallbackSeq.Load() != t.fbSeq {
+	if t.global && t.h.fallbackSeq.Load() != t.fbSeq {
 		return AbortFallback, NilAddr
 	}
 	if a, ok := t.validate(); !ok {

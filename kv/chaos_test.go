@@ -6,7 +6,6 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -22,43 +21,29 @@ import (
 // fallback-tagged and none leaked) and DETERMINISTIC (a seed reproduces the
 // same fault and abort counts, so any failure replays exactly).
 
-// chaosGoldens are the deterministic phase's fingerprints, each seed's plain
-// row (adapt=0) first. Each line's seed, ops and adapt fields also configure
-// its run. They are edited by hand and only
-// on purpose: fault schedules count transactional accesses, so a changed line
+// chaosGoldens are the deterministic phase's fingerprints, one per seed. Each
+// line's seed and ops fields also configure its run. They are edited by hand
+// and only on purpose: fault schedules count transactional accesses, so a changed line
 // means a change moved the per-operation access sequence, and that change
 // must say so.
 var chaosGoldens = []string{
-	"determinism-key: seed=1 ops=1000 adapt=0 starts=1611 commits=1133 spurious=478 conflicts=0 capacity=0 fallbacks=58 stalls=18 fulls=0 gets=232 puts=489 dels=322 scans=148 model=75f9ae5722a308ad",
-	"determinism-key: seed=2 ops=1000 adapt=0 starts=1665 commits=1104 spurious=561 conflicts=0 capacity=0 fallbacks=74 stalls=15 fulls=0 gets=236 puts=449 dels=321 scans=172 model=44bd26a85c988ae0",
-	"determinism-key: seed=7 ops=1000 adapt=0 starts=1605 commits=1115 spurious=490 conflicts=0 capacity=0 fallbacks=63 stalls=17 fulls=0 gets=247 puts=444 dels=324 scans=163 model=97ad13ec213c8cd2",
-	"determinism-key: seed=1 ops=1000 adapt=1 starts=1611 commits=1133 spurious=478 conflicts=0 capacity=0 fallbacks=58 stalls=18 fulls=0 gets=232 puts=489 dels=322 scans=148 model=75f9ae5722a308ad",
+	"determinism-key: seed=1 ops=1000 starts=1611 commits=1133 spurious=478 conflicts=0 capacity=0 fallbacks=58 stalls=18 fulls=0 gets=232 puts=489 dels=322 scans=148 model=75f9ae5722a308ad",
+	"determinism-key: seed=2 ops=1000 starts=1665 commits=1104 spurious=561 conflicts=0 capacity=0 fallbacks=74 stalls=15 fulls=0 gets=236 puts=449 dels=321 scans=172 model=44bd26a85c988ae0",
+	"determinism-key: seed=7 ops=1000 starts=1605 commits=1115 spurious=490 conflicts=0 capacity=0 fallbacks=63 stalls=17 fulls=0 gets=247 puts=444 dels=324 scans=163 model=97ad13ec213c8cd2",
 }
 
 // TestChaosDeterminism replays every golden row and requires its fingerprint
 // byte for byte. Matching a committed line proves replay across processes and
-// builds. It also requires every row to carry its seed's plain counts: a
-// pinned Tuner samples the live heap but never acts, so it must perturb
-// nothing.
+// builds.
 func TestChaosDeterminism(t *testing.T) {
-	geometry := regexp.MustCompile(` adapt=\d+`)
-	plain := make(map[uint64]string) // seed -> its plain row, geometry removed
 	for _, want := range chaosGoldens {
 		var seed uint64
-		var ops, adapt int
-		if _, err := fmt.Sscanf(want, "determinism-key: seed=%d ops=%d adapt=%d",
-			&seed, &ops, &adapt); err != nil {
+		var ops int
+		if _, err := fmt.Sscanf(want, "determinism-key: seed=%d ops=%d", &seed, &ops); err != nil {
 			t.Fatalf("golden %q: %v", want, err)
 		}
-		got := deterministicRun(t, seed, ops, adapt)
-		if got != want {
+		if got := deterministicRun(t, seed, ops); got != want {
 			t.Errorf("fingerprint moved:\n got %s\nwant %s", got, want)
-		}
-		counts := geometry.ReplaceAllString(got, "")
-		if adapt == 0 {
-			plain[seed] = counts
-		} else if counts != plain[seed] {
-			t.Errorf("counts differ from the seed's plain row:\n got %s\nwant %s", got, plain[seed])
 		}
 	}
 }
@@ -105,10 +90,7 @@ func scanPairs(t *testing.T, sv *Server, target string, model map[string]string)
 // fingerprint line. Everything that could perturb counts is pinned: one pool
 // context, one client, a logical expiry clock, no background jobs (they only
 // start under Serve) and no admission (its sampler reads wall-clock time).
-// adapt=1 runs the contention Tuner pinned: its sampling goroutine ticks
-// on real time, so epoch counts stay OUT of the fingerprint, but it never
-// writes a knob.
-func deterministicRun(t *testing.T, seed uint64, ops, adapt int) string {
+func deterministicRun(t *testing.T, seed uint64, ops int) string {
 	t.Helper()
 	var tick int64 // logical clock: single-threaded phase, no atomics needed
 	cfg := Config{
@@ -128,11 +110,7 @@ func deterministicRun(t *testing.T, seed uint64, ops, adapt int) string {
 		},
 		Now: func() int64 { tick++; return tick },
 	}
-	if adapt == 1 {
-		cfg.Adaptive = &AdaptiveConfig{Pinned: true}
-	}
 	store := NewStore(cfg)
-	defer store.Close() // stops the pinned tuner's sampling goroutine
 	sv := NewServer(store)
 	baseline := store.Heap().Stats().LiveWords
 
@@ -206,8 +184,8 @@ func deterministicRun(t *testing.T, seed uint64, ops, adapt int) string {
 	st := store.Heap().Stats()
 	oc := store.OpCounters()
 	return fmt.Sprintf(
-		"determinism-key: seed=%d ops=%d adapt=%d starts=%d commits=%d spurious=%d conflicts=%d capacity=%d fallbacks=%d stalls=%d fulls=%d gets=%d puts=%d dels=%d scans=%d model=%016x",
-		seed, ops, adapt, st.Starts, st.Commits, st.SpuriousAborts(),
+		"determinism-key: seed=%d ops=%d starts=%d commits=%d spurious=%d conflicts=%d capacity=%d fallbacks=%d stalls=%d fulls=%d gets=%d puts=%d dels=%d scans=%d model=%016x",
+		seed, ops, st.Starts, st.Commits, st.SpuriousAborts(),
 		st.Aborts[htm.AbortConflict], st.Aborts[htm.AbortCapacity],
 		st.FallbackRuns, st.FallbackStalls, fulls,
 		oc.Gets, oc.Puts, oc.Deletes, oc.Scans, hash)

@@ -358,9 +358,6 @@ func (s *Store) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if s.tuner != nil {
-		s.tuner.Stop()
-	}
 	if s.wal == nil {
 		return nil
 	}

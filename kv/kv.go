@@ -96,7 +96,8 @@ type Config struct {
 	PoolThreads int
 
 	// GlobalFallback selects the paper's global TLE fallback lock instead of
-	// the default fine-grained per-line lock-set (comparison benchmarks).
+	// the default fine-grained per-line lock-set, for the store's lifetime
+	// (htm.Config.GlobalFallback).
 	GlobalFallback bool
 
 	// MaxRetries overrides the engine's retry budget before an operation
@@ -109,13 +110,6 @@ type Config struct {
 	// nothing.
 	Faults *htm.FaultPlan
 
-	// Adaptive, when non-nil, attaches an htm.Tuner to the store: the
-	// fallback mode self-tunes from live abort feedback, and the admission
-	// Governor (if the server enables one) tracks the heap's abort mix
-	// instead of using a static storm threshold. nil leaves the mode where
-	// GlobalFallback put it.
-	Adaptive *AdaptiveConfig
-
 	// Durability, when non-nil, attaches a write-ahead commit log and
 	// snapshotting to the store: every acknowledged PUT/DELETE is CRC-framed
 	// into the log (group-commit fsync) before the call returns, and
@@ -126,17 +120,6 @@ type Config struct {
 	// Now overrides the expiry clock (tests). Defaults to time.Now-based
 	// unix nanoseconds.
 	Now func() int64
-}
-
-// AdaptiveConfig parameterizes the store's contention Tuner (htm.Tuner).
-type AdaptiveConfig struct {
-	// Interval is the tuning epoch length (0 = htm default, 25ms).
-	Interval time.Duration
-	// Pinned arms the sampling loop but suppresses every decision: epochs
-	// tick and /stats reports live data, yet the mode is never switched. The
-	// chaos harness runs enabled-but-pinned to prove the sampling itself
-	// perturbs nothing.
-	Pinned bool
 }
 
 // Durability parameterizes the WAL + snapshot subsystem (package kv/wal).

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -30,12 +29,7 @@ type AdmissionConfig struct {
 	// Window is the abort-rate sampling cadence. Default 100ms.
 	Window time.Duration
 	// StormRate is the windowed (conflict+spurious)/starts ratio at or above
-	// which requests are shed. Default 0.85. With an adaptive store
-	// (Config.Adaptive) this is only the starting point: the Governor tracks
-	// the heap's epoch abort mix and moves the threshold a fixed margin above
-	// the workload's running-average abort rate (see TrackAbortMix), so a
-	// workload that is normally contended is not permanently "storming" and a
-	// normally calm one sheds at the first sign of trouble.
+	// which requests are shed. Default 0.85.
 	StormRate float64
 	// MinStarts is the minimum transaction attempts a window must contain for
 	// its rate to be meaningful; quieter windows clear the storm flag.
@@ -80,21 +74,12 @@ type Governor struct {
 	lastAborts atomic.Uint64
 	storm      atomic.Bool
 	sheds      atomic.Uint64
-
-	// stormRate is the live shed threshold (float64 bits): cfg.StormRate
-	// until TrackAbortMix moves it. ewma is the tracked abort-mix average,
-	// written only by the Tuner goroutine; retrySeq steps the Retry-After
-	// jitter.
-	stormRate atomic.Uint64
-	ewma      atomic.Uint64
-	retrySeq  atomic.Uint64
+	retrySeq   atomic.Uint64 // steps the Retry-After jitter
 }
 
 // NewGovernor builds a Governor over s.
 func NewGovernor(s *Store, cfg AdmissionConfig) *Governor {
-	g := &Governor{store: s, cfg: cfg.withDefaults()}
-	g.stormRate.Store(math.Float64bits(g.cfg.StormRate))
-	return g
+	return &Governor{store: s, cfg: cfg.withDefaults()}
 }
 
 // Allow reports whether a new request should be admitted.
@@ -122,44 +107,6 @@ func (g *Governor) RetryAfterSeconds() int {
 	return base + int(g.retrySeq.Add(1)%uint64(base+1))
 }
 
-// StormRate returns the live shed threshold (diagnostics, /stats).
-func (g *Governor) StormRate() float64 {
-	return math.Float64frombits(g.stormRate.Load())
-}
-
-// SetStormRate replaces the shed threshold, clamped to [0.05, 0.99].
-func (g *Governor) SetStormRate(r float64) {
-	if r < 0.05 {
-		r = 0.05
-	} else if r > 0.99 {
-		r = 0.99
-	}
-	g.stormRate.Store(math.Float64bits(r))
-}
-
-// abortMixMargin is how far above the workload's running-average abort rate
-// the adaptive shed threshold sits: far enough that the normal mix never
-// sheds, close enough that a genuine storm crosses it within a window or two.
-const abortMixMargin = 0.25
-
-// TrackAbortMix is the Governor's Tuner-client hook (htm.Tuner.Observe): each
-// epoch folds the heap's abort rate into an exponentially-weighted average
-// and re-derives the shed threshold as that average plus a fixed margin. A
-// static-threshold governor declares a permanently contended workload to be
-// in permanent storm (or never notices trouble on a calm one); tracking the
-// mix makes "storm" mean "worse than this workload's normal", which is the
-// signal admission control actually wants. Idle epochs carry no evidence and
-// leave the average untouched.
-func (g *Governor) TrackAbortMix(e htm.TunerEpoch) {
-	if e.Starts == 0 {
-		return
-	}
-	prev := math.Float64frombits(g.ewma.Load())
-	next := 0.8*prev + 0.2*e.AbortRate
-	g.ewma.Store(math.Float64bits(next))
-	g.SetStormRate(next + abortMixMargin)
-}
-
 // Sheds returns the cumulative count of refused admissions.
 func (g *Governor) Sheds() uint64 { return g.sheds.Load() }
 
@@ -181,7 +128,7 @@ func (g *Governor) maybeSample() {
 	aborts := st.Aborts[htm.AbortConflict] + st.Aborts[htm.AbortSpurious]
 	ds := st.Starts - g.lastStarts.Swap(st.Starts)
 	da := aborts - g.lastAborts.Swap(aborts)
-	g.storm.Store(ds >= g.cfg.MinStarts && float64(da) >= g.StormRate()*float64(ds))
+	g.storm.Store(ds >= g.cfg.MinStarts && float64(da) >= g.cfg.StormRate*float64(ds))
 }
 
 // WithAdmission sheds requests the governor refuses with 503 + Retry-After.

@@ -197,3 +197,22 @@ func TestRequestTimeoutMapsToRetryAfter(t *testing.T) {
 		t.Error("deadline not counted into Metrics.DeadlineHits")
 	}
 }
+
+// TestRetryAfterJitter checks the shed backoff hint spreads over
+// [RetryAfter, 2·RetryAfter] instead of herding every client to the same
+// second.
+func TestRetryAfterJitter(t *testing.T) {
+	s := NewStore(Config{Slots: 64})
+	g := NewGovernor(s, AdmissionConfig{RetryAfter: 3})
+	seen := map[int]bool{}
+	for i := 0; i < 32; i++ {
+		v := g.RetryAfterSeconds()
+		if v < 3 || v > 6 {
+			t.Fatalf("RetryAfterSeconds = %d, want within [3, 6]", v)
+		}
+		seen[v] = true
+	}
+	if len(seen) < 2 {
+		t.Errorf("no jitter: every hint was the same value %v", seen)
+	}
+}

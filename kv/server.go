@@ -105,11 +105,6 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 		// reaches a handler.
 		sv.governor = NewGovernor(store, *sv.admission)
 		mws = append(mws, WithAdmission(sv.governor, &sv.metrics))
-		if tu := store.Tuner(); tu != nil {
-			// Adaptive store: the governor becomes a Tuner client, tracking
-			// the heap's epoch abort mix instead of a static storm threshold.
-			tu.Observe(sv.governor.TrackAbortMix)
-		}
 	}
 	if sv.logf != nil {
 		mws = append(mws, WithLogging(sv.logf))
@@ -303,7 +298,6 @@ type statsResponse struct {
 	Jobs      *JobStats       `json:"jobs,omitempty"`
 	HTTP      MetricsSnapshot `json:"http"`
 	Admission map[string]any  `json:"admission,omitempty"`
-	Adaptive  map[string]any  `json:"adaptive,omitempty"`
 	Wal       map[string]any  `json:"wal,omitempty"`
 }
 
@@ -348,16 +342,7 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Admission = map[string]any{
 			"sheds":      sv.governor.Sheds(),
 			"storming":   sv.governor.Storming(),
-			"storm_rate": sv.governor.StormRate(),
-		}
-	}
-	if tu := sv.store.Tuner(); tu != nil {
-		ts := tu.State()
-		resp.Adaptive = map[string]any{
-			"mode":          ts.Mode.String(),
-			"mode_switches": ts.ModeSwitches,
-			"epochs":        ts.Epochs,
-			"pinned":        ts.Pinned,
+			"storm_rate": sv.governor.cfg.StormRate,
 		}
 	}
 	if ws, ok := sv.store.WalStats(); ok {

@@ -71,11 +71,6 @@ type Store struct {
 	walFails  atomic.Uint64
 	snaps     atomic.Uint64
 	closed    atomic.Bool
-
-	// tuner is the heap's contention controller (Config.Adaptive; nil when
-	// none is attached). Owned by the store: started at construction,
-	// stopped by Close.
-	tuner *htm.Tuner
 }
 
 // NewStore builds a purely in-memory Store on a private heap per cfg. A
@@ -105,9 +100,6 @@ func newStoreCore(cfg Config) *Store {
 		pool: make(chan *htm.Thread, cfg.PoolThreads),
 		mask: uint64(cfg.Slots - 1),
 	}
-	if ac := cfg.Adaptive; ac != nil {
-		s.tuner = h.StartTuner(htm.TunerConfig{Interval: ac.Interval, Pinned: ac.Pinned})
-	}
 	setup := h.NewThread()
 	s.table = setup.Alloc(cfg.Slots)
 	s.dir = setup.Alloc(dirWords)
@@ -120,10 +112,6 @@ func newStoreCore(cfg Config) *Store {
 
 // Heap exposes the backing heap (stats endpoint, job pipeline, tests).
 func (s *Store) Heap() *htm.Heap { return s.heap }
-
-// Tuner exposes the store's contention controller, nil when Config.Adaptive
-// is unset.
-func (s *Store) Tuner() *htm.Tuner { return s.tuner }
 
 // Slots returns the index capacity; Scan cursors range over [0, Slots()).
 func (s *Store) Slots() uint64 { return uint64(s.cfg.Slots) }
