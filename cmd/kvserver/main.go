@@ -59,7 +59,7 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("kvserver", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
 	slots := fs.Int("slots", kv.DefaultSlots, "hash index capacity (rounded up to a power of two)")
-	heapWords := fs.Int("heap-words", 0, "heap arena size in 64-bit words (0 = derived from -slots)")
+	heapWords := fs.Int("heap-words", 0, "heap address-space budget in 64-bit words, backed as the allocator carves it (0 = derived from -slots)")
 	pool := fs.Int("pool", 0, "execution-context pool size / engine concurrency (0 = 4*GOMAXPROCS)")
 	maxValue := fs.Int("max-value", kv.DefaultMaxValueBytes, "maximum value size in bytes")
 	sweep := fs.Duration("sweep", 2*time.Second, "interval between background expiry/compaction sweeps")

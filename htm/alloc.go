@@ -90,7 +90,7 @@ func (al *allocator) init(h *Heap) {
 	al.shards = make([]allocShard, n)
 	// Word 0 is reserved so that NilAddr is never a valid payload address.
 	lo := 1
-	total := len(h.words) - lo
+	total := h.cfg.Words - lo
 	per := total / n
 	for i := range al.shards {
 		s := &al.shards[i]
@@ -99,13 +99,21 @@ func (al *allocator) init(h *Heap) {
 		s.bump = s.start
 		s.end = Addr(lo + (i+1)*per)
 	}
-	al.shards[n-1].end = Addr(len(h.words))
+	al.shards[n-1].end = Addr(h.cfg.Words)
 }
 
 // take moves up to len(dst) free blocks of the given class from shard si into
 // dst or, when the shard has none, carves one fresh block from its bump
 // region — only recycled blocks batch, so idle classes never pin unused arena
 // words. It returns the number of blocks moved.
+//
+// A carve backs the block's chunks (Heap.back) under the shard mutex, before
+// the address leaves the allocator. No block straddles two chunks: one that
+// would starts on the next chunk boundary instead, and the skipped tail of the
+// chunk is never carved (SweepMeta reads its zero header as that gap). A
+// block larger than a chunk starts on a chunk boundary too, and only where
+// the region holds every chunk under it whole (up to the arena's end), since
+// those chunks share one backing that no other carve may have published.
 func (al *allocator) take(si, lines int, dst []Addr) int {
 	s := &al.shards[si]
 	s.mu.Lock()
@@ -119,13 +127,24 @@ func (al *allocator) take(si, lines int, dst []Addr) int {
 		}
 	}
 	// Both the block's start and its footprint are whole lines.
-	b := (s.bump + lineMask) &^ lineMask
-	need := Addr(lines) << lineShift
-	if b > s.end || s.end-b < need {
+	b := int(s.bump+lineMask) &^ int(lineMask)
+	need := lines << lineShift
+	span := b + need
+	if need <= chunkWords {
+		if last := span - 1; last>>chunkShift != b>>chunkShift {
+			b = last &^ int(chunkMask)
+			span = b + need
+		}
+	} else {
+		b = (b + int(chunkMask)) &^ int(chunkMask)
+		span = min((b+need+int(chunkMask))&^int(chunkMask), al.h.cfg.Words)
+	}
+	if span > int(s.end) {
 		return 0
 	}
-	s.bump = b + need
-	dst[0] = b + 1
+	al.h.back(Addr(b), need)
+	s.bump = Addr(b + need)
+	dst[0] = Addr(b) + 1
 	return 1
 }
 
@@ -168,7 +187,7 @@ func (al *allocator) refill(home, lines int, dst []Addr) int {
 		}
 	}
 	if n == 0 {
-		panic(fmt.Sprintf("htm: arena exhausted allocating a %d-line block (capacity %d words; note: peer threads' magazines may cache freed blocks — size the arena with thread-cache headroom)", lines, len(al.h.words)))
+		panic(fmt.Sprintf("htm: arena exhausted allocating a %d-line block (capacity %d words; note: peer threads' magazines may cache freed blocks — size the arena with thread-cache headroom)", lines, al.h.cfg.Words))
 	}
 	return n
 }
@@ -199,25 +218,15 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 	h := al.h
 	// A recycled block's header still records its previous payload size;
 	// zero what that life wrote beyond the new payload, so the slack reads
-	// as zero.
-	if old := Addr(h.words[a-1].Load() >> 1); old > Addr(size) {
-		for i := a + Addr(size); i < a+old; i++ {
-			h.words[i].Store(0)
-		}
+	// as zero. A fresh block's header reads 0: its chunk was backed zeroed.
+	hdr := h.word(a - 1)
+	if old := int(hdr.Load() >> 1); old > size {
+		h.fill(a+Addr(size), old-size, nil)
 	}
-	h.words[a-1].Store(uint64(size)<<1 | headerAllocBit)
+	hdr.Store(uint64(size)<<1 | headerAllocBit)
 	wv := h.tick()
 	live := makeMeta(wv, true)
-	words := h.words[a : a+Addr(size)]
-	if image == nil {
-		for i := range words {
-			words[i].Store(0)
-		}
-	} else {
-		for i := range words {
-			words[i].Store(image[i])
-		}
-	}
+	h.fill(a, size, image)
 	for l, hi := lineOf(a), lineOf(a+Addr(size)-1); l <= hi; l++ {
 		m := h.meta[l].Load()
 		if m&(metaAllocBit|metaLockBit) != 0 {
@@ -244,6 +253,27 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 	return a
 }
 
+// fill stores image, or n zeros with a nil image, over the n words from a,
+// one chunk at a time: only a block larger than a chunk spans more than one.
+func (h *Heap) fill(a Addr, n int, image []uint64) {
+	for i := 0; i < n; {
+		p := a + Addr(i)
+		ws := h.chunks[p>>chunkShift].Load()[p&chunkMask:]
+		ws = ws[:min(n-i, len(ws))]
+		if image == nil {
+			for j := range ws {
+				ws[j].Store(0)
+			}
+		} else {
+			src := image[i:][:len(ws)]
+			for j := range ws {
+				ws[j].Store(src[j])
+			}
+		}
+		i += len(ws)
+	}
+}
+
 // free returns the block whose payload starts at a to th's magazine for its
 // class (or, above magLines, to th's home shard). Each of the block's lines
 // has its allocated bit cleared and its version bumped in ONE CAS — the
@@ -252,14 +282,15 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 // and any later transactional access aborts immediately (sandboxing). The
 // block owns its lines outright, so every transition is exclusively this
 // free's. An address whose header word would not start a line is not a
-// block's and panics before anything is read; an interior pointer that
-// happens to start a later line of a multi-line block is not detected.
+// block's and panics before anything is read, and so does a header whose
+// line is not allocated, which may never have been carved; an interior pointer
+// that happens to start a later line of a multi-line block is not detected.
 func (al *allocator) free(th *Thread, a Addr) {
 	h := al.h
 	if !h.valid(a) || (a-1)&lineMask != 0 {
 		panic(fmt.Sprintf("htm: free of invalid address %#x", uint32(a)))
 	}
-	hdr := h.words[a-1].Load()
+	hdr := h.header(a)
 	if hdr&headerAllocBit == 0 {
 		panic(fmt.Sprintf("htm: double free of %#x", uint32(a)))
 	}
@@ -273,7 +304,7 @@ func (al *allocator) free(th *Thread, a Addr) {
 			th.freeGuard(a, l, h.meta[l].Load())
 		}
 	}
-	h.words[a-1].Store(uint64(size) << 1)
+	h.word(a - 1).Store(uint64(size) << 1)
 	// One tick of the version clock versions the whole block. Unlike the
 	// old flip-before-release dance, the tick may precede the per-line
 	// transitions: a transaction that began after the tick (rv admits wv) can
@@ -325,6 +356,16 @@ func (al *allocator) free(th *Thread, a Addr) {
 	}
 	m.addrs[m.n] = a
 	m.n++
+}
+
+// header returns the header word of the block whose payload starts at a, or
+// 0 where the header's line is not allocated: a freed block's, or one never
+// carved, whose chunk may not be backed.
+func (h *Heap) header(a Addr) uint64 {
+	if !metaAllocated(h.meta[lineOf(a-1)].Load()) {
+		return 0
+	}
+	return h.word(a - 1).Load()
 }
 
 // inFallbackHoldingLines reports whether th is inside a fallback body that

@@ -264,7 +264,18 @@ func BenchmarkAllocInit16(b *testing.B) {
 // BenchmarkAllocFreeParallel measures alloc/free with every goroutine on its
 // own Thread — the uncontended steady state the magazine layer targets.
 func BenchmarkAllocFreeParallel(b *testing.B) {
-	h := NewHeap(Config{Words: 1 << 22, NoMaxLive: true})
+	benchAllocFreeParallel(b, Config{Words: 1 << 22, NoMaxLive: true})
+}
+
+// BenchmarkAllocFreeParallelTracked is BenchmarkAllocFreeParallel on a heap
+// that keeps the exact peak, as every product heap does: the pair prices the
+// shared live-word counter and peak CAS on the alloc/free path.
+func BenchmarkAllocFreeParallelTracked(b *testing.B) {
+	benchAllocFreeParallel(b, Config{Words: 1 << 22})
+}
+
+func benchAllocFreeParallel(b *testing.B, cfg Config) {
+	h := NewHeap(cfg)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		th := h.NewThread()
@@ -272,4 +283,14 @@ func BenchmarkAllocFreeParallel(b *testing.B) {
 			th.Free(th.Alloc(4))
 		}
 	})
+}
+
+// BenchmarkNewHeap measures building a default-sized heap (1<<20 words): the
+// flat line metadata and an empty chunk table, since no chunk is backed
+// before the first carve.
+func BenchmarkNewHeap(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		NewHeap(Config{Words: 1 << 20})
+	}
 }

@@ -197,9 +197,9 @@ func lwScenarios() []lwScenario {
 			// The arena's last two words, made live by hand so the range is
 			// stopped by the bound itself and not by a dead word before it. A
 			// walk down starts past the end.
-			end := Addr(len(h.words))
-			h.meta[lineOf(end-2)].Store(makeMeta(0, true))
-			h.meta[lineOf(end-1)].Store(makeMeta(0, true))
+			end := Addr(h.cfg.Words)
+			h.makeLive(end - 2)
+			h.makeLive(end - 1)
 			a := end - 2
 			if w.stride < 0 {
 				a = w.at(end-1, -1)
@@ -382,7 +382,7 @@ func stridedScenarios() []lwScenario {
 			// Words 0 … 2|stride| made live by hand, word 0's line included,
 			// so that only the nil check stops the walk at 0.
 			for i := 0; i <= w.span(2); i++ {
-				h.meta[lineOf(Addr(i))].Store(makeMeta(0, true))
+				h.makeLive(Addr(i))
 			}
 			res := lwAttempt(h.NewThread(), w, w.from(NilAddr, 3), 3, nil)
 			if res.addr != NilAddr {
@@ -393,9 +393,9 @@ func stridedScenarios() []lwScenario {
 		{name: "walk below the arena", want: AbortIllegal, downward: true, run: func(t *testing.T, h *Heap, w walk) lwResult {
 			// Word 1, made live by hand: the walk's next element is below word
 			// 0, an address that wraps past the end of the arena.
-			h.meta[lineOf(1)].Store(makeMeta(0, true))
+			h.makeLive(1)
 			res := lwAttempt(h.NewThread(), w, 1, 2, nil)
-			if want := w.at(1, 1); res.addr != want || int(want) < len(h.words) {
+			if want := w.at(1, 1); res.addr != want || int(want) < h.cfg.Words {
 				t.Errorf("abort at %#x, want %#x, past the arena", uint32(res.addr), uint32(want))
 			}
 			return res
@@ -873,9 +873,9 @@ func TestStoreWordsIsTheStoreLoop(t *testing.T) {
 		{name: "range leaving the arena", want: AbortIllegal, run: func(t *testing.T, h *Heap) swResult {
 			// The arena's last two words, made live by hand so the range is
 			// stopped by the bound itself and not by a dead word before it.
-			end := Addr(len(h.words))
-			h.meta[lineOf(end-2)].Store(makeMeta(0, true))
-			h.meta[lineOf(end-1)].Store(makeMeta(0, true))
+			end := Addr(h.cfg.Words)
+			h.makeLive(end - 2)
+			h.makeLive(end - 1)
 			res := swAttempt(h.NewThread(), end-2, swImage(8, 100), nil, end-2, 2)
 			if res.addr != end {
 				t.Errorf("abort at %#x, want the first address past the arena, %#x", uint32(res.addr), uint32(end))

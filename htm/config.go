@@ -29,7 +29,10 @@ const fallbackOwnerMask = 1<<FallbackOwnerBits - 1
 // Config parameterizes a simulated Heap and its transaction engine. The zero
 // value selects Rock-like defaults via NewHeap.
 type Config struct {
-	// Words is the arena capacity in 64-bit words. Defaults to 1<<20.
+	// Words is the arena's address space in 64-bit words. Defaults to 1<<20.
+	// It is a budget: memory is committed chunk by chunk as the allocator
+	// carves into it, and only the line metadata (one word per 8 words) is
+	// made up front.
 	Words int
 
 	// StoreBufferSize bounds the number of distinct words a single

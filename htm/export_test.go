@@ -17,11 +17,30 @@ func (th *Thread) BlockSize(a Addr) int {
 	if !h.valid(a) || (a-1)&lineMask != 0 {
 		panic(fmt.Sprintf("htm: BlockSize of invalid address %#x", uint32(a)))
 	}
-	hdr := h.words[a-1].Load()
+	hdr := h.header(a)
 	if hdr&headerAllocBit == 0 {
 		panic(fmt.Sprintf("htm: BlockSize of unallocated block %#x", uint32(a)))
 	}
 	return int(hdr >> 1)
+}
+
+// makeLive makes a's line allocated by hand, at version 0, as a carve and an
+// alloc would have: it backs the line's chunk first, since no word of a
+// never-carved line may be read.
+func (h *Heap) makeLive(a Addr) {
+	h.back(a&^lineMask, 1<<lineShift)
+	h.meta[lineOf(a)].Store(makeMeta(0, true))
+}
+
+// backedChunks returns how many chunks of the arena are backed.
+func (h *Heap) backedChunks() int {
+	n := 0
+	for i := range h.chunks {
+		if h.chunks[i].Load() != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // AttemptStats returns the number of transaction attempts and commits made

@@ -105,8 +105,11 @@ type clockLine struct {
 type Heap struct {
 	cfg Config
 
-	words []atomic.Uint64 // word values
-	meta  []atomic.Uint64 // per-line metadata: lock | allocated | version
+	// chunks is the word arena: Config.Words of address space, backed one
+	// chunk at a time as the allocator carves into it (see back). meta is
+	// flat and zeroed up front.
+	chunks []atomic.Pointer[chunk]
+	meta   []atomic.Uint64 // per-line metadata: lock | allocated | version
 
 	// The version clock. Every writer ticks it once and publishes the tick
 	// as the version of the lines it wrote (see tick).
@@ -143,10 +146,10 @@ type Heap struct {
 func NewHeap(cfg Config) *Heap {
 	cfg = cfg.withDefaults()
 	h := &Heap{
-		cfg:   cfg,
-		words: make([]atomic.Uint64, cfg.Words),
-		meta:  make([]atomic.Uint64, (cfg.Words+int(lineMask))>>lineShift),
-		clock: new(clockLine),
+		cfg:    cfg,
+		chunks: make([]atomic.Pointer[chunk], (cfg.Words+chunkWords-1)>>chunkShift),
+		meta:   make([]atomic.Uint64, (cfg.Words+int(lineMask))>>lineShift),
+		clock:  new(clockLine),
 	}
 	if cfg.Faults != nil {
 		h.ntYieldThresh = yieldThreshold(cfg.Faults.YieldEvery)
@@ -219,6 +222,50 @@ const (
 // lineOf maps a word address to its line: the index of its metadata word.
 func lineOf(a Addr) int { return int(a) >> lineShift }
 
+// The arena is address space, and memory backs it one chunk of chunkWords
+// words at a time, when the allocator first carves into the chunk (back). A
+// chunk holds whole lines, and no block straddles two chunks. The invariant
+// that makes the lazy backing safe: no word of a never-carved line is read or
+// written. Every word access first finds its line allocated (or, for the
+// allocator, owns a carved block), and only carved lines are ever allocated;
+// see DESIGN.md "Arena: address space and backing".
+const (
+	chunkShift      = 16
+	chunkWords      = 1 << chunkShift
+	chunkMask  Addr = chunkWords - 1
+)
+
+// chunk is the backing of one chunk of the arena.
+type chunk [chunkWords]atomic.Uint64
+
+// word returns the word at a, whose line must have been carved.
+func (h *Heap) word(a Addr) *atomic.Uint64 {
+	return &h.chunks[a>>chunkShift].Load()[a&chunkMask]
+}
+
+// back backs every chunk under the n words from b, a block the allocator is
+// carving, before the block's address leaves it. A block inside one chunk
+// shares it: the first carve into the chunk publishes a zeroed one, and a
+// neighbouring shard carving into the same chunk at once loses the CAS to it.
+// A block larger than a chunk starts on a chunk boundary, and its chunks get
+// one contiguous backing; the carving shard's region holds them whole (take),
+// so no other carve can have backed any of them.
+func (h *Heap) back(b Addr, n int) {
+	lo, hi := b>>chunkShift, (b+Addr(n)-1)>>chunkShift
+	if lo == hi {
+		if h.chunks[lo].Load() == nil {
+			h.chunks[lo].CompareAndSwap(nil, new(chunk))
+		}
+		return
+	}
+	ws := make([]atomic.Uint64, int(hi-lo+1)<<chunkShift)
+	for c := lo; c <= hi; c++ {
+		if !h.chunks[c].CompareAndSwap(nil, (*chunk)(ws[int(c-lo)<<chunkShift:])) {
+			panic(fmt.Sprintf("htm: allocator invariant violation: chunk %d of a %d-word block at %#x already backed", c, n, uint32(b)))
+		}
+	}
+}
+
 // tick advances the version clock and returns the new tick, which is the
 // version the caller publishes. Callers must already exclude every concurrent
 // writer of the metadata words the version will be stored to (by holding
@@ -233,7 +280,7 @@ func (h *Heap) Config() Config { return h.cfg }
 
 // valid reports whether a is a non-nil address inside the arena.
 func (h *Heap) valid(a Addr) bool {
-	return a != NilAddr && int(a) < len(h.words)
+	return a != NilAddr && int(a) < h.cfg.Words
 }
 
 // allocated reports whether the word at a is currently allocated.
@@ -332,7 +379,7 @@ func (h *Heap) LoadNT(a Addr) uint64 {
 		if !metaAllocated(m1) {
 			ntFreedPanic(a, "load")
 		}
-		v := h.words[a].Load()
+		v := h.word(a).Load()
 		if h.meta[mi].Load() == m1 {
 			return v
 		}
@@ -346,7 +393,7 @@ func (h *Heap) StoreNT(a Addr, v uint64) {
 	h.maybeYieldNT()
 	h.checkNTAddr(a, "store")
 	h.lockMeta(a, "store")
-	h.words[a].Store(v)
+	h.word(a).Store(v)
 	wv := h.tick()
 	h.releaseMeta(lineOf(a), wv)
 }
@@ -358,11 +405,12 @@ func (h *Heap) CASNT(a Addr, old, new uint64) bool {
 	h.maybeYieldNT()
 	h.checkNTAddr(a, "cas")
 	prev := h.lockMeta(a, "cas")
-	if h.words[a].Load() != old {
+	w := h.word(a)
+	if w.Load() != old {
 		h.releaseMetaUnchanged(lineOf(a), prev)
 		return false
 	}
-	h.words[a].Store(new)
+	w.Store(new)
 	wv := h.tick()
 	h.releaseMeta(lineOf(a), wv)
 	return true
@@ -374,8 +422,9 @@ func (h *Heap) AddNT(a Addr, delta uint64) uint64 {
 	h.maybeYieldNT()
 	h.checkNTAddr(a, "add")
 	h.lockMeta(a, "add")
-	v := h.words[a].Load() + delta
-	h.words[a].Store(v)
+	w := h.word(a)
+	v := w.Load() + delta
+	w.Store(v)
 	wv := h.tick()
 	h.releaseMeta(lineOf(a), wv)
 	return v

@@ -86,7 +86,8 @@ type Txn struct {
 	// Hot-path caches of immutable heap state, set once when the descriptor
 	// is bound to its thread: they save a pointer chase through t.h (and its
 	// cfg) on every transactional access.
-	words        []atomic.Uint64
+	chunks       []atomic.Pointer[chunk]
+	arenaWords   int // Config.Words: one past the last address
 	meta         []atomic.Uint64
 	maxReadSet   int
 	storeBufSize int
@@ -265,14 +266,14 @@ func (t *Txn) fbLoad(a Addr) uint64 {
 	if t.env != nil {
 		t.env.yield(t.th) // the fallback yields but is never injected into
 	}
-	if a == NilAddr || int(a) >= len(t.words) {
+	if a == NilAddr || int(a) >= t.arenaWords {
 		t.accessFault(a, "load")
 	}
 	if i := t.findWrite(a); i >= 0 {
 		return t.writes[i].val
 	}
 	t.fbAcquire(a, "load")
-	return t.words[a].Load()
+	return t.word(a).Load()
 }
 
 // fbStore is Txn.Store on the fallback path: lock the word's line
@@ -284,7 +285,7 @@ func (t *Txn) fbStore(a Addr, v uint64) {
 	if t.env != nil {
 		t.env.yield(t.th)
 	}
-	if a == NilAddr || int(a) >= len(t.words) {
+	if a == NilAddr || int(a) >= t.arenaWords {
 		t.accessFault(a, "store")
 	}
 	if i := t.findWrite(a); i >= 0 {
@@ -426,7 +427,7 @@ func (t *Txn) Load(a Addr) uint64 {
 	if t.env != nil && t.env.fireAccess(t.th) {
 		t.abort(AbortSpurious, NilAddr)
 	}
-	if a == NilAddr || int(a) >= len(t.words) {
+	if a == NilAddr || int(a) >= t.arenaWords {
 		t.accessFault(a, "load")
 	}
 	mi := a >> lineShift
@@ -454,7 +455,7 @@ func (t *Txn) Load(a Addr) uint64 {
 			}
 			t.accessFault(a, "load")
 		}
-		v := t.words[a].Load()
+		v := t.word(a).Load()
 		if t.meta[mi].Load() != m1 {
 			continue
 		}
@@ -518,11 +519,19 @@ func (t *Txn) LoadWords(a Addr, dst []uint64) {
 // predicate — locked, freed, changed under the value read, or newer than rv —
 // which it leaves to Load. The predicate's metadata half is decided once per
 // line, since the words of a line share one metadata word; what is left per
-// word is value, metadata again. The loops are leaves over slices cut to the
-// range: the atomic loads are compiler barriers, so a t.field or a bounds
-// check inside them is paid again after every one.
+// word is value, metadata again. A run ends at the end of a's chunk, which it
+// looks up once, and reads nothing if the chunk was never backed: Load decides
+// the next word. The loops are leaves over slices cut to the range: the atomic
+// loads are compiler barriers, so a t.field or a bounds check inside them is
+// paid again after every one.
 func (t *Txn) loadRun(a Addr, dst []uint64) int {
-	words, meta, rv := t.words[a:][:len(dst)], t.meta, t.rv
+	c := t.chunks[a>>chunkShift].Load()
+	if c == nil {
+		return 0
+	}
+	words := c[a&chunkMask:]
+	dst = dst[:min(len(dst), len(words))]
+	words, meta, rv := words[:len(dst)], t.meta, t.rv
 	ents, adv := t.readRoom(lineOf(a), len(dst))
 	i, k := 0, 0
 run:
@@ -577,7 +586,7 @@ func (t *Txn) readRoom(first, k int) (room []readEntry, adv int) {
 // MaxReadSet: a word adds at most one read entry, so no word of the prefix
 // finds the set full.
 func (t *Txn) bypassPrefix(lo, hi, n int) int {
-	if t.direct || t.env != nil || len(t.writes) != 0 || lo <= int(NilAddr) || hi >= len(t.words) {
+	if t.direct || t.env != nil || len(t.writes) != 0 || lo <= int(NilAddr) || hi >= t.arenaWords {
 		return 0
 	}
 	if t.maxReadSet < 0 {
@@ -623,10 +632,18 @@ func (t *Txn) LoadStrided(a Addr, stride int, dst []uint64) {
 // line as Load would, and returns how many it read before the first word that
 // fails the bypass predicate, which it leaves to Load. Like loadRun it decides
 // the metadata half of the predicate once per line — a strided walk over an
-// array's slots meets several slots in each — and keeps the heap and the
-// snapshot in locals, since the atomic loads are compiler barriers.
+// array's slots meets several slots in each — ends, as loadRun does, at the
+// end of a's chunk, and keeps the chunk and the snapshot in locals, since the
+// atomic loads are compiler barriers.
 func (t *Txn) stridedRun(a Addr, stride int, dst []uint64) int {
-	words, meta, rv := t.words, t.meta, t.rv
+	c := t.chunks[a>>chunkShift].Load()
+	if c == nil {
+		return 0
+	}
+	if last := int(a) + (len(dst)-1)*stride; last>>chunkShift != int(a>>chunkShift) {
+		dst = dst[:chunkStrides(a, stride)]
+	}
+	meta, rv := t.meta, t.rv
 	ents, adv := t.readRoom(lineOf(a), len(dst))
 	w, i, k := int(a), 0, 0
 run:
@@ -637,7 +654,7 @@ run:
 		if m1&(metaLockBit|metaAllocBit) != metaAllocBit || metaVersion(m1) > rv {
 			break
 		}
-		v := words[w].Load()
+		v := c[w&int(chunkMask)].Load()
 		if mw.Load() != m1 {
 			break
 		}
@@ -645,7 +662,7 @@ run:
 		k, adv = k+adv, 1
 		dst[i] = v
 		for i, w = i+1, w+stride; i < len(dst) && w>>lineShift == l; i, w = i+1, w+stride {
-			v := words[w].Load()
+			v := c[w&int(chunkMask)].Load()
 			if mw.Load() != m1 {
 				break run
 			}
@@ -654,6 +671,22 @@ run:
 	}
 	t.reads = t.reads[:len(t.reads)+k]
 	return i
+}
+
+// chunkStrides returns how many words stride apart from a, a first, lie in
+// a's chunk. It divides, so stridedRun calls it only for a walk that leaves
+// the chunk.
+func chunkStrides(a Addr, stride int) int {
+	off := int(a & chunkMask)
+	if stride > 0 {
+		return (chunkWords-1-off)/stride + 1
+	}
+	return off/-stride + 1
+}
+
+// word returns the word at a, whose line must have been carved.
+func (t *Txn) word(a Addr) *atomic.Uint64 {
+	return &t.chunks[a>>chunkShift].Load()[a&chunkMask]
 }
 
 // Store transactionally writes v to the word at a. Writes are buffered and
@@ -669,7 +702,7 @@ func (t *Txn) Store(a Addr, v uint64) {
 	if t.env != nil && t.env.fireAccess(t.th) {
 		t.abort(AbortSpurious, NilAddr)
 	}
-	if a == NilAddr || int(a) >= len(t.words) {
+	if a == NilAddr || int(a) >= t.arenaWords {
 		t.accessFault(a, "store")
 	}
 	l := a >> lineShift
@@ -800,7 +833,7 @@ func (t *Txn) commit() (AbortCode, Addr) {
 			// being freed may contain held lines, and free() waits out line
 			// locks.
 			for i := range t.writes {
-				h.words[t.writes[i].addr].Store(t.writes[i].val)
+				t.word(t.writes[i].addr).Store(t.writes[i].val)
 			}
 			// Injected adversity (Config.Faults.ReleaseDelay): hold the
 			// lock-set a while longer after write-back, stretching the
@@ -924,9 +957,8 @@ func (t *Txn) publish() (AbortCode, Addr) {
 		}
 	}
 
-	words := t.words
 	for i := range t.writes {
-		words[t.writes[i].addr].Store(t.writes[i].val)
+		t.word(t.writes[i].addr).Store(t.writes[i].val)
 	}
 	// Release each line once, as acquisition locked it: a second release is
 	// no idempotent store, because another committer may acquire the line

@@ -482,6 +482,16 @@ func FuzzEntryCodec(f *testing.F) {
 	})
 }
 
+// BenchmarkNewStore measures building a default Store: its heap's metadata
+// and chunk table, the chunks its index and directory are carved into, and
+// the pool of execution contexts.
+func BenchmarkNewStore(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		NewStore(Config{})
+	}
+}
+
 // BenchmarkStoreMix is one command for the next profile of the direct-store
 // data path:
 //

@@ -80,9 +80,12 @@ type Config struct {
 	// (including tombstones awaiting compaction) before Put returns ErrFull.
 	Slots int
 
-	// HeapWords sizes the backing heap arena. Defaults to a budget derived
-	// from Slots and MaxValueBytes that comfortably holds a full index of
-	// mid-sized entries; size it explicitly for large-value workloads.
+	// HeapWords is the backing heap's address-space budget (htm.Config.Words):
+	// memory is committed chunk by chunk as the allocator carves into it, so
+	// a store costs what it holds plus its line metadata, one word per 8.
+	// Defaults to a budget derived from Slots and MaxValueBytes that
+	// comfortably holds a full index of mid-sized entries; size it explicitly
+	// for large-value workloads.
 	HeapWords int
 
 	// MaxKeyBytes / MaxValueBytes bound entry sizes (defaults above).
