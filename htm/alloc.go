@@ -108,12 +108,7 @@ func (al *allocator) init(h *Heap) {
 // words. It returns the number of blocks moved.
 //
 // A carve backs the block's chunks (Heap.back) under the shard mutex, before
-// the address leaves the allocator. No block straddles two chunks: one that
-// would starts on the next chunk boundary instead, and the skipped tail of the
-// chunk is never carved (SweepMeta reads its zero header as that gap). A
-// block larger than a chunk starts on a chunk boundary too, and only where
-// the region holds every chunk under it whole (up to the arena's end), since
-// those chunks share one backing that no other carve may have published.
+// the address leaves the allocator.
 func (al *allocator) take(si, lines int, dst []Addr) int {
 	s := &al.shards[si]
 	s.mu.Lock()
@@ -127,24 +122,14 @@ func (al *allocator) take(si, lines int, dst []Addr) int {
 		}
 	}
 	// Both the block's start and its footprint are whole lines.
-	b := int(s.bump+lineMask) &^ int(lineMask)
-	need := lines << lineShift
-	span := b + need
-	if need <= chunkWords {
-		if last := span - 1; last>>chunkShift != b>>chunkShift {
-			b = last &^ int(chunkMask)
-			span = b + need
-		}
-	} else {
-		b = (b + int(chunkMask)) &^ int(chunkMask)
-		span = min((b+need+int(chunkMask))&^int(chunkMask), al.h.cfg.Words)
-	}
-	if span > int(s.end) {
+	b := (s.bump + lineMask) &^ lineMask
+	need := Addr(lines) << lineShift
+	if b > s.end || s.end-b < need {
 		return 0
 	}
-	al.h.back(Addr(b), need)
-	s.bump = Addr(b + need)
-	dst[0] = Addr(b) + 1
+	al.h.back(b, int(need))
+	s.bump = b + need
+	dst[0] = b + 1
 	return 1
 }
 
@@ -254,7 +239,7 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 }
 
 // fill stores image, or n zeros with a nil image, over the n words from a,
-// one chunk at a time: only a block larger than a chunk spans more than one.
+// one chunk at a time.
 func (h *Heap) fill(a Addr, n int, image []uint64) {
 	for i := 0; i < n; {
 		p := a + Addr(i)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 )
 
 // Tests of the arena's backing: address space that the allocator backs one
@@ -16,9 +15,9 @@ import (
 
 // TestHeapBacksOnDemand pins what backing costs and that nothing reads past
 // it: a large heap builds with no chunk backed, one thread's allocations back
-// one chunk, recycling backs nothing, a block larger than a chunk reads and
-// writes through every word path on its shared backing, and no block
-// straddles two chunks.
+// one chunk, recycling backs nothing, and a block larger than a chunk backs
+// the chunks it covers and reads and writes across their boundary through
+// every word path.
 func TestHeapBacksOnDemand(t *testing.T) {
 	h := NewHeap(Config{Words: 1 << 26})
 	if n := h.backedChunks(); n != 0 {
@@ -43,19 +42,13 @@ func TestHeapBacksOnDemand(t *testing.T) {
 	}
 	requireQuiescent(t, h)
 
-	// A block larger than a chunk starts on a chunk boundary and spans two
-	// chunks, which share one contiguous backing.
+	// A block larger than a chunk, carved where the small ones end, backs
+	// every chunk it covers and nothing else.
 	size := chunkWords + chunkWords/2
 	big := th.Alloc(size)
-	if (big-1)&chunkMask != 0 {
-		t.Fatalf("a %d-word block starts at %#x, not on a chunk boundary", size, uint32(big-1))
-	}
-	if n := h.backedChunks(); n != 3 {
-		t.Fatalf("the large block left %d chunks backed, want 3", n)
-	}
-	c := (big - 1) >> chunkShift
-	if end, next := uintptr(unsafe.Pointer(&h.chunks[c].Load()[chunkWords-1])), uintptr(unsafe.Pointer(&h.chunks[c+1].Load()[0])); next != end+8 {
-		t.Errorf("the large block's chunks are not one contiguous backing")
+	first, last := (blocks[0]-1)>>chunkShift, (big+Addr(size)-1)>>chunkShift
+	if n := h.backedChunks(); n != int(last-first)+1 {
+		t.Fatalf("the large block left %d chunks backed, want %d", n, last-first+1)
 	}
 	for i := 0; i < size; i++ {
 		h.StoreNT(big+Addr(i), uint64(i)+1)
@@ -69,8 +62,12 @@ func TestHeapBacksOnDemand(t *testing.T) {
 			t.Fatalf("LoadWords word %d = %d, want %d", i, v, i+1)
 		}
 	}
-	// Strided walks up and down across the chunk boundary inside the block.
-	boundary := int(c+1)<<chunkShift - int(big)
+	// Strided walks up and down across a chunk boundary inside the block,
+	// one with 200 words of the block on either side.
+	boundary := int((big>>chunkShift)+1)<<chunkShift - int(big)
+	if boundary < 200 {
+		boundary += chunkWords
+	}
 	for _, stride := range []int{3, -5} {
 		first := boundary - 40*stride
 		dst := make([]uint64, 80)
@@ -99,32 +96,34 @@ func TestHeapBacksOnDemand(t *testing.T) {
 		}
 	}
 	th.Free(big)
-	if th.Alloc(size) != big || h.backedChunks() != 3 {
+	if th.Alloc(size) != big || h.backedChunks() != int(last-first)+1 {
 		t.Errorf("re-allocating the large block moved it or backed more chunks")
 	}
 	requireQuiescent(t, h)
 }
 
-// TestNoBlockStraddlesAChunk carves more than a chunk of 9-line blocks, whose
-// footprint does not divide a chunk, so a carve must skip a chunk's tail; the
-// sweep reads the skipped tail as a gap.
-func TestNoBlockStraddlesAChunk(t *testing.T) {
-	h := NewHeap(Config{Words: 1 << 20})
+// TestLargeBlockInShortShard carves blocks just over a chunk long from shard
+// regions between one and two chunks long, whose ends fall between chunk
+// boundaries: a carve needs only its own words, wherever the boundaries are.
+func TestLargeBlockInShortShard(t *testing.T) {
+	shards := len(NewHeap(Config{Words: 1 << 10}).alloc.shards)
+	h := NewHeap(Config{Words: 1 + shards*(chunkWords+chunkWords/2+8)})
 	th := h.NewThread()
-	var blocks []Addr
-	for i := 0; i < 1200; i++ {
-		a := th.Alloc(64)
-		if (a-1)>>chunkShift != (a+63)>>chunkShift {
-			t.Fatalf("block %d at %#x straddles a chunk boundary", i, uint32(a))
+	const size = chunkWords + 8
+	got := make([]uint64, size)
+	for i := 0; i < min(shards, 4); i++ {
+		a := th.Alloc(size)
+		for j := 0; j < size; j++ {
+			h.StoreNT(a+Addr(j), uint64(a)+uint64(j))
 		}
-		blocks = append(blocks, a)
-	}
-	if blocks[len(blocks)-1]>>chunkShift == blocks[0]>>chunkShift {
-		t.Fatalf("1200 blocks stayed in one chunk; the test needs a chunk boundary")
-	}
-	requireQuiescent(t, h)
-	for _, a := range blocks[:600] {
-		th.Free(a)
+		if err := th.TryAtomic(func(tx *Txn) { tx.LoadWords(a, got) }); err != nil {
+			t.Fatalf("LoadWords over block %d: %v", i, err)
+		}
+		for j, v := range got {
+			if v != uint64(a)+uint64(j) {
+				t.Fatalf("block %d word %d = %d, want %d", i, j, v, uint64(a)+uint64(j))
+			}
+		}
 	}
 	requireQuiescent(t, h)
 }
@@ -138,7 +137,7 @@ func TestChunkBackingRace(t *testing.T) {
 	const (
 		carvers   = 2
 		readers   = 2
-		perCarver = 5000 // about 2.3 chunks of blocks averaging 30 words
+		perCarver = 5000 // about 2.4 chunks of blocks averaging 32 words
 	)
 	h := NewHeap(Config{Words: 1 << 20})
 	pattern := func(a Addr) uint64 { return uint64(a) | 1<<40 }
@@ -157,9 +156,9 @@ func TestChunkBackingRace(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < perCarver; i++ {
-				// Footprints of 1, 2, 4 and 8 lines divide a chunk, so the
-				// blocks tile each chunk and runs cross boundaries live.
-				size := [4]int{7, 15, 31, 63}[r.Intn(4)]
+				// A 5-line footprint does not divide a chunk, so some blocks
+				// straddle a chunk boundary and runs inside them cross it.
+				size := [4]int{7, 15, 39, 63}[r.Intn(4)]
 				a := th.Alloc(size)
 				for j := 0; j < size; j++ {
 					h.StoreNT(a+Addr(j), pattern(a+Addr(j)))

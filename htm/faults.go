@@ -272,8 +272,7 @@ type MetaSweep struct {
 // sweep); concurrent activity makes the counts approximate.
 //
 // It also walks every allocator region block by block (headers survive free,
-// blocks are line-aligned, and a zero header marks the uncarved rest of a
-// chunk, so the walk is exact), counting live payload
+// and blocks are line-aligned, so the walk is exact), counting live payload
 // words and cross-checking each block's state against all of its lines'
 // metadata: all allocated for a live block, none allocated or locked for a
 // free one.
@@ -295,23 +294,7 @@ func (h *Heap) SweepMeta() MetaSweep {
 		sh.mu.Unlock()
 		pos := (start + lineMask) &^ lineMask
 		for pos < bump {
-			var hdr uint64
-			if c := h.chunks[pos>>chunkShift].Load(); c != nil {
-				hdr = c[pos&chunkMask].Load()
-			}
-			if hdr == 0 {
-				// Never carved: the tail of a chunk that a block skipped
-				// rather than straddle two (take), or a chunk never backed.
-				// Its lines must be free.
-				next := (pos | chunkMask) + 1
-				for l, end := lineOf(pos), lineOf(min(next, bump)); l < end; l++ {
-					if m := h.meta[l].Load(); metaAllocated(m) || metaLocked(m) {
-						s.StripeErrors++
-					}
-				}
-				pos = next
-				continue
-			}
+			hdr := h.word(pos).Load()
 			size := int(hdr >> 1)
 			if size <= 0 || Addr(size) >= bump-pos {
 				s.StripeErrors++ // corrupt header: stop walking this region

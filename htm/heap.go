@@ -224,11 +224,12 @@ func lineOf(a Addr) int { return int(a) >> lineShift }
 
 // The arena is address space, and memory backs it one chunk of chunkWords
 // words at a time, when the allocator first carves into the chunk (back). A
-// chunk holds whole lines, and no block straddles two chunks. The invariant
-// that makes the lazy backing safe: no word of a never-carved line is read or
-// written. Every word access first finds its line allocated (or, for the
-// allocator, owns a carved block), and only carved lines are ever allocated;
-// see DESIGN.md "Arena: address space and backing".
+// chunk holds whole lines; a block may straddle two chunks, and every word path
+// finds each word's chunk on its own. The invariant that makes the lazy backing
+// safe: no word of a never-carved line is read or written. Every word access
+// first finds its line allocated (or, for the allocator, owns a carved block),
+// and only carved lines are ever allocated; see DESIGN.md "Arena: address space
+// and backing".
 const (
 	chunkShift      = 16
 	chunkWords      = 1 << chunkShift
@@ -244,24 +245,13 @@ func (h *Heap) word(a Addr) *atomic.Uint64 {
 }
 
 // back backs every chunk under the n words from b, a block the allocator is
-// carving, before the block's address leaves it. A block inside one chunk
-// shares it: the first carve into the chunk publishes a zeroed one, and a
-// neighbouring shard carving into the same chunk at once loses the CAS to it.
-// A block larger than a chunk starts on a chunk boundary, and its chunks get
-// one contiguous backing; the carving shard's region holds them whole (take),
-// so no other carve can have backed any of them.
+// carving, before the block's address leaves it. The first carve into a chunk
+// publishes a zeroed one; a shard carving into a chunk that a neighbouring
+// shard's region shares may lose the CAS to it, and uses the winner's.
 func (h *Heap) back(b Addr, n int) {
-	lo, hi := b>>chunkShift, (b+Addr(n)-1)>>chunkShift
-	if lo == hi {
-		if h.chunks[lo].Load() == nil {
-			h.chunks[lo].CompareAndSwap(nil, new(chunk))
-		}
-		return
-	}
-	ws := make([]atomic.Uint64, int(hi-lo+1)<<chunkShift)
-	for c := lo; c <= hi; c++ {
-		if !h.chunks[c].CompareAndSwap(nil, (*chunk)(ws[int(c-lo)<<chunkShift:])) {
-			panic(fmt.Sprintf("htm: allocator invariant violation: chunk %d of a %d-word block at %#x already backed", c, n, uint32(b)))
+	for c := b >> chunkShift; c <= (b+Addr(n)-1)>>chunkShift; c++ {
+		if h.chunks[c].Load() == nil {
+			h.chunks[c].CompareAndSwap(nil, new(chunk))
 		}
 	}
 }
