@@ -1,18 +1,17 @@
 // Command kvserver serves the transactional KV engine (package kv) over
 // HTTP. The storage engine is the simulated HTM heap: every GET/PUT/DELETE/
 // SCAN request runs as one heap transaction (TLE with the fine-grained
-// fallback), and background expiry/compaction jobs flow through an on-heap
-// concurrent queue. SIGINT/SIGTERM trigger a graceful shutdown: in-flight
-// requests complete, the job pipeline drains, and the process exits 0 — the
-// contract main_test.go asserts.
+// fallback), and background expiry/compaction jobs flow through the paper's
+// HTM queue on the same heap. SIGINT/SIGTERM trigger a graceful shutdown:
+// in-flight requests complete, the job pipeline drains, and the process
+// exits 0 — the contract main_test.go asserts.
 //
 // Usage:
 //
 //	kvserver [-addr 127.0.0.1:7070] [-slots 16384] [-heap-words N]
 //	         [-pool N] [-max-value 4096] [-sweep 2s] [-job-workers 2]
-//	         [-job-queue htm|ms|rop|ebr] [-global-fallback] [-verbose]
-//	         [-admission] [-req-timeout 0] [-max-retries 0]
-//	         [-fault-seed 1] [-fault-begin P] [-fault-access P]
+//	         [-global-fallback] [-verbose] [-admission] [-req-timeout 0]
+//	         [-max-retries 0] [-fault-seed 1] [-fault-begin P] [-fault-access P]
 //	         [-fault-commit P] [-fault-stall P]
 //	         [-wal-dir DIR] [-fsync=true] [-snapshot-every N]
 //	         [-segment-bytes N]
@@ -48,7 +47,6 @@ import (
 	"repro/htm"
 	"repro/kv"
 	"repro/kv/wal"
-	"repro/queue"
 )
 
 func main() {
@@ -64,7 +62,6 @@ func run(args []string) int {
 	maxValue := fs.Int("max-value", kv.DefaultMaxValueBytes, "maximum value size in bytes")
 	sweep := fs.Duration("sweep", 2*time.Second, "interval between background expiry/compaction sweeps")
 	jobWorkers := fs.Int("job-workers", 2, "background job worker goroutines")
-	jobQueue := fs.String("job-queue", "htm", "job queue implementation: htm, ms, rop or ebr")
 	globalFallback := fs.Bool("global-fallback", false, "use the paper's global TLE fallback lock instead of the fine-grained lock-set")
 	verbose := fs.Bool("verbose", false, "log every request")
 	admission := fs.Bool("admission", false, "shed load (503 + Retry-After) under pool saturation or abort storms")
@@ -80,12 +77,6 @@ func run(args []string) int {
 	snapshotEvery := fs.Int("snapshot-every", 4096, "mutations between automatic snapshots (0 = never snapshot)")
 	segmentBytes := fs.Int("segment-bytes", 0, "commit-log segment rotation threshold in bytes (0 = default 4 MiB)")
 	fs.Parse(args)
-
-	newQueue, err := queueFactory(*jobQueue)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "kvserver: %v\n", err)
-		return 2
-	}
 
 	var plan *htm.FaultPlan
 	if *faultBegin > 0 || *faultAccess > 0 || *faultCommit > 0 || *faultStall > 0 {
@@ -141,7 +132,6 @@ func run(args []string) int {
 	opts := []kv.ServerOption{kv.WithJobs(kv.JobsConfig{
 		Interval: *sweep,
 		Workers:  *jobWorkers,
-		NewQueue: newQueue,
 	})}
 	if *verbose {
 		opts = append(opts, kv.WithRequestLog(nil))
@@ -175,8 +165,8 @@ func run(args []string) int {
 	if *globalFallback {
 		fallback = "global"
 	}
-	log.Printf("kvserver: serving on http://%s (slots=%d heap=%dw pool=%d queue=%s faults=%v durable=%v fallback=%s)",
-		ln.Addr(), store.Slots(), store.Heap().Config().Words, store.PoolSize(), *jobQueue, plan != nil, store.Durable(), fallback)
+	log.Printf("kvserver: serving on http://%s (slots=%d heap=%dw pool=%d faults=%v durable=%v fallback=%s)",
+		ln.Addr(), store.Slots(), store.Heap().Config().Words, store.PoolSize(), plan != nil, store.Durable(), fallback)
 	if err := srv.Serve(ctx, ln); err != nil {
 		fmt.Fprintf(os.Stderr, "kvserver: %v\n", err)
 		return 1
@@ -184,20 +174,4 @@ func run(args []string) int {
 	st := store.Heap().Stats()
 	log.Printf("kvserver: clean shutdown; final heap stats: %s", st)
 	return 0
-}
-
-// queueFactory maps a -job-queue name to a queue constructor.
-func queueFactory(name string) (func(h *htm.Heap) queue.Queue, error) {
-	switch name {
-	case "htm":
-		return func(h *htm.Heap) queue.Queue { return queue.NewHTMQueue(h) }, nil
-	case "ms":
-		return func(h *htm.Heap) queue.Queue { return queue.NewMSQueue(h) }, nil
-	case "rop":
-		return func(h *htm.Heap) queue.Queue { return queue.NewMSQueueROP(h) }, nil
-	case "ebr":
-		return func(h *htm.Heap) queue.Queue { return queue.NewMSQueueEBR(h) }, nil
-	default:
-		return nil, fmt.Errorf("unknown -job-queue %q (want htm, ms, rop or ebr)", name)
-	}
 }

@@ -18,6 +18,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -219,6 +220,36 @@ func TestServeRoutesThenListenFailure(t *testing.T) {
 	}
 	p.want(t, http.StatusOK, http.MethodGet, "/kv/alpha", "", "one")
 	p.term(t)
+}
+
+// TestFlagSurface pins the server's flags to the ones the knob census kept
+// (ROADMAP.md, direction 8): each backs a kv.Config, kv.Durability,
+// kv.JobsConfig or htm.FaultPlan field or a server option, so adding or
+// reviving one has to be a deliberate diff here too. It reads the names from
+// the real binary's -h output.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr", "admission", "fault-access", "fault-begin", "fault-commit",
+		"fault-seed", "fault-stall", "fsync", "global-fallback", "heap-words",
+		"job-workers", "max-retries", "max-value", "pool", "req-timeout",
+		"segment-bytes", "slots", "snapshot-every", "sweep", "verbose", "wal-dir",
+	}
+	cmd := exec.Command(os.Args[0], "-h")
+	cmd.Env = append(os.Environ(), childEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("kvserver -h: %v; output:\n%s", err, out)
+	}
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			got = append(got, name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("kvserver flags:\n got %v\nwant %v", got, want)
+	}
 }
 
 // TestSIGTERMAtReadiness signals each of 10 starts the moment its readiness

@@ -44,16 +44,9 @@ type Config struct {
 	// MaxReadSet bounds the transactional read set, in distinct 8-word
 	// lines; reading more distinct lines aborts with AbortCapacity. Rock
 	// tracks reads per cache line in the L1 cache, which is large relative to
-	// the store buffer, so the default is generous (1<<16 lines). Set to a
-	// negative value for an unbounded read set, which is then never
-	// compacted: a line read in many separate runs keeps an entry for each.
+	// the store buffer, so the default is generous (1<<16 lines). Any value
+	// <= 0 selects the default.
 	MaxReadSet int
-
-	// NoSandbox disables Rock-style sandboxing. By default a transaction that
-	// dereferences freed or nil memory aborts with AbortIllegal; with NoSandbox
-	// such an access panics, modeling a segmentation fault on HTM designs
-	// without sandboxing.
-	NoSandbox bool
 
 	// AllowAllocInTxn permits Txn.Alloc and Txn.Free. Rock could not run the
 	// CAS-based malloc inside transactions (paper §6), so the paper's
@@ -112,10 +105,6 @@ type Config struct {
 	// is what the paper's space figures need. Set by withDefaults so the
 	// zero Config is exact.
 	trackMaxLive bool
-
-	// sandboxed is the derived internal form of !NoSandbox, set by
-	// withDefaults so the zero Config is Rock-like.
-	sandboxed bool
 }
 
 func (c Config) withDefaults() Config {
@@ -125,13 +114,12 @@ func (c Config) withDefaults() Config {
 	if c.StoreBufferSize == 0 {
 		c.StoreBufferSize = RockStoreBufferSize
 	}
-	if c.MaxReadSet == 0 {
+	if c.MaxReadSet <= 0 {
 		c.MaxReadSet = defaultMaxReadSet
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = defaultMaxRetries
 	}
-	c.sandboxed = !c.NoSandbox
 	c.trackMaxLive = !c.NoMaxLive
 	return c
 }

@@ -47,8 +47,8 @@ func TestNewHeapDefaults(t *testing.T) {
 	if cfg.StoreBufferSize != RockStoreBufferSize {
 		t.Errorf("StoreBufferSize = %d, want %d", cfg.StoreBufferSize, RockStoreBufferSize)
 	}
-	if !cfg.sandboxed {
-		t.Error("default config must be sandboxed")
+	if got := NewHeap(Config{MaxReadSet: -1}).Config().MaxReadSet; cfg.MaxReadSet != defaultMaxReadSet || got != defaultMaxReadSet {
+		t.Errorf("MaxReadSet = %d (zero) and %d (negative), want %d", cfg.MaxReadSet, got, defaultMaxReadSet)
 	}
 	if cfg.MaxRetries != defaultMaxRetries {
 		t.Errorf("MaxRetries = %d, want %d", cfg.MaxRetries, defaultMaxRetries)
@@ -356,7 +356,7 @@ func TestStatsAbortRateZeroStarts(t *testing.T) {
 // a deliberate diff here too.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
-		"Words", "StoreBufferSize", "MaxReadSet", "NoSandbox", "AllowAllocInTxn",
+		"Words", "StoreBufferSize", "MaxReadSet", "AllowAllocInTxn",
 		"MaxRetries", "EnableTLE", "GlobalFallback", "NoMaxLive", "Faults",
 	}
 	var got []string

@@ -50,8 +50,7 @@ func TestReadSetDedupLargeSet(t *testing.T) {
 }
 
 // TestDedupBypassThreshold pins the bulk reads' fast prefix to the room left
-// below MaxReadSet, whatever the set holds, and to the whole range when reads
-// are unbounded.
+// below MaxReadSet, whatever the set holds.
 func TestDedupBypassThreshold(t *testing.T) {
 	cases := []struct {
 		maxReadSet, held, want int
@@ -60,7 +59,6 @@ func TestDedupBypassThreshold(t *testing.T) {
 		{1000, 10, 100}, // room past the range
 		{100, 10, 90},   // room cuts the range
 		{1, 1, 0},       // a full set: every word takes Load
-		{-1, 3, 100},    // unbounded reads
 	}
 	for _, c := range cases {
 		h := NewHeap(Config{Words: 1 << 12, MaxReadSet: c.maxReadSet})

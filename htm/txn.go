@@ -370,11 +370,14 @@ func (t *Txn) Abort() {
 	t.abort(AbortExplicit, NilAddr)
 }
 
+// accessFault is a transactional access to an invalid or freed word. Rock's
+// sandboxing turns it into an AbortIllegal on the hardware path; the fallback
+// path runs non-speculatively, so there it is a segmentation fault.
 func (t *Txn) accessFault(a Addr, op string) {
-	if t.h.cfg.sandboxed && !t.direct {
+	if !t.direct {
 		t.abort(AbortIllegal, a)
 	}
-	panic(fmt.Sprintf("htm: transactional %s of invalid or freed address %#x without sandboxing (simulated segmentation fault)", op, uint32(a)))
+	panic(fmt.Sprintf("htm: fallback %s of invalid or freed address %#x (simulated segmentation fault)", op, uint32(a)))
 }
 
 // validate checks that every read performed so far still holds the metadata
@@ -588,9 +591,6 @@ func (t *Txn) readRoom(first, k int) (room []readEntry, adv int) {
 func (t *Txn) bypassPrefix(lo, hi, n int) int {
 	if t.direct || t.env != nil || len(t.writes) != 0 || lo <= int(NilAddr) || hi >= t.arenaWords {
 		return 0
-	}
-	if t.maxReadSet < 0 {
-		return n
 	}
 	return min(n, t.maxReadSet-len(t.reads))
 }
@@ -879,11 +879,8 @@ func (t *Txn) commit() (AbortCode, Addr) {
 		return AbortFallback, NilAddr
 	}
 	code, addr := t.publish()
-	switch {
-	case code == 0:
+	if code == 0 {
 		t.runFrees()
-	case code == AbortIllegal && !h.cfg.sandboxed:
-		panic(fmt.Sprintf("htm: commit to freed word %#x without sandboxing", uint32(addr)))
 	}
 	return code, addr
 }

@@ -196,19 +196,6 @@ func TestSandboxNilLoadAborts(t *testing.T) {
 	}
 }
 
-func TestNoSandboxFreedLoadPanics(t *testing.T) {
-	h := newTestHeap(t, Config{NoSandbox: true})
-	th := h.NewThread()
-	a := th.Alloc(1)
-	th.Free(a)
-	defer func() {
-		if recover() == nil {
-			t.Error("unsandboxed freed load did not panic")
-		}
-	}()
-	_ = th.TryAtomic(func(tx *Txn) { tx.Load(a) })
-}
-
 func TestFreeOnCommit(t *testing.T) {
 	h := newTestHeap(t, Config{})
 	th := h.NewThread()

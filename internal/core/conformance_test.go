@@ -21,9 +21,6 @@ type impl struct {
 	// maxThreads limits concurrency for implementations with static thread
 	// maps (0 = unlimited).
 	maxThreads int
-	// freesAtCollect marks deferred reclamation: deregistered storage is freed
-	// only by a Collect that finds no other Collect in progress.
-	freesAtCollect bool
 	// extension marks a variant the paper describes but did not implement.
 	extension bool
 }
@@ -46,7 +43,6 @@ func implementations() []impl {
 		{name: "StaticBaseline", mk: func(h *htm.Heap) Collector { return NewStaticBaseline(h, testCapacity) }, maxThreads: 16},
 		{name: "DynamicBaseline", mk: func(h *htm.Heap) Collector { return NewDynamicBaseline(h) }, dynamic: true},
 		{name: "ArrayDynAppendDeregUpdOpt", mk: func(h *htm.Heap) Collector { return NewArrayDynAppendDeregUpdOpt(h, 0, Options{Step: 8}) }, dynamic: true, extension: true},
-		{name: "FastCollectDeferredFree", mk: func(h *htm.Heap) Collector { return NewFastCollectDeferredFree(h, Options{Step: 4}) }, dynamic: true, freesAtCollect: true, extension: true},
 		{name: "DeferredReuse(ArrayDynAppendDereg)", mk: func(h *htm.Heap) Collector {
 			return NewDeferredReuse(NewArrayDynAppendDereg(h, 0, Options{Step: 8}), 4)
 		}, dynamic: true, extension: true},
@@ -389,9 +385,6 @@ func TestSpaceReclaimed(t *testing.T) {
 		}
 		for _, hd := range handles {
 			col.Deregister(c, hd)
-		}
-		if im.freesAtCollect {
-			col.Collect(c, nil)
 		}
 		after := h.Stats().LiveWords
 		// Allow a small constant slack (a minimum-size array). A Ctx holds no

@@ -32,7 +32,10 @@
 //	StaticBaseline        §3.3    non-HTM fixed array (not a Dynamic Collect)
 //	DynamicBaseline       §3.3    non-HTM reference-counted list ([11] Alg. 2)
 //
-// plus extensions the paper describes but did not implement (see their files).
+// plus two extensions the paper describes but did not implement:
+//
+//	ArrayDynAppendDeregUpdOpt  §4.1  value kept beside the slot reference
+//	DeferredReuse              §5.4  deregistered handles parked for reuse
 //
 // All algorithms operate on a shared simulated heap (package htm), so HTM
 // and non-HTM algorithms compete on the same memory substrate, and memory
@@ -203,7 +206,7 @@ const (
 // unbounded is a list walk's bound: it may stage a full step every time.
 const unbounded = math.MaxInt
 
-// telescope is the telescoped Collect (§3.4) of all seven HTM collectors. Each
+// telescope is the telescoped Collect (§3.4) of all six HTM collectors. Each
 // step runs walk in one hardware transaction: walk gathers up to step values
 // into c.buf from cursor at with transactional loads, hands them to c.stage
 // once, and returns the cursor it reached. It writes c.vals only through

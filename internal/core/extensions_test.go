@@ -33,33 +33,6 @@ func TestExtensionStableHandlesUnderChurn(t *testing.T) {
 	forEachExtension(t, stableHandlesAlwaysCollected)
 }
 
-// TestFastCollectDeferredFreeReclaimsAtQuiescence: the to-be-freed backlog
-// drains once no Collect is active, restoring live memory.
-func TestFastCollectDeferredFreeReclaims(t *testing.T) {
-	h := htm.NewHeap(htm.Config{Words: 1 << 18})
-	l := NewFastCollectDeferredFree(h, Options{Step: 4})
-	c := l.NewCtx(h.NewThread())
-	base := h.Stats().LiveWords
-	var handles []Handle
-	for i := 0; i < 100; i++ {
-		handles = append(handles, l.Register(c, Value(i+1)))
-	}
-	for _, hd := range handles {
-		l.Deregister(c, hd)
-	}
-	if l.PendingFree() != 100 {
-		t.Fatalf("pending = %d, want 100 before any collect", l.PendingFree())
-	}
-	l.Collect(c, nil) // quiescent collect triggers the drain
-	if l.PendingFree() != 0 {
-		t.Errorf("pending = %d after quiescent collect", l.PendingFree())
-	}
-	c.Close()
-	if live := h.Stats().LiveWords; live > base {
-		t.Errorf("live = %d, want <= %d", live, base)
-	}
-}
-
 // TestDeferredReuseAvoidsInnerDeregister: churn within the pool cap must not
 // shrink the inner object's registered count (handles are parked, not
 // deregistered) and must reuse the same handles.

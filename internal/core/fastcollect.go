@@ -32,8 +32,7 @@ const (
 // clean abort — a direct reliance on the HTM property the paper calls out.
 //
 // The known weakness is that frequent Deregisters can starve Collects
-// (measured in Figure 7); see FastCollectDeferredFree for the paper's
-// suggested remedy.
+// (measured in Figure 7).
 type FastCollect struct {
 	h    *htm.Heap
 	desc htm.Addr
@@ -114,9 +113,9 @@ func (l *FastCollect) Collect(c *Ctx, out []Value) []Value {
 	})
 }
 
-// walkList is the step of a walk along FastCollect's node layout (which
-// FastCollectDeferredFree shares): from the node at (NilAddr: the head word),
-// gather the values of up to step nodes, and return the last node gathered.
+// walkList is the step of a walk along FastCollect's node layout: from the
+// node at (NilAddr: the head word), gather the values of up to step nodes,
+// and return the last node gathered.
 func walkList(t *htm.Txn, c *Ctx, step int, head, at htm.Addr) (uint64, walkEnd) {
 	var p htm.Addr
 	if at == htm.NilAddr {

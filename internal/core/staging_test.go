@@ -12,7 +12,7 @@ import (
 	"repro/htm"
 )
 
-// Tests for the gather-then-stage Collect step shared by the seven HTM
+// Tests for the gather-then-stage Collect step shared by the six HTM
 // collectors: it must return what per-element Load+Store staging returned, in
 // the same order, survive churn underneath it, and allocate nothing warm.
 
@@ -122,12 +122,6 @@ func stagedImpls() []stagedImpl {
 				first := htm.Addr(th.Heap().LoadNT(col.(*FastCollect).desc + fcHead))
 				return refList(th, scratch, step, first, fVal, fNext)
 			}},
-		{"FastCollectDeferredFree",
-			func(h *htm.Heap, o Options) Collector { return NewFastCollectDeferredFree(h, o) },
-			func(col Collector, th *htm.Thread, scratch htm.Addr, step int) []Value {
-				first := htm.Addr(th.Heap().LoadNT(col.(*FastCollectDeferredFree).desc + fdHead))
-				return refList(th, scratch, step, first, fdVal, fdNext)
-			}},
 		{"HOHRC",
 			func(h *htm.Heap, o Options) Collector { return NewHOHRC(h, o) },
 			func(col Collector, th *htm.Thread, scratch htm.Addr, step int) []Value {
@@ -143,12 +137,12 @@ func stagedImpls() []stagedImpl {
 type txnShape struct{ starts, commits, clock, live, maxLive uint64 }
 
 // stagingShapes pins each script's transaction shape. starts and commits are
-// those recorded before the seven step loops became one telescope driver, and
-// before a step charged its store-buffer entries instead of storing to a heap
-// scratch block: neither change may move them. Dropping the scratch block
+// those recorded before the collectors' step loops became one telescope driver,
+// and before a step charged its store-buffer entries instead of storing to a
+// heap scratch block: neither change may move them. Dropping the scratch block
 // moved the rest, and by exactly this much:
 //   - live falls by the block's size: 100 words for the three append arrays,
-//     128 for the search array and the three lists;
+//     128 for the search array and the two lists;
 //   - clock falls by one per committed step that wrote no shared word (every
 //     step that collected anything, except HOHRC's, which pin and unpin), plus
 //     the one tick each of the block's allocations and frees cost;
@@ -174,10 +168,6 @@ var stagingShapes = map[string]txnShape{
 	"FastCollect/step=8,adaptive=false":                {233, 233, 414, 546, 558},
 	"FastCollect/step=32,adaptive=false":               {185, 185, 390, 546, 558},
 	"FastCollect/step=0,adaptive=true":                 {464, 464, 642, 546, 558},
-	"FastCollectDeferredFree/step=1,adaptive=false":    {694, 694, 649, 643, 659},
-	"FastCollectDeferredFree/step=8,adaptive=false":    {236, 236, 421, 643, 659},
-	"FastCollectDeferredFree/step=32,adaptive=false":   {188, 188, 397, 643, 659},
-	"FastCollectDeferredFree/step=0,adaptive=true":     {467, 467, 649, 643, 659},
 	"HOHRC/step=1,adaptive=false":                      {691, 691, 907, 741, 761},
 	"HOHRC/step=8,adaptive=false":                      {233, 233, 449, 741, 761},
 	"HOHRC/step=32,adaptive=false":                     {185, 185, 401, 741, 761},

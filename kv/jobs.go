@@ -6,17 +6,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/htm"
 	"repro/queue"
 )
 
-// Background maintenance rides the repository's concurrent queues: the
-// sweeper goroutine slices the index into slot ranges and enqueues one job
-// word per range; worker goroutines dequeue and run the matching Store sweep.
-// The job queue lives ON the transactional heap (by default it is the HTM
-// queue — sequential code in transactions, nodes freed on dequeue commit), so
-// the pipeline itself exercises the paper's claim, and the queue's CtxCloser
-// contract drives reclamation-state cleanup at shutdown.
+// Background maintenance rides the paper's HTM queue: the sweeper goroutine
+// slices the index into slot ranges and enqueues one job word per range;
+// worker goroutines dequeue and run the matching Store sweep. The job queue
+// lives ON the transactional heap — sequential code in transactions, each
+// node freed in the dequeue that unlinks it — so the pipeline itself
+// exercises the paper's claim.
 
 // Job kinds.
 const (
@@ -40,10 +38,6 @@ type JobsConfig struct {
 	Interval time.Duration
 	// Workers is the number of consumer goroutines. Defaults to 2.
 	Workers int
-	// NewQueue builds the job queue on the store's heap. Defaults to
-	// queue.NewHTMQueue; swap in an MS-queue variant to run the pipeline on a
-	// different reclamation regime.
-	NewQueue func(h *htm.Heap) queue.Queue
 }
 
 func (c JobsConfig) withDefaults() JobsConfig {
@@ -53,9 +47,6 @@ func (c JobsConfig) withDefaults() JobsConfig {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	if c.NewQueue == nil {
-		c.NewQueue = func(h *htm.Heap) queue.Queue { return queue.NewHTMQueue(h) }
-	}
 	return c
 }
 
@@ -64,7 +55,7 @@ func (c JobsConfig) withDefaults() JobsConfig {
 type Jobs struct {
 	s   *Store
 	cfg JobsConfig
-	q   queue.Queue
+	q   *queue.HTMQueue
 	wg  sync.WaitGroup
 
 	jobsRun     atomic.Uint64
@@ -75,10 +66,10 @@ type Jobs struct {
 
 // StartJobs launches the sweeper and workers. They stop — completing or
 // cleanly abandoning in-flight work — when ctx is cancelled; Wait blocks
-// until every goroutine has released its queue context.
+// until every goroutine has exited.
 func StartJobs(ctx context.Context, s *Store, cfg JobsConfig) *Jobs {
 	cfg = cfg.withDefaults()
-	j := &Jobs{s: s, cfg: cfg, q: cfg.NewQueue(s.heap)}
+	j := &Jobs{s: s, cfg: cfg, q: queue.NewHTMQueue(s.heap)}
 	j.wg.Add(1 + cfg.Workers)
 	go j.sweeper(ctx)
 	for i := 0; i < cfg.Workers; i++ {
@@ -99,7 +90,6 @@ func (j *Jobs) Sweep() {
 	// pool context while the sweep methods acquire one, so the pipeline can
 	// never deadlock the foreground pool however small it is.
 	c := j.q.NewCtx(j.s.heap.NewThread())
-	defer queue.CloseCtx(j.q, c)
 	nslots := j.s.Slots()
 	for lo := uint64(0); lo < nslots; lo += jobChunkSlots {
 		j.q.Enqueue(c, encodeJob(jobExpire, lo))
@@ -126,7 +116,6 @@ func (j *Jobs) sweeper(ctx context.Context) {
 func (j *Jobs) worker(ctx context.Context) {
 	defer j.wg.Done()
 	c := j.q.NewCtx(j.s.heap.NewThread()) // dedicated thread; see Sweep
-	defer queue.CloseCtx(j.q, c)
 	idle := time.NewTimer(0)
 	if !idle.Stop() {
 		<-idle.C

@@ -6,9 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/htm"
-	"repro/queue"
 )
 
 // waitUntil polls cond for up to 5s.
@@ -90,32 +87,6 @@ func TestJobsPipelineExpiresAndCompacts(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pipeline did not shut down")
 	}
-}
-
-func TestJobsPipelineOnMSQueue(t *testing.T) {
-	// The pipeline is queue-agnostic: run it on the EBR MS-queue to prove the
-	// CtxCloser path (epoch contexts need closing) works end to end.
-	var now atomic.Int64
-	now.Store(1)
-	cfg := Config{Slots: 2048}
-	cfg.Now = now.Load
-	s := NewStore(cfg)
-	for i := 0; i < 30; i++ {
-		if err := s.Put(bg, []byte(fmt.Sprintf("e-%02d", i)), []byte("v"), 10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	jobs := StartJobs(ctx, s, JobsConfig{
-		Interval: time.Hour,
-		Workers:  2,
-		NewQueue: func(h *htm.Heap) queue.Queue { return queue.NewMSQueueEBR(h) },
-	})
-	now.Store(1000)
-	jobs.Sweep()
-	waitUntil(t, "expiry on MS queue", func() bool { return s.Len() == 0 })
-	cancel()
-	jobs.Wait()
 }
 
 func TestJobsTickerSweeps(t *testing.T) {

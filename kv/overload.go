@@ -20,42 +20,34 @@ import (
 //     request would only queue behind the pool; its deadline is better spent
 //     by the client retrying later.
 //   - Abort storm: the heap-wide rate of conflict + spurious aborts over the
-//     last sampling window exceeds AdmissionConfig.StormRate. A storm means
-//     attempts are being killed faster than they commit; admitting more
-//     traffic adds fuel.
+//     last sampling window is at least stormRate. A storm means attempts are
+//     being killed faster than they commit; admitting more traffic adds fuel.
 
-// AdmissionConfig tunes the Governor. The zero value selects the defaults.
+// The governor's thresholds. No figure or workload tunes them, so they are
+// constants.
+const (
+	// stormWindow is the abort-rate sampling cadence.
+	stormWindow = 100 * time.Millisecond
+	// stormRate is the windowed (conflict+spurious)/starts ratio at or above
+	// which requests are shed.
+	stormRate = 0.85
+	// stormMinStarts is the fewest transaction attempts a window must hold
+	// for its rate to be meaningful; quieter windows clear the storm flag.
+	stormMinStarts = 64
+	// retryAfter is the base Retry-After value, in seconds, on shed
+	// responses (see Governor.RetryAfterSeconds).
+	retryAfter = 1
+)
+
+// AdmissionConfig configures the Governor. The zero value is the production
+// configuration.
 type AdmissionConfig struct {
-	// Window is the abort-rate sampling cadence. Default 100ms.
-	Window time.Duration
-	// StormRate is the windowed (conflict+spurious)/starts ratio at or above
-	// which requests are shed. Default 0.85.
-	StormRate float64
-	// MinStarts is the minimum transaction attempts a window must contain for
-	// its rate to be meaningful; quieter windows clear the storm flag.
-	// Default 64.
-	MinStarts uint64
-	// RetryAfter is the Retry-After header value, in seconds, on shed
-	// responses. Default 1.
-	RetryAfter int
 	// Now overrides the sampling clock (unix nanoseconds); tests. Defaults to
 	// time.Now-based.
 	Now func() int64
 }
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	if c.Window <= 0 {
-		c.Window = 100 * time.Millisecond
-	}
-	if c.StormRate <= 0 {
-		c.StormRate = 0.85
-	}
-	if c.MinStarts == 0 {
-		c.MinStarts = 64
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 1
-	}
 	if c.Now == nil {
 		c.Now = func() int64 { return time.Now().UnixNano() }
 	}
@@ -97,14 +89,13 @@ func (g *Governor) Allow() bool {
 }
 
 // RetryAfterSeconds is the backoff hint attached to shed responses: jittered
-// per call over [RetryAfter, 2·RetryAfter] so that a thundering herd shed in
+// per call over [retryAfter, 2·retryAfter] so that a thundering herd shed in
 // one window does not return in lockstep and re-trigger the shed that sent it
 // away. The jitter is a counter sweep, not a PRNG — adjacent shed responses
 // get different hints deterministically, which keeps chaos-harness runs
 // reproducible.
 func (g *Governor) RetryAfterSeconds() int {
-	base := g.cfg.RetryAfter
-	return base + int(g.retrySeq.Add(1)%uint64(base+1))
+	return retryAfter + int(g.retrySeq.Add(1)%(retryAfter+1))
 }
 
 // Sheds returns the cumulative count of refused admissions.
@@ -121,14 +112,14 @@ func (g *Governor) Storming() bool {
 func (g *Governor) maybeSample() {
 	now := g.cfg.Now()
 	next := g.nextSample.Load()
-	if now < next || !g.nextSample.CompareAndSwap(next, now+int64(g.cfg.Window)) {
+	if now < next || !g.nextSample.CompareAndSwap(next, now+int64(stormWindow)) {
 		return
 	}
 	st := g.store.Heap().Stats()
 	aborts := st.Aborts[htm.AbortConflict] + st.Aborts[htm.AbortSpurious]
 	ds := st.Starts - g.lastStarts.Swap(st.Starts)
 	da := aborts - g.lastAborts.Swap(aborts)
-	g.storm.Store(ds >= g.cfg.MinStarts && float64(da) >= g.cfg.StormRate*float64(ds))
+	g.storm.Store(ds >= stormMinStarts && float64(da) >= stormRate*float64(ds))
 }
 
 // WithAdmission sheds requests the governor refuses with 503 + Retry-After.

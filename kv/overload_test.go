@@ -77,7 +77,7 @@ func (s *Store) heapBaseline() uint64 {
 }
 
 // TestGovernorStormDetection drives the sampling window with a fake clock and
-// real injected abort traffic.
+// real injected abort traffic, on the production thresholds.
 func TestGovernorStormDetection(t *testing.T) {
 	s := NewStore(Config{
 		Slots:       64,
@@ -85,22 +85,18 @@ func TestGovernorStormDetection(t *testing.T) {
 		Faults:      &htm.FaultPlan{Seed: 3, BeginProb: 1, MaxPerOp: 200}, // ~200 spurious aborts per op
 	})
 	var now atomic.Int64
-	g := NewGovernor(s, AdmissionConfig{
-		Window:    time.Millisecond,
-		StormRate: 0.5,
-		MinStarts: 10,
-		Now:       now.Load,
-	})
+	g := NewGovernor(s, AdmissionConfig{Now: now.Load})
 	if !g.Allow() {
 		t.Fatal("fresh governor must admit")
 	}
-	// Generate a storm: each op burns ~200 killed attempts before committing.
+	// Generate a storm: each op burns ~200 killed attempts before committing,
+	// so 5 ops clear stormMinStarts with a rate far above stormRate.
 	for i := 0; i < 5; i++ {
 		if err := s.Put(bg, []byte{byte(i)}, []byte("v"), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	now.Add(int64(2 * time.Millisecond)) // roll the window: next Allow samples
+	now.Add(int64(2 * stormWindow)) // roll the window: next Allow samples
 	if g.Allow() {
 		t.Fatal("governor admitted during an abort storm")
 	}
@@ -108,7 +104,7 @@ func TestGovernorStormDetection(t *testing.T) {
 		t.Error("refused admission not counted")
 	}
 	// Quiet window: no new attempts → rate resets → admission resumes.
-	now.Add(int64(2 * time.Millisecond))
+	now.Add(int64(2 * stormWindow))
 	if !g.Allow() {
 		t.Fatal("governor still shedding after the storm passed")
 	}
@@ -199,16 +195,16 @@ func TestRequestTimeoutMapsToRetryAfter(t *testing.T) {
 }
 
 // TestRetryAfterJitter checks the shed backoff hint spreads over
-// [RetryAfter, 2·RetryAfter] instead of herding every client to the same
-// second.
+// [retryAfter, 2·retryAfter] = [1, 2] instead of herding every client to the
+// same second.
 func TestRetryAfterJitter(t *testing.T) {
 	s := NewStore(Config{Slots: 64})
-	g := NewGovernor(s, AdmissionConfig{RetryAfter: 3})
+	g := NewGovernor(s, AdmissionConfig{})
 	seen := map[int]bool{}
 	for i := 0; i < 32; i++ {
 		v := g.RetryAfterSeconds()
-		if v < 3 || v > 6 {
-			t.Fatalf("RetryAfterSeconds = %d, want within [3, 6]", v)
+		if v < 1 || v > 2 {
+			t.Fatalf("RetryAfterSeconds = %d, want within [1, 2]", v)
 		}
 		seen[v] = true
 	}

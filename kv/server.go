@@ -342,7 +342,7 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Admission = map[string]any{
 			"sheds":      sv.governor.Sheds(),
 			"storming":   sv.governor.Storming(),
-			"storm_rate": sv.governor.cfg.StormRate,
+			"storm_rate": stormRate,
 		}
 	}
 	if ws, ok := sv.store.WalStats(); ok {
