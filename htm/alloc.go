@@ -52,6 +52,9 @@ const (
 	// magBatch is the number of blocks moved between a magazine and its
 	// shard per refill or drain, amortizing the shard mutex.
 	magBatch = 8
+	// prefaultWords is how far take keeps a shard's backed words ahead of
+	// its carve frontier: 16 KiB, 4 pages of 4 KiB.
+	prefaultWords = 1 << 11
 )
 
 // footprint returns the size class of a block of size payload words: the
@@ -68,6 +71,7 @@ type allocShard struct {
 	mu    sync.Mutex
 	start Addr     // first word of this shard's region (for sweeps)
 	bump  Addr     // next unused word in this shard's region
+	pre   Addr     // end of the words take has prefaulted
 	end   Addr     // one past the shard's region
 	free  [][]Addr // class (lines) -> free payload addresses; grown on demand
 
@@ -96,7 +100,7 @@ func (al *allocator) init(h *Heap) {
 		s := &al.shards[i]
 		s.free = make([][]Addr, magLines+1)
 		s.start = Addr(lo + i*per)
-		s.bump = s.start
+		s.bump, s.pre = s.start, s.start
 		s.end = Addr(lo + (i+1)*per)
 	}
 	al.shards[n-1].end = Addr(h.cfg.Words)
@@ -107,17 +111,18 @@ func (al *allocator) init(h *Heap) {
 // region — only recycled blocks batch, so idle classes never pin unused arena
 // words. It returns the number of blocks moved.
 //
-// A carve backs the block's chunks (Heap.back) under the shard mutex, before
-// the address leaves the allocator.
+// A carve that passes the shard's prefaulted frontier moves it prefaultWords
+// past the new bump and, once the mutex is released, asks the kernel to back
+// the words in between (prefault): one call per window carved, instead of a
+// page fault on the first touch of each page.
 func (al *allocator) take(si, lines int, dst []Addr) int {
 	s := &al.shards[si]
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if lines < len(s.free) {
 		lst := s.free[lines]
-		n := copy(dst, lst[max(len(lst)-len(dst), 0):])
-		if n > 0 {
+		if n := copy(dst, lst[max(len(lst)-len(dst), 0):]); n > 0 {
 			s.free[lines] = lst[:len(lst)-n]
+			s.mu.Unlock()
 			return n
 		}
 	}
@@ -125,10 +130,19 @@ func (al *allocator) take(si, lines int, dst []Addr) int {
 	b := (s.bump + lineMask) &^ lineMask
 	need := Addr(lines) << lineShift
 	if b > s.end || s.end-b < need {
+		s.mu.Unlock()
 		return 0
 	}
-	al.h.back(b, int(need))
 	s.bump = b + need
+	var lo, hi Addr // the words to prefault, if any
+	if s.bump > s.pre {
+		lo, hi = max(s.pre, b), min(s.bump+prefaultWords, s.end)
+		s.pre = hi
+	}
+	s.mu.Unlock()
+	if lo < hi {
+		prefault(al.h.words[lo:hi])
+	}
 	dst[0] = b + 1
 	return 1
 }
@@ -203,8 +217,8 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 	h := al.h
 	// A recycled block's header still records its previous payload size;
 	// zero what that life wrote beyond the new payload, so the slack reads
-	// as zero. A fresh block's header reads 0: its chunk was backed zeroed.
-	hdr := h.word(a - 1)
+	// as zero. A fresh block's header reads 0, as every untouched word does.
+	hdr := &h.words[a-1]
 	if old := int(hdr.Load() >> 1); old > size {
 		h.fill(a+Addr(size), old-size, nil)
 	}
@@ -238,25 +252,19 @@ func (al *allocator) alloc(th *Thread, size int, image []uint64) Addr {
 	return a
 }
 
-// fill stores image, or n zeros with a nil image, over the n words from a,
-// one chunk at a time.
+// fill stores image, or n zeros with a nil image, over the n words from a.
 func (h *Heap) fill(a Addr, n int, image []uint64) {
-	for i := 0; i < n; {
-		p := a + Addr(i)
-		ws := h.chunks[p>>chunkShift].Load()[p&chunkMask:]
-		ws = ws[:min(n-i, len(ws))]
-		if image == nil {
-			for j := range ws {
-				ws[j].Store(0)
-			}
-		} else {
-			src := image[i:][:len(ws)]
-			for j := range ws {
-				ws[j].Store(src[j])
-			}
+	ws := h.words[a:][:n]
+	if image == nil {
+		for i := range ws {
+			ws[i].Store(0)
 		}
-		i += len(ws)
+	} else {
+		for i, v := range image[:n] {
+			ws[i].Store(v)
+		}
 	}
+	runtime.KeepAlive(h) // the mapping under ws (see mapArena)
 }
 
 // free returns the block whose payload starts at a to th's magazine for its
@@ -289,7 +297,7 @@ func (al *allocator) free(th *Thread, a Addr) {
 			th.freeGuard(a, l, h.meta[l].Load())
 		}
 	}
-	h.word(a - 1).Store(uint64(size) << 1)
+	h.words[a-1].Store(uint64(size) << 1)
 	// One tick of the version clock versions the whole block. Unlike the
 	// old flip-before-release dance, the tick may precede the per-line
 	// transitions: a transaction that began after the tick (rv admits wv) can
@@ -345,12 +353,12 @@ func (al *allocator) free(th *Thread, a Addr) {
 
 // header returns the header word of the block whose payload starts at a, or
 // 0 where the header's line is not allocated: a freed block's, or one never
-// carved, whose chunk may not be backed.
+// carved.
 func (h *Heap) header(a Addr) uint64 {
 	if !metaAllocated(h.meta[lineOf(a-1)].Load()) {
 		return 0
 	}
-	return h.word(a - 1).Load()
+	return h.words[a-1].Load()
 }
 
 // inFallbackHoldingLines reports whether th is inside a fallback body that

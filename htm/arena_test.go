@@ -3,53 +3,79 @@ package htm
 import (
 	"errors"
 	"math/rand"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// Tests of the arena's backing: address space that the allocator backs one
-// chunk at a time as it carves (Heap.back), and the word paths that reach
-// memory through the chunk table.
+// Tests of the arena's backing: address space whose pages the kernel backs on
+// first touch, with the allocator prefaulting one window ahead of each
+// shard's carve frontier (take), and every word path indexing it flat.
 
-// TestHeapBacksOnDemand pins what backing costs and that nothing reads past
-// it: a large heap builds with no chunk backed, one thread's allocations back
-// one chunk, recycling backs nothing, and a block larger than a chunk backs
-// the chunks it covers and reads and writes across their boundary through
+// TestHeapBacksOnDemand pins what backing costs, counting the resident pages
+// of the mapping: a large heap builds with none, one thread's allocations
+// back pages only within its shard's carved extent and one prefault window
+// past it, recycling backs nothing, and a block larger than a window backs
+// only what it covers and reads and writes across the window's end through
 // every word path.
 func TestHeapBacksOnDemand(t *testing.T) {
+	if !mapsArena {
+		t.Skip("this build makes its arenas up front")
+	}
 	h := NewHeap(Config{Words: 1 << 26})
-	if n := h.backedChunks(); n != 0 {
-		t.Fatalf("a fresh heap backs %d chunks, want 0", n)
+	if w, m := resident(t, h.words), resident(t, h.meta); len(w)+len(m) != 0 {
+		t.Fatalf("a fresh heap has %d word and %d metadata pages resident, want 0", len(w), len(m))
 	}
 	th := h.NewThread()
+	sh := &h.alloc.shards[th.shard]
+	// within checks that every resident page of words and of metadata lies
+	// within the shard's carved extent and one prefault window past it.
+	within := func(what string) (words, meta []int) {
+		t.Helper()
+		words, meta = resident(t, h.words), resident(t, h.meta)
+		pw := os.Getpagesize() / 8
+		lo, hi := int(sh.start), int(sh.bump)+prefaultWords
+		for _, p := range words {
+			if p+pw <= lo || p >= hi {
+				t.Fatalf("%s: word page at %#x is resident, outside [%#x, %#x)", what, p, lo, hi)
+			}
+		}
+		for _, p := range meta {
+			if p+pw <= lineOf(Addr(lo)) || p > lineOf(Addr(hi)) {
+				t.Fatalf("%s: metadata page at line %#x is resident, outside lines [%#x, %#x]", what, p, lineOf(Addr(lo)), lineOf(Addr(hi)))
+			}
+		}
+		if len(words) == 0 || len(meta) == 0 {
+			t.Fatalf("%s: %d word and %d metadata pages resident, want some of each", what, len(words), len(meta))
+		}
+		return words, meta
+	}
 	var blocks []Addr
 	for i := 0; i < 200; i++ {
 		blocks = append(blocks, th.Alloc(1+i%64))
 	}
-	if n := h.backedChunks(); n != 1 {
-		t.Fatalf("200 small blocks on one thread back %d chunks, want 1", n)
-	}
+	words, meta := within("200 small blocks")
 	for _, a := range blocks {
 		th.Free(a)
 	}
 	for i := range blocks {
 		blocks[i] = th.Alloc(1 + i%64)
 	}
-	if n := h.backedChunks(); n != 1 {
-		t.Fatalf("free and re-alloc backed %d chunks, want still 1", n)
+	if w, m := within("free and re-alloc"); len(w) != len(words) || len(m) != len(meta) {
+		t.Fatalf("free and re-alloc: %d word and %d metadata pages resident, want still %d and %d", len(w), len(m), len(words), len(meta))
 	}
+	// The census reads only carved lines, so it backs nothing either.
 	requireQuiescent(t, h)
+	within("the census")
 
-	// A block larger than a chunk, carved where the small ones end, backs
-	// every chunk it covers and nothing else.
-	size := chunkWords + chunkWords/2
+	// A block larger than a prefault window, carved where the small ones
+	// end, backs what it covers and its window, and nothing else.
+	size := prefaultWords + prefaultWords/2
 	big := th.Alloc(size)
-	first, last := (blocks[0]-1)>>chunkShift, (big+Addr(size)-1)>>chunkShift
-	if n := h.backedChunks(); n != int(last-first)+1 {
-		t.Fatalf("the large block left %d chunks backed, want %d", n, last-first+1)
-	}
+	within("the large block")
 	for i := 0; i < size; i++ {
 		h.StoreNT(big+Addr(i), uint64(i)+1)
 	}
@@ -62,11 +88,11 @@ func TestHeapBacksOnDemand(t *testing.T) {
 			t.Fatalf("LoadWords word %d = %d, want %d", i, v, i+1)
 		}
 	}
-	// Strided walks up and down across a chunk boundary inside the block,
-	// one with 200 words of the block on either side.
-	boundary := int((big>>chunkShift)+1)<<chunkShift - int(big)
+	// Strided walks up and down across the window boundary inside the
+	// block, one with 200 words of the block on either side.
+	boundary := int((big|windowMask)+1) - int(big)
 	if boundary < 200 {
-		boundary += chunkWords
+		boundary += prefaultWords
 	}
 	for _, stride := range []int{3, -5} {
 		first := boundary - 40*stride
@@ -95,21 +121,55 @@ func TestHeapBacksOnDemand(t *testing.T) {
 			t.Errorf("LoadNT word %d = %d, want %d", i, v, want)
 		}
 	}
+	words, meta = within("the written large block")
 	th.Free(big)
-	if th.Alloc(size) != big || h.backedChunks() != int(last-first)+1 {
-		t.Errorf("re-allocating the large block moved it or backed more chunks")
+	if th.Alloc(size) != big {
+		t.Errorf("re-allocating the large block moved it")
+	}
+	if w, m := within("the re-allocated large block"); len(w) != len(words) || len(m) != len(meta) {
+		t.Errorf("re-allocating the large block backed more pages")
 	}
 	requireQuiescent(t, h)
 }
 
-// TestLargeBlockInShortShard carves blocks just over a chunk long from shard
-// regions between one and two chunks long, whose ends fall between chunk
-// boundaries: a carve needs only its own words, wherever the boundaries are.
+// TestHeapUnmapsWhenUnreachable builds and drops heaps, each with a block
+// allocated, and holds the cleanup to unmapping every one of them once the
+// collector finds them unreachable.
+func TestHeapUnmapsWhenUnreachable(t *testing.T) {
+	if !mapsArena {
+		t.Skip("this build makes its arenas up front")
+	}
+	runtime.GC()
+	runtime.GC()
+	base := mapped()
+	func() {
+		heaps := make([]*Heap, 64)
+		for i := range heaps {
+			heaps[i] = NewHeap(Config{Words: 1 << 22})
+			heaps[i].NewThread().Alloc(1)
+		}
+		if grew := mapped() - base; grew < 64<<25 {
+			t.Fatalf("64 heaps of 1<<22 words mapped %d bytes, want at least %d", grew, 64<<25)
+		}
+	}()
+	for i := 0; i < 200 && mapped() > base; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if m := mapped(); m > base {
+		t.Fatalf("%d bytes still mapped after the heaps became unreachable, want at most the baseline %d", m, base)
+	}
+}
+
+// TestLargeBlockInShortShard carves blocks just over a prefault window long
+// from shard regions between one and two windows long, whose ends fall
+// between page boundaries: a carve prefaults no further than its shard's end,
+// and its block reads and writes across every page and window boundary in it.
 func TestLargeBlockInShortShard(t *testing.T) {
 	shards := len(NewHeap(Config{Words: 1 << 10}).alloc.shards)
-	h := NewHeap(Config{Words: 1 + shards*(chunkWords+chunkWords/2+8)})
+	h := NewHeap(Config{Words: 1 + shards*(prefaultWords+prefaultWords/2+8)})
 	th := h.NewThread()
-	const size = chunkWords + 8
+	const size = prefaultWords + 8
 	got := make([]uint64, size)
 	for i := 0; i < min(shards, 4); i++ {
 		a := th.Alloc(size)
@@ -128,16 +188,17 @@ func TestLargeBlockInShortShard(t *testing.T) {
 	requireQuiescent(t, h)
 }
 
-// TestChunkBackingRace has threads carve fresh blocks, which backs new chunks,
-// while others run transactions over the blocks already published: word,
-// bulk and strided reads whose ranges cross block and chunk boundaries, some
-// reaching chunks not yet backed, and a write of a word back to itself. Every
-// word a committed read returns is its block's pattern, a header or zero.
+// TestChunkBackingRace has threads carve fresh blocks, which moves their
+// shards' prefault frontiers, while others run transactions over the blocks
+// already published: word, bulk and strided reads whose ranges cross block,
+// page and window boundaries, some reaching words not yet carved, and a write
+// of a word back to itself. Every word a committed read returns is its
+// block's pattern, a header or zero.
 func TestChunkBackingRace(t *testing.T) {
 	const (
 		carvers   = 2
 		readers   = 2
-		perCarver = 5000 // about 2.4 chunks of blocks averaging 32 words
+		perCarver = 5000 // about 80 windows of blocks averaging 32 words
 	)
 	h := NewHeap(Config{Words: 1 << 20})
 	pattern := func(a Addr) uint64 { return uint64(a) | 1<<40 }
@@ -156,8 +217,8 @@ func TestChunkBackingRace(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < perCarver; i++ {
-				// A 5-line footprint does not divide a chunk, so some blocks
-				// straddle a chunk boundary and runs inside them cross it.
+				// A 5-line footprint does not divide a window, so some blocks
+				// straddle a window boundary and runs inside them cross it.
 				size := [4]int{7, 15, 39, 63}[r.Intn(4)]
 				a := th.Alloc(size)
 				for j := 0; j < size; j++ {
@@ -182,12 +243,12 @@ func TestChunkBackingRace(t *testing.T) {
 				a := Addr(published[r.Int63n(n)].Load())
 				switch r.Intn(3) {
 				case 0:
-					// Just below the next chunk boundary: the run crosses
-					// into a chunk that may not be backed yet.
-					a = (a | chunkMask) + 1 - Addr(1+r.Intn(200))
+					// Just below the next window boundary: the run crosses
+					// into words that may not be carved yet.
+					a = (a | windowMask) + 1 - Addr(1+r.Intn(200))
 				case 1:
-					// Just past it: the run starts in that chunk.
-					a = (a | chunkMask) + 1 + Addr(r.Intn(200))
+					// Just past it: the run starts in that window.
+					a = (a | windowMask) + 1 + Addr(r.Intn(200))
 				}
 				k := 1 + r.Intn(len(dst))
 				stride := [4]int{1, 1, 3, -2}[r.Intn(4)]
@@ -213,7 +274,7 @@ func TestChunkBackingRace(t *testing.T) {
 						return
 					}
 				}
-				if last := a + Addr((k-1)*stride); last>>chunkShift != a>>chunkShift {
+				if last := a + Addr((k-1)*stride); last|windowMask != a|windowMask {
 					crossed.Add(1)
 				}
 			}
@@ -225,30 +286,34 @@ func TestChunkBackingRace(t *testing.T) {
 	done.Store(true)
 	wg.Wait()
 	if crossed.Load() == 0 {
-		t.Log("no committed read crossed a chunk boundary while carving ran")
+		t.Log("no committed read crossed a window boundary while carving ran")
 	}
-	// Quiescent: every chunk boundary with live lines on both sides reads
+	// Quiescent: every window boundary with live lines on both sides reads
 	// across in one LoadWords.
 	th := h.NewThread()
 	dst := make([]uint64, 64)
 	for i := range h.alloc.shards {
 		sh := &h.alloc.shards[i]
-		for b := (sh.start | chunkMask) + 1; b+32 <= sh.bump; b += chunkWords {
+		for b := (sh.start | windowMask) + 1; b+32 <= sh.bump; b += prefaultWords {
 			if !allLive(h, b-32, b+32) {
 				continue
 			}
 			if err := th.TryAtomic(func(tx *Txn) { tx.LoadWords(b-32, dst) }); err != nil {
-				t.Fatalf("LoadWords across the chunk boundary at %#x: %v", uint32(b), err)
+				t.Fatalf("LoadWords across the window boundary at %#x: %v", uint32(b), err)
 			}
 			for j, v := range dst {
 				if w := b - 32 + Addr(j); !okWord(w, v) {
-					t.Fatalf("word %#x read %#x across a chunk boundary", uint32(w), v)
+					t.Fatalf("word %#x read %#x across a window boundary", uint32(w), v)
 				}
 			}
 		}
 	}
 	requireQuiescent(t, h)
 }
+
+// windowMask extracts a word's offset within its aligned prefault window; the
+// window boundaries are page boundaries too.
+const windowMask Addr = prefaultWords - 1
 
 // allLive reports whether every line of [lo, hi) is allocated.
 func allLive(h *Heap, lo, hi Addr) bool {

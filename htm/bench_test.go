@@ -285,12 +285,22 @@ func benchAllocFreeParallel(b *testing.B, cfg Config) {
 	})
 }
 
-// BenchmarkNewHeap measures building a default-sized heap (1<<20 words): the
-// flat line metadata and an empty chunk table, since no chunk is backed
-// before the first carve.
+// BenchmarkNewHeap measures building a heap: a default-sized one (1<<20
+// words), and a 1<<10-word one with one block allocated, which backs its
+// first pages. Go's B/op sees neither the words nor the metadata, which the
+// kernel backs outside the Go heap on first touch, except in a build that
+// makes them (arena_make.go).
 func BenchmarkNewHeap(b *testing.B) {
-	b.ReportAllocs()
-	for b.Loop() {
-		NewHeap(Config{Words: 1 << 20})
-	}
+	b.Run("words=1<<20", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			NewHeap(Config{Words: 1 << 20})
+		}
+	})
+	b.Run("words=1<<10,alloc", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			NewHeap(Config{Words: 1 << 10}).NewThread().Alloc(1)
+		}
+	})
 }

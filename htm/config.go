@@ -30,9 +30,9 @@ const fallbackOwnerMask = 1<<FallbackOwnerBits - 1
 // value selects Rock-like defaults via NewHeap.
 type Config struct {
 	// Words is the arena's address space in 64-bit words. Defaults to 1<<20.
-	// It is a budget: memory is committed chunk by chunk as the allocator
-	// carves into it, and only the line metadata (one word per 8 words) is
-	// made up front.
+	// It is a budget: the words and their line metadata (one word per 8)
+	// are address space, and a page of either costs memory only once it is
+	// touched. A race build, or one off Linux, makes both up front.
 	Words int
 
 	// StoreBufferSize bounds the number of distinct words a single

@@ -25,23 +25,14 @@ func (th *Thread) BlockSize(a Addr) int {
 }
 
 // makeLive makes a's line allocated by hand, at version 0, as a carve and an
-// alloc would have: it backs the line's chunk first, since no word of a
-// never-carved line may be read.
+// alloc would have.
 func (h *Heap) makeLive(a Addr) {
-	h.back(a&^lineMask, 1<<lineShift)
 	h.meta[lineOf(a)].Store(makeMeta(0, true))
 }
 
-// backedChunks returns how many chunks of the arena are backed.
-func (h *Heap) backedChunks() int {
-	n := 0
-	for i := range h.chunks {
-		if h.chunks[i].Load() != nil {
-			n++
-		}
-	}
-	return n
-}
+// mapped returns the bytes mapped by heaps not yet cleaned up: 0 in a build
+// that makes its arenas (arena_make.go).
+func mapped() int64 { return mappedBytes.Load() }
 
 // AttemptStats returns the number of transaction attempts and commits made
 // by this thread.

@@ -267,8 +267,8 @@ type MetaSweep struct {
 	StripeErrors uint64
 }
 
-// SweepMeta scans the arena's metadata and returns the census. It is a
-// diagnostic for quiescent heaps (the chaos harness's post-run invariant
+// SweepMeta scans the metadata of the carved lines and returns the census. It
+// is a diagnostic for quiescent heaps (the chaos harness's post-run invariant
 // sweep); concurrent activity makes the counts approximate.
 //
 // It also walks every allocator region block by block (headers survive free,
@@ -278,23 +278,25 @@ type MetaSweep struct {
 // free one.
 func (h *Heap) SweepMeta() MetaSweep {
 	var s MetaSweep
-	for i := range h.meta {
-		m := h.meta[i].Load()
-		if metaLocked(m) {
-			s.Locked++
-		}
-		if metaFallbackLocked(m) {
-			s.FallbackTagged++
-		}
-	}
 	for i := range h.alloc.shards {
 		sh := &h.alloc.shards[i]
 		sh.mu.Lock()
 		start, bump := sh.start, sh.bump
 		sh.mu.Unlock()
 		pos := (start + lineMask) &^ lineMask
+		// Only carved lines are ever allocated or locked, and the lines of a
+		// shard's blocks are its lines from pos to bump.
+		for l := lineOf(pos); l < lineOf(bump); l++ {
+			m := h.meta[l].Load()
+			if metaLocked(m) {
+				s.Locked++
+			}
+			if metaFallbackLocked(m) {
+				s.FallbackTagged++
+			}
+		}
 		for pos < bump {
-			hdr := h.word(pos).Load()
+			hdr := h.words[pos].Load()
 			size := int(hdr >> 1)
 			if size <= 0 || Addr(size) >= bump-pos {
 				s.StripeErrors++ // corrupt header: stop walking this region

@@ -105,11 +105,11 @@ type clockLine struct {
 type Heap struct {
 	cfg Config
 
-	// chunks is the word arena: Config.Words of address space, backed one
-	// chunk at a time as the allocator carves into it (see back). meta is
-	// flat and zeroed up front.
-	chunks []atomic.Pointer[chunk]
-	meta   []atomic.Uint64 // per-line metadata: lock | allocated | version
+	// words is the arena, Config.Words of them, and meta its per-line
+	// metadata (lock | allocated | version). Both are address space whose
+	// pages are backed, zeroed, on first touch (mapArena).
+	words []atomic.Uint64
+	meta  []atomic.Uint64
 
 	// The version clock. Every writer ticks it once and publishes the tick
 	// as the version of the lines it wrote (see tick).
@@ -145,12 +145,8 @@ type Heap struct {
 // Rock-like defaults).
 func NewHeap(cfg Config) *Heap {
 	cfg = cfg.withDefaults()
-	h := &Heap{
-		cfg:    cfg,
-		chunks: make([]atomic.Pointer[chunk], (cfg.Words+chunkWords-1)>>chunkShift),
-		meta:   make([]atomic.Uint64, (cfg.Words+int(lineMask))>>lineShift),
-		clock:  new(clockLine),
-	}
+	h := &Heap{cfg: cfg, clock: new(clockLine)}
+	h.words, h.meta = mapArena(h, cfg.Words, (cfg.Words+int(lineMask))>>lineShift)
 	if cfg.Faults != nil {
 		h.ntYieldThresh = yieldThreshold(cfg.Faults.YieldEvery)
 	}
@@ -221,40 +217,6 @@ const (
 
 // lineOf maps a word address to its line: the index of its metadata word.
 func lineOf(a Addr) int { return int(a) >> lineShift }
-
-// The arena is address space, and memory backs it one chunk of chunkWords
-// words at a time, when the allocator first carves into the chunk (back). A
-// chunk holds whole lines; a block may straddle two chunks, and every word path
-// finds each word's chunk on its own. The invariant that makes the lazy backing
-// safe: no word of a never-carved line is read or written. Every word access
-// first finds its line allocated (or, for the allocator, owns a carved block),
-// and only carved lines are ever allocated; see DESIGN.md "Arena: address space
-// and backing".
-const (
-	chunkShift      = 16
-	chunkWords      = 1 << chunkShift
-	chunkMask  Addr = chunkWords - 1
-)
-
-// chunk is the backing of one chunk of the arena.
-type chunk [chunkWords]atomic.Uint64
-
-// word returns the word at a, whose line must have been carved.
-func (h *Heap) word(a Addr) *atomic.Uint64 {
-	return &h.chunks[a>>chunkShift].Load()[a&chunkMask]
-}
-
-// back backs every chunk under the n words from b, a block the allocator is
-// carving, before the block's address leaves it. The first carve into a chunk
-// publishes a zeroed one; a shard carving into a chunk that a neighbouring
-// shard's region shares may lose the CAS to it, and uses the winner's.
-func (h *Heap) back(b Addr, n int) {
-	for c := b >> chunkShift; c <= (b+Addr(n)-1)>>chunkShift; c++ {
-		if h.chunks[c].Load() == nil {
-			h.chunks[c].CompareAndSwap(nil, new(chunk))
-		}
-	}
-}
 
 // tick advances the version clock and returns the new tick, which is the
 // version the caller publishes. Callers must already exclude every concurrent
@@ -369,7 +331,7 @@ func (h *Heap) LoadNT(a Addr) uint64 {
 		if !metaAllocated(m1) {
 			ntFreedPanic(a, "load")
 		}
-		v := h.word(a).Load()
+		v := h.words[a].Load()
 		if h.meta[mi].Load() == m1 {
 			return v
 		}
@@ -383,7 +345,7 @@ func (h *Heap) StoreNT(a Addr, v uint64) {
 	h.maybeYieldNT()
 	h.checkNTAddr(a, "store")
 	h.lockMeta(a, "store")
-	h.word(a).Store(v)
+	h.words[a].Store(v)
 	wv := h.tick()
 	h.releaseMeta(lineOf(a), wv)
 }
@@ -395,7 +357,7 @@ func (h *Heap) CASNT(a Addr, old, new uint64) bool {
 	h.maybeYieldNT()
 	h.checkNTAddr(a, "cas")
 	prev := h.lockMeta(a, "cas")
-	w := h.word(a)
+	w := &h.words[a]
 	if w.Load() != old {
 		h.releaseMetaUnchanged(lineOf(a), prev)
 		return false
@@ -412,7 +374,7 @@ func (h *Heap) AddNT(a Addr, delta uint64) uint64 {
 	h.maybeYieldNT()
 	h.checkNTAddr(a, "add")
 	h.lockMeta(a, "add")
-	w := h.word(a)
+	w := &h.words[a]
 	v := w.Load() + delta
 	w.Store(v)
 	wv := h.tick()

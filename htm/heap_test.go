@@ -223,7 +223,7 @@ func TestLoadNTWaitsOutAHeldLine(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		runtime.Gosched()
 	}
-	h.word(a + 1).Store(8)
+	h.words[a+1].Store(8)
 	h.meta[l].Store(makeMeta(h.tick(), true))
 	if v := <-done; v != 8 {
 		t.Errorf("LoadNT across a held line returned %d, want the released 8", v)

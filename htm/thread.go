@@ -42,7 +42,7 @@ func (h *Heap) NewThread() *Thread {
 	}
 	th.txn.th = th
 	th.txn.h = h
-	th.txn.chunks = h.chunks
+	th.txn.words = h.words
 	th.txn.arenaWords = h.cfg.Words
 	th.txn.meta = h.meta
 	th.txn.maxReadSet = h.cfg.MaxReadSet

@@ -86,7 +86,7 @@ type Txn struct {
 	// Hot-path caches of immutable heap state, set once when the descriptor
 	// is bound to its thread: they save a pointer chase through t.h (and its
 	// cfg) on every transactional access.
-	chunks       []atomic.Pointer[chunk]
+	words        []atomic.Uint64
 	arenaWords   int // Config.Words: one past the last address
 	meta         []atomic.Uint64
 	maxReadSet   int
@@ -273,7 +273,7 @@ func (t *Txn) fbLoad(a Addr) uint64 {
 		return t.writes[i].val
 	}
 	t.fbAcquire(a, "load")
-	return t.word(a).Load()
+	return t.words[a].Load()
 }
 
 // fbStore is Txn.Store on the fallback path: lock the word's line
@@ -458,7 +458,7 @@ func (t *Txn) Load(a Addr) uint64 {
 			}
 			t.accessFault(a, "load")
 		}
-		v := t.word(a).Load()
+		v := t.words[a].Load()
 		if t.meta[mi].Load() != m1 {
 			continue
 		}
@@ -522,19 +522,12 @@ func (t *Txn) LoadWords(a Addr, dst []uint64) {
 // predicate — locked, freed, changed under the value read, or newer than rv —
 // which it leaves to Load. The predicate's metadata half is decided once per
 // line, since the words of a line share one metadata word; what is left per
-// word is value, metadata again. A run ends at the end of a's chunk, which it
-// looks up once, and reads nothing if the chunk was never backed: Load decides
-// the next word. The loops are leaves over slices cut to the range: the atomic
-// loads are compiler barriers, so a t.field or a bounds check inside them is
-// paid again after every one.
+// word is value, metadata again. The loops are leaves over slices cut to the
+// range: the atomic loads are compiler barriers, so a t.field or a bounds
+// check inside them is paid again after every one. t, used after the loops,
+// keeps the mapping under those slices live (see mapArena).
 func (t *Txn) loadRun(a Addr, dst []uint64) int {
-	c := t.chunks[a>>chunkShift].Load()
-	if c == nil {
-		return 0
-	}
-	words := c[a&chunkMask:]
-	dst = dst[:min(len(dst), len(words))]
-	words, meta, rv := words[:len(dst)], t.meta, t.rv
+	words, meta, rv := t.words[a:][:len(dst)], t.meta, t.rv
 	ents, adv := t.readRoom(lineOf(a), len(dst))
 	i, k := 0, 0
 run:
@@ -632,18 +625,10 @@ func (t *Txn) LoadStrided(a Addr, stride int, dst []uint64) {
 // line as Load would, and returns how many it read before the first word that
 // fails the bypass predicate, which it leaves to Load. Like loadRun it decides
 // the metadata half of the predicate once per line — a strided walk over an
-// array's slots meets several slots in each — ends, as loadRun does, at the
-// end of a's chunk, and keeps the chunk and the snapshot in locals, since the
-// atomic loads are compiler barriers.
+// array's slots meets several slots in each — and keeps the arena and the
+// snapshot in locals, since the atomic loads are compiler barriers.
 func (t *Txn) stridedRun(a Addr, stride int, dst []uint64) int {
-	c := t.chunks[a>>chunkShift].Load()
-	if c == nil {
-		return 0
-	}
-	if last := int(a) + (len(dst)-1)*stride; last>>chunkShift != int(a>>chunkShift) {
-		dst = dst[:chunkStrides(a, stride)]
-	}
-	meta, rv := t.meta, t.rv
+	words, meta, rv := t.words, t.meta, t.rv
 	ents, adv := t.readRoom(lineOf(a), len(dst))
 	w, i, k := int(a), 0, 0
 run:
@@ -654,7 +639,7 @@ run:
 		if m1&(metaLockBit|metaAllocBit) != metaAllocBit || metaVersion(m1) > rv {
 			break
 		}
-		v := c[w&int(chunkMask)].Load()
+		v := words[w].Load()
 		if mw.Load() != m1 {
 			break
 		}
@@ -662,7 +647,7 @@ run:
 		k, adv = k+adv, 1
 		dst[i] = v
 		for i, w = i+1, w+stride; i < len(dst) && w>>lineShift == l; i, w = i+1, w+stride {
-			v := c[w&int(chunkMask)].Load()
+			v := words[w].Load()
 			if mw.Load() != m1 {
 				break run
 			}
@@ -671,22 +656,6 @@ run:
 	}
 	t.reads = t.reads[:len(t.reads)+k]
 	return i
-}
-
-// chunkStrides returns how many words stride apart from a, a first, lie in
-// a's chunk. It divides, so stridedRun calls it only for a walk that leaves
-// the chunk.
-func chunkStrides(a Addr, stride int) int {
-	off := int(a & chunkMask)
-	if stride > 0 {
-		return (chunkWords-1-off)/stride + 1
-	}
-	return off/-stride + 1
-}
-
-// word returns the word at a, whose line must have been carved.
-func (t *Txn) word(a Addr) *atomic.Uint64 {
-	return &t.chunks[a>>chunkShift].Load()[a&chunkMask]
 }
 
 // Store transactionally writes v to the word at a. Writes are buffered and
@@ -833,7 +802,7 @@ func (t *Txn) commit() (AbortCode, Addr) {
 			// being freed may contain held lines, and free() waits out line
 			// locks.
 			for i := range t.writes {
-				t.word(t.writes[i].addr).Store(t.writes[i].val)
+				t.words[t.writes[i].addr].Store(t.writes[i].val)
 			}
 			// Injected adversity (Config.Faults.ReleaseDelay): hold the
 			// lock-set a while longer after write-back, stretching the
@@ -955,7 +924,7 @@ func (t *Txn) publish() (AbortCode, Addr) {
 	}
 
 	for i := range t.writes {
-		t.word(t.writes[i].addr).Store(t.writes[i].val)
+		t.words[t.writes[i].addr].Store(t.writes[i].val)
 	}
 	// Release each line once, as acquisition locked it: a second release is
 	// no idempotent store, because another committer may acquire the line
@@ -964,6 +933,7 @@ func (t *Txn) publish() (AbortCode, Addr) {
 	for i := range lines {
 		meta[lines[i].addr>>lineShift].Store(live)
 	}
+	runtime.KeepAlive(t) // the mapping under meta (see mapArena)
 	return 0, NilAddr
 }
 

@@ -482,9 +482,10 @@ func FuzzEntryCodec(f *testing.F) {
 	})
 }
 
-// BenchmarkNewStore measures building a default Store: its heap's metadata
-// and chunk table, the chunks its index and directory are carved into, and
-// the pool of execution contexts.
+// BenchmarkNewStore measures building a default Store: its heap, the pages
+// its index and directory are carved into, and the pool of execution
+// contexts. Go's B/op does not see the heap's pages, which the kernel backs
+// outside the Go heap.
 func BenchmarkNewStore(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {

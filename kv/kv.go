@@ -81,8 +81,8 @@ type Config struct {
 	Slots int
 
 	// HeapWords is the backing heap's address-space budget (htm.Config.Words):
-	// memory is committed chunk by chunk as the allocator carves into it, so
-	// a store costs what it holds plus its line metadata, one word per 8.
+	// a page of the heap's words or line metadata costs memory only once it
+	// is touched, so a store costs about what it holds.
 	// Defaults to a budget derived from Slots and MaxValueBytes that
 	// comfortably holds a full index of mid-sized entries; size it explicitly
 	// for large-value workloads.
